@@ -25,7 +25,6 @@ from .eigensolve import (
     MixedEigenpair,
     solve_mixed_eigs,
     dense_oracle_eigs,
-    schur_apply,
 )
 from .exact import (
     Frequency,

@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .analysis import (
 from .assembly import assemble_mixed
 from .eigensolve import SolveOptions, solve_mixed_eigs
 from .equivalence import verify_equivalence
-from .errors import RRTError, IoFailure
+from .errors import RRTError, InvalidConfig, IoFailure
 from .exact import (
     align_exact_representative,
     enumerate_exact,
@@ -137,6 +137,15 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise IoFailure(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InvalidConfig(f"config {path} must be a JSON object")
+    known = fields(ExperimentConfig)
+    unknown = sorted(set(raw) - {f.name for f in known})
+    missing = [f.name for f in known if f.default is MISSING and f.name not in raw]
+    if unknown or missing:
+        raise InvalidConfig(
+            f"config {path}: unknown keys {unknown}, missing keys {missing}"
+        )
     for key in ("node_x", "node_y", "analyses"):
         if key in raw:
             raw[key] = tuple(raw[key])

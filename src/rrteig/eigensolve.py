@@ -1,46 +1,49 @@
-"""Sparse and dense solvers for the discrete mixed eigenvalue problem.
+"""Tensor-product and dense solvers for the discrete mixed eigenvalue problem.
 
 The mixed pencil is reduced to the cell space: B A^-1 B^T u = lambda M u.
-The production path inverts the reduced operator through one sparse LU
-factorization of the saddle matrix [[A, B^T], [B, 0]] and runs Lanczos on
-the inverse, which targets the smallest eigenvalues directly; the dense
-oracle forms the reduced matrix column by column and is kept strictly
+On a tensor-product mesh the reduced pencil is a Kronecker sum,
+
+    B A^-1 B^T = D_y (x) S_x + S_y (x) D_x,    M = D_y (x) D_x,
+
+where S and D are the reduced operator and the cell-width diagonal of the
+1-D RT0 pencil in each direction (fast diagonalisation; Lynch, Rice &
+Thomas, Numer. Math. 6, 1964).  The production path solves the two 1-D
+pencils and combines their modes, lambda = mu_i + nu_j and u = w_j (x) v_i,
+then checks every pair against the assembled 2-D matrices.  The dense
+oracle forms the 2-D reduced matrix column by column and is kept strictly
 separate for verification.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import MixedSystem
-from .errors import InnerSolveDiverged, KTooLarge, NotConverged, OracleCapExceeded
-
-_DENSE_FALLBACK = 40  # below this cell count Lanczos has no room to run
+from .errors import KTooLarge, NotConverged, OracleCapExceeded
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Contract of an eigenpair request."""
+    """Contract of an eigenpair request.
+
+    ``seed`` and ``max_iterations`` steer the Lanczos iteration of the
+    enriched-element solver; the mixed solvers are direct and ignore them.
+    """
 
     k: int
     tol: float = 1e-10
     max_iterations: int = 20000
     seed: int = 0
-    inner_tol: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.tol < 1.0):
             raise ValueError("tol must lie in (0, 1)")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-
-    @property
-    def effective_inner_tol(self) -> float:
-        return self.inner_tol if self.inner_tol is not None else self.tol / 100.0
 
 
 @dataclass
@@ -53,30 +56,8 @@ class MixedEigenpair:
     residual_norm: float
 
 
-def schur_apply(
-    system: MixedSystem,
-    u_vec: np.ndarray,
-    inner_tol: float = 1e-12,
-    max_iter: int = 2000,
-) -> np.ndarray:
-    """Apply the reduced operator B A^-1 B^T with an inner CG solve on A."""
-    rhs = system.B.T @ np.asarray(u_vec, dtype=float)
-    sol, info = spla.cg(system.A, rhs, rtol=inner_tol, atol=0.0, maxiter=max_iter)
-    if info != 0:
-        raise InnerSolveDiverged(f"CG on A returned info={info}")
-    return system.B @ sol
-
-
-def _saddle_lu(system: MixedSystem):
-    n_sig = system.layout.n_sigma
-    saddle = sp.bmat(
-        [[system.A, system.B.T], [system.B, None]], format="csc"
-    )
-    return spla.splu(saddle), n_sig
-
-
-def _normalize(system, lam, u):
-    """M-normalize, fix the sign, and recover sigma = A^-1 B^T u."""
+def _normalize(system, u):
+    """M-normalize and fix the sign: the largest-magnitude entry is positive."""
     nrm = np.sqrt(float(u @ (system.M * u)))
     u = u / nrm
     imax = int(np.argmax(np.abs(u)))
@@ -85,8 +66,10 @@ def _normalize(system, lam, u):
     return u
 
 
-def _finalize(system, a_lu, lam, u, tol):
-    u = _normalize(system, lam, u)
+def _finalize(system, a_lu, lam, u):
+    """Normalize u, recover sigma = A^-1 B^T u and measure the residual
+    of the pair against the assembled 2-D pencil."""
+    u = _normalize(system, u)
     sigma = a_lu.solve(system.B.T @ u)
     r1 = system.A @ sigma - system.B.T @ u
     r2 = system.B @ sigma - lam * (system.M * u)
@@ -98,53 +81,64 @@ def _finalize(system, a_lu, lam, u, tol):
     ), res
 
 
+def _strip_pencil(system: MixedSystem, axis: int):
+    """1-D pencil of one direction: the normal-flux block of the first cell
+    row (axis 0, x) or column (axis 1, y).  It is the 1-D RT0 pencil scaled
+    by the strip's cross width, which leaves its eigenvalues unchanged."""
+    lay = system.layout
+    if axis == 0:
+        edges = lay.xedge_index(np.arange(lay.n1 + 1), 0)
+        cells = lay.cell_index(np.arange(lay.n1), 0)
+    else:
+        edges = lay.yedge_index(0, np.arange(lay.n2 + 1))
+        cells = lay.cell_index(0, np.arange(lay.n2))
+    return system.A[edges][:, edges], system.B[cells][:, edges], system.M[cells]
+
+
+def _modes_1d(a1, g, d, k):
+    """k smallest eigenpairs (mu, v) of the 1-D pencil (G A1^-1 G^T, diag d).
+
+    They are taken from the top of the inverse D^1/2 S^-1 D^1/2 by a dense
+    symmetric eigendecomposition; S^-1 is applied through one sparse LU of
+    the saddle matrix [[A1, G^T], [G, 0]].  Columns of v are d-orthonormal.
+    """
+    n_edge, n = a1.shape[0], len(d)
+    lu = spla.splu(sp.bmat([[a1, g.T], [g, None]], format="csc"))
+    d_sqrt = np.sqrt(d)
+    rhs = np.zeros((n_edge + n, n))
+    rhs[n_edge:] = np.diag(d_sqrt)
+    inv = -lu.solve(rhs)[n_edge:] * d_sqrt[:, None]
+    theta, vec = np.linalg.eigh((inv + inv.T) / 2.0)
+    top = np.arange(n - 1, n - 1 - k, -1)  # largest theta = smallest mu
+    return 1.0 / theta[top], vec[:, top] / d_sqrt[:, None]
+
+
 def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions) -> list[MixedEigenpair]:
     """k smallest eigenpairs of the pencil (B A^-1 B^T, M).
 
-    Deterministic for a fixed seed; eigenvalues ascending, u vectors
-    M-orthonormal, each u's largest-magnitude entry positive.
+    Deterministic; eigenvalues ascending, tied eigenvalues ordered by
+    their (y, x) 1-D mode indices, so a cluster member keeps its place
+    whatever k is; u vectors M-orthonormal, each u's largest-magnitude
+    entry positive.
     """
-    n_cell = system.layout.n_cell
-    if opts.k > n_cell:
-        raise KTooLarge(f"k={opts.k} exceeds spectrum size {n_cell}")
+    lay = system.layout
+    if opts.k > lay.n_cell:
+        raise KTooLarge(f"k={opts.k} exceeds spectrum size {lay.n_cell}")
 
-    lu, n_sig = _saddle_lu(system)
-    m_sqrt = np.sqrt(system.M)
+    # the k smallest sums use at most the k smallest modes of each direction
+    mu, v = _modes_1d(*_strip_pencil(system, 0), min(opts.k, lay.n1))
+    nu, w = _modes_1d(*_strip_pencil(system, 1), min(opts.k, lay.n2))
+    sums = np.add.outer(nu, mu)
+    order = np.argsort(sums, axis=None, kind="stable")[: opts.k]
 
-    def inv_apply(y):
-        # y -> M^{1/2} (B A^-1 B^T)^{-1} M^{1/2} y via one saddle solve
-        rhs = np.concatenate([np.zeros(n_sig), m_sqrt * y])
-        sol = lu.solve(rhs)
-        return m_sqrt * (-sol[n_sig:])
-
-    k_int = min(opts.k + 2, n_cell)  # guard against missing cluster members
-    if n_cell <= max(_DENSE_FALLBACK, k_int + 2):
-        op_mat = np.column_stack(
-            [inv_apply(col) for col in np.eye(n_cell)]
-        )
-        op_mat = (op_mat + op_mat.T) / 2.0
-        mu, vec = np.linalg.eigh(op_mat)
-    else:
-        op = spla.LinearOperator(
-            (n_cell, n_cell), matvec=inv_apply, dtype=float
-        )
-        rng = np.random.default_rng(opts.seed)
-        v0 = rng.standard_normal(n_cell)
-        mu, vec = spla.eigsh(
-            op, k=k_int, which="LM", v0=v0, tol=0.0,
-            maxiter=opts.max_iterations,
-        )
-
-    order = np.argsort(mu)[::-1][: opts.k]  # largest mu = smallest lambda
     a_lu = spla.splu(system.A.tocsc())
     out, worst = [], 0.0
-    for idx in order:
-        lam = 1.0 / mu[idx]
-        u = vec[:, idx] / m_sqrt
-        pair, res = _finalize(system, a_lu, lam, u, opts.tol)
+    for flat in order:
+        j, i = divmod(int(flat), len(mu))
+        u = np.outer(w[:, j], v[:, i]).ravel()  # cell index j * n1 + i
+        pair, res = _finalize(system, a_lu, sums[j, i], u)
         out.append(pair)
         worst = max(worst, res)
-    out.sort(key=lambda p: p.lambda_h)  # stable: ascending within clusters
     if worst > opts.tol:
         raise NotConverged(
             f"worst residual {worst:.3e} exceeds tol {opts.tol:.1e}",
@@ -156,9 +150,9 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions) -> list[MixedEigen
 def dense_oracle_eigs(
     system: MixedSystem, k: int, cap: int = 5000
 ) -> list[MixedEigenpair]:
-    """Dense verification oracle, independent of the Lanczos path.
+    """Dense verification oracle, independent of the tensor-product path.
 
-    Forms the reduced matrix S = B A^-1 B^T column by column with direct
+    Forms the 2-D reduced matrix S = B A^-1 B^T column by column with direct
     inner solves, reduces the pencil (S, M) with the trivial Cholesky of
     the diagonal M, and calls a dense symmetric eigendecomposition.
     """
@@ -182,6 +176,6 @@ def dense_oracle_eigs(
     for idx in range(k):
         lam = vals[idx]
         u = d_inv_sqrt * vecs[:, idx]
-        pair, _ = _finalize(system, a_lu, lam, u, tol=1.0)
+        pair, _ = _finalize(system, a_lu, lam, u)
         out.append(pair)
     return out

@@ -9,16 +9,16 @@ class NonMonotonicNodes(RRTError):
     """A node vector is not strictly increasing."""
 
 
+class NonFiniteNodes(RRTError):
+    """A node vector holds NaN or an infinite coordinate."""
+
+
 class TooFewNodes(RRTError):
     """A node vector has fewer than two entries."""
 
 
 class LayoutMismatch(RRTError):
     """A coefficient vector does not conform to the DOF layout."""
-
-
-class InnerSolveDiverged(RRTError):
-    """The inner SPD iteration exceeded its iteration cap."""
 
 
 class NotConverged(RRTError):
@@ -63,3 +63,7 @@ class SingularSystem(RRTError):
 
 class IoFailure(RRTError):
     """Report output could not be written."""
+
+
+class InvalidConfig(RRTError):
+    """An experiment config document has unknown or missing keys."""

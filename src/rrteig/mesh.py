@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonMonotonicNodes, TooFewNodes
+from .errors import NonFiniteNodes, NonMonotonicNodes, TooFewNodes
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,8 @@ def _check_nodes(nodes) -> np.ndarray:
     arr = np.asarray(nodes, dtype=float)
     if arr.ndim != 1 or len(arr) < 2:
         raise TooFewNodes(f"node vector needs >= 2 entries, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteNodes("node vector must hold finite coordinates")
     if np.any(np.diff(arr) <= 0):
         raise NonMonotonicNodes("node vector must be strictly increasing")
     return arr

@@ -163,6 +163,20 @@ def test_main_error_exit(tmp_path, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "IoFailure"
+    # unknown keys, missing keys and a non-object fail with one JSON line
+    base = {"name": "x", "node_x": [0.0, PI], "node_y": [0.0, PI]}
+    for doc, named in (
+        (dict(base, levles=2), "levles"),
+        ({"name": "x", "node_x": [0.0, PI]}, "node_y"),
+        ([0.0, PI], "JSON object"),
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        code = main(["run", "--config", str(path)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidConfig"
+        assert named in err["message"]
 
 
 def test_run_with_config_file(tmp_path, capsys):

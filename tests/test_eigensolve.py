@@ -3,15 +3,12 @@ error paths."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rrteig.assembly import assemble_mixed
-from rrteig.eigensolve import (
-    SolveOptions,
-    dense_oracle_eigs,
-    schur_apply,
-    solve_mixed_eigs,
-)
+from rrteig.eigensolve import SolveOptions, dense_oracle_eigs, solve_mixed_eigs
 from rrteig.errors import KTooLarge, OracleCapExceeded
+from rrteig.exact import enumerate_exact
 from rrteig.mesh import build_mesh, uniform_mesh, uniform_refine
 
 PI = np.pi
@@ -22,9 +19,6 @@ def test_options_validation():
         SolveOptions(k=0)
     with pytest.raises(ValueError):
         SolveOptions(k=3, tol=2.0)
-    opts = SolveOptions(k=3, tol=1e-8)
-    assert opts.effective_inner_tol == pytest.approx(1e-10)
-    assert SolveOptions(k=3, inner_tol=1e-6).effective_inner_tol == 1e-6
 
 
 def test_eigenvalues_positive_ascending(pairs_a0):
@@ -103,16 +97,6 @@ def test_oracle_cap():
         dense_oracle_eigs(system, k=1)
 
 
-def test_schur_apply_matches_direct(system_a0):
-    """CG-based operator application agrees with a dense direct solve."""
-    rng = np.random.default_rng(5)
-    u = rng.standard_normal(system_a0.layout.n_cell)
-    got = schur_apply(system_a0, u, inner_tol=1e-13)
-    a = system_a0.A.toarray()
-    want = system_a0.B @ np.linalg.solve(a, system_a0.B.T @ u)
-    np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-10)
-
-
 def test_degenerate_pairs_uniform():
     """lambda_2 = lambda_3 and lambda_5 = lambda_6 to 1e-10 relative."""
     mesh = uniform_mesh(0, PI, 8, 0, PI, 8)
@@ -123,3 +107,65 @@ def test_degenerate_pairs_uniform():
         assert abs(lam[1] - lam[2]) <= 1e-10 * lam[1]
         assert abs(lam[4] - lam[5]) <= 1e-10 * lam[4]
         mesh = uniform_refine(mesh)
+
+
+def _nodes(widths):
+    """Nodes of [0, pi] with cells proportional to ``widths``."""
+    w = np.asarray(widths)
+    nodes = np.concatenate([[0.0], np.cumsum(w)]) * (PI / w.sum())
+    nodes[-1] = PI
+    return nodes
+
+
+@st.composite
+def _tensor_meshes(draw):
+    """Random tensor meshes of [0, pi]^2, n1, n2 in [1, 40], cell widths
+    drawn from [1, 4] so the width ratio per direction is <= 4."""
+    nodes = []
+    for axis in "xy":
+        n = draw(st.integers(1, 40), label=f"n_{axis}")
+        nodes.append(_nodes(draw(st.lists(
+            st.floats(1.0, 4.0), min_size=n, max_size=n))))
+    return build_mesh(*nodes)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mesh=_tensor_meshes(), data=st.data())
+def test_random_tensor_meshes_against_oracle(mesh, data):
+    """Tensor-product solver vs the dense 2-D oracle on random meshes:
+    eigenvalues to 1e-10 relative, M-orthonormal u, residuals within tol,
+    and the upper bound lambda_h >= m^2 + n^2."""
+    system = assemble_mixed(mesh)
+    k = data.draw(st.integers(1, min(12, mesh.n_cells)), label="k")
+    opts = SolveOptions(k=k)
+    pairs = solve_mixed_eigs(system, opts)
+    assert len(pairs) == k
+    lam = np.array([p.lambda_h for p in pairs])
+    want = np.array([q.lambda_h for q in dense_oracle_eigs(system, k=k)])
+    np.testing.assert_allclose(lam, want, rtol=1e-10, atol=0.0)
+    u = np.column_stack([p.u_coeffs for p in pairs])
+    gram = u.T @ (system.M[:, None] * u)
+    np.testing.assert_allclose(gram, np.eye(k), atol=1e-10)
+    assert all(p.residual_norm <= opts.tol for p in pairs)
+    exact = np.array([e.value for e in enumerate_exact((PI, PI), count=k)])
+    assert np.all(lam >= exact)
+
+
+def test_cluster_cut_by_k():
+    """k = 2 cuts the tied pair lambda_2 = lambda_3 of a uniform mesh: the
+    solve returns exactly k pairs, bitwise repeatable, and the member it
+    keeps is the one that leads the pair when the whole cluster is asked:
+    the (2, 1) mode, odd in x, before the (1, 2) mode, odd in y."""
+    system = assemble_mixed(uniform_mesh(0, PI, 8, 0, PI, 8))
+    cut = solve_mixed_eigs(system, SolveOptions(k=2))
+    again = solve_mixed_eigs(system, SolveOptions(k=2))
+    full = solve_mixed_eigs(system, SolveOptions(k=3))
+    assert len(cut) == 2
+    assert full[1].lambda_h == full[2].lambda_h
+    u2, u3 = (full[t].u_coeffs.reshape(8, 8) for t in (1, 2))  # [j, i]
+    np.testing.assert_allclose(u2[:, ::-1], -u2, atol=1e-12)
+    np.testing.assert_allclose(u3[::-1, :], -u3, atol=1e-12)
+    for p, q, r in zip(cut, again, full):
+        assert p.lambda_h == q.lambda_h == r.lambda_h
+        np.testing.assert_array_equal(p.u_coeffs, q.u_coeffs)
+        np.testing.assert_array_equal(p.u_coeffs, r.u_coeffs)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rrteig.errors import NonMonotonicNodes, TooFewNodes
+from rrteig.errors import NonFiniteNodes, NonMonotonicNodes, TooFewNodes
 from rrteig.mesh import (
     build_mesh,
     mesh_size,
@@ -29,6 +29,11 @@ def test_node_validation():
         build_mesh([0.0, 2.0, 1.0], [0.0, 1.0])
     with pytest.raises(TooFewNodes):
         build_mesh([0.0], [0.0, 1.0])
+    for bad in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]):
+        with pytest.raises(NonFiniteNodes):
+            build_mesh(bad, [0.0, 1.0])
+        with pytest.raises(NonFiniteNodes):
+            build_mesh([0.0, 1.0], bad)
 
 
 def test_cell_indexing_roundtrip():
