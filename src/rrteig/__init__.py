@@ -18,7 +18,6 @@ from .assembly import (
     layout,
     assemble_mixed,
     assemble_peq,
-    dump_coo,
 )
 from .eigensolve import (
     SolveOptions,
@@ -45,18 +44,14 @@ from .postprocess import (
     error_norms_postprocessed,
 )
 from .analysis import (
-    ExpansionReport,
-    RatesTable,
     FrequencyMatch,
     EigenspaceBasis,
     expansion_term,
-    residual,
-    rate,
+    convergence_rate,
     extrapolate,
     check_upper_bound,
     lower_bound_margin,
     match_frequencies,
-    rayleigh_quotient,
     eigenspace_gap,
 )
 from .equivalence import (

@@ -1,32 +1,16 @@
-"""Quantitative eigenvalue analysis: expansion terms, residuals, rates,
-extrapolation, bounds, frequency matching, Rayleigh quotients and
-eigenspace gaps."""
+"""Quantitative eigenvalue analysis: expansion terms, convergence rates,
+extrapolation, bounds, frequency matching and eigenspace gaps."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import MixedSystem
 from .eigensolve import MixedEigenpair
-from .errors import AmbiguousAssignment, DimensionMismatch, ZeroVector
+from .errors import AmbiguousAssignment, DimensionMismatch
 from .exact import ExactEigenpair, FieldSample, Frequency
-from .mesh import TensorMesh, mesh_size
-
-
-@dataclass(frozen=True)
-class ExpansionReport:
-    """Error e1 = lambda_h - lambda, dominant term e2, residual r = e1 - e2."""
-
-    e1: float
-    e2: float
-    level: int
-    h: float
-
-    @property
-    def r(self) -> float:
-        return self.e1 - self.e2
+from .mesh import TensorMesh
 
 
 def expansion_term(mesh: TensorMesh, exact_rep: FieldSample) -> float:
@@ -53,39 +37,12 @@ def expansion_term(mesh: TensorMesh, exact_rep: FieldSample) -> float:
     return total / 12.0
 
 
-def residual(e1: float, e2: float) -> float:
-    """Residual r = e1 - e2 of the eigenvalue error expansion."""
-    return e1 - e2
-
-
-@dataclass(frozen=True)
-class RatesTable:
-    """Per-level values with successive log2 error ratios.
-
-    ``rates[i]`` compares levels i and i+1; an entry is None when either
-    error underflows 1e-14 and the ratio would be numerical noise.
-    """
-
-    values: tuple[float, ...]
-    reference: float
-    errors: tuple[float, ...]
-    rates: tuple[float | None, ...]
-
-
-def rate(values, reference: float = 0.0) -> RatesTable:
-    """log2 ratios of successive |value - reference|."""
-    values = tuple(float(v) for v in values)
-    if len(values) < 2:
-        raise ValueError("need at least two levels to form a rate")
-    errors = tuple(v - reference for v in values)
-    rates = []
-    for a, b in zip(errors[:-1], errors[1:]):
-        if abs(a) < 1e-14 or abs(b) < 1e-14:
-            rates.append(None)
-        else:
-            rates.append(float(np.log2(abs(a) / abs(b))))
-    return RatesTable(values=values, reference=reference,
-                      errors=errors, rates=tuple(rates))
+def convergence_rate(coarse_err: float, fine_err: float) -> float:
+    """log2 |coarse_err / fine_err| between successive levels; NaN when
+    either error is below 1e-300."""
+    if abs(coarse_err) < 1e-300 or abs(fine_err) < 1e-300:
+        return float("nan")
+    return float(np.log2(abs(coarse_err) / abs(fine_err)))
 
 
 def extrapolate(lambda_h: float, lambda_half: float) -> float:
@@ -158,16 +115,6 @@ def match_frequencies(
                 f"frequency {f} received {c} members, expected {f.multiplicity}"
             )
     return out
-
-
-def rayleigh_quotient(system: MixedSystem, sigma: np.ndarray) -> float:
-    """R(sigma) = ||div sigma||^2 / ||sigma||^2 through B, M and A."""
-    sigma = np.asarray(sigma, dtype=float)
-    denom = float(sigma @ (system.A @ sigma))
-    if denom == 0.0:
-        raise ZeroVector("Rayleigh quotient of the zero vector")
-    b = system.B @ sigma
-    return float(np.sum(b * b / system.M)) / denom
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import IoFailure
 from .mesh import TensorMesh
 
 
@@ -57,10 +56,6 @@ class DofLayout:
 
 
 def layout(mesh: TensorMesh) -> DofLayout:
-    if mesh.mask is not None:
-        raise NotImplementedError(
-            "masked (rectangle-union) meshes are not supported by assembly"
-        )
     return DofLayout(mesh.n1, mesh.n2)
 
 
@@ -101,7 +96,7 @@ def assemble_mixed(mesh: TensorMesh) -> MixedSystem:
     """
     lay = layout(mesh)
     ii, jj, hx, hy = _cell_arrays(mesh)
-    area = hx * hy
+    area = mesh.cell_areas
 
     left = lay.xedge_index(ii, jj)
     right = lay.xedge_index(ii + 1, jj)
@@ -128,7 +123,7 @@ def assemble_mixed(mesh: TensorMesh) -> MixedSystem:
     b_vals = np.concatenate([hy, -hy, hx, -hx])
     B = sp.coo_matrix((b_vals, (b_rows, b_cols)), shape=(lay.n_cell, n_sig)).tocsr()
 
-    return MixedSystem(A=A, B=B, M=area.copy(), layout=lay, mesh=mesh)
+    return MixedSystem(A=A, B=B, M=area, layout=lay, mesh=mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +220,7 @@ def assemble_peq(mesh: TensorMesh) -> PeqSystem:
     """Assemble stiffness and projected mass of the enriched space."""
     lay = layout(mesh)
     ii, jj, hx, hy = _cell_arrays(mesh)
-    area = hx * hy
+    area = mesh.cell_areas
     n1, n2 = lay.n1, lay.n2
 
     cell_dofs = lay.n_sigma + lay.cell_index(ii, jj)
@@ -299,13 +294,3 @@ def peq_cell_gradient(mesh: TensorMesh, coeffs_full: np.ndarray):
     gyT = (2.0 / hy) * (w @ _DETA_AT[+1])
     return gxL, gxR, gyB, gyT
 
-
-def dump_coo(matrix, path):
-    """Write a matrix in coordinate text form: row col value per line."""
-    coo = sp.coo_matrix(matrix)
-    try:
-        with open(path, "w") as f:
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                f.write(f"{r} {c} {v:.17g}\n")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc

@@ -15,6 +15,7 @@ import numpy as np
 
 from .analysis import (
     check_upper_bound,
+    convergence_rate,
     expansion_term,
     extrapolate,
     lower_bound_margin,
@@ -60,6 +61,24 @@ ALL_ANALYSES = (
 _FORMATS = ("delimited-text", "aligned-text", "structured-document")
 _EXT = {"delimited-text": "csv", "aligned-text": "txt",
         "structured-document": "json"}
+
+_NUMBER = (int, float)
+# JSON type of each config value and, for an array, of its items; a
+# boolean is never a number here
+_VALUE_TYPES = {
+    "name": (str, None, "a string"),
+    "node_x": (list, _NUMBER, "an array of numbers"),
+    "node_y": (list, _NUMBER, "an array of numbers"),
+    "levels": (int, None, "an integer"),
+    "k": (int, None, "an integer"),
+    "tol": (_NUMBER, None, "a number"),
+    "analyses": (list, str, "an array of strings"),
+    "equiv_max_cells": (int, None, "an integer"),
+}
+
+
+def _is_json_type(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -146,6 +165,13 @@ def load_config(path: str) -> ExperimentConfig:
         raise InvalidConfig(
             f"config {path}: unknown keys {unknown}, missing keys {missing}"
         )
+    for key, value in raw.items():
+        kind, item, want = _VALUE_TYPES[key]
+        if not _is_json_type(value, kind) or (
+            item and not all(_is_json_type(v, item) for v in value)
+        ):
+            raise InvalidConfig(f"config {path}: {key} must be {want}, "
+                                f"got {json.dumps(value)}")
     for key in ("node_x", "node_y", "analyses"):
         if key in raw:
             raw[key] = tuple(raw[key])
@@ -186,10 +212,25 @@ def _sign_matched(pair, pi0_u, areas):
     )
 
 
+def _solve(config: ExperimentConfig, mesh: TensorMesh, equivalence: bool):
+    """Assemble and solve one level.  For the equivalence check three pairs
+    more than k are solved, where the spectrum holds them, so that a
+    cluster straddling index k is compared in full; the first k pairs are
+    bitwise the same either way."""
+    system = assemble_mixed(mesh)
+    k = config.k
+    if equivalence:
+        k = max(k, min(k + 3, mesh.n_cells))
+    return system, solve_mixed_eigs(system, SolveOptions(k=k, tol=config.tol))
+
+
 def _solve_level(config: ExperimentConfig, mesh: TensorMesh, exact):
     t0 = time.perf_counter()
-    system = assemble_mixed(mesh)
-    pairs = solve_mixed_eigs(system, SolveOptions(k=config.k, tol=config.tol))
+    run = set(config.analyses)
+    equivalence = ("equivalence" in run
+                   and mesh.n_cells <= config.equiv_max_cells)
+    system, solved = _solve(config, mesh, equivalence)
+    pairs = solved[: config.k]
     rec = {
         "level": mesh.level,
         "n1": mesh.n1,
@@ -197,7 +238,6 @@ def _solve_level(config: ExperimentConfig, mesh: TensorMesh, exact):
         "h": mesh_size(mesh),
         "lambdas": [p.lambda_h for p in pairs],
     }
-    run = set(config.analyses)
     areas = system.M
 
     if "residuals" in run:
@@ -268,8 +308,8 @@ def _solve_level(config: ExperimentConfig, mesh: TensorMesh, exact):
             start += mult
         rec["frequency_matches"] = matches
 
-    if "equivalence" in run and mesh.n_cells <= config.equiv_max_cells:
-        eq = verify_equivalence(mesh, k=config.k, tol=config.tol)
+    if equivalence:
+        eq = verify_equivalence(system, solved, config.k)
         rec["equivalence"] = {
             "max_eig_rel_diff": eq.max_eig_rel_diff,
             "max_sigma_discrepancy": eq.max_sigma_discrepancy,
@@ -296,18 +336,18 @@ class RunReport:
         return asdict(self)
 
 
-def _finest_rate(coarse_err, fine_err):
-    if abs(coarse_err) < 1e-300 or abs(fine_err) < 1e-300:
-        return float("nan")
-    return float(np.log2(abs(coarse_err) / abs(fine_err)))
-
-
 def run_case(config: ExperimentConfig) -> RunReport:
-    """Solve every refinement level of the configured case and analyze."""
+    """Solve every refinement level of the configured case and analyze.
+
+    Exact fields live on [0, a] x [0, b], so the node vectors must start
+    at 0; any other origin raises InvalidConfig before level 0."""
     mesh = config.initial_mesh()
-    domain = (mesh.node_x[-1] - mesh.node_x[0],
-              mesh.node_y[-1] - mesh.node_y[0])
-    exact = enumerate_exact(domain, count=config.k)
+    if mesh.node_x[0] != 0.0 or mesh.node_y[0] != 0.0:
+        raise InvalidConfig(
+            f"config {config.name}: node vectors must start at 0, got "
+            f"x0={mesh.node_x[0]!r}, y0={mesh.node_y[0]!r}"
+        )
+    exact = enumerate_exact((mesh.node_x[-1], mesh.node_y[-1]), count=config.k)
     levels = []
     failures = []
     for lvl in range(config.levels + 1):
@@ -325,7 +365,7 @@ def run_case(config: ExperimentConfig) -> RunReport:
         try:
             e_coarse = levels[-2]["lambdas"][t] - exact[t].value
             e_fine = levels[-1]["lambdas"][t] - exact[t].value
-            eigen_rates.append(_finest_rate(e_coarse, e_fine))
+            eigen_rates.append(convergence_rate(e_coarse, e_fine))
         except KeyError:
             eigen_rates.append(float("nan"))
 
@@ -333,7 +373,7 @@ def run_case(config: ExperimentConfig) -> RunReport:
     if all("residuals" in lv for lv in levels[-2:]):
         for key in levels[-1]["residuals"]:
             if key in levels[-2]["residuals"]:
-                residual_rates[key] = _finest_rate(
+                residual_rates[key] = convergence_rate(
                     levels[-2]["residuals"][key]["r"],
                     levels[-1]["residuals"][key]["r"],
                 )
@@ -345,7 +385,7 @@ def run_case(config: ExperimentConfig) -> RunReport:
         tilde = [extrapolate(a, b) for a, b in zip(vals[:-1], vals[1:])]
         errs = [t - lam0 for t in tilde]
         rates = [
-            _finest_rate(a, b) for a, b in zip(errs[:-1], errs[1:])
+            convergence_rate(a, b) for a, b in zip(errs[:-1], errs[1:])
         ]
         extrap = {"values": tilde, "errors": errs, "rates": rates}
 
@@ -502,6 +542,8 @@ def _add_common(p, with_case=True):
 
 
 def _refined(config, level):
+    if level < 0:
+        raise ValueError(f"levels must be >= 0, got {level}")
     mesh = config.initial_mesh()
     for _ in range(level):
         mesh = uniform_refine(mesh)
@@ -543,10 +585,7 @@ def main(argv=None) -> int:
             config = _config_from_args(args, with_levels=False)
             level = args.levels if args.levels is not None else 0
             mesh = _refined(config, level)
-            system = assemble_mixed(mesh)
-            pairs = solve_mixed_eigs(
-                system, SolveOptions(k=config.k, tol=config.tol)
-            )
+            _, pairs = _solve(config, mesh, equivalence=False)
             for t, p in enumerate(pairs):
                 print(f"lambda_{t + 1} = {p.lambda_h:.17g}")
             return 0
@@ -555,7 +594,8 @@ def main(argv=None) -> int:
             config = _config_from_args(args, with_levels=False)
             level = args.levels if args.levels is not None else 0
             mesh = _refined(config, level)
-            rep = verify_equivalence(mesh, k=config.k, tol=config.tol)
+            system, pairs = _solve(config, mesh, equivalence=True)
+            rep = verify_equivalence(system, pairs, config.k)
             for e in rep.entries:
                 print(
                     f"lambda={e.lambda_rrt:.17g} rel_diff={e.eig_rel_diff:.3e} "

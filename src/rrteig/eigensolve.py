@@ -28,16 +28,11 @@ from .errors import KTooLarge, NotConverged, OracleCapExceeded
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Contract of an eigenpair request.
-
-    ``seed`` and ``max_iterations`` steer the Lanczos iteration of the
-    enriched-element solver; the mixed solvers are direct and ignore them.
-    """
+    """Contract of an eigenpair request: the k smallest pairs, each with a
+    relative residual against the assembled pencil of at most ``tol``."""
 
     k: int
     tol: float = 1e-10
-    max_iterations: int = 20000
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.tol < 1.0):

@@ -11,24 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (
-    MixedSystem,
-    PeqSystem,
-    assemble_mixed,
-    assemble_peq,
-    peq_cell_gradient,
-)
+from .assembly import MixedSystem, PeqSystem, assemble_peq, peq_cell_gradient
 from .analysis import EigenspaceBasis, eigenspace_gap
-from .eigensolve import (
-    MixedEigenpair,
-    SolveOptions,
-    solve_mixed_eigs,
-)
+from .eigensolve import MixedEigenpair
 from .errors import KTooLarge, SingularSystem
 from .mesh import TensorMesh
+
+# Lanczos start-vector seed and iteration cap of solve_peq_eigs
+_LANCZOS_SEED = 0
+_LANCZOS_MAX_ITERATIONS = 20000
 
 
 @dataclass
@@ -53,9 +46,7 @@ def _expand(peq: PeqSystem, reduced: np.ndarray) -> np.ndarray:
 
 def _solution(peq: PeqSystem, reduced: np.ndarray) -> PeqSolution:
     full = _expand(peq, reduced)
-    areas = peq.mesh.hx[np.newaxis, :].repeat(peq.mesh.n2, axis=0).ravel() \
-        * np.repeat(peq.mesh.hy, peq.mesh.n1)
-    cell_means = full[peq.layout.n_sigma :] / areas
+    cell_means = full[peq.layout.n_sigma :] / peq.mesh.cell_areas
     grads = peq_cell_gradient(peq.mesh, full)
     return PeqSolution(coeffs=full, cell_means=cell_means, grad_edges=grads)
 
@@ -71,9 +62,7 @@ def solve_peq_poisson(peq: PeqSystem, f_cell_means: np.ndarray) -> PeqSolution:
     return _solution(peq, lu.solve(rhs))
 
 
-def solve_peq_eigs(
-    peq: PeqSystem, opts: SolveOptions
-) -> list[tuple[float, PeqSolution]]:
+def solve_peq_eigs(peq: PeqSystem, k: int) -> list[tuple[float, PeqSolution]]:
     """k smallest finite eigenvalues of the pencil (K, M0).
 
     The semidefinite mass acts on cell DOFs only; the kernel directions
@@ -82,8 +71,8 @@ def solve_peq_eigs(
     condensed operator is applied through one factorization of K.
     """
     n_cell = peq.n_cell
-    if opts.k > n_cell:
-        raise KTooLarge(f"k={opts.k} exceeds finite spectrum size {n_cell}")
+    if k > n_cell:
+        raise KTooLarge(f"k={k} exceeds finite spectrum size {n_cell}")
     try:
         lu = spla.splu(peq.K.tocsc())
     except RuntimeError as exc:
@@ -99,20 +88,20 @@ def solve_peq_eigs(
         sol = lu.solve(rhs)
         return mc_sqrt * sol[ne:]
 
-    k_int = min(opts.k + 2, n_cell)
+    k_int = min(k + 2, n_cell)
     if n_cell <= max(40, k_int + 2):
         mat = np.column_stack([inv_apply(col) for col in np.eye(n_cell)])
         mat = (mat + mat.T) / 2.0
         mu, vec = np.linalg.eigh(mat)
     else:
         op = spla.LinearOperator((n_cell, n_cell), matvec=inv_apply, dtype=float)
-        rng = np.random.default_rng(opts.seed)
+        rng = np.random.default_rng(_LANCZOS_SEED)
         v0 = rng.standard_normal(n_cell)
         mu, vec = spla.eigsh(
             op, k=k_int, which="LM", v0=v0, tol=0.0,
-            maxiter=opts.max_iterations,
+            maxiter=_LANCZOS_MAX_ITERATIONS,
         )
-    order = np.argsort(mu)[::-1][: opts.k]
+    order = np.argsort(mu)[::-1][:k]
 
     out = []
     for idx in order:
@@ -209,28 +198,27 @@ def _clusters(lambdas, rel_tol=1e-6):
 
 
 def verify_equivalence(
-    mesh: TensorMesh, k: int, tol: float = 1e-10
+    system: MixedSystem, pairs: list[MixedEigenpair], k: int
 ) -> EquivalenceReport:
-    """Solve both discretizations and compare spectra and eigenvectors.
+    """Compare the first k mixed pairs with the enriched-element pairs.
 
+    ``pairs`` are the ascending mixed eigenpairs already solved on
+    ``system``; only the enriched element is solved here, for as many
+    pairs.  Pairs past index k serve to complete a cluster that straddles
+    k, so pass a few more than k where the spectrum holds them.
     Clusters (numerically repeated eigenvalues) are compared through the
     subspace they span; simple eigenvalues are compared vector by vector
     with the sign resolved by the norm itself."""
-    system = assemble_mixed(mesh)
-    peq = assemble_peq(mesh)
-    # margin so a cluster straddling index k is compared in full
-    k_solve = min(k + 3, mesh.n_cells)
-    opts = SolveOptions(k=k_solve, tol=tol)
-    rrt = solve_mixed_eigs(system, opts)
-    peq_pairs = solve_peq_eigs(peq, opts)
+    mesh = system.mesh
+    peq_pairs = solve_peq_eigs(assemble_peq(mesh), len(pairs))
 
-    lambdas = [p.lambda_h for p in rrt]
+    lambdas = [p.lambda_h for p in pairs]
     entries = []
     max_jump = 0.0
     for group in _clusters(lambdas):
         if group[0] >= k:
             break
-        sig_rrt = [rrt[i].sigma_coeffs for i in group]
+        sig_rrt = [pairs[i].sigma_coeffs for i in group]
         sig_peq = []
         for i in group:
             lam_p, sol = peq_pairs[i]
@@ -244,8 +232,8 @@ def verify_equivalence(
             nrm = lambda d: float(np.sqrt(d @ (system.A @ d)))
             sdisc = min(nrm(d_plus), nrm(d_minus))
             um = peq_pairs[i][1].cell_means
-            du_p = rrt[i].u_coeffs - um
-            du_m = rrt[i].u_coeffs + um
+            du_p = pairs[i].u_coeffs - um
+            du_m = pairs[i].u_coeffs + um
             mnrm = lambda d: float(np.sqrt(d @ (system.M * d)))
             udisc = min(mnrm(du_p), mnrm(du_m))
             entries.append(EquivalenceEntry(
@@ -260,7 +248,9 @@ def verify_equivalence(
                 EigenspaceBasis(tuple(sig_peq), system.A),
             )
             gap_u = eigenspace_gap(
-                EigenspaceBasis(tuple(rrt[i].u_coeffs for i in group), system.M),
+                EigenspaceBasis(
+                    tuple(pairs[i].u_coeffs for i in group), system.M
+                ),
                 EigenspaceBasis(
                     tuple(peq_pairs[i][1].cell_means for i in group), system.M
                 ),

@@ -53,10 +53,6 @@ class DimensionMismatch(RRTError):
     """Eigenspace bases have incompatible dimensions or metrics."""
 
 
-class ZeroVector(RRTError):
-    """A Rayleigh quotient of the zero vector was requested."""
-
-
 class SingularSystem(RRTError):
     """A linear system expected to be definite is singular."""
 
@@ -66,4 +62,5 @@ class IoFailure(RRTError):
 
 
 class InvalidConfig(RRTError):
-    """An experiment config document has unknown or missing keys."""
+    """An experiment config is malformed (unknown or missing keys, values
+    of the wrong type) or its domain is outside what the analyses support."""

@@ -9,7 +9,7 @@ quadrature independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,20 +139,6 @@ def _int_sin_sin(k1, k2, x0, x1):
     return F(x1) - F(x0)
 
 
-def _int_cos_cos(k1, k2, x0, x1):
-    if abs(k1 - k2) < 1e-12 * max(abs(k1), abs(k2)):
-        k = k1
-
-        def F(x):
-            return x / 2.0 + np.sin(2.0 * k * x) / (4.0 * k)
-    else:
-        d, s = k1 - k2, k1 + k2
-
-        def F(x):
-            return np.sin(d * x) / (2.0 * d) + np.sin(s * x) / (2.0 * s)
-    return F(x1) - F(x0)
-
-
 @dataclass(frozen=True)
 class FieldSample:
     """A unit-norm element of an exact eigenspace with derivative access.
@@ -229,20 +215,6 @@ class FieldSample:
         return self._sum(
             lambda kx: [k * np.cos(k * x) for k in kx],
             lambda ky: [k * np.cos(k * y) for k in ky],
-        )
-
-    def uxxx(self, x, y):
-        x, y = np.asarray(x), np.asarray(y)
-        return self._sum(
-            lambda kx: [-k**3 * np.cos(k * x) for k in kx],
-            lambda ky: [np.sin(k * y) for k in ky],
-        )
-
-    def uyyy(self, x, y):
-        x, y = np.asarray(x), np.asarray(y)
-        return self._sum(
-            lambda kx: [np.sin(k * x) for k in kx],
-            lambda ky: [-k**3 * np.cos(k * y) for k in ky],
         )
 
     def sigma(self, x, y):
@@ -344,13 +316,15 @@ def l2_project_exact(mesh: TensorMesh, fld: FieldSample) -> np.ndarray:
     from .assembly import layout
 
     lay = layout(mesh)
+    areas = mesh.cell_areas
     out = np.empty(lay.n_cell)
     nx, ny = mesh.node_x, mesh.node_y
     for j in range(lay.n2):
         for i in range(lay.n1):
-            area = (nx[i + 1] - nx[i]) * (ny[j + 1] - ny[j])
-            out[lay.cell_index(i, j)] = (
-                fld.cell_integral_u(nx[i], nx[i + 1], ny[j], ny[j + 1]) / area
+            idx = lay.cell_index(i, j)
+            out[idx] = (
+                fld.cell_integral_u(nx[i], nx[i + 1], ny[j], ny[j + 1])
+                / areas[idx]
             )
     return out
 
@@ -365,7 +339,7 @@ def align_exact_representative(
     small, which signals a mismatch between lambda_h and the eigenvalue.
     """
     modes = exact.modes()
-    areas = np.repeat(mesh.hy, mesh.n1) * np.tile(mesh.hx, mesh.n2)
+    areas = mesh.cell_areas
     g = np.empty(len(modes))
     for t, (m, n) in enumerate(modes):
         p = l2_project_exact(mesh, field_for_mode(m, n, exact.domain))

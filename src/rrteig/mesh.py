@@ -7,7 +7,7 @@ this ordering.  Meshes are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,16 +24,11 @@ class TensorMesh:
         Strictly increasing node coordinates, length n1+1 and n2+1.
     level : int
         Refinement counter, 0 for a freshly built mesh.
-    mask : ndarray of bool, optional
-        Active-cell mask of shape (n2, n1) for rectangle-union domains.
-        ``None`` means all cells active (the only case the experiments
-        exercise).
     """
 
     node_x: np.ndarray
     node_y: np.ndarray
     level: int = 0
-    mask: np.ndarray | None = field(default=None)
 
     @property
     def n1(self) -> int:
@@ -56,6 +51,11 @@ class TensorMesh:
     def hy(self) -> np.ndarray:
         """Cell heights h_{y_j}, length n2."""
         return np.diff(self.node_y)
+
+    @property
+    def cell_areas(self) -> np.ndarray:
+        """Row-major cell areas |K_{i,j}| = h_{x_i} h_{y_j}, length n_cells."""
+        return np.outer(self.hy, self.hx).ravel()
 
     @property
     def domain(self) -> tuple[float, float, float, float]:
@@ -89,17 +89,9 @@ def _check_nodes(nodes) -> np.ndarray:
     return arr
 
 
-def build_mesh(node_x, node_y, mask=None) -> TensorMesh:
+def build_mesh(node_x, node_y) -> TensorMesh:
     """Build a mesh from two strictly increasing node vectors."""
-    nx = _check_nodes(node_x)
-    ny = _check_nodes(node_y)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (len(ny) - 1, len(nx) - 1):
-            raise ValueError(f"mask shape {mask.shape} does not match cell grid")
-        if mask.all():
-            mask = None
-    return TensorMesh(nx, ny, level=0, mask=mask)
+    return TensorMesh(_check_nodes(node_x), _check_nodes(node_y), level=0)
 
 
 def uniform_mesh(start_x, end_x, count_x, start_y, end_y, count_y) -> TensorMesh:
@@ -119,14 +111,10 @@ def _refine_nodes(nodes: np.ndarray) -> np.ndarray:
 
 def uniform_refine(mesh: TensorMesh) -> TensorMesh:
     """Insert the midpoint of every cell edge; parent nodes are kept bitwise."""
-    mask = None
-    if mesh.mask is not None:
-        mask = np.repeat(np.repeat(mesh.mask, 2, axis=0), 2, axis=1)
     return TensorMesh(
         _refine_nodes(mesh.node_x),
         _refine_nodes(mesh.node_y),
         level=mesh.level + 1,
-        mask=mask,
     )
 
 
@@ -138,6 +126,4 @@ def mesh_size(mesh: TensorMesh) -> float:
 def regularity_constant(mesh: TensorMesh) -> float:
     """Smallest a >= 1 with a^-1 h_y <= h_x <= a h_y over all cells."""
     ratio = mesh.hx[:, None] / mesh.hy[None, :]
-    if mesh.mask is not None:
-        ratio = ratio[mesh.mask.T]
     return float(np.maximum(ratio, 1.0 / ratio).max())

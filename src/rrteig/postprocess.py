@@ -111,10 +111,6 @@ class PostprocessedField:
     sy_vals: np.ndarray | None = None
     u_vals: np.ndarray | None = None
 
-    @property
-    def macro_shape(self):
-        return self.mesh.n1 // 2, self.mesh.n2 // 2
-
     def _macro_nodes(self):
         nx, ny = self.mesh.node_x, self.mesh.node_y
         xc = (nx[:-1] + nx[1:]) / 2.0  # cell column midpoints
@@ -146,27 +142,6 @@ class PostprocessedField:
         by2 = basis(ny[2 * J : 2 * J + 3], y, deriv == "y")
         sy = np.einsum("...p,...q,pq->...", bx2, by2, self.sy_vals[I, J])
         return sx, sy
-
-    def sample_grid(self, points_per_cell=3):
-        """Sampled (x, y, value...) rows for figure export."""
-        rows = []
-        t = (np.arange(points_per_cell) + 0.5) / points_per_cell
-        nx, ny = self.mesh.node_x, self.mesh.node_y
-        for j in range(self.mesh.n2):
-            ys = ny[j] + t * (ny[j + 1] - ny[j])
-            for i in range(self.mesh.n1):
-                xs = nx[i] + t * (nx[i + 1] - nx[i])
-                xg, yg = np.meshgrid(xs, ys)
-                vals = self.eval_cell(i, j, xg.ravel(), yg.ravel())
-                if self.kind == "sigma":
-                    for x_, y_, a, b in zip(
-                        xg.ravel(), yg.ravel(), vals[0], vals[1]
-                    ):
-                        rows.append((x_, y_, a, b))
-                else:
-                    for x_, y_, v in zip(xg.ravel(), yg.ravel(), vals):
-                        rows.append((x_, y_, v))
-        return rows
 
 
 def _require_even(mesh):

@@ -1,5 +1,5 @@
-"""Expansion terms, rates, extrapolation, bounds, frequency matching,
-Rayleigh quotients and eigenspace gaps."""
+"""Expansion terms, convergence rates, extrapolation, bounds, frequency
+matching and eigenspace gaps."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,14 @@ import pytest
 from rrteig.analysis import (
     EigenspaceBasis,
     check_upper_bound,
+    convergence_rate,
     eigenspace_gap,
     expansion_term,
     extrapolate,
     lower_bound_margin,
     match_frequencies,
-    rate,
-    rayleigh_quotient,
-    residual,
 )
-from rrteig.errors import AmbiguousAssignment, DimensionMismatch, ZeroVector
+from rrteig.errors import AmbiguousAssignment, DimensionMismatch
 from rrteig.exact import enumerate_exact, field_for_mode
 from rrteig.mesh import uniform_mesh, uniform_refine
 
@@ -44,21 +42,16 @@ def test_expansion_term_mode_weights():
         assert expansion_term(mesh, fld) == pytest.approx(want, rel=1e-12)
 
 
-def test_residual_is_difference():
-    assert residual(3.0, 1.25) == 1.75
-
-
 def test_rate_table():
     vals = [1.0 + 0.5**k for k in range(4)]  # errors halve: rate 1
-    tab = rate(vals, reference=1.0)
-    assert tab.values == tuple(vals)
-    for r in tab.rates:
-        assert r == pytest.approx(1.0, abs=1e-12)
-    # underflowed errors give None
-    tab2 = rate([2.0, 2.0 + 1e-16], reference=2.0)
-    assert tab2.rates[0] is None
-    with pytest.raises(ValueError):
-        rate([1.0])
+    errs = [v - 1.0 for v in vals]
+    for a, b in zip(errs[:-1], errs[1:]):
+        assert convergence_rate(a, b) == pytest.approx(1.0, abs=1e-12)
+    assert convergence_rate(-4.0, 1.0) == 2.0  # signs are ignored
+    # an error below 1e-300 on either side gives NaN
+    assert np.isnan(convergence_rate(1.0, 0.0))
+    assert np.isnan(convergence_rate(1e-301, 1.0))
+    assert convergence_rate(1e-299, 1e-299) == 0.0
 
 
 def test_extrapolate_kills_h2_term():
@@ -111,31 +104,6 @@ def test_match_frequencies_errors():
     mid = 50 + (1250 + 2402) / 2 * h * h / 12.0  # equidistant prediction
     with pytest.raises(AmbiguousAssignment):
         match_frequencies([mid, mid, mid], ex50, h)
-
-
-def test_rayleigh_quotient_on_eigenvectors(system_a0, pairs_a0):
-    """R(sigma_k) = lambda_k for discrete eigenpairs."""
-    for p in pairs_a0:
-        assert rayleigh_quotient(system_a0, p.sigma_coeffs) == pytest.approx(
-            p.lambda_h, rel=1e-10
-        )
-    with pytest.raises(ZeroVector):
-        rayleigh_quotient(system_a0, np.zeros(system_a0.layout.n_sigma))
-
-
-def test_rayleigh_quotient_combination(system_a0, pairs_a0):
-    """R(sum beta_k sigma-hat_k) = sum beta_k^2 lambda_k for unit-A-norm
-    sigma-hat and sum beta^2 = 1."""
-    rng = np.random.default_rng(8)
-    beta = rng.standard_normal(4)
-    beta /= np.linalg.norm(beta)
-    idx = [0, 3, 1, 2]
-    tau = sum(
-        b * p.sigma_coeffs / np.sqrt(p.lambda_h)
-        for b, p in zip(beta, [pairs_a0[i] for i in idx])
-    )
-    want = float(sum(b * b * pairs_a0[i].lambda_h for b, i in zip(beta, idx)))
-    assert rayleigh_quotient(system_a0, tau) == pytest.approx(want, rel=1e-9)
 
 
 def test_eigenvalue_error_dominated_by_h2_term():

@@ -9,8 +9,6 @@ from rrteig.assembly import (
     _REF_COEFFS,
     assemble_mixed,
     assemble_peq,
-    dump_coo,
-    layout,
     peq_cell_gradient,
     peq_local_matrices,
 )
@@ -104,14 +102,6 @@ def test_translation_invariance():
     np.testing.assert_allclose(s1.A.toarray(), s2.A.toarray(), atol=1e-14)
     np.testing.assert_allclose(s1.B.toarray(), s2.B.toarray(), atol=1e-14)
     np.testing.assert_allclose(s1.M, s2.M, atol=1e-15)
-
-
-def test_masked_mesh_rejected():
-    m = build_mesh(
-        [0.0, 1.0, 2.0], [0.0, 1.0], mask=np.array([[True, False]])
-    )
-    with pytest.raises(NotImplementedError):
-        layout(m)
 
 
 # --- enriched rotated-bilinear element -------------------------------------
@@ -220,19 +210,3 @@ def test_peq_cell_gradient_oracle():
         (u(x_mid, hy + eps) - u(x_mid, hy - eps)) / (2 * eps), rel=1e-7
     )
 
-
-def test_dump_coo_roundtrip(tmp_path, system_a0):
-    path = tmp_path / "a.coo"
-    dump_coo(system_a0.B, path)
-    rows, cols, vals = [], [], []
-    for line in path.read_text().splitlines():
-        r, c, v = line.split()
-        rows.append(int(r))
-        cols.append(int(c))
-        vals.append(float(v))
-    import scipy.sparse as sp
-
-    rebuilt = sp.coo_matrix(
-        (vals, (rows, cols)), shape=system_a0.B.shape
-    ).toarray()
-    np.testing.assert_array_equal(rebuilt, system_a0.B.toarray())

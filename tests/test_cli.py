@@ -1,12 +1,17 @@
 """Experiment driver: presets, config loading, table rendering,
 determinism, command-line surface."""
 
+import dataclasses
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
+from rrteig.assembly import assemble_mixed
+from rrteig.eigensolve import solve_mixed_eigs
+from rrteig.errors import InvalidConfig
 from rrteig.cli import (
     ExperimentConfig,
     case_preset,
@@ -169,6 +174,18 @@ def test_main_error_exit(tmp_path, capsys):
         (dict(base, levles=2), "levles"),
         ({"name": "x", "node_x": [0.0, PI]}, "node_y"),
         ([0.0, PI], "JSON object"),
+        # values of the wrong JSON type
+        (dict(base, levels="2"), "levels must be an integer"),
+        (dict(base, levels=True), "levels must be an integer"),
+        (dict(base, k=2.0), "k must be an integer"),
+        (dict(base, k=False), "k must be an integer"),
+        (dict(base, tol="1e-10"), "tol must be a number"),
+        (dict(base, tol=True), "tol must be a number"),
+        (dict(base, node_x="0 3.14"), "node_x must be an array"),
+        (dict(base, node_y=PI), "node_y must be an array"),
+        (dict(base, node_x=[0.0, "3.14"]), "node_x must be an array of num"),
+        (dict(base, analyses="eigenvalues"), "analyses must be an array"),
+        (dict(base, analyses=[["bounds"]]), "analyses must be an array of st"),
     ):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
@@ -177,6 +194,15 @@ def test_main_error_exit(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidConfig"
         assert named in err["message"]
+    # a negative level count is refused, not solved as level 0
+    for command in ("eigs", "equiv"):
+        code = main([command, "--case", "a", "--levels", "-1", "--k", "2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError"
+        assert "levels must be >= 0" in err["message"]
 
 
 def test_run_with_config_file(tmp_path, capsys):
@@ -192,3 +218,64 @@ def test_run_with_config_file(tmp_path, capsys):
     code = main(["run", "--config", str(path)])
     assert code == 0
     assert "lambda_1" in capsys.readouterr().out
+
+
+def _count_calls(monkeypatch, func):
+    """Count the calls of a library function made through any rrteig
+    module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rrteig" and (
+            getattr(module, func.__name__, None) is func
+        ):
+            monkeypatch.setattr(module, func.__name__, counted)
+    return calls
+
+
+def test_run_case_solves_each_level_once(monkeypatch):
+    """The equivalence check reuses the level's mixed pairs."""
+    assembled = _count_calls(monkeypatch, assemble_mixed)
+    solved = _count_calls(monkeypatch, solve_mixed_eigs)
+    report = run_case(dataclasses.replace(case_preset("c"), levels=1))
+    assert "failures" not in report.config
+    assert all("equivalence" in lv for lv in report.levels)
+    assert len(assembled) == len(solved) == 2
+
+
+def test_main_equiv_solves_once(monkeypatch, capsys):
+    assembled = _count_calls(monkeypatch, assemble_mixed)
+    solved = _count_calls(monkeypatch, solve_mixed_eigs)
+    code = main(["equiv", "--case", "c", "--levels", "0", "--k", "12"])
+    assert code == 0
+    assert len(assembled) == len(solved) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 13
+    # lambda_12 = lambda_13 straddles k and is compared as a pair
+    assert lines[11].endswith("cluster=2")
+
+
+def test_run_case_rejects_shifted_domain(monkeypatch, tmp_path, capsys):
+    """Exact fields live on [0, a] x [0, b]: a sweep on another origin is
+    refused before level 0; eigs and equiv use no exact field."""
+    solved = _count_calls(monkeypatch, solve_mixed_eigs)
+    nodes = tuple(1.0 + np.linspace(0.0, PI, 5))
+    for over in (dict(node_x=nodes), dict(node_y=nodes)):
+        with pytest.raises(InvalidConfig):
+            run_case(_small_config(**over))
+    assert solved == []
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "name": "shifted", "node_x": list(nodes),
+        "node_y": list(np.linspace(0.0, PI, 5)), "k": 2,
+    }))
+    assert main(["run", "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidConfig"
+    assert "must start at 0" in err["message"]
+    assert main(["eigs", "--config", str(path)]) == 0
+    assert main(["equiv", "--config", str(path)]) == 0

@@ -10,7 +10,7 @@ from rrteig.assembly import (
     assemble_peq,
     peq_local_matrices,
 )
-from rrteig.eigensolve import SolveOptions, dense_oracle_eigs
+from rrteig.eigensolve import SolveOptions, dense_oracle_eigs, solve_mixed_eigs
 from rrteig.equivalence import (
     gradient_to_sigma_coeffs,
     interior_flux_jumps,
@@ -40,7 +40,7 @@ def test_single_cell_toy_hand_solution():
     area = hx * hy
     assert sol.cell_means[0] == pytest.approx(f_mean / k_cc / area, rel=1e-13)
 
-    lam, esol = solve_peq_eigs(peq, SolveOptions(k=1))[0]
+    lam, esol = solve_peq_eigs(peq, 1)[0]
     # pencil: k_cc * c = lambda * c / |K|
     assert lam == pytest.approx(k_cc * area, rel=1e-13)
     assert esol.cell_means[0] * np.sqrt(area) == pytest.approx(1.0, rel=1e-12)
@@ -52,16 +52,16 @@ def test_single_cell_toy_hand_solution():
 def test_finite_spectrum_count():
     m = uniform_mesh(0, PI, 3, 0, PI, 3)
     peq = assemble_peq(m)
-    pairs = solve_peq_eigs(peq, SolveOptions(k=9))
+    pairs = solve_peq_eigs(peq, 9)
     assert len(pairs) == 9
     with pytest.raises(KTooLarge):
-        solve_peq_eigs(peq, SolveOptions(k=10))
+        solve_peq_eigs(peq, 10)
 
 
 def test_eigenfunction_normalization(mesh_a0):
     peq = assemble_peq(mesh_a0)
     areas = np.repeat(mesh_a0.hy, mesh_a0.n1) * np.tile(mesh_a0.hx, mesh_a0.n2)
-    for lam, sol in solve_peq_eigs(peq, SolveOptions(k=4)):
+    for lam, sol in solve_peq_eigs(peq, 4):
         nrm = np.sqrt(float(np.sum(areas * sol.cell_means**2)))
         assert nrm == pytest.approx(1.0, rel=1e-10)
 
@@ -69,7 +69,7 @@ def test_eigenfunction_normalization(mesh_a0):
 def test_spectral_identity(mesh_a0):
     """Sorted finite enriched-element eigenvalues equal the mixed ones."""
     rrt = dense_oracle_eigs(assemble_mixed(mesh_a0), k=12)
-    peq = solve_peq_eigs(assemble_peq(mesh_a0), SolveOptions(k=12))
+    peq = solve_peq_eigs(assemble_peq(mesh_a0), 12)
     for p, (lam, _) in zip(rrt, peq):
         assert abs(p.lambda_h - lam) <= 1e-8 * p.lambda_h
 
@@ -106,20 +106,21 @@ def test_flux_jump_continuity(mesh_a0, mesh_c0):
     interior edges for eigenfunctions."""
     for mesh in (mesh_a0, mesh_c0):
         peq = assemble_peq(mesh)
-        for lam, sol in solve_peq_eigs(peq, SolveOptions(k=4)):
+        for lam, sol in solve_peq_eigs(peq, 4):
             assert interior_flux_jumps(mesh, sol) <= 1e-10
 
 
 def test_upper_bound_transfer(mesh_a0):
     """Enriched-element eigenvalues bound the exact ones from above."""
     exact = enumerate_exact((PI, PI), count=6)
-    pairs = solve_peq_eigs(assemble_peq(mesh_a0), SolveOptions(k=6))
+    pairs = solve_peq_eigs(assemble_peq(mesh_a0), 6)
     for (lam, _), e in zip(pairs, exact):
         assert lam >= e.value
 
 
-def test_verify_equivalence_clusters(mesh_a0):
-    rep = verify_equivalence(mesh_a0, k=6, tol=1e-10)
+def test_verify_equivalence_clusters(system_a0):
+    pairs = solve_mixed_eigs(system_a0, SolveOptions(k=9))
+    rep = verify_equivalence(system_a0, pairs, k=6)
     assert len(rep.entries) == 6
     sizes = [e.cluster_size for e in rep.entries]
     assert sizes == [1, 2, 2, 1, 2, 2]
@@ -130,7 +131,12 @@ def test_verify_equivalence_clusters(mesh_a0):
 
 
 def test_verify_equivalence_truncated_cluster(mesh_c0):
-    """A degenerate pair straddling the k cutoff is still matched."""
-    rep = verify_equivalence(mesh_c0, k=12, tol=1e-10)  # lambda_12=lambda_13
+    """A degenerate pair straddling the k cutoff is still matched when the
+    caller passes pairs past k."""
+    system = assemble_mixed(mesh_c0)
+    pairs = solve_mixed_eigs(system, SolveOptions(k=15))
+    assert pairs[11].lambda_h == pytest.approx(pairs[12].lambda_h, rel=1e-12)
+    rep = verify_equivalence(system, pairs, k=12)
     assert len(rep.entries) == 12
+    assert rep.entries[-1].cluster_size == 2
     assert rep.max_sigma_discrepancy <= 1e-10

@@ -78,15 +78,8 @@ def test_is_uniform():
     assert not build_mesh([0.0, 0.4, 1.0], [0.0, 0.5, 1.0]).is_uniform()
 
 
-def test_mask_shape_checked():
-    with pytest.raises(ValueError):
-        build_mesh([0.0, 1.0, 2.0], [0.0, 1.0], mask=np.ones((2, 2), bool))
-    m = build_mesh(
-        [0.0, 1.0, 2.0], [0.0, 1.0], mask=np.array([[True, False]])
-    )
-    assert m.mask is not None
-    r = uniform_refine(m)
-    assert r.mask.shape == (2, 4)
-    # an all-true mask normalizes to None
-    full = build_mesh([0.0, 1.0, 2.0], [0.0, 1.0], mask=np.ones((1, 2), bool))
-    assert full.mask is None
+
+def test_cell_areas_row_major():
+    m = build_mesh([0.0, 0.3, 1.0], [0.0, 0.5, 0.7, 1.0])
+    want = [m.hx[i] * m.hy[j] for j in range(m.n2) for i in range(m.n1)]
+    np.testing.assert_array_equal(m.cell_areas, want)
