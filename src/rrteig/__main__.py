@@ -1,0 +1,8 @@
+"""``python -m rrteig``: the ``rrteig`` command line."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

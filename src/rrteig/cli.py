@@ -10,6 +10,7 @@ import json
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .analysis import (
     lower_bound_margin,
     match_frequencies,
 )
-from .assembly import assemble_mixed
+from .assembly import MixedSystem, assemble_mixed
 from .eigensolve import SolveOptions, solve_mixed_eigs
 from .equivalence import verify_equivalence
 from .errors import RRTError, InvalidConfig, IoFailure
@@ -224,99 +225,160 @@ def _solve(config: ExperimentConfig, mesh: TensorMesh, equivalence: bool):
     return system, solve_mixed_eigs(system, SolveOptions(k=k, tol=config.tol))
 
 
-def _solve_level(config: ExperimentConfig, mesh: TensorMesh, exact):
+@dataclass
+class _Level:
+    """One assembled and solved level: the input of every analysis."""
+
+    config: ExperimentConfig
+    mesh: TensorMesh
+    exact: list
+    system: MixedSystem
+    solved: list  # k pairs, or more when the equivalence check runs
+    equivalence: bool
+
+    @property
+    def pairs(self):
+        return self.solved[: self.config.k]
+
+    @cached_property
+    def reference(self):
+        """The (1, 1) mode, its cell means and the first pair sign-matched
+        to them; supercloseness and postprocessing share one copy."""
+        fld = field_for_mode(1, 1, self.exact[0].domain)
+        pi0 = l2_project_exact(self.mesh, fld)
+        return fld, pi0, _sign_matched(self.pairs[0], pi0, self.system.M)
+
+
+def _residuals(lv: _Level) -> dict:
+    resid = {}
+    for t in _residual_indices(lv.config, lv.mesh, lv.exact):
+        pair = lv.pairs[t]
+        fld = _aligned_field(pair, lv.exact[t], lv.mesh)
+        e1 = pair.lambda_h - lv.exact[t].value
+        e2 = expansion_term(lv.mesh, fld)
+        resid[str(t + 1)] = {"e1": e1, "e2": e2, "r": e1 - e2}
+    return {"residuals": resid}
+
+
+def _supercloseness(lv: _Level) -> dict:
+    fld, pi0, pair = lv.reference
+    sigma_i = rt_interpolate_exact(lv.mesh, fld)
+    sc = supercloseness_norms(lv.system, pair, sigma_i, pi0)
+    return {"supercloseness": {
+        "norm_sigma": sc.norm_sigma,
+        "norm_div": sc.norm_div,
+        "norm_u": sc.norm_u,
+    }}
+
+
+def _postprocessing(lv: _Level) -> dict:
+    if lv.mesh.n1 % 2 or lv.mesh.n2 % 2:
+        return {}
+    fld, _, pair = lv.reference
+    f_sigma = i2h_sigma(lv.mesh, pair.sigma_coeffs)
+    f_u = j2h_u(lv.mesh, pair.u_coeffs)
+    return {"postprocessing": {
+        "sigma_l2": error_norms_postprocessed(f_sigma, fld, order=0),
+        "sigma_h1": error_norms_postprocessed(f_sigma, fld, order=1),
+        "u_l2": error_norms_postprocessed(f_u, fld, order=0),
+        "u_h1": error_norms_postprocessed(f_u, fld, order=1),
+    }}
+
+
+def _bounds(lv: _Level) -> dict:
+    lambdas = [p.lambda_h for p in lv.pairs]
+    margins = check_upper_bound(
+        lambdas, [e.value for e in lv.exact[: lv.config.k]]
+    )
+    a_reg = regularity_constant(lv.mesh)
+    h = mesh_size(lv.mesh)
+    return {
+        "upper_margins": [m for m, _ in margins],
+        "upper_bound_ok": all(ok for _, ok in margins),
+        "lower_margins": [
+            lower_bound_margin(lam, e.value, a_reg, h)
+            for lam, e in zip(lambdas, lv.exact)
+        ],
+    }
+
+
+def _frequencies(lv: _Level) -> dict:
+    if not lv.mesh.is_uniform():
+        return {}
+    k, exact = lv.config.k, lv.exact
+    matches = []
+    h = float(lv.mesh.hx[0])
+    start = 0
+    while start < k:
+        mult = exact[start].multiplicity
+        if start + mult > k:
+            break
+        if mult > 1:
+            for m in match_frequencies(
+                lv.pairs[start : start + mult], exact[start], h
+            ):
+                matches.append({
+                    "lambda_h": m.lambda_h,
+                    "m": m.frequency.m,
+                    "n": m.frequency.n,
+                    "predicted_shift": m.predicted_shift,
+                    "observed_shift": m.observed_shift,
+                })
+        start += mult
+    return {"frequency_matches": matches}
+
+
+def _equivalence(lv: _Level) -> dict:
+    if not lv.equivalence:
+        return {}
+    eq = verify_equivalence(lv.system, lv.solved, lv.config.k)
+    return {"equivalence": {
+        "max_eig_rel_diff": eq.max_eig_rel_diff,
+        "max_sigma_discrepancy": eq.max_sigma_discrepancy,
+        "max_u_discrepancy": eq.max_u_discrepancy,
+        "max_flux_jump": eq.max_flux_jump,
+    }}
+
+
+# per-level analyses in report order; "eigenvalues" is the level record
+# itself and "extrapolation" spans levels (run_case)
+_LEVEL_ANALYSES = {
+    "residuals": _residuals,
+    "supercloseness": _supercloseness,
+    "postprocessing": _postprocessing,
+    "bounds": _bounds,
+    "frequencies": _frequencies,
+    "equivalence": _equivalence,
+}
+
+
+def _solve_level(config: ExperimentConfig, mesh: TensorMesh, exact,
+                 failures: list) -> dict:
+    """Solve one level and run its analyses.  An RRTError in assembly or
+    the solve propagates; one in an analysis leaves that analysis's keys
+    out of the record and is appended to ``failures``."""
     t0 = time.perf_counter()
     run = set(config.analyses)
     equivalence = ("equivalence" in run
                    and mesh.n_cells <= config.equiv_max_cells)
     system, solved = _solve(config, mesh, equivalence)
-    pairs = solved[: config.k]
+    lv = _Level(config, mesh, exact, system, solved, equivalence)
     rec = {
         "level": mesh.level,
         "n1": mesh.n1,
         "n2": mesh.n2,
         "h": mesh_size(mesh),
-        "lambdas": [p.lambda_h for p in pairs],
+        "lambdas": [p.lambda_h for p in lv.pairs],
     }
-    areas = system.M
-
-    if "residuals" in run:
-        resid = {}
-        for t in _residual_indices(config, mesh, exact):
-            fld = _aligned_field(pairs[t], exact[t], mesh)
-            e1 = pairs[t].lambda_h - exact[t].value
-            e2 = expansion_term(mesh, fld)
-            resid[str(t + 1)] = {"e1": e1, "e2": e2, "r": e1 - e2}
-        rec["residuals"] = resid
-
-    if "supercloseness" in run:
-        fld = field_for_mode(1, 1, exact[0].domain)
-        sigma_i = rt_interpolate_exact(mesh, fld)
-        pi0 = l2_project_exact(mesh, fld)
-        pair = _sign_matched(pairs[0], pi0, areas)
-        sc = supercloseness_norms(system, pair, sigma_i, pi0)
-        rec["supercloseness"] = {
-            "norm_sigma": sc.norm_sigma,
-            "norm_div": sc.norm_div,
-            "norm_u": sc.norm_u,
-        }
-
-    if "postprocessing" in run and mesh.n1 % 2 == 0 and mesh.n2 % 2 == 0:
-        fld = field_for_mode(1, 1, exact[0].domain)
-        pi0 = l2_project_exact(mesh, fld)
-        pair = _sign_matched(pairs[0], pi0, areas)
-        f_sigma = i2h_sigma(mesh, pair.sigma_coeffs)
-        f_u = j2h_u(mesh, pair.u_coeffs)
-        rec["postprocessing"] = {
-            "sigma_l2": error_norms_postprocessed(f_sigma, fld, order=0),
-            "sigma_h1": error_norms_postprocessed(f_sigma, fld, order=1),
-            "u_l2": error_norms_postprocessed(f_u, fld, order=0),
-            "u_h1": error_norms_postprocessed(f_u, fld, order=1),
-        }
-
-    if "bounds" in run:
-        margins = check_upper_bound(
-            [p.lambda_h for p in pairs], [e.value for e in exact[: config.k]]
-        )
-        rec["upper_margins"] = [m for m, _ in margins]
-        rec["upper_bound_ok"] = all(ok for _, ok in margins)
-        a_reg = regularity_constant(mesh)
-        rec["lower_margins"] = [
-            lower_bound_margin(p.lambda_h, e.value, a_reg, mesh_size(mesh))
-            for p, e in zip(pairs, exact)
-        ]
-
-    if "frequencies" in run and mesh.is_uniform():
-        matches = []
-        h = float(mesh.hx[0])
-        start = 0
-        while start < config.k:
-            mult = exact[start].multiplicity
-            if start + mult > config.k:
-                break
-            if mult > 1:
-                for m in match_frequencies(
-                    pairs[start : start + mult], exact[start], h
-                ):
-                    matches.append({
-                        "lambda_h": m.lambda_h,
-                        "m": m.frequency.m,
-                        "n": m.frequency.n,
-                        "predicted_shift": m.predicted_shift,
-                        "observed_shift": m.observed_shift,
-                    })
-            start += mult
-        rec["frequency_matches"] = matches
-
-    if equivalence:
-        eq = verify_equivalence(system, solved, config.k)
-        rec["equivalence"] = {
-            "max_eig_rel_diff": eq.max_eig_rel_diff,
-            "max_sigma_discrepancy": eq.max_sigma_discrepancy,
-            "max_u_discrepancy": eq.max_u_discrepancy,
-            "max_flux_jump": eq.max_flux_jump,
-        }
-
+    for name, analysis in _LEVEL_ANALYSES.items():
+        if name not in run:
+            continue
+        try:
+            rec.update(analysis(lv))
+        except RRTError as exc:
+            failures.append({"level": mesh.level, "analysis": name,
+                             "error": type(exc).__name__,
+                             "message": str(exc)})
     rec["time_seconds"] = time.perf_counter() - t0
     return rec
 
@@ -354,8 +416,8 @@ def run_case(config: ExperimentConfig) -> RunReport:
         if lvl > 0:
             mesh = uniform_refine(mesh)
         try:
-            levels.append(_solve_level(config, mesh, exact))
-        except RRTError as exc:  # keep partial results, mark the failure
+            levels.append(_solve_level(config, mesh, exact, failures))
+        except RRTError as exc:  # assembly or solve: the level is lost
             failures.append({"level": lvl, "error": type(exc).__name__,
                              "message": str(exc)})
             levels.append({"level": lvl, "failed": True})

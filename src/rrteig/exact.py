@@ -10,6 +10,7 @@ quadrature independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -139,6 +140,16 @@ def _int_sin_sin(k1, k2, x0, x1):
     return F(x1) - F(x0)
 
 
+def _factor(k, x, order):
+    """Derivative of order 0, 1 or 2 of sin(k x): the cycle
+    sin -> k cos -> -k^2 sin."""
+    if order == 0:
+        return np.sin(k * x)
+    if order == 1:
+        return k * np.cos(k * x)
+    return -k * k * np.sin(k * x)
+
+
 @dataclass(frozen=True)
 class FieldSample:
     """A unit-norm element of an exact eigenspace with derivative access.
@@ -160,6 +171,7 @@ class FieldSample:
         a, b = self.exact.domain
         return 2.0 / np.sqrt(a * b)
 
+    @cached_property
     def _wavenumbers(self):
         a, b = self.exact.domain
         modes = np.array(self.exact.modes(), dtype=float)
@@ -167,55 +179,38 @@ class FieldSample:
 
     # pointwise evaluators -------------------------------------------------
 
-    def _sum(self, fx, fy):
-        kx, ky = self._wavenumbers()
-        x_parts, y_parts = fx(kx), fy(ky)
+    def _sum(self, x, y, dx, dy, combine=np.multiply):
+        """amp * sum_t c_t combine(X_t, Y_t) with X_t the dx-th derivative
+        of sin(kx_t x) and Y_t the dy-th of sin(ky_t y)."""
+        kx, ky = self._wavenumbers
         out = 0.0
-        for c, px, py in zip(self.coeffs, x_parts, y_parts):
-            out = out + c * px * py
+        for c, k1, k2 in zip(self.coeffs, kx, ky):
+            out = out + combine(c * _factor(k1, x, dx), _factor(k2, y, dy))
         return self.amp * out
 
     def u(self, x, y):
-        x, y = np.asarray(x), np.asarray(y)
-        return self._sum(
-            lambda kx: [np.sin(k * x) for k in kx],
-            lambda ky: [np.sin(k * y) for k in ky],
-        )
+        return self._sum(np.asarray(x), np.asarray(y), 0, 0)
 
     def ux(self, x, y):
-        x, y = np.asarray(x), np.asarray(y)
-        return self._sum(
-            lambda kx: [k * np.cos(k * x) for k in kx],
-            lambda ky: [np.sin(k * y) for k in ky],
-        )
+        return self._sum(np.asarray(x), np.asarray(y), 1, 0)
 
     def uy(self, x, y):
-        x, y = np.asarray(x), np.asarray(y)
-        return self._sum(
-            lambda kx: [np.sin(k * x) for k in kx],
-            lambda ky: [k * np.cos(k * y) for k in ky],
-        )
+        return self._sum(np.asarray(x), np.asarray(y), 0, 1)
 
     def uxx(self, x, y):
-        x, y = np.asarray(x), np.asarray(y)
-        return self._sum(
-            lambda kx: [-k * k * np.sin(k * x) for k in kx],
-            lambda ky: [np.sin(k * y) for k in ky],
-        )
+        return self._sum(np.asarray(x), np.asarray(y), 2, 0)
 
     def uyy(self, x, y):
-        x, y = np.asarray(x), np.asarray(y)
-        return self._sum(
-            lambda kx: [np.sin(k * x) for k in kx],
-            lambda ky: [-k * k * np.sin(k * y) for k in ky],
-        )
+        return self._sum(np.asarray(x), np.asarray(y), 0, 2)
 
     def uxy(self, x, y):
-        x, y = np.asarray(x), np.asarray(y)
-        return self._sum(
-            lambda kx: [k * np.cos(k * x) for k in kx],
-            lambda ky: [k * np.cos(k * y) for k in ky],
-        )
+        return self._sum(np.asarray(x), np.asarray(y), 1, 1)
+
+    def on_grid(self, x, y, dx=0, dy=0):
+        """The (dx, dy) partial derivative on the tensor grid of the point
+        arrays x and y, shape x.shape + y.shape; 0 <= dx, dy <= 2."""
+        return self._sum(np.asarray(x), np.asarray(y), dx, dy,
+                         np.multiply.outer)
 
     def sigma(self, x, y):
         """Flux sigma = -grad u as a pair of arrays."""
@@ -224,7 +219,7 @@ class FieldSample:
     # analytic integrals ---------------------------------------------------
 
     def cell_integral_u(self, x0, x1, y0, y1):
-        kx, ky = self._wavenumbers()
+        kx, ky = self._wavenumbers
         out = 0.0
         for c, k1, k2 in zip(self.coeffs, kx, ky):
             out += c * _int_sin(k1, x0, x1) * _int_sin(k2, y0, y1)
@@ -232,7 +227,7 @@ class FieldSample:
 
     def _cell_integral_dd_sq(self, x0, x1, y0, y1, which):
         """Integral over the cell of u_xx^2 (which='x') or u_yy^2."""
-        kx, ky = self._wavenumbers()
+        kx, ky = self._wavenumbers
         c = self.coeffs
         out = 0.0
         for s in range(len(c)):
@@ -256,7 +251,7 @@ class FieldSample:
 
     def mean_flux_x(self, xi, y0, y1):
         """Mean of sigma_x = -u_x over the vertical edge {xi} x [y0, y1]."""
-        kx, ky = self._wavenumbers()
+        kx, ky = self._wavenumbers
         out = 0.0
         for c, k1, k2 in zip(self.coeffs, kx, ky):
             out += c * k1 * np.cos(k1 * xi) * _int_sin(k2, y0, y1)
@@ -264,7 +259,7 @@ class FieldSample:
 
     def mean_flux_y(self, yj, x0, x1):
         """Mean of sigma_y = -u_y over the horizontal edge [x0, x1] x {yj}."""
-        kx, ky = self._wavenumbers()
+        kx, ky = self._wavenumbers
         out = 0.0
         for c, k1, k2 in zip(self.coeffs, kx, ky):
             out += c * k2 * np.cos(k2 * yj) * _int_sin(k1, x0, x1)
@@ -293,40 +288,34 @@ def field_for_mode(m, n, domain=(np.pi, np.pi)) -> FieldSample:
 # ---------------------------------------------------------------------------
 
 def rt_interpolate_exact(mesh: TensorMesh, fld: FieldSample) -> np.ndarray:
-    """Edge-DOF vector of the flux interpolant: exact mean normal fluxes."""
-    from .assembly import layout
+    """Edge-DOF vector of the flux interpolant: exact mean normal fluxes.
 
-    lay = layout(mesh)
-    out = np.empty(lay.n_sigma)
+    Each mode adds k cos(k x) on the node lines times the 1-D antiderivative
+    differences across the cells, an outer product per edge family; x-edges
+    (grid [cell row j, line i]) come before y-edges ([line j, cell column i])."""
     nx, ny = mesh.node_x, mesh.node_y
-    for j in range(lay.n2):
-        y0, y1 = ny[j], ny[j + 1]
-        for i in range(lay.n1 + 1):
-            out[lay.xedge_index(i, j)] = fld.mean_flux_x(nx[i], y0, y1)
-    for j in range(lay.n2 + 1):
-        for i in range(lay.n1):
-            out[lay.yedge_index(i, j)] = fld.mean_flux_y(
-                ny[j], nx[i], nx[i + 1]
-            )
-    return out
+    kx, ky = fld._wavenumbers
+    sx = sy = 0.0
+    for c, k1, k2 in zip(fld.coeffs, kx, ky):
+        sx = sx + np.outer(_int_sin(k2, ny[:-1], ny[1:]),
+                           c * k1 * np.cos(k1 * nx))
+        sy = sy + np.outer(c * k2 * np.cos(k2 * ny),
+                           _int_sin(k1, nx[:-1], nx[1:]))
+    sx = -fld.amp * sx / mesh.hy[:, None]
+    sy = -fld.amp * sy / mesh.hx
+    return np.concatenate([sx.ravel(), sy.ravel()])
 
 
 def l2_project_exact(mesh: TensorMesh, fld: FieldSample) -> np.ndarray:
-    """Cell-mean vector (1/|K|) integral_K u, row-major cell order."""
-    from .assembly import layout
-
-    lay = layout(mesh)
-    areas = mesh.cell_areas
-    out = np.empty(lay.n_cell)
+    """Cell-mean vector (1/|K|) integral_K u, row-major cell order: each
+    mode adds the outer product of its 1-D antiderivative differences."""
     nx, ny = mesh.node_x, mesh.node_y
-    for j in range(lay.n2):
-        for i in range(lay.n1):
-            idx = lay.cell_index(i, j)
-            out[idx] = (
-                fld.cell_integral_u(nx[i], nx[i + 1], ny[j], ny[j + 1])
-                / areas[idx]
-            )
-    return out
+    kx, ky = fld._wavenumbers
+    out = 0.0
+    for c, k1, k2 in zip(fld.coeffs, kx, ky):
+        out = out + np.outer(_int_sin(k2, ny[:-1], ny[1:]),
+                             c * _int_sin(k1, nx[:-1], nx[1:]))
+    return (fld.amp * out).ravel() / mesh.cell_areas
 
 
 def align_exact_representative(

@@ -1,0 +1,139 @@
+"""Whole-mesh kernels against their per-cell oracles on random tensor
+meshes: postprocessed error norms (eval_cell and the pointwise exact
+evaluators, 5x5 Gauss per fine cell), cell means (cell_integral_u) and
+edge-flux means (mean_flux_x / mean_flux_y)."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from rrteig.assembly import layout
+from rrteig.exact import (
+    FieldSample,
+    enumerate_exact,
+    field_for_mode,
+    l2_project_exact,
+    rt_interpolate_exact,
+)
+from rrteig.mesh import build_mesh
+from rrteig.postprocess import error_norms_postprocessed, i2h_sigma, j2h_u
+
+_GX, _GW = np.polynomial.legendre.leggauss(5)
+
+
+def _nodes(widths, length):
+    """Nodes of [0, length] with cells proportional to ``widths``."""
+    w = np.asarray(widths)
+    nodes = np.concatenate([[0.0], np.cumsum(w)]) * (length / w.sum())
+    nodes[-1] = length
+    return nodes
+
+
+@st.composite
+def _even_meshes(draw):
+    """Random tensor meshes of [0, a] x [0, b] with n1, n2 even in
+    [2, 16] and cell widths from [1, 4] (width ratio <= 4); half of
+    them square, where eigenspaces of m != n hold two modes."""
+    a = draw(st.floats(0.5, 4.0), label="a")
+    b = a if draw(st.booleans(), label="square") else draw(
+        st.floats(0.5, 4.0), label="b")
+    nodes = []
+    for axis, length in (("x", a), ("y", b)):
+        n = 2 * draw(st.integers(1, 8), label=f"n_{axis} / 2")
+        nodes.append(_nodes(draw(st.lists(
+            st.floats(1.0, 4.0), min_size=n, max_size=n)), length))
+    return build_mesh(*nodes)
+
+
+@st.composite
+def _fields(draw, mesh):
+    """A single mode, or a random unit combination over an eigenspace."""
+    domain = (mesh.node_x[-1], mesh.node_y[-1])
+    exact = enumerate_exact(domain, count=8)[draw(st.integers(0, 7))]
+    modes = exact.modes()
+    if draw(st.booleans(), label="single mode"):
+        m, n = modes[draw(st.integers(0, len(modes) - 1))]
+        return field_for_mode(m, n, domain)
+    c = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=len(modes),
+                               max_size=len(modes))))
+    if np.linalg.norm(c) < 1e-3:
+        c = np.ones(len(modes))
+    return FieldSample(exact, c / np.linalg.norm(c))
+
+
+def _oracle_norm(field, exact, order):
+    """The per-cell loop: 5x5 Gauss per fine cell, eval_cell against the
+    pointwise exact evaluators."""
+    mesh = field.mesh
+    nx, ny = mesh.node_x, mesh.node_y
+    total = 0.0
+    for j in range(mesh.n2):
+        ym, yh = (ny[j] + ny[j + 1]) / 2, (ny[j + 1] - ny[j]) / 2
+        for i in range(mesh.n1):
+            xm, xh = (nx[i] + nx[i + 1]) / 2, (nx[i + 1] - nx[i]) / 2
+            xg, yg = np.meshgrid(xm + xh * _GX, ym + yh * _GX)
+            w = np.outer(yh * _GW, xh * _GW)
+            if order == 0 and field.kind == "sigma":
+                sx, sy = field.eval_cell(i, j, xg, yg)
+                ex, ey = exact.sigma(xg, yg)
+                sq = (sx - ex) ** 2 + (sy - ey) ** 2
+            elif order == 0:
+                sq = (field.eval_cell(i, j, xg, yg) - exact.u(xg, yg)) ** 2
+            elif field.kind == "sigma":
+                sxdx, sydx = field.eval_cell(i, j, xg, yg, deriv="x")
+                sxdy, sydy = field.eval_cell(i, j, xg, yg, deriv="y")
+                sq = ((sxdx + exact.uxx(xg, yg)) ** 2
+                      + (sxdy + exact.uxy(xg, yg)) ** 2
+                      + (sydx + exact.uxy(xg, yg)) ** 2
+                      + (sydy + exact.uyy(xg, yg)) ** 2)
+            else:
+                vdx = field.eval_cell(i, j, xg, yg, deriv="x")
+                vdy = field.eval_cell(i, j, xg, yg, deriv="y")
+                sq = (vdx - exact.ux(xg, yg)) ** 2 + (vdy - exact.uy(xg, yg)) ** 2
+            total += np.sum(w * sq)
+    return float(np.sqrt(total))
+
+
+def _assert_close(got, want, rel):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(mesh=_even_meshes(), data=st.data())
+def test_error_norms_against_per_cell_oracle(mesh, data):
+    """Both reconstructions of random DOF vectors, L2 and broken H1,
+    to 1e-12 relative."""
+    exact = data.draw(_fields(mesh), label="field")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    fields = (i2h_sigma(mesh, rng.standard_normal(layout(mesh).n_sigma)),
+              j2h_u(mesh, rng.standard_normal(mesh.n_cells)))
+    for field in fields:
+        for order in (0, 1):
+            got = error_norms_postprocessed(field, exact, order)
+            want = _oracle_norm(field, exact, order)
+            assert abs(got - want) <= 1e-12 * want, (field.kind, order)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mesh=_even_meshes(), data=st.data())
+def test_cell_and_edge_means_against_per_cell_oracle(mesh, data):
+    """l2_project_exact against cell_integral_u / |K| and
+    rt_interpolate_exact against per-edge mean fluxes, to 1e-13."""
+    fld = data.draw(_fields(mesh), label="field")
+    lay = layout(mesh)
+    nx, ny = mesh.node_x, mesh.node_y
+    means = np.empty(lay.n_cell)
+    fluxes = np.empty(lay.n_sigma)
+    for j in range(mesh.n2):
+        for i in range(mesh.n1):
+            means[lay.cell_index(i, j)] = fld.cell_integral_u(
+                nx[i], nx[i + 1], ny[j], ny[j + 1]
+            ) / ((nx[i + 1] - nx[i]) * (ny[j + 1] - ny[j]))
+        for i in range(mesh.n1 + 1):
+            fluxes[lay.xedge_index(i, j)] = fld.mean_flux_x(
+                nx[i], ny[j], ny[j + 1])
+    for j in range(mesh.n2 + 1):
+        for i in range(mesh.n1):
+            fluxes[lay.yedge_index(i, j)] = fld.mean_flux_y(
+                ny[j], nx[i], nx[i + 1])
+    _assert_close(l2_project_exact(mesh, fld), means, 1e-13)
+    _assert_close(rt_interpolate_exact(mesh, fld), fluxes, 1e-13)

@@ -279,3 +279,73 @@ def test_run_case_rejects_shifted_domain(monkeypatch, tmp_path, capsys):
     assert "must start at 0" in err["message"]
     assert main(["eigs", "--config", str(path)]) == 0
     assert main(["equiv", "--config", str(path)]) == 0
+
+
+def test_failing_analysis_keeps_the_level(monkeypatch, capsys):
+    """An RRTError in one analysis drops only that analysis: every level
+    keeps its eigenvalues and the other analyses, the failure is recorded
+    with its level and analysis name, and `rrteig run` exits 2."""
+    from rrteig import cli
+    from rrteig.errors import AmbiguousCluster
+
+    def broken(mesh, fld):
+        raise AmbiguousCluster("injected")
+
+    monkeypatch.setattr(cli, "expansion_term", broken)
+    report = run_case(dataclasses.replace(case_preset("c"), levels=1))
+    assert len(report.levels) == 2
+    for lv in report.levels:
+        assert "failed" not in lv and "residuals" not in lv
+        assert len(lv["lambdas"]) == 12
+        assert lv["upper_bound_ok"] is True
+        assert "equivalence" in lv
+    failures = report.config["failures"]
+    assert [(f["level"], f["analysis"], f["error"]) for f in failures] == [
+        (0, "residuals", "AmbiguousCluster"),
+        (1, "residuals", "AmbiguousCluster"),
+    ]
+    assert all(f["message"] == "injected" for f in failures)
+    assert report.residual_rates == {}
+    assert not any(np.isnan(report.eigen_rates))
+
+    code = main(["run", "--case", "c", "--levels", "1"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert {f["analysis"] for f in err["failures"]} == {"residuals"}
+
+
+def test_reference_field_computed_once_per_level(monkeypatch):
+    """Supercloseness and postprocessing share one (1, 1) cell-mean
+    projection per level."""
+    from rrteig.exact import l2_project_exact
+
+    projected = _count_calls(monkeypatch, l2_project_exact)
+    config = dataclasses.replace(
+        case_preset("a"), levels=1,
+        analyses=("eigenvalues", "supercloseness", "postprocessing"),
+    )
+    report = run_case(config)
+    assert "failures" not in report.config
+    assert all("supercloseness" in lv and "postprocessing" in lv
+               for lv in report.levels)
+    assert len(projected) == 2
+
+
+def test_python_dash_m_entry_point():
+    """`python -m rrteig` runs the command line from a checkout."""
+    import subprocess
+
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "rrteig", "eigs", "--case", "c", "--k", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("lambda_1 = ")
+    assert lines[1].startswith("lambda_2 = ")
