@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -59,6 +59,18 @@ ALL_ANALYSES = (
     "equivalence",
 )
 
+_ANALYSES_B_C = tuple(
+    a for a in ALL_ANALYSES
+    if a not in ("frequencies", "supercloseness", "postprocessing")
+)
+
+# the largest level, in cells, that runs the equivalence check
+_EQUIV_MAX_CELLS = 1200
+
+# the finest level allowed, in cells (2048^2): assembly and solve take
+# about 1.2 KiB per cell
+_MAX_CELLS = 2**22
+
 _FORMATS = ("delimited-text", "aligned-text", "structured-document")
 _EXT = {"delimited-text": "csv", "aligned-text": "txt",
         "structured-document": "json"}
@@ -74,7 +86,6 @@ _VALUE_TYPES = {
     "k": (int, None, "an integer"),
     "tol": (_NUMBER, None, "a number"),
     "analyses": (list, str, "an array of strings"),
-    "equiv_max_cells": (int, None, "an integer"),
 }
 
 
@@ -97,7 +108,6 @@ class ExperimentConfig:
     k: int = 6
     tol: float = 1e-10
     analyses: tuple[str, ...] = ALL_ANALYSES
-    equiv_max_cells: int = 1200
 
     def __post_init__(self):
         if self.levels < 1:
@@ -131,10 +141,7 @@ def case_preset(name: str) -> ExperimentConfig:
             node_x=tuple(np.linspace(0.0, pi, 9)),
             node_y=tuple(np.linspace(0.0, pi, 17)),
             k=12,
-            analyses=tuple(
-                a for a in ALL_ANALYSES
-                if a not in ("frequencies", "supercloseness", "postprocessing")
-            ),
+            analyses=_ANALYSES_B_C,
         )
     if name == "c":
         return ExperimentConfig(
@@ -142,10 +149,7 @@ def case_preset(name: str) -> ExperimentConfig:
             node_x=(0.0, pi / 4, pi / 2, 2 * pi / 3, 5 * pi / 6, pi),
             node_y=(0.0, pi / 6, pi / 3, pi / 2, 3 * pi / 4, pi),
             k=12,
-            analyses=tuple(
-                a for a in ALL_ANALYSES
-                if a not in ("frequencies", "supercloseness", "postprocessing")
-            ),
+            analyses=_ANALYSES_B_C,
         )
     raise ValueError(f"unknown case {name!r}; choose from a, b, c")
 
@@ -360,7 +364,7 @@ def _solve_level(config: ExperimentConfig, mesh: TensorMesh, exact,
     t0 = time.perf_counter()
     run = set(config.analyses)
     equivalence = ("equivalence" in run
-                   and mesh.n_cells <= config.equiv_max_cells)
+                   and mesh.n_cells <= _EQUIV_MAX_CELLS)
     system, solved = _solve(config, mesh, equivalence)
     lv = _Level(config, mesh, exact, system, solved, equivalence)
     rec = {
@@ -398,17 +402,30 @@ class RunReport:
         return asdict(self)
 
 
+def _check_size(config, mesh, levels):
+    """Refuse, before any refinement, a sweep whose finest level has more
+    than _MAX_CELLS cells; 12 refinements of one cell already exceed it,
+    which bounds the power for a huge level count."""
+    if mesh.n_cells * 4 ** min(levels, 12) > _MAX_CELLS:
+        raise InvalidConfig(
+            f"config {config.name}: {mesh.n1} x {mesh.n2} cells refined "
+            f"{levels} times exceed the limit of {_MAX_CELLS} cells"
+        )
+
+
 def run_case(config: ExperimentConfig) -> RunReport:
     """Solve every refinement level of the configured case and analyze.
 
     Exact fields live on [0, a] x [0, b], so the node vectors must start
-    at 0; any other origin raises InvalidConfig before level 0."""
+    at 0; any other origin, or a finest level above _MAX_CELLS cells,
+    raises InvalidConfig before level 0."""
     mesh = config.initial_mesh()
     if mesh.node_x[0] != 0.0 or mesh.node_y[0] != 0.0:
         raise InvalidConfig(
             f"config {config.name}: node vectors must start at 0, got "
             f"x0={mesh.node_x[0]!r}, y0={mesh.node_y[0]!r}"
         )
+    _check_size(config, mesh, config.levels)
     exact = enumerate_exact((mesh.node_x[-1], mesh.node_y[-1]), count=config.k)
     levels = []
     failures = []
@@ -442,8 +459,10 @@ def run_case(config: ExperimentConfig) -> RunReport:
 
     extrap = None
     if "extrapolation" in config.analyses:
+        # entry i combines levels i and i + 1; a failed level gives NaN
         lam0 = exact[0].value
-        vals = [lv["lambdas"][0] for lv in levels if "lambdas" in lv]
+        vals = [lv["lambdas"][0] if "lambdas" in lv else float("nan")
+                for lv in levels]
         tilde = [extrapolate(a, b) for a, b in zip(vals[:-1], vals[1:])]
         errs = [t - lam0 for t in tilde]
         rates = [
@@ -583,13 +602,7 @@ def _config_from_args(args, with_levels=True) -> ExperimentConfig:
         overrides["k"] = args.k
     if getattr(args, "tol", None) is not None:
         overrides["tol"] = args.tol
-    if overrides:
-        base = asdict(config)
-        base.update(overrides)
-        for key in ("node_x", "node_y", "analyses"):
-            base[key] = tuple(base[key])
-        config = ExperimentConfig(**base)
-    return config
+    return replace(config, **overrides)
 
 
 def _add_common(p, with_case=True):
@@ -607,6 +620,7 @@ def _refined(config, level):
     if level < 0:
         raise ValueError(f"levels must be >= 0, got {level}")
     mesh = config.initial_mesh()
+    _check_size(config, mesh, level)
     for _ in range(level):
         mesh = uniform_refine(mesh)
     return mesh

@@ -1,10 +1,12 @@
 """Closed-form exact eigenpairs on rectangles and their discrete images.
 
-Eigenfunctions on [0,a] x [0,b] are products of sine waves.  Everything
-integral-shaped here (edge flux means, cell means, cell integrals of
-squared derivatives) is evaluated from analytic antiderivatives, so these
-quantities carry no quadrature error; tests check them against Gauss
-quadrature independently.
+Eigenfunctions on [0,a] x [0,b] are products of sine waves, so point
+values and cell and edge means on a tensor mesh are sums over modes of
+outer products of 1-D tables (FieldSample._mode_sum).  Everything
+integral-shaped here (edge flux means, cell means, strip integrals of
+squared second derivatives) is evaluated from analytic antiderivatives,
+so these quantities carry no quadrature error; tests check them against
+Gauss quadrature independently.
 """
 
 from __future__ import annotations
@@ -177,44 +179,22 @@ class FieldSample:
         modes = np.array(self.exact.modes(), dtype=float)
         return modes[:, 0] * np.pi / a, modes[:, 1] * np.pi / b
 
-    # pointwise evaluators -------------------------------------------------
-
-    def _sum(self, x, y, dx, dy, combine=np.multiply):
-        """amp * sum_t c_t combine(X_t, Y_t) with X_t the dx-th derivative
-        of sin(kx_t x) and Y_t the dy-th of sin(ky_t y)."""
+    def _mode_sum(self, fx, fy):
+        """amp * sum_t (c_t fx(kx_t)) * fy(ky_t), where fx and fy map a
+        wave number to a 1-D table that the caller shapes to broadcast."""
         kx, ky = self._wavenumbers
         out = 0.0
         for c, k1, k2 in zip(self.coeffs, kx, ky):
-            out = out + combine(c * _factor(k1, x, dx), _factor(k2, y, dy))
+            out = out + (c * fx(k1)) * fy(k2)
         return self.amp * out
 
-    def u(self, x, y):
-        return self._sum(np.asarray(x), np.asarray(y), 0, 0)
-
-    def ux(self, x, y):
-        return self._sum(np.asarray(x), np.asarray(y), 1, 0)
-
-    def uy(self, x, y):
-        return self._sum(np.asarray(x), np.asarray(y), 0, 1)
-
-    def uxx(self, x, y):
-        return self._sum(np.asarray(x), np.asarray(y), 2, 0)
-
-    def uyy(self, x, y):
-        return self._sum(np.asarray(x), np.asarray(y), 0, 2)
-
-    def uxy(self, x, y):
-        return self._sum(np.asarray(x), np.asarray(y), 1, 1)
-
-    def on_grid(self, x, y, dx=0, dy=0):
-        """The (dx, dy) partial derivative on the tensor grid of the point
-        arrays x and y, shape x.shape + y.shape; 0 <= dx, dy <= 2."""
-        return self._sum(np.asarray(x), np.asarray(y), dx, dy,
-                         np.multiply.outer)
-
-    def sigma(self, x, y):
-        """Flux sigma = -grad u as a pair of arrays."""
-        return -self.ux(x, y), -self.uy(x, y)
+    def derivative(self, x, y, dx=0, dy=0):
+        """The (dx, dy) partial derivative of u at the points (x, y),
+        0 <= dx, dy <= 2; x and y broadcast, so x[:, None] and y give the
+        tensor grid.  The flux is sigma = -grad u."""
+        x, y = np.asarray(x), np.asarray(y)
+        return self._mode_sum(lambda k: _factor(k, x, dx),
+                              lambda k: _factor(k, y, dy))
 
     # analytic integrals ---------------------------------------------------
 
@@ -225,29 +205,30 @@ class FieldSample:
             out += c * _int_sin(k1, x0, x1) * _int_sin(k2, y0, y1)
         return self.amp * out
 
-    def _cell_integral_dd_sq(self, x0, x1, y0, y1, which):
-        """Integral over the cell of u_xx^2 (which='x') or u_yy^2."""
+    def strip_integrals_dd_sq(self, node_x, node_y):
+        """Closed-form integrals of u_xx^2 over each x-strip
+        [node_x[i], node_x[i+1]] x [node_y[0], node_y[-1]] and of u_yy^2
+        over each y-strip [node_x[0], node_x[-1]] x [node_y[j], node_y[j+1]],
+        arrays of len(node_x) - 1 and len(node_y) - 1."""
         kx, ky = self._wavenumbers
         c = self.coeffs
-        out = 0.0
+        nx, ny = np.asarray(node_x), np.asarray(node_y)
+        out_x = out_y = 0.0
         for s in range(len(c)):
             for t in range(len(c)):
-                if which == "x":
-                    w = kx[s] ** 2 * kx[t] ** 2
-                else:
-                    w = ky[s] ** 2 * ky[t] ** 2
-                out += (
-                    c[s] * c[t] * w
-                    * _int_sin_sin(kx[s], kx[t], x0, x1)
-                    * _int_sin_sin(ky[s], ky[t], y0, y1)
+                wx = kx[s] ** 2 * kx[t] ** 2
+                wy = ky[s] ** 2 * ky[t] ** 2
+                out_x = out_x + (
+                    c[s] * c[t] * wx
+                    * _int_sin_sin(kx[s], kx[t], nx[:-1], nx[1:])
+                    * _int_sin_sin(ky[s], ky[t], ny[0], ny[-1])
                 )
-        return self.amp**2 * out
-
-    def cell_integral_uxx_sq(self, x0, x1, y0, y1):
-        return self._cell_integral_dd_sq(x0, x1, y0, y1, "x")
-
-    def cell_integral_uyy_sq(self, x0, x1, y0, y1):
-        return self._cell_integral_dd_sq(x0, x1, y0, y1, "y")
+                out_y = out_y + (
+                    c[s] * c[t] * wy
+                    * _int_sin_sin(kx[s], kx[t], nx[0], nx[-1])
+                    * _int_sin_sin(ky[s], ky[t], ny[:-1], ny[1:])
+                )
+        return self.amp**2 * out_x, self.amp**2 * out_y
 
     def mean_flux_x(self, xi, y0, y1):
         """Mean of sigma_x = -u_x over the vertical edge {xi} x [y0, y1]."""
@@ -294,15 +275,12 @@ def rt_interpolate_exact(mesh: TensorMesh, fld: FieldSample) -> np.ndarray:
     differences across the cells, an outer product per edge family; x-edges
     (grid [cell row j, line i]) come before y-edges ([line j, cell column i])."""
     nx, ny = mesh.node_x, mesh.node_y
-    kx, ky = fld._wavenumbers
-    sx = sy = 0.0
-    for c, k1, k2 in zip(fld.coeffs, kx, ky):
-        sx = sx + np.outer(_int_sin(k2, ny[:-1], ny[1:]),
-                           c * k1 * np.cos(k1 * nx))
-        sy = sy + np.outer(c * k2 * np.cos(k2 * ny),
-                           _int_sin(k1, nx[:-1], nx[1:]))
-    sx = -fld.amp * sx / mesh.hy[:, None]
-    sy = -fld.amp * sy / mesh.hx
+    sx = fld._mode_sum(lambda k: _factor(k, nx, 1),
+                       lambda k: _int_sin(k, ny[:-1, None], ny[1:, None]))
+    sy = fld._mode_sum(lambda k: _int_sin(k, nx[:-1], nx[1:]),
+                       lambda k: _factor(k, ny[:, None], 1))
+    sx = -sx / mesh.hy[:, None]
+    sy = -sy / mesh.hx
     return np.concatenate([sx.ravel(), sy.ravel()])
 
 
@@ -310,12 +288,9 @@ def l2_project_exact(mesh: TensorMesh, fld: FieldSample) -> np.ndarray:
     """Cell-mean vector (1/|K|) integral_K u, row-major cell order: each
     mode adds the outer product of its 1-D antiderivative differences."""
     nx, ny = mesh.node_x, mesh.node_y
-    kx, ky = fld._wavenumbers
-    out = 0.0
-    for c, k1, k2 in zip(fld.coeffs, kx, ky):
-        out = out + np.outer(_int_sin(k2, ny[:-1], ny[1:]),
-                             c * _int_sin(k1, nx[:-1], nx[1:]))
-    return (fld.amp * out).ravel() / mesh.cell_areas
+    out = fld._mode_sum(lambda k: _int_sin(k, nx[:-1], nx[1:]),
+                        lambda k: _int_sin(k, ny[:-1, None], ny[1:, None]))
+    return out.ravel() / mesh.cell_areas
 
 
 def align_exact_representative(

@@ -253,7 +253,8 @@ def error_norms_postprocessed(
             # moved the 128^2 norms of preset a by 1e-13; this pass sums per
             # point as eval_cell does and builds no intermediate
             diff = np.einsum("iap,jbq,ijpq->iajb", bx, by, fine)
-            diff -= sign * exact.on_grid(xq, yq, ex + dx, ey + dy)
+            diff -= sign * exact.derivative(xq[:, :, None, None], yq,
+                                            ex + dx, ey + dy)
             total += np.einsum("ia,iajb,jb->", wx, diff * diff, wy,
                                optimize=True)
     return float(np.sqrt(total))

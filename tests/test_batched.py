@@ -1,11 +1,13 @@
 """Whole-mesh kernels against their per-cell oracles on random tensor
 meshes: postprocessed error norms (eval_cell and the pointwise exact
-evaluators, 5x5 Gauss per fine cell), cell means (cell_integral_u) and
-edge-flux means (mean_flux_x / mean_flux_y)."""
+derivative, 5x5 Gauss per fine cell), cell means (cell_integral_u),
+edge-flux means (mean_flux_x / mean_flux_y) and the h^2 expansion term
+(Gauss quadrature of u_xx^2 and u_yy^2 per cell)."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from rrteig.analysis import expansion_term
 from rrteig.assembly import layout
 from rrteig.exact import (
     FieldSample,
@@ -18,6 +20,10 @@ from rrteig.mesh import build_mesh
 from rrteig.postprocess import error_norms_postprocessed, i2h_sigma, j2h_u
 
 _GX, _GW = np.polynomial.legendre.leggauss(5)
+# int_K u_xx^2 oscillates up to ~14 pi across one cell of the coarsest
+# meshes below: 5 points leave 1e-4 of quadrature error there, 24 points
+# 1e-12; 48 points reach roundoff
+_QX, _QW = np.polynomial.legendre.leggauss(48)
 
 
 def _nodes(widths, length):
@@ -29,25 +35,30 @@ def _nodes(widths, length):
 
 
 @st.composite
-def _even_meshes(draw):
+def _meshes(draw, even=True):
     """Random tensor meshes of [0, a] x [0, b] with n1, n2 even in
-    [2, 16] and cell widths from [1, 4] (width ratio <= 4); half of
-    them square, where eigenspaces of m != n hold two modes."""
+    [2, 16] (any in [1, 16] when not ``even``) and cell widths from
+    [1, 4] (width ratio <= 4); half of them square, where eigenspaces of
+    m != n hold two modes."""
     a = draw(st.floats(0.5, 4.0), label="a")
     b = a if draw(st.booleans(), label="square") else draw(
         st.floats(0.5, 4.0), label="b")
     nodes = []
     for axis, length in (("x", a), ("y", b)):
-        n = 2 * draw(st.integers(1, 8), label=f"n_{axis} / 2")
+        if even:
+            n = 2 * draw(st.integers(1, 8), label=f"n_{axis} / 2")
+        else:
+            n = draw(st.integers(1, 16), label=f"n_{axis}")
         nodes.append(_nodes(draw(st.lists(
             st.floats(1.0, 4.0), min_size=n, max_size=n)), length))
     return build_mesh(*nodes)
 
 
 @st.composite
-def _fields(draw, mesh):
-    """A single mode, or a random unit combination over an eigenspace."""
-    domain = (mesh.node_x[-1], mesh.node_y[-1])
+def _fields(draw, mesh, domain=None):
+    """A single mode, or a random unit combination over an eigenspace, of
+    the exact problem on ``domain`` (default: the mesh's)."""
+    domain = domain or (mesh.node_x[-1], mesh.node_y[-1])
     exact = enumerate_exact(domain, count=8)[draw(st.integers(0, 7))]
     modes = exact.modes()
     if draw(st.booleans(), label="single mode"):
@@ -62,7 +73,7 @@ def _fields(draw, mesh):
 
 def _oracle_norm(field, exact, order):
     """The per-cell loop: 5x5 Gauss per fine cell, eval_cell against the
-    pointwise exact evaluators."""
+    pointwise exact derivative."""
     mesh = field.mesh
     nx, ny = mesh.node_x, mesh.node_y
     total = 0.0
@@ -72,23 +83,24 @@ def _oracle_norm(field, exact, order):
             xm, xh = (nx[i] + nx[i + 1]) / 2, (nx[i + 1] - nx[i]) / 2
             xg, yg = np.meshgrid(xm + xh * _GX, ym + yh * _GX)
             w = np.outer(yh * _GW, xh * _GW)
+
+            def u(dx, dy):
+                return exact.derivative(xg, yg, dx, dy)
+
             if order == 0 and field.kind == "sigma":
                 sx, sy = field.eval_cell(i, j, xg, yg)
-                ex, ey = exact.sigma(xg, yg)
-                sq = (sx - ex) ** 2 + (sy - ey) ** 2
+                sq = (sx + u(1, 0)) ** 2 + (sy + u(0, 1)) ** 2
             elif order == 0:
-                sq = (field.eval_cell(i, j, xg, yg) - exact.u(xg, yg)) ** 2
+                sq = (field.eval_cell(i, j, xg, yg) - u(0, 0)) ** 2
             elif field.kind == "sigma":
                 sxdx, sydx = field.eval_cell(i, j, xg, yg, deriv="x")
                 sxdy, sydy = field.eval_cell(i, j, xg, yg, deriv="y")
-                sq = ((sxdx + exact.uxx(xg, yg)) ** 2
-                      + (sxdy + exact.uxy(xg, yg)) ** 2
-                      + (sydx + exact.uxy(xg, yg)) ** 2
-                      + (sydy + exact.uyy(xg, yg)) ** 2)
+                sq = ((sxdx + u(2, 0)) ** 2 + (sxdy + u(1, 1)) ** 2
+                      + (sydx + u(1, 1)) ** 2 + (sydy + u(0, 2)) ** 2)
             else:
                 vdx = field.eval_cell(i, j, xg, yg, deriv="x")
                 vdy = field.eval_cell(i, j, xg, yg, deriv="y")
-                sq = (vdx - exact.ux(xg, yg)) ** 2 + (vdy - exact.uy(xg, yg)) ** 2
+                sq = (vdx - u(1, 0)) ** 2 + (vdy - u(0, 1)) ** 2
             total += np.sum(w * sq)
     return float(np.sqrt(total))
 
@@ -98,7 +110,7 @@ def _assert_close(got, want, rel):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(mesh=_even_meshes(), data=st.data())
+@given(mesh=_meshes(), data=st.data())
 def test_error_norms_against_per_cell_oracle(mesh, data):
     """Both reconstructions of random DOF vectors, L2 and broken H1,
     to 1e-12 relative."""
@@ -114,7 +126,7 @@ def test_error_norms_against_per_cell_oracle(mesh, data):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(mesh=_even_meshes(), data=st.data())
+@given(mesh=_meshes(), data=st.data())
 def test_cell_and_edge_means_against_per_cell_oracle(mesh, data):
     """l2_project_exact against cell_integral_u / |K| and
     rt_interpolate_exact against per-edge mean fluxes, to 1e-13."""
@@ -137,3 +149,37 @@ def test_cell_and_edge_means_against_per_cell_oracle(mesh, data):
                 ny[j], nx[i], nx[i + 1])
     _assert_close(l2_project_exact(mesh, fld), means, 1e-13)
     _assert_close(rt_interpolate_exact(mesh, fld), fluxes, 1e-13)
+
+
+def _oracle_expansion_term(mesh, exact):
+    """(1/12) sum_K (h_x^2 int_K u_xx^2 + h_y^2 int_K u_yy^2), with the
+    cell integrals by 48x48 Gauss quadrature of the pointwise derivative."""
+    nx, ny = mesh.node_x, mesh.node_y
+    total = 0.0
+    for j in range(mesh.n2):
+        ym, yh = (ny[j] + ny[j + 1]) / 2, (ny[j + 1] - ny[j]) / 2
+        for i in range(mesh.n1):
+            xm, xh = (nx[i] + nx[i + 1]) / 2, (nx[i + 1] - nx[i]) / 2
+            xg, yg = np.meshgrid(xm + xh * _QX, ym + yh * _QX)
+            w = np.outer(yh * _QW, xh * _QW)
+            total += np.sum(w * (
+                (2 * xh) ** 2 * exact.derivative(xg, yg, 2, 0) ** 2
+                + (2 * yh) ** 2 * exact.derivative(xg, yg, 0, 2) ** 2))
+    return total / 12.0
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(mesh=_meshes(even=False), data=st.data())
+def test_expansion_term_against_per_cell_quadrature(mesh, data):
+    """expansion_term against per-cell quadrature to 1e-12 relative, on
+    odd and even meshes.  Half of the fields live on the mesh's domain
+    scaled up to twice: on the mesh's own domain the cross terms of a mode
+    combination integrate to zero over the full strip width."""
+    domain = None
+    if data.draw(st.booleans(), label="larger domain"):
+        scale = data.draw(st.floats(1.25, 2.0), label="scale")
+        domain = (mesh.node_x[-1] * scale, mesh.node_y[-1] * scale)
+    exact = data.draw(_fields(mesh, domain), label="field")
+    got = expansion_term(mesh, exact)
+    want = _oracle_expansion_term(mesh, exact)
+    assert abs(got - want) <= 1e-12 * want

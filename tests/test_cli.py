@@ -172,6 +172,7 @@ def test_main_error_exit(tmp_path, capsys):
     base = {"name": "x", "node_x": [0.0, PI], "node_y": [0.0, PI]}
     for doc, named in (
         (dict(base, levles=2), "levles"),
+        (dict(base, equiv_max_cells=1200), "equiv_max_cells"),
         ({"name": "x", "node_x": [0.0, PI]}, "node_y"),
         ([0.0, PI], "JSON object"),
         # values of the wrong JSON type
@@ -349,3 +350,51 @@ def test_python_dash_m_entry_point():
     assert len(lines) == 2
     assert lines[0].startswith("lambda_1 = ")
     assert lines[1].startswith("lambda_2 = ")
+
+
+def test_extrapolation_skips_a_failed_level(monkeypatch):
+    """Entry i of the extrapolation always combines levels i and i + 1:
+    a failed level makes its two entries NaN instead of pairing its
+    neighbours as if h had halved."""
+    from rrteig import cli
+    from rrteig.analysis import extrapolate
+    from rrteig.errors import NotConverged
+
+    solve = cli._solve
+
+    def failing(config, mesh, equivalence):
+        if mesh.level == 1:
+            raise NotConverged("injected")
+        return solve(config, mesh, equivalence)
+
+    monkeypatch.setattr(cli, "_solve", failing)
+    config = dataclasses.replace(case_preset("c"), levels=3)
+    report = run_case(config)
+    assert report.levels[1] == {"level": 1, "failed": True}
+    values = report.extrapolation["values"]
+    assert len(values) == 3
+    assert np.isnan(values[0]) and np.isnan(values[1])
+    lam2, lam3 = (report.levels[t]["lambdas"][0] for t in (2, 3))
+    assert values[2] == extrapolate(lam2, lam3)
+    assert all(np.isnan(r) for r in report.extrapolation["rates"])
+
+
+def test_size_limit_refused_before_solving(monkeypatch, capsys):
+    """A finest level above 2^22 cells fails with InvalidConfig before
+    any level is refined or solved."""
+    from rrteig import cli
+
+    solved = _count_calls(monkeypatch, solve_mixed_eigs)
+    with pytest.raises(InvalidConfig, match="cells"):
+        run_case(dataclasses.replace(case_preset("a"), levels=9))
+    # 8^2 * 4^8 = 2^22 cells is the largest level allowed
+    preset = case_preset("a")
+    cli._check_size(preset, preset.initial_mesh(), 8)
+    for command in ("eigs", "equiv"):
+        code = main([command, "--case", "c", "--levels", "40"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "InvalidConfig"
+    assert solved == []

@@ -66,47 +66,53 @@ def test_eigenfunction_pde_identity():
     x = rng.uniform(0, PI, 50)
     y = rng.uniform(0, PI, 50)
     np.testing.assert_allclose(
-        -(fld.uxx(x, y) + fld.uyy(x, y)), fld.value * fld.u(x, y),
+        -(fld.derivative(x, y, 2, 0) + fld.derivative(x, y, 0, 2)),
+        fld.value * fld.derivative(x, y),
         rtol=1e-12, atol=1e-12,
     )
     t = np.linspace(0, PI, 17)
     for bx, by in ((0 * t, t), (PI + 0 * t, t), (t, 0 * t), (t, PI + 0 * t)):
-        np.testing.assert_allclose(fld.u(bx, by), 0.0, atol=1e-12)
+        np.testing.assert_allclose(fld.derivative(bx, by), 0.0, atol=1e-12)
 
 
 def test_unit_l2_norm():
     for m, n in ((1, 1), (2, 3)):
         fld = field_for_mode(m, n)
-        nrm2 = _quad2d(lambda x, y: fld.u(x, y) ** 2, 0, PI, 0, PI)
+        nrm2 = _quad2d(lambda x, y: fld.derivative(x, y) ** 2, 0, PI, 0, PI)
         assert nrm2 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_analytic_integrals_vs_quadrature():
-    """Closed-form cell integrals agree with an independent Gauss oracle."""
+    """Closed-form cell and strip integrals agree with an independent
+    Gauss oracle; the strips cover part of the domain, so the cross terms
+    of the two modes do not vanish."""
     ex = enumerate_exact((PI, PI), count=2)[1]  # lambda = 5 cluster
     rng = np.random.default_rng(1)
     c = rng.standard_normal(2)
     fld = FieldSample(ex, c / np.linalg.norm(c))
     cell = (0.3, 1.1, 0.4, 0.9)
     assert fld.cell_integral_u(*cell) == pytest.approx(
-        _quad2d(fld.u, *cell), rel=1e-12
+        _quad2d(fld.derivative, *cell), rel=1e-12
     )
-    assert fld.cell_integral_uxx_sq(*cell) == pytest.approx(
-        _quad2d(lambda x, y: fld.uxx(x, y) ** 2, *cell), rel=1e-12
-    )
-    assert fld.cell_integral_uyy_sq(*cell) == pytest.approx(
-        _quad2d(lambda x, y: fld.uyy(x, y) ** 2, *cell), rel=1e-12
-    )
+    nx, ny = (0.3, 0.7, 1.1), (0.4, 0.9)
+    ix, iy = fld.strip_integrals_dd_sq(nx, ny)
+    uxx_sq = lambda x, y: fld.derivative(x, y, 2, 0) ** 2
+    uyy_sq = lambda x, y: fld.derivative(x, y, 0, 2) ** 2
+    for i in range(2):
+        assert ix[i] == pytest.approx(
+            _quad2d(uxx_sq, nx[i], nx[i + 1], 0.4, 0.9), rel=1e-12
+        )
+    assert iy[0] == pytest.approx(_quad2d(uyy_sq, *cell), rel=1e-12)
 
 
 def test_mean_flux_vs_quadrature():
     fld = field_for_mode(2, 1)
     t, w = (_GX + 1) / 2, _GW / 2
     y0, y1, xi = 0.4, 0.9, 1.3
-    want = np.sum(w * -fld.ux(xi, y0 + (y1 - y0) * t))
+    want = np.sum(w * -fld.derivative(xi, y0 + (y1 - y0) * t, 1, 0))
     assert fld.mean_flux_x(xi, y0, y1) == pytest.approx(want, rel=1e-12)
     x0, x1, yj = 0.1, 0.8, 2.0
-    want = np.sum(w * -fld.uy(x0 + (x1 - x0) * t, yj))
+    want = np.sum(w * -fld.derivative(x0 + (x1 - x0) * t, yj, 0, 1))
     assert fld.mean_flux_y(yj, x0, x1) == pytest.approx(want, rel=1e-12)
 
 
@@ -135,7 +141,7 @@ def test_l2_projection_means(mesh_c0):
     nx, ny = mesh_c0.node_x, mesh_c0.node_y
     i, j = 2, 1
     area = (nx[i + 1] - nx[i]) * (ny[j + 1] - ny[j])
-    want = _quad2d(fld.u, nx[i], nx[i + 1], ny[j], ny[j + 1]) / area
+    want = _quad2d(fld.derivative, nx[i], nx[i + 1], ny[j], ny[j + 1]) / area
     assert proj[mesh_c0.cell_index(i, j)] == pytest.approx(want, rel=1e-12)
 
 
