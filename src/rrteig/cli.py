@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -507,6 +508,12 @@ def _render_rows(header, rows, fmt):
     ) + "\n"
 
 
+def _num(value, spec: str) -> str:
+    """Format one report number; null, which a stored report holds in
+    place of NaN, renders as NaN."""
+    return format(float("nan") if value is None else value, spec)
+
+
 def eigen_table(report: dict, fmt: str) -> str:
     """Eigenvalue table: one row per index, columns per level, trend, rate."""
     levels = [lv for lv in report["levels"] if "lambdas" in lv]
@@ -519,8 +526,8 @@ def eigen_table(report: dict, fmt: str) -> str:
         trend = "↘" if all(b <= a for a, b in zip(vals[:-1], vals[1:])) else "↗"
         rate = report["eigen_rates"][t]
         rows.append(
-            [f"lambda_{t + 1}"] + [f"{v:.4f}" for v in vals]
-            + [trend, f"{rate:.2f}"]
+            [f"lambda_{t + 1}"] + [_num(v, ".4f") for v in vals]
+            + [trend, _num(rate, ".2f")]
         )
     return _render_rows(header, rows, fmt)
 
@@ -536,8 +543,8 @@ def residual_table(report: dict, fmt: str) -> str:
         vals = [lv["residuals"][key]["r"] for lv in levels
                 if key in lv["residuals"]]
         rate = report["residual_rates"].get(key, float("nan"))
-        rows.append([f"r_{key}"] + [f"{v:.2e}" for v in vals]
-                    + [f"{rate:.2f}"])
+        rows.append([f"r_{key}"] + [_num(v, ".2e") for v in vals]
+                    + [_num(rate, ".2f")])
     return _render_rows(header, rows, fmt)
 
 
@@ -548,13 +555,25 @@ def figure_data(report: dict, fmt: str) -> str:
     for lv in report["levels"]:
         if "residuals" in lv and "1" in lv["residuals"]:
             r = lv["residuals"]["1"]
-            rows.append([f"{lv['h']:.17g}", f"{r['e1']:.17g}",
-                         f"{r['e2']:.17g}"])
+            rows.append([_num(lv["h"], ".17g"), _num(r["e1"], ".17g"),
+                         _num(r["e2"], ".17g")])
     return _render_rows(header, rows, fmt)
 
 
+def _nan_to_null(obj):
+    """Strict JSON has no NaN: a NaN is stored as null."""
+    if isinstance(obj, float) and math.isnan(obj):
+        return None
+    if isinstance(obj, dict):
+        return {key: _nan_to_null(val) for key, val in obj.items()}
+    if isinstance(obj, list):
+        return [_nan_to_null(val) for val in obj]
+    return obj
+
+
 def emit_tables(report, fmt: str, out_dir: str) -> list[str]:
-    """Write the eigenvalue / residual / figure tables and the raw report."""
+    """Write the eigenvalue / residual / figure tables and the raw report,
+    which is strict JSON: NaN is written as null."""
     import os
 
     if fmt not in _FORMATS:
@@ -570,7 +589,9 @@ def emit_tables(report, fmt: str, out_dir: str) -> list[str]:
         f"{name}_eigenvalues.{ext}": eigen_table(rep, fmt),
         f"{name}_residuals.{ext}": residual_table(rep, fmt),
         f"{name}_figure.{ext}": figure_data(rep, fmt),
-        f"{name}_report.json": json.dumps(rep, sort_keys=True, indent=2) + "\n",
+        f"{name}_report.json": json.dumps(
+            _nan_to_null(rep), sort_keys=True, indent=2, allow_nan=False
+        ) + "\n",
     }
     written = []
     try:

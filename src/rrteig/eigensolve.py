@@ -8,10 +8,14 @@ On a tensor-product mesh the reduced pencil is a Kronecker sum,
 where S and D are the reduced operator and the cell-width diagonal of the
 1-D RT0 pencil in each direction (fast diagonalisation; Lynch, Rice &
 Thomas, Numer. Math. 6, 1964).  The production path solves the two 1-D
-pencils and combines their modes, lambda = mu_i + nu_j and u = w_j (x) v_i,
-then checks every pair against the assembled 2-D matrices.  The dense
-oracle forms the 2-D reduced matrix column by column and is kept strictly
-separate for verification.
+pencils and combines their modes, lambda = mu_i + nu_j and u = w_j (x) v_i.
+The flux follows from the same structure: A and B are Kronecker products
+blockwise (A_xx = diag(h_y) (x) A1x, B_x = diag(h_y) (x) Gx, and alike in
+y), so sigma = A^-1 B^T u is w_j (x) A1x^-1 Gx^T v_i on the x-edges and
+A1y^-1 Gy^T w_j (x) v_i on the y-edges, from two tridiagonal 1-D solves.
+No 2-D matrix is factored; every pair is checked against the assembled 2-D
+matrices by sparse products.  The dense oracle forms the 2-D reduced
+matrix column by column and is kept strictly separate for verification.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -52,28 +57,33 @@ class MixedEigenpair:
 
 
 def _normalize(system, u):
-    """M-normalize and fix the sign: the largest-magnitude entry is positive."""
+    """M-normalize and fix the sign: the largest-magnitude entry is positive.
+    Returns the normalized u and its signed divisor, so a flux can follow."""
     nrm = np.sqrt(float(u @ (system.M * u)))
     u = u / nrm
-    imax = int(np.argmax(np.abs(u)))
-    if u[imax] < 0:
-        u = -u
-    return u
+    if u[int(np.argmax(np.abs(u)))] < 0:
+        return -u, -nrm
+    return u, nrm
 
 
-def _finalize(system, a_lu, lam, u):
-    """Normalize u, recover sigma = A^-1 B^T u and measure the residual
-    of the pair against the assembled 2-D pencil."""
-    u = _normalize(system, u)
-    sigma = a_lu.solve(system.B.T @ u)
-    r1 = system.A @ sigma - system.B.T @ u
-    r2 = system.B @ sigma - lam * (system.M * u)
-    res = np.linalg.norm(r1) / max(np.linalg.norm(system.A @ sigma), 1e-300)
-    res = max(res, np.linalg.norm(r2) / max(abs(lam), 1e-300))
-    return MixedEigenpair(
-        lambda_h=float(lam), sigma_coeffs=sigma, u_coeffs=u,
-        residual_norm=float(res),
-    ), res
+def _finalize(system, lam, sigma, u):
+    """Pairs (lam[t], sigma[t], u[t]) with their residuals against the
+    assembled 2-D pencil.  B^T is formed once for all pairs; each pair
+    takes one product with A, B and B^T (k single-vector products beat
+    one k-column sparse product here)."""
+    bt = system.B.T
+    out = []
+    for lam_t, sigma_t, u_t in zip(lam, sigma, u):
+        a_sigma = system.A @ sigma_t
+        r1 = np.linalg.norm(a_sigma - bt @ u_t)
+        r1 /= max(np.linalg.norm(a_sigma), 1e-300)
+        r2 = np.linalg.norm(system.B @ sigma_t - lam_t * (system.M * u_t))
+        r2 /= max(abs(lam_t), 1e-300)
+        out.append(MixedEigenpair(
+            lambda_h=float(lam_t), sigma_coeffs=sigma_t, u_coeffs=u_t,
+            residual_norm=float(max(r1, r2)),
+        ))
+    return out
 
 
 def _strip_pencil(system: MixedSystem, axis: int):
@@ -91,11 +101,14 @@ def _strip_pencil(system: MixedSystem, axis: int):
 
 
 def _modes_1d(a1, g, d, k):
-    """k smallest eigenpairs (mu, v) of the 1-D pencil (G A1^-1 G^T, diag d).
+    """k smallest eigenpairs (mu, v) of the 1-D pencil (G A1^-1 G^T, diag d)
+    and their fluxes A1^-1 G^T v.
 
-    They are taken from the top of the inverse D^1/2 S^-1 D^1/2 by a dense
-    symmetric eigendecomposition; S^-1 is applied through one sparse LU of
-    the saddle matrix [[A1, G^T], [G, 0]].  Columns of v are d-orthonormal.
+    The pairs are taken from the top of the inverse D^1/2 S^-1 D^1/2 by a
+    dense symmetric eigendecomposition; S^-1 is applied through one sparse
+    LU of the saddle matrix [[A1, G^T], [G, 0]].  Columns of v are
+    d-orthonormal.  The fluxes come from a direct tridiagonal solve with
+    A1; the strip's cross width cancels in A1^-1 G^T.
     """
     n_edge, n = a1.shape[0], len(d)
     lu = spla.splu(sp.bmat([[a1, g.T], [g, None]], format="csc"))
@@ -105,7 +118,11 @@ def _modes_1d(a1, g, d, k):
     inv = -lu.solve(rhs)[n_edge:] * d_sqrt[:, None]
     theta, vec = np.linalg.eigh((inv + inv.T) / 2.0)
     top = np.arange(n - 1, n - 1 - k, -1)  # largest theta = smallest mu
-    return 1.0 / theta[top], vec[:, top] / d_sqrt[:, None]
+    v = vec[:, top] / d_sqrt[:, None]
+    bands = np.zeros((2, n_edge))  # upper banded storage of the SPD A1
+    bands[0, 1:] = a1.diagonal(1)
+    bands[1] = a1.diagonal()
+    return 1.0 / theta[top], v, sla.solveh_banded(bands, g.T @ v)
 
 
 def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions) -> list[MixedEigenpair]:
@@ -114,26 +131,30 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions) -> list[MixedEigen
     Deterministic; eigenvalues ascending, tied eigenvalues ordered by
     their (y, x) 1-D mode indices, so a cluster member keeps its place
     whatever k is; u vectors M-orthonormal, each u's largest-magnitude
-    entry positive.
+    entry positive; sigma = A^-1 B^T u is assembled from the 1-D fluxes.
     """
     lay = system.layout
     if opts.k > lay.n_cell:
         raise KTooLarge(f"k={opts.k} exceeds spectrum size {lay.n_cell}")
 
     # the k smallest sums use at most the k smallest modes of each direction
-    mu, v = _modes_1d(*_strip_pencil(system, 0), min(opts.k, lay.n1))
-    nu, w = _modes_1d(*_strip_pencil(system, 1), min(opts.k, lay.n2))
+    mu, v, flux_x = _modes_1d(*_strip_pencil(system, 0), min(opts.k, lay.n1))
+    nu, w, flux_y = _modes_1d(*_strip_pencil(system, 1), min(opts.k, lay.n2))
     sums = np.add.outer(nu, mu)
     order = np.argsort(sums, axis=None, kind="stable")[: opts.k]
 
-    a_lu = spla.splu(system.A.tocsc())
-    out, worst = [], 0.0
-    for flat in order:
+    sigma = np.empty((opts.k, lay.n_sigma))  # row t: pair t, in DOF order
+    u = np.empty((opts.k, lay.n_cell))
+    for t, flat in enumerate(order):
         j, i = divmod(int(flat), len(mu))
-        u = np.outer(w[:, j], v[:, i]).ravel()  # cell index j * n1 + i
-        pair, res = _finalize(system, a_lu, sums[j, i], u)
-        out.append(pair)
-        worst = max(worst, res)
+        # cell index j * n1 + i
+        u[t], scale = _normalize(system, np.outer(w[:, j], v[:, i]).ravel())
+        # x-edge j * (n1 + 1) + i, then y-edge n_xedge + j * n1 + i
+        sigma[t, : lay.n_xedge] = np.outer(w[:, j], flux_x[:, i]).ravel()
+        sigma[t, lay.n_xedge:] = np.outer(flux_y[:, j], v[:, i]).ravel()
+        sigma[t] /= scale
+    out = _finalize(system, sums.ravel()[order], sigma, u)
+    worst = max(p.residual_norm for p in out)
     if worst > opts.tol:
         raise NotConverged(
             f"worst residual {worst:.3e} exceeds tol {opts.tol:.1e}",
@@ -158,19 +179,16 @@ def dense_oracle_eigs(
         raise KTooLarge(f"k={k} exceeds spectrum size {n_cell}")
 
     a_lu = spla.splu(system.A.tocsc())
-    bt = np.asarray(system.B.T.todense())
-    z = a_lu.solve(bt)  # A^-1 B^T, one column per cell DOF
-    s_dense = np.asarray(system.B.todense()) @ z
+    bt = system.B.T
+    z = a_lu.solve(bt.toarray())  # A^-1 B^T, one column per cell DOF
+    s_dense = system.B.toarray() @ z
     s_dense = (s_dense + s_dense.T) / 2.0
 
     d_inv_sqrt = 1.0 / np.sqrt(system.M)
     c = d_inv_sqrt[:, None] * s_dense * d_inv_sqrt[None, :]
     vals, vecs = np.linalg.eigh(c)
 
-    out = []
-    for idx in range(k):
-        lam = vals[idx]
-        u = d_inv_sqrt * vecs[:, idx]
-        pair, _ = _finalize(system, a_lu, lam, u)
-        out.append(pair)
-    return out
+    u = np.array([
+        _normalize(system, d_inv_sqrt * vecs[:, idx])[0] for idx in range(k)
+    ])
+    return _finalize(system, vals[:k], a_lu.solve(bt @ u.T).T, u)

@@ -71,6 +71,22 @@ def _fields(draw, mesh, domain=None):
     return FieldSample(exact, c / np.linalg.norm(c))
 
 
+@st.composite
+def _multi_mode_fields(draw, side):
+    """A combination with every coefficient nonzero over an eigenspace of
+    two to four modes of the exact problem on the square [0, side]^2."""
+    domain = (side, side)
+    spaces = {e.value: e for e in enumerate_exact(domain, count=56)
+              if len(e.modes()) > 1}
+    exact = list(spaces.values())[draw(st.integers(0, len(spaces) - 1))]
+    n = len(exact.modes())
+    c = np.array(draw(st.lists(st.floats(0.25, 1.0), min_size=n,
+                               max_size=n)))
+    c *= np.where(draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                  1.0, -1.0)
+    return FieldSample(exact, c / np.linalg.norm(c))
+
+
 def _oracle_norm(field, exact, order):
     """The per-cell loop: 5x5 Gauss per fine cell, eval_cell against the
     pointwise exact derivative."""
@@ -172,14 +188,20 @@ def _oracle_expansion_term(mesh, exact):
 @given(mesh=_meshes(even=False), data=st.data())
 def test_expansion_term_against_per_cell_quadrature(mesh, data):
     """expansion_term against per-cell quadrature to 1e-12 relative, on
-    odd and even meshes.  Half of the fields live on the mesh's domain
-    scaled up to twice: on the mesh's own domain the cross terms of a mode
-    combination integrate to zero over the full strip width."""
-    domain = None
-    if data.draw(st.booleans(), label="larger domain"):
-        scale = data.draw(st.floats(1.25, 2.0), label="scale")
-        domain = (mesh.node_x[-1] * scale, mesh.node_y[-1] * scale)
-    exact = data.draw(_fields(mesh, domain), label="field")
+    odd and even meshes.  Half of the fields are combinations of every
+    mode of a multi-mode eigenspace on a square larger than the mesh's
+    domain; of the rest, half live on the mesh's domain scaled up to
+    twice.  On the mesh's own domain the cross terms of a mode combination
+    integrate to zero over the full strip width."""
+    scale = data.draw(st.floats(1.25, 2.0), label="scale")
+    if data.draw(st.booleans(), label="multi-mode"):
+        side = max(mesh.node_x[-1], mesh.node_y[-1]) * scale
+        exact = data.draw(_multi_mode_fields(side), label="field")
+    else:
+        domain = None
+        if data.draw(st.booleans(), label="larger domain"):
+            domain = (mesh.node_x[-1] * scale, mesh.node_y[-1] * scale)
+        exact = data.draw(_fields(mesh, domain), label="field")
     got = expansion_term(mesh, exact)
     want = _oracle_expansion_term(mesh, exact)
     assert abs(got - want) <= 1e-12 * want

@@ -379,6 +379,46 @@ def test_extrapolation_skips_a_failed_level(monkeypatch):
     assert all(np.isnan(r) for r in report.extrapolation["rates"])
 
 
+def test_report_json_is_strict_and_round_trips(monkeypatch, tmp_path,
+                                               capsys):
+    """A failed level leaves NaN rates: the stored report writes them as
+    null, which a strict parser accepts, and `rrteig table` renders them
+    as NaN and re-emits the same files."""
+    from rrteig import cli
+    from rrteig.errors import NotConverged
+
+    solve = cli._solve
+
+    def failing(config, mesh, equivalence):
+        if mesh.level == 1:
+            raise NotConverged("injected")
+        return solve(config, mesh, equivalence)
+
+    monkeypatch.setattr(cli, "_solve", failing)
+    report = run_case(dataclasses.replace(case_preset("c"), levels=2))
+    assert all(np.isnan(report.eigen_rates))
+    first = tmp_path / "first"
+    emit_tables(report, "aligned-text", str(first))
+
+    def refuse(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    path = first / "c_report.json"
+    stored = json.loads(path.read_text(), parse_constant=refuse)
+    assert stored["eigen_rates"] == [None] * len(report.eigen_rates)
+    assert stored["extrapolation"]["values"][:2] == [None, None]
+
+    again = tmp_path / "again"
+    assert main(["table", str(path), "--out", str(again)]) == 0
+    rep = report.to_dict()
+    tables = eigen_table(rep, "aligned-text") + residual_table(
+        rep, "aligned-text")
+    assert "nan" in tables
+    assert capsys.readouterr().out.startswith(tables)
+    for name in sorted(os.listdir(first)):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
+
+
 def test_size_limit_refused_before_solving(monkeypatch, capsys):
     """A finest level above 2^22 cells fails with InvalidConfig before
     any level is refined or solved."""

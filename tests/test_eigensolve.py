@@ -3,6 +3,7 @@ error paths."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from rrteig.assembly import assemble_mixed
@@ -134,7 +135,8 @@ def _tensor_meshes(draw):
 def test_random_tensor_meshes_against_oracle(mesh, data):
     """Tensor-product solver vs the dense 2-D oracle on random meshes:
     eigenvalues to 1e-10 relative, M-orthonormal u, residuals within tol,
-    and the upper bound lambda_h >= m^2 + n^2."""
+    the upper bound lambda_h >= m^2 + n^2, and each sigma (cluster members
+    too) against a direct 2-D solve A^-1 B^T u to 1e-12 in the A-norm."""
     system = assemble_mixed(mesh)
     k = data.draw(st.integers(1, min(12, mesh.n_cells)), label="k")
     opts = SolveOptions(k=k)
@@ -147,6 +149,11 @@ def test_random_tensor_meshes_against_oracle(mesh, data):
     gram = u.T @ (system.M[:, None] * u)
     np.testing.assert_allclose(gram, np.eye(k), atol=1e-10)
     assert all(p.residual_norm <= opts.tol for p in pairs)
+    a = system.A.tocsc()
+    want_sigma = spla.splu(a).solve(system.B.T @ u)  # one column per pair
+    for p, want in zip(pairs, want_sigma.T):
+        err = p.sigma_coeffs - want
+        assert np.sqrt(err @ (a @ err)) <= 1e-12 * np.sqrt(want @ (a @ want))
     exact = np.array([e.value for e in enumerate_exact((PI, PI), count=k)])
     assert np.all(lam >= exact)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from rrteig.assembly import (
     assemble_mixed,
@@ -140,3 +141,42 @@ def test_verify_equivalence_truncated_cluster(mesh_c0):
     assert len(rep.entries) == 12
     assert rep.entries[-1].cluster_size == 2
     assert rep.max_sigma_discrepancy <= 1e-10
+
+
+def _draw_nodes(draw, axis):
+    """Nodes of [0, pi]: n in [1, 10] cells, widths from [1, 4]."""
+    n = draw(st.integers(1, 10), label=f"n_{axis}")
+    w = np.asarray(draw(st.lists(st.floats(1.0, 4.0), min_size=n,
+                                 max_size=n)))
+    nodes = np.concatenate([[0.0], np.cumsum(w)]) * (PI / w.sum())
+    nodes[-1] = PI
+    return nodes
+
+
+@st.composite
+def _small_tensor_meshes(draw):
+    """Random tensor meshes of [0, pi]^2; in half of the draws the y nodes
+    copy the x nodes, so the two 1-D spectra coincide and the (m, n),
+    (n, m) pairs cluster."""
+    x = _draw_nodes(draw, "x")
+    y = x if draw(st.booleans(), label="mirror") else _draw_nodes(draw, "y")
+    return build_mesh(x, y)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(mesh=_small_tensor_meshes(), data=st.data())
+def test_equivalence_on_random_meshes(mesh, data):
+    """Mixed and enriched elements agree on random tensor meshes: the
+    eigenvalues, the flux (through the 1-D flux solves of the mixed
+    solver), the cell means and the normal-gradient continuity, within
+    the bounds of the preset checks, clusters included."""
+    system = assemble_mixed(mesh)
+    k = data.draw(st.integers(1, min(6, mesh.n_cells)), label="k")
+    pairs = solve_mixed_eigs(
+        system, SolveOptions(k=max(k, min(k + 3, mesh.n_cells))))
+    rep = verify_equivalence(system, pairs, k)
+    assert len(rep.entries) == k
+    assert rep.max_eig_rel_diff <= 1e-12
+    assert rep.max_sigma_discrepancy <= 1e-10
+    assert rep.max_u_discrepancy <= 1e-10
+    assert rep.max_flux_jump <= 1e-10
