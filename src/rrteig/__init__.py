@@ -33,7 +33,6 @@ from .exact import (
     field_for_mode,
     rt_interpolate_exact,
     l2_project_exact,
-    align_exact_representative,
 )
 from .postprocess import (
     SuperclosenessReport,

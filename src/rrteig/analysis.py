@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import MixedEigenpair
-from .errors import AmbiguousAssignment, DimensionMismatch
-from .exact import ExactEigenpair, FieldSample, Frequency
+from .errors import DimensionMismatch
+from .exact import FieldSample, Frequency
 from .mesh import TensorMesh
 
 
@@ -66,48 +65,27 @@ class FrequencyMatch:
     observed_shift: float
 
 
-def match_frequencies(
-    pairs, exact: ExactEigenpair, h: float
-) -> list[FrequencyMatch]:
-    """Assign cluster members to frequency pairs on a uniform mesh.
+def match_frequencies(pairs, domain, h: float) -> list[FrequencyMatch]:
+    """Frequency and h^2 shifts of labelled pairs on a uniform h-mesh of
+    [0, a] x [0, b].
 
-    Each discrete eigenvalue takes the frequency whose predicted shift
-    (m^4 + n^4) h^2 / 12 is nearest to the observed shift; the assignment
-    must respect the eigenspace dimensions (one member for m = n, two
-    otherwise) and be well separated, else AmbiguousAssignment.
+    Each pair's mode label (m, n) names its frequency, ordered as
+    field_for_mode orders it; the predicted shift is (m^4 + n^4) h^2 / 12
+    and the observed shift is lambda_h minus the label's exact eigenvalue
+    m^2 (pi/a)^2 + n^2 (pi/b)^2, summed as enumerate_exact sums it.
     """
-    lam = exact.value
-    lambdas = [p.lambda_h if isinstance(p, MixedEigenpair) else float(p)
-               for p in pairs]
-    if len(lambdas) != exact.multiplicity:
-        raise AmbiguousAssignment(
-            f"cluster size {len(lambdas)} != multiplicity {exact.multiplicity}"
-        )
-    preds = {f: f.shift_weight * h * h / 12.0 for f in exact.frequencies}
+    a, b = domain
+    kx2 = (np.pi / a) ** 2
+    ky2 = (np.pi / b) ** 2
     out = []
-    for lh in lambdas:
-        shift = lh - lam
-        ranked = sorted(preds, key=lambda f: abs(shift - preds[f]))
-        best = ranked[0]
-        resid = abs(shift - preds[best])
-        if len(ranked) > 1:
-            gap = abs(preds[ranked[0]] - preds[ranked[1]])
-            if gap < 2.0 * resid:
-                raise AmbiguousAssignment(
-                    f"predictions separated by {gap:.3e} but residual {resid:.3e}"
-                )
+    for p in pairs:
+        m, n = p.mode
+        freq = Frequency.of_mode(m, n, domain)
         out.append(FrequencyMatch(
-            lambda_h=lh, frequency=best,
-            predicted_shift=preds[best], observed_shift=shift,
+            lambda_h=p.lambda_h, frequency=freq,
+            predicted_shift=freq.shift_weight * h * h / 12.0,
+            observed_shift=p.lambda_h - (m * m * kx2 + n * n * ky2),
         ))
-    counts = {f: 0 for f in exact.frequencies}
-    for m in out:
-        counts[m.frequency] += 1
-    for f, c in counts.items():
-        if c != f.multiplicity:
-            raise AmbiguousAssignment(
-                f"frequency {f} received {c} members, expected {f.multiplicity}"
-            )
     return out
 
 

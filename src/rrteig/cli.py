@@ -26,15 +26,13 @@ from .analysis import (
 from .assembly import MixedSystem, assemble_mixed
 from .eigensolve import SolveOptions, solve_mixed_eigs
 from .equivalence import verify_equivalence
-from .errors import RRTError, InvalidConfig, IoFailure
+from .errors import AmbiguousCluster, RRTError, InvalidConfig, IoFailure
 from .exact import (
-    align_exact_representative,
     enumerate_exact,
     field_for_mode,
     l2_project_exact,
     rt_interpolate_exact,
 )
-from .eigensolve import MixedEigenpair
 from .mesh import (
     TensorMesh,
     build_mesh,
@@ -197,11 +195,21 @@ def _residual_indices(config, mesh, exact):
     return [i for i, e in enumerate(exact[: config.k]) if e.multiplicity == 1]
 
 
-def _aligned_field(pair, exact_pair, mesh):
+def _aligned_field(pair, exact_pair):
+    """The exact field a pair's residual is measured against: the one mode
+    of a simple exact eigenvalue, which the table pairs with the discrete
+    pair of the same index whatever its label; for a multiple eigenvalue
+    the pair's own labelled mode, which must lie in the eigenspace."""
     if exact_pair.multiplicity == 1:
-        m, n = exact_pair.modes()[0]
-        return field_for_mode(m, n, exact_pair.domain)
-    return align_exact_representative(pair, exact_pair, mesh)
+        mode = exact_pair.modes()[0]
+    elif pair.mode in exact_pair.modes():
+        mode = pair.mode
+    else:
+        raise AmbiguousCluster(
+            f"mode {pair.mode} of lambda_h={pair.lambda_h} is not in the "
+            f"eigenspace of lambda={exact_pair.value}"
+        )
+    return field_for_mode(*mode, exact_pair.domain)
 
 
 def _sign_matched(pair, pi0_u, areas):
@@ -210,12 +218,8 @@ def _sign_matched(pair, pi0_u, areas):
     s = 1.0 if float(np.sum(areas * pi0_u * pair.u_coeffs)) >= 0 else -1.0
     if s > 0:
         return pair
-    return MixedEigenpair(
-        lambda_h=pair.lambda_h,
-        sigma_coeffs=-pair.sigma_coeffs,
-        u_coeffs=-pair.u_coeffs,
-        residual_norm=pair.residual_norm,
-    )
+    return replace(pair, sigma_coeffs=-pair.sigma_coeffs,
+                   u_coeffs=-pair.u_coeffs)
 
 
 def _solve(config: ExperimentConfig, mesh: TensorMesh, equivalence: bool):
@@ -258,7 +262,7 @@ def _residuals(lv: _Level) -> dict:
     resid = {}
     for t in _residual_indices(lv.config, lv.mesh, lv.exact):
         pair = lv.pairs[t]
-        fld = _aligned_field(pair, lv.exact[t], lv.mesh)
+        fld = _aligned_field(pair, lv.exact[t])
         e1 = pair.lambda_h - lv.exact[t].value
         e2 = expansion_term(lv.mesh, fld)
         resid[str(t + 1)] = {"e1": e1, "e2": e2, "r": e1 - e2}
@@ -310,27 +314,19 @@ def _bounds(lv: _Level) -> dict:
 def _frequencies(lv: _Level) -> dict:
     if not lv.mesh.is_uniform():
         return {}
-    k, exact = lv.config.k, lv.exact
-    matches = []
-    h = float(lv.mesh.hx[0])
-    start = 0
-    while start < k:
-        mult = exact[start].multiplicity
-        if start + mult > k:
-            break
-        if mult > 1:
-            for m in match_frequencies(
-                lv.pairs[start : start + mult], exact[start], h
-            ):
-                matches.append({
-                    "lambda_h": m.lambda_h,
-                    "m": m.frequency.m,
-                    "n": m.frequency.n,
-                    "predicted_shift": m.predicted_shift,
-                    "observed_shift": m.observed_shift,
-                })
-        start += mult
-    return {"frequency_matches": matches}
+    # the pairs at the indices of the multiple exact eigenvalues whose
+    # eigenspace fits within the first k
+    exact = lv.exact
+    pairs = [p for p, e in zip(lv.pairs, exact)
+             if e.multiplicity > 1 and exact.count(e) == e.multiplicity]
+    matches = match_frequencies(pairs, exact[0].domain, float(lv.mesh.hx[0]))
+    return {"frequency_matches": [{
+        "lambda_h": m.lambda_h,
+        "m": m.frequency.m,
+        "n": m.frequency.n,
+        "predicted_shift": m.predicted_shift,
+        "observed_shift": m.observed_shift,
+    } for m in matches]}
 
 
 def _equivalence(lv: _Level) -> dict:

@@ -9,6 +9,10 @@ where S and D are the reduced operator and the cell-width diagonal of the
 1-D RT0 pencil in each direction (fast diagonalisation; Lynch, Rice &
 Thomas, Numer. Math. 6, 1964).  The production path solves the two 1-D
 pencils and combines their modes, lambda = mu_i + nu_j and u = w_j (x) v_i.
+Each 1-D spectrum is simple and its i-th mode (from 0) has i sign changes
+(discrete Sturm oscillation), so pair (i, j) is labelled with the wave
+numbers (m, n) = (i + 1, j + 1) of the exact mode it approximates,
+sin(m pi x / a) sin(n pi y / b).
 The flux follows from the same structure: A and B are Kronecker products
 blockwise (A_xx = diag(h_y) (x) A1x, B_x = diag(h_y) (x) Gx, and alike in
 y), so sigma = A^-1 B^T u is w_j (x) A1x^-1 Gx^T v_i on the x-edges and
@@ -48,12 +52,18 @@ class SolveOptions:
 
 @dataclass
 class MixedEigenpair:
-    """One discrete eigenpair, normalized by u^T M u = 1."""
+    """One discrete eigenpair, normalized by u^T M u = 1.
+
+    ``mode`` is the ordered wave-number pair (m, n): u is the tensor
+    product of the m-th x mode and the n-th y mode, with m - 1 and n - 1
+    sign changes.  It is None for a pair the dense oracle found.
+    """
 
     lambda_h: float
     sigma_coeffs: np.ndarray
     u_coeffs: np.ndarray
     residual_norm: float
+    mode: tuple[int, int] | None = None
 
 
 def _normalize(system, u):
@@ -66,14 +76,14 @@ def _normalize(system, u):
     return u, nrm
 
 
-def _finalize(system, lam, sigma, u):
-    """Pairs (lam[t], sigma[t], u[t]) with their residuals against the
-    assembled 2-D pencil.  B^T is formed once for all pairs; each pair
-    takes one product with A, B and B^T (k single-vector products beat
-    one k-column sparse product here)."""
+def _finalize(system, lam, sigma, u, modes):
+    """Pairs (lam[t], sigma[t], u[t], modes[t]) with their residuals
+    against the assembled 2-D pencil.  B^T is formed once for all pairs;
+    each pair takes one product with A, B and B^T (k single-vector
+    products beat one k-column sparse product here)."""
     bt = system.B.T
     out = []
-    for lam_t, sigma_t, u_t in zip(lam, sigma, u):
+    for lam_t, sigma_t, u_t, mode in zip(lam, sigma, u, modes):
         a_sigma = system.A @ sigma_t
         r1 = np.linalg.norm(a_sigma - bt @ u_t)
         r1 /= max(np.linalg.norm(a_sigma), 1e-300)
@@ -81,7 +91,7 @@ def _finalize(system, lam, sigma, u):
         r2 /= max(abs(lam_t), 1e-300)
         out.append(MixedEigenpair(
             lambda_h=float(lam_t), sigma_coeffs=sigma_t, u_coeffs=u_t,
-            residual_norm=float(max(r1, r2)),
+            residual_norm=float(max(r1, r2)), mode=mode,
         ))
     return out
 
@@ -131,7 +141,8 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions) -> list[MixedEigen
     Deterministic; eigenvalues ascending, tied eigenvalues ordered by
     their (y, x) 1-D mode indices, so a cluster member keeps its place
     whatever k is; u vectors M-orthonormal, each u's largest-magnitude
-    entry positive; sigma = A^-1 B^T u is assembled from the 1-D fluxes.
+    entry positive; sigma = A^-1 B^T u is assembled from the 1-D fluxes;
+    each pair carries its mode label (m, n).
     """
     lay = system.layout
     if opts.k > lay.n_cell:
@@ -145,15 +156,17 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions) -> list[MixedEigen
 
     sigma = np.empty((opts.k, lay.n_sigma))  # row t: pair t, in DOF order
     u = np.empty((opts.k, lay.n_cell))
+    modes = []
     for t, flat in enumerate(order):
         j, i = divmod(int(flat), len(mu))
+        modes.append((i + 1, j + 1))
         # cell index j * n1 + i
         u[t], scale = _normalize(system, np.outer(w[:, j], v[:, i]).ravel())
         # x-edge j * (n1 + 1) + i, then y-edge n_xedge + j * n1 + i
         sigma[t, : lay.n_xedge] = np.outer(w[:, j], flux_x[:, i]).ravel()
         sigma[t, lay.n_xedge:] = np.outer(flux_y[:, j], v[:, i]).ravel()
         sigma[t] /= scale
-    out = _finalize(system, sums.ravel()[order], sigma, u)
+    out = _finalize(system, sums.ravel()[order], sigma, u, modes)
     worst = max(p.residual_norm for p in out)
     if worst > opts.tol:
         raise NotConverged(
@@ -191,4 +204,5 @@ def dense_oracle_eigs(
     u = np.array([
         _normalize(system, d_inv_sqrt * vecs[:, idx])[0] for idx in range(k)
     ])
-    return _finalize(system, vals[:k], a_lu.solve(bt @ u.T).T, u)
+    sigma = a_lu.solve(bt @ u.T).T
+    return _finalize(system, vals[:k], sigma, u, [None] * k)

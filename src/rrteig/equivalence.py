@@ -23,6 +23,12 @@ from .mesh import TensorMesh
 _LANCZOS_SEED = 0
 _LANCZOS_MAX_ITERATIONS = 20000
 
+# relative gap below which consecutive eigenvalues are compared as one
+# cluster: a vector-by-vector comparison of two pairs a relative gap g
+# apart loses about roundoff / g, so near ties are compared through the
+# subspace they span
+_CLUSTER_REL_TOL = 1e-3
+
 
 @dataclass
 class PeqSolution:
@@ -186,12 +192,12 @@ class EquivalenceReport:
         return max(e.u_discrepancy for e in self.entries)
 
 
-def _clusters(lambdas, rel_tol=1e-6):
+def _clusters(lambdas):
     groups, start = [], 0
     for i in range(1, len(lambdas) + 1):
         if i == len(lambdas) or abs(
             lambdas[i] - lambdas[i - 1]
-        ) > rel_tol * abs(lambdas[i]):
+        ) > _CLUSTER_REL_TOL * abs(lambdas[i]):
             groups.append(list(range(start, i)))
             start = i
     return groups
@@ -206,9 +212,10 @@ def verify_equivalence(
     ``system``; only the enriched element is solved here, for as many
     pairs.  Pairs past index k serve to complete a cluster that straddles
     k, so pass a few more than k where the spectrum holds them.
-    Clusters (numerically repeated eigenvalues) are compared through the
-    subspace they span; simple eigenvalues are compared vector by vector
-    with the sign resolved by the norm itself."""
+    Clusters (consecutive eigenvalues within a relative gap of
+    _CLUSTER_REL_TOL) are compared through the subspace they span; simple
+    eigenvalues are compared vector by vector with the sign resolved by
+    the norm itself."""
     mesh = system.mesh
     peq_pairs = solve_peq_eigs(assemble_peq(mesh), len(pairs))
 

@@ -42,11 +42,9 @@ class OddMeshDimensions(RRTError):
 
 
 class AmbiguousCluster(RRTError):
-    """A discrete eigenfunction cannot be matched to an exact eigenspace."""
-
-
-class AmbiguousAssignment(RRTError):
-    """Frequency predictions are too close to separate the cluster."""
+    """A discrete pair of a multiple exact eigenvalue carries a mode label
+    outside that eigenspace, so no exact field of the eigenspace is its
+    own."""
 
 
 class DimensionMismatch(RRTError):

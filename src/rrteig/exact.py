@@ -16,7 +16,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AmbiguousCluster
 from .mesh import TensorMesh
 
 _EQ_TOL = 1e-9
@@ -37,6 +36,14 @@ class Frequency:
     @property
     def multiplicity(self) -> int:
         return 1 if self.m == self.n else 2
+
+    @classmethod
+    def of_mode(cls, m, n, domain) -> Frequency:
+        """The family of mode (m, n): unordered on a square domain, where
+        (m, n) and (n, m) share one eigenvalue, else ordered."""
+        if abs(domain[0] - domain[1]) <= 1e-12 * max(domain):
+            return cls(min(m, n), max(m, n))
+        return cls(m, n)
 
 
 @dataclass(frozen=True)
@@ -249,10 +256,7 @@ class FieldSample:
 
 def field_for_mode(m, n, domain=(np.pi, np.pi)) -> FieldSample:
     """FieldSample of the single mode u_{m,n}."""
-    if abs(domain[0] - domain[1]) <= 1e-12 * max(domain):
-        freq = Frequency(min(m, n), max(m, n))
-    else:
-        freq = Frequency(m, n)
+    freq = Frequency.of_mode(m, n, domain)
     pair = ExactEigenpair(
         value=(m * np.pi / domain[0]) ** 2 + (n * np.pi / domain[1]) ** 2,
         frequencies=(freq,),
@@ -291,26 +295,3 @@ def l2_project_exact(mesh: TensorMesh, fld: FieldSample) -> np.ndarray:
     out = fld._mode_sum(lambda k: _int_sin(k, nx[:-1], nx[1:]),
                         lambda k: _int_sin(k, ny[:-1, None], ny[1:, None]))
     return out.ravel() / mesh.cell_areas
-
-
-def align_exact_representative(
-    pair, exact: ExactEigenpair, mesh: TensorMesh
-) -> FieldSample:
-    """L2-nearest unit element of the exact eigenspace to a discrete pair.
-
-    Maximizes (Pi0 u*, u_h) over unit-norm u* in the eigenspace; raises
-    AmbiguousCluster when the projection of u_h onto the eigenspace is too
-    small, which signals a mismatch between lambda_h and the eigenvalue.
-    """
-    modes = exact.modes()
-    areas = mesh.cell_areas
-    g = np.empty(len(modes))
-    for t, (m, n) in enumerate(modes):
-        p = l2_project_exact(mesh, field_for_mode(m, n, exact.domain))
-        g[t] = float(np.sum(areas * p * pair.u_coeffs))
-    norm = np.linalg.norm(g)
-    if norm < 0.5:
-        raise AmbiguousCluster(
-            f"projection norm {norm:.3f} < 0.5 for lambda_h={pair.lambda_h}"
-        )
-    return FieldSample(exact, g / norm)

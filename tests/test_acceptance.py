@@ -246,7 +246,7 @@ def test_criterion_11_frequency_resolution(report_a):
     system = assemble_mixed(mesh)
     pairs = solve_mixed_eigs(system, SolveOptions(k=i0 + 3))
     cluster = pairs[i0 : i0 + 3]
-    matches = match_frequencies(cluster, exact[i0], PI / 64)
+    matches = match_frequencies(cluster, exact[i0].domain, PI / 64)
     got = [(m.frequency.m, m.frequency.n) for m in matches]
     # ascending eigenvalues: the smaller (5,5) shift first, doubled (1,7) after
     ok = ok and got == [(5, 5), (1, 7), (1, 7)]

@@ -14,8 +14,9 @@ from rrteig.analysis import (
     lower_bound_margin,
     match_frequencies,
 )
-from rrteig.errors import AmbiguousAssignment, DimensionMismatch
-from rrteig.exact import enumerate_exact, field_for_mode
+from rrteig.eigensolve import MixedEigenpair
+from rrteig.errors import DimensionMismatch
+from rrteig.exact import field_for_mode
 from rrteig.mesh import uniform_mesh, uniform_refine
 
 PI = np.pi
@@ -72,38 +73,43 @@ def test_lower_bound_margin_formula():
     assert got == pytest.approx(0.5 - 4.0 * 0.01 / 24.0, rel=1e-12)
 
 
+def _labelled(lambda_h, mode):
+    """A pair that carries only what frequency matching reads."""
+    return MixedEigenpair(lambda_h=lambda_h, sigma_coeffs=np.empty(0),
+                          u_coeffs=np.empty(0), residual_norm=0.0, mode=mode)
+
+
 def test_match_frequencies_single_pair():
-    ex = enumerate_exact((PI, PI), count=3)[1]  # lambda = 5, pair (1, 2)
+    """lambda = 5: the (2, 1) and (1, 2) modes are both the unordered pair
+    (1, 2) on the square, shifted from 5 by 17 h^2 / 12; on a rectangle a
+    label keeps its order."""
     h = 0.05
     shift = 17 * h * h / 12.0
-    matches = match_frequencies([5 + shift, 5 + shift * 1.001], ex, h)
+    pairs = [_labelled(5 + shift, (2, 1)),
+             _labelled(5 + shift * 1.001, (1, 2))]
+    matches = match_frequencies(pairs, (PI, PI), h)
     assert all((m.frequency.m, m.frequency.n) == (1, 2) for m in matches)
+    assert all(m.predicted_shift == shift for m in matches)
+    assert [m.observed_shift for m in matches] == [p.lambda_h - 5.0
+                                                   for p in pairs]
+    (rect,) = match_frequencies([_labelled(5.0, (2, 1))], (PI, 2 * PI), h)
+    assert (rect.frequency.m, rect.frequency.n) == (2, 1)
+    assert rect.observed_shift == 5.0 - (4.0 + 0.25)
 
 
 def test_match_frequencies_triple_cluster():
     """lambda = 50 splits into one (5,5) member and two (1,7) members."""
-    ex = [e for e in enumerate_exact((PI, PI), count=60)
-          if abs(e.value - 50) < 1e-9][0]
     h = 0.02
     s55 = 1250 * h * h / 12.0
     s17 = 2402 * h * h / 12.0
     matches = match_frequencies(
-        [50 + s55 * 1.0001, 50 + s17 * 0.9999, 50 + s17 * 1.0001], ex, h
+        [_labelled(50 + s55 * 1.0001, (5, 5)),
+         _labelled(50 + s17 * 0.9999, (7, 1)),
+         _labelled(50 + s17 * 1.0001, (1, 7))], (PI, PI), h
     )
     got = [(m.frequency.m, m.frequency.n) for m in matches]
     assert got == [(5, 5), (1, 7), (1, 7)]
-
-
-def test_match_frequencies_errors():
-    ex = enumerate_exact((PI, PI), count=3)[1]
-    with pytest.raises(AmbiguousAssignment):
-        match_frequencies([5.1], ex, 0.05)  # cluster size != multiplicity
-    ex50 = [e for e in enumerate_exact((PI, PI), count=60)
-            if abs(e.value - 50) < 1e-9][0]
-    h = 0.02
-    mid = 50 + (1250 + 2402) / 2 * h * h / 12.0  # equidistant prediction
-    with pytest.raises(AmbiguousAssignment):
-        match_frequencies([mid, mid, mid], ex50, h)
+    assert [m.predicted_shift for m in matches] == [s55, s17, s17]
 
 
 def test_eigenvalue_error_dominated_by_h2_term():

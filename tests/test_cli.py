@@ -332,6 +332,62 @@ def test_reference_field_computed_once_per_level(monkeypatch):
     assert len(projected) == 2
 
 
+def test_aligned_field_takes_the_label(pairs_a0):
+    """A member of the (1, 2) cluster is measured against its own labelled
+    mode; a simple eigenvalue pairs by index, whatever the label; a label
+    outside a multiple eigenvalue's eigenspace raises AmbiguousCluster."""
+    from rrteig.cli import _aligned_field
+    from rrteig.errors import AmbiguousCluster
+    from rrteig.exact import enumerate_exact
+
+    exact = enumerate_exact((PI, PI), count=6)
+
+    def mode_of(fld):
+        (t,) = np.flatnonzero(fld.coeffs)
+        assert fld.coeffs[t] == 1.0
+        return fld.exact.modes()[t]
+
+    members = [mode_of(_aligned_field(pairs_a0[t], exact[t])) for t in (1, 2)]
+    assert members == [pairs_a0[1].mode, pairs_a0[2].mode]
+    assert sorted(members) == [(1, 2), (2, 1)]
+    assert pairs_a0[3].mode == (2, 2)
+    assert mode_of(_aligned_field(pairs_a0[3], exact[0])) == (1, 1)
+    with pytest.raises(AmbiguousCluster):
+        _aligned_field(pairs_a0[3], exact[1])
+
+
+def test_frequency_matches_report_each_pairs_label():
+    """On a uniform 16^2 mesh with k = 52 the discrete order departs from
+    the exact one: the pairs at the indices of lambda = 40, the (2, 6)
+    family, are the modes (4, 5) and (5, 4) of lambda = 41.  Each match
+    must name the pair's own mode, which the closed-form 1-D spectrum
+    mu_m = (12 / h^2) sin^2(m h / 2) / (2 + cos(m h)) identifies from
+    lambda_h = mu_m + mu_n, and its observed shift is lambda_h - m^2 - n^2."""
+    n = 16
+    nodes = tuple(np.linspace(0.0, PI, n + 1))
+    config = ExperimentConfig(name="u16", node_x=nodes, node_y=nodes,
+                              levels=1, k=52, analyses=("frequencies",))
+    report = run_case(config)
+    assert "failures" not in report.config
+    matches = report.levels[0]["frequency_matches"]
+    h = PI / n
+    wave = np.arange(1, n + 1)
+    mu = 12.0 / h**2 * np.sin(wave * h / 2) ** 2 / (2.0 + np.cos(wave * h))
+    sums = np.add.outer(mu, mu)
+    for m in matches:
+        lam = m["lambda_h"]
+        a, b = np.unravel_index(np.argmin(np.abs(sums - lam)), sums.shape)
+        assert abs(sums[a, b] - lam) <= 1e-12 * lam
+        assert (m["m"], m["n"]) == (min(a, b) + 1, max(a, b) + 1)
+        assert m["observed_shift"] == pytest.approx(
+            lam - (m["m"] ** 2 + m["n"] ** 2), abs=1e-12)
+        assert m["predicted_shift"] == pytest.approx(
+            (m["m"] ** 4 + m["n"] ** 4) * h * h / 12.0, rel=1e-14)
+    near_41 = [(m["m"], m["n"]) for m in matches
+               if abs(m["lambda_h"] - 43.9031) < 1e-3]
+    assert near_41 == [(4, 5), (4, 5)]
+
+
 def test_python_dash_m_entry_point():
     """`python -m rrteig` runs the command line from a checkout."""
     import subprocess

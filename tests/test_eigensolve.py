@@ -130,13 +130,22 @@ def _tensor_meshes(draw):
     return build_mesh(*nodes)
 
 
+def _sign_changes(v):
+    """Sign changes along v, its roundoff-sized entries skipped."""
+    s = np.sign(v[np.abs(v) > 1e-10 * np.abs(v).max()])
+    return int(np.count_nonzero(s[1:] != s[:-1]))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(mesh=_tensor_meshes(), data=st.data())
 def test_random_tensor_meshes_against_oracle(mesh, data):
     """Tensor-product solver vs the dense 2-D oracle on random meshes:
     eigenvalues to 1e-10 relative, M-orthonormal u, residuals within tol,
-    the upper bound lambda_h >= m^2 + n^2, and each sigma (cluster members
-    too) against a direct 2-D solve A^-1 B^T u to 1e-12 in the A-norm."""
+    the upper bound lambda_h >= m^2 + n^2, each sigma (cluster members
+    too) against a direct 2-D solve A^-1 B^T u to 1e-12 in the A-norm, and
+    each mode label (m, n): u is rank one, its x factor has m - 1 and its
+    y factor n - 1 sign changes (discrete Sturm oscillation), and no two
+    pairs share a label."""
     system = assemble_mixed(mesh)
     k = data.draw(st.integers(1, min(12, mesh.n_cells)), label="k")
     opts = SolveOptions(k=k)
@@ -156,6 +165,11 @@ def test_random_tensor_meshes_against_oracle(mesh, data):
         assert np.sqrt(err @ (a @ err)) <= 1e-12 * np.sqrt(want @ (a @ want))
     exact = np.array([e.value for e in enumerate_exact((PI, PI), count=k)])
     assert np.all(lam >= exact)
+    for p in pairs:
+        y, s, xt = np.linalg.svd(p.u_coeffs.reshape(mesh.n2, mesh.n1))
+        assert np.all(s[1:] <= 1e-12 * s[0])
+        assert p.mode == (_sign_changes(xt[0]) + 1, _sign_changes(y[:, 0]) + 1)
+    assert len({p.mode for p in pairs}) == k
 
 
 def test_cluster_cut_by_k():

@@ -143,6 +143,22 @@ def test_verify_equivalence_truncated_cluster(mesh_c0):
     assert rep.max_sigma_discrepancy <= 1e-10
 
 
+def test_verify_equivalence_near_tie():
+    """On a uniform 10x10 mesh of [0, 1] x [0, 1 + 1e-5] the (2, 1) and
+    (1, 2) eigenvalues lie a relative 1.2e-5 apart.  Compared vector by
+    vector, each flux pair picks up roundoff / gap from its neighbour; the
+    near tie is compared as one cluster and stays within the bound."""
+    mesh = uniform_mesh(0.0, 1.0, 10, 0.0, 1.0 + 1e-5, 10)
+    system = assemble_mixed(mesh)
+    pairs = solve_mixed_eigs(system, SolveOptions(k=6))
+    gap = (pairs[2].lambda_h - pairs[1].lambda_h) / pairs[2].lambda_h
+    assert 1e-5 < gap < 2e-5
+    rep = verify_equivalence(system, pairs, k=3)
+    assert rep.max_eig_rel_diff <= 1e-12
+    assert rep.max_sigma_discrepancy <= 1e-10
+    assert rep.max_u_discrepancy <= 1e-10
+
+
 def _draw_nodes(draw, axis):
     """Nodes of [0, pi]: n in [1, 10] cells, widths from [1, 4]."""
     n = draw(st.integers(1, 10), label=f"n_{axis}")

@@ -4,10 +4,8 @@ against Gauss quadrature, and discrete images."""
 import numpy as np
 import pytest
 
-from rrteig.errors import AmbiguousCluster
 from rrteig.exact import (
     FieldSample,
-    align_exact_representative,
     enumerate_exact,
     field_for_mode,
     l2_project_exact,
@@ -143,25 +141,3 @@ def test_l2_projection_means(mesh_c0):
     area = (nx[i + 1] - nx[i]) * (ny[j + 1] - ny[j])
     want = _quad2d(fld.derivative, nx[i], nx[i + 1], ny[j], ny[j + 1]) / area
     assert proj[mesh_c0.cell_index(i, j)] == pytest.approx(want, rel=1e-12)
-
-
-def test_align_representative_recovers_mode(mesh_a0, pairs_a0):
-    """The aligned field for a simple eigenvalue is +/- the single mode."""
-    ex = enumerate_exact((PI, PI), count=6)
-    fld = align_exact_representative(pairs_a0[0], ex[0], mesh_a0)
-    assert abs(abs(fld.coeffs[0]) - 1.0) < 1e-6
-
-
-def test_align_representative_cluster_unit(mesh_a0, pairs_a0):
-    ex = enumerate_exact((PI, PI), count=6)
-    f1 = align_exact_representative(pairs_a0[1], ex[1], mesh_a0)
-    f2 = align_exact_representative(pairs_a0[2], ex[2], mesh_a0)
-    assert np.linalg.norm(f1.coeffs) == pytest.approx(1.0, rel=1e-12)
-    # the two discrete members pick (nearly) orthogonal representatives
-    assert abs(np.dot(f1.coeffs, f2.coeffs)) < 1e-6
-
-
-def test_align_wrong_eigenvalue_raises(mesh_a0, pairs_a0):
-    ex = enumerate_exact((PI, PI), count=6)
-    with pytest.raises(AmbiguousCluster):
-        align_exact_representative(pairs_a0[3], ex[0], mesh_a0)
