@@ -332,30 +332,6 @@ def test_reference_field_computed_once_per_level(monkeypatch):
     assert len(projected) == 2
 
 
-def test_aligned_field_takes_the_label(pairs_a0):
-    """A member of the (1, 2) cluster is measured against its own labelled
-    mode; a simple eigenvalue pairs by index, whatever the label; a label
-    outside a multiple eigenvalue's eigenspace raises AmbiguousCluster."""
-    from rrteig.cli import _aligned_field
-    from rrteig.errors import AmbiguousCluster
-    from rrteig.exact import enumerate_exact
-
-    exact = enumerate_exact((PI, PI), count=6)
-
-    def mode_of(fld):
-        (t,) = np.flatnonzero(fld.coeffs)
-        assert fld.coeffs[t] == 1.0
-        return fld.exact.modes()[t]
-
-    members = [mode_of(_aligned_field(pairs_a0[t], exact[t])) for t in (1, 2)]
-    assert members == [pairs_a0[1].mode, pairs_a0[2].mode]
-    assert sorted(members) == [(1, 2), (2, 1)]
-    assert pairs_a0[3].mode == (2, 2)
-    assert mode_of(_aligned_field(pairs_a0[3], exact[0])) == (1, 1)
-    with pytest.raises(AmbiguousCluster):
-        _aligned_field(pairs_a0[3], exact[1])
-
-
 def test_frequency_matches_report_each_pairs_label():
     """On a uniform 16^2 mesh with k = 52 the discrete order departs from
     the exact one: the pairs at the indices of lambda = 40, the (2, 6)

@@ -141,3 +141,41 @@ def test_l2_projection_means(mesh_c0):
     area = (nx[i + 1] - nx[i]) * (ny[j + 1] - ny[j])
     want = _quad2d(fld.derivative, nx[i], nx[i + 1], ny[j], ny[j + 1]) / area
     assert proj[mesh_c0.cell_index(i, j)] == pytest.approx(want, rel=1e-12)
+
+
+def _aligned_mode(pair, exact_pair):
+    """The one mode the aligned exact field takes, checked to be unit."""
+    from rrteig.cli import _aligned_field
+
+    fld = _aligned_field(pair, exact_pair)
+    (t,) = np.flatnonzero(fld.coeffs)
+    assert fld.coeffs[t] == 1.0
+    return fld.exact.modes()[t]
+
+
+def test_align_representative_recovers_mode(pairs_a0):
+    """A simple exact eigenvalue pairs by index, whatever the label: the
+    (2, 2) pair against lambda = 2 takes the single mode (1, 1)."""
+    ex = enumerate_exact((PI, PI), count=6)
+    assert _aligned_mode(pairs_a0[0], ex[0]) == (1, 1)
+    assert pairs_a0[3].mode == (2, 2)
+    assert _aligned_mode(pairs_a0[3], ex[0]) == (1, 1)
+
+
+def test_align_representative_cluster_unit(pairs_a0):
+    """The two members of the (1, 2) cluster take distinct unit modes,
+    each its own label."""
+    ex = enumerate_exact((PI, PI), count=6)
+    members = [_aligned_mode(pairs_a0[t], ex[t]) for t in (1, 2)]
+    assert members == [pairs_a0[1].mode, pairs_a0[2].mode]
+    assert sorted(members) == [(1, 2), (2, 1)]
+
+
+def test_align_wrong_eigenvalue_raises(pairs_a0):
+    """A label outside a multiple eigenvalue's eigenspace raises."""
+    from rrteig.cli import _aligned_field
+    from rrteig.errors import AmbiguousCluster
+
+    ex = enumerate_exact((PI, PI), count=6)
+    with pytest.raises(AmbiguousCluster):
+        _aligned_field(pairs_a0[3], ex[1])
