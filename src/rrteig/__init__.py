@@ -23,7 +23,6 @@ from .eigensolve import (
     SolveOptions,
     MixedEigenpair,
     solve_mixed_eigs,
-    dense_oracle_eigs,
 )
 from .exact import (
     Frequency,
@@ -56,13 +55,10 @@ from .analysis import (
 from .equivalence import (
     PeqSolution,
     EquivalenceReport,
-    solve_peq_poisson,
     solve_peq_eigs,
     verify_equivalence,
 )
 from .cli import ExperimentConfig, RunReport, case_preset, run_case, emit_tables
 from . import errors
-
-__all__ = [name for name in dir() if not name.startswith("_")]
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -314,12 +315,20 @@ def _bounds(lv: _Level) -> dict:
 def _frequencies(lv: _Level) -> dict:
     if not lv.mesh.is_uniform():
         return {}
-    # the pairs at the indices of the multiple exact eigenvalues whose
-    # eigenspace fits within the first k
-    exact = lv.exact
-    pairs = [p for p, e in zip(lv.pairs, exact)
-             if e.multiplicity > 1 and exact.count(e) == e.multiplicity]
-    matches = match_frequencies(pairs, exact[0].domain, float(lv.mesh.hx[0]))
+    # the pairs whose label lies in a multiple exact eigenspace that the
+    # labels of the first k cover in full; every eigenspace at or below the
+    # largest label's eigenvalue has modes m <= sqrt(top / kx2) and
+    # n <= sqrt(top / ky2), so that many exact modes enumerate them all
+    domain = lv.exact[0].domain
+    labels = {p.mode for p in lv.pairs}
+    kx2, ky2 = (np.pi / domain[0]) ** 2, (np.pi / domain[1]) ** 2
+    top = max(m * m * kx2 + n * n * ky2 for m, n in labels)
+    count = (int(np.sqrt(top / kx2)) + 1) * (int(np.sqrt(top / ky2)) + 1)
+    space = {mode: e for e in enumerate_exact(domain, count=count)
+             for mode in e.modes()}
+    pairs = [p for p in lv.pairs if space[p.mode].multiplicity > 1
+             and labels.issuperset(space[p.mode].modes())]
+    matches = match_frequencies(pairs, domain, float(lv.mesh.hx[0]))
     return {"frequency_matches": [{
         "lambda_h": m.lambda_h,
         "m": m.frequency.m,
@@ -570,8 +579,6 @@ def _nan_to_null(obj):
 def emit_tables(report, fmt: str, out_dir: str) -> list[str]:
     """Write the eigenvalue / residual / figure tables and the raw report,
     which is strict JSON: NaN is written as null."""
-    import os
-
     if fmt not in _FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     rep = report.to_dict() if isinstance(report, RunReport) else report

@@ -1,4 +1,4 @@
-"""Tensor-product and dense solvers for the discrete mixed eigenvalue problem.
+"""Tensor-product solver for the discrete mixed eigenvalue problem.
 
 The mixed pencil is reduced to the cell space: B A^-1 B^T u = lambda M u.
 On a tensor-product mesh the reduced pencil is a Kronecker sum,
@@ -7,7 +7,7 @@ On a tensor-product mesh the reduced pencil is a Kronecker sum,
 
 where S and D are the reduced operator and the cell-width diagonal of the
 1-D RT0 pencil in each direction (fast diagonalisation; Lynch, Rice &
-Thomas, Numer. Math. 6, 1964).  The production path solves the two 1-D
+Thomas, Numer. Math. 6, 1964).  solve_mixed_eigs solves the two 1-D
 pencils and combines their modes, lambda = mu_i + nu_j and u = w_j (x) v_i.
 Each 1-D spectrum is simple and its i-th mode (from 0) has i sign changes
 (discrete Sturm oscillation), so pair (i, j) is labelled with the wave
@@ -18,8 +18,7 @@ blockwise (A_xx = diag(h_y) (x) A1x, B_x = diag(h_y) (x) Gx, and alike in
 y), so sigma = A^-1 B^T u is w_j (x) A1x^-1 Gx^T v_i on the x-edges and
 A1y^-1 Gy^T w_j (x) v_i on the y-edges, from two tridiagonal 1-D solves.
 No 2-D matrix is factored; every pair is checked against the assembled 2-D
-matrices by sparse products.  The dense oracle forms the 2-D reduced
-matrix column by column and is kept strictly separate for verification.
+matrices by sparse products.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import MixedSystem
-from .errors import KTooLarge, NotConverged, OracleCapExceeded
+from .errors import KTooLarge, NotConverged
 
 
 @dataclass(frozen=True)
@@ -56,14 +55,14 @@ class MixedEigenpair:
 
     ``mode`` is the ordered wave-number pair (m, n): u is the tensor
     product of the m-th x mode and the n-th y mode, with m - 1 and n - 1
-    sign changes.  It is None for a pair the dense oracle found.
+    sign changes.
     """
 
     lambda_h: float
     sigma_coeffs: np.ndarray
     u_coeffs: np.ndarray
     residual_norm: float
-    mode: tuple[int, int] | None = None
+    mode: tuple[int, int]
 
 
 def _normalize(system, u):
@@ -174,35 +173,3 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions) -> list[MixedEigen
             residuals=[p.residual_norm for p in out],
         )
     return out
-
-
-def dense_oracle_eigs(
-    system: MixedSystem, k: int, cap: int = 5000
-) -> list[MixedEigenpair]:
-    """Dense verification oracle, independent of the tensor-product path.
-
-    Forms the 2-D reduced matrix S = B A^-1 B^T column by column with direct
-    inner solves, reduces the pencil (S, M) with the trivial Cholesky of
-    the diagonal M, and calls a dense symmetric eigendecomposition.
-    """
-    n_cell = system.layout.n_cell
-    if n_cell > cap:
-        raise OracleCapExceeded(f"n_cell={n_cell} exceeds oracle cap {cap}")
-    if k > n_cell:
-        raise KTooLarge(f"k={k} exceeds spectrum size {n_cell}")
-
-    a_lu = spla.splu(system.A.tocsc())
-    bt = system.B.T
-    z = a_lu.solve(bt.toarray())  # A^-1 B^T, one column per cell DOF
-    s_dense = system.B.toarray() @ z
-    s_dense = (s_dense + s_dense.T) / 2.0
-
-    d_inv_sqrt = 1.0 / np.sqrt(system.M)
-    c = d_inv_sqrt[:, None] * s_dense * d_inv_sqrt[None, :]
-    vals, vecs = np.linalg.eigh(c)
-
-    u = np.array([
-        _normalize(system, d_inv_sqrt * vecs[:, idx])[0] for idx in range(k)
-    ])
-    sigma = a_lu.solve(bt @ u.T).T
-    return _finalize(system, vals[:k], sigma, u, [None] * k)

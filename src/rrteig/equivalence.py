@@ -1,10 +1,10 @@
 """Projected enriched rotated-bilinear solver and its numerical
 equivalence with the mixed flux scheme.
 
-Both the source problem and the eigenproblem are solved on the enriched
-edge-mean space with the load / mass projected onto piecewise constants;
-the resulting scalar means and cellwise gradients coincide with the mixed
-solution, which verify_equivalence checks quantitatively."""
+The eigenproblem is solved on the enriched edge-mean space with the mass
+projected onto piecewise constants; the resulting scalar means and
+cellwise gradients coincide with the mixed solution, which
+verify_equivalence checks quantitatively."""
 
 from __future__ import annotations
 
@@ -34,38 +34,22 @@ _CLUSTER_REL_TOL = 1e-3
 class PeqSolution:
     """Enriched-space solution with its piecewise-constant shadow.
 
-    coeffs     : integral DOFs over all edges and cells (boundary edges 0).
     cell_means : Pi0 u per cell (row-major).
     grad_edges : (gxL, gxR, gyB, gyT) edge values of the cellwise gradient.
     """
 
-    coeffs: np.ndarray
     cell_means: np.ndarray
     grad_edges: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _expand(peq: PeqSystem, reduced: np.ndarray) -> np.ndarray:
+def _solution(peq: PeqSystem, reduced: np.ndarray) -> PeqSolution:
+    """The solution whose free integral DOFs are ``reduced``; boundary
+    edge DOFs are 0."""
     full = np.zeros(peq.layout.n_sigma + peq.layout.n_cell)
     full[peq.free] = reduced
-    return full
-
-
-def _solution(peq: PeqSystem, reduced: np.ndarray) -> PeqSolution:
-    full = _expand(peq, reduced)
     cell_means = full[peq.layout.n_sigma :] / peq.mesh.cell_areas
-    grads = peq_cell_gradient(peq.mesh, full)
-    return PeqSolution(coeffs=full, cell_means=cell_means, grad_edges=grads)
-
-
-def solve_peq_poisson(peq: PeqSystem, f_cell_means: np.ndarray) -> PeqSolution:
-    """Solve the projected source problem for f given by its cell means."""
-    rhs = np.zeros(len(peq.free))
-    rhs[peq.n_edge_free :] = np.asarray(f_cell_means, dtype=float)
-    try:
-        lu = spla.splu(peq.K.tocsc())
-    except RuntimeError as exc:
-        raise SingularSystem(str(exc)) from exc
-    return _solution(peq, lu.solve(rhs))
+    return PeqSolution(cell_means=cell_means,
+                       grad_edges=peq_cell_gradient(peq.mesh, full))
 
 
 def solve_peq_eigs(peq: PeqSystem, k: int) -> list[tuple[float, PeqSolution]]:
@@ -143,25 +127,21 @@ def gradient_to_sigma_coeffs(mesh: TensorMesh, sol: PeqSolution) -> np.ndarray:
 
     The theory makes the normal component continuous across interior
     edges, so the average is exact up to solver tolerance; the actual jump
-    is available from interior_flux_jumps.
+    is available from interior_flux_jumps.  The x-edges form the grid
+    [cell row j, line i] and the y-edges [line j, cell column i], as
+    i2h_sigma reads them.
     """
-    from .assembly import layout
-
-    lay = layout(mesh)
     n1, n2 = mesh.n1, mesh.n2
     gxL, gxR, gyB, gyT = [g.reshape(n2, n1) for g in sol.grad_edges]
-    out = np.zeros(lay.n_sigma)
-    acc = np.zeros(lay.n_sigma)
-    ii, jj = np.meshgrid(np.arange(n1), np.arange(n2))
-    for grid, dof in (
-        (gxL, lay.xedge_index(ii, jj)),
-        (gxR, lay.xedge_index(ii + 1, jj)),
-        (gyB, lay.yedge_index(ii, jj)),
-        (gyT, lay.yedge_index(ii, jj + 1)),
-    ):
-        np.add.at(out, dof.ravel(), -grid.ravel())
-        np.add.at(acc, dof.ravel(), 1.0)
-    return out / acc
+    sx = np.zeros((n2, n1 + 1))
+    sx[:, :-1] -= gxL
+    sx[:, 1:] -= gxR
+    sx[:, 1:-1] /= 2
+    sy = np.zeros((n2 + 1, n1))
+    sy[:-1] -= gyB
+    sy[1:] -= gyT
+    sy[1:-1] /= 2
+    return np.concatenate([sx.ravel(), sy.ravel()])
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,6 @@ class KTooLarge(RRTError):
     """More eigenpairs requested than the discrete spectrum holds."""
 
 
-class OracleCapExceeded(RRTError):
-    """Mesh too large for the dense verification oracle."""
-
-
 class OddMeshDimensions(RRTError):
     """Postprocessing needs an even cell count in each direction."""
 

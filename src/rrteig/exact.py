@@ -203,15 +203,6 @@ class FieldSample:
         return self._mode_sum(lambda k: _factor(k, x, dx),
                               lambda k: _factor(k, y, dy))
 
-    # analytic integrals ---------------------------------------------------
-
-    def cell_integral_u(self, x0, x1, y0, y1):
-        kx, ky = self._wavenumbers
-        out = 0.0
-        for c, k1, k2 in zip(self.coeffs, kx, ky):
-            out += c * _int_sin(k1, x0, x1) * _int_sin(k2, y0, y1)
-        return self.amp * out
-
     def strip_integrals_dd_sq(self, node_x, node_y):
         """Closed-form integrals of u_xx^2 over each x-strip
         [node_x[i], node_x[i+1]] x [node_y[0], node_y[-1]] and of u_yy^2
@@ -236,22 +227,6 @@ class FieldSample:
                     * _int_sin_sin(ky[s], ky[t], ny[:-1], ny[1:])
                 )
         return self.amp**2 * out_x, self.amp**2 * out_y
-
-    def mean_flux_x(self, xi, y0, y1):
-        """Mean of sigma_x = -u_x over the vertical edge {xi} x [y0, y1]."""
-        kx, ky = self._wavenumbers
-        out = 0.0
-        for c, k1, k2 in zip(self.coeffs, kx, ky):
-            out += c * k1 * np.cos(k1 * xi) * _int_sin(k2, y0, y1)
-        return -self.amp * out / (y1 - y0)
-
-    def mean_flux_y(self, yj, x0, x1):
-        """Mean of sigma_y = -u_y over the horizontal edge [x0, x1] x {yj}."""
-        kx, ky = self._wavenumbers
-        out = 0.0
-        for c, k1, k2 in zip(self.coeffs, kx, ky):
-            out += c * k2 * np.cos(k2 * yj) * _int_sin(k1, x0, x1)
-        return -self.amp * out / (x1 - x0)
 
 
 def field_for_mode(m, n, domain=(np.pi, np.pi)) -> FieldSample:

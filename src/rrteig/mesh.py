@@ -65,9 +65,6 @@ class TensorMesh:
         """Row-major cell index of K_{i,j}."""
         return j * self.n1 + i
 
-    def cell_ij(self, idx: int) -> tuple[int, int]:
-        return idx % self.n1, idx // self.n1
-
     def is_uniform(self) -> bool:
         """True when all cells share one square size h x h (up to roundoff)."""
         hx, hy = self.hx, self.hy

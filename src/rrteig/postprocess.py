@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import MixedSystem
+from .assembly import MixedSystem, layout
 from .eigensolve import MixedEigenpair
 from .errors import LayoutMismatch, OddMeshDimensions
 from .exact import FieldSample
@@ -32,8 +32,6 @@ class SuperclosenessReport:
     norm_sigma: float
     norm_div: float
     norm_u: float
-    level: int
-    h: float
 
 
 def supercloseness_norms(
@@ -52,47 +50,11 @@ def supercloseness_norms(
     d = sigma_I - pair.sigma_coeffs
     e = pi0_u - pair.u_coeffs
     bd = system.B @ d
-    from .mesh import mesh_size
-
     return SuperclosenessReport(
         norm_sigma=float(np.sqrt(d @ (system.A @ d))),
         norm_div=float(np.sqrt(np.sum(bd * bd / system.M))),
         norm_u=float(np.sqrt(e @ (system.M * e))),
-        level=system.mesh.level,
-        h=mesh_size(system.mesh),
     )
-
-
-def _lagrange_basis(nodes, x):
-    """Values of the Lagrange basis over 1-D ``nodes`` at points ``x``;
-    returns shape x.shape + (len(nodes),)."""
-    nodes = np.asarray(nodes, dtype=float)
-    x = np.asarray(x, dtype=float)
-    p = len(nodes)
-    out = np.ones(x.shape + (p,))
-    for a in range(p):
-        for r in range(p):
-            if r != a:
-                out[..., a] *= (x - nodes[r]) / (nodes[a] - nodes[r])
-    return out
-
-
-def _lagrange_basis_deriv(nodes, x):
-    """Derivatives of the Lagrange basis over 1-D ``nodes`` at ``x``."""
-    nodes = np.asarray(nodes, dtype=float)
-    x = np.asarray(x, dtype=float)
-    p = len(nodes)
-    out = np.zeros(x.shape + (p,))
-    for a in range(p):
-        for r in range(p):
-            if r == a:
-                continue
-            term = np.full(x.shape, 1.0 / (nodes[a] - nodes[r]))
-            for s in range(p):
-                if s not in (a, r):
-                    term *= (x - nodes[s]) / (nodes[a] - nodes[s])
-            out[..., a] += term
-    return out
 
 
 @dataclass(frozen=True)
@@ -117,32 +79,6 @@ class PostprocessedField:
         yc = (ny[:-1] + ny[1:]) / 2.0  # cell row midpoints
         return nx, ny, xc, yc
 
-    def eval_cell(self, i, j, x, y, deriv=None):
-        """Evaluate on fine cell (i, j) at points x, y (arrays).
-
-        deriv None -> values; 'x' or 'y' -> that partial derivative.
-        For kind 'sigma' returns (sx, sy); for 'u' a single array.
-        """
-        I, J = i // 2, j // 2
-        nx, ny, xc, yc = self._macro_nodes()
-
-        def basis(nodes, pts, d):
-            if d:
-                return _lagrange_basis_deriv(nodes, pts)
-            return _lagrange_basis(nodes, pts)
-
-        if self.kind == "u":
-            bx = basis(xc[2 * I : 2 * I + 2], x, deriv == "x")
-            by = basis(yc[2 * J : 2 * J + 2], y, deriv == "y")
-            return np.einsum("...p,...q,pq->...", bx, by, self.u_vals[I, J])
-        bx = basis(nx[2 * I : 2 * I + 3], x, deriv == "x")
-        by = basis(yc[2 * J : 2 * J + 2], y, deriv == "y")
-        sx = np.einsum("...p,...q,pq->...", bx, by, self.sx_vals[I, J])
-        bx2 = basis(xc[2 * I : 2 * I + 2], x, deriv == "x")
-        by2 = basis(ny[2 * J : 2 * J + 3], y, deriv == "y")
-        sy = np.einsum("...p,...q,pq->...", bx2, by2, self.sy_vals[I, J])
-        return sx, sy
-
 
 def _require_even(mesh):
     if mesh.n1 % 2 or mesh.n2 % 2:
@@ -154,8 +90,6 @@ def _require_even(mesh):
 def i2h_sigma(mesh: TensorMesh, sigma_h: np.ndarray) -> PostprocessedField:
     """Macro-element flux reconstruction from edge DOF values."""
     _require_even(mesh)
-    from .assembly import layout
-
     lay = layout(mesh)
     if len(sigma_h) != lay.n_sigma:
         raise LayoutMismatch("sigma coefficient length mismatch")
@@ -250,8 +184,8 @@ def error_norms_postprocessed(
             bx = _macro_basis(xn, vals.shape[2], xq, dx)
             by = _macro_basis(yn, vals.shape[3], yq, dy)
             # not optimize=True: its BLAS path reorders the (p, q) sums and
-            # moved the 128^2 norms of preset a by 1e-13; this pass sums per
-            # point as eval_cell does and builds no intermediate
+            # moved the 128^2 norms of preset a by 1e-13; this pass sums the
+            # (p, q) terms of each point in turn and builds no intermediate
             diff = np.einsum("iap,jbq,ijpq->iajb", bx, by, fine)
             diff -= sign * exact.derivative(xq[:, :, None, None], yq,
                                             ex + dx, ey + dy)

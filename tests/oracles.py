@@ -1,0 +1,93 @@
+"""Independent oracles the tests compare the library against.
+
+Each oracle takes the slow, direct route and shares no code with the
+library path it checks: a dense 2-D eigensolve for the tensor-product
+solver, per-cell Lagrange evaluation for the batched postprocessing norms,
+and scalar analytic integrals per cell or edge for the batched cell and
+edge means.  They use public rrteig names only.
+"""
+
+import numpy as np
+import scipy.sparse.linalg as spla
+
+
+def dense_eigenvalues(system, k, cap=5000):
+    """The k smallest eigenvalues of the pencil (B A^-1 B^T, M).
+
+    Forms the 2-D reduced matrix S = B A^-1 B^T column by column with
+    direct inner solves, reduces the pencil with the trivial Cholesky
+    factor of the diagonal M, and calls a dense symmetric eigensolver.
+    """
+    n_cell = system.layout.n_cell
+    if not k <= n_cell <= cap:
+        raise ValueError(f"k={k} and n_cell={n_cell} need k <= n_cell <= {cap}")
+    z = spla.splu(system.A.tocsc()).solve(system.B.T.toarray())
+    s = system.B.toarray() @ z
+    d_inv_sqrt = 1.0 / np.sqrt(system.M)
+    c = d_inv_sqrt[:, None] * (s + s.T) / 2.0 * d_inv_sqrt[None, :]
+    return np.linalg.eigvalsh(c)[:k]
+
+
+def _basis(nodes, x, deriv):
+    """Lagrange basis over ``nodes`` (or its derivative) at ``x``, shape
+    x.shape + (len(nodes),): monomial coefficients from the inverse
+    Vandermonde matrix, in coordinates local to nodes[0]."""
+    t = np.asarray(x, dtype=float) - nodes[0]
+    coeffs = np.linalg.inv(np.vander(nodes - nodes[0]))  # column a: basis a
+    return np.stack([np.polyval(np.polyder(c) if deriv else c, t)
+                     for c in coeffs.T], axis=-1)
+
+
+def eval_cell(field, i, j, x, y, deriv=None):
+    """A postprocessed field on fine cell (i, j) at the points (x, y).
+
+    ``deriv`` None gives values, 'x' or 'y' that partial derivative.  A
+    'sigma' field gives (sx, sy), a 'u' field one array.  The macro-element
+    of the cell holds cells 2I, 2I + 1 by 2J, 2J + 1; its interpolation
+    nodes are the x-lines or cell-column midpoints in x, and the y-lines
+    or cell-row midpoints in y.
+    """
+    nx, ny = field.mesh.node_x, field.mesh.node_y
+    xc, yc = (nx[:-1] + nx[1:]) / 2.0, (ny[:-1] + ny[1:]) / 2.0
+    I, J = i // 2, j // 2
+
+    def interp(vals, xn, yn):
+        p, q = vals.shape
+        bx = _basis(xn[2 * I : 2 * I + p], x, deriv == "x")
+        by = _basis(yn[2 * J : 2 * J + q], y, deriv == "y")
+        return np.einsum("...p,...q,pq->...", bx, by, vals)
+
+    if field.kind == "u":
+        return interp(field.u_vals[I, J], xc, yc)
+    return (interp(field.sx_vals[I, J], nx, yc),
+            interp(field.sy_vals[I, J], xc, ny))
+
+
+def _modes(fld):
+    """(c, kx, ky) per mode of the exact field."""
+    a, b = fld.exact.domain
+    return [(c, m * np.pi / a, n * np.pi / b)
+            for c, (m, n) in zip(fld.coeffs, fld.exact.modes())]
+
+
+def _int_sin(k, x0, x1):
+    """The integral of sin(k x) over [x0, x1]."""
+    return (np.cos(k * x0) - np.cos(k * x1)) / k
+
+
+def cell_integral_u(fld, x0, x1, y0, y1):
+    """The integral of u over [x0, x1] x [y0, y1]."""
+    return fld.amp * sum(c * _int_sin(kx, x0, x1) * _int_sin(ky, y0, y1)
+                         for c, kx, ky in _modes(fld))
+
+
+def mean_flux_x(fld, xi, y0, y1):
+    """Mean of sigma_x = -u_x over the vertical edge {xi} x [y0, y1]."""
+    return -fld.amp * sum(c * kx * np.cos(kx * xi) * _int_sin(ky, y0, y1)
+                          for c, kx, ky in _modes(fld)) / (y1 - y0)
+
+
+def mean_flux_y(fld, yj, x0, x1):
+    """Mean of sigma_y = -u_y over the horizontal edge [x0, x1] x {yj}."""
+    return -fld.amp * sum(c * ky * np.cos(ky * yj) * _int_sin(kx, x0, x1)
+                          for c, kx, ky in _modes(fld)) / (x1 - x0)

@@ -1,8 +1,9 @@
 """Whole-mesh kernels against their per-cell oracles on random tensor
-meshes: postprocessed error norms (eval_cell and the pointwise exact
-derivative, 5x5 Gauss per fine cell), cell means (cell_integral_u),
-edge-flux means (mean_flux_x / mean_flux_y) and the h^2 expansion term
-(Gauss quadrature of u_xx^2 and u_yy^2 per cell)."""
+meshes: postprocessed error norms (oracles.eval_cell and the pointwise
+exact derivative, 5x5 Gauss per fine cell), cell means
+(oracles.cell_integral_u), edge-flux means (oracles.mean_flux_x /
+mean_flux_y) and the h^2 expansion term (Gauss quadrature of u_xx^2 and
+u_yy^2 per cell)."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,8 @@ from rrteig.exact import (
 )
 from rrteig.mesh import build_mesh
 from rrteig.postprocess import error_norms_postprocessed, i2h_sigma, j2h_u
+
+from oracles import cell_integral_u, eval_cell, mean_flux_x, mean_flux_y
 
 _GX, _GW = np.polynomial.legendre.leggauss(5)
 # int_K u_xx^2 oscillates up to ~14 pi across one cell of the coarsest
@@ -104,18 +107,18 @@ def _oracle_norm(field, exact, order):
                 return exact.derivative(xg, yg, dx, dy)
 
             if order == 0 and field.kind == "sigma":
-                sx, sy = field.eval_cell(i, j, xg, yg)
+                sx, sy = eval_cell(field, i, j, xg, yg)
                 sq = (sx + u(1, 0)) ** 2 + (sy + u(0, 1)) ** 2
             elif order == 0:
-                sq = (field.eval_cell(i, j, xg, yg) - u(0, 0)) ** 2
+                sq = (eval_cell(field, i, j, xg, yg) - u(0, 0)) ** 2
             elif field.kind == "sigma":
-                sxdx, sydx = field.eval_cell(i, j, xg, yg, deriv="x")
-                sxdy, sydy = field.eval_cell(i, j, xg, yg, deriv="y")
+                sxdx, sydx = eval_cell(field, i, j, xg, yg, deriv="x")
+                sxdy, sydy = eval_cell(field, i, j, xg, yg, deriv="y")
                 sq = ((sxdx + u(2, 0)) ** 2 + (sxdy + u(1, 1)) ** 2
                       + (sydx + u(1, 1)) ** 2 + (sydy + u(0, 2)) ** 2)
             else:
-                vdx = field.eval_cell(i, j, xg, yg, deriv="x")
-                vdy = field.eval_cell(i, j, xg, yg, deriv="y")
+                vdx = eval_cell(field, i, j, xg, yg, deriv="x")
+                vdy = eval_cell(field, i, j, xg, yg, deriv="y")
                 sq = (vdx - u(1, 0)) ** 2 + (vdy - u(0, 1)) ** 2
             total += np.sum(w * sq)
     return float(np.sqrt(total))
@@ -153,16 +156,16 @@ def test_cell_and_edge_means_against_per_cell_oracle(mesh, data):
     fluxes = np.empty(lay.n_sigma)
     for j in range(mesh.n2):
         for i in range(mesh.n1):
-            means[lay.cell_index(i, j)] = fld.cell_integral_u(
-                nx[i], nx[i + 1], ny[j], ny[j + 1]
+            means[lay.cell_index(i, j)] = cell_integral_u(
+                fld, nx[i], nx[i + 1], ny[j], ny[j + 1]
             ) / ((nx[i + 1] - nx[i]) * (ny[j + 1] - ny[j]))
         for i in range(mesh.n1 + 1):
-            fluxes[lay.xedge_index(i, j)] = fld.mean_flux_x(
-                nx[i], ny[j], ny[j + 1])
+            fluxes[lay.xedge_index(i, j)] = mean_flux_x(
+                fld, nx[i], ny[j], ny[j + 1])
     for j in range(mesh.n2 + 1):
         for i in range(mesh.n1):
-            fluxes[lay.yedge_index(i, j)] = fld.mean_flux_y(
-                ny[j], nx[i], nx[i + 1])
+            fluxes[lay.yedge_index(i, j)] = mean_flux_y(
+                fld, ny[j], nx[i], nx[i + 1])
     _assert_close(l2_project_exact(mesh, fld), means, 1e-13)
     _assert_close(rt_interpolate_exact(mesh, fld), fluxes, 1e-13)
 

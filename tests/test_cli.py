@@ -338,7 +338,12 @@ def test_frequency_matches_report_each_pairs_label():
     family, are the modes (4, 5) and (5, 4) of lambda = 41.  Each match
     must name the pair's own mode, which the closed-form 1-D spectrum
     mu_m = (12 / h^2) sin^2(m h / 2) / (2 + cos(m h)) identifies from
-    lambda_h = mu_m + mu_n, and its observed shift is lambda_h - m^2 - n^2."""
+    lambda_h = mu_m + mu_n, and its observed shift is lambda_h - m^2 - n^2.
+    The pairs reported are those whose label lies in a multiple eigenspace
+    that the first k labels cover in full: the simple (6, 6) pair
+    (lambda = 72, lambda_h = 80.642) at index 45, an index of the twofold
+    lambda = 68, is left out, and both members (8, 2) and (2, 8) of 68 are
+    in, the second at index 47."""
     n = 16
     nodes = tuple(np.linspace(0.0, PI, n + 1))
     config = ExperimentConfig(name="u16", node_x=nodes, node_y=nodes,
@@ -362,6 +367,10 @@ def test_frequency_matches_report_each_pairs_label():
     near_41 = [(m["m"], m["n"]) for m in matches
                if abs(m["lambda_h"] - 43.9031) < 1e-3]
     assert near_41 == [(4, 5), (4, 5)]
+    labels = [(m["m"], m["n"]) for m in matches]
+    assert (6, 6) not in labels
+    near_68 = [m["lambda_h"] for m in matches if (m["m"], m["n"]) == (2, 8)]
+    assert near_68 == [pytest.approx(81.866, abs=1e-3)] * 2
 
 
 def test_python_dash_m_entry_point():
