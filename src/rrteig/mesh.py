@@ -57,14 +57,6 @@ class TensorMesh:
         """Row-major cell areas |K_{i,j}| = h_{x_i} h_{y_j}, length n_cells."""
         return np.outer(self.hy, self.hx).ravel()
 
-    @property
-    def domain(self) -> tuple[float, float, float, float]:
-        return (self.node_x[0], self.node_x[-1], self.node_y[0], self.node_y[-1])
-
-    def cell_index(self, i: int, j: int) -> int:
-        """Row-major cell index of K_{i,j}."""
-        return j * self.n1 + i
-
     def is_uniform(self) -> bool:
         """True when all cells share one square size h x h (up to roundoff)."""
         hx, hy = self.hx, self.hy

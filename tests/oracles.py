@@ -1,14 +1,58 @@
 """Independent oracles the tests compare the library against.
 
 Each oracle takes the slow, direct route and shares no code with the
-library path it checks: a dense 2-D eigensolve for the tensor-product
-solver, per-cell Lagrange evaluation for the batched postprocessing norms,
-and scalar analytic integrals per cell or edge for the batched cell and
-edge means.  They use public rrteig names only.
+library path it checks: a per-cell COO scatter for the direct CSR
+assembly, a dense 2-D eigensolve for the tensor-product solver, per-cell
+Lagrange evaluation for the batched postprocessing norms, and scalar
+analytic integrals per cell or edge for the batched cell and edge means.
+They use public rrteig names only.
 """
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from rrteig.assembly import layout
+
+
+def assemble_mixed_coo(mesh):
+    """(A, B) of the mixed discretization, scattered cell by cell.
+
+    Every cell adds its 2x2 flux-mass blocks [[|K|/3, |K|/6], [|K|/6,
+    |K|/3]] in x and in y and its four +/- edge lengths of B as COO
+    triplets; scipy sorts the indices and sums the duplicates on the way
+    to CSR.
+    """
+    lay = layout(mesh)
+    ii, jj = np.meshgrid(np.arange(mesh.n1), np.arange(mesh.n2))
+    ii, jj = ii.ravel(), jj.ravel()  # row-major: i fast
+    hx = mesh.hx[ii]
+    hy = mesh.hy[jj]
+    area = mesh.cell_areas
+
+    left = lay.xedge_index(ii, jj)
+    right = lay.xedge_index(ii + 1, jj)
+    bottom = lay.yedge_index(ii, jj)
+    top = lay.yedge_index(ii, jj + 1)
+
+    a3 = area / 3.0
+    a6 = area / 6.0
+    rows = np.concatenate(
+        [left, left, right, right, bottom, bottom, top, top]
+    )
+    cols = np.concatenate(
+        [left, right, left, right, bottom, top, bottom, top]
+    )
+    vals = np.concatenate([a3, a6, a6, a3, a3, a6, a6, a3])
+    n_sig = lay.n_sigma
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(n_sig, n_sig)).tocsr()
+
+    cell = lay.cell_index(ii, jj)
+    b_rows = np.concatenate([cell, cell, cell, cell])
+    b_cols = np.concatenate([right, left, top, bottom])
+    b_vals = np.concatenate([hy, -hy, hx, -hx])
+    B = sp.coo_matrix((b_vals, (b_rows, b_cols)), shape=(lay.n_cell, n_sig)).tocsr()
+    return A, B
 
 
 def dense_eigenvalues(system, k, cap=5000):

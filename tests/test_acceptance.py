@@ -293,7 +293,7 @@ def test_criterion_12_property_suites(system_a0, pairs_a0):
     nx, ny = mesh_a.node_x, mesh_a.node_y
     for j in range(mesh_a.n2):
         for i in range(mesh_a.n1):
-            want[mesh_a.cell_index(i, j)] = fexact.value * (
+            want[layout(mesh_a).cell_index(i, j)] = fexact.value * (
                 cell_integral_u(fexact, nx[i], nx[i + 1], ny[j], ny[j + 1])
             )
     commute_ok = np.max(np.abs(got - want)) <= 1e-12

@@ -1,10 +1,12 @@
 """Assembly oracles: quadrature checks of the closed-form element
-matrices, structural properties of the global matrices."""
+matrices, structural properties of the global matrices, and the direct
+CSR build against the COO scatter."""
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import assemble_mixed_coo
 from rrteig.assembly import (
     _REF_COEFFS,
     assemble_mixed,
@@ -12,7 +14,7 @@ from rrteig.assembly import (
     peq_cell_gradient,
     peq_local_matrices,
 )
-from rrteig.mesh import build_mesh, uniform_mesh
+from rrteig.mesh import build_mesh
 
 _GX, _GW = np.polynomial.legendre.leggauss(6)
 
@@ -102,6 +104,42 @@ def test_translation_invariance():
     np.testing.assert_allclose(s1.A.toarray(), s2.A.toarray(), atol=1e-14)
     np.testing.assert_allclose(s1.B.toarray(), s2.B.toarray(), atol=1e-14)
     np.testing.assert_allclose(s1.M, s2.M, atol=1e-15)
+
+
+def _nodes(draw, n, label):
+    """n + 1 nodes from a random origin, cell widths from [1, 4] scaled
+    by a random factor (width ratio <= 4)."""
+    widths = draw(st.lists(st.floats(1.0, 4.0), min_size=n, max_size=n),
+                  label=label)
+    scale = draw(st.floats(0.01, 10.0), label=f"{label} scale")
+    start = draw(st.floats(-5.0, 5.0), label=f"{label} start")
+    return start + scale * np.concatenate([[0.0], np.cumsum(widths)])
+
+
+@st.composite
+def _meshes(draw):
+    """Meshes of 1 to 40 cells per direction."""
+    n1 = draw(st.integers(1, 40), label="n1")
+    n2 = draw(st.integers(1, 40), label="n2")
+    return build_mesh(_nodes(draw, n1, "x"), _nodes(draw, n2, "y"))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mesh=_meshes())
+@example(mesh=build_mesh([0.0, 1.5], [0.0, 1.0, 3.5, 4.0, 7.0]))
+@example(mesh=build_mesh([0.0, 1.0, 3.5, 4.0, 7.0], [0.0, 1.5]))
+def test_direct_csr_matches_coo_scatter_bitwise(mesh):
+    """A and B from the direct CSR build are the COO scatter's matrices bit
+    for bit: values, column indices, row pointers and index dtypes, with
+    sorted indices and no duplicates."""
+    system = assemble_mixed(mesh)
+    for got, want in zip((system.A, system.B), assemble_mixed_coo(mesh)):
+        assert got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype, name
+            assert g.tobytes() == w.tobytes(), name
+        assert got.has_canonical_format
 
 
 # --- enriched rotated-bilinear element -------------------------------------

@@ -11,7 +11,7 @@ from rrteig.exact import (
     l2_project_exact,
     rt_interpolate_exact,
 )
-from rrteig.mesh import build_mesh, uniform_mesh
+from rrteig.assembly import assemble_mixed, layout
 
 from oracles import cell_integral_u, mean_flux_x, mean_flux_y
 
@@ -118,8 +118,6 @@ def test_mean_flux_vs_quadrature():
 
 def test_commuting_interpolation_identity(mesh_a0):
     """B sigma_I equals the exact cell integrals of div sigma = lambda u."""
-    from rrteig.assembly import assemble_mixed
-
     system = assemble_mixed(mesh_a0)
     for m, n in ((1, 1), (2, 1)):
         fld = field_for_mode(m, n)
@@ -129,7 +127,7 @@ def test_commuting_interpolation_identity(mesh_a0):
         nx, ny = mesh_a0.node_x, mesh_a0.node_y
         for j in range(mesh_a0.n2):
             for i in range(mesh_a0.n1):
-                want[mesh_a0.cell_index(i, j)] = fld.value * (
+                want[layout(mesh_a0).cell_index(i, j)] = fld.value * (
                     cell_integral_u(fld, nx[i], nx[i + 1], ny[j], ny[j + 1])
                 )
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -142,7 +140,7 @@ def test_l2_projection_means(mesh_c0):
     i, j = 2, 1
     area = (nx[i + 1] - nx[i]) * (ny[j + 1] - ny[j])
     want = _quad2d(fld.derivative, nx[i], nx[i + 1], ny[j], ny[j + 1]) / area
-    assert proj[mesh_c0.cell_index(i, j)] == pytest.approx(want, rel=1e-12)
+    assert proj[layout(mesh_c0).cell_index(i, j)] == pytest.approx(want, rel=1e-12)
 
 
 def _aligned_mode(pair, exact_pair):

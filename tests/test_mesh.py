@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rrteig.assembly import layout
 from rrteig.errors import NonFiniteNodes, NonMonotonicNodes, TooFewNodes
 from rrteig.mesh import (
     build_mesh,
@@ -18,7 +19,8 @@ def test_build_mesh_basic():
     assert m.n1 == 2 and m.n2 == 1 and m.n_cells == 2
     np.testing.assert_allclose(m.hx, [1.0, 2.0])
     np.testing.assert_allclose(m.hy, [2.0])
-    assert m.domain == (0.0, 3.0, 0.0, 2.0)
+    assert (m.node_x[0], m.node_x[-1], m.node_y[0], m.node_y[-1]) == (
+        0.0, 3.0, 0.0, 2.0)
     assert m.level == 0
 
 
@@ -41,7 +43,7 @@ def test_cell_indexing_roundtrip():
     seen = set()
     for j in range(m.n2):
         for i in range(m.n1):
-            idx = m.cell_index(i, j)
+            idx = layout(m).cell_index(i, j)
             seen.add(idx)
     assert seen == set(range(m.n_cells))
 

@@ -1,6 +1,12 @@
-"""The top-level namespace holds the library API and no test oracle."""
+"""The top-level namespace holds the library API and no test oracle;
+no module imports a name it does not use."""
+
+import ast
+from pathlib import Path
 
 import rrteig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_namespace_exports_library_names_only():
@@ -15,3 +21,41 @@ def test_namespace_exports_library_names_only():
                  "OracleCapExceeded"):
         assert not hasattr(rrteig, name), name
         assert not hasattr(rrteig.errors, name), name
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by module-level imports that the module never reads.
+
+    ``import a.b`` binds ``a``; ``from __future__`` binds nothing.
+    """
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_unused_imports_checker():
+    src = ("from __future__ import annotations\n"
+           "import os.path\nimport numpy as np\n"
+           "from a import b, c as d\n"
+           "def f():\n    return os.sep, d\n")
+    assert _unused_imports(src) == ["b", "np"]
+
+
+def test_no_unused_module_imports():
+    """Every module-level import in the package and the tests is read;
+    the package ``__init__`` re-exports its imports and is exempt."""
+    files = sorted((ROOT / "src" / "rrteig").glob("*.py"))
+    files += sorted((ROOT / "tests").glob("*.py"))
+    unused = {
+        str(f.relative_to(ROOT)): names
+        for f in files
+        if f.name != "__init__.py"
+        and (names := _unused_imports(f.read_text()))
+    }
+    assert unused == {}

@@ -4,8 +4,7 @@ boundedness; supercloseness norm plumbing."""
 import numpy as np
 import pytest
 
-from rrteig.assembly import assemble_mixed, layout
-from rrteig.eigensolve import MixedEigenpair
+from rrteig.assembly import layout
 from rrteig.errors import LayoutMismatch, OddMeshDimensions
 from rrteig.exact import field_for_mode
 from rrteig.mesh import build_mesh, uniform_mesh
@@ -75,7 +74,7 @@ def test_q11_reproduction_u():
     u = np.empty(mesh.n_cells)
     for j in range(mesh.n2):
         for i in range(mesh.n1):
-            u[mesh.cell_index(i, j)] = f(
+            u[layout(mesh).cell_index(i, j)] = f(
                 (nx[i] + nx[i + 1]) / 2, (ny[j] + ny[j + 1]) / 2
             )
     field = j2h_u(mesh, u)
