@@ -29,7 +29,6 @@ from .exact import (
     ExactEigenpair,
     FieldSample,
     enumerate_exact,
-    field_for_mode,
     rt_interpolate_exact,
     l2_project_exact,
 )
@@ -43,7 +42,6 @@ from .postprocess import (
 )
 from .analysis import (
     FrequencyMatch,
-    EigenspaceBasis,
     expansion_term,
     convergence_rate,
     extrapolate,

@@ -69,53 +69,32 @@ def match_frequencies(pairs, domain, h: float) -> list[FrequencyMatch]:
     """Frequency and h^2 shifts of labelled pairs on a uniform h-mesh of
     [0, a] x [0, b].
 
-    Each pair's mode label (m, n) names its frequency, ordered as
-    field_for_mode orders it; the predicted shift is (m^4 + n^4) h^2 / 12
-    and the observed shift is lambda_h minus the label's exact eigenvalue
-    m^2 (pi/a)^2 + n^2 (pi/b)^2, summed as enumerate_exact sums it.
+    Each pair's mode label (m, n) names its frequency (unordered on a
+    square); the predicted shift is (m^4 + n^4) h^2 / 12 and the observed
+    shift is lambda_h minus the label's exact eigenvalue.
     """
-    a, b = domain
-    kx2 = (np.pi / a) ** 2
-    ky2 = (np.pi / b) ** 2
     out = []
     for p in pairs:
-        m, n = p.mode
-        freq = Frequency.of_mode(m, n, domain)
+        freq = Frequency.of_mode(*p.mode, domain)
         out.append(FrequencyMatch(
             lambda_h=p.lambda_h, frequency=freq,
             predicted_shift=freq.shift_weight * h * h / 12.0,
-            observed_shift=p.lambda_h - (m * m * kx2 + n * n * ky2),
+            observed_shift=p.lambda_h - FieldSample(*p.mode, domain).value,
         ))
     return out
 
 
-@dataclass(frozen=True)
-class EigenspaceBasis:
-    """Spanning vectors of a discrete subspace with the metric that
-    measures angles (A for flux space, M for cell space)."""
-
-    vectors: tuple[np.ndarray, ...]
-    metric: object  # sparse matrix or 1-D diagonal array
-
-    def matrix(self) -> np.ndarray:
-        return np.column_stack(self.vectors)
-
-    def apply_metric(self, v):
-        if isinstance(self.metric, np.ndarray) and self.metric.ndim == 1:
-            return self.metric[:, None] * v if v.ndim == 2 else self.metric * v
-        return self.metric @ v
-
-
-def eigenspace_gap(basis_r: EigenspaceBasis, basis_s: EigenspaceBasis) -> float:
-    """Gap sup over unit x in R of ||x - P_S x|| via principal angles."""
-    vr, vs = basis_r.matrix(), basis_s.matrix()
+def eigenspace_gap(vr: np.ndarray, vs: np.ndarray, metric) -> float:
+    """Gap sup over unit x in span(vr) of ||x - P_S x||, S = span(vs), via
+    principal angles; the columns of vr and vs span the two subspaces and
+    the sparse SPD ``metric`` measures both (A for fluxes, diags(M) for
+    cell functions)."""
     if vr.shape != vs.shape:
         raise DimensionMismatch(
             f"basis shapes {vr.shape} and {vs.shape} differ"
         )
-    hr = basis_r.apply_metric(vr)
-    gram_r = vr.T @ hr
-    gram_s = vs.T @ basis_s.apply_metric(vs)
+    gram_r = vr.T @ (metric @ vr)
+    gram_s = vs.T @ (metric @ vs)
     for g in (gram_r, gram_s):
         if np.linalg.cond(g) > 1e8:
             raise DimensionMismatch("basis Gram matrix is ill-conditioned")
@@ -126,8 +105,8 @@ def eigenspace_gap(basis_r: EigenspaceBasis, basis_s: EigenspaceBasis) -> float:
     qs = np.linalg.solve(ls, vs.T).T
     # residual of projecting Q_R onto span(Q_S); forming it directly keeps
     # the result accurate near zero (no 1 - cos^2 cancellation)
-    cross = qs.T @ basis_r.apply_metric(qr)
+    cross = qs.T @ (metric @ qr)
     resid = qr - qs @ cross
-    gram_e = resid.T @ basis_r.apply_metric(resid)
+    gram_e = resid.T @ (metric @ resid)
     ev = np.linalg.eigvalsh((gram_e + gram_e.T) / 2.0)
     return float(np.sqrt(max(0.0, float(ev.max()))))

@@ -29,8 +29,8 @@ from .eigensolve import SolveOptions, solve_mixed_eigs
 from .equivalence import verify_equivalence
 from .errors import AmbiguousCluster, RRTError, InvalidConfig, IoFailure
 from .exact import (
+    FieldSample,
     enumerate_exact,
-    field_for_mode,
     l2_project_exact,
     rt_interpolate_exact,
 )
@@ -202,15 +202,15 @@ def _aligned_field(pair, exact_pair):
     pair of the same index whatever its label; for a multiple eigenvalue
     the pair's own labelled mode, which must lie in the eigenspace."""
     if exact_pair.multiplicity == 1:
-        mode = exact_pair.modes()[0]
-    elif pair.mode in exact_pair.modes():
+        mode = exact_pair.modes[0]
+    elif pair.mode in exact_pair.modes:
         mode = pair.mode
     else:
         raise AmbiguousCluster(
             f"mode {pair.mode} of lambda_h={pair.lambda_h} is not in the "
             f"eigenspace of lambda={exact_pair.value}"
         )
-    return field_for_mode(*mode, exact_pair.domain)
+    return FieldSample(*mode, exact_pair.domain)
 
 
 def _sign_matched(pair, pi0_u, areas):
@@ -254,7 +254,7 @@ class _Level:
     def reference(self):
         """The (1, 1) mode, its cell means and the first pair sign-matched
         to them; supercloseness and postprocessing share one copy."""
-        fld = field_for_mode(1, 1, self.exact[0].domain)
+        fld = FieldSample(1, 1, self.exact[0].domain)
         pi0 = l2_project_exact(self.mesh, fld)
         return fld, pi0, _sign_matched(self.pairs[0], pi0, self.system.M)
 
@@ -322,12 +322,12 @@ def _frequencies(lv: _Level) -> dict:
     domain = lv.exact[0].domain
     labels = {p.mode for p in lv.pairs}
     kx2, ky2 = (np.pi / domain[0]) ** 2, (np.pi / domain[1]) ** 2
-    top = max(m * m * kx2 + n * n * ky2 for m, n in labels)
+    top = max(FieldSample(m, n, domain).value for m, n in labels)
     count = (int(np.sqrt(top / kx2)) + 1) * (int(np.sqrt(top / ky2)) + 1)
     space = {mode: e for e in enumerate_exact(domain, count=count)
-             for mode in e.modes()}
+             for mode in e.modes}
     pairs = [p for p in lv.pairs if space[p.mode].multiplicity > 1
-             and labels.issuperset(space[p.mode].modes())]
+             and labels.issuperset(space[p.mode].modes)]
     matches = match_frequencies(pairs, domain, float(lv.mesh.hx[0]))
     return {"frequency_matches": [{
         "lambda_h": m.lambda_h,

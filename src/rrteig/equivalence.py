@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import MixedSystem, PeqSystem, assemble_peq, peq_cell_gradient
-from .analysis import EigenspaceBasis, eigenspace_gap
+from .analysis import eigenspace_gap
 from .eigensolve import MixedEigenpair
 from .errors import KTooLarge, SingularSystem
 from .mesh import TensorMesh
@@ -230,17 +231,12 @@ def verify_equivalence(
                 cluster_size=1,
             ))
         else:
-            gap_sigma = eigenspace_gap(
-                EigenspaceBasis(tuple(sig_rrt), system.A),
-                EigenspaceBasis(tuple(sig_peq), system.A),
-            )
+            gap_sigma = eigenspace_gap(np.column_stack(sig_rrt),
+                                       np.column_stack(sig_peq), system.A)
             gap_u = eigenspace_gap(
-                EigenspaceBasis(
-                    tuple(pairs[i].u_coeffs for i in group), system.M
-                ),
-                EigenspaceBasis(
-                    tuple(peq_pairs[i][1].cell_means for i in group), system.M
-                ),
+                np.column_stack([pairs[i].u_coeffs for i in group]),
+                np.column_stack([peq_pairs[i][1].cell_means for i in group]),
+                sp.diags(system.M),
             )
             for i in group:
                 lam_r, lam_p = lambdas[i], peq_pairs[i][0]

@@ -107,11 +107,10 @@ def eval_cell(field, i, j, x, y, deriv=None):
             interp(field.sy_vals[I, J], xc, ny))
 
 
-def _modes(fld):
-    """(c, kx, ky) per mode of the exact field."""
-    a, b = fld.exact.domain
-    return [(c, m * np.pi / a, n * np.pi / b)
-            for c, (m, n) in zip(fld.coeffs, fld.exact.modes())]
+def _mode(fld):
+    """(amp, kx, ky) of the exact field, from its label (m, n) and domain."""
+    a, b = fld.domain
+    return 2.0 / np.sqrt(a * b), fld.m * np.pi / a, fld.n * np.pi / b
 
 
 def _int_sin(k, x0, x1):
@@ -121,17 +120,17 @@ def _int_sin(k, x0, x1):
 
 def cell_integral_u(fld, x0, x1, y0, y1):
     """The integral of u over [x0, x1] x [y0, y1]."""
-    return fld.amp * sum(c * _int_sin(kx, x0, x1) * _int_sin(ky, y0, y1)
-                         for c, kx, ky in _modes(fld))
+    amp, kx, ky = _mode(fld)
+    return amp * _int_sin(kx, x0, x1) * _int_sin(ky, y0, y1)
 
 
 def mean_flux_x(fld, xi, y0, y1):
     """Mean of sigma_x = -u_x over the vertical edge {xi} x [y0, y1]."""
-    return -fld.amp * sum(c * kx * np.cos(kx * xi) * _int_sin(ky, y0, y1)
-                          for c, kx, ky in _modes(fld)) / (y1 - y0)
+    amp, kx, ky = _mode(fld)
+    return -amp * kx * np.cos(kx * xi) * _int_sin(ky, y0, y1) / (y1 - y0)
 
 
 def mean_flux_y(fld, yj, x0, x1):
     """Mean of sigma_y = -u_y over the horizontal edge [x0, x1] x {yj}."""
-    return -fld.amp * sum(c * ky * np.cos(ky * yj) * _int_sin(kx, x0, x1)
-                          for c, kx, ky in _modes(fld)) / (x1 - x0)
+    amp, kx, ky = _mode(fld)
+    return -amp * ky * np.cos(ky * yj) * _int_sin(kx, x0, x1) / (x1 - x0)

@@ -3,9 +3,9 @@ matching and eigenspace gaps."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rrteig.analysis import (
-    EigenspaceBasis,
     check_upper_bound,
     convergence_rate,
     eigenspace_gap,
@@ -16,7 +16,7 @@ from rrteig.analysis import (
 )
 from rrteig.eigensolve import MixedEigenpair
 from rrteig.errors import DimensionMismatch
-from rrteig.exact import field_for_mode
+from rrteig.exact import FieldSample
 from rrteig.mesh import uniform_mesh, uniform_refine
 
 PI = np.pi
@@ -24,7 +24,7 @@ PI = np.pi
 
 def test_expansion_term_uniform_closed_form():
     """For u_{1,1} on a uniform h-mesh the dominant term is exactly h^2/6."""
-    fld = field_for_mode(1, 1)
+    fld = FieldSample(1, 1)
     for n in (4, 8, 16):
         mesh = uniform_mesh(0, PI, n, 0, PI, n)
         h = PI / n
@@ -38,7 +38,7 @@ def test_expansion_term_mode_weights():
     mesh = uniform_mesh(0, PI, 8, 0, PI, 8)
     h = PI / 8
     for m, n in ((1, 2), (2, 2), (1, 3)):
-        fld = field_for_mode(m, n)
+        fld = FieldSample(m, n)
         want = (m**4 + n**4) * h * h / 12.0
         assert expansion_term(mesh, fld) == pytest.approx(want, rel=1e-12)
 
@@ -117,7 +117,7 @@ def test_eigenvalue_error_dominated_by_h2_term():
     from rrteig.assembly import assemble_mixed
     from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
 
-    fld = field_for_mode(1, 1)
+    fld = FieldSample(1, 1)
     mesh = uniform_mesh(0, PI, 8, 0, PI, 8)
     for _ in range(3):
         system = assemble_mixed(mesh)
@@ -128,53 +128,48 @@ def test_eigenvalue_error_dominated_by_h2_term():
         mesh = uniform_refine(mesh)
 
 
-def _basis(vectors, metric):
-    return EigenspaceBasis(tuple(vectors), metric)
-
-
 def test_gap_same_span_zero():
     rng = np.random.default_rng(9)
-    metric = np.abs(rng.standard_normal(20)) + 0.5  # diagonal SPD
+    metric = sp.diags(np.abs(rng.standard_normal(20)) + 0.5)  # diagonal SPD
     v = rng.standard_normal((20, 2))
     mix = v @ np.array([[2.0, 1.0], [-1.0, 0.5]])  # same span, other basis
-    g = eigenspace_gap(_basis(list(v.T), metric), _basis(list(mix.T), metric))
+    g = eigenspace_gap(v, mix, metric)
     assert g <= 1e-12
 
 
 def test_gap_orthogonal_spans_one():
-    metric = np.ones(6)
+    metric = sp.identity(6)
     e = np.eye(6)
-    g = eigenspace_gap(_basis([e[0], e[1]], metric),
-                       _basis([e[2], e[3]], metric))
+    g = eigenspace_gap(e[:, :2], e[:, 2:4], metric)
     assert g == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gap_symmetry():
     rng = np.random.default_rng(10)
-    metric = np.abs(rng.standard_normal(15)) + 0.5
+    metric = sp.diags(np.abs(rng.standard_normal(15)) + 0.5)
     v = rng.standard_normal((15, 3))
     w = v + 0.05 * rng.standard_normal((15, 3))
-    b1, b2 = _basis(list(v.T), metric), _basis(list(w.T), metric)
-    assert abs(eigenspace_gap(b1, b2) - eigenspace_gap(b2, b1)) <= 1e-12
+    assert abs(eigenspace_gap(v, w, metric)
+               - eigenspace_gap(w, v, metric)) <= 1e-12
 
 
 def test_gap_known_angle():
     """Two lines at angle theta have gap sin(theta)."""
     theta = 0.3
-    metric = np.ones(2)
-    b1 = _basis([np.array([1.0, 0.0])], metric)
-    b2 = _basis([np.array([np.cos(theta), np.sin(theta)])], metric)
-    assert eigenspace_gap(b1, b2) == pytest.approx(np.sin(theta), rel=1e-12)
+    metric = sp.identity(2)
+    v = np.array([[1.0], [0.0]])
+    w = np.array([[np.cos(theta)], [np.sin(theta)]])
+    assert eigenspace_gap(v, w, metric) == pytest.approx(np.sin(theta),
+                                                         rel=1e-12)
 
 
 def test_gap_dimension_mismatch():
-    metric = np.ones(4)
+    metric = sp.identity(4)
     e = np.eye(4)
     with pytest.raises(DimensionMismatch):
-        eigenspace_gap(_basis([e[0]], metric), _basis([e[1], e[2]], metric))
+        eigenspace_gap(e[:, :1], e[:, 1:3], metric)
     # ill-conditioned basis rejected
     with pytest.raises(DimensionMismatch):
         eigenspace_gap(
-            _basis([e[0], e[0] + 1e-12 * e[1]], metric),
-            _basis([e[0], e[1]], metric),
+            np.column_stack([e[0], e[0] + 1e-12 * e[1]]), e[:, :2], metric,
         )

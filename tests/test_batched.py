@@ -13,7 +13,6 @@ from rrteig.assembly import layout
 from rrteig.exact import (
     FieldSample,
     enumerate_exact,
-    field_for_mode,
     l2_project_exact,
     rt_interpolate_exact,
 )
@@ -59,35 +58,12 @@ def _meshes(draw, even=True):
 
 @st.composite
 def _fields(draw, mesh, domain=None):
-    """A single mode, or a random unit combination over an eigenspace, of
+    """A single mode, one spanning any of the first eight eigenspaces of
     the exact problem on ``domain`` (default: the mesh's)."""
     domain = domain or (mesh.node_x[-1], mesh.node_y[-1])
-    exact = enumerate_exact(domain, count=8)[draw(st.integers(0, 7))]
-    modes = exact.modes()
-    if draw(st.booleans(), label="single mode"):
-        m, n = modes[draw(st.integers(0, len(modes) - 1))]
-        return field_for_mode(m, n, domain)
-    c = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=len(modes),
-                               max_size=len(modes))))
-    if np.linalg.norm(c) < 1e-3:
-        c = np.ones(len(modes))
-    return FieldSample(exact, c / np.linalg.norm(c))
-
-
-@st.composite
-def _multi_mode_fields(draw, side):
-    """A combination with every coefficient nonzero over an eigenspace of
-    two to four modes of the exact problem on the square [0, side]^2."""
-    domain = (side, side)
-    spaces = {e.value: e for e in enumerate_exact(domain, count=56)
-              if len(e.modes()) > 1}
-    exact = list(spaces.values())[draw(st.integers(0, len(spaces) - 1))]
-    n = len(exact.modes())
-    c = np.array(draw(st.lists(st.floats(0.25, 1.0), min_size=n,
-                               max_size=n)))
-    c *= np.where(draw(st.lists(st.booleans(), min_size=n, max_size=n)),
-                  1.0, -1.0)
-    return FieldSample(exact, c / np.linalg.norm(c))
+    modes = enumerate_exact(domain, count=8)[draw(st.integers(0, 7))].modes
+    m, n = modes[draw(st.integers(0, len(modes) - 1))]
+    return FieldSample(m, n, domain)
 
 
 def _oracle_norm(field, exact, order):
@@ -191,20 +167,14 @@ def _oracle_expansion_term(mesh, exact):
 @given(mesh=_meshes(even=False), data=st.data())
 def test_expansion_term_against_per_cell_quadrature(mesh, data):
     """expansion_term against per-cell quadrature to 1e-12 relative, on
-    odd and even meshes.  Half of the fields are combinations of every
-    mode of a multi-mode eigenspace on a square larger than the mesh's
-    domain; of the rest, half live on the mesh's domain scaled up to
-    twice.  On the mesh's own domain the cross terms of a mode combination
-    integrate to zero over the full strip width."""
-    scale = data.draw(st.floats(1.25, 2.0), label="scale")
-    if data.draw(st.booleans(), label="multi-mode"):
-        side = max(mesh.node_x[-1], mesh.node_y[-1]) * scale
-        exact = data.draw(_multi_mode_fields(side), label="field")
-    else:
-        domain = None
-        if data.draw(st.booleans(), label="larger domain"):
-            domain = (mesh.node_x[-1] * scale, mesh.node_y[-1] * scale)
-        exact = data.draw(_fields(mesh, domain), label="field")
+    odd and even meshes.  Half of the fields live on the mesh's domain
+    scaled up by 1.25 to 2, where the strips of u_xx^2 and u_yy^2 cover
+    part of a period."""
+    domain = None
+    if data.draw(st.booleans(), label="larger domain"):
+        scale = data.draw(st.floats(1.25, 2.0), label="scale")
+        domain = (mesh.node_x[-1] * scale, mesh.node_y[-1] * scale)
+    exact = data.draw(_fields(mesh, domain), label="field")
     got = expansion_term(mesh, exact)
     want = _oracle_expansion_term(mesh, exact)
     assert abs(got - want) <= 1e-12 * want

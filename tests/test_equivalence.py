@@ -21,7 +21,7 @@ from rrteig.equivalence import (
     verify_equivalence,
 )
 from rrteig.errors import KTooLarge
-from rrteig.exact import enumerate_exact, field_for_mode, l2_project_exact
+from rrteig.exact import FieldSample, enumerate_exact, l2_project_exact
 from rrteig.mesh import build_mesh, uniform_mesh
 
 from oracles import dense_eigenvalues
@@ -94,7 +94,7 @@ def test_spectral_identity(mesh_a0):
 def test_poisson_flux_identity(mesh_a0):
     """Source problem with f = Pi0 u_{1,1}: the mixed flux equals the
     negative broken gradient of the enriched solution to 1e-10."""
-    fld = field_for_mode(1, 1)
+    fld = FieldSample(1, 1)
     f_means = l2_project_exact(mesh_a0, fld)
     areas = np.repeat(mesh_a0.hy, mesh_a0.n1) * np.tile(mesh_a0.hx, mesh_a0.n2)
 

@@ -7,7 +7,6 @@ import pytest
 from rrteig.exact import (
     FieldSample,
     enumerate_exact,
-    field_for_mode,
     l2_project_exact,
     rt_interpolate_exact,
 )
@@ -44,10 +43,7 @@ def test_lambda_50_multiplicity_three():
     assert len(fifty) == 3
     e = fifty[0]
     assert e.multiplicity == 3
-    freqs = [(f.m, f.n) for f in e.frequencies]
-    # sorted by m^4 + n^4: (5,5) -> 1250 before (1,7) -> 2402
-    assert freqs == [(5, 5), (1, 7)]
-    assert sorted(e.modes()) == [(1, 7), (5, 5), (7, 1)]
+    assert sorted(e.modes) == [(1, 7), (5, 5), (7, 1)]
 
 
 def test_enumeration_rectangle_domain():
@@ -61,7 +57,7 @@ def test_enumeration_rectangle_domain():
 
 def test_eigenfunction_pde_identity():
     """-(u_xx + u_yy) = lambda u pointwise, and Dirichlet boundary zero."""
-    fld = field_for_mode(2, 3)
+    fld = FieldSample(2, 3)
     rng = np.random.default_rng(0)
     x = rng.uniform(0, PI, 50)
     y = rng.uniform(0, PI, 50)
@@ -77,36 +73,50 @@ def test_eigenfunction_pde_identity():
 
 def test_unit_l2_norm():
     for m, n in ((1, 1), (2, 3)):
-        fld = field_for_mode(m, n)
+        fld = FieldSample(m, n)
         nrm2 = _quad2d(lambda x, y: fld.derivative(x, y) ** 2, 0, PI, 0, PI)
         assert nrm2 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_analytic_integrals_vs_quadrature():
     """Closed-form cell and strip integrals agree with an independent
-    Gauss oracle; the strips cover part of the domain, so the cross terms
-    of the two modes do not vanish."""
-    ex = enumerate_exact((PI, PI), count=2)[1]  # lambda = 5 cluster
-    rng = np.random.default_rng(1)
-    c = rng.standard_normal(2)
-    fld = FieldSample(ex, c / np.linalg.norm(c))
+    Gauss oracle, for both modes of the lambda = 5 eigenspace; the strips
+    cover part of the domain, where sin^2 does not integrate to half the
+    width."""
     cell = (0.3, 1.1, 0.4, 0.9)
-    assert cell_integral_u(fld, *cell) == pytest.approx(
-        _quad2d(fld.derivative, *cell), rel=1e-12
-    )
     nx, ny = (0.3, 0.7, 1.1), (0.4, 0.9)
-    ix, iy = fld.strip_integrals_dd_sq(nx, ny)
-    uxx_sq = lambda x, y: fld.derivative(x, y, 2, 0) ** 2
-    uyy_sq = lambda x, y: fld.derivative(x, y, 0, 2) ** 2
-    for i in range(2):
-        assert ix[i] == pytest.approx(
-            _quad2d(uxx_sq, nx[i], nx[i + 1], 0.4, 0.9), rel=1e-12
+    for m, n in enumerate_exact((PI, PI), count=2)[1].modes:
+        fld = FieldSample(m, n)
+        assert cell_integral_u(fld, *cell) == pytest.approx(
+            _quad2d(fld.derivative, *cell), rel=1e-12
         )
-    assert iy[0] == pytest.approx(_quad2d(uyy_sq, *cell), rel=1e-12)
+        ix, iy = fld.strip_integrals_dd_sq(nx, ny)
+        uxx_sq = lambda x, y: fld.derivative(x, y, 2, 0) ** 2
+        uyy_sq = lambda x, y: fld.derivative(x, y, 0, 2) ** 2
+        for i in range(2):
+            assert ix[i] == pytest.approx(
+                _quad2d(uxx_sq, nx[i], nx[i + 1], 0.4, 0.9), rel=1e-12
+            )
+        assert iy[0] == pytest.approx(_quad2d(uyy_sq, *cell), rel=1e-12)
+
+
+def test_derivative_order_out_of_range_raises():
+    """Orders above 2 or below 0 raise instead of cycling back to u_xx."""
+    fld = FieldSample(1, 2)
+    for dx, dy in ((3, 0), (0, 3), (-1, 0)):
+        with pytest.raises(ValueError):
+            fld.derivative(0.3, 0.4, dx, dy)
+
+
+def test_mode_below_one_raises():
+    """Mode (0, n) is identically zero and cannot be unit norm."""
+    for m, n in ((0, 1), (1, 0), (-1, 2)):
+        with pytest.raises(ValueError):
+            FieldSample(m, n)
 
 
 def test_mean_flux_vs_quadrature():
-    fld = field_for_mode(2, 1)
+    fld = FieldSample(2, 1)
     t, w = (_GX + 1) / 2, _GW / 2
     y0, y1, xi = 0.4, 0.9, 1.3
     want = np.sum(w * -fld.derivative(xi, y0 + (y1 - y0) * t, 1, 0))
@@ -120,7 +130,7 @@ def test_commuting_interpolation_identity(mesh_a0):
     """B sigma_I equals the exact cell integrals of div sigma = lambda u."""
     system = assemble_mixed(mesh_a0)
     for m, n in ((1, 1), (2, 1)):
-        fld = field_for_mode(m, n)
+        fld = FieldSample(m, n)
         sigma_i = rt_interpolate_exact(mesh_a0, fld)
         got = system.B @ sigma_i
         want = np.empty(mesh_a0.n_cells)
@@ -134,7 +144,7 @@ def test_commuting_interpolation_identity(mesh_a0):
 
 
 def test_l2_projection_means(mesh_c0):
-    fld = field_for_mode(1, 2)
+    fld = FieldSample(1, 2)
     proj = l2_project_exact(mesh_c0, fld)
     nx, ny = mesh_c0.node_x, mesh_c0.node_y
     i, j = 2, 1
@@ -144,13 +154,11 @@ def test_l2_projection_means(mesh_c0):
 
 
 def _aligned_mode(pair, exact_pair):
-    """The one mode the aligned exact field takes, checked to be unit."""
+    """The mode (m, n) of the aligned exact field."""
     from rrteig.cli import _aligned_field
 
     fld = _aligned_field(pair, exact_pair)
-    (t,) = np.flatnonzero(fld.coeffs)
-    assert fld.coeffs[t] == 1.0
-    return fld.exact.modes()[t]
+    return fld.m, fld.n
 
 
 def test_align_representative_recovers_mode(pairs_a0):

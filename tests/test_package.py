@@ -1,7 +1,9 @@
 """The top-level namespace holds the library API and no test oracle;
-no module imports a name it does not use."""
+no module imports a name it does not use, and no public function or
+class of the package goes unread."""
 
 import ast
+import re
 from pathlib import Path
 
 import rrteig
@@ -15,7 +17,7 @@ def test_namespace_exports_library_names_only():
     only tests used, are not part of the package."""
     for name in ("uniform_mesh", "assemble_mixed", "solve_mixed_eigs",
                  "SolveOptions", "enumerate_exact", "expansion_term",
-                 "field_for_mode"):
+                 "FieldSample"):
         assert hasattr(rrteig, name), name
     for name in ("dense_oracle_eigs", "solve_peq_poisson",
                  "OracleCapExceeded"):
@@ -59,3 +61,52 @@ def test_no_unused_module_imports():
         and (names := _unused_imports(f.read_text()))
     }
     assert unused == {}
+
+
+def _unread_public_names(sources: dict[str, str], readme: str) -> list[str]:
+    """Public module-level functions and classes of ``sources`` (file name
+    -> text) that no module reads outside the name's own definition and
+    that ``readme`` does not name.  A read is a Name or an attribute
+    access; an import alone is not."""
+    trees = {f: ast.parse(text) for f, text in sources.items()}
+    defined = {
+        node.name
+        for tree in trees.values() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+    read = set()
+    for tree in trees.values():
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            for n in ast.walk(top):
+                name = (n.id if isinstance(n, ast.Name)
+                        else n.attr if isinstance(n, ast.Attribute) else None)
+                if name != own:
+                    read.add(name)
+    return sorted(name for name in defined - read
+                  if not re.search(rf"\b{name}\b", readme))
+
+
+def test_unread_public_names_checker():
+    src = {
+        "a.py": ("from b import used\n"
+                 "def used_here():\n    return used_here\n"
+                 "class Documented:\n    pass\n"
+                 "def unread():\n    return unread()\n"
+                 "def _private():\n    return used()\n"),
+        "b.py": "def used():\n    return 1\n",
+    }
+    assert _unread_public_names(src, "see `Documented`") == [
+        "unread", "used_here"]
+
+
+def test_no_unread_public_names():
+    """Every public function and class of the package is read elsewhere
+    in it or named in the README; the package ``__init__`` re-exports and
+    does not count as a reader."""
+    sources = {f.name: f.read_text()
+               for f in sorted((ROOT / "src" / "rrteig").glob("*.py"))
+               if f.name != "__init__.py"}
+    readme = (ROOT / "README.md").read_text()
+    assert _unread_public_names(sources, readme) == []

@@ -6,7 +6,7 @@ import pytest
 
 from rrteig.assembly import layout
 from rrteig.errors import LayoutMismatch, OddMeshDimensions
-from rrteig.exact import field_for_mode
+from rrteig.exact import FieldSample
 from rrteig.mesh import build_mesh, uniform_mesh
 from rrteig.postprocess import (
     error_norms_postprocessed,
@@ -156,7 +156,7 @@ def test_error_norm_exact_field_small():
     from rrteig.exact import l2_project_exact, rt_interpolate_exact
 
     mesh = uniform_mesh(0.0, PI, 8, 0.0, PI, 8)
-    fld = field_for_mode(1, 1)
+    fld = FieldSample(1, 1)
     fs = i2h_sigma(mesh, rt_interpolate_exact(mesh, fld))
     fu = j2h_u(mesh, l2_project_exact(mesh, fld))
     # h^2-superconvergent ballpark at h = pi/8
@@ -168,7 +168,7 @@ def test_error_norm_exact_field_small():
 def test_supercloseness_norms_plumbing(system_a0, pairs_a0):
     from rrteig.exact import l2_project_exact, rt_interpolate_exact
 
-    fld = field_for_mode(1, 1)
+    fld = FieldSample(1, 1)
     mesh = system_a0.mesh
     sigma_i = rt_interpolate_exact(mesh, fld)
     pi0 = l2_project_exact(mesh, fld)
