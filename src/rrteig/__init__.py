@@ -25,7 +25,6 @@ from .eigensolve import (
     solve_mixed_eigs,
 )
 from .exact import (
-    Frequency,
     ExactEigenpair,
     FieldSample,
     enumerate_exact,
@@ -41,7 +40,6 @@ from .postprocess import (
     error_norms_postprocessed,
 )
 from .analysis import (
-    FrequencyMatch,
     expansion_term,
     convergence_rate,
     extrapolate,

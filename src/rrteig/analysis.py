@@ -3,12 +3,10 @@ extrapolation, bounds, frequency matching and eigenspace gaps."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch
-from .exact import FieldSample, Frequency
+from .exact import FieldSample
 from .mesh import TensorMesh
 
 
@@ -57,30 +55,24 @@ def lower_bound_margin(lambda_h: float, lam: float, a: float, h: float) -> float
     return (lambda_h - lam) - lam**2 * h**2 / (24.0 * a**2)
 
 
-@dataclass(frozen=True)
-class FrequencyMatch:
-    lambda_h: float
-    frequency: Frequency
-    predicted_shift: float
-    observed_shift: float
+def match_frequencies(pairs, mesh: TensorMesh, domain) -> list[dict]:
+    """Frequency and h^2 shifts of labelled pairs on a mesh of
+    [0, a] x [0, b], one record (lambda_h, m, n, predicted_shift,
+    observed_shift) per pair.
 
-
-def match_frequencies(pairs, domain, h: float) -> list[FrequencyMatch]:
-    """Frequency and h^2 shifts of labelled pairs on a uniform h-mesh of
-    [0, a] x [0, b].
-
-    Each pair's mode label (m, n) names its frequency (unordered on a
-    square); the predicted shift is (m^4 + n^4) h^2 / 12 and the observed
-    shift is lambda_h minus the label's exact eigenvalue.
+    Each pair's mode label (m, n) names its frequency, unordered on a
+    square, where (m, n) and (n, m) share one eigenvalue.  The predicted
+    shift is the label's expansion term and the observed shift is lambda_h
+    minus the label's exact eigenvalue.
     """
+    square = abs(domain[0] - domain[1]) <= 1e-12 * max(domain)
     out = []
     for p in pairs:
-        freq = Frequency.of_mode(*p.mode, domain)
-        out.append(FrequencyMatch(
-            lambda_h=p.lambda_h, frequency=freq,
-            predicted_shift=freq.shift_weight * h * h / 12.0,
-            observed_shift=p.lambda_h - FieldSample(*p.mode, domain).value,
-        ))
+        fld = FieldSample(*p.mode, domain)
+        m, n = sorted(p.mode) if square else p.mode
+        out.append({"lambda_h": p.lambda_h, "m": m, "n": n,
+                    "predicted_shift": expansion_term(mesh, fld),
+                    "observed_shift": p.lambda_h - fld.value})
     return out
 
 

@@ -17,8 +17,9 @@ The flux follows from the same structure: A and B are Kronecker products
 blockwise (A_xx = diag(h_y) (x) A1x, B_x = diag(h_y) (x) Gx, and alike in
 y), so sigma = A^-1 B^T u is w_j (x) A1x^-1 Gx^T v_i on the x-edges and
 A1y^-1 Gy^T w_j (x) v_i on the y-edges, from two tridiagonal 1-D solves.
-No 2-D matrix is factored; every pair is checked against the assembled 2-D
-matrices by sparse products.
+No 2-D matrix is factored.  Each pair keeps its four 1-D factors and its
+normalisation, and forms its 2-D u and sigma vectors on demand; every pair
+is checked against the assembled 2-D matrices by sparse products.
 """
 
 from __future__ import annotations
@@ -51,48 +52,56 @@ class SolveOptions:
 
 @dataclass
 class MixedEigenpair:
-    """One discrete eigenpair, normalized by u^T M u = 1.
+    """One discrete eigenpair, normalized by u^T M u = 1, held as its 1-D
+    factors.
 
-    ``mode`` is the ordered wave-number pair (m, n): u is the tensor
-    product of the m-th x mode and the n-th y mode, with m - 1 and n - 1
-    sign changes.
+    ``mode`` is the ordered wave-number pair (m, n): u = w (x) v / scale is
+    the tensor product of the m-th x mode v and the n-th y mode w, with
+    m - 1 and n - 1 sign changes; ``flux_x`` = A1x^-1 Gx^T v and
+    ``flux_y`` = A1y^-1 Gy^T w are their 1-D fluxes, and ``scale`` is the
+    signed normalisation divisor.  Negating ``scale`` flips the pair.
     """
 
     lambda_h: float
-    sigma_coeffs: np.ndarray
-    u_coeffs: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    flux_x: np.ndarray
+    flux_y: np.ndarray
+    scale: float
     residual_norm: float
     mode: tuple[int, int]
 
+    @property
+    def u_coeffs(self) -> np.ndarray:
+        """Cell values, row-major: cell j * n1 + i holds w[j] v[i] / scale."""
+        return np.outer(self.w, self.v).ravel() / self.scale
 
-def _normalize(system, u):
-    """M-normalize and fix the sign: the largest-magnitude entry is positive.
-    Returns the normalized u and its signed divisor, so a flux can follow."""
-    nrm = np.sqrt(float(u @ (system.M * u)))
+    @property
+    def sigma_coeffs(self) -> np.ndarray:
+        """Edge DOFs: x-edge j * (n1 + 1) + i holds w[j] flux_x[i] / scale,
+        then y-edge n_xedge + j * n1 + i holds flux_y[j] v[i] / scale."""
+        return np.concatenate([np.outer(self.w, self.flux_x).ravel(),
+                               np.outer(self.flux_y, self.v).ravel()]) / self.scale
+
+
+def _scale(system, u):
+    """The signed M-norm of u that normalizes it: the largest-magnitude
+    entry of u / scale is positive."""
+    nrm = float(np.sqrt(u @ (system.M * u)))
     u = u / nrm
-    if u[int(np.argmax(np.abs(u)))] < 0:
-        return -u, -nrm
-    return u, nrm
+    return -nrm if u[int(np.argmax(np.abs(u)))] < 0 else nrm
 
 
-def _finalize(system, lam, sigma, u, modes):
-    """Pairs (lam[t], sigma[t], u[t], modes[t]) with their residuals
-    against the assembled 2-D pencil.  B^T is formed once for all pairs;
-    each pair takes one product with A, B and B^T (k single-vector
-    products beat one k-column sparse product here)."""
-    bt = system.B.T
-    out = []
-    for lam_t, sigma_t, u_t, mode in zip(lam, sigma, u, modes):
-        a_sigma = system.A @ sigma_t
-        r1 = np.linalg.norm(a_sigma - bt @ u_t)
-        r1 /= max(np.linalg.norm(a_sigma), 1e-300)
-        r2 = np.linalg.norm(system.B @ sigma_t - lam_t * (system.M * u_t))
-        r2 /= max(abs(lam_t), 1e-300)
-        out.append(MixedEigenpair(
-            lambda_h=float(lam_t), sigma_coeffs=sigma_t, u_coeffs=u_t,
-            residual_norm=float(max(r1, r2)), mode=mode,
-        ))
-    return out
+def _residual(system, bt, pair):
+    """Relative residual of a pair against the assembled 2-D pencil: one
+    product with A, B and B^T (formed once by the caller)."""
+    sigma, u = pair.sigma_coeffs, pair.u_coeffs
+    a_sigma = system.A @ sigma
+    r1 = np.linalg.norm(a_sigma - bt @ u)
+    r1 /= max(np.linalg.norm(a_sigma), 1e-300)
+    r2 = np.linalg.norm(system.B @ sigma - pair.lambda_h * (system.M * u))
+    r2 /= max(abs(pair.lambda_h), 1e-300)
+    return float(max(r1, r2))
 
 
 def _strip_pencil(system: MixedSystem, axis: int):
@@ -153,19 +162,18 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions) -> list[MixedEigen
     sums = np.add.outer(nu, mu)
     order = np.argsort(sums, axis=None, kind="stable")[: opts.k]
 
-    sigma = np.empty((opts.k, lay.n_sigma))  # row t: pair t, in DOF order
-    u = np.empty((opts.k, lay.n_cell))
-    modes = []
-    for t, flat in enumerate(order):
+    bt = system.B.T
+    out = []
+    for flat in order:
         j, i = divmod(int(flat), len(mu))
-        modes.append((i + 1, j + 1))
-        # cell index j * n1 + i
-        u[t], scale = _normalize(system, np.outer(w[:, j], v[:, i]).ravel())
-        # x-edge j * (n1 + 1) + i, then y-edge n_xedge + j * n1 + i
-        sigma[t, : lay.n_xedge] = np.outer(w[:, j], flux_x[:, i]).ravel()
-        sigma[t, lay.n_xedge:] = np.outer(flux_y[:, j], v[:, i]).ravel()
-        sigma[t] /= scale
-    out = _finalize(system, sums.ravel()[order], sigma, u, modes)
+        pair = MixedEigenpair(
+            lambda_h=float(sums[j, i]), v=v[:, i].copy(), w=w[:, j].copy(),
+            flux_x=flux_x[:, i].copy(), flux_y=flux_y[:, j].copy(),
+            scale=_scale(system, np.outer(w[:, j], v[:, i]).ravel()),
+            residual_norm=0.0, mode=(i + 1, j + 1),
+        )
+        pair.residual_norm = _residual(system, bt, pair)
+        out.append(pair)
     worst = max(p.residual_norm for p in out)
     if worst > opts.tol:
         raise NotConverged(

@@ -23,27 +23,6 @@ _EQ_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class Frequency:
-    """Unordered wave-number pair (m, n) of an eigenfunction family."""
-
-    m: int
-    n: int
-
-    @property
-    def shift_weight(self) -> int:
-        """m^4 + n^4, the weight of the h^2 eigenvalue shift on uniform meshes."""
-        return self.m**4 + self.n**4
-
-    @classmethod
-    def of_mode(cls, m, n, domain) -> Frequency:
-        """The family of mode (m, n): unordered on a square domain, where
-        (m, n) and (n, m) share one eigenvalue, else ordered."""
-        if abs(domain[0] - domain[1]) <= 1e-12 * max(domain):
-            return cls(min(m, n), max(m, n))
-        return cls(m, n)
-
-
-@dataclass(frozen=True)
 class ExactEigenpair:
     """One exact eigenvalue and the ordered modes (m, n) spanning its
     eigenspace, ascending by (eigenvalue, m, n)."""
@@ -159,12 +138,19 @@ class FieldSample:
     def ky(self) -> np.float64:
         return np.float64(self.n) * np.pi / self.domain[1]
 
+    def factors(self, x, y, dx=0, dy=0):
+        """The x and y factors of the (dx, dy) partial derivative of u,
+        0 <= dx, dy <= 2: amp times the dx-th derivative of sin(kx x) at
+        the points x, and the dy-th derivative of sin(ky y) at the points y."""
+        return (self.amp * _factor(self.kx, np.asarray(x), dx),
+                _factor(self.ky, np.asarray(y), dy))
+
     def derivative(self, x, y, dx=0, dy=0):
-        """The (dx, dy) partial derivative of u at the points (x, y),
-        0 <= dx, dy <= 2; x and y broadcast, so x[:, None] and y give the
-        tensor grid."""
-        x, y = np.asarray(x), np.asarray(y)
-        return self.amp * (_factor(self.kx, x, dx) * _factor(self.ky, y, dy))
+        """The (dx, dy) partial derivative of u at the points (x, y), the
+        product of its two factors; x and y broadcast, so x[:, None] and y
+        give the tensor grid."""
+        fx, fy = self.factors(x, y, dx, dy)
+        return fx * fy
 
     def strip_integrals_dd_sq(self, node_x, node_y):
         """Closed-form integrals of u_xx^2 over each x-strip

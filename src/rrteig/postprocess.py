@@ -6,7 +6,9 @@ degree (2, 1) per macro-element interpolating the six vertical-edge DOF
 values at (x-line, cell-row midpoint) nodes; the y component swaps roles;
 the scalar is the bilinear through the four cell values at centroids.
 All three reproduce global Q11 data exactly, which is the property the
-superconvergence theory rests on.
+superconvergence theory rests on.  A discrete pair is rank one, and so is
+each reconstructed component: the product of an x and a y 1-D
+interpolant, whose error norms reduce to 1-D Gauss sums.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import MixedSystem, layout
+from .assembly import MixedSystem
 from .eigensolve import MixedEigenpair
 from .errors import LayoutMismatch, OddMeshDimensions
 from .exact import FieldSample
@@ -59,70 +61,49 @@ def supercloseness_norms(
 
 @dataclass(frozen=True)
 class PostprocessedField:
-    """Per-macro-element polynomial reconstruction.
-
-    kind 'sigma': component values sx_vals (mx, my, 3, 2) on the x-line /
-    row-midpoint grid and sy_vals (mx, my, 2, 3) on the column-midpoint /
-    y-line grid.  kind 'u': u_vals (mx, my, 2, 2) at cell centroids.
-    The interpolation nodes are recovered from the mesh.
-    """
+    """Macro-element reconstruction of a rank-one pair: per component (sx,
+    sy for kind 'sigma'; u for kind 'u') the (x values, y values) data of
+    its two 1-D interpolants.  A factor of n + 1 values sits on the node
+    lines and is interpolated by the quadratic through the three lines of
+    each macro-element; one of n values sits at the cell midpoints and is
+    interpolated by the linear through the two of each macro-element."""
 
     mesh: TensorMesh
     kind: str
-    sx_vals: np.ndarray | None = None
-    sy_vals: np.ndarray | None = None
-    u_vals: np.ndarray | None = None
-
-    def _macro_nodes(self):
-        nx, ny = self.mesh.node_x, self.mesh.node_y
-        xc = (nx[:-1] + nx[1:]) / 2.0  # cell column midpoints
-        yc = (ny[:-1] + ny[1:]) / 2.0  # cell row midpoints
-        return nx, ny, xc, yc
+    components: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-def _require_even(mesh):
+def _require_fit(mesh, pair, *names):
+    """Macro-elements need even cell counts, and each named factor of the
+    pair must have its length on the mesh."""
     if mesh.n1 % 2 or mesh.n2 % 2:
         raise OddMeshDimensions(
             f"macro-elements need even cell counts, got {mesh.n1} x {mesh.n2}"
         )
+    want = {"v": mesh.n1, "w": mesh.n2,
+            "flux_x": mesh.n1 + 1, "flux_y": mesh.n2 + 1}
+    got = {name: len(getattr(pair, name)) for name in names}
+    if any(got[name] != want[name] for name in names):
+        raise LayoutMismatch(
+            f"factor lengths {got} do not fit {mesh.n1} x {mesh.n2} cells")
 
 
-def i2h_sigma(mesh: TensorMesh, sigma_h: np.ndarray) -> PostprocessedField:
-    """Macro-element flux reconstruction from edge DOF values."""
-    _require_even(mesh)
-    lay = layout(mesh)
-    if len(sigma_h) != lay.n_sigma:
-        raise LayoutMismatch("sigma coefficient length mismatch")
-    n1, n2 = mesh.n1, mesh.n2
-    mx, my = n1 // 2, n2 // 2
-    sx_grid = sigma_h[: lay.n_xedge].reshape(n2, n1 + 1)  # [row j, line i]
-    sy_grid = sigma_h[lay.n_xedge :].reshape(n2 + 1, n1)  # [line j, col i]
-
-    sx_vals = np.empty((mx, my, 3, 2))
-    for p in range(3):
-        for q in range(2):
-            sx_vals[:, :, p, q] = sx_grid[q::2, p::2][:my, :mx].T
-    sy_vals = np.empty((mx, my, 2, 3))
-    for p in range(2):
-        for q in range(3):
-            sy_vals[:, :, p, q] = sy_grid[q::2, p::2][:my, :mx].T
-    return PostprocessedField(mesh=mesh, kind="sigma", sx_vals=sx_vals,
-                              sy_vals=sy_vals)
+def i2h_sigma(mesh: TensorMesh, pair: MixedEigenpair) -> PostprocessedField:
+    """Macro-element flux reconstruction from the pair's edge DOF values:
+    sx interpolates the x data flux_x / scale and the y data w, sy the x
+    data v / scale and the y data flux_y."""
+    _require_fit(mesh, pair, "v", "w", "flux_x", "flux_y")
+    return PostprocessedField(mesh=mesh, kind="sigma", components=(
+        (pair.flux_x / pair.scale, pair.w), (pair.v / pair.scale, pair.flux_y)
+    ))
 
 
-def j2h_u(mesh: TensorMesh, u_h: np.ndarray) -> PostprocessedField:
-    """Bilinear reconstruction of the scalar from cell values at centroids."""
-    _require_even(mesh)
-    if len(u_h) != mesh.n_cells:
-        raise LayoutMismatch("u coefficient length mismatch")
-    n1, n2 = mesh.n1, mesh.n2
-    mx, my = n1 // 2, n2 // 2
-    grid = u_h.reshape(n2, n1)
-    u_vals = np.empty((mx, my, 2, 2))
-    for p in range(2):
-        for q in range(2):
-            u_vals[:, :, p, q] = grid[q::2, p::2].T
-    return PostprocessedField(mesh=mesh, kind="u", u_vals=u_vals)
+def j2h_u(mesh: TensorMesh, pair: MixedEigenpair) -> PostprocessedField:
+    """Bilinear reconstruction of the scalar from the pair's cell values at
+    centroids: the x data v / scale and the y data w."""
+    _require_fit(mesh, pair, "v", "w")
+    return PostprocessedField(mesh=mesh, kind="u",
+                              components=((pair.v / pair.scale, pair.w),))
 
 
 def _gauss_table(nodes):
@@ -132,13 +113,11 @@ def _gauss_table(nodes):
     return mid[:, None] + half[:, None] * _GAUSS_X, half[:, None] * _GAUSS_W
 
 
-def _macro_basis(nodes, p, pts, deriv):
+def _macro_basis(win, pts, deriv):
     """Closed-form 2- or 3-node Lagrange basis (deriv False) or its
-    derivative, over each fine cell's macro-element window
-    nodes[2 (i // 2) + arange(p)], at that cell's points pts (n, g);
-    returns (n, g, p)."""
-    start = 2 * (np.arange(len(pts)) // 2)
-    win = nodes[start[:, None] + np.arange(p)]  # (n, p)
+    derivative over each fine cell's macro-element window nodes win (n, p),
+    at that cell's points pts (n, g); returns (n, g, p)."""
+    p = win.shape[1]
     out = np.empty(pts.shape + (p,))
     for a in range(p):
         # one linear factor (x - o) / (w_a - o) per other window node o
@@ -154,14 +133,45 @@ def _macro_basis(nodes, p, pts, deriv):
     return out
 
 
-def _components(field):
-    """(macro values, x nodes, y nodes, sign, dx, dy) per reconstructed
-    component: it approximates sign times the (dx, dy) derivative of u."""
-    nx, ny, xc, yc = field._macro_nodes()
-    if field.kind == "u":
-        return [(field.u_vals, xc, yc, 1.0, 0, 0)]
-    return [(field.sx_vals, nx, yc, -1.0, 1, 0),
-            (field.sy_vals, xc, ny, -1.0, 0, 1)]
+def _interpolant(nodes, vals, pts, deriv):
+    """The 1-D macro-element interpolant of ``vals`` (or its derivative)
+    at each fine cell's points pts (n, g), over the cell's window
+    2 (i // 2) + arange(p): quadratic (p = 3) when the values sit on the
+    n + 1 ``nodes``, linear (p = 2) when they sit at the n cell midpoints."""
+    if len(vals) == len(nodes):
+        at, p = nodes, 3
+    else:
+        at, p = (nodes[:-1] + nodes[1:]) / 2.0, 2
+    win = 2 * (np.arange(len(pts)) // 2)[:, None] + np.arange(p)
+    return np.einsum("iap,ip->ia", _macro_basis(at[win], pts, deriv), vals[win])
+
+
+# per component of a field kind: (sign, dx, dy), the component
+# approximates sign times the (dx, dy) derivative of u
+_TARGETS = {"u": ((1.0, 0, 0),), "sigma": ((-1.0, 1, 0), (-1.0, 0, 1))}
+
+
+def _dot(a, b, w):
+    return float(np.sum(w * a * b))
+
+
+def _tensor_distance_sq(x, y, f, g, wx, wy):
+    """Squared distance of x (x) y to f (x) g in the tensor quadrature rule
+    with 1-D weights wx, wy, by the split
+
+        x (x) y - f (x) g = x (x) (y - g) + (x - f) (x) g.
+
+    The factors are balanced first, x c and y / c with c = <x, f> / <x, x>:
+    then x - f is orthogonal to x, the cross term 2 <x, x - f> <y - g, g>
+    is at roundoff level and no term cancels another.  Without balancing
+    the cross terms cancel and lose about 1e-6 relative at 512^2."""
+    c = _dot(x, f, wx)
+    c = c / _dot(x, x, wx) if c else 1.0
+    x, y = x * c, y / c
+    ex, ey = x - f, y - g
+    return (_dot(x, x, wx) * _dot(ey, ey, wy)
+            + 2.0 * _dot(x, ex, wx) * _dot(ey, g, wy)
+            + _dot(ex, ex, wx) * _dot(g, g, wy))
 
 
 def error_norms_postprocessed(
@@ -170,25 +180,21 @@ def error_norms_postprocessed(
     """L2 (order 0) or broken H1-seminorm (order 1) distance to the exact
     field, by 5x5 Gauss quadrature per fine cell.
 
-    The mesh and the exact field are tensor products, so every term is
-    evaluated on the whole (n1, 5) x (n2, 5) Gauss grid at once."""
+    Each reconstructed component and the exact field are tensor products
+    of 1-D factors, and so is each derivative, so every squared distance
+    is a combination of 1-D Gauss sums over the (n1, 5) and (n2, 5)
+    tables."""
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
     mesh = field.mesh
     xq, wx = _gauss_table(mesh.node_x)
     yq, wy = _gauss_table(mesh.node_y)
     total = 0.0
-    for vals, xn, yn, sign, ex, ey in _components(field):
-        fine = vals.repeat(2, axis=0).repeat(2, axis=1)  # (n1, n2, p, q)
+    for (xv, yv), (sign, ex, ey) in zip(field.components, _TARGETS[field.kind]):
         for dx, dy in ((0, 0),) if order == 0 else ((1, 0), (0, 1)):
-            bx = _macro_basis(xn, vals.shape[2], xq, dx)
-            by = _macro_basis(yn, vals.shape[3], yq, dy)
-            # not optimize=True: its BLAS path reorders the (p, q) sums and
-            # moved the 128^2 norms of preset a by 1e-13; this pass sums the
-            # (p, q) terms of each point in turn and builds no intermediate
-            diff = np.einsum("iap,jbq,ijpq->iajb", bx, by, fine)
-            diff -= sign * exact.derivative(xq[:, :, None, None], yq,
-                                            ex + dx, ey + dy)
-            total += np.einsum("ia,iajb,jb->", wx, diff * diff, wy,
-                               optimize=True)
+            f, g = exact.factors(xq, yq, ex + dx, ey + dy)
+            total += _tensor_distance_sq(
+                _interpolant(mesh.node_x, xv, xq, dx),
+                _interpolant(mesh.node_y, yv, yq, dy),
+                sign * f, g, wx, wy)
     return float(np.sqrt(total))

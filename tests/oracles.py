@@ -5,7 +5,9 @@ library path it checks: a per-cell COO scatter for the direct CSR
 assembly, a dense 2-D eigensolve for the tensor-product solver, per-cell
 Lagrange evaluation for the batched postprocessing norms, and scalar
 analytic integrals per cell or edge for the batched cell and edge means.
-They use public rrteig names only.
+They use public rrteig names only.  ``factor_pair`` builds a pair from
+1-D factors the solver does not produce, to feed the postprocessing with
+chosen or random data.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from rrteig.assembly import layout
+from rrteig.eigensolve import MixedEigenpair
 
 
 def assemble_mixed_coo(mesh):
@@ -55,6 +58,16 @@ def assemble_mixed_coo(mesh):
     return A, B
 
 
+def factor_pair(v, w, flux_x, flux_y, scale=1.0):
+    """A pair with the given 1-D factors: u = w (x) v / scale, sx = w (x)
+    flux_x / scale and sy = flux_y (x) v / scale."""
+    return MixedEigenpair(lambda_h=0.0, v=np.asarray(v, float),
+                          w=np.asarray(w, float),
+                          flux_x=np.asarray(flux_x, float),
+                          flux_y=np.asarray(flux_y, float), scale=scale,
+                          residual_norm=0.0, mode=(1, 1))
+
+
 def dense_eigenvalues(system, k, cap=5000):
     """The k smallest eigenvalues of the pencil (B A^-1 B^T, M).
 
@@ -87,24 +100,27 @@ def eval_cell(field, i, j, x, y, deriv=None):
 
     ``deriv`` None gives values, 'x' or 'y' that partial derivative.  A
     'sigma' field gives (sx, sy), a 'u' field one array.  The macro-element
-    of the cell holds cells 2I, 2I + 1 by 2J, 2J + 1; its interpolation
-    nodes are the x-lines or cell-column midpoints in x, and the y-lines
-    or cell-row midpoints in y.
+    of the cell holds cells 2I, 2I + 1 by 2J, 2J + 1.  Each component is
+    interpolated from its window of the outer product of its two 1-D
+    factors; a factor of n + 1 values sits on the x- or y-lines, one of n
+    values at the cell-column or cell-row midpoints.
     """
     nx, ny = field.mesh.node_x, field.mesh.node_y
-    xc, yc = (nx[:-1] + nx[1:]) / 2.0, (ny[:-1] + ny[1:]) / 2.0
     I, J = i // 2, j // 2
 
-    def interp(vals, xn, yn):
-        p, q = vals.shape
+    def nodes(lines, vals):
+        return lines if len(vals) == len(lines) else (lines[:-1] + lines[1:]) / 2.0
+
+    def interp(xv, yv):
+        xn, yn = nodes(nx, xv), nodes(ny, yv)
+        p, q = len(xn) - len(nx) + 3, len(yn) - len(ny) + 3  # 3 or 2 nodes
+        vals = np.outer(xv[2 * I : 2 * I + p], yv[2 * J : 2 * J + q])
         bx = _basis(xn[2 * I : 2 * I + p], x, deriv == "x")
         by = _basis(yn[2 * J : 2 * J + q], y, deriv == "y")
         return np.einsum("...p,...q,pq->...", bx, by, vals)
 
-    if field.kind == "u":
-        return interp(field.u_vals[I, J], xc, yc)
-    return (interp(field.sx_vals[I, J], nx, yc),
-            interp(field.sy_vals[I, J], xc, ny))
+    out = tuple(interp(xv, yv) for xv, yv in field.components)
+    return out[0] if field.kind == "u" else out
 
 
 def _mode(fld):

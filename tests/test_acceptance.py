@@ -16,7 +16,7 @@ from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
 from rrteig.exact import FieldSample, enumerate_exact, rt_interpolate_exact
 from rrteig.mesh import build_mesh, uniform_mesh
 
-from oracles import cell_integral_u, dense_eigenvalues, eval_cell
+from oracles import cell_integral_u, dense_eigenvalues, eval_cell, factor_pair
 
 PI = np.pi
 
@@ -249,8 +249,8 @@ def test_criterion_11_frequency_resolution(report_a):
     system = assemble_mixed(mesh)
     pairs = solve_mixed_eigs(system, SolveOptions(k=i0 + 3))
     cluster = pairs[i0 : i0 + 3]
-    matches = match_frequencies(cluster, exact[i0].domain, PI / 64)
-    got = [(m.frequency.m, m.frequency.n) for m in matches]
+    matches = match_frequencies(cluster, mesh, exact[i0].domain)
+    got = [(m["m"], m["n"]) for m in matches]
     # ascending eigenvalues: the smaller (5,5) shift first, doubled (1,7) after
     ok = ok and got == [(5, 5), (1, 7), (1, 7)]
     ok = ok and abs(cluster[1].lambda_h - cluster[2].lambda_h) <= 1e-9 * 50
@@ -258,22 +258,18 @@ def test_criterion_11_frequency_resolution(report_a):
 
 
 def test_criterion_12_property_suites(system_a0, pairs_a0):
-    # bilinear reproduction of the flux postprocessing
+    # rank-one bilinear reproduction of the flux postprocessing:
+    # sx = sy = (0.4 - 0.8 x)(0.6 + 1.2 y), every monomial coefficient
+    # nonzero, from its edge means, which are edge-midpoint values
     from rrteig.postprocess import i2h_sigma
 
     mesh = uniform_mesh(0.0, 1.0, 4, 0.0, 1.0, 4)
-    lay = layout(mesh)
-    dofs = np.empty(lay.n_sigma)
-    f = lambda x, y: 0.4 - 0.8 * x + 0.6 * y + 1.2 * x * y
-    for j in range(mesh.n2):
-        ym = (mesh.node_y[j] + mesh.node_y[j + 1]) / 2
-        for i in range(mesh.n1 + 1):
-            dofs[lay.xedge_index(i, j)] = f(mesh.node_x[i], ym)
-    for j in range(mesh.n2 + 1):
-        for i in range(mesh.n1):
-            xm = (mesh.node_x[i] + mesh.node_x[i + 1]) / 2
-            dofs[lay.yedge_index(i, j)] = f(xm, mesh.node_y[j])
-    fld = i2h_sigma(mesh, dofs)
+    nx, ny = mesh.node_x, mesh.node_y
+    xm, ym = (nx[:-1] + nx[1:]) / 2, (ny[:-1] + ny[1:]) / 2
+    f = lambda x, y: (0.4 - 0.8 * x) * (0.6 + 1.2 * y)
+    pair = factor_pair(v=0.4 - 0.8 * xm, w=0.6 + 1.2 * ym,
+                       flux_x=0.4 - 0.8 * nx, flux_y=0.6 + 1.2 * ny)
+    fld = i2h_sigma(mesh, pair)
     rng = np.random.default_rng(1)
     repro_ok = True
     for _ in range(10):

@@ -1,6 +1,8 @@
 """Expansion terms, convergence rates, extrapolation, bounds, frequency
 matching and eigenspace gaps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,10 +16,12 @@ from rrteig.analysis import (
     lower_bound_margin,
     match_frequencies,
 )
-from rrteig.eigensolve import MixedEigenpair
+from rrteig.cli import ExperimentConfig, run_case
 from rrteig.errors import DimensionMismatch
 from rrteig.exact import FieldSample
 from rrteig.mesh import uniform_mesh, uniform_refine
+
+from oracles import factor_pair
 
 PI = np.pi
 
@@ -75,41 +79,68 @@ def test_lower_bound_margin_formula():
 
 def _labelled(lambda_h, mode):
     """A pair that carries only what frequency matching reads."""
-    return MixedEigenpair(lambda_h=lambda_h, sigma_coeffs=np.empty(0),
-                          u_coeffs=np.empty(0), residual_norm=0.0, mode=mode)
+    return dataclasses.replace(factor_pair([], [], [], []),
+                               lambda_h=lambda_h, mode=mode)
 
 
 def test_match_frequencies_single_pair():
     """lambda = 5: the (2, 1) and (1, 2) modes are both the unordered pair
-    (1, 2) on the square, shifted from 5 by 17 h^2 / 12; on a rectangle a
+    (1, 2) on the square, and on a uniform h-mesh of [0, pi]^2 their
+    predicted shift, the expansion term, is 17 h^2 / 12; on a rectangle a
     label keeps its order."""
-    h = 0.05
+    n = 60
+    h = PI / n
     shift = 17 * h * h / 12.0
     pairs = [_labelled(5 + shift, (2, 1)),
              _labelled(5 + shift * 1.001, (1, 2))]
-    matches = match_frequencies(pairs, (PI, PI), h)
-    assert all((m.frequency.m, m.frequency.n) == (1, 2) for m in matches)
-    assert all(m.predicted_shift == shift for m in matches)
-    assert [m.observed_shift for m in matches] == [p.lambda_h - 5.0
-                                                   for p in pairs]
-    (rect,) = match_frequencies([_labelled(5.0, (2, 1))], (PI, 2 * PI), h)
-    assert (rect.frequency.m, rect.frequency.n) == (2, 1)
-    assert rect.observed_shift == 5.0 - (4.0 + 0.25)
+    matches = match_frequencies(pairs, uniform_mesh(0, PI, n, 0, PI, n),
+                                (PI, PI))
+    assert all((m["m"], m["n"]) == (1, 2) for m in matches)
+    assert all(m["predicted_shift"] == pytest.approx(shift, rel=1e-14)
+               for m in matches)
+    assert [m["observed_shift"] for m in matches] == [p.lambda_h - 5.0
+                                                      for p in pairs]
+    (rect,) = match_frequencies([_labelled(5.0, (2, 1))],
+                                uniform_mesh(0, PI, n, 0, 2 * PI, 2 * n),
+                                (PI, 2 * PI))
+    assert (rect["m"], rect["n"]) == (2, 1)
+    assert rect["observed_shift"] == 5.0 - (4.0 + 0.25)
 
 
 def test_match_frequencies_triple_cluster():
-    """lambda = 50 splits into one (5,5) member and two (1,7) members."""
-    h = 0.02
+    """lambda = 50 splits into one (5,5) member and two (1,7) members,
+    predicted (m^4 + n^4) h^2 / 12 on a uniform mesh of [0, pi]^2."""
+    n = 150
+    h = PI / n
     s55 = 1250 * h * h / 12.0
     s17 = 2402 * h * h / 12.0
     matches = match_frequencies(
         [_labelled(50 + s55 * 1.0001, (5, 5)),
          _labelled(50 + s17 * 0.9999, (7, 1)),
-         _labelled(50 + s17 * 1.0001, (1, 7))], (PI, PI), h
+         _labelled(50 + s17 * 1.0001, (1, 7))],
+        uniform_mesh(0, PI, n, 0, PI, n), (PI, PI)
     )
-    got = [(m.frequency.m, m.frequency.n) for m in matches]
+    got = [(m["m"], m["n"]) for m in matches]
     assert got == [(5, 5), (1, 7), (1, 7)]
-    assert [m.predicted_shift for m in matches] == [s55, s17, s17]
+    assert [m["predicted_shift"] for m in matches] == [
+        pytest.approx(s, rel=1e-14) for s in (s55, s17, s17)]
+
+
+def test_match_frequencies_off_the_pi_square():
+    """On uniform 32^2 of [0, 1]^2 the predicted shift of each cluster
+    member is within 1 % of its observed shift lambda_h - lambda; a weight
+    of m^4 + n^4 in place of the wave numbers' (kx^4 + ky^4) misses it by
+    a factor pi^4."""
+    nodes = tuple(np.linspace(0.0, 1.0, 9))
+    config = ExperimentConfig(name="unit", node_x=nodes, node_y=nodes,
+                              levels=2, analyses=("frequencies",))
+    report = run_case(config)
+    assert "failures" not in report.config
+    matches = report.levels[2]["frequency_matches"]
+    assert {(m["m"], m["n"]) for m in matches} == {(1, 2), (1, 3)}
+    for m in matches:
+        assert abs(m["predicted_shift"] - m["observed_shift"]) <= (
+            0.01 * m["observed_shift"])
 
 
 def test_eigenvalue_error_dominated_by_h2_term():

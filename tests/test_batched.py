@@ -1,25 +1,35 @@
 """Whole-mesh kernels against their per-cell oracles on random tensor
-meshes: postprocessed error norms (oracles.eval_cell and the pointwise
-exact derivative, 5x5 Gauss per fine cell), cell means
+meshes: postprocessed error norms of random and of solved pairs
+(oracles.eval_cell and the pointwise exact derivative, 5x5 Gauss per fine
+cell), cell means
 (oracles.cell_integral_u), edge-flux means (oracles.mean_flux_x /
 mean_flux_y) and the h^2 expansion term (Gauss quadrature of u_xx^2 and
 u_yy^2 per cell)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rrteig.analysis import expansion_term
-from rrteig.assembly import layout
+from rrteig.assembly import assemble_mixed, layout
+from rrteig.cli import _sign_matched
+from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
 from rrteig.exact import (
     FieldSample,
     enumerate_exact,
     l2_project_exact,
     rt_interpolate_exact,
 )
-from rrteig.mesh import build_mesh
+from rrteig.mesh import build_mesh, uniform_mesh
 from rrteig.postprocess import error_norms_postprocessed, i2h_sigma, j2h_u
 
-from oracles import cell_integral_u, eval_cell, mean_flux_x, mean_flux_y
+from oracles import (
+    cell_integral_u,
+    eval_cell,
+    factor_pair,
+    mean_flux_x,
+    mean_flux_y,
+)
 
 _GX, _GW = np.polynomial.legendre.leggauss(5)
 # int_K u_xx^2 oscillates up to ~14 pi across one cell of the coarsest
@@ -107,17 +117,47 @@ def _assert_close(got, want, rel):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(mesh=_meshes(), data=st.data())
 def test_error_norms_against_per_cell_oracle(mesh, data):
-    """Both reconstructions of random DOF vectors, L2 and broken H1,
-    to 1e-12 relative."""
+    """Both reconstructions of random 1-D factors and a random scale, L2
+    and broken H1, to 1e-12 relative to the error, which is O(1) here."""
     exact = data.draw(_fields(mesh), label="field")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    fields = (i2h_sigma(mesh, rng.standard_normal(layout(mesh).n_sigma)),
-              j2h_u(mesh, rng.standard_normal(mesh.n_cells)))
-    for field in fields:
+    n1, n2 = mesh.n1, mesh.n2
+    pair = factor_pair(*(rng.standard_normal(n) for n in (n1, n2, n1 + 1, n2 + 1)),
+                       scale=rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+    for field in (i2h_sigma(mesh, pair), j2h_u(mesh, pair)):
         for order in (0, 1):
             got = error_norms_postprocessed(field, exact, order)
             want = _oracle_norm(field, exact, order)
             assert abs(got - want) <= 1e-12 * want, (field.kind, order)
+
+
+def _even_random_mesh():
+    rng = np.random.default_rng(17)
+    return build_mesh(_nodes(rng.uniform(1.0, 4.0, 12), 2.0),
+                      _nodes(rng.uniform(1.0, 4.0, 16), 1.3))
+
+
+@pytest.mark.parametrize("mesh", [uniform_mesh(0, np.pi, 32, 0, np.pi, 32),
+                                  _even_random_mesh()],
+                         ids=["a_32", "random_12x16"])
+def test_solved_pair_norms_against_per_cell_oracle(mesh):
+    """The first solved pair, sign-matched to mode (1, 1), on preset a's
+    32^2 level and on a random even nonuniform mesh: every norm to 1e-14
+    times the exact field's norm of the same order, sqrt(lambda) to the
+    power order + 1 for sigma and order for u.  Its errors are near 1e-4
+    to 1e-3, so a bound relative to them would ask for what neither path
+    resolves."""
+    system = assemble_mixed(mesh)
+    fld = FieldSample(1, 1, (mesh.node_x[-1], mesh.node_y[-1]))
+    (pair,) = solve_mixed_eigs(system, SolveOptions(k=1))
+    pair = _sign_matched(pair, l2_project_exact(mesh, fld), system.M)
+    for field in (i2h_sigma(mesh, pair), j2h_u(mesh, pair)):
+        for order in (0, 1):
+            power = order + (field.kind == "sigma")
+            got = error_norms_postprocessed(field, fld, order)
+            want = _oracle_norm(field, fld, order)
+            assert abs(got - want) <= 1e-14 * fld.value ** (power / 2), (
+                field.kind, order)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

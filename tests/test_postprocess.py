@@ -1,12 +1,13 @@
 """Postprocessing operators: polynomial reproduction, locality,
 boundedness; supercloseness norm plumbing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from rrteig.assembly import layout
 from rrteig.errors import LayoutMismatch, OddMeshDimensions
-from rrteig.exact import FieldSample
+from rrteig.exact import FieldSample, l2_project_exact, rt_interpolate_exact
 from rrteig.mesh import build_mesh, uniform_mesh
 from rrteig.postprocess import (
     error_norms_postprocessed,
@@ -15,7 +16,7 @@ from rrteig.postprocess import (
     supercloseness_norms,
 )
 
-from oracles import eval_cell
+from oracles import eval_cell, factor_pair
 
 PI = np.pi
 
@@ -24,103 +25,102 @@ def _nonuniform_even_mesh():
     return build_mesh([0.0, 0.5, 0.9, 1.6, 2.0], [0.0, 0.4, 1.0, 1.3, 2.1])
 
 
-def _bilinear_edge_dofs(mesh, fx, fy):
-    """Edge-mean DOFs of the field (fx, fy) with components linear per
-    direction: means reduce to midpoint values."""
-    lay = layout(mesh)
-    out = np.empty(lay.n_sigma)
-    nx, ny = mesh.node_x, mesh.node_y
-    for j in range(mesh.n2):
-        ym = (ny[j] + ny[j + 1]) / 2
-        for i in range(mesh.n1 + 1):
-            out[lay.xedge_index(i, j)] = fx(nx[i], ym)
-    for j in range(mesh.n2 + 1):
-        for i in range(mesh.n1):
-            xm = (nx[i] + nx[i + 1]) / 2
-            out[lay.yedge_index(i, j)] = fy(xm, ny[j])
-    return out
+def _mids(nodes):
+    return (nodes[:-1] + nodes[1:]) / 2
+
+
+def _cell_points(mesh, rng, i, j, n=3):
+    return (rng.uniform(mesh.node_x[i], mesh.node_x[i + 1], n),
+            rng.uniform(mesh.node_y[j], mesh.node_y[j + 1], n))
 
 
 def test_q11_reproduction_sigma():
-    """Globally bilinear flux data is reconstructed exactly (to 1e-13)."""
+    """Rank-one bilinear flux data, sx = (0.3 - 0.7 x)(1.1 + 0.5 y) and
+    sy = (-1.0 + 0.2 x)(0.9 - 0.8 y), every monomial coefficient nonzero,
+    is reconstructed exactly (to 1e-13); the factors x and v carry the
+    scale -1.5, which the reconstruction divides out."""
     mesh = _nonuniform_even_mesh()
+    nx, ny = mesh.node_x, mesh.node_y
+    scale = -1.5
 
     def fx(x, y):
-        return 0.3 - 0.7 * x + 1.1 * y + 0.5 * x * y
+        return (0.3 - 0.7 * x) * (1.1 + 0.5 * y)
 
     def fy(x, y):
-        return -1.0 + 0.2 * x - 0.9 * y + 0.8 * x * y
+        return (-1.0 + 0.2 * x) * (0.9 - 0.8 * y)
 
-    field = i2h_sigma(mesh, _bilinear_edge_dofs(mesh, fx, fy))
+    # edge means of a field linear along the edge are midpoint values
+    pair = factor_pair(v=scale * (-1.0 + 0.2 * _mids(nx)),
+                       w=1.1 + 0.5 * _mids(ny),
+                       flux_x=scale * (0.3 - 0.7 * nx),
+                       flux_y=0.9 - 0.8 * ny, scale=scale)
+    field = i2h_sigma(mesh, pair)
     rng = np.random.default_rng(2)
     for _ in range(20):
-        i = rng.integers(0, mesh.n1)
-        j = rng.integers(0, mesh.n2)
-        x = rng.uniform(mesh.node_x[i], mesh.node_x[i + 1], 3)
-        y = rng.uniform(mesh.node_y[j], mesh.node_y[j + 1], 3)
-        sx, sy = eval_cell(field, int(i), int(j), x, y)
+        i = int(rng.integers(0, mesh.n1))
+        j = int(rng.integers(0, mesh.n2))
+        x, y = _cell_points(mesh, rng, i, j)
+        sx, sy = eval_cell(field, i, j, x, y)
         np.testing.assert_allclose(sx, fx(x, y), atol=1e-13)
         np.testing.assert_allclose(sy, fy(x, y), atol=1e-13)
 
 
 def test_q11_reproduction_u():
+    """u = (2.0 + 0.3 x)(-0.6 + 0.9 y), every monomial coefficient
+    nonzero, from its cell means, which are its centroid values."""
     mesh = _nonuniform_even_mesh()
 
     def f(x, y):
-        return 2.0 + 0.3 * x - 0.6 * y + 0.9 * x * y
+        return (2.0 + 0.3 * x) * (-0.6 + 0.9 * y)
 
-    # cell mean of a bilinear equals its centroid value
     nx, ny = mesh.node_x, mesh.node_y
-    u = np.empty(mesh.n_cells)
-    for j in range(mesh.n2):
-        for i in range(mesh.n1):
-            u[layout(mesh).cell_index(i, j)] = f(
-                (nx[i] + nx[i + 1]) / 2, (ny[j] + ny[j + 1]) / 2
-            )
-    field = j2h_u(mesh, u)
+    pair = factor_pair(v=2.0 + 0.3 * _mids(nx), w=-0.6 + 0.9 * _mids(ny),
+                       flux_x=np.zeros(mesh.n1 + 1),
+                       flux_y=np.zeros(mesh.n2 + 1))
+    field = j2h_u(mesh, pair)
     rng = np.random.default_rng(3)
     for _ in range(20):
         i = int(rng.integers(0, mesh.n1))
         j = int(rng.integers(0, mesh.n2))
-        x = rng.uniform(nx[i], nx[i + 1], 3)
-        y = rng.uniform(ny[j], ny[j + 1], 3)
+        x, y = _cell_points(mesh, rng, i, j)
         np.testing.assert_allclose(eval_cell(field, i, j, x, y), f(x, y),
                                    atol=1e-13)
 
 
 def test_locality():
-    """Perturbing one edge DOF changes only its own macro-element."""
+    """Perturbing one factor value changes the reconstruction only in the
+    macro-elements whose window holds it: flux_x[1], an x-line inside macro
+    column 0, moves sx there alone; w[0], a row midpoint of macro row 0,
+    moves sx and u there alone; sy moves in neither case."""
     mesh = uniform_mesh(0.0, 1.0, 4, 0.0, 1.0, 4)
-    lay = layout(mesh)
     rng = np.random.default_rng(4)
-    base = rng.standard_normal(lay.n_sigma)
-    bumped = base.copy()
-    bumped[lay.xedge_index(1, 0)] += 1.0  # inside macro block (0, 0)
-    f0 = i2h_sigma(mesh, base)
-    f1 = i2h_sigma(mesh, bumped)
-    x = np.array([0.6, 0.9])
-    y = np.array([0.6, 0.9])
-    for i, j in ((2, 2), (3, 0), (0, 3)):  # cells of other macro blocks
-        s0 = eval_cell(f0, i, j, x, y)
-        s1 = eval_cell(f1, i, j, x, y)
-        np.testing.assert_array_equal(s0[0], s1[0])
-        np.testing.assert_array_equal(s0[1], s1[1])
-    # and it does change its own block
-    assert not np.allclose(
-        eval_cell(f0, 0, 0, np.array([0.1]), np.array([0.1]))[0],
-        eval_cell(f1, 0, 0, np.array([0.1]), np.array([0.1]))[0],
-    )
+    base = factor_pair(*(rng.standard_normal(n) for n in (4, 4, 5, 5)))
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    points = {c: _cell_points(mesh, rng, *c, n=2) for c in cells}
+
+    def moved(field, bumped, i, j):
+        """Per component: does the bump change it on cell (i, j)?"""
+        before = np.atleast_2d(eval_cell(field(mesh, base), i, j, *points[i, j]))
+        after = np.atleast_2d(eval_cell(field(mesh, bumped), i, j, *points[i, j]))
+        return [not np.array_equal(b, a) for b, a in zip(before, after)]
+
+    bump_x = dataclasses.replace(base, flux_x=base.flux_x + np.eye(5)[1])
+    bump_w = dataclasses.replace(base, w=base.w + np.eye(4)[0])
+    for i, j in cells:
+        assert moved(i2h_sigma, bump_x, i, j) == [i < 2, False]
+        assert moved(i2h_sigma, bump_w, i, j) == [j < 2, False]
+        assert moved(j2h_u, bump_w, i, j) == [j < 2]
 
 
 def test_boundedness():
-    """Reconstruction values are bounded by a fixed multiple of the DOFs."""
+    """Reconstruction values are bounded by a fixed multiple of the
+    largest product of a component's factor values."""
     mesh = _nonuniform_even_mesh()
-    lay = layout(mesh)
     rng = np.random.default_rng(5)
-    sigma = rng.standard_normal(lay.n_sigma)
-    u = rng.standard_normal(mesh.n_cells)
-    fs = i2h_sigma(mesh, sigma)
-    fu = j2h_u(mesh, u)
+    pair = factor_pair(*(rng.standard_normal(n) for n in (4, 4, 5, 5)),
+                       scale=0.7)
+    fs = i2h_sigma(mesh, pair)
+    fu = j2h_u(mesh, pair)
     worst = 0.0
     for j in range(mesh.n2):
         y = np.linspace(mesh.node_y[j], mesh.node_y[j + 1], 5)
@@ -131,34 +131,59 @@ def test_boundedness():
             uu = eval_cell(fu, i, j, xg, yg)
             worst = max(worst, np.abs(sx).max(), np.abs(sy).max(),
                         np.abs(uu).max())
-    bound = 10.0 * max(np.abs(sigma).max(), np.abs(u).max())
+    bound = 10.0 * max(np.abs(xv).max() * np.abs(yv).max()
+                       for xv, yv in fs.components + fu.components)
     assert worst <= bound
 
 
 def test_odd_mesh_rejected():
     mesh = uniform_mesh(0.0, 1.0, 3, 0.0, 1.0, 4)
+    pair = factor_pair(np.zeros(3), np.zeros(4), np.zeros(4), np.zeros(5))
     with pytest.raises(OddMeshDimensions):
-        i2h_sigma(mesh, np.zeros(layout(mesh).n_sigma))
+        i2h_sigma(mesh, pair)
     with pytest.raises(OddMeshDimensions):
-        j2h_u(mesh, np.zeros(mesh.n_cells))
+        j2h_u(mesh, pair)
 
 
 def test_length_mismatch():
+    """Each factor the reconstruction reads must fit the mesh: v n1, w n2,
+    flux_x n1 + 1 and flux_y n2 + 1 values."""
     mesh = uniform_mesh(0.0, 1.0, 4, 0.0, 1.0, 4)
-    with pytest.raises(LayoutMismatch):
-        i2h_sigma(mesh, np.zeros(3))
-    with pytest.raises(LayoutMismatch):
-        j2h_u(mesh, np.zeros(3))
+    fits = factor_pair(np.zeros(4), np.zeros(4), np.zeros(5), np.zeros(5))
+    i2h_sigma(mesh, fits)
+    j2h_u(mesh, fits)
+    for name in ("v", "w", "flux_x", "flux_y"):
+        short = dataclasses.replace(fits, **{name: np.zeros(3)})
+        with pytest.raises(LayoutMismatch):
+            i2h_sigma(mesh, short)
+        if name in ("v", "w"):
+            with pytest.raises(LayoutMismatch):
+                j2h_u(mesh, short)
+        else:
+            j2h_u(mesh, short)
 
 
 def test_error_norm_exact_field_small():
-    """Postprocessed exact interpolants are close to the exact field."""
-    from rrteig.exact import l2_project_exact, rt_interpolate_exact
-
+    """Postprocessed exact interpolants are close to the exact field.  The
+    interpolants of mode (1, 1) are rank one: their factors are the 1-D
+    cell means of the two sines and the flux amp kx cos(kx x), ky cos(ky y)
+    on the node lines, checked here against the library's 2-D
+    interpolants."""
     mesh = uniform_mesh(0.0, PI, 8, 0.0, PI, 8)
     fld = FieldSample(1, 1)
-    fs = i2h_sigma(mesh, rt_interpolate_exact(mesh, fld))
-    fu = j2h_u(mesh, l2_project_exact(mesh, fld))
+    nx, ny = mesh.node_x, mesh.node_y
+    kx, ky, amp = fld.kx, fld.ky, fld.amp
+    pair = factor_pair(
+        v=amp * (np.cos(kx * nx[:-1]) - np.cos(kx * nx[1:])) / kx / mesh.hx,
+        w=(np.cos(ky * ny[:-1]) - np.cos(ky * ny[1:])) / ky / mesh.hy,
+        flux_x=-amp * kx * np.cos(kx * nx), flux_y=-ky * np.cos(ky * ny))
+    np.testing.assert_allclose(pair.u_coeffs, l2_project_exact(mesh, fld),
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(pair.sigma_coeffs,
+                               rt_interpolate_exact(mesh, fld),
+                               rtol=0, atol=1e-14)
+    fs = i2h_sigma(mesh, pair)
+    fu = j2h_u(mesh, pair)
     # h^2-superconvergent ballpark at h = pi/8
     assert error_norms_postprocessed(fs, fld, order=0) < 0.1
     assert error_norms_postprocessed(fu, fld, order=0) < 0.05
@@ -166,8 +191,6 @@ def test_error_norm_exact_field_small():
 
 
 def test_supercloseness_norms_plumbing(system_a0, pairs_a0):
-    from rrteig.exact import l2_project_exact, rt_interpolate_exact
-
     fld = FieldSample(1, 1)
     mesh = system_a0.mesh
     sigma_i = rt_interpolate_exact(mesh, fld)
