@@ -48,12 +48,7 @@ from .analysis import (
     match_frequencies,
     eigenspace_gap,
 )
-from .equivalence import (
-    PeqSolution,
-    EquivalenceReport,
-    solve_peq_eigs,
-    verify_equivalence,
-)
+from .equivalence import EquivalenceReport, verify_equivalence
 from .cli import ExperimentConfig, RunReport, case_preset, run_case, emit_tables
 from . import errors
 

@@ -329,13 +329,14 @@ def assemble_peq(mesh: TensorMesh) -> PeqSystem:
 
 
 def peq_cell_gradient(mesh: TensorMesh, coeffs_full: np.ndarray):
-    """Edge values of the cellwise gradient of an enriched-space function.
+    """Edge values of the cellwise gradient of enriched-space functions.
 
     ``coeffs_full`` holds all integral DOFs (edges then cells, boundary
-    included).  The x component of the gradient is linear in x and constant
-    in y, so it is determined by its values on the left and right edges of
-    each cell; analogously in y.  Returns (gxL, gxR, gyB, gyT), each of
-    length n_cell in row-major cell order.
+    included) in its rows, one function or one column per function.  The
+    x component of the gradient is linear in x and constant in y, so it is
+    determined by its values on the left and right edges of each cell;
+    analogously in y.  Returns (gxL, gxR, gyB, gyT), each with n_cell rows
+    in row-major cell order and the columns of ``coeffs_full``.
     """
     lay = layout(mesh)
     ii, jj, hx, hy = _cell_arrays(mesh)
@@ -348,7 +349,10 @@ def peq_cell_gradient(mesh: TensorMesh, coeffs_full: np.ndarray):
             coeffs_full[lay.n_sigma + lay.cell_index(ii, jj)],
         ],
         axis=-1,
-    )  # (n_cell, 5)
+    )  # (n_cell, [k,] 5)
+    # per-cell factors broadcast over the columns
+    cells = (len(hx),) + (1,) * (coeffs_full.ndim - 1)
+    hx, hy = hx.reshape(cells), hy.reshape(cells)
     alpha = np.stack(
         [2.0 / hy, 2.0 / hy, 2.0 / hx, 2.0 / hx, 4.0 / (hx * hy)], axis=-1
     )

@@ -1,10 +1,12 @@
-"""Projected enriched rotated-bilinear solver and its numerical
-equivalence with the mixed flux scheme.
+"""Numerical equivalence of the mixed flux scheme with the projected
+enriched rotated-bilinear element, certified without an enriched
+eigensolve.
 
-The eigenproblem is solved on the enriched edge-mean space with the mass
-projected onto piecewise constants; the resulting scalar means and
-cellwise gradients coincide with the mixed solution, which
-verify_equivalence checks quantitatively."""
+One SuperLU factor of K - s M0, with s in the gap after the compared
+mixed eigenvalues, gives two things: its inertia counts the enriched
+eigenvalues below s, and one block solve lifts every compared mixed pair
+into the enriched space, where its Rayleigh quotient, cell means and
+cellwise gradient are compared with the mixed pair."""
 
 from __future__ import annotations
 
@@ -17,12 +19,8 @@ import scipy.sparse.linalg as spla
 from .assembly import MixedSystem, PeqSystem, assemble_peq, peq_cell_gradient
 from .analysis import eigenspace_gap
 from .eigensolve import MixedEigenpair
-from .errors import KTooLarge, SingularSystem
+from .errors import DimensionMismatch, SingularSystem
 from .mesh import TensorMesh
-
-# Lanczos start-vector seed and iteration cap of solve_peq_eigs
-_LANCZOS_SEED = 0
-_LANCZOS_MAX_ITERATIONS = 20000
 
 # relative gap below which consecutive eigenvalues are compared as one
 # cluster: a vector-by-vector comparison of two pairs a relative gap g
@@ -31,100 +29,19 @@ _LANCZOS_MAX_ITERATIONS = 20000
 _CLUSTER_REL_TOL = 1e-3
 
 
-@dataclass
-class PeqSolution:
-    """Enriched-space solution with its piecewise-constant shadow.
-
-    cell_means : Pi0 u per cell (row-major).
-    grad_edges : (gxL, gxR, gyB, gyT) edge values of the cellwise gradient.
-    """
-
-    cell_means: np.ndarray
-    grad_edges: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _solution(peq: PeqSystem, reduced: np.ndarray) -> PeqSolution:
-    """The solution whose free integral DOFs are ``reduced``; boundary
-    edge DOFs are 0."""
-    full = np.zeros(peq.layout.n_sigma + peq.layout.n_cell)
-    full[peq.free] = reduced
-    cell_means = full[peq.layout.n_sigma :] / peq.mesh.cell_areas
-    return PeqSolution(cell_means=cell_means,
-                       grad_edges=peq_cell_gradient(peq.mesh, full))
-
-
-def solve_peq_eigs(peq: PeqSystem, k: int) -> list[tuple[float, PeqSolution]]:
-    """k smallest finite eigenvalues of the pencil (K, M0).
-
-    The semidefinite mass acts on cell DOFs only; the kernel directions
-    (edge components) are condensed through the stiffness, which reduces
-    the pencil to an SPD problem of size n_cell.  The inverse of the
-    condensed operator is applied through one factorization of K.
-    """
-    n_cell = peq.n_cell
-    if k > n_cell:
-        raise KTooLarge(f"k={k} exceeds finite spectrum size {n_cell}")
-    try:
-        lu = spla.splu(peq.K.tocsc())
-    except RuntimeError as exc:
-        raise SingularSystem(str(exc)) from exc
-
-    mc = peq.M0_diag[peq.n_edge_free :]
-    mc_sqrt = np.sqrt(mc)
-    ne = peq.n_edge_free
-
-    def inv_apply(y):
-        rhs = np.zeros(len(peq.free))
-        rhs[ne:] = mc_sqrt * y
-        sol = lu.solve(rhs)
-        return mc_sqrt * sol[ne:]
-
-    k_int = min(k + 2, n_cell)
-    if n_cell <= max(40, k_int + 2):
-        mat = np.column_stack([inv_apply(col) for col in np.eye(n_cell)])
-        mat = (mat + mat.T) / 2.0
-        mu, vec = np.linalg.eigh(mat)
-    else:
-        op = spla.LinearOperator((n_cell, n_cell), matvec=inv_apply, dtype=float)
-        rng = np.random.default_rng(_LANCZOS_SEED)
-        v0 = rng.standard_normal(n_cell)
-        mu, vec = spla.eigsh(
-            op, k=k_int, which="LM", v0=v0, tol=0.0,
-            maxiter=_LANCZOS_MAX_ITERATIONS,
-        )
-    order = np.argsort(mu)[::-1][:k]
-
-    out = []
-    for idx in order:
-        lam = 1.0 / mu[idx]
-        vc = vec[:, idx] / mc_sqrt
-        # normalize ||Pi0 u|| = 1 and fix the sign on the largest cell mean
-        nrm = np.sqrt(float(vc @ (mc * vc)))
-        vc = vc / nrm
-        means = vc * mc  # integral DOF -> mean is  c_K / |K| = c_K * (1/|K|)
-        if means[int(np.argmax(np.abs(means)))] < 0:
-            vc = -vc
-        rhs = np.zeros(len(peq.free))
-        rhs[ne:] = lam * mc * vc
-        reduced = lu.solve(rhs)
-        # replace the cell block by the normalized eigenvector for exactness
-        reduced[ne:] = vc
-        out.append((float(lam), _solution(peq, reduced)))
-    out.sort(key=lambda t: t[0])
-    return out
-
-
-def interior_flux_jumps(mesh: TensorMesh, sol: PeqSolution):
-    """Maximal jump of the normal gradient component across interior edges."""
+def interior_flux_jumps(mesh: TensorMesh, grad_edges) -> float:
+    """Maximal jump of the normal gradient component across interior
+    edges, over every column of the peq_cell_gradient edge values."""
     n1, n2 = mesh.n1, mesh.n2
-    gxL, gxR, gyB, gyT = [g.reshape(n2, n1) for g in sol.grad_edges]
+    gxL, gxR, gyB, gyT = [g.reshape(n2, n1, -1) for g in grad_edges]
     jump_x = np.abs(gxR[:, :-1] - gxL[:, 1:]).max() if n1 > 1 else 0.0
     jump_y = np.abs(gyT[:-1, :] - gyB[1:, :]).max() if n2 > 1 else 0.0
     return float(max(jump_x, jump_y))
 
 
-def gradient_to_sigma_coeffs(mesh: TensorMesh, sol: PeqSolution) -> np.ndarray:
-    """Negative gradient as a flux DOF vector (averaging shared edges).
+def gradient_to_sigma_coeffs(mesh: TensorMesh, grad_edges) -> np.ndarray:
+    """Negative gradient as flux DOFs (averaging shared edges), one column
+    per column of the peq_cell_gradient edge values.
 
     The theory makes the normal component continuous across interior
     edges, so the average is exact up to solver tolerance; the actual jump
@@ -133,16 +50,17 @@ def gradient_to_sigma_coeffs(mesh: TensorMesh, sol: PeqSolution) -> np.ndarray:
     i2h_sigma reads them.
     """
     n1, n2 = mesh.n1, mesh.n2
-    gxL, gxR, gyB, gyT = [g.reshape(n2, n1) for g in sol.grad_edges]
-    sx = np.zeros((n2, n1 + 1))
+    cols = grad_edges[0].shape[1:]
+    gxL, gxR, gyB, gyT = [g.reshape(n2, n1, *cols) for g in grad_edges]
+    sx = np.zeros((n2, n1 + 1, *cols))
     sx[:, :-1] -= gxL
     sx[:, 1:] -= gxR
     sx[:, 1:-1] /= 2
-    sy = np.zeros((n2 + 1, n1))
+    sy = np.zeros((n2 + 1, n1, *cols))
     sy[:-1] -= gyB
     sy[1:] -= gyT
     sy[1:-1] /= 2
-    return np.concatenate([sx.ravel(), sy.ravel()])
+    return np.concatenate([sx.reshape(-1, *cols), sy.reshape(-1, *cols)])
 
 
 @dataclass(frozen=True)
@@ -184,68 +102,122 @@ def _clusters(lambdas):
     return groups
 
 
+def _shifted_factor(peq: PeqSystem, shift: float):
+    """SuperLU factor of K - shift M0 and the number of enriched
+    eigenvalues below ``shift``.
+
+    The factorisation pivots on the diagonal only, under one symmetric
+    permutation P, so P (K - shift M0) P^T = L U with U = D L^T.  K is SPD
+    and M0 vanishes on the edge block, so by Sylvester's law of inertia
+    the negative pivots of D count the finite eigenvalues of (K, M0) below
+    the shift (the Sturm sequence check of shift-invert eigensolvers).  A
+    zero pivot forces an off-diagonal one and breaks the symmetry, which
+    raises SingularSystem, as does an exactly singular matrix."""
+    shifted = (peq.K - sp.diags(shift * peq.M0_diag)).tocsc()
+    try:
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SingularSystem(f"K - {shift:.17g} M0: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SingularSystem(
+            f"K - {shift:.17g} M0: pivoting left the diagonal, so its "
+            "inertia is unknown")
+    return lu, int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
 def verify_equivalence(
     system: MixedSystem, pairs: list[MixedEigenpair], k: int
 ) -> EquivalenceReport:
-    """Compare the first k mixed pairs with the enriched-element pairs.
+    """Certify that the first k mixed pairs are the first k enriched-element
+    pairs, and measure how closely each coincides.
 
     ``pairs`` are the ascending mixed eigenpairs already solved on
-    ``system``; only the enriched element is solved here, for as many
-    pairs.  Pairs past index k serve to complete a cluster that straddles
-    k, so pass a few more than k where the spectrum holds them.
-    Clusters (consecutive eigenvalues within a relative gap of
-    _CLUSTER_REL_TOL) are compared through the subspace they span; simple
-    eigenvalues are compared vector by vector with the sign resolved by
-    the norm itself."""
-    mesh = system.mesh
-    peq_pairs = solve_peq_eigs(assemble_peq(mesh), len(pairs))
+    ``system``.  Clusters (consecutive eigenvalues within a relative gap
+    of _CLUSTER_REL_TOL) are compared whole, so pairs past index k serve
+    to complete a cluster that straddles k and to show the gap after it:
+    pass a few more than k where the spectrum holds them.  The shift s is
+    the middle of that gap, or twice the top eigenvalue when ``pairs``
+    holds the whole spectrum.  Two checks certify the equivalence, each
+    raising DimensionMismatch when it fails:
 
-    lambdas = [p.lambda_h for p in pairs]
+    - count: the inertia of K - s M0 (``_shifted_factor``) finds as many
+      enriched eigenvalues below s as there are compared mixed pairs;
+    - lift: each compared pair (lambda, u) lifts to the enriched solution
+      x of (K - s M0) x = (lambda - s) M0 u~, u~ the cell integrals of u,
+      all in one block solve.  x has the enriched residual
+      (lambda - s) M0 (u~ - x_cells), so an enriched eigenvalue lies
+      within |lambda - s| ||u - Pi0 x|| / ||Pi0 x|| of lambda (M-norms),
+      and that radius must stay below the cluster tolerance.
+
+    A gap that the solved pairs do not reach raises DimensionMismatch too.
+    The report compares each lift with its pair: eigenvalue (Rayleigh
+    quotient), flux (negative cellwise gradient, A-norm) and cell means
+    (M-norm); clusters through the subspaces they span."""
+    mesh = system.mesh
+    peq = assemble_peq(mesh)
+    lambdas = np.array([p.lambda_h for p in pairs])
+    groups = [g for g in _clusters(lambdas) if g[0] < k]
+    n = groups[-1][-1] + 1  # compared pairs: all below the shift
+    if n < len(pairs):
+        shift = 0.5 * (lambdas[n - 1] + lambdas[n])
+    elif n == peq.n_cell:
+        shift = 2.0 * lambdas[-1]
+    else:
+        raise DimensionMismatch(
+            f"no gap after the {n} solved pairs: the cluster at "
+            f"{lambdas[-1]:.17g} may continue past them")
+    lu, count = _shifted_factor(peq, shift)
+    if count != n:
+        raise DimensionMismatch(
+            f"{count} enriched and {n} mixed eigenvalues lie below "
+            f"{shift:.17g}")
+
+    u = np.column_stack([p.u_coeffs for p in pairs[:n]])
+    ne = peq.n_edge_free
+    rhs = np.zeros((len(peq.free), n))
+    rhs[ne:] = u * (lambdas[:n] - shift)  # M0 u~ is u on the cell rows
+    x = lu.solve(rhs)
+    full = np.zeros((peq.layout.n_sigma + peq.n_cell, n))
+    full[peq.free] = x
+    means = x[ne:] / mesh.cell_areas[:, None]
+    grads = peq_cell_gradient(mesh, full)
+    sig_peq = gradient_to_sigma_coeffs(mesh, grads)
+    sig_rrt = np.column_stack([p.sigma_coeffs for p in pairs[:n]])
+
+    m_norm = lambda d: np.sqrt(np.einsum("ij,ij->j", d, system.M[:, None] * d))
+    norm_means = m_norm(means)  # x^T M0 x = ||Pi0 x||^2
+    lam_peq = np.einsum("ij,ij->j", x, peq.K @ x) / norm_means**2
+    u_disc = m_norm(u - means)
+    radius = np.abs(lambdas[:n] - shift) * u_disc / norm_means
+    bad = np.flatnonzero(radius > _CLUSTER_REL_TOL * lambdas[:n])
+    if len(bad):
+        i = int(bad[0])
+        raise DimensionMismatch(
+            f"pair {i} at {lambdas[i]:.17g} lifts to no enriched pair of "
+            f"its cluster (residual radius {radius[i]:.3e})")
+    d_sig = sig_rrt - sig_peq
+    s_disc = np.sqrt(np.einsum("ij,ij->j", d_sig, system.A @ d_sig))
+
     entries = []
-    max_jump = 0.0
-    for group in _clusters(lambdas):
-        if group[0] >= k:
-            break
-        sig_rrt = [pairs[i].sigma_coeffs for i in group]
-        sig_peq = []
-        for i in group:
-            lam_p, sol = peq_pairs[i]
-            max_jump = max(max_jump, interior_flux_jumps(mesh, sol))
-            sig_peq.append(gradient_to_sigma_coeffs(mesh, sol))
+    for group in groups:
         if len(group) == 1:
-            i = group[0]
-            lam_r, lam_p = lambdas[i], peq_pairs[i][0]
-            d_plus = sig_rrt[0] - sig_peq[0]
-            d_minus = sig_rrt[0] + sig_peq[0]
-            nrm = lambda d: float(np.sqrt(d @ (system.A @ d)))
-            sdisc = min(nrm(d_plus), nrm(d_minus))
-            um = peq_pairs[i][1].cell_means
-            du_p = pairs[i].u_coeffs - um
-            du_m = pairs[i].u_coeffs + um
-            mnrm = lambda d: float(np.sqrt(d @ (system.M * d)))
-            udisc = min(mnrm(du_p), mnrm(du_m))
-            entries.append(EquivalenceEntry(
-                lambda_rrt=lam_r, lambda_peq=lam_p,
-                eig_rel_diff=abs(lam_r - lam_p) / abs(lam_r),
-                sigma_discrepancy=sdisc, u_discrepancy=udisc,
-                cluster_size=1,
-            ))
+            disc = [(s_disc[group[0]], u_disc[group[0]])]
         else:
-            gap_sigma = eigenspace_gap(np.column_stack(sig_rrt),
-                                       np.column_stack(sig_peq), system.A)
-            gap_u = eigenspace_gap(
-                np.column_stack([pairs[i].u_coeffs for i in group]),
-                np.column_stack([peq_pairs[i][1].cell_means for i in group]),
-                sp.diags(system.M),
-            )
-            for i in group:
-                lam_r, lam_p = lambdas[i], peq_pairs[i][0]
-                scale = float(np.sqrt(lam_r))  # ||sigma||_A of a unit pair
-                entries.append(EquivalenceEntry(
-                    lambda_rrt=lam_r, lambda_peq=lam_p,
-                    eig_rel_diff=abs(lam_r - lam_p) / abs(lam_r),
-                    sigma_discrepancy=gap_sigma * scale,
-                    u_discrepancy=gap_u,
-                    cluster_size=len(group),
-                ))
-    return EquivalenceReport(entries=tuple(entries[:k]), max_flux_jump=max_jump)
+            gap_sigma = eigenspace_gap(sig_rrt[:, group], sig_peq[:, group],
+                                       system.A)
+            gap_u = eigenspace_gap(u[:, group], means[:, group],
+                                   sp.diags(system.M))
+            # ||sigma||_A of a unit pair is sqrt(lambda)
+            disc = [(gap_sigma * np.sqrt(lambdas[i]), gap_u) for i in group]
+        for i, (sd, ud) in zip(group, disc):
+            entries.append(EquivalenceEntry(
+                lambda_rrt=float(lambdas[i]), lambda_peq=float(lam_peq[i]),
+                eig_rel_diff=float(abs(lambdas[i] - lam_peq[i])
+                                   / abs(lambdas[i])),
+                sigma_discrepancy=float(sd), u_discrepancy=float(ud),
+                cluster_size=len(group),
+            ))
+    return EquivalenceReport(entries=tuple(entries[:k]),
+                             max_flux_jump=interior_flux_jumps(mesh, grads))

@@ -2,20 +2,29 @@
 
 Each oracle takes the slow, direct route and shares no code with the
 library path it checks: a per-cell COO scatter for the direct CSR
-assembly, a dense 2-D eigensolve for the tensor-product solver, per-cell
-Lagrange evaluation for the batched postprocessing norms, and scalar
-analytic integrals per cell or edge for the batched cell and edge means.
+assembly, a dense 2-D eigensolve for the tensor-product solver, a
+shift-invert Lanczos solve of the enriched pencil for the inertia count
+and the lifted pairs of the equivalence check, per-cell Lagrange
+evaluation for the batched postprocessing norms, and scalar analytic
+integrals per cell or edge for the batched cell and edge means.
 They use public rrteig names only.  ``factor_pair`` builds a pair from
 1-D factors the solver does not produce, to feed the postprocessing with
 chosen or random data.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from rrteig.assembly import layout
+from rrteig.assembly import layout, peq_cell_gradient
 from rrteig.eigensolve import MixedEigenpair
+from rrteig.errors import KTooLarge
+
+# Lanczos start-vector seed and iteration cap of solve_peq_eigs
+_LANCZOS_SEED = 0
+_LANCZOS_MAX_ITERATIONS = 20000
 
 
 def assemble_mixed_coo(mesh):
@@ -83,6 +92,88 @@ def dense_eigenvalues(system, k, cap=5000):
     d_inv_sqrt = 1.0 / np.sqrt(system.M)
     c = d_inv_sqrt[:, None] * (s + s.T) / 2.0 * d_inv_sqrt[None, :]
     return np.linalg.eigvalsh(c)[:k]
+
+
+@dataclass
+class PeqSolution:
+    """Enriched-space solution with its piecewise-constant shadow.
+
+    cell_means : Pi0 u per cell (row-major).
+    grad_edges : (gxL, gxR, gyB, gyT) edge values of the cellwise gradient.
+    """
+
+    cell_means: np.ndarray
+    grad_edges: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _solution(peq, reduced):
+    """The solution whose free integral DOFs are ``reduced``; boundary
+    edge DOFs are 0."""
+    full = np.zeros(peq.layout.n_sigma + peq.layout.n_cell)
+    full[peq.free] = reduced
+    cell_means = full[peq.layout.n_sigma :] / peq.mesh.cell_areas
+    return PeqSolution(cell_means=cell_means,
+                       grad_edges=peq_cell_gradient(peq.mesh, full))
+
+
+def solve_peq_eigs(peq, k):
+    """k smallest finite eigenvalues of the pencil (K, M0), ascending,
+    each with its PeqSolution.
+
+    The semidefinite mass acts on cell DOFs only; the kernel directions
+    (edge components) are condensed through the stiffness, which reduces
+    the pencil to an SPD problem of size n_cell.  Its inverse is applied
+    through one factorization of K: densely up to 40 cells (or k + 4),
+    by shift-invert Lanczos beyond.
+    """
+    n_cell = peq.n_cell
+    if k > n_cell:
+        raise KTooLarge(f"k={k} exceeds finite spectrum size {n_cell}")
+    lu = spla.splu(peq.K.tocsc())
+
+    mc = peq.M0_diag[peq.n_edge_free :]
+    mc_sqrt = np.sqrt(mc)
+    ne = peq.n_edge_free
+
+    def inv_apply(y):
+        rhs = np.zeros(len(peq.free))
+        rhs[ne:] = mc_sqrt * y
+        sol = lu.solve(rhs)
+        return mc_sqrt * sol[ne:]
+
+    k_int = min(k + 2, n_cell)
+    if n_cell <= max(40, k_int + 2):
+        mat = np.column_stack([inv_apply(col) for col in np.eye(n_cell)])
+        mat = (mat + mat.T) / 2.0
+        mu, vec = np.linalg.eigh(mat)
+    else:
+        op = spla.LinearOperator((n_cell, n_cell), matvec=inv_apply, dtype=float)
+        rng = np.random.default_rng(_LANCZOS_SEED)
+        v0 = rng.standard_normal(n_cell)
+        mu, vec = spla.eigsh(
+            op, k=k_int, which="LM", v0=v0, tol=0.0,
+            maxiter=_LANCZOS_MAX_ITERATIONS,
+        )
+    order = np.argsort(mu)[::-1][:k]
+
+    out = []
+    for idx in order:
+        lam = 1.0 / mu[idx]
+        vc = vec[:, idx] / mc_sqrt
+        # normalize ||Pi0 u|| = 1 and fix the sign on the largest cell mean
+        nrm = np.sqrt(float(vc @ (mc * vc)))
+        vc = vc / nrm
+        means = vc * mc  # integral DOF -> mean is  c_K / |K| = c_K * (1/|K|)
+        if means[int(np.argmax(np.abs(means)))] < 0:
+            vc = -vc
+        rhs = np.zeros(len(peq.free))
+        rhs[ne:] = lam * mc * vc
+        reduced = lu.solve(rhs)
+        # replace the cell block by the normalized eigenvector for exactness
+        reduced[ne:] = vc
+        out.append((float(lam), _solution(peq, reduced)))
+    out.sort(key=lambda t: t[0])
+    return out
 
 
 def _basis(nodes, x, deriv):

@@ -1,4 +1,7 @@
-"""Projected enriched-element solver and the element-equivalence checks."""
+"""Projected enriched element and the element-equivalence certificate,
+checked against the enriched eigensolver of tests/oracles.py."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,25 +9,27 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+from rrteig import cli
 from rrteig.assembly import (
     assemble_mixed,
     assemble_peq,
     peq_cell_gradient,
     peq_local_matrices,
 )
+from rrteig.cli import case_preset, run_case
 from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
 from rrteig.equivalence import (
-    PeqSolution,
+    _CLUSTER_REL_TOL,
+    _shifted_factor,
     gradient_to_sigma_coeffs,
     interior_flux_jumps,
-    solve_peq_eigs,
     verify_equivalence,
 )
-from rrteig.errors import KTooLarge
+from rrteig.errors import DimensionMismatch, KTooLarge, SingularSystem
 from rrteig.exact import FieldSample, enumerate_exact, l2_project_exact
-from rrteig.mesh import build_mesh, uniform_mesh
+from rrteig.mesh import build_mesh, uniform_mesh, uniform_refine
 
-from oracles import dense_eigenvalues
+from oracles import PeqSolution, dense_eigenvalues, solve_peq_eigs
 
 PI = np.pi
 
@@ -110,12 +115,12 @@ def test_poisson_flux_identity(mesh_a0):
     sigma_rrt = sol[:n_sig]
     u_rrt = -sol[n_sig:]
 
-    sigma_peq = gradient_to_sigma_coeffs(mesh_a0, psol)
+    sigma_peq = gradient_to_sigma_coeffs(mesh_a0, psol.grad_edges)
     d = sigma_rrt - sigma_peq
     norm = np.sqrt(float(d @ (system.A @ d)))
     assert norm <= 1e-10
     np.testing.assert_allclose(u_rrt, psol.cell_means, atol=1e-12)
-    assert interior_flux_jumps(mesh_a0, psol) <= 1e-10
+    assert interior_flux_jumps(mesh_a0, psol.grad_edges) <= 1e-10
 
 
 def test_flux_jump_continuity(mesh_a0, mesh_c0):
@@ -124,7 +129,7 @@ def test_flux_jump_continuity(mesh_a0, mesh_c0):
     for mesh in (mesh_a0, mesh_c0):
         peq = assemble_peq(mesh)
         for lam, sol in solve_peq_eigs(peq, 4):
-            assert interior_flux_jumps(mesh, sol) <= 1e-10
+            assert interior_flux_jumps(mesh, sol.grad_edges) <= 1e-10
 
 
 def test_upper_bound_transfer(mesh_a0):
@@ -212,3 +217,137 @@ def test_equivalence_on_random_meshes(mesh, data):
     assert rep.max_sigma_discrepancy <= 1e-10
     assert rep.max_u_discrepancy <= 1e-10
     assert rep.max_flux_jump <= 1e-10
+
+
+def _check_certificate_against_oracle(mesh, k):
+    """The lifted eigenvalues equal the enriched eigensolver's to 1e-12
+    relative, and the inertia count equals the number of its eigenvalues
+    below every gap midpoint between clusters and below lambda_i (1 -+
+    1e-6), each factorisation pivoting symmetrically.  The pairs are
+    solved as run_case solves them for the check: k + 3 where the
+    spectrum holds them."""
+    system = assemble_mixed(mesh)
+    pairs = solve_mixed_eigs(
+        system, SolveOptions(k=max(k, min(k + 3, mesh.n_cells))))
+    rep = verify_equivalence(system, pairs, k)
+    peq = assemble_peq(mesh)
+    n_oracle = min(len(pairs) + 3, mesh.n_cells)
+    oracle = np.array([lam for lam, _ in solve_peq_eigs(peq, n_oracle)])
+    for e, lam in zip(rep.entries, oracle):
+        assert abs(e.lambda_peq - lam) <= 1e-12 * lam
+    lams = oracle[: len(pairs)]
+    shifts = [0.5 * (a + b) for a, b in zip(lams, lams[1:])
+              if b - a > _CLUSTER_REL_TOL * b]
+    shifts += [lam * (1 + t) for lam in lams for t in (-1e-6, 1e-6)]
+    for shift in shifts:
+        # the oracle's list holds every eigenvalue below the shift
+        assert shift < oracle[-1] or n_oracle == mesh.n_cells
+        _, count = _shifted_factor(peq, shift)
+        assert count == np.count_nonzero(oracle < shift), shift
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(mesh=_small_tensor_meshes(), data=st.data())
+def test_certificate_against_oracle_on_random_meshes(mesh, data):
+    k = data.draw(st.integers(1, min(6, mesh.n_cells)), label="k")
+    _check_certificate_against_oracle(mesh, k)
+
+
+@pytest.mark.parametrize("case", ["a", "b", "c"])
+def test_certificate_against_oracle_on_presets(case):
+    """Preset levels 0-2 (8^2 to 32 x 64 cells)."""
+    config = case_preset(case)
+    mesh = config.initial_mesh()
+    for _ in range(3):
+        _check_certificate_against_oracle(mesh, config.k)
+        mesh = uniform_refine(mesh)
+
+
+def _drop_cluster_member(pairs, k):
+    """The pair lambda_2 of a double eigenvalue (lambda_2 = lambda_3 on
+    the presets) goes missing."""
+    return pairs[:1] + pairs[2:]
+
+
+def _perturb_u(pairs, k):
+    """The first pair's x factor, hence its u, is off by 1 % noise."""
+    rng = np.random.default_rng(0)
+    p = pairs[0]
+    bad = dataclasses.replace(
+        p, v=p.v * (1.0 + 1e-2 * rng.standard_normal(len(p.v))))
+    return [bad] + pairs[1:]
+
+
+def _no_gap(pairs, k):
+    """Only the k pairs requested: the cluster that ends them may go on."""
+    return pairs[:k]
+
+
+_FAULTS = {
+    "dropped cluster member": (_drop_cluster_member, "enriched and"),
+    "perturbed u": (_perturb_u, "lifts to no enriched pair"),
+    "no gap after the last cluster": (_no_gap, "no gap"),
+}
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+def test_certificate_catches_faults(system_a0, fault):
+    """Uniform 8^2, k = 6: lambda = 2, 5, 5, 8, 10, 10, 13, 13, 17.  A
+    missing pair leaves one enriched eigenvalue more below the shift than
+    mixed ones; a wrong u lifts to an enriched residual far past the
+    cluster tolerance; the sixth pair closes a cluster, so without the
+    pairs past k no shift can be placed after it, and the check refuses
+    rather than skip the count."""
+    make, message = _FAULTS[fault]
+    pairs = solve_mixed_eigs(system_a0, SolveOptions(k=9))
+    assert verify_equivalence(system_a0, pairs, k=6).max_eig_rel_diff <= 1e-12
+    with pytest.raises(DimensionMismatch, match=message):
+        verify_equivalence(system_a0, make(pairs, 6), k=6)
+
+
+def test_certificate_refuses_nonsymmetric_pivoting(monkeypatch, system_a0):
+    """A factorisation that pivots off the diagonal (SuperLU's default
+    threshold pivoting here) says nothing about the inertia."""
+    real = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda a, **options: real(a))
+    pairs = solve_mixed_eigs(system_a0, SolveOptions(k=9))
+    with pytest.raises(SingularSystem, match="pivoting left the diagonal"):
+        verify_equivalence(system_a0, pairs, k=6)
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+def test_run_case_records_a_failed_certificate(monkeypatch, fault):
+    """Injected into level 1 of preset c, each fault fails the
+    equivalence analysis alone: the error lands in ``failures`` and the
+    level keeps its eigenvalues and other analyses."""
+    make = _FAULTS[fault][0]
+    solve = cli._solve
+
+    def faulty(config, mesh, equivalence):
+        system, pairs = solve(config, mesh, equivalence)
+        if mesh.level == 1:
+            pairs = make(pairs, config.k)
+        return system, pairs
+
+    monkeypatch.setattr(cli, "_solve", faulty)
+    report = run_case(dataclasses.replace(case_preset("c"), levels=1))
+    failures = report.config["failures"]
+    assert [(f["level"], f["analysis"], f["error"]) for f in failures] == [
+        (1, "equivalence", "DimensionMismatch")]
+    first, second = report.levels
+    assert "equivalence" in first and "equivalence" not in second
+    assert set(first) - {"equivalence"} == set(second)
+
+
+def test_certificate_factors_once_and_never_iterates(monkeypatch, system_a0):
+    """One verify_equivalence call makes one sparse factorisation and no
+    Lanczos iteration, so a return to an enriched eigensolve fails here."""
+    pairs = solve_mixed_eigs(system_a0, SolveOptions(k=9))
+    calls = {"splu": 0, "eigsh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(spla, name), **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(spla, name, counted)
+    verify_equivalence(system_a0, pairs, k=6)
+    assert calls == {"splu": 1, "eigsh": 0}

@@ -13,14 +13,15 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_namespace_exports_library_names_only():
     """The README "Library" names are importable from rrteig; the dense
-    eigensolver, the source-problem solve and the oracle-cap error, which
-    only tests used, are not part of the package."""
+    eigensolver, the source-problem solve, the oracle-cap error and the
+    enriched-element eigensolver with its solution type, which only tests
+    use, are not part of the package."""
     for name in ("uniform_mesh", "assemble_mixed", "solve_mixed_eigs",
                  "SolveOptions", "enumerate_exact", "expansion_term",
                  "FieldSample"):
         assert hasattr(rrteig, name), name
     for name in ("dense_oracle_eigs", "solve_peq_poisson",
-                 "OracleCapExceeded"):
+                 "OracleCapExceeded", "solve_peq_eigs", "PeqSolution"):
         assert not hasattr(rrteig, name), name
         assert not hasattr(rrteig.errors, name), name
 
