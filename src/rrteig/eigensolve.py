@@ -9,6 +9,8 @@ where S and D are the reduced operator and the cell-width diagonal of the
 1-D RT0 pencil in each direction (fast diagonalisation; Lynch, Rice &
 Thomas, Numer. Math. 6, 1964).  solve_mixed_eigs solves the two 1-D
 pencils and combines their modes, lambda = mu_i + nu_j and u = w_j (x) v_i.
+Each 1-D pencil is built from the cell widths of its direction; two
+cumulative sums form its inverse, and a dense eigh of it gives the modes.
 Each 1-D spectrum is simple and its i-th mode (from 0) has i sign changes
 (discrete Sturm oscillation), so pair (i, j) is labelled with the wave
 numbers (m, n) = (i + 1, j + 1) of the exact mode it approximates,
@@ -17,7 +19,7 @@ The flux follows from the same structure: A and B are Kronecker products
 blockwise (A_xx = diag(h_y) (x) A1x, B_x = diag(h_y) (x) Gx, and alike in
 y), so sigma = A^-1 B^T u is w_j (x) A1x^-1 Gx^T v_i on the x-edges and
 A1y^-1 Gy^T w_j (x) v_i on the y-edges, from two tridiagonal 1-D solves.
-No 2-D matrix is factored.  Each pair keeps its four 1-D factors and its
+No sparse matrix is factored.  Each pair keeps its four 1-D factors and its
 normalisation, and forms its 2-D u and sigma vectors on demand; every pair
 is checked against the assembled 2-D matrices by sparse products.
 """
@@ -28,8 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import MixedSystem
 from .errors import KTooLarge, NotConverged
@@ -104,43 +104,37 @@ def _residual(system, bt, pair):
     return float(max(r1, r2))
 
 
-def _strip_pencil(system: MixedSystem, axis: int):
-    """1-D pencil of one direction: the normal-flux block of the first cell
-    row (axis 0, x) or column (axis 1, y).  It is the 1-D RT0 pencil scaled
-    by the strip's cross width, which leaves its eigenvalues unchanged."""
-    lay = system.layout
-    if axis == 0:
-        edges = lay.xedge_index(np.arange(lay.n1 + 1), 0)
-        cells = lay.cell_index(np.arange(lay.n1), 0)
-    else:
-        edges = lay.yedge_index(0, np.arange(lay.n2 + 1))
-        cells = lay.cell_index(0, np.arange(lay.n2))
-    return system.A[edges][:, edges], system.B[cells][:, edges], system.M[cells]
+def _modes_1d(h, k):
+    """k smallest eigenpairs (mu, v) of the 1-D RT0 pencil (S, D) on the
+    cell widths h, S = G A1^-1 G^T and D = diag(h), and their fluxes
+    A1^-1 G^T v.
 
-
-def _modes_1d(a1, g, d, k):
-    """k smallest eigenpairs (mu, v) of the 1-D pencil (G A1^-1 G^T, diag d)
-    and their fluxes A1^-1 G^T v.
-
-    The pairs are taken from the top of the inverse D^1/2 S^-1 D^1/2 by a
-    dense symmetric eigendecomposition; S^-1 is applied through one sparse
-    LU of the saddle matrix [[A1, G^T], [G, 0]].  Columns of v are
-    d-orthonormal.  The fluxes come from a direct tridiagonal solve with
-    A1; the strip's cross width cancels in A1^-1 G^T.
+    The pairs are taken from the top of the inverse K = D^1/2 S^-1 D^1/2
+    by a dense symmetric eigendecomposition.  S^-1 f = x solves the saddle
+    system A1 s = G^T x, G s = f, whose two bidiagonal blocks invert by
+    cumulative sums: s is the running sum of f, shifted by the constant
+    flux that makes 1^T A1 s = 0, so that A1 s lies in the range of G^T,
+    and x is minus the running sum of A1 s.  With the columns of D^1/2
+    as f this forms K in O(n^2).  Columns of v are D-orthonormal.  The
+    fluxes come from a direct tridiagonal solve with A1.
     """
-    n_edge, n = a1.shape[0], len(d)
-    lu = spla.splu(sp.bmat([[a1, g.T], [g, None]], format="csc"))
-    d_sqrt = np.sqrt(d)
-    rhs = np.zeros((n_edge + n, n))
-    rhs[n_edge:] = np.diag(d_sqrt)
-    inv = -lu.solve(rhs)[n_edge:] * d_sqrt[:, None]
+    n = len(h)
+    h_pad = np.concatenate([[0.0], h, [0.0]])  # cell widths beside each edge
+    diag, off = h_pad[:-1] / 3.0 + h_pad[1:] / 3.0, h / 6.0  # tridiagonal A1
+    d_sqrt = np.sqrt(h)
+    s = np.zeros((n + 1, n))
+    s[1:] = np.tri(n) * d_sqrt  # running sums of the columns of D^1/2
+    s -= (1.5 * diag) @ s / h.sum()  # 1.5 diag: the row sums of A1
+    a1s = diag[:, None] * s
+    a1s[:-1] += off[:, None] * s[1:]
+    a1s[1:] += off[:, None] * s[:-1]
+    inv = -np.cumsum(a1s[:-1], axis=0) * d_sqrt[:, None]
     theta, vec = np.linalg.eigh((inv + inv.T) / 2.0)
     top = np.arange(n - 1, n - 1 - k, -1)  # largest theta = smallest mu
     v = vec[:, top] / d_sqrt[:, None]
-    bands = np.zeros((2, n_edge))  # upper banded storage of the SPD A1
-    bands[0, 1:] = a1.diagonal(1)
-    bands[1] = a1.diagonal()
-    return 1.0 / theta[top], v, sla.solveh_banded(bands, g.T @ v)
+    gtv = -np.diff(v, axis=0, prepend=0.0, append=0.0)  # G^T v
+    bands = np.stack([np.r_[0.0, off], diag])  # upper banded storage
+    return 1.0 / theta[top], v, sla.solveh_banded(bands, gtv)
 
 
 def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions) -> list[MixedEigenpair]:
@@ -157,8 +151,8 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions) -> list[MixedEigen
         raise KTooLarge(f"k={opts.k} exceeds spectrum size {lay.n_cell}")
 
     # the k smallest sums use at most the k smallest modes of each direction
-    mu, v, flux_x = _modes_1d(*_strip_pencil(system, 0), min(opts.k, lay.n1))
-    nu, w, flux_y = _modes_1d(*_strip_pencil(system, 1), min(opts.k, lay.n2))
+    mu, v, flux_x = _modes_1d(system.mesh.hx, min(opts.k, lay.n1))
+    nu, w, flux_y = _modes_1d(system.mesh.hy, min(opts.k, lay.n2))
     sums = np.add.outer(nu, mu)
     order = np.argsort(sums, axis=None, kind="stable")[: opts.k]
 

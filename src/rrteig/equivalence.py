@@ -200,6 +200,7 @@ def verify_equivalence(
     d_sig = sig_rrt - sig_peq
     s_disc = np.sqrt(np.einsum("ij,ij->j", d_sig, system.A @ d_sig))
 
+    m_diag = sp.diags(system.M)
     entries = []
     for group in groups:
         if len(group) == 1:
@@ -207,8 +208,7 @@ def verify_equivalence(
         else:
             gap_sigma = eigenspace_gap(sig_rrt[:, group], sig_peq[:, group],
                                        system.A)
-            gap_u = eigenspace_gap(u[:, group], means[:, group],
-                                   sp.diags(system.M))
+            gap_u = eigenspace_gap(u[:, group], means[:, group], m_diag)
             # ||sigma||_A of a unit pair is sqrt(lambda)
             disc = [(gap_sigma * np.sqrt(lambdas[i]), gap_u) for i in group]
         for i, (sd, ud) in zip(group, disc):

@@ -2,7 +2,9 @@
 
 Each oracle takes the slow, direct route and shares no code with the
 library path it checks: a per-cell COO scatter for the direct CSR
-assembly, a dense 2-D eigensolve for the tensor-product solver, a
+assembly, a dense 2-D eigensolve for the tensor-product solver, 1-D
+pencils sliced from the assembled matrices and inverted through a sparse
+saddle LU for the cumulative-sum 1-D modes, a
 shift-invert Lanczos solve of the enriched pencil for the inertia count
 and the lifted pairs of the equivalence check, per-cell Lagrange
 evaluation for the batched postprocessing norms, and scalar analytic
@@ -15,6 +17,7 @@ chosen or random data.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -92,6 +95,47 @@ def dense_eigenvalues(system, k, cap=5000):
     d_inv_sqrt = 1.0 / np.sqrt(system.M)
     c = d_inv_sqrt[:, None] * (s + s.T) / 2.0 * d_inv_sqrt[None, :]
     return np.linalg.eigvalsh(c)[:k]
+
+
+def _strip_pencil(system, axis):
+    """1-D pencil of one direction: the normal-flux block of the first cell
+    row (axis 0, x) or column (axis 1, y).  It is the 1-D RT0 pencil scaled
+    by the strip's cross width, which leaves its eigenvalues unchanged."""
+    lay = system.layout
+    if axis == 0:
+        edges = lay.xedge_index(np.arange(lay.n1 + 1), 0)
+        cells = lay.cell_index(np.arange(lay.n1), 0)
+    else:
+        edges = lay.yedge_index(0, np.arange(lay.n2 + 1))
+        cells = lay.cell_index(0, np.arange(lay.n2))
+    return system.A[edges][:, edges], system.B[cells][:, edges], system.M[cells]
+
+
+def modes_1d_saddle(system, axis, k):
+    """k smallest eigenpairs (mu, v) of the strip pencil (G A1^-1 G^T,
+    diag d) of one direction, read from the assembled matrices, and their
+    fluxes A1^-1 G^T v.
+
+    The pairs are taken from the top of the inverse D^1/2 S^-1 D^1/2 by a
+    dense symmetric eigendecomposition; S^-1 is applied through one sparse
+    LU of the saddle matrix [[A1, G^T], [G, 0]].  Columns of v are
+    d-orthonormal, so v and the fluxes carry the factor 1/sqrt(c) of the
+    strip's cross width c against the 1-D pencil's modes.
+    """
+    a1, g, d = _strip_pencil(system, axis)
+    n_edge, n = a1.shape[0], len(d)
+    lu = spla.splu(sp.bmat([[a1, g.T], [g, None]], format="csc"))
+    d_sqrt = np.sqrt(d)
+    rhs = np.zeros((n_edge + n, n))
+    rhs[n_edge:] = np.diag(d_sqrt)
+    inv = -lu.solve(rhs)[n_edge:] * d_sqrt[:, None]
+    theta, vec = np.linalg.eigh((inv + inv.T) / 2.0)
+    top = np.arange(n - 1, n - 1 - k, -1)  # largest theta = smallest mu
+    v = vec[:, top] / d_sqrt[:, None]
+    bands = np.zeros((2, n_edge))  # upper banded storage of the SPD A1
+    bands[0, 1:] = a1.diagonal(1)
+    bands[1] = a1.diagonal()
+    return 1.0 / theta[top], v, sla.solveh_banded(bands, g.T @ v)
 
 
 @dataclass

@@ -2,9 +2,11 @@
 byte-identical to the committed copies in tests/data.
 
 The copies were generated with numpy 2.4.6 and scipy 1.17.1 (Python
-3.11.7, x86-64).  A change that is meant to alter a table replaces its copy
-and says why; another numpy or scipy may move a 17-digit figure value by
-roundoff, which this test then reports.
+3.11.7, x86-64), the figure tables by the cumulative-sum 1-D mode solver.
+A change that is meant to alter a table replaces its copy and says why;
+another numpy or scipy may move a 17-digit figure value by roundoff, which
+this test then reports with the first differing line and the largest
+change per numeric column.
 """
 
 from pathlib import Path
@@ -16,6 +18,58 @@ from rrteig.cli import main
 DATA = Path(__file__).resolve().parent / "data"
 
 
+def _number(token):
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def _changes(got: bytes, want: bytes) -> str:
+    """The first line where ``got`` differs from ``want`` and, over the
+    lines both hold, the largest absolute and relative change of each
+    numeric column; columns take their names from the header line, which
+    may lack the row-label column."""
+    got_lines = got.decode().splitlines()
+    want_lines = want.decode().splitlines()
+    first = next((i for i, (g, w) in enumerate(zip(got_lines, want_lines))
+                  if g != w), min(len(got_lines), len(want_lines)))
+    at = lambda lines: lines[first] if first < len(lines) else "<end>"
+    out = [f"first difference on line {first + 1}:",
+           f"  got  {at(got_lines)}", f"  want {at(want_lines)}"]
+    header = want_lines[0].split() if want_lines else []
+    worst = {}
+    for g_line, w_line in zip(got_lines[1:], want_lines[1:]):
+        g_row, w_row = g_line.split(), w_line.split()
+        if len(g_row) != len(w_row):
+            continue
+        skip = len(w_row) - len(header)
+        for c, (g, w) in enumerate(zip(g_row, w_row)):
+            g, w = _number(g), _number(w)
+            if g is None or w is None:
+                continue
+            name = (header[c - skip] if 0 <= c - skip < len(header)
+                    else f"column {c + 1}")
+            d_abs, d_rel = worst.get(name, (0.0, 0.0))
+            worst[name] = (max(d_abs, abs(g - w)),
+                           max(d_rel, abs(g - w) / abs(w) if w else 0.0))
+    out += [f"  {name}: max abs change {a:.3g}, max rel change {r:.3g}"
+            for name, (a, r) in worst.items()]
+    return "\n".join(out)
+
+
+def test_changes_report():
+    want = b"h    e1\n0.5  0.25\n0.25  0.0625\n"
+    got = b"h    e1\n0.5  0.25\n0.25  0.0626\n"
+    assert _changes(got, want).splitlines() == [
+        "first difference on line 3:",
+        "  got  0.25  0.0626",
+        "  want 0.25  0.0625",
+        "  h: max abs change 0, max rel change 0",
+        "  e1: max abs change 0.0001, max rel change 0.0016",
+    ]
+
+
 @pytest.mark.parametrize("case", ["a", "b", "c"])
 def test_level4_tables_byte_identical(case, tmp_path, capsys):
     assert main(["run", "--case", case, "--levels", "4",
@@ -23,4 +77,6 @@ def test_level4_tables_byte_identical(case, tmp_path, capsys):
     capsys.readouterr()
     for table in ("eigenvalues", "residuals", "figure"):
         name = f"{case}_{table}.txt"
-        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+        got = (tmp_path / name).read_bytes()
+        want = (DATA / name).read_bytes()
+        assert got == want, f"{name}\n{_changes(got, want)}"

@@ -7,12 +7,12 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from rrteig.assembly import assemble_mixed
-from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
+from rrteig.eigensolve import SolveOptions, _modes_1d, solve_mixed_eigs
 from rrteig.errors import KTooLarge
 from rrteig.exact import enumerate_exact
 from rrteig.mesh import build_mesh, uniform_mesh, uniform_refine
 
-from oracles import dense_eigenvalues
+from oracles import dense_eigenvalues, modes_1d_saddle
 
 PI = np.pi
 
@@ -114,12 +114,12 @@ def _nodes(widths):
 
 
 @st.composite
-def _tensor_meshes(draw):
-    """Random tensor meshes of [0, pi]^2, n1, n2 in [1, 40], cell widths
+def _tensor_meshes(draw, max_n=40):
+    """Random tensor meshes of [0, pi]^2, n1, n2 in [1, max_n], cell widths
     drawn from [1, 4] so the width ratio per direction is <= 4."""
     nodes = []
     for axis in "xy":
-        n = draw(st.integers(1, 40), label=f"n_{axis}")
+        n = draw(st.integers(1, max_n), label=f"n_{axis}")
         nodes.append(_nodes(draw(st.lists(
             st.floats(1.0, 4.0), min_size=n, max_size=n))))
     return build_mesh(*nodes)
@@ -190,11 +190,56 @@ def test_cluster_cut_by_k():
 def test_extra_pairs_leave_the_first_k_bitwise(system_a0, mesh_c0):
     """The equivalence check solves k + 3 pairs in place of k: the first k
     must be the same bits (lambda, sigma, u), also when k cuts the tied
-    pair lambda_12 = lambda_13 of case c."""
-    for system, k in ((system_a0, 6), (assemble_mixed(mesh_c0), 12)):
+    pair lambda_12 = lambda_13 of case c, and for every k <= 12 on two
+    random tensor meshes, one of them square with hx == hy bitwise, where
+    k cuts the exact ties of the (m, n) and (n, m) pairs."""
+    rng = np.random.default_rng(2)
+    nx, ny = (_nodes(rng.uniform(1.0, 4.0, n)) for n in (9, 7))
+    cases = [(system_a0, 6), (assemble_mixed(mesh_c0), 12)]
+    cut_ties = 0
+    for mesh in (build_mesh(nx, ny), build_mesh(nx, nx)):
+        system = assemble_mixed(mesh)
+        cases += [(system, k) for k in range(1, 13)]
+    for system, k in cases:
         base = solve_mixed_eigs(system, SolveOptions(k=k))
         more = solve_mixed_eigs(system, SolveOptions(k=k + 3))
+        cut_ties += more[k - 1].lambda_h == more[k].lambda_h
         for p, q in zip(base, more[:k]):
             assert p.lambda_h == q.lambda_h
             np.testing.assert_array_equal(p.sigma_coeffs, q.sigma_coeffs)
             np.testing.assert_array_equal(p.u_coeffs, q.u_coeffs)
+    assert cut_ties >= 2  # case c once, the square mesh at least once
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mesh=_tensor_meshes(max_n=64), data=st.data())
+def test_modes_1d_against_saddle_oracle(mesh, data):
+    """The cumulative-sum 1-D modes on the cell widths vs the strip pencils
+    sliced from the assembled matrices and inverted by a saddle LU, in
+    both directions of random meshes (n <= 64, width ratio <= 4, k <=
+    min(n, 15)): eigenvalues to 2e-13 relative, modes and fluxes to 5e-12
+    of their largest entry, once the oracle's sign is matched and its
+    cross-width factor 1/sqrt(c) is taken out."""
+    system = assemble_mixed(mesh)
+    for axis, h, cross in ((0, mesh.hx, mesh.hy[0]), (1, mesh.hy, mesh.hx[0])):
+        k = data.draw(st.integers(1, min(len(h), 15)), label=f"k_{axis}")
+        mu, v, flux = _modes_1d(h, k)
+        want_mu, want_v, want_flux = modes_1d_saddle(system, axis, k)
+        np.testing.assert_allclose(mu, want_mu, rtol=2e-13, atol=0.0)
+        sign = np.sign(np.sum(want_v * v, axis=0)) * np.sqrt(cross)
+        for got, want in ((v, want_v * sign), (flux, want_flux * sign)):
+            err = np.abs(got - want)
+            assert np.all(err <= 5e-12 * np.abs(got).max(axis=0))
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 256, 1024])
+def test_modes_1d_closed_form_uniform(n):
+    """On n equal widths h the j-th 1-D eigenvalue is 12 sin^2(t/2) /
+    (h^2 (2 + cos t)), t = j pi / n; the first min(15, n) match it to
+    5e-14 relative."""
+    h = np.full(n, PI / n)
+    k = min(15, n)
+    mu, _, _ = _modes_1d(h, k)
+    t = np.arange(1, k + 1) * PI / n
+    want = 12.0 * np.sin(t / 2) ** 2 / (h[0] ** 2 * (2.0 + np.cos(t)))
+    np.testing.assert_allclose(mu, want, rtol=5e-14, atol=0.0)
