@@ -80,15 +80,6 @@ class MixedSystem:
     mesh: TensorMesh
 
 
-def _cell_arrays(mesh: TensorMesh):
-    n1, n2 = mesh.n1, mesh.n2
-    ii, jj = np.meshgrid(np.arange(n1), np.arange(n2))
-    ii, jj = ii.ravel(), jj.ravel()  # row-major: i fast
-    hx = mesh.hx[ii]
-    hy = mesh.hy[jj]
-    return ii, jj, hx, hy
-
-
 def _put(data: np.ndarray, cols: np.ndarray, *slots) -> None:
     """Fill CSR rows of ``len(slots)`` entries each, in row order: slot s
     of every row takes the next value and column of ``slots[s]``, a pair
@@ -191,51 +182,27 @@ def assemble_mixed(mesh: TensorMesh) -> MixedSystem:
     return MixedSystem(A=A, B=B, M=area, layout=lay, mesh=mesh)
 
 
+
+
 # ---------------------------------------------------------------------------
 # Enriched rotated-bilinear (edge-mean continuous) space.
 #
-# Local space on each cell is span{1, x, y, x^2, y^2}.  The local basis is
-# dual to five integral DOFs: the integral over each of the four edges and
-# the integral over the cell.  On the reference cell [-1,1]^2 the DOF
-# matrix of the monomial basis (rows: left, right, bottom, top, cell) is
-# inverted once; physical basis functions are the mapped reference ones
-# scaled so that the physical integrals stay unit.
+# The local space on each cell is span{1, x, y, x^2, y^2}: u = f(x) + g(y),
+# f and g quadratic.  Its DOFs are the integrals over the four edges and the
+# cell.  In the means L, R of the left and right edge and C of the cell, f
+# is the 1-D quadratic whose edge values are L and R and whose mean is C,
+# each less the mean of g, so u_x is linear in x and constant in y:
+#     u_x = (6C - 4L - 2R) / h_x on the left edge, (2L + 4R - 6C) / h_x on
+#     the right,
+# and its part of the stiffness, the integral of u_x^2, is
+#     h_y / h_x [L R C] S [L R C]^T,  S = [[4, 2, -6], [2, 4, -6], [-6, -6, 12]].
+# The y part is alike in the bottom and top means B, T and C.  No x-edge
+# meets a y-edge in the stiffness; in the integral DOFs the block of one
+# direction is S_ab w_a w_b / |K|, w = (1, 1, 1 / h) with h the cell width
+# in that direction.
 # ---------------------------------------------------------------------------
 
-_DOF_MONOMIAL = np.array(
-    [
-        # 1     x     y     x^2      y^2
-        [2.0, -2.0, 0.0, 2.0, 2.0 / 3.0],  # integral over left edge
-        [2.0, 2.0, 0.0, 2.0, 2.0 / 3.0],   # right edge
-        [2.0, 0.0, -2.0, 2.0 / 3.0, 2.0],  # bottom edge
-        [2.0, 0.0, 2.0, 2.0 / 3.0, 2.0],   # top edge
-        [4.0, 0.0, 0.0, 4.0 / 3.0, 4.0 / 3.0],  # cell
-    ]
-)
-# columns = dual basis functions in the monomial basis
-_REF_COEFFS = np.linalg.inv(_DOF_MONOMIAL)
-
-# reference gradient Gram matrices of the monomials over [-1,1]^2
-_GXX_MONO = np.zeros((5, 5))
-_GXX_MONO[1, 1] = 4.0
-_GXX_MONO[3, 3] = 16.0 / 3.0
-_GYY_MONO = np.zeros((5, 5))
-_GYY_MONO[2, 2] = 4.0
-_GYY_MONO[4, 4] = 16.0 / 3.0
-
-_GXX_REF = _REF_COEFFS.T @ _GXX_MONO @ _REF_COEFFS
-_GYY_REF = _REF_COEFFS.T @ _GYY_MONO @ _REF_COEFFS
-
-# d/dxi of the dual basis at xi = -1 and xi = +1 (constant in eta), and
-# d/deta at eta = -/+1; used to read off the cellwise gradient.
-_DXI_AT = {
-    -1: _REF_COEFFS[1] - 2.0 * _REF_COEFFS[3],
-    +1: _REF_COEFFS[1] + 2.0 * _REF_COEFFS[3],
-}
-_DETA_AT = {
-    -1: _REF_COEFFS[2] - 2.0 * _REF_COEFFS[4],
-    +1: _REF_COEFFS[2] + 2.0 * _REF_COEFFS[4],
-}
+_S = np.array([[4.0, 2.0, -6.0], [2.0, 4.0, -6.0], [-6.0, -6.0, 12.0]])
 
 
 @dataclass(frozen=True)
@@ -264,64 +231,51 @@ class PeqSystem:
         return self.layout.n_cell
 
 
-def peq_local_matrices(hx, hy):
-    """Local stiffness in the physical integral-DOF basis.
-
-    ``hx``/``hy`` may be arrays (one entry per cell); returns an array of
-    shape (..., 5, 5).
-    """
-    hx = np.asarray(hx, dtype=float)
-    hy = np.asarray(hy, dtype=float)
-    # scaling of the physical dual basis: integral DOFs stay unit
-    alpha = np.stack(
-        [2.0 / hy, 2.0 / hy, 2.0 / hx, 2.0 / hx, 4.0 / (hx * hy)], axis=-1
-    )
-    gxx = _GXX_REF * (hy / hx)[..., None, None]
-    gyy = _GYY_REF * (hx / hy)[..., None, None]
-    return alpha[..., :, None] * (gxx + gyy) * alpha[..., None, :]
-
-
 def assemble_peq(mesh: TensorMesh) -> PeqSystem:
-    """Assemble stiffness and projected mass of the enriched space."""
+    """Assemble stiffness and projected mass of the enriched space: each
+    cell adds its x block on (left, right, cell) and its y block on
+    (bottom, top, cell) straight onto the free DOFs."""
     lay = layout(mesh)
-    ii, jj, hx, hy = _cell_arrays(mesh)
-    area = mesh.cell_areas
     n1, n2 = lay.n1, lay.n2
+    n_x, n_sig = lay.n_xedge, lay.n_sigma
+    n_tot = n_sig + lay.n_cell
 
-    cell_dofs = lay.n_sigma + lay.cell_index(ii, jj)
-    loc_dofs = np.stack(
-        [
-            lay.xedge_index(ii, jj),      # left
-            lay.xedge_index(ii + 1, jj),  # right
-            lay.yedge_index(ii, jj),      # bottom
-            lay.yedge_index(ii, jj + 1),  # top
-            cell_dofs,
-        ],
-        axis=-1,
-    )  # (n_cell, 5)
+    # free DOFs: interior edges + all cells; pos maps a DOF to its free
+    # index, -1 on the boundary
+    interior = np.ones(n_tot, dtype=bool)
+    interior[:n_x].reshape(n2, n1 + 1)[:, [0, -1]] = False
+    interior[n_x:n_x + n1] = False
+    interior[n_sig - n1:n_sig] = False
+    free = np.flatnonzero(interior)
+    pos = np.full(n_tot, -1)
+    pos[free] = np.arange(len(free))
+    xpos = pos[:n_x].reshape(n2, n1 + 1)
+    ypos = pos[n_x:n_sig].reshape(n2 + 1, n1)
+    cpos = pos[n_sig:].reshape(n2, n1)
 
-    k_loc = peq_local_matrices(hx, hy)  # (n_cell, 5, 5)
-    rows = np.repeat(loc_dofs, 5, axis=1).ravel()
-    cols = np.tile(loc_dofs, (1, 5)).ravel()
-    n_tot = lay.n_sigma + lay.n_cell
-    K_full = sp.coo_matrix(
-        (k_loc.ravel(), (rows, cols)), shape=(n_tot, n_tot)
+    area = mesh.cell_areas.reshape(n2, n1)
+    ones = np.ones_like(area)
+    rows, cols, vals = [], [], []
+    for dofs, h in (((xpos[:, :-1], xpos[:, 1:], cpos), mesh.hx),
+                    ((ypos[:-1], ypos[1:], cpos), mesh.hy[:, None])):
+        idx = np.stack(dofs)  # (3, n2, n1)
+        w = np.stack([ones, ones, ones / h])
+        block = _S[:, :, None, None] * w[:, None] * w[None] / area
+        r = np.broadcast_to(idx[:, None], block.shape)
+        c = np.broadcast_to(idx[None], block.shape)
+        keep = (r >= 0) & (c >= 0)
+        rows.append(r[keep])
+        cols.append(c[keep])
+        vals.append(block[keep])
+    n_free = len(free)
+    K = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_free, n_free),
     ).tocsr()
 
-    # free DOFs: interior edges + all cells
-    interior = np.ones(n_tot, dtype=bool)
-    rows_j = np.arange(n2)
-    interior[lay.xedge_index(0, rows_j)] = False
-    interior[lay.xedge_index(n1, rows_j)] = False
-    cols_i = np.arange(n1)
-    interior[lay.yedge_index(cols_i, 0)] = False
-    interior[lay.yedge_index(cols_i, n2)] = False
-    free = np.flatnonzero(interior)
-    n_edge_free = int(np.count_nonzero(free < lay.n_sigma))
-
-    K = K_full[free][:, free].tocsr()
-    m0 = np.zeros(len(free))
-    m0[n_edge_free:] = 1.0 / area  # cell DOFs keep row-major order
+    n_edge_free = n_free - lay.n_cell
+    m0 = np.zeros(n_free)
+    m0[n_edge_free:] = 1.0 / mesh.cell_areas  # cell DOFs keep row-major order
     return PeqSystem(
         K=K, M0_diag=m0, layout=lay, mesh=mesh, free=free,
         n_edge_free=n_edge_free,
@@ -335,31 +289,21 @@ def peq_cell_gradient(mesh: TensorMesh, coeffs_full: np.ndarray):
     included) in its rows, one function or one column per function.  The
     x component of the gradient is linear in x and constant in y, so it is
     determined by its values on the left and right edges of each cell;
-    analogously in y.  Returns (gxL, gxR, gyB, gyT), each with n_cell rows
-    in row-major cell order and the columns of ``coeffs_full``.
+    analogously in y.  Returns (gxL, gxR, gyB, gyT), each on the cell grid
+    (n2, n1) followed by the columns of ``coeffs_full``.
     """
     lay = layout(mesh)
-    ii, jj, hx, hy = _cell_arrays(mesh)
-    loc = np.stack(
-        [
-            coeffs_full[lay.xedge_index(ii, jj)],
-            coeffs_full[lay.xedge_index(ii + 1, jj)],
-            coeffs_full[lay.yedge_index(ii, jj)],
-            coeffs_full[lay.yedge_index(ii, jj + 1)],
-            coeffs_full[lay.n_sigma + lay.cell_index(ii, jj)],
-        ],
-        axis=-1,
-    )  # (n_cell, [k,] 5)
-    # per-cell factors broadcast over the columns
-    cells = (len(hx),) + (1,) * (coeffs_full.ndim - 1)
-    hx, hy = hx.reshape(cells), hy.reshape(cells)
-    alpha = np.stack(
-        [2.0 / hy, 2.0 / hy, 2.0 / hx, 2.0 / hx, 4.0 / (hx * hy)], axis=-1
-    )
-    w = loc * alpha
-    gxL = (2.0 / hx) * (w @ _DXI_AT[-1])
-    gxR = (2.0 / hx) * (w @ _DXI_AT[+1])
-    gyB = (2.0 / hy) * (w @ _DETA_AT[-1])
-    gyT = (2.0 / hy) * (w @ _DETA_AT[+1])
-    return gxL, gxR, gyB, gyT
-
+    n1, n2 = lay.n1, lay.n2
+    cols = coeffs_full.shape[1:]
+    ones = (1,) * len(cols)
+    hx = mesh.hx.reshape(n1, *ones)
+    hy = mesh.hy.reshape(n2, 1, *ones)
+    # edge and cell means on their grids
+    xm = coeffs_full[:lay.n_xedge].reshape(n2, n1 + 1, *cols) / hy
+    ym = coeffs_full[lay.n_xedge:lay.n_sigma].reshape(n2 + 1, n1, *cols) / hx
+    c6 = 6.0 * coeffs_full[lay.n_sigma:].reshape(n2, n1, *cols) / (hx * hy)
+    left, right, bottom, top = xm[:, :-1], xm[:, 1:], ym[:-1], ym[1:]
+    return ((c6 - 4.0 * left - 2.0 * right) / hx,
+            (2.0 * left + 4.0 * right - c6) / hx,
+            (c6 - 4.0 * bottom - 2.0 * top) / hy,
+            (2.0 * bottom + 4.0 * top - c6) / hy)

@@ -113,8 +113,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.levels < 1:
             raise ValueError("levels must be >= 1")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        SolveOptions(k=self.k, tol=self.tol)  # checks k and tol
         unknown = set(self.analyses) - set(ALL_ANALYSES)
         if unknown:
             raise ValueError(f"unknown analyses: {sorted(unknown)}")

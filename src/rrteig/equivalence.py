@@ -32,10 +32,9 @@ _CLUSTER_REL_TOL = 1e-3
 def interior_flux_jumps(mesh: TensorMesh, grad_edges) -> float:
     """Maximal jump of the normal gradient component across interior
     edges, over every column of the peq_cell_gradient edge values."""
-    n1, n2 = mesh.n1, mesh.n2
-    gxL, gxR, gyB, gyT = [g.reshape(n2, n1, -1) for g in grad_edges]
-    jump_x = np.abs(gxR[:, :-1] - gxL[:, 1:]).max() if n1 > 1 else 0.0
-    jump_y = np.abs(gyT[:-1, :] - gyB[1:, :]).max() if n2 > 1 else 0.0
+    gxL, gxR, gyB, gyT = grad_edges
+    jump_x = np.abs(gxR[:, :-1] - gxL[:, 1:]).max() if mesh.n1 > 1 else 0.0
+    jump_y = np.abs(gyT[:-1] - gyB[1:]).max() if mesh.n2 > 1 else 0.0
     return float(max(jump_x, jump_y))
 
 
@@ -50,8 +49,8 @@ def gradient_to_sigma_coeffs(mesh: TensorMesh, grad_edges) -> np.ndarray:
     i2h_sigma reads them.
     """
     n1, n2 = mesh.n1, mesh.n2
-    cols = grad_edges[0].shape[1:]
-    gxL, gxR, gyB, gyT = [g.reshape(n2, n1, *cols) for g in grad_edges]
+    gxL, gxR, gyB, gyT = grad_edges
+    cols = gxL.shape[2:]
     sx = np.zeros((n2, n1 + 1, *cols))
     sx[:, :-1] -= gxL
     sx[:, 1:] -= gxR

@@ -106,8 +106,8 @@ class FieldSample:
     u = amp sin(kx x) sin(ky y),  amp = 2 / sqrt(ab),  kx = m pi / a,
     ky = n pi / b,
 
-    with eigenvalue kx^2 + ky^2 and derivative access.  The flux is
-    sigma = -grad u.
+    with eigenvalue kx^2 + ky^2 and the 1-D factors of its derivatives.
+    The flux is sigma = -grad u.
     """
 
     m: int
@@ -144,13 +144,6 @@ class FieldSample:
         the points x, and the dy-th derivative of sin(ky y) at the points y."""
         return (self.amp * _factor(self.kx, np.asarray(x), dx),
                 _factor(self.ky, np.asarray(y), dy))
-
-    def derivative(self, x, y, dx=0, dy=0):
-        """The (dx, dy) partial derivative of u at the points (x, y), the
-        product of its two factors; x and y broadcast, so x[:, None] and y
-        give the tensor grid."""
-        fx, fy = self.factors(x, y, dx, dy)
-        return fx * fy
 
     def strip_integrals_dd_sq(self, node_x, node_y):
         """Closed-form integrals of u_xx^2 over each x-strip

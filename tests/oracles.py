@@ -2,13 +2,18 @@
 
 Each oracle takes the slow, direct route and shares no code with the
 library path it checks: a per-cell COO scatter for the direct CSR
-assembly, a dense 2-D eigensolve for the tensor-product solver, 1-D
+assembly, the reference-element dual basis (the inverse of the monomial
+DOF matrix, a 25-triplet scatter per cell and a slice of the free DOFs)
+for the closed-form enriched stiffness and cell gradients, a dense 2-D
+eigensolve for the tensor-product solver, 1-D
 pencils sliced from the assembled matrices and inverted through a sparse
 saddle LU for the cumulative-sum 1-D modes, a
 shift-invert Lanczos solve of the enriched pencil for the inertia count
 and the lifted pairs of the equivalence check, per-cell Lagrange
 evaluation for the batched postprocessing norms, and scalar analytic
-integrals per cell or edge for the batched cell and edge means.
+integrals per cell or edge for the batched cell and edge means;
+``exact_derivative`` evaluates an exact field pointwise from its 1-D
+factors.
 They use public rrteig names only.  ``factor_pair`` builds a pair from
 1-D factors the solver does not produce, to feed the postprocessing with
 chosen or random data.
@@ -21,7 +26,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from rrteig.assembly import layout, peq_cell_gradient
+from rrteig.assembly import PeqSystem, layout, peq_cell_gradient
 from rrteig.eigensolve import MixedEigenpair
 from rrteig.errors import KTooLarge
 
@@ -68,6 +73,159 @@ def assemble_mixed_coo(mesh):
     b_vals = np.concatenate([hy, -hy, hx, -hx])
     B = sp.coo_matrix((b_vals, (b_rows, b_cols)), shape=(lay.n_cell, n_sig)).tocsr()
     return A, B
+
+
+# The enriched element on the reference cell [-1, 1]^2: the local space
+# span{1, x, y, x^2, y^2} with the dual basis of the five integral DOFs
+# (left, right, bottom, top edge and cell), from the inverse of the DOF
+# matrix of the monomials.  Physical basis functions are the mapped
+# reference ones scaled so that the physical integrals stay unit.
+_DOF_MONOMIAL = np.array(
+    [
+        # 1     x     y     x^2      y^2
+        [2.0, -2.0, 0.0, 2.0, 2.0 / 3.0],  # integral over left edge
+        [2.0, 2.0, 0.0, 2.0, 2.0 / 3.0],   # right edge
+        [2.0, 0.0, -2.0, 2.0 / 3.0, 2.0],  # bottom edge
+        [2.0, 0.0, 2.0, 2.0 / 3.0, 2.0],   # top edge
+        [4.0, 0.0, 0.0, 4.0 / 3.0, 4.0 / 3.0],  # cell
+    ]
+)
+# columns = dual basis functions in the monomial basis
+REF_COEFFS = np.linalg.inv(_DOF_MONOMIAL)
+
+# reference gradient Gram matrices of the monomials over [-1,1]^2
+_GXX_MONO = np.zeros((5, 5))
+_GXX_MONO[1, 1] = 4.0
+_GXX_MONO[3, 3] = 16.0 / 3.0
+_GYY_MONO = np.zeros((5, 5))
+_GYY_MONO[2, 2] = 4.0
+_GYY_MONO[4, 4] = 16.0 / 3.0
+
+_GXX_REF = REF_COEFFS.T @ _GXX_MONO @ REF_COEFFS
+_GYY_REF = REF_COEFFS.T @ _GYY_MONO @ REF_COEFFS
+
+# d/dxi of the dual basis at xi = -1 and xi = +1 (constant in eta), and
+# d/deta at eta = -/+1; used to read off the cellwise gradient.
+_DXI_AT = {
+    -1: REF_COEFFS[1] - 2.0 * REF_COEFFS[3],
+    +1: REF_COEFFS[1] + 2.0 * REF_COEFFS[3],
+}
+_DETA_AT = {
+    -1: REF_COEFFS[2] - 2.0 * REF_COEFFS[4],
+    +1: REF_COEFFS[2] + 2.0 * REF_COEFFS[4],
+}
+
+
+def _cell_arrays(mesh):
+    ii, jj = np.meshgrid(np.arange(mesh.n1), np.arange(mesh.n2))
+    ii, jj = ii.ravel(), jj.ravel()  # row-major: i fast
+    return ii, jj, mesh.hx[ii], mesh.hy[jj]
+
+
+def peq_local_matrices(hx, hy):
+    """Local stiffness in the physical integral-DOF basis.
+
+    ``hx``/``hy`` may be arrays (one entry per cell); returns an array of
+    shape (..., 5, 5).
+    """
+    hx = np.asarray(hx, dtype=float)
+    hy = np.asarray(hy, dtype=float)
+    # scaling of the physical dual basis: integral DOFs stay unit
+    alpha = np.stack(
+        [2.0 / hy, 2.0 / hy, 2.0 / hx, 2.0 / hx, 4.0 / (hx * hy)], axis=-1
+    )
+    gxx = _GXX_REF * (hy / hx)[..., None, None]
+    gyy = _GYY_REF * (hx / hy)[..., None, None]
+    return alpha[..., :, None] * (gxx + gyy) * alpha[..., None, :]
+
+
+def assemble_peq_coo(mesh):
+    """The enriched system of assemble_peq from the reference element:
+    every cell scatters its 5x5 local stiffness as 25 COO triplets onto
+    all DOFs, boundary edges included, and the free rows and columns are
+    sliced out afterwards."""
+    lay = layout(mesh)
+    ii, jj, hx, hy = _cell_arrays(mesh)
+    area = mesh.cell_areas
+    n1, n2 = lay.n1, lay.n2
+
+    cell_dofs = lay.n_sigma + lay.cell_index(ii, jj)
+    loc_dofs = np.stack(
+        [
+            lay.xedge_index(ii, jj),      # left
+            lay.xedge_index(ii + 1, jj),  # right
+            lay.yedge_index(ii, jj),      # bottom
+            lay.yedge_index(ii, jj + 1),  # top
+            cell_dofs,
+        ],
+        axis=-1,
+    )  # (n_cell, 5)
+
+    k_loc = peq_local_matrices(hx, hy)  # (n_cell, 5, 5)
+    rows = np.repeat(loc_dofs, 5, axis=1).ravel()
+    cols = np.tile(loc_dofs, (1, 5)).ravel()
+    n_tot = lay.n_sigma + lay.n_cell
+    K_full = sp.coo_matrix(
+        (k_loc.ravel(), (rows, cols)), shape=(n_tot, n_tot)
+    ).tocsr()
+
+    # free DOFs: interior edges + all cells
+    interior = np.ones(n_tot, dtype=bool)
+    rows_j = np.arange(n2)
+    interior[lay.xedge_index(0, rows_j)] = False
+    interior[lay.xedge_index(n1, rows_j)] = False
+    cols_i = np.arange(n1)
+    interior[lay.yedge_index(cols_i, 0)] = False
+    interior[lay.yedge_index(cols_i, n2)] = False
+    free = np.flatnonzero(interior)
+    n_edge_free = int(np.count_nonzero(free < lay.n_sigma))
+
+    K = K_full[free][:, free].tocsr()
+    m0 = np.zeros(len(free))
+    m0[n_edge_free:] = 1.0 / area  # cell DOFs keep row-major order
+    return PeqSystem(
+        K=K, M0_diag=m0, layout=lay, mesh=mesh, free=free,
+        n_edge_free=n_edge_free,
+    )
+
+
+def peq_cell_gradient_dual(mesh, coeffs_full):
+    """(gxL, gxR, gyB, gyT) of peq_cell_gradient from the reference dual
+    basis, each with n_cell rows in row-major cell order and the columns
+    of ``coeffs_full``: per cell, the five DOFs are gathered, scaled to
+    the reference basis and dotted with its edge derivatives."""
+    lay = layout(mesh)
+    ii, jj, hx, hy = _cell_arrays(mesh)
+    loc = np.stack(
+        [
+            coeffs_full[lay.xedge_index(ii, jj)],
+            coeffs_full[lay.xedge_index(ii + 1, jj)],
+            coeffs_full[lay.yedge_index(ii, jj)],
+            coeffs_full[lay.yedge_index(ii, jj + 1)],
+            coeffs_full[lay.n_sigma + lay.cell_index(ii, jj)],
+        ],
+        axis=-1,
+    )  # (n_cell, [k,] 5)
+    # per-cell factors broadcast over the columns
+    cells = (len(hx),) + (1,) * (coeffs_full.ndim - 1)
+    hx, hy = hx.reshape(cells), hy.reshape(cells)
+    alpha = np.stack(
+        [2.0 / hy, 2.0 / hy, 2.0 / hx, 2.0 / hx, 4.0 / (hx * hy)], axis=-1
+    )
+    w = loc * alpha
+    gxL = (2.0 / hx) * (w @ _DXI_AT[-1])
+    gxR = (2.0 / hx) * (w @ _DXI_AT[+1])
+    gyB = (2.0 / hy) * (w @ _DETA_AT[-1])
+    gyT = (2.0 / hy) * (w @ _DETA_AT[+1])
+    return gxL, gxR, gyB, gyT
+
+
+def exact_derivative(fld, x, y, dx=0, dy=0):
+    """The (dx, dy) partial derivative of the exact field at the points
+    (x, y): the product of the two 1-D factors of FieldSample.factors; x
+    and y broadcast."""
+    fx, fy = fld.factors(x, y, dx, dy)
+    return fx * fy
 
 
 def factor_pair(v, w, flux_x, flux_y, scale=1.0):

@@ -1,19 +1,20 @@
 """Assembly oracles: quadrature checks of the closed-form element
-matrices, structural properties of the global matrices, and the direct
-CSR build against the COO scatter."""
+matrices, structural properties of the global matrices, the direct CSR
+build against the COO scatter, and the closed-form enriched element
+against the reference-element oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import assemble_mixed_coo
-from rrteig.assembly import (
-    _REF_COEFFS,
-    assemble_mixed,
-    assemble_peq,
-    peq_cell_gradient,
+from oracles import (
+    REF_COEFFS,
+    assemble_mixed_coo,
+    assemble_peq_coo,
+    peq_cell_gradient_dual,
     peq_local_matrices,
 )
+from rrteig.assembly import assemble_mixed, assemble_peq, peq_cell_gradient
 from rrteig.mesh import build_mesh
 
 _GX, _GW = np.polynomial.legendre.leggauss(6)
@@ -117,10 +118,10 @@ def _nodes(draw, n, label):
 
 
 @st.composite
-def _meshes(draw):
-    """Meshes of 1 to 40 cells per direction."""
-    n1 = draw(st.integers(1, 40), label="n1")
-    n2 = draw(st.integers(1, 40), label="n2")
+def _meshes(draw, n_max=40):
+    """Meshes of 1 to n_max cells per direction."""
+    n1 = draw(st.integers(1, n_max), label="n1")
+    n2 = draw(st.integers(1, n_max), label="n2")
     return build_mesh(_nodes(draw, n1, "x"), _nodes(draw, n2, "y"))
 
 
@@ -157,7 +158,7 @@ def _peq_basis_fn(i, hx, hy, x0, y0):
         mono = np.stack(
             [np.ones_like(xi), xi, eta, xi**2, eta**2], axis=-1
         )
-        return alpha * (mono @ _REF_COEFFS[:, i])
+        return alpha * (mono @ REF_COEFFS[:, i])
 
     return f
 
@@ -235,16 +236,45 @@ def test_peq_cell_gradient_oracle():
         )
 
     y_mid, x_mid = hy / 2, hx / 2
-    assert gxL[0] == pytest.approx(
+    assert gxL[0, 0] == pytest.approx(
         (u(eps, y_mid) - u(-eps, y_mid)) / (2 * eps), rel=1e-7
     )
-    assert gxR[0] == pytest.approx(
+    assert gxR[0, 0] == pytest.approx(
         (u(hx + eps, y_mid) - u(hx - eps, y_mid)) / (2 * eps), rel=1e-7
     )
-    assert gyB[0] == pytest.approx(
+    assert gyB[0, 0] == pytest.approx(
         (u(x_mid, eps) - u(x_mid, -eps)) / (2 * eps), rel=1e-7
     )
-    assert gyT[0] == pytest.approx(
+    assert gyT[0, 0] == pytest.approx(
         (u(x_mid, hy + eps) - u(x_mid, hy - eps)) / (2 * eps), rel=1e-7
     )
 
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mesh=_meshes(n_max=13))
+@example(mesh=build_mesh([0.0, 1.5], [0.0, 2.0]))
+@example(mesh=build_mesh([0.0, 1.5], [0.0, 1.0, 3.5, 4.0]))
+@example(mesh=build_mesh([0.0, 1.0, 3.5, 4.0], [0.0, 1.5]))
+def test_closed_form_peq_matches_reference_element(mesh):
+    """The closed-form enriched system against the reference-element
+    scatter of the oracle: free, n_edge_free and M0_diag bit for bit, K
+    within 2e-15 max|K| with no stored zero, and the edge values of the
+    cellwise gradient of random DOFs within 2e-15 of their largest."""
+    got, want = assemble_peq(mesh), assemble_peq_coo(mesh)
+    assert got.free.dtype == want.free.dtype
+    assert got.free.tobytes() == want.free.tobytes()
+    assert got.n_edge_free == want.n_edge_free
+    assert got.M0_diag.tobytes() == want.M0_diag.tobytes()
+    assert got.K.shape == want.K.shape
+    assert np.count_nonzero(got.K.data == 0.0) == 0
+    assert abs(got.K - want.K).max() <= 2e-15 * abs(want.K).max()
+
+    n1, n2 = mesh.n1, mesh.n2
+    n_tot = got.layout.n_sigma + got.layout.n_cell
+    coeffs = np.random.default_rng(n1 * 64 + n2).standard_normal((n_tot, 2))
+    for c in (coeffs, coeffs[:, 0]):
+        for g, d in zip(peq_cell_gradient(mesh, c),
+                        peq_cell_gradient_dual(mesh, c)):
+            d = d.reshape(n2, n1, *c.shape[1:])
+            assert g.shape == d.shape
+            assert np.abs(g - d).max() <= 2e-15 * np.abs(d).max()

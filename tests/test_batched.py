@@ -1,6 +1,6 @@
 """Whole-mesh kernels against their per-cell oracles on random tensor
 meshes: postprocessed error norms of random and of solved pairs
-(oracles.eval_cell and the pointwise exact derivative, 5x5 Gauss per fine
+(oracles.eval_cell and oracles.exact_derivative, 5x5 Gauss per fine
 cell), cell means
 (oracles.cell_integral_u), edge-flux means (oracles.mean_flux_x /
 mean_flux_y) and the h^2 expansion term (Gauss quadrature of u_xx^2 and
@@ -26,6 +26,7 @@ from rrteig.postprocess import error_norms_postprocessed, i2h_sigma, j2h_u
 from oracles import (
     cell_integral_u,
     eval_cell,
+    exact_derivative,
     factor_pair,
     mean_flux_x,
     mean_flux_y,
@@ -90,7 +91,7 @@ def _oracle_norm(field, exact, order):
             w = np.outer(yh * _GW, xh * _GW)
 
             def u(dx, dy):
-                return exact.derivative(xg, yg, dx, dy)
+                return exact_derivative(exact, xg, yg, dx, dy)
 
             if order == 0 and field.kind == "sigma":
                 sx, sy = eval_cell(field, i, j, xg, yg)
@@ -198,8 +199,8 @@ def _oracle_expansion_term(mesh, exact):
             xg, yg = np.meshgrid(xm + xh * _QX, ym + yh * _QX)
             w = np.outer(yh * _QW, xh * _QW)
             total += np.sum(w * (
-                (2 * xh) ** 2 * exact.derivative(xg, yg, 2, 0) ** 2
-                + (2 * yh) ** 2 * exact.derivative(xg, yg, 0, 2) ** 2))
+                (2 * xh) ** 2 * exact_derivative(exact, xg, yg, 2, 0) ** 2
+                + (2 * yh) ** 2 * exact_derivative(exact, xg, yg, 0, 2) ** 2))
     return total / 12.0
 
 

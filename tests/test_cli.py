@@ -62,6 +62,9 @@ def test_config_validation():
         _small_config(levels=0)
     with pytest.raises(ValueError):
         _small_config(k=0)
+    for tol in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            _small_config(tol=tol)
     with pytest.raises(ValueError):
         _small_config(analyses=("nonsense",))
 

@@ -10,12 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from rrteig import cli
-from rrteig.assembly import (
-    assemble_mixed,
-    assemble_peq,
-    peq_cell_gradient,
-    peq_local_matrices,
-)
+from rrteig.assembly import assemble_mixed, assemble_peq, peq_cell_gradient
 from rrteig.cli import case_preset, run_case
 from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
 from rrteig.equivalence import (
@@ -29,7 +24,12 @@ from rrteig.errors import DimensionMismatch, KTooLarge, SingularSystem
 from rrteig.exact import FieldSample, enumerate_exact, l2_project_exact
 from rrteig.mesh import build_mesh, uniform_mesh, uniform_refine
 
-from oracles import PeqSolution, dense_eigenvalues, solve_peq_eigs
+from oracles import (
+    PeqSolution,
+    dense_eigenvalues,
+    peq_local_matrices,
+    solve_peq_eigs,
+)
 
 PI = np.pi
 

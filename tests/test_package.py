@@ -1,6 +1,6 @@
 """The top-level namespace holds the library API and no test oracle;
-no module imports a name it does not use, and no public function or
-class of the package goes unread."""
+no module imports a name it does not use, and no public function,
+class, method or property of the package goes unread."""
 
 import ast
 import re
@@ -64,27 +64,35 @@ def test_no_unused_module_imports():
     assert unused == {}
 
 
+def _reads(node, enclosing=frozenset()):
+    """Names read under ``node``, a Name or an attribute access, except
+    where the read lies inside a definition of that name."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        enclosing = enclosing | {node.name}
+    name = (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+    read = {name} - enclosing if name else set()
+    for child in ast.iter_child_nodes(node):
+        read |= _reads(child, enclosing)
+    return read
+
+
 def _unread_public_names(sources: dict[str, str], readme: str) -> list[str]:
     """Public module-level functions and classes of ``sources`` (file name
-    -> text) that no module reads outside the name's own definition and
-    that ``readme`` does not name.  A read is a Name or an attribute
-    access; an import alone is not."""
-    trees = {f: ast.parse(text) for f, text in sources.items()}
+    -> text), and public methods and properties of those classes, that no
+    module reads outside the name's own definition and that ``readme``
+    does not name.  A read is a Name or an attribute access; an import
+    alone is not."""
+    trees = [ast.parse(text) for text in sources.values()]
+    defs = [node for tree in trees for node in tree.body]
+    defs += [node for top in defs if isinstance(top, ast.ClassDef)
+             for node in top.body]
     defined = {
-        node.name
-        for tree in trees.values() for node in tree.body
+        node.name for node in defs
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
     }
-    read = set()
-    for tree in trees.values():
-        for top in tree.body:
-            own = getattr(top, "name", None)
-            for n in ast.walk(top):
-                name = (n.id if isinstance(n, ast.Name)
-                        else n.attr if isinstance(n, ast.Attribute) else None)
-                if name != own:
-                    read.add(name)
+    read = set().union(*(_reads(tree) for tree in trees))
     return sorted(name for name in defined - read
                   if not re.search(rf"\b{name}\b", readme))
 
@@ -93,19 +101,23 @@ def test_unread_public_names_checker():
     src = {
         "a.py": ("from b import used\n"
                  "def used_here():\n    return used_here\n"
-                 "class Documented:\n    pass\n"
+                 "class Documented:\n"
+                 "    def unread_method(self):\n"
+                 "        return self.unread_method()\n"
+                 "    @property\n"
+                 "    def read_property(self):\n        return 1\n"
                  "def unread():\n    return unread()\n"
-                 "def _private():\n    return used()\n"),
+                 "def _private():\n    return used().read_property\n"),
         "b.py": "def used():\n    return 1\n",
     }
     assert _unread_public_names(src, "see `Documented`") == [
-        "unread", "used_here"]
+        "unread", "unread_method", "used_here"]
 
 
 def test_no_unread_public_names():
-    """Every public function and class of the package is read elsewhere
-    in it or named in the README; the package ``__init__`` re-exports and
-    does not count as a reader."""
+    """Every public function, class, method and property of the package
+    is read elsewhere in it or named in the README; the package
+    ``__init__`` re-exports and does not count as a reader."""
     sources = {f.name: f.read_text()
                for f in sorted((ROOT / "src" / "rrteig").glob("*.py"))
                if f.name != "__init__.py"}
