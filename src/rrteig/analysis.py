@@ -9,6 +9,8 @@ from .errors import DimensionMismatch
 from .exact import FieldSample
 from .mesh import TensorMesh
 
+_BOUND_REL_TOL = 1e-12  # relative roundoff slack of the upper-bound flag
+
 
 def expansion_term(mesh: TensorMesh, exact_rep: FieldSample) -> float:
     """Dominant h^2 term of the eigenvalue error:
@@ -41,12 +43,12 @@ def extrapolate(lambda_h: float, lambda_half: float) -> float:
     return (4.0 * lambda_half - lambda_h) / 3.0
 
 
-def check_upper_bound(lambdas_h, exact, rel_tol: float = 1e-12):
+def check_upper_bound(lambdas_h, exact):
     """Margins lambda_h - lambda with a flag per matched index."""
     out = []
     for lh, lam in zip(lambdas_h, exact):
         margin = lh - lam
-        out.append((margin, bool(margin >= -rel_tol * lam)))
+        out.append((margin, bool(margin >= -_BOUND_REL_TOL * lam)))
     return out
 
 

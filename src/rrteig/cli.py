@@ -214,11 +214,11 @@ def _aligned_field(pair, exact_pair):
 
 
 def _sign_matched(pair, pi0_u, areas):
-    """Flip the discrete pair, by negating its scale, so its cell means
+    """Flip the discrete pair, by negating v and flux_x, so its cell means
     correlate positively with the exact projection."""
     if float(np.sum(areas * pi0_u * pair.u_coeffs)) >= 0:
         return pair
-    return replace(pair, scale=-pair.scale)
+    return replace(pair, v=-pair.v, flux_x=-pair.flux_x)
 
 
 def _solve(config: ExperimentConfig, mesh: TensorMesh, equivalence: bool):

@@ -18,10 +18,9 @@ sin(m pi x / a) sin(n pi y / b).
 The flux follows from the same structure: A and B are Kronecker products
 blockwise (A_xx = diag(h_y) (x) A1x, B_x = diag(h_y) (x) Gx, and alike in
 y), so sigma = A^-1 B^T u is w_j (x) A1x^-1 Gx^T v_i on the x-edges and
-A1y^-1 Gy^T w_j (x) v_i on the y-edges, from two tridiagonal 1-D solves.
-No sparse matrix is factored.  Each pair keeps its four 1-D factors and its
-normalisation, and forms its 2-D u and sigma vectors on demand; every pair
-is checked against the assembled 2-D matrices by sparse products.
+A1y^-1 Gy^T w_j (x) v_i on the y-edges, from two tridiagonal 1-D solves,
+and a pair's residuals are Kronecker products of 1-D ones (_residuals).  No
+2-D matrix is read or factored: each pair is exactly its four 1-D factors.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .errors import KTooLarge, NotConverged
 @dataclass(frozen=True)
 class SolveOptions:
     """Contract of an eigenpair request: the k smallest pairs, each with a
-    relative residual against the assembled pencil of at most ``tol``."""
+    relative residual in the 2-D mixed pencil of at most ``tol``."""
 
     k: int
     tol: float = 1e-10
@@ -52,14 +51,13 @@ class SolveOptions:
 
 @dataclass
 class MixedEigenpair:
-    """One discrete eigenpair, normalized by u^T M u = 1, held as its 1-D
-    factors.
+    """One discrete eigenpair, held as its 1-D factors.
 
-    ``mode`` is the ordered wave-number pair (m, n): u = w (x) v / scale is
-    the tensor product of the m-th x mode v and the n-th y mode w, with
-    m - 1 and n - 1 sign changes; ``flux_x`` = A1x^-1 Gx^T v and
-    ``flux_y`` = A1y^-1 Gy^T w are their 1-D fluxes, and ``scale`` is the
-    signed normalisation divisor.  Negating ``scale`` flips the pair.
+    ``mode`` is the ordered wave-number pair (m, n): u = w (x) v is the
+    tensor product of the m-th x mode v and the n-th y mode w, with m - 1
+    and n - 1 sign changes; ``flux_x`` = A1x^-1 Gx^T v and ``flux_y`` =
+    A1y^-1 Gy^T w are their 1-D fluxes.  v and w are D-orthonormal, so
+    u^T M u = 1 to roundoff.  Negating v and flux_x flips the pair.
     """
 
     lambda_h: float
@@ -67,47 +65,34 @@ class MixedEigenpair:
     w: np.ndarray
     flux_x: np.ndarray
     flux_y: np.ndarray
-    scale: float
     residual_norm: float
     mode: tuple[int, int]
 
     @property
     def u_coeffs(self) -> np.ndarray:
-        """Cell values, row-major: cell j * n1 + i holds w[j] v[i] / scale."""
-        return np.outer(self.w, self.v).ravel() / self.scale
+        """Cell values, row-major: cell j * n1 + i holds w[j] v[i]."""
+        return np.outer(self.w, self.v).ravel()
 
     @property
     def sigma_coeffs(self) -> np.ndarray:
-        """Edge DOFs: x-edge j * (n1 + 1) + i holds w[j] flux_x[i] / scale,
-        then y-edge n_xedge + j * n1 + i holds flux_y[j] v[i] / scale."""
+        """Edge DOFs: x-edge j * (n1 + 1) + i holds w[j] flux_x[i], then
+        y-edge n_xedge + j * n1 + i holds flux_y[j] v[i]."""
         return np.concatenate([np.outer(self.w, self.flux_x).ravel(),
-                               np.outer(self.flux_y, self.v).ravel()]) / self.scale
+                               np.outer(self.flux_y, self.v).ravel()])
 
 
-def _scale(system, u):
-    """The signed M-norm of u that normalizes it: the largest-magnitude
-    entry of u / scale is positive."""
-    nrm = float(np.sqrt(u @ (system.M * u)))
-    u = u / nrm
-    return -nrm if u[int(np.argmax(np.abs(u)))] < 0 else nrm
-
-
-def _residual(system, bt, pair):
-    """Relative residual of a pair against the assembled 2-D pencil: one
-    product with A, B and B^T (formed once by the caller)."""
-    sigma, u = pair.sigma_coeffs, pair.u_coeffs
-    a_sigma = system.A @ sigma
-    r1 = np.linalg.norm(a_sigma - bt @ u)
-    r1 /= max(np.linalg.norm(a_sigma), 1e-300)
-    r2 = np.linalg.norm(system.B @ sigma - pair.lambda_h * (system.M * u))
-    r2 /= max(abs(pair.lambda_h), 1e-300)
-    return float(max(r1, r2))
+def _a1_times(diag, off, s):
+    """A1 s, column by column, for the tridiagonal A1 = (off, diag, off)."""
+    out = diag[:, None] * s
+    out[:-1] += off[:, None] * s[1:]
+    out[1:] += off[:, None] * s[:-1]
+    return out
 
 
 def _modes_1d(h, k):
     """k smallest eigenpairs (mu, v) of the 1-D RT0 pencil (S, D) on the
-    cell widths h, S = G A1^-1 G^T and D = diag(h), and their fluxes
-    A1^-1 G^T v.
+    cell widths h, S = G A1^-1 G^T and D = diag(h), their fluxes
+    A1^-1 G^T v and the five 1-D sums per mode that _residuals reads.
 
     The pairs are taken from the top of the inverse K = D^1/2 S^-1 D^1/2
     by a dense symmetric eigendecomposition.  S^-1 f = x solves the saddle
@@ -115,7 +100,8 @@ def _modes_1d(h, k):
     cumulative sums: s is the running sum of f, shifted by the constant
     flux that makes 1^T A1 s = 0, so that A1 s lies in the range of G^T,
     and x is minus the running sum of A1 s.  With the columns of D^1/2
-    as f this forms K in O(n^2).  Columns of v are D-orthonormal.  The
+    as f this forms K in O(n^2).  Columns of v are D-orthonormal, each
+    signed so that its first largest-magnitude entry is positive.  The
     fluxes come from a direct tridiagonal solve with A1.
     """
     n = len(h)
@@ -125,16 +111,34 @@ def _modes_1d(h, k):
     s = np.zeros((n + 1, n))
     s[1:] = np.tri(n) * d_sqrt  # running sums of the columns of D^1/2
     s -= (1.5 * diag) @ s / h.sum()  # 1.5 diag: the row sums of A1
-    a1s = diag[:, None] * s
-    a1s[:-1] += off[:, None] * s[1:]
-    a1s[1:] += off[:, None] * s[:-1]
-    inv = -np.cumsum(a1s[:-1], axis=0) * d_sqrt[:, None]
+    inv = -np.cumsum(_a1_times(diag, off, s)[:-1], axis=0) * d_sqrt[:, None]
     theta, vec = np.linalg.eigh((inv + inv.T) / 2.0)
     top = np.arange(n - 1, n - 1 - k, -1)  # largest theta = smallest mu
+    mu = 1.0 / theta[top]
     v = vec[:, top] / d_sqrt[:, None]
+    v *= np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(k)])
     gtv = -np.diff(v, axis=0, prepend=0.0, append=0.0)  # G^T v
     bands = np.stack([np.r_[0.0, off], diag])  # upper banded storage
-    return 1.0 / theta[top], v, sla.solveh_banded(bands, gtv)
+    flux = sla.solveh_banded(bands, gtv)
+    a1f, dv = _a1_times(diag, off, flux), h[:, None] * v
+    rho1, rho2 = a1f - gtv, np.diff(flux, axis=0) - mu * dv  # G f = diff(f)
+    terms = ((dv, dv), (rho1, rho1), (a1f, a1f), (rho2, rho2), (dv, rho2))
+    return mu, v, flux, np.array([np.sum(a * b, axis=0) for a, b in terms])
+
+
+def _residuals(lam, x, y):
+    """Relative residuals of pairs u = w (x) v in the 2-D pencil, the larger
+    of |A sigma - B^T u| / |A sigma| and |B sigma - lambda M u| / lambda:
+    with rho1 = A1 f - G^T v, rho2 = G f - mu D v, they are [(h_y w) (x)
+    rho1_x ; rho1_y (x) (h_x v)] and (h_y w) (x) rho2_x + rho2_y (x) (h_x v),
+    normed by the rows |D v|^2, |rho1|^2, |A1 f|^2, |rho2|^2, <D v, rho2>
+    of the sums x of each v and y of each w (a square clipped at 0)."""
+    (dv_x, r1_x, af_x, r2_x, c_x), (dv_y, r1_y, af_y, r2_y, c_y) = x, y
+    r1 = np.sqrt(dv_y * r1_x + r1_y * dv_x)
+    r1 /= np.maximum(np.sqrt(dv_y * af_x + af_y * dv_x), 1e-300)
+    r2 = np.sqrt(np.maximum(dv_y * r2_x + r2_y * dv_x + 2.0 * c_y * c_x, 0.0))
+    r2 /= np.maximum(np.abs(lam), 1e-300)
+    return np.maximum(r1, r2)
 
 
 def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions) -> list[MixedEigenpair]:
@@ -143,35 +147,31 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions) -> list[MixedEigen
     Deterministic; eigenvalues ascending, tied eigenvalues ordered by
     their (y, x) 1-D mode indices, so a cluster member keeps its place
     whatever k is; u vectors M-orthonormal, each u's largest-magnitude
-    entry positive; sigma = A^-1 B^T u is assembled from the 1-D fluxes;
-    each pair carries its mode label (m, n).
+    entry positive at (argmax |w|, argmax |v|); sigma = A^-1 B^T u is
+    assembled from the 1-D fluxes; each pair carries its mode label
+    (m, n).  Only ``system.mesh`` is read.
     """
-    lay = system.layout
-    if opts.k > lay.n_cell:
-        raise KTooLarge(f"k={opts.k} exceeds spectrum size {lay.n_cell}")
+    mesh = system.mesh
+    if opts.k > mesh.n_cells:
+        raise KTooLarge(f"k={opts.k} exceeds spectrum size {mesh.n_cells}")
 
     # the k smallest sums use at most the k smallest modes of each direction
-    mu, v, flux_x = _modes_1d(system.mesh.hx, min(opts.k, lay.n1))
-    nu, w, flux_y = _modes_1d(system.mesh.hy, min(opts.k, lay.n2))
-    sums = np.add.outer(nu, mu)
-    order = np.argsort(sums, axis=None, kind="stable")[: opts.k]
-
-    bt = system.B.T
-    out = []
-    for flat in order:
-        j, i = divmod(int(flat), len(mu))
-        pair = MixedEigenpair(
-            lambda_h=float(sums[j, i]), v=v[:, i].copy(), w=w[:, j].copy(),
-            flux_x=flux_x[:, i].copy(), flux_y=flux_y[:, j].copy(),
-            scale=_scale(system, np.outer(w[:, j], v[:, i]).ravel()),
-            residual_norm=0.0, mode=(i + 1, j + 1),
-        )
-        pair.residual_norm = _residual(system, bt, pair)
-        out.append(pair)
-    worst = max(p.residual_norm for p in out)
-    if worst > opts.tol:
+    mu, v, flux_x, sums_x = _modes_1d(mesh.hx, min(opts.k, mesh.n1))
+    nu, w, flux_y, sums_y = _modes_1d(mesh.hy, min(opts.k, mesh.n2))
+    lams = np.add.outer(nu, mu)
+    order = np.argsort(lams, axis=None, kind="stable")[: opts.k]
+    jj, ii = np.unravel_index(order, lams.shape)
+    residuals = _residuals(lams[jj, ii], sums_x[:, ii], sums_y[:, jj])
+    if not residuals.max() <= opts.tol:  # a NaN residual fails too
         raise NotConverged(
-            f"worst residual {worst:.3e} exceeds tol {opts.tol:.1e}",
-            residuals=[p.residual_norm for p in out],
+            f"worst residual {residuals.max():.3e} exceeds tol {opts.tol:.1e}",
+            residuals=residuals.tolist(),
         )
-    return out
+    return [
+        MixedEigenpair(
+            lambda_h=float(lams[j, i]), v=v[:, i].copy(), w=w[:, j].copy(),
+            flux_x=flux_x[:, i].copy(), flux_y=flux_y[:, j].copy(),
+            residual_norm=r, mode=(i + 1, j + 1),
+        )
+        for j, i, r in zip(jj.tolist(), ii.tolist(), residuals.tolist())
+    ]

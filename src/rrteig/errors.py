@@ -22,7 +22,7 @@ class LayoutMismatch(RRTError):
 
 
 class NotConverged(RRTError):
-    """The eigen-iteration did not reach the requested tolerance."""
+    """An eigenpair's residual exceeds the requested tolerance."""
 
     def __init__(self, message, residuals=None):
         super().__init__(message)

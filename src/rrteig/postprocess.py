@@ -90,20 +90,19 @@ def _require_fit(mesh, pair, *names):
 
 def i2h_sigma(mesh: TensorMesh, pair: MixedEigenpair) -> PostprocessedField:
     """Macro-element flux reconstruction from the pair's edge DOF values:
-    sx interpolates the x data flux_x / scale and the y data w, sy the x
-    data v / scale and the y data flux_y."""
+    sx interpolates the x data flux_x and the y data w, sy the x data v
+    and the y data flux_y."""
     _require_fit(mesh, pair, "v", "w", "flux_x", "flux_y")
     return PostprocessedField(mesh=mesh, kind="sigma", components=(
-        (pair.flux_x / pair.scale, pair.w), (pair.v / pair.scale, pair.flux_y)
-    ))
+        (pair.flux_x, pair.w), (pair.v, pair.flux_y)))
 
 
 def j2h_u(mesh: TensorMesh, pair: MixedEigenpair) -> PostprocessedField:
     """Bilinear reconstruction of the scalar from the pair's cell values at
-    centroids: the x data v / scale and the y data w."""
+    centroids: the x data v and the y data w."""
     _require_fit(mesh, pair, "v", "w")
     return PostprocessedField(mesh=mesh, kind="u",
-                              components=((pair.v / pair.scale, pair.w),))
+                              components=((pair.v, pair.w),))
 
 
 def _gauss_table(nodes):

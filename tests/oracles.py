@@ -229,13 +229,27 @@ def exact_derivative(fld, x, y, dx=0, dy=0):
 
 
 def factor_pair(v, w, flux_x, flux_y, scale=1.0):
-    """A pair with the given 1-D factors: u = w (x) v / scale, sx = w (x)
-    flux_x / scale and sy = flux_y (x) v / scale."""
-    return MixedEigenpair(lambda_h=0.0, v=np.asarray(v, float),
+    """A pair with the given 1-D factors, the scale folded into the x
+    ones: u = w (x) v / scale, sx = w (x) flux_x / scale and sy = flux_y
+    (x) v / scale."""
+    return MixedEigenpair(lambda_h=0.0, v=np.asarray(v, float) / scale,
                           w=np.asarray(w, float),
-                          flux_x=np.asarray(flux_x, float),
-                          flux_y=np.asarray(flux_y, float), scale=scale,
+                          flux_x=np.asarray(flux_x, float) / scale,
+                          flux_y=np.asarray(flux_y, float),
                           residual_norm=0.0, mode=(1, 1))
+
+
+def residual_2d(system, pair):
+    """Relative residual of a pair against the assembled 2-D pencil, the
+    larger of |A sigma - B^T u| / |A sigma| and |B sigma - lambda M u| /
+    lambda: one sparse product each with A, B and B^T."""
+    sigma, u = pair.sigma_coeffs, pair.u_coeffs
+    a_sigma = system.A @ sigma
+    r1 = np.linalg.norm(a_sigma - system.B.T @ u)
+    r1 /= max(np.linalg.norm(a_sigma), 1e-300)
+    r2 = np.linalg.norm(system.B @ sigma - pair.lambda_h * (system.M * u))
+    r2 /= max(abs(pair.lambda_h), 1e-300)
+    return float(max(r1, r2))
 
 
 def dense_eigenvalues(system, k, cap=5000):

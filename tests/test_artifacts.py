@@ -3,10 +3,14 @@ byte-identical to the committed copies in tests/data.
 
 The copies were generated with numpy 2.4.6 and scipy 1.17.1 (Python
 3.11.7, x86-64), the figure tables by the cumulative-sum 1-D mode solver.
-A change that is meant to alter a table replaces its copy and says why;
-another numpy or scipy may move a 17-digit figure value by roundoff, which
-this test then reports with the first differing line and the largest
-change per numeric column.
+They hold for the BLAS build and thread count they were made with: they
+match scipy-openblas 0.3.31 on two threads, but with OMP_NUM_THREADS=1
+OPENBLAS_NUM_THREADS=1 the dense eigh on preset b's 256 level-4 y widths
+rounds differently and line 6 of b_figure.txt moves by 1.3e-15.  A
+change that is meant to alter a table replaces its copy and says why;
+another numpy, scipy, BLAS or thread count may move a 17-digit figure
+value by roundoff, which this test then reports with the first differing
+line and the largest change per numeric column.
 """
 
 from pathlib import Path

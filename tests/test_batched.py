@@ -118,13 +118,16 @@ def _assert_close(got, want, rel):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(mesh=_meshes(), data=st.data())
 def test_error_norms_against_per_cell_oracle(mesh, data):
-    """Both reconstructions of random 1-D factors and a random scale, L2
-    and broken H1, to 1e-12 relative to the error, which is O(1) here."""
+    """Both reconstructions of random 1-D factors, L2 and broken H1, to
+    1e-12 relative to the error, which is O(1) here; a random signed size
+    c multiplies the x factors and divides the y factors."""
     exact = data.draw(_fields(mesh), label="field")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     n1, n2 = mesh.n1, mesh.n2
-    pair = factor_pair(*(rng.standard_normal(n) for n in (n1, n2, n1 + 1, n2 + 1)),
-                       scale=rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+    v, w, flux_x, flux_y = (rng.standard_normal(n)
+                            for n in (n1, n2, n1 + 1, n2 + 1))
+    c = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+    pair = factor_pair(c * v, w / c, c * flux_x, flux_y / c)
     for field in (i2h_sigma(mesh, pair), j2h_u(mesh, pair)):
         for order in (0, 1):
             got = error_norms_postprocessed(field, exact, order)

@@ -224,6 +224,22 @@ def test_run_with_config_file(tmp_path, capsys):
     assert "lambda_1" in capsys.readouterr().out
 
 
+def test_run_with_unreachable_tol(tmp_path, capsys):
+    """A --config tol below roundoff fails every level's solve through the
+    residual check: each level is recorded as failed with NotConverged and
+    `rrteig run` exits 2."""
+    path = tmp_path / "cfg.json"
+    nodes = list(np.linspace(0.0, PI, 9))
+    path.write_text(json.dumps({
+        "name": "strict", "node_x": nodes, "node_y": nodes, "levels": 1,
+        "k": 6, "tol": 1e-17, "analyses": ["eigenvalues", "residuals"],
+    }))
+    assert main(["run", "--config", str(path)]) == 2
+    failures = json.loads(capsys.readouterr().err)["failures"]
+    assert [(f["level"], f["error"]) for f in failures] == [
+        (0, "NotConverged"), (1, "NotConverged")]
+
+
 def _count_calls(monkeypatch, func):
     """Count the calls of a library function made through any rrteig
     module that binds it."""

@@ -1,6 +1,8 @@
 """Eigensolver contracts: oracle agreement, determinism, orthogonality,
 error paths."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -8,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from rrteig.assembly import assemble_mixed
 from rrteig.eigensolve import SolveOptions, _modes_1d, solve_mixed_eigs
-from rrteig.errors import KTooLarge
+from rrteig.errors import KTooLarge, NotConverged
 from rrteig.exact import enumerate_exact
 from rrteig.mesh import build_mesh, uniform_mesh, uniform_refine
 
-from oracles import dense_eigenvalues, modes_1d_saddle
+from oracles import dense_eigenvalues, modes_1d_saddle, residual_2d
 
 PI = np.pi
 
@@ -53,8 +55,17 @@ def test_determinism(system_a0):
 
 
 def test_sign_convention(pairs_a0):
+    """v and w each have their first largest-magnitude entry positive, so
+    u is positive and largest at (argmax |w|, argmax |v|).  The sign is
+    fixed on the 1-D factors because np.argmax over the 2-D u can pick a
+    mirror entry of opposite sign where the rounding ties them, as for
+    mode (2, 2) on uniform 5 x 10."""
     for p in pairs_a0:
-        assert p.u_coeffs[int(np.argmax(np.abs(p.u_coeffs)))] > 0
+        for f in (p.v, p.w):
+            assert f[int(np.argmax(np.abs(f)))] > 0
+        u = p.u_coeffs.reshape(len(p.w), len(p.v))
+        top = u[int(np.argmax(np.abs(p.w))), int(np.argmax(np.abs(p.v)))]
+        assert top > 0 and top == np.abs(u).max()
 
 
 def test_oracle_agreement_sweep():
@@ -81,6 +92,33 @@ def test_oracle_agreement_sweep():
 def test_residuals_small(pairs_a0):
     for p in pairs_a0:
         assert p.residual_norm <= 1e-10
+
+
+def test_solve_reads_no_assembled_matrix(mesh_c0):
+    """The solver reads only the mesh: with A, B, M and the layout removed
+    from the system, preset c level 1 gives the same bits."""
+    system = assemble_mixed(uniform_refine(mesh_c0))
+    opts = SolveOptions(k=12)
+    want = solve_mixed_eigs(system, opts)
+    bare = dataclasses.replace(system, A=None, B=None, M=None, layout=None)
+    got = solve_mixed_eigs(bare, opts)
+    assert len(got) == len(want) == 12
+    for p, q in zip(got, want):
+        assert (p.lambda_h, p.residual_norm, p.mode) == (
+            q.lambda_h, q.residual_norm, q.mode)
+        for name in ("v", "w", "flux_x", "flux_y"):
+            np.testing.assert_array_equal(getattr(p, name), getattr(q, name))
+
+
+def test_not_converged_by_the_residual_check():
+    """A tol below roundoff fails the solve's own residual check: the
+    error carries the residual of each of the k pairs, the values a
+    passing solve reports."""
+    system = assemble_mixed(uniform_mesh(0, PI, 8, 0, PI, 8))
+    with pytest.raises(NotConverged) as info:
+        solve_mixed_eigs(system, SolveOptions(k=6, tol=1e-17))
+    passing = solve_mixed_eigs(system, SolveOptions(k=6))
+    assert info.value.residuals == [p.residual_norm for p in passing]
 
 
 def test_full_spectrum_size():
@@ -135,8 +173,9 @@ def _sign_changes(v):
 @given(mesh=_tensor_meshes(), data=st.data())
 def test_random_tensor_meshes_against_oracle(mesh, data):
     """Tensor-product solver vs the dense 2-D oracle on random meshes:
-    eigenvalues to 1e-10 relative, M-orthonormal u, residuals within tol,
-    the upper bound lambda_h >= m^2 + n^2, each sigma (cluster members
+    eigenvalues to 1e-10 relative, M-orthonormal u, residuals within tol
+    and within 1e-15 of the residual from 2-D sparse products, the upper
+    bound lambda_h >= m^2 + n^2, each sigma (cluster members
     too) against a direct 2-D solve A^-1 B^T u to 1e-12 in the A-norm, and
     each mode label (m, n): u is rank one, its x factor has m - 1 and its
     y factor n - 1 sign changes (discrete Sturm oscillation), and no two
@@ -153,6 +192,8 @@ def test_random_tensor_meshes_against_oracle(mesh, data):
     gram = u.T @ (system.M[:, None] * u)
     np.testing.assert_allclose(gram, np.eye(k), atol=1e-10)
     assert all(p.residual_norm <= opts.tol for p in pairs)
+    for p in pairs:
+        assert abs(p.residual_norm - residual_2d(system, p)) <= 1e-15
     a = system.A.tocsc()
     want_sigma = spla.splu(a).solve(system.B.T @ u)  # one column per pair
     for p, want in zip(pairs, want_sigma.T):
@@ -223,7 +264,7 @@ def test_modes_1d_against_saddle_oracle(mesh, data):
     system = assemble_mixed(mesh)
     for axis, h, cross in ((0, mesh.hx, mesh.hy[0]), (1, mesh.hy, mesh.hx[0])):
         k = data.draw(st.integers(1, min(len(h), 15)), label=f"k_{axis}")
-        mu, v, flux = _modes_1d(h, k)
+        mu, v, flux, _ = _modes_1d(h, k)
         want_mu, want_v, want_flux = modes_1d_saddle(system, axis, k)
         np.testing.assert_allclose(mu, want_mu, rtol=2e-13, atol=0.0)
         sign = np.sign(np.sum(want_v * v, axis=0)) * np.sqrt(cross)
@@ -239,7 +280,7 @@ def test_modes_1d_closed_form_uniform(n):
     5e-14 relative."""
     h = np.full(n, PI / n)
     k = min(15, n)
-    mu, _, _ = _modes_1d(h, k)
+    mu, _, _, _ = _modes_1d(h, k)
     t = np.arange(1, k + 1) * PI / n
     want = 12.0 * np.sin(t / 2) ** 2 / (h[0] ** 2 * (2.0 + np.cos(t)))
     np.testing.assert_allclose(mu, want, rtol=5e-14, atol=0.0)

@@ -37,11 +37,12 @@ def _cell_points(mesh, rng, i, j, n=3):
 def test_q11_reproduction_sigma():
     """Rank-one bilinear flux data, sx = (0.3 - 0.7 x)(1.1 + 0.5 y) and
     sy = (-1.0 + 0.2 x)(0.9 - 0.8 y), every monomial coefficient nonzero,
-    is reconstructed exactly (to 1e-13); the factors x and v carry the
-    scale -1.5, which the reconstruction divides out."""
+    is reconstructed exactly (to 1e-13); the sign and size of each
+    product are split between its factors, -1.5 on the x factors and
+    1 / -1.5 on the y factors."""
     mesh = _nonuniform_even_mesh()
     nx, ny = mesh.node_x, mesh.node_y
-    scale = -1.5
+    c = -1.5
 
     def fx(x, y):
         return (0.3 - 0.7 * x) * (1.1 + 0.5 * y)
@@ -50,10 +51,10 @@ def test_q11_reproduction_sigma():
         return (-1.0 + 0.2 * x) * (0.9 - 0.8 * y)
 
     # edge means of a field linear along the edge are midpoint values
-    pair = factor_pair(v=scale * (-1.0 + 0.2 * _mids(nx)),
-                       w=1.1 + 0.5 * _mids(ny),
-                       flux_x=scale * (0.3 - 0.7 * nx),
-                       flux_y=0.9 - 0.8 * ny, scale=scale)
+    pair = factor_pair(v=c * (-1.0 + 0.2 * _mids(nx)),
+                       w=(1.1 + 0.5 * _mids(ny)) / c,
+                       flux_x=c * (0.3 - 0.7 * nx),
+                       flux_y=(0.9 - 0.8 * ny) / c)
     field = i2h_sigma(mesh, pair)
     rng = np.random.default_rng(2)
     for _ in range(20):
