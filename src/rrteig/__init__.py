@@ -14,10 +14,8 @@ from .mesh import (
 from .assembly import (
     DofLayout,
     MixedSystem,
-    PeqSystem,
     layout,
     assemble_mixed,
-    assemble_peq,
 )
 from .eigensolve import (
     SolveOptions,
@@ -46,7 +44,6 @@ from .analysis import (
     check_upper_bound,
     lower_bound_margin,
     match_frequencies,
-    eigenspace_gap,
 )
 from .equivalence import EquivalenceReport, verify_equivalence
 from .cli import ExperimentConfig, RunReport, case_preset, run_case, emit_tables

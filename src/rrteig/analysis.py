@@ -1,11 +1,10 @@
 """Quantitative eigenvalue analysis: expansion terms, convergence rates,
-extrapolation, bounds, frequency matching and eigenspace gaps."""
+extrapolation, bounds and frequency matching."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .exact import FieldSample
 from .mesh import TensorMesh
 
@@ -77,30 +76,3 @@ def match_frequencies(pairs, mesh: TensorMesh, domain) -> list[dict]:
                     "observed_shift": p.lambda_h - fld.value})
     return out
 
-
-def eigenspace_gap(vr: np.ndarray, vs: np.ndarray, metric) -> float:
-    """Gap sup over unit x in span(vr) of ||x - P_S x||, S = span(vs), via
-    principal angles; the columns of vr and vs span the two subspaces and
-    the sparse SPD ``metric`` measures both (A for fluxes, diags(M) for
-    cell functions)."""
-    if vr.shape != vs.shape:
-        raise DimensionMismatch(
-            f"basis shapes {vr.shape} and {vs.shape} differ"
-        )
-    gram_r = vr.T @ (metric @ vr)
-    gram_s = vs.T @ (metric @ vs)
-    for g in (gram_r, gram_s):
-        if np.linalg.cond(g) > 1e8:
-            raise DimensionMismatch("basis Gram matrix is ill-conditioned")
-    lr = np.linalg.cholesky(gram_r)
-    ls = np.linalg.cholesky(gram_s)
-    # metric-orthonormal bases Q = V L^-T
-    qr = np.linalg.solve(lr, vr.T).T
-    qs = np.linalg.solve(ls, vs.T).T
-    # residual of projecting Q_R onto span(Q_S); forming it directly keeps
-    # the result accurate near zero (no 1 - cos^2 cancellation)
-    cross = qs.T @ (metric @ qr)
-    resid = qr - qs @ cross
-    gram_e = resid.T @ (metric @ resid)
-    ev = np.linalg.eigvalsh((gram_e + gram_e.T) / 2.0)
-    return float(np.sqrt(max(0.0, float(ev.max()))))

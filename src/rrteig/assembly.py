@@ -1,5 +1,5 @@
-"""DOF enumeration and exact sparse assembly for the mixed and enriched
-rotated-bilinear discretizations.
+"""DOF enumeration and exact sparse assembly for the mixed
+discretization.
 
 All element matrices are hard-coded closed forms; no runtime quadrature is
 involved, so assembly introduces no integration error.  On a tensor mesh
@@ -181,129 +181,3 @@ def assemble_mixed(mesh: TensorMesh) -> MixedSystem:
 
     return MixedSystem(A=A, B=B, M=area, layout=lay, mesh=mesh)
 
-
-
-
-# ---------------------------------------------------------------------------
-# Enriched rotated-bilinear (edge-mean continuous) space.
-#
-# The local space on each cell is span{1, x, y, x^2, y^2}: u = f(x) + g(y),
-# f and g quadratic.  Its DOFs are the integrals over the four edges and the
-# cell.  In the means L, R of the left and right edge and C of the cell, f
-# is the 1-D quadratic whose edge values are L and R and whose mean is C,
-# each less the mean of g, so u_x is linear in x and constant in y:
-#     u_x = (6C - 4L - 2R) / h_x on the left edge, (2L + 4R - 6C) / h_x on
-#     the right,
-# and its part of the stiffness, the integral of u_x^2, is
-#     h_y / h_x [L R C] S [L R C]^T,  S = [[4, 2, -6], [2, 4, -6], [-6, -6, 12]].
-# The y part is alike in the bottom and top means B, T and C.  No x-edge
-# meets a y-edge in the stiffness; in the integral DOFs the block of one
-# direction is S_ab w_a w_b / |K|, w = (1, 1, 1 / h) with h the cell width
-# in that direction.
-# ---------------------------------------------------------------------------
-
-_S = np.array([[4.0, 2.0, -6.0], [2.0, 4.0, -6.0], [-6.0, -6.0, 12.0]])
-
-
-@dataclass(frozen=True)
-class PeqSystem:
-    """Assembled matrices of the projected enriched rotated-bilinear scheme.
-
-    DOFs are the edge integrals (same enumeration as the flux edge DOFs)
-    followed by the cell integrals; boundary edge DOFs are eliminated.
-
-    K       : stiffness (grad_h u, grad_h v) on the free DOFs, SPD.
-    M0_diag : diagonal of the projected mass (Pi0 u, Pi0 v) on the free
-              DOFs: zero on edge DOFs, 1/|K| on cell DOFs.
-    free    : global DOF indices of the free unknowns (edges first, cells
-              after); ``n_edge_free`` of them are edges.
-    """
-
-    K: sp.csr_matrix
-    M0_diag: np.ndarray
-    layout: DofLayout
-    mesh: TensorMesh
-    free: np.ndarray
-    n_edge_free: int
-
-    @property
-    def n_cell(self) -> int:
-        return self.layout.n_cell
-
-
-def assemble_peq(mesh: TensorMesh) -> PeqSystem:
-    """Assemble stiffness and projected mass of the enriched space: each
-    cell adds its x block on (left, right, cell) and its y block on
-    (bottom, top, cell) straight onto the free DOFs."""
-    lay = layout(mesh)
-    n1, n2 = lay.n1, lay.n2
-    n_x, n_sig = lay.n_xedge, lay.n_sigma
-    n_tot = n_sig + lay.n_cell
-
-    # free DOFs: interior edges + all cells; pos maps a DOF to its free
-    # index, -1 on the boundary
-    interior = np.ones(n_tot, dtype=bool)
-    interior[:n_x].reshape(n2, n1 + 1)[:, [0, -1]] = False
-    interior[n_x:n_x + n1] = False
-    interior[n_sig - n1:n_sig] = False
-    free = np.flatnonzero(interior)
-    pos = np.full(n_tot, -1)
-    pos[free] = np.arange(len(free))
-    xpos = pos[:n_x].reshape(n2, n1 + 1)
-    ypos = pos[n_x:n_sig].reshape(n2 + 1, n1)
-    cpos = pos[n_sig:].reshape(n2, n1)
-
-    area = mesh.cell_areas.reshape(n2, n1)
-    ones = np.ones_like(area)
-    rows, cols, vals = [], [], []
-    for dofs, h in (((xpos[:, :-1], xpos[:, 1:], cpos), mesh.hx),
-                    ((ypos[:-1], ypos[1:], cpos), mesh.hy[:, None])):
-        idx = np.stack(dofs)  # (3, n2, n1)
-        w = np.stack([ones, ones, ones / h])
-        block = _S[:, :, None, None] * w[:, None] * w[None] / area
-        r = np.broadcast_to(idx[:, None], block.shape)
-        c = np.broadcast_to(idx[None], block.shape)
-        keep = (r >= 0) & (c >= 0)
-        rows.append(r[keep])
-        cols.append(c[keep])
-        vals.append(block[keep])
-    n_free = len(free)
-    K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_free, n_free),
-    ).tocsr()
-
-    n_edge_free = n_free - lay.n_cell
-    m0 = np.zeros(n_free)
-    m0[n_edge_free:] = 1.0 / mesh.cell_areas  # cell DOFs keep row-major order
-    return PeqSystem(
-        K=K, M0_diag=m0, layout=lay, mesh=mesh, free=free,
-        n_edge_free=n_edge_free,
-    )
-
-
-def peq_cell_gradient(mesh: TensorMesh, coeffs_full: np.ndarray):
-    """Edge values of the cellwise gradient of enriched-space functions.
-
-    ``coeffs_full`` holds all integral DOFs (edges then cells, boundary
-    included) in its rows, one function or one column per function.  The
-    x component of the gradient is linear in x and constant in y, so it is
-    determined by its values on the left and right edges of each cell;
-    analogously in y.  Returns (gxL, gxR, gyB, gyT), each on the cell grid
-    (n2, n1) followed by the columns of ``coeffs_full``.
-    """
-    lay = layout(mesh)
-    n1, n2 = lay.n1, lay.n2
-    cols = coeffs_full.shape[1:]
-    ones = (1,) * len(cols)
-    hx = mesh.hx.reshape(n1, *ones)
-    hy = mesh.hy.reshape(n2, 1, *ones)
-    # edge and cell means on their grids
-    xm = coeffs_full[:lay.n_xedge].reshape(n2, n1 + 1, *cols) / hy
-    ym = coeffs_full[lay.n_xedge:lay.n_sigma].reshape(n2 + 1, n1, *cols) / hx
-    c6 = 6.0 * coeffs_full[lay.n_sigma:].reshape(n2, n1, *cols) / (hx * hy)
-    left, right, bottom, top = xm[:, :-1], xm[:, 1:], ym[:-1], ym[1:]
-    return ((c6 - 4.0 * left - 2.0 * right) / hx,
-            (2.0 * left + 4.0 * right - c6) / hx,
-            (c6 - 4.0 * bottom - 2.0 * top) / hy,
-            (2.0 * bottom + 4.0 * top - c6) / hy)

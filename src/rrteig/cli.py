@@ -64,9 +64,6 @@ _ANALYSES_B_C = tuple(
     if a not in ("frequencies", "supercloseness", "postprocessing")
 )
 
-# the largest level, in cells, that runs the equivalence check
-_EQUIV_MAX_CELLS = 1200
-
 # the finest level allowed, in cells (2048^2); its memory is unmeasured.
 # Preset a with every analysis peaks at 126 MiB RSS at 512^2 and 293 MiB at
 # 1024^2, in-process
@@ -221,16 +218,11 @@ def _sign_matched(pair, pi0_u, areas):
     return replace(pair, v=-pair.v, flux_x=-pair.flux_x)
 
 
-def _solve(config: ExperimentConfig, mesh: TensorMesh, equivalence: bool):
-    """Assemble and solve one level.  For the equivalence check three pairs
-    more than k are solved, where the spectrum holds them, so that a
-    cluster straddling index k is compared in full; the first k pairs are
-    bitwise the same either way."""
+def _solve(config: ExperimentConfig, mesh: TensorMesh):
+    """Assemble and solve one level: its first k pairs."""
     system = assemble_mixed(mesh)
-    k = config.k
-    if equivalence:
-        k = max(k, min(k + 3, mesh.n_cells))
-    return system, solve_mixed_eigs(system, SolveOptions(k=k, tol=config.tol))
+    return system, solve_mixed_eigs(system, SolveOptions(k=config.k,
+                                                         tol=config.tol))
 
 
 @dataclass
@@ -241,12 +233,7 @@ class _Level:
     mesh: TensorMesh
     exact: list
     system: MixedSystem
-    solved: list  # k pairs, or more when the equivalence check runs
-    equivalence: bool
-
-    @property
-    def pairs(self):
-        return self.solved[: self.config.k]
+    pairs: list
 
     @cached_property
     def reference(self):
@@ -330,13 +317,10 @@ def _frequencies(lv: _Level) -> dict:
 
 
 def _equivalence(lv: _Level) -> dict:
-    if not lv.equivalence:
-        return {}
-    eq = verify_equivalence(lv.system, lv.solved, lv.config.k)
+    eq = verify_equivalence(lv.mesh, lv.pairs)
     return {"equivalence": {
         "max_eig_rel_diff": eq.max_eig_rel_diff,
         "max_sigma_discrepancy": eq.max_sigma_discrepancy,
-        "max_u_discrepancy": eq.max_u_discrepancy,
         "max_flux_jump": eq.max_flux_jump,
     }}
 
@@ -360,10 +344,8 @@ def _solve_level(config: ExperimentConfig, mesh: TensorMesh, exact,
     out of the record and is appended to ``failures``."""
     t0 = time.perf_counter()
     run = set(config.analyses)
-    equivalence = ("equivalence" in run
-                   and mesh.n_cells <= _EQUIV_MAX_CELLS)
-    system, solved = _solve(config, mesh, equivalence)
-    lv = _Level(config, mesh, exact, system, solved, equivalence)
+    system, pairs = _solve(config, mesh)
+    lv = _Level(config, mesh, exact, system, pairs)
     rec = {
         "level": mesh.level,
         "n1": mesh.n1,
@@ -676,7 +658,7 @@ def main(argv=None) -> int:
             config = _config_from_args(args, with_levels=False)
             level = args.levels if args.levels is not None else 0
             mesh = _refined(config, level)
-            _, pairs = _solve(config, mesh, equivalence=False)
+            _, pairs = _solve(config, mesh)
             for t, p in enumerate(pairs):
                 print(f"lambda_{t + 1} = {p.lambda_h:.17g}")
             return 0
@@ -685,13 +667,12 @@ def main(argv=None) -> int:
             config = _config_from_args(args, with_levels=False)
             level = args.levels if args.levels is not None else 0
             mesh = _refined(config, level)
-            system, pairs = _solve(config, mesh, equivalence=True)
-            rep = verify_equivalence(system, pairs, config.k)
+            _, pairs = _solve(config, mesh)
+            rep = verify_equivalence(mesh, pairs)
             for e in rep.entries:
                 print(
                     f"lambda={e.lambda_rrt:.17g} rel_diff={e.eig_rel_diff:.3e} "
-                    f"sigma={e.sigma_discrepancy:.3e} "
-                    f"u={e.u_discrepancy:.3e} cluster={e.cluster_size}"
+                    f"sigma={e.sigma_discrepancy:.3e} mode={e.mode}"
                 )
             print(f"max_flux_jump={rep.max_flux_jump:.3e}")
             return 0

@@ -44,11 +44,8 @@ class AmbiguousCluster(RRTError):
 
 
 class DimensionMismatch(RRTError):
-    """Eigenspace bases have incompatible dimensions or metrics."""
-
-
-class SingularSystem(RRTError):
-    """A linear system expected to be definite is singular."""
+    """A mixed pair differs from its enriched-element lift by more than
+    roundoff."""
 
 
 class IoFailure(RRTError):

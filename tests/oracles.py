@@ -2,18 +2,23 @@
 
 Each oracle takes the slow, direct route and shares no code with the
 library path it checks: a per-cell COO scatter for the direct CSR
-assembly, the reference-element dual basis (the inverse of the monomial
-DOF matrix, a 25-triplet scatter per cell and a slice of the free DOFs)
-for the closed-form enriched stiffness and cell gradients, a dense 2-D
-eigensolve for the tensor-product solver, 1-D
+assembly, a dense 2-D eigensolve for the tensor-product solver, 1-D
 pencils sliced from the assembled matrices and inverted through a sparse
-saddle LU for the cumulative-sum 1-D modes, a
-shift-invert Lanczos solve of the enriched pencil for the inertia count
-and the lifted pairs of the equivalence check, per-cell Lagrange
-evaluation for the batched postprocessing norms, and scalar analytic
-integrals per cell or edge for the batched cell and edge means;
-``exact_derivative`` evaluates an exact field pointwise from its 1-D
-factors.
+saddle LU for the cumulative-sum 1-D modes, the 2-D enriched element and
+its equivalence certificate for the 1-D lift of the equivalence check,
+per-cell Lagrange evaluation for the batched postprocessing norms, and
+scalar analytic integrals per cell or edge for the batched cell and edge
+means; ``exact_derivative`` evaluates an exact field pointwise from its
+1-D factors.
+The 2-D enriched element is held twice: in closed form (``assemble_peq``,
+one 3x3 block per direction per cell, and ``peq_cell_gradient``) and from
+the reference-element dual basis (the inverse of the monomial DOF matrix,
+a 25-triplet scatter per cell and a slice of the free DOFs), each checked
+against the other.  The certificate (``verify_equivalence_2d``) factors
+K - s M0 once, counts the enriched eigenvalues below s by its inertia,
+lifts every mixed pair by one block solve and compares clusters through
+``eigenspace_gap``; a shift-invert Lanczos solve of the enriched pencil
+checks its count and lifted eigenvalues.
 They use public rrteig names only.  ``factor_pair`` builds a pair from
 1-D factors the solver does not produce, to feed the postprocessing with
 chosen or random data.
@@ -26,9 +31,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from rrteig.assembly import PeqSystem, layout, peq_cell_gradient
+from rrteig.assembly import DofLayout, layout
 from rrteig.eigensolve import MixedEigenpair
-from rrteig.errors import KTooLarge
+from rrteig.errors import DimensionMismatch, KTooLarge, RRTError
+from rrteig.mesh import TensorMesh
 
 # Lanczos start-vector seed and iteration cap of solve_peq_eigs
 _LANCZOS_SEED = 0
@@ -73,6 +79,131 @@ def assemble_mixed_coo(mesh):
     b_vals = np.concatenate([hy, -hy, hx, -hx])
     B = sp.coo_matrix((b_vals, (b_rows, b_cols)), shape=(lay.n_cell, n_sig)).tocsr()
     return A, B
+
+
+# ---------------------------------------------------------------------------
+# Enriched rotated-bilinear (edge-mean continuous) space.
+#
+# The local space on each cell is span{1, x, y, x^2, y^2}: u = f(x) + g(y),
+# f and g quadratic.  Its DOFs are the integrals over the four edges and the
+# cell.  In the means L, R of the left and right edge and C of the cell, f
+# is the 1-D quadratic whose edge values are L and R and whose mean is C,
+# each less the mean of g, so u_x is linear in x and constant in y:
+#     u_x = (6C - 4L - 2R) / h_x on the left edge, (2L + 4R - 6C) / h_x on
+#     the right,
+# and its part of the stiffness, the integral of u_x^2, is
+#     h_y / h_x [L R C] S [L R C]^T,  S = [[4, 2, -6], [2, 4, -6], [-6, -6, 12]].
+# The y part is alike in the bottom and top means B, T and C.  No x-edge
+# meets a y-edge in the stiffness; in the integral DOFs the block of one
+# direction is S_ab w_a w_b / |K|, w = (1, 1, 1 / h) with h the cell width
+# in that direction.
+# ---------------------------------------------------------------------------
+
+_S = np.array([[4.0, 2.0, -6.0], [2.0, 4.0, -6.0], [-6.0, -6.0, 12.0]])
+
+
+@dataclass(frozen=True)
+class PeqSystem:
+    """Assembled matrices of the projected enriched rotated-bilinear scheme.
+
+    DOFs are the edge integrals (same enumeration as the flux edge DOFs)
+    followed by the cell integrals; boundary edge DOFs are eliminated.
+
+    K       : stiffness (grad_h u, grad_h v) on the free DOFs, SPD.
+    M0_diag : diagonal of the projected mass (Pi0 u, Pi0 v) on the free
+              DOFs: zero on edge DOFs, 1/|K| on cell DOFs.
+    free    : global DOF indices of the free unknowns (edges first, cells
+              after); ``n_edge_free`` of them are edges.
+    """
+
+    K: sp.csr_matrix
+    M0_diag: np.ndarray
+    layout: DofLayout
+    mesh: TensorMesh
+    free: np.ndarray
+    n_edge_free: int
+
+    @property
+    def n_cell(self) -> int:
+        return self.layout.n_cell
+
+
+def assemble_peq(mesh: TensorMesh) -> PeqSystem:
+    """Assemble stiffness and projected mass of the enriched space: each
+    cell adds its x block on (left, right, cell) and its y block on
+    (bottom, top, cell) straight onto the free DOFs."""
+    lay = layout(mesh)
+    n1, n2 = lay.n1, lay.n2
+    n_x, n_sig = lay.n_xedge, lay.n_sigma
+    n_tot = n_sig + lay.n_cell
+
+    # free DOFs: interior edges + all cells; pos maps a DOF to its free
+    # index, -1 on the boundary
+    interior = np.ones(n_tot, dtype=bool)
+    interior[:n_x].reshape(n2, n1 + 1)[:, [0, -1]] = False
+    interior[n_x:n_x + n1] = False
+    interior[n_sig - n1:n_sig] = False
+    free = np.flatnonzero(interior)
+    pos = np.full(n_tot, -1)
+    pos[free] = np.arange(len(free))
+    xpos = pos[:n_x].reshape(n2, n1 + 1)
+    ypos = pos[n_x:n_sig].reshape(n2 + 1, n1)
+    cpos = pos[n_sig:].reshape(n2, n1)
+
+    area = mesh.cell_areas.reshape(n2, n1)
+    ones = np.ones_like(area)
+    rows, cols, vals = [], [], []
+    for dofs, h in (((xpos[:, :-1], xpos[:, 1:], cpos), mesh.hx),
+                    ((ypos[:-1], ypos[1:], cpos), mesh.hy[:, None])):
+        idx = np.stack(dofs)  # (3, n2, n1)
+        w = np.stack([ones, ones, ones / h])
+        block = _S[:, :, None, None] * w[:, None] * w[None] / area
+        r = np.broadcast_to(idx[:, None], block.shape)
+        c = np.broadcast_to(idx[None], block.shape)
+        keep = (r >= 0) & (c >= 0)
+        rows.append(r[keep])
+        cols.append(c[keep])
+        vals.append(block[keep])
+    n_free = len(free)
+    K = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_free, n_free),
+    ).tocsr()
+
+    n_edge_free = n_free - lay.n_cell
+    m0 = np.zeros(n_free)
+    m0[n_edge_free:] = 1.0 / mesh.cell_areas  # cell DOFs keep row-major order
+    return PeqSystem(
+        K=K, M0_diag=m0, layout=lay, mesh=mesh, free=free,
+        n_edge_free=n_edge_free,
+    )
+
+
+def peq_cell_gradient(mesh: TensorMesh, coeffs_full: np.ndarray):
+    """Edge values of the cellwise gradient of enriched-space functions.
+
+    ``coeffs_full`` holds all integral DOFs (edges then cells, boundary
+    included) in its rows, one function or one column per function.  The
+    x component of the gradient is linear in x and constant in y, so it is
+    determined by its values on the left and right edges of each cell;
+    analogously in y.  Returns (gxL, gxR, gyB, gyT), each on the cell grid
+    (n2, n1) followed by the columns of ``coeffs_full``.
+    """
+    lay = layout(mesh)
+    n1, n2 = lay.n1, lay.n2
+    cols = coeffs_full.shape[1:]
+    ones = (1,) * len(cols)
+    hx = mesh.hx.reshape(n1, *ones)
+    hy = mesh.hy.reshape(n2, 1, *ones)
+    # edge and cell means on their grids
+    xm = coeffs_full[:lay.n_xedge].reshape(n2, n1 + 1, *cols) / hy
+    ym = coeffs_full[lay.n_xedge:lay.n_sigma].reshape(n2 + 1, n1, *cols) / hx
+    c6 = 6.0 * coeffs_full[lay.n_sigma:].reshape(n2, n1, *cols) / (hx * hy)
+    left, right, bottom, top = xm[:, :-1], xm[:, 1:], ym[:-1], ym[1:]
+    return ((c6 - 4.0 * left - 2.0 * right) / hx,
+            (2.0 * left + 4.0 * right - c6) / hx,
+            (c6 - 4.0 * bottom - 2.0 * top) / hy,
+            (2.0 * bottom + 4.0 * top - c6) / hy)
 
 
 # The enriched element on the reference cell [-1, 1]^2: the local space
@@ -390,6 +521,245 @@ def solve_peq_eigs(peq, k):
         out.append((float(lam), _solution(peq, reduced)))
     out.sort(key=lambda t: t[0])
     return out
+
+
+# ---------------------------------------------------------------------------
+# The 2-D equivalence certificate: one shifted factorisation of the
+# enriched system of assemble_peq, whose inertia counts the enriched
+# eigenvalues below the shift and whose block solve lifts every mixed
+# pair; verify_equivalence checks the same identity one direction at a
+# time.
+# ---------------------------------------------------------------------------
+
+
+class SingularSystem(RRTError):
+    """A linear system expected to be definite is singular."""
+
+
+# relative gap below which consecutive eigenvalues are compared as one
+# cluster: a vector-by-vector comparison of two pairs a relative gap g
+# apart loses about roundoff / g, so near ties are compared through the
+# subspace they span
+_CLUSTER_REL_TOL = 1e-3
+
+
+def interior_flux_jumps(mesh: TensorMesh, grad_edges) -> float:
+    """Maximal jump of the normal gradient component across interior
+    edges, over every column of the peq_cell_gradient edge values."""
+    gxL, gxR, gyB, gyT = grad_edges
+    jump_x = np.abs(gxR[:, :-1] - gxL[:, 1:]).max() if mesh.n1 > 1 else 0.0
+    jump_y = np.abs(gyT[:-1] - gyB[1:]).max() if mesh.n2 > 1 else 0.0
+    return float(max(jump_x, jump_y))
+
+
+def gradient_to_sigma_coeffs(mesh: TensorMesh, grad_edges) -> np.ndarray:
+    """Negative gradient as flux DOFs (averaging shared edges), one column
+    per column of the peq_cell_gradient edge values.
+
+    The theory makes the normal component continuous across interior
+    edges, so the average is exact up to solver tolerance; the actual jump
+    is available from interior_flux_jumps.  The x-edges form the grid
+    [cell row j, line i] and the y-edges [line j, cell column i], as
+    i2h_sigma reads them.
+    """
+    n1, n2 = mesh.n1, mesh.n2
+    gxL, gxR, gyB, gyT = grad_edges
+    cols = gxL.shape[2:]
+    sx = np.zeros((n2, n1 + 1, *cols))
+    sx[:, :-1] -= gxL
+    sx[:, 1:] -= gxR
+    sx[:, 1:-1] /= 2
+    sy = np.zeros((n2 + 1, n1, *cols))
+    sy[:-1] -= gyB
+    sy[1:] -= gyT
+    sy[1:-1] /= 2
+    return np.concatenate([sx.reshape(-1, *cols), sy.reshape(-1, *cols)])
+
+
+@dataclass(frozen=True)
+class CertificateEntry:
+    lambda_rrt: float
+    lambda_peq: float
+    eig_rel_diff: float
+    sigma_discrepancy: float
+    u_discrepancy: float
+    cluster_size: int
+
+
+@dataclass(frozen=True)
+class CertificateReport:
+    entries: tuple[CertificateEntry, ...]
+    max_flux_jump: float
+
+    @property
+    def max_eig_rel_diff(self) -> float:
+        return max(e.eig_rel_diff for e in self.entries)
+
+    @property
+    def max_sigma_discrepancy(self) -> float:
+        return max(e.sigma_discrepancy for e in self.entries)
+
+    @property
+    def max_u_discrepancy(self) -> float:
+        return max(e.u_discrepancy for e in self.entries)
+
+
+def _clusters(lambdas):
+    groups, start = [], 0
+    for i in range(1, len(lambdas) + 1):
+        if i == len(lambdas) or abs(
+            lambdas[i] - lambdas[i - 1]
+        ) > _CLUSTER_REL_TOL * abs(lambdas[i]):
+            groups.append(list(range(start, i)))
+            start = i
+    return groups
+
+
+def _shifted_factor(peq, shift):
+    """SuperLU factor of K - shift M0 and the number of enriched
+    eigenvalues below ``shift``.
+
+    The factorisation pivots on the diagonal only, under one symmetric
+    permutation P, so P (K - shift M0) P^T = L U with U = D L^T.  K is SPD
+    and M0 vanishes on the edge block, so by Sylvester's law of inertia
+    the negative pivots of D count the finite eigenvalues of (K, M0) below
+    the shift (the Sturm sequence check of shift-invert eigensolvers).  A
+    zero pivot forces an off-diagonal one and breaks the symmetry, which
+    raises SingularSystem, as does an exactly singular matrix."""
+    shifted = (peq.K - sp.diags(shift * peq.M0_diag)).tocsc()
+    try:
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SingularSystem(f"K - {shift:.17g} M0: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SingularSystem(
+            f"K - {shift:.17g} M0: pivoting left the diagonal, so its "
+            "inertia is unknown")
+    return lu, int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
+def verify_equivalence_2d(system, pairs, k) -> CertificateReport:
+    """Certify that the first k mixed pairs are the first k enriched-element
+    pairs, and measure how closely each coincides.
+
+    ``pairs`` are the ascending mixed eigenpairs already solved on
+    ``system``.  Clusters (consecutive eigenvalues within a relative gap
+    of _CLUSTER_REL_TOL) are compared whole, so pairs past index k serve
+    to complete a cluster that straddles k and to show the gap after it:
+    pass a few more than k where the spectrum holds them.  The shift s is
+    the middle of that gap, or twice the top eigenvalue when ``pairs``
+    holds the whole spectrum.  Two checks certify the equivalence, each
+    raising DimensionMismatch when it fails:
+
+    - count: the inertia of K - s M0 (``_shifted_factor``) finds as many
+      enriched eigenvalues below s as there are compared mixed pairs;
+    - lift: each compared pair (lambda, u) lifts to the enriched solution
+      x of (K - s M0) x = (lambda - s) M0 u~, u~ the cell integrals of u,
+      all in one block solve.  x has the enriched residual
+      (lambda - s) M0 (u~ - x_cells), so an enriched eigenvalue lies
+      within |lambda - s| ||u - Pi0 x|| / ||Pi0 x|| of lambda (M-norms),
+      and that radius must stay below the cluster tolerance.
+
+    A gap that the solved pairs do not reach raises DimensionMismatch too.
+    The report compares each lift with its pair: eigenvalue (Rayleigh
+    quotient), flux (negative cellwise gradient, A-norm) and cell means
+    (M-norm); clusters through the subspaces they span."""
+    mesh = system.mesh
+    peq = assemble_peq(mesh)
+    lambdas = np.array([p.lambda_h for p in pairs])
+    groups = [g for g in _clusters(lambdas) if g[0] < k]
+    n = groups[-1][-1] + 1  # compared pairs: all below the shift
+    if n < len(pairs):
+        shift = 0.5 * (lambdas[n - 1] + lambdas[n])
+    elif n == peq.n_cell:
+        shift = 2.0 * lambdas[-1]
+    else:
+        raise DimensionMismatch(
+            f"no gap after the {n} solved pairs: the cluster at "
+            f"{lambdas[-1]:.17g} may continue past them")
+    lu, count = _shifted_factor(peq, shift)
+    if count != n:
+        raise DimensionMismatch(
+            f"{count} enriched and {n} mixed eigenvalues lie below "
+            f"{shift:.17g}")
+
+    u = np.column_stack([p.u_coeffs for p in pairs[:n]])
+    ne = peq.n_edge_free
+    rhs = np.zeros((len(peq.free), n))
+    rhs[ne:] = u * (lambdas[:n] - shift)  # M0 u~ is u on the cell rows
+    x = lu.solve(rhs)
+    full = np.zeros((peq.layout.n_sigma + peq.n_cell, n))
+    full[peq.free] = x
+    means = x[ne:] / mesh.cell_areas[:, None]
+    grads = peq_cell_gradient(mesh, full)
+    sig_peq = gradient_to_sigma_coeffs(mesh, grads)
+    sig_rrt = np.column_stack([p.sigma_coeffs for p in pairs[:n]])
+
+    m_norm = lambda d: np.sqrt(np.einsum("ij,ij->j", d, system.M[:, None] * d))
+    norm_means = m_norm(means)  # x^T M0 x = ||Pi0 x||^2
+    lam_peq = np.einsum("ij,ij->j", x, peq.K @ x) / norm_means**2
+    u_disc = m_norm(u - means)
+    radius = np.abs(lambdas[:n] - shift) * u_disc / norm_means
+    bad = np.flatnonzero(radius > _CLUSTER_REL_TOL * lambdas[:n])
+    if len(bad):
+        i = int(bad[0])
+        raise DimensionMismatch(
+            f"pair {i} at {lambdas[i]:.17g} lifts to no enriched pair of "
+            f"its cluster (residual radius {radius[i]:.3e})")
+    d_sig = sig_rrt - sig_peq
+    s_disc = np.sqrt(np.einsum("ij,ij->j", d_sig, system.A @ d_sig))
+
+    m_diag = sp.diags(system.M)
+    entries = []
+    for group in groups:
+        if len(group) == 1:
+            disc = [(s_disc[group[0]], u_disc[group[0]])]
+        else:
+            gap_sigma = eigenspace_gap(sig_rrt[:, group], sig_peq[:, group],
+                                       system.A)
+            gap_u = eigenspace_gap(u[:, group], means[:, group], m_diag)
+            # ||sigma||_A of a unit pair is sqrt(lambda)
+            disc = [(gap_sigma * np.sqrt(lambdas[i]), gap_u) for i in group]
+        for i, (sd, ud) in zip(group, disc):
+            entries.append(CertificateEntry(
+                lambda_rrt=float(lambdas[i]), lambda_peq=float(lam_peq[i]),
+                eig_rel_diff=float(abs(lambdas[i] - lam_peq[i])
+                                   / abs(lambdas[i])),
+                sigma_discrepancy=float(sd), u_discrepancy=float(ud),
+                cluster_size=len(group),
+            ))
+    return CertificateReport(entries=tuple(entries[:k]),
+                             max_flux_jump=interior_flux_jumps(mesh, grads))
+
+
+def eigenspace_gap(vr: np.ndarray, vs: np.ndarray, metric) -> float:
+    """Gap sup over unit x in span(vr) of ||x - P_S x||, S = span(vs), via
+    principal angles; the columns of vr and vs span the two subspaces and
+    the sparse SPD ``metric`` measures both (A for fluxes, diags(M) for
+    cell functions)."""
+    if vr.shape != vs.shape:
+        raise DimensionMismatch(
+            f"basis shapes {vr.shape} and {vs.shape} differ"
+        )
+    gram_r = vr.T @ (metric @ vr)
+    gram_s = vs.T @ (metric @ vs)
+    for g in (gram_r, gram_s):
+        if np.linalg.cond(g) > 1e8:
+            raise DimensionMismatch("basis Gram matrix is ill-conditioned")
+    lr = np.linalg.cholesky(gram_r)
+    ls = np.linalg.cholesky(gram_s)
+    # metric-orthonormal bases Q = V L^-T
+    qr = np.linalg.solve(lr, vr.T).T
+    qs = np.linalg.solve(ls, vs.T).T
+    # residual of projecting Q_R onto span(Q_S); forming it directly keeps
+    # the result accurate near zero (no 1 - cos^2 cancellation)
+    cross = qs.T @ (metric @ qr)
+    resid = qr - qs @ cross
+    gram_e = resid.T @ (metric @ resid)
+    ev = np.linalg.eigvalsh((gram_e + gram_e.T) / 2.0)
+    return float(np.sqrt(max(0.0, float(ev.max()))))
 
 
 def _basis(nodes, x, deriv):

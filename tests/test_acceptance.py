@@ -9,14 +9,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rrteig.analysis import eigenspace_gap, match_frequencies
+from rrteig.analysis import match_frequencies
 from rrteig.assembly import assemble_mixed, layout
 from rrteig.cli import case_preset, run_case
 from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
 from rrteig.exact import FieldSample, enumerate_exact, rt_interpolate_exact
 from rrteig.mesh import build_mesh, uniform_mesh
 
-from oracles import cell_integral_u, dense_eigenvalues, eval_cell, factor_pair
+from oracles import (
+    cell_integral_u,
+    dense_eigenvalues,
+    eigenspace_gap,
+    eval_cell,
+    factor_pair,
+)
 
 PI = np.pi
 
@@ -200,14 +206,17 @@ def test_criterion_8_postprocessing(report_a):
     _verdict(8, ok, "postprocessed errors superconverge (2.0 L2 / 1.0 H1)")
 
 
-def test_criterion_9_equivalence(report_a, report_c):
-    eq_a = [lv["equivalence"] for lv in report_a["levels"][:3]]
-    eq_c = report_c["levels"][1]["equivalence"]
-    ok = all(
-        e["max_eig_rel_diff"] <= 1e-8 and e["max_sigma_discrepancy"] <= 1e-8
-        for e in eq_a + [eq_c]
+def test_criterion_9_equivalence(report_a, report_b, report_c):
+    # every level of every case, 15 in all
+    eqs = [lv.get("equivalence") for rep in (report_a, report_b, report_c)
+           for lv in rep["levels"]]
+    ok = len(eqs) == 15 and all(
+        e is not None and e["max_eig_rel_diff"] <= 1e-8
+        and e["max_sigma_discrepancy"] <= 1e-8
+        for e in eqs
     )
-    _verdict(9, ok, "mixed and enriched-element solutions coincide to 1e-8")
+    _verdict(9, ok, "mixed and enriched-element solutions coincide to 1e-8 "
+             "on every level")
 
 
 def test_criterion_10_oracle_agreement():

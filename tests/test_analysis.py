@@ -1,5 +1,5 @@
 """Expansion terms, convergence rates, extrapolation, bounds, frequency
-matching and eigenspace gaps."""
+matching, and the eigenspace gaps of the equivalence certificate oracle."""
 
 import dataclasses
 
@@ -10,7 +10,6 @@ import scipy.sparse as sp
 from rrteig.analysis import (
     check_upper_bound,
     convergence_rate,
-    eigenspace_gap,
     expansion_term,
     extrapolate,
     lower_bound_margin,
@@ -21,7 +20,7 @@ from rrteig.errors import DimensionMismatch
 from rrteig.exact import FieldSample
 from rrteig.mesh import uniform_mesh, uniform_refine
 
-from oracles import factor_pair
+from oracles import eigenspace_gap, factor_pair
 
 PI = np.pi
 

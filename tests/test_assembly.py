@@ -1,7 +1,8 @@
 """Assembly oracles: quadrature checks of the closed-form element
 matrices, structural properties of the global matrices, the direct CSR
-build against the COO scatter, and the closed-form enriched element
-against the reference-element oracle."""
+build against the COO scatter, and the two oracle forms of the 2-D
+enriched element (closed form and reference element) against each
+other."""
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import (
     REF_COEFFS,
     assemble_mixed_coo,
+    assemble_peq,
     assemble_peq_coo,
+    peq_cell_gradient,
     peq_cell_gradient_dual,
     peq_local_matrices,
 )
-from rrteig.assembly import assemble_mixed, assemble_peq, peq_cell_gradient
+from rrteig.assembly import assemble_mixed
 from rrteig.mesh import build_mesh
 
 _GX, _GW = np.polynomial.legendre.leggauss(6)

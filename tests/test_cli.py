@@ -275,8 +275,9 @@ def test_main_equiv_solves_once(monkeypatch, capsys):
     assert len(assembled) == len(solved) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 13
-    # lambda_12 = lambda_13 straddles k and is compared as a pair
-    assert lines[11].endswith("cluster=2")
+    # lambda_12 = lambda_13 straddles k: pair 12 is checked alone, by its
+    # own lift, and printed with its mode label
+    assert lines[11].endswith("mode=(2, 4)")
 
 
 def test_run_case_rejects_shifted_domain(monkeypatch, tmp_path, capsys):
@@ -422,10 +423,10 @@ def test_extrapolation_skips_a_failed_level(monkeypatch):
 
     solve = cli._solve
 
-    def failing(config, mesh, equivalence):
+    def failing(config, mesh):
         if mesh.level == 1:
             raise NotConverged("injected")
-        return solve(config, mesh, equivalence)
+        return solve(config, mesh)
 
     monkeypatch.setattr(cli, "_solve", failing)
     config = dataclasses.replace(case_preset("c"), levels=3)
@@ -449,10 +450,10 @@ def test_report_json_is_strict_and_round_trips(monkeypatch, tmp_path,
 
     solve = cli._solve
 
-    def failing(config, mesh, equivalence):
+    def failing(config, mesh):
         if mesh.level == 1:
             raise NotConverged("injected")
-        return solve(config, mesh, equivalence)
+        return solve(config, mesh)
 
     monkeypatch.setattr(cli, "_solve", failing)
     report = run_case(dataclasses.replace(case_preset("c"), levels=2))

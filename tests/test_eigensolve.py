@@ -229,11 +229,12 @@ def test_cluster_cut_by_k():
 
 
 def test_extra_pairs_leave_the_first_k_bitwise(system_a0, mesh_c0):
-    """The equivalence check solves k + 3 pairs in place of k: the first k
-    must be the same bits (lambda, sigma, u), also when k cuts the tied
-    pair lambda_12 = lambda_13 of case c, and for every k <= 12 on two
-    random tensor meshes, one of them square with hx == hy bitwise, where
-    k cuts the exact ties of the (m, n) and (n, m) pairs."""
+    """A solve of k + 3 pairs in place of k, as the 2-D equivalence
+    certificate oracle asks, leaves the first k the same bits (lambda,
+    sigma, u), also when k cuts the tied pair lambda_12 = lambda_13 of
+    case c, and for every k <= 12 on two random tensor meshes, one of
+    them square with hx == hy bitwise, where k cuts the exact ties of the
+    (m, n) and (n, m) pairs."""
     rng = np.random.default_rng(2)
     nx, ny = (_nodes(rng.uniform(1.0, 4.0, n)) for n in (9, 7))
     cases = [(system_a0, 6), (assemble_mixed(mesh_c0), 12)]

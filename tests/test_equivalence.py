@@ -1,7 +1,11 @@
-"""Projected enriched element and the element-equivalence certificate,
-checked against the enriched eigensolver of tests/oracles.py."""
+"""The element equivalence: the 1-D lift of verify_equivalence against
+the identities it rests on and against the 2-D enriched element, its
+eigensolver and its equivalence certificate in tests/oracles.py, which
+are checked here too."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,26 +13,31 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from rrteig import cli
-from rrteig.assembly import assemble_mixed, assemble_peq, peq_cell_gradient
+from rrteig import cli, equivalence
+from rrteig.assembly import assemble_mixed
 from rrteig.cli import case_preset, run_case
 from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
-from rrteig.equivalence import (
-    _CLUSTER_REL_TOL,
-    _shifted_factor,
-    gradient_to_sigma_coeffs,
-    interior_flux_jumps,
-    verify_equivalence,
-)
-from rrteig.errors import DimensionMismatch, KTooLarge, SingularSystem
+from rrteig.equivalence import _lift_1d, verify_equivalence
+from rrteig.errors import DimensionMismatch, KTooLarge
 from rrteig.exact import FieldSample, enumerate_exact, l2_project_exact
 from rrteig.mesh import build_mesh, uniform_mesh, uniform_refine
 
 from oracles import (
+    _CLUSTER_REL_TOL,
+    _S,
     PeqSolution,
+    SingularSystem,
+    _shifted_factor,
+    assemble_mixed_coo,
+    assemble_peq,
+    assemble_peq_coo,
     dense_eigenvalues,
+    gradient_to_sigma_coeffs,
+    interior_flux_jumps,
+    peq_cell_gradient,
     peq_local_matrices,
     solve_peq_eigs,
+    verify_equivalence_2d,
 )
 
 PI = np.pi
@@ -141,48 +150,50 @@ def test_upper_bound_transfer(mesh_a0):
 
 
 def test_verify_equivalence_clusters(system_a0):
+    """Uniform 8^2, lambda = 2, 5, 5, 8, 10, 10: the certificate oracle
+    compares the double eigenvalues as clusters of two, with the pairs
+    past k that close them; the lift checks each of the first k pairs
+    alone and finds the certificate's enriched eigenvalues."""
     pairs = solve_mixed_eigs(system_a0, SolveOptions(k=9))
-    rep = verify_equivalence(system_a0, pairs, k=6)
-    assert len(rep.entries) == 6
-    sizes = [e.cluster_size for e in rep.entries]
-    assert sizes == [1, 2, 2, 1, 2, 2]
+    cert = verify_equivalence_2d(system_a0, pairs, k=6)
+    assert [e.cluster_size for e in cert.entries] == [1, 2, 2, 1, 2, 2]
+    rep = verify_equivalence(system_a0.mesh, pairs[:6])
+    assert [e.mode for e in rep.entries] == [p.mode for p in pairs[:6]]
+    for e, c in zip(rep.entries, cert.entries):
+        assert e.lambda_rrt == c.lambda_rrt
+        assert abs(e.lambda_peq - c.lambda_peq) <= 1e-12 * c.lambda_peq
     assert rep.max_eig_rel_diff <= 1e-12
     assert rep.max_sigma_discrepancy <= 1e-10
-    assert rep.max_u_discrepancy <= 1e-10
     assert rep.max_flux_jump <= 1e-10
 
 
 def test_verify_equivalence_truncated_cluster(mesh_c0):
-    """A degenerate pair straddling the k cutoff is still matched when the
-    caller passes pairs past k."""
-    system = assemble_mixed(mesh_c0)
-    pairs = solve_mixed_eigs(system, SolveOptions(k=15))
+    """The double eigenvalue lambda_12 = lambda_13 of case c, which k = 12
+    cuts, needs no pair past k: the twelfth pair lifts on its own."""
+    pairs = solve_mixed_eigs(assemble_mixed(mesh_c0), SolveOptions(k=13))
     assert pairs[11].lambda_h == pytest.approx(pairs[12].lambda_h, rel=1e-12)
-    rep = verify_equivalence(system, pairs, k=12)
+    rep = verify_equivalence(mesh_c0, pairs[:12])
     assert len(rep.entries) == 12
-    assert rep.entries[-1].cluster_size == 2
+    assert rep.max_eig_rel_diff <= 1e-12
     assert rep.max_sigma_discrepancy <= 1e-10
 
 
 def test_verify_equivalence_near_tie():
     """On a uniform 10x10 mesh of [0, 1] x [0, 1 + 1e-5] the (2, 1) and
-    (1, 2) eigenvalues lie a relative 1.2e-5 apart.  Compared vector by
-    vector, each flux pair picks up roundoff / gap from its neighbour; the
-    near tie is compared as one cluster and stays within the bound."""
+    (1, 2) eigenvalues lie a relative 1.2e-5 apart.  Each pair lifts
+    through its own 1-D factors, so the near tie loses no accuracy."""
     mesh = uniform_mesh(0.0, 1.0, 10, 0.0, 1.0 + 1e-5, 10)
-    system = assemble_mixed(mesh)
-    pairs = solve_mixed_eigs(system, SolveOptions(k=6))
+    pairs = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=3))
     gap = (pairs[2].lambda_h - pairs[1].lambda_h) / pairs[2].lambda_h
     assert 1e-5 < gap < 2e-5
-    rep = verify_equivalence(system, pairs, k=3)
+    rep = verify_equivalence(mesh, pairs)
     assert rep.max_eig_rel_diff <= 1e-12
     assert rep.max_sigma_discrepancy <= 1e-10
-    assert rep.max_u_discrepancy <= 1e-10
 
 
-def _draw_nodes(draw, axis):
-    """Nodes of [0, pi]: n in [1, 10] cells, widths from [1, 4]."""
-    n = draw(st.integers(1, 10), label=f"n_{axis}")
+def _draw_nodes(draw, axis, n_max=10):
+    """Nodes of [0, pi]: n in [1, n_max] cells, widths from [1, 4]."""
+    n = draw(st.integers(1, n_max), label=f"n_{axis}")
     w = np.asarray(draw(st.lists(st.floats(1.0, 4.0), min_size=n,
                                  max_size=n)))
     nodes = np.concatenate([[0.0], np.cumsum(w)]) * (PI / w.sum())
@@ -191,12 +202,13 @@ def _draw_nodes(draw, axis):
 
 
 @st.composite
-def _small_tensor_meshes(draw):
+def _small_tensor_meshes(draw, n_max=10):
     """Random tensor meshes of [0, pi]^2; in half of the draws the y nodes
     copy the x nodes, so the two 1-D spectra coincide and the (m, n),
     (n, m) pairs cluster."""
-    x = _draw_nodes(draw, "x")
-    y = x if draw(st.booleans(), label="mirror") else _draw_nodes(draw, "y")
+    x = _draw_nodes(draw, "x", n_max)
+    y = (x if draw(st.booleans(), label="mirror")
+         else _draw_nodes(draw, "y", n_max))
     return build_mesh(x, y)
 
 
@@ -204,32 +216,107 @@ def _small_tensor_meshes(draw):
 @given(mesh=_small_tensor_meshes(), data=st.data())
 def test_equivalence_on_random_meshes(mesh, data):
     """Mixed and enriched elements agree on random tensor meshes: the
-    eigenvalues, the flux (through the 1-D flux solves of the mixed
-    solver), the cell means and the normal-gradient continuity, within
-    the bounds of the preset checks, clusters included."""
-    system = assemble_mixed(mesh)
+    eigenvalues, the flux and the normal-gradient continuity of the lift
+    of the first k pairs, within the bounds of the preset checks,
+    clusters included."""
     k = data.draw(st.integers(1, min(6, mesh.n_cells)), label="k")
-    pairs = solve_mixed_eigs(
-        system, SolveOptions(k=max(k, min(k + 3, mesh.n_cells))))
-    rep = verify_equivalence(system, pairs, k)
+    pairs = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=k))
+    rep = verify_equivalence(mesh, pairs)
     assert len(rep.entries) == k
     assert rep.max_eig_rel_diff <= 1e-12
     assert rep.max_sigma_discrepancy <= 1e-10
-    assert rep.max_u_discrepancy <= 1e-10
     assert rep.max_flux_jump <= 1e-10
 
 
-def _check_certificate_against_oracle(mesh, k):
-    """The lifted eigenvalues equal the enriched eigensolver's to 1e-12
-    relative, and the inertia count equals the number of its eigenvalues
-    below every gap midpoint between clusters and below lambda_i (1 -+
-    1e-6), each factorisation pivoting symmetrically.  The pairs are
-    solved as run_case solves them for the check: k + 3 where the
-    spectrum holds them."""
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(mesh=_small_tensor_meshes(), data=st.data())
+def test_lift_against_oracles_on_random_meshes(mesh, data):
+    """The lifted eigenvalues of the first k pairs equal, to 1e-12
+    relative, those of the enriched eigensolver and those of the 2-D
+    certificate, which compares clusters whole from k + 3 pairs."""
+    k = data.draw(st.integers(1, min(6, mesh.n_cells)), label="k")
     system = assemble_mixed(mesh)
     pairs = solve_mixed_eigs(
         system, SolveOptions(k=max(k, min(k + 3, mesh.n_cells))))
-    rep = verify_equivalence(system, pairs, k)
+    lifted = [e.lambda_peq for e in verify_equivalence(mesh, pairs[:k]).entries]
+    cert = [e.lambda_peq for e in verify_equivalence_2d(system, pairs, k).entries]
+    eigs = [lam for lam, _ in solve_peq_eigs(assemble_peq(mesh), k)]
+    np.testing.assert_allclose(lifted, eigs, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(lifted, cert, rtol=1e-12, atol=0.0)
+
+
+def _enriched_1d(h):
+    """The 1-D enriched stiffness, dense, in the integral DOFs: the n + 1
+    edge values, then the n cell integrals; each cell adds its block
+    S_ab w_a w_b / h, w = (1, 1, 1 / h), on (left, right, cell)."""
+    n = len(h)
+    k = np.zeros((2 * n + 1, 2 * n + 1))
+    for i in range(n):
+        dofs = [i, i + 1, n + 1 + i]
+        w = np.array([1.0, 1.0, 1.0 / h[i]])
+        k[np.ix_(dofs, dofs)] += _S * np.outer(w, w) / h[i]
+    return k
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40, 300])
+def test_1d_identity_d_sigma_d_equals_s(n):
+    """On random widths, the condensed 1-D enriched operator Sigma (the
+    interior edges eliminated from the 3x3 blocks, the boundary edges
+    held at 0) satisfies D Sigma D = S = G A1^-1 G^T to 4e-15 of max|S|,
+    densely.  The lift of random cell means C has the energy C^T S C,
+    derivative jumps of 0 and, against the flux A1^-1 G^T C, an A1-norm
+    discrepancy of 0, all to roundoff."""
+    rng = np.random.default_rng(n)
+    h = rng.uniform(1.0, 4.0, n)
+    h *= PI / h.sum()
+    k = _enriched_1d(h)
+    edges, cells = np.arange(1, n), np.arange(n + 1, 2 * n + 1)
+    k_ce = k[np.ix_(cells, edges)]
+    sigma = k[np.ix_(cells, cells)] - k_ce @ np.linalg.solve(
+        k[np.ix_(edges, edges)], k_ce.T)
+    a1 = (np.diag(np.r_[h, 0.0] / 3.0 + np.r_[0.0, h] / 3.0)
+          + np.diag(h / 6.0, 1) + np.diag(h / 6.0, -1))
+    g = np.diff(np.eye(n + 1), axis=0)  # G s = diff(s)
+    s = g @ np.linalg.solve(a1, g.T)
+    scale = np.abs(s).max()
+    assert np.abs(h[:, None] * sigma * h[None, :] - s).max() <= 4e-15 * scale
+
+    c = rng.standard_normal((n, 3))
+    energy, flux_disc, jump = _lift_1d(h, c, np.linalg.solve(a1, g.T @ c))
+    want = np.einsum("ij,ik,kj->j", c, s, c)
+    np.testing.assert_allclose(energy, want, rtol=1e-13, atol=0.0)
+    assert np.all(flux_disc <= (1e-13 * np.abs(c).max()) ** 2 * scale)
+    assert np.all(jump <= 1e-13 * scale * np.abs(c).max())
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(mesh=_small_tensor_meshes(n_max=6))
+def test_2d_schur_identity(mesh):
+    """diag(|K|) S_c diag(|K|) = B A^-1 B^T on random meshes up to 6x6,
+    densely, to 2e-15 of max|B A^-1 B^T|: S_c is the Schur complement on
+    the cell integrals of the reference-element enriched stiffness, A and
+    B come from the COO scatter."""
+    peq = assemble_peq_coo(mesh)
+    k, ne = peq.K.toarray(), peq.n_edge_free
+    s_c = k[ne:, ne:] - k[ne:, :ne] @ np.linalg.solve(k[:ne, :ne], k[:ne, ne:])
+    a, b = (m.toarray() for m in assemble_mixed_coo(mesh))
+    bab = b @ np.linalg.solve(a, b.T)
+    areas = mesh.cell_areas
+    got = areas[:, None] * s_c * areas[None, :]
+    assert np.abs(got - bab).max() <= 2e-15 * np.abs(bab).max()
+
+
+def _check_certificate_against_oracle(mesh, k):
+    """The certificate's lifted eigenvalues equal the enriched
+    eigensolver's to 1e-12 relative, and the inertia count equals the
+    number of its eigenvalues below every gap midpoint between clusters
+    and below lambda_i (1 -+ 1e-6), each factorisation pivoting
+    symmetrically.  The pairs are solved as the certificate asks: k + 3
+    where the spectrum holds them."""
+    system = assemble_mixed(mesh)
+    pairs = solve_mixed_eigs(
+        system, SolveOptions(k=max(k, min(k + 3, mesh.n_cells))))
+    rep = verify_equivalence_2d(system, pairs, k)
     peq = assemble_peq(mesh)
     n_oracle = min(len(pairs) + 3, mesh.n_cells)
     oracle = np.array([lam for lam, _ in solve_peq_eigs(peq, n_oracle)])
@@ -283,26 +370,34 @@ def _no_gap(pairs, k):
     return pairs[:k]
 
 
-_FAULTS = {
+def _scale_flux_x(pairs, k):
+    """The first pair's x flux is off by a relative 1e-6."""
+    p = pairs[0]
+    return [dataclasses.replace(p, flux_x=p.flux_x * (1.0 + 1e-6))] + pairs[1:]
+
+
+_CERTIFICATE_FAULTS = {
     "dropped cluster member": (_drop_cluster_member, "enriched and"),
     "perturbed u": (_perturb_u, "lifts to no enriched pair"),
     "no gap after the last cluster": (_no_gap, "no gap"),
 }
 
+_LIFT_FAULTS = {"perturbed u": _perturb_u, "scaled flux_x": _scale_flux_x}
 
-@pytest.mark.parametrize("fault", _FAULTS)
+
+@pytest.mark.parametrize("fault", _CERTIFICATE_FAULTS)
 def test_certificate_catches_faults(system_a0, fault):
     """Uniform 8^2, k = 6: lambda = 2, 5, 5, 8, 10, 10, 13, 13, 17.  A
     missing pair leaves one enriched eigenvalue more below the shift than
     mixed ones; a wrong u lifts to an enriched residual far past the
     cluster tolerance; the sixth pair closes a cluster, so without the
-    pairs past k no shift can be placed after it, and the check refuses
-    rather than skip the count."""
-    make, message = _FAULTS[fault]
+    pairs past k no shift can be placed after it, and the certificate
+    refuses rather than skip the count."""
+    make, message = _CERTIFICATE_FAULTS[fault]
     pairs = solve_mixed_eigs(system_a0, SolveOptions(k=9))
-    assert verify_equivalence(system_a0, pairs, k=6).max_eig_rel_diff <= 1e-12
+    assert verify_equivalence_2d(system_a0, pairs, k=6).max_eig_rel_diff <= 1e-12
     with pytest.raises(DimensionMismatch, match=message):
-        verify_equivalence(system_a0, make(pairs, 6), k=6)
+        verify_equivalence_2d(system_a0, make(pairs, 6), k=6)
 
 
 def test_certificate_refuses_nonsymmetric_pivoting(monkeypatch, system_a0):
@@ -312,19 +407,30 @@ def test_certificate_refuses_nonsymmetric_pivoting(monkeypatch, system_a0):
     monkeypatch.setattr(spla, "splu", lambda a, **options: real(a))
     pairs = solve_mixed_eigs(system_a0, SolveOptions(k=9))
     with pytest.raises(SingularSystem, match="pivoting left the diagonal"):
-        verify_equivalence(system_a0, pairs, k=6)
+        verify_equivalence_2d(system_a0, pairs, k=6)
 
 
-@pytest.mark.parametrize("fault", _FAULTS)
+@pytest.mark.parametrize("fault", _LIFT_FAULTS)
+def test_lift_catches_faults(mesh_a0, fault):
+    """Preset a level 0, k = 6: a u with 1 % noise and a flux off by a
+    relative 1e-6 each take the first pair far past the bound c eps N^2
+    (2.3e-13 at N = 8), while the solved pairs stay well within it."""
+    pairs = solve_mixed_eigs(assemble_mixed(mesh_a0), SolveOptions(k=6))
+    assert verify_equivalence(mesh_a0, pairs).max_eig_rel_diff <= 1e-14
+    with pytest.raises(DimensionMismatch, match=r"pair 0 \(mode \(1, 1\)\)"):
+        verify_equivalence(mesh_a0, _LIFT_FAULTS[fault](pairs, 6))
+
+
+@pytest.mark.parametrize("fault", _LIFT_FAULTS)
 def test_run_case_records_a_failed_certificate(monkeypatch, fault):
     """Injected into level 1 of preset c, each fault fails the
     equivalence analysis alone: the error lands in ``failures`` and the
     level keeps its eigenvalues and other analyses."""
-    make = _FAULTS[fault][0]
+    make = _LIFT_FAULTS[fault]
     solve = cli._solve
 
-    def faulty(config, mesh, equivalence):
-        system, pairs = solve(config, mesh, equivalence)
+    def faulty(config, mesh):
+        system, pairs = solve(config, mesh)
         if mesh.level == 1:
             pairs = make(pairs, config.k)
         return system, pairs
@@ -339,15 +445,24 @@ def test_run_case_records_a_failed_certificate(monkeypatch, fault):
     assert set(first) - {"equivalence"} == set(second)
 
 
-def test_certificate_factors_once_and_never_iterates(monkeypatch, system_a0):
-    """One verify_equivalence call makes one sparse factorisation and no
-    Lanczos iteration, so a return to an enriched eigensolve fails here."""
-    pairs = solve_mixed_eigs(system_a0, SolveOptions(k=9))
+def test_lift_never_factors_nor_iterates(monkeypatch, system_a0):
+    """verify_equivalence makes no sparse factorisation and no Lanczos
+    iteration, and its module imports no scipy.sparse: a return to the
+    2-D enriched system fails here."""
+    pairs = solve_mixed_eigs(system_a0, SolveOptions(k=6))
     calls = {"splu": 0, "eigsh": 0}
     for name in calls:
         def counted(*args, _name=name, _real=getattr(spla, name), **kw):
             calls[_name] += 1
             return _real(*args, **kw)
         monkeypatch.setattr(spla, name, counted)
-    verify_equivalence(system_a0, pairs, k=6)
-    assert calls == {"splu": 1, "eigsh": 0}
+    verify_equivalence(system_a0.mesh, pairs)
+    assert calls == {"splu": 0, "eigsh": 0}
+
+    tree = ast.parse(Path(equivalence.__file__).read_text())
+    imported = [a.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for a in node.names]
+    imported += [f"{node.module}.{a.name}" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert imported and not any(
+        m == "scipy.sparse" or m.startswith("scipy.sparse.") for m in imported)

@@ -13,15 +13,19 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_namespace_exports_library_names_only():
     """The README "Library" names are importable from rrteig; the dense
-    eigensolver, the source-problem solve, the oracle-cap error and the
-    enriched-element eigensolver with its solution type, which only tests
-    use, are not part of the package."""
+    eigensolver, the source-problem solve, the oracle-cap error, the
+    enriched-element eigensolver with its solution type, and the 2-D
+    enriched system with its certificate and eigenspace gap, which only
+    tests use, are not part of the package."""
     for name in ("uniform_mesh", "assemble_mixed", "solve_mixed_eigs",
                  "SolveOptions", "enumerate_exact", "expansion_term",
-                 "FieldSample"):
+                 "FieldSample", "verify_equivalence"):
         assert hasattr(rrteig, name), name
     for name in ("dense_oracle_eigs", "solve_peq_poisson",
-                 "OracleCapExceeded", "solve_peq_eigs", "PeqSolution"):
+                 "OracleCapExceeded", "solve_peq_eigs", "PeqSolution",
+                 "assemble_peq", "PeqSystem", "peq_cell_gradient",
+                 "eigenspace_gap", "verify_equivalence_2d",
+                 "SingularSystem"):
         assert not hasattr(rrteig, name), name
         assert not hasattr(rrteig.errors, name), name
 
