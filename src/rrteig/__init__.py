@@ -26,8 +26,7 @@ from .exact import (
     ExactEigenpair,
     FieldSample,
     enumerate_exact,
-    rt_interpolate_exact,
-    l2_project_exact,
+    cell_mean_factors,
 )
 from .postprocess import (
     SuperclosenessReport,

@@ -24,16 +24,11 @@ from .analysis import (
     lower_bound_margin,
     match_frequencies,
 )
-from .assembly import MixedSystem, assemble_mixed
+from .assembly import assemble_mixed
 from .eigensolve import SolveOptions, solve_mixed_eigs
 from .equivalence import verify_equivalence
 from .errors import AmbiguousCluster, RRTError, InvalidConfig, IoFailure
-from .exact import (
-    FieldSample,
-    enumerate_exact,
-    l2_project_exact,
-    rt_interpolate_exact,
-)
+from .exact import FieldSample, cell_mean_factors, enumerate_exact
 from .mesh import (
     TensorMesh,
     build_mesh,
@@ -210,38 +205,37 @@ def _aligned_field(pair, exact_pair):
     return FieldSample(*mode, exact_pair.domain)
 
 
-def _sign_matched(pair, pi0_u, areas):
+def _sign_matched(mesh, pair, fld):
     """Flip the discrete pair, by negating v and flux_x, so its cell means
-    correlate positively with the exact projection."""
-    if float(np.sum(areas * pi0_u * pair.u_coeffs)) >= 0:
+    correlate positively with those of the exact field; the M-product of
+    two rank-one cell vectors is the product of two 1-D sums."""
+    px, py = cell_mean_factors(mesh, fld)
+    if np.sum(mesh.hx * pair.v * px) * np.sum(mesh.hy * pair.w * py) >= 0:
         return pair
     return replace(pair, v=-pair.v, flux_x=-pair.flux_x)
 
 
 def _solve(config: ExperimentConfig, mesh: TensorMesh):
     """Assemble and solve one level: its first k pairs."""
-    system = assemble_mixed(mesh)
-    return system, solve_mixed_eigs(system, SolveOptions(k=config.k,
-                                                         tol=config.tol))
+    return solve_mixed_eigs(assemble_mixed(mesh),
+                            SolveOptions(k=config.k, tol=config.tol))
 
 
 @dataclass
 class _Level:
-    """One assembled and solved level: the input of every analysis."""
+    """One solved level: the input of every analysis."""
 
     config: ExperimentConfig
     mesh: TensorMesh
     exact: list
-    system: MixedSystem
     pairs: list
 
     @cached_property
     def reference(self):
-        """The (1, 1) mode, its cell means and the first pair sign-matched
-        to them; supercloseness and postprocessing share one copy."""
+        """The (1, 1) mode and the first pair sign-matched to its cell
+        means; supercloseness and postprocessing share one copy."""
         fld = FieldSample(1, 1, self.exact[0].domain)
-        pi0 = l2_project_exact(self.mesh, fld)
-        return fld, pi0, _sign_matched(self.pairs[0], pi0, self.system.M)
+        return fld, _sign_matched(self.mesh, self.pairs[0], fld)
 
 
 def _residuals(lv: _Level) -> dict:
@@ -256,9 +250,8 @@ def _residuals(lv: _Level) -> dict:
 
 
 def _supercloseness(lv: _Level) -> dict:
-    fld, pi0, pair = lv.reference
-    sigma_i = rt_interpolate_exact(lv.mesh, fld)
-    sc = supercloseness_norms(lv.system, pair, sigma_i, pi0)
+    fld, pair = lv.reference
+    sc = supercloseness_norms(lv.mesh, pair, fld)
     return {"supercloseness": {
         "norm_sigma": sc.norm_sigma,
         "norm_div": sc.norm_div,
@@ -269,7 +262,7 @@ def _supercloseness(lv: _Level) -> dict:
 def _postprocessing(lv: _Level) -> dict:
     if lv.mesh.n1 % 2 or lv.mesh.n2 % 2:
         return {}
-    fld, _, pair = lv.reference
+    fld, pair = lv.reference
     f_sigma = i2h_sigma(lv.mesh, pair)
     f_u = j2h_u(lv.mesh, pair)
     return {"postprocessing": {
@@ -344,8 +337,7 @@ def _solve_level(config: ExperimentConfig, mesh: TensorMesh, exact,
     out of the record and is appended to ``failures``."""
     t0 = time.perf_counter()
     run = set(config.analyses)
-    system, pairs = _solve(config, mesh)
-    lv = _Level(config, mesh, exact, system, pairs)
+    lv = _Level(config, mesh, exact, _solve(config, mesh))
     rec = {
         "level": mesh.level,
         "n1": mesh.n1,
@@ -638,36 +630,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.command == "run":
-            config = _config_from_args(args)
-            report = run_case(config)
-            rep = report.to_dict()
-            sys.stdout.write(eigen_table(rep, args.format))
-            sys.stdout.write(residual_table(rep, args.format))
-            if args.out:
-                for path in emit_tables(rep, args.format, args.out):
-                    print(f"wrote {path}")
-            if "failures" in rep["config"]:
-                sys.stderr.write(json.dumps(
-                    {"failures": rep["config"]["failures"]}, sort_keys=True
-                ) + "\n")
-                return 2
-            return 0
-
-        if args.command == "eigs":
+        if args.command in ("eigs", "equiv"):  # one level, 0 by default
             config = _config_from_args(args, with_levels=False)
-            level = args.levels if args.levels is not None else 0
-            mesh = _refined(config, level)
-            _, pairs = _solve(config, mesh)
-            for t, p in enumerate(pairs):
-                print(f"lambda_{t + 1} = {p.lambda_h:.17g}")
-            return 0
-
-        if args.command == "equiv":
-            config = _config_from_args(args, with_levels=False)
-            level = args.levels if args.levels is not None else 0
-            mesh = _refined(config, level)
-            _, pairs = _solve(config, mesh)
+            mesh = _refined(config, args.levels or 0)
+            pairs = _solve(config, mesh)
+            if args.command == "eigs":
+                for t, p in enumerate(pairs):
+                    print(f"lambda_{t + 1} = {p.lambda_h:.17g}")
+                return 0
             rep = verify_equivalence(mesh, pairs)
             for e in rep.entries:
                 print(
@@ -677,17 +647,25 @@ def main(argv=None) -> int:
             print(f"max_flux_jump={rep.max_flux_jump:.3e}")
             return 0
 
-        # table
-        try:
-            with open(args.report) as f:
-                rep = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise IoFailure(f"cannot read report {args.report}: {exc}")
+        # run, or table: both render a report and may write its files
+        if args.command == "run":
+            rep = run_case(_config_from_args(args)).to_dict()
+        else:
+            try:
+                with open(args.report) as f:
+                    rep = json.load(f)
+            except (OSError, json.JSONDecodeError) as exc:
+                raise IoFailure(f"cannot read report {args.report}: {exc}")
         sys.stdout.write(eigen_table(rep, args.format))
         sys.stdout.write(residual_table(rep, args.format))
         if args.out:
             for path in emit_tables(rep, args.format, args.out):
                 print(f"wrote {path}")
+        if args.command == "run" and "failures" in rep["config"]:
+            sys.stderr.write(json.dumps(
+                {"failures": rep["config"]["failures"]}, sort_keys=True
+            ) + "\n")
+            return 2
         return 0
     except (RRTError, ValueError) as exc:
         sys.stderr.write(json.dumps(

@@ -81,6 +81,12 @@ class MixedEigenpair:
                                np.outer(self.flux_y, self.v).ravel()])
 
 
+def _a1_bands(h):
+    """Diagonal and off-diagonal of the 1-D flux mass A1 on the widths h."""
+    h_pad = np.concatenate([[0.0], h, [0.0]])  # cell widths beside each edge
+    return h_pad[:-1] / 3.0 + h_pad[1:] / 3.0, h / 6.0
+
+
 def _a1_times(diag, off, s):
     """A1 s, column by column, for the tridiagonal A1 = (off, diag, off)."""
     out = diag[:, None] * s
@@ -105,8 +111,7 @@ def _modes_1d(h, k):
     fluxes come from a direct tridiagonal solve with A1.
     """
     n = len(h)
-    h_pad = np.concatenate([[0.0], h, [0.0]])  # cell widths beside each edge
-    diag, off = h_pad[:-1] / 3.0 + h_pad[1:] / 3.0, h / 6.0  # tridiagonal A1
+    diag, off = _a1_bands(h)
     d_sqrt = np.sqrt(h)
     s = np.zeros((n + 1, n))
     s[1:] = np.tri(n) * d_sqrt  # running sums of the columns of D^1/2

@@ -3,12 +3,11 @@
 Eigenfunctions on [0,a] x [0,b] are products of sine waves.  Every
 discrete pair carries its mode label (m, n), so the exact partner of
 every pair, cluster members included, is one mode (FieldSample), and its
-point values and cell and edge means on a tensor mesh are outer products
-of 1-D tables.  Everything integral-shaped here
-(edge flux means, cell means, strip integrals of squared second
-derivatives) is evaluated from analytic antiderivatives, so these
-quantities carry no quadrature error; tests check them against Gauss
-quadrature independently.
+point values and cell means on a tensor mesh are outer products of 1-D
+tables.  Everything integral-shaped here (cell means, strip integrals of
+squared second derivatives) is evaluated from analytic antiderivatives,
+so these quantities carry no quadrature error; tests check them against
+Gauss quadrature independently.
 """
 
 from __future__ import annotations
@@ -163,26 +162,10 @@ class FieldSample:
 # discrete images of exact fields
 # ---------------------------------------------------------------------------
 
-def rt_interpolate_exact(mesh: TensorMesh, fld: FieldSample) -> np.ndarray:
-    """Edge-DOF vector of the flux interpolant: exact mean normal fluxes.
-
-    Each edge family is one outer product: kx cos(kx x) on the node lines
-    times the 1-D antiderivative differences across the cells; x-edges
-    (grid [cell row j, line i]) come before y-edges ([line j, cell column i])."""
+def cell_mean_factors(mesh: TensorMesh, fld: FieldSample):
+    """The x and y factors (amp px, py) of the cell means of u, px and py
+    the 1-D cell means of the two sines: the mean of u over cell (i, j) is
+    amp px[i] py[j]."""
     nx, ny = mesh.node_x, mesh.node_y
-    sx = fld.amp * (_factor(fld.kx, nx, 1)
-                    * _int_sin(fld.ky, ny[:-1, None], ny[1:, None]))
-    sy = fld.amp * (_int_sin(fld.kx, nx[:-1], nx[1:])
-                    * _factor(fld.ky, ny[:, None], 1))
-    sx = -sx / mesh.hy[:, None]
-    sy = -sy / mesh.hx
-    return np.concatenate([sx.ravel(), sy.ravel()])
-
-
-def l2_project_exact(mesh: TensorMesh, fld: FieldSample) -> np.ndarray:
-    """Cell-mean vector (1/|K|) integral_K u, row-major cell order: the
-    outer product of the 1-D antiderivative differences."""
-    nx, ny = mesh.node_x, mesh.node_y
-    out = fld.amp * (_int_sin(fld.kx, nx[:-1], nx[1:])
-                     * _int_sin(fld.ky, ny[:-1, None], ny[1:, None]))
-    return out.ravel() / mesh.cell_areas
+    return (fld.amp * _int_sin(fld.kx, nx[:-1], nx[1:]) / mesh.hx,
+            _int_sin(fld.ky, ny[:-1], ny[1:]) / mesh.hy)

@@ -8,7 +8,9 @@ the scalar is the bilinear through the four cell values at centroids.
 All three reproduce global Q11 data exactly, which is the property the
 superconvergence theory rests on.  A discrete pair is rank one, and so is
 each reconstructed component: the product of an x and a y 1-D
-interpolant, whose error norms reduce to 1-D Gauss sums.
+interpolant, whose error norms reduce to 1-D Gauss sums.  The
+supercloseness norms reduce alike, to 1-D sums of the pair's factors and
+of the exact field's cell means.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import MixedSystem
-from .eigensolve import MixedEigenpair
+from .eigensolve import MixedEigenpair, _a1_bands, _a1_times
 from .errors import LayoutMismatch, OddMeshDimensions
-from .exact import FieldSample
+from .exact import FieldSample, cell_mean_factors
 from .mesh import TensorMesh
 
 _GAUSS_N = 5
@@ -37,25 +38,39 @@ class SuperclosenessReport:
 
 
 def supercloseness_norms(
-    system: MixedSystem,
-    pair: MixedEigenpair,
-    sigma_I: np.ndarray,
-    pi0_u: np.ndarray,
+    mesh: TensorMesh, pair: MixedEigenpair, fld: FieldSample
 ) -> SuperclosenessReport:
-    """Exact norms of sigma_I - sigma_h, its divergence, and Pi0 u - u_h."""
-    lay = system.layout
-    if len(sigma_I) != lay.n_sigma or len(pi0_u) != lay.n_cell:
-        raise LayoutMismatch(
-            f"expected ({lay.n_sigma}, {lay.n_cell}) coefficients, got "
-            f"({len(sigma_I)}, {len(pi0_u)})"
-        )
-    d = sigma_I - pair.sigma_coeffs
-    e = pi0_u - pair.u_coeffs
-    bd = system.B @ d
+    """Exact norms of sigma_I - sigma_h in A, of its divergence and of
+    Pi0 u - u_h in M, from 1-D factors.  With (X, Y) the cell-mean factors
+    of the field and f the negative first derivatives of its sines on the
+    node lines, Pi0 u = Y (x) X and sigma_I = [Y (x) fx; fy (x) X]; A_xx =
+    diag(h_y) (x) A1x, A_yy = A1y (x) diag(h_x), M = diag(h_y) (x)
+    diag(h_x), so each squared norm is a balanced 1-D distance.
+
+    div sigma_I = lambda Pi0 u, and div sigma_h = (mu + nu) w (x) v + w (x)
+    rx + ry (x) v, with mu v the D-projection of gx = G flux_x / h_x on v
+    and rx the remainder (alike in y): the main part is one balanced
+    distance, the remainder terms come from the 4x4 Gram matrices of (X,
+    v, rx, v) and (Y, w, w, ry).  Expanding all four rank-one terms
+    instead cancels, to 2.2e-5 of the value at 1024^2."""
+    _require_fit(mesh, pair, "v", "w", "flux_x", "flux_y")
+    v, w, hx, hy = pair.v, pair.w, mesh.hx, mesh.hy
+    X, Y = cell_mean_factors(mesh, fld)
+    fx, fy = (-f for f in fld.factors(mesh.node_x, mesh.node_y, 1, 1))
+    dx, dy = _weights(hx), _weights(hy)
+    sigma_sq = (_tensor_distance_sq(pair.flux_x, w, fx, Y, _a1(hx), dy)
+                + _tensor_distance_sq(pair.flux_y, v, fy, X, _a1(hy), dx))
+    gx, gy = np.diff(pair.flux_x) / hx, np.diff(pair.flux_y) / hy
+    mu, nu = _dot(v, gx, dx) / _dot(v, v, dx), _dot(w, gy, dy) / _dot(w, w, dy)
+    xs, ys = np.stack([X, v, gx - mu * v, v]), np.stack([Y, w, w, gy - nu * w])
+    coef = np.array([fld.value, -(mu + nu), -1.0, -1.0])
+    gram = np.outer(coef, coef) * ((xs * hx) @ xs.T) * ((ys * hy) @ ys.T)
+    gram[:2, :2] = 0.0  # the main part, taken balanced
+    div_sq = _tensor_distance_sq((mu + nu) * v, w, fld.value * X, Y, dx, dy)
     return SuperclosenessReport(
-        norm_sigma=float(np.sqrt(d @ (system.A @ d))),
-        norm_div=float(np.sqrt(np.sum(bd * bd / system.M))),
-        norm_u=float(np.sqrt(e @ (system.M * e))),
+        norm_sigma=float(np.sqrt(sigma_sq)),
+        norm_div=float(np.sqrt(div_sq + gram.sum())),
+        norm_u=float(np.sqrt(_tensor_distance_sq(v, w, X, Y, dx, dy))),
     )
 
 
@@ -72,14 +87,14 @@ class PostprocessedField:
     kind: str
     components: tuple[tuple[np.ndarray, np.ndarray], ...]
 
+    def __post_init__(self):
+        if self.mesh.n1 % 2 or self.mesh.n2 % 2:
+            raise OddMeshDimensions("macro-elements need even cell counts, "
+                                    f"got {self.mesh.n1} x {self.mesh.n2}")
+
 
 def _require_fit(mesh, pair, *names):
-    """Macro-elements need even cell counts, and each named factor of the
-    pair must have its length on the mesh."""
-    if mesh.n1 % 2 or mesh.n2 % 2:
-        raise OddMeshDimensions(
-            f"macro-elements need even cell counts, got {mesh.n1} x {mesh.n2}"
-        )
+    """Each named factor of the pair must have its length on the mesh."""
     want = {"v": mesh.n1, "w": mesh.n2,
             "flux_x": mesh.n1 + 1, "flux_y": mesh.n2 + 1}
     got = {name: len(getattr(pair, name)) for name in names}
@@ -150,13 +165,25 @@ def _interpolant(nodes, vals, pts, deriv):
 _TARGETS = {"u": ((1.0, 0, 0),), "sigma": ((-1.0, 1, 0), (-1.0, 0, 1))}
 
 
-def _dot(a, b, w):
-    return float(np.sum(w * a * b))
+def _weights(w):
+    """The diagonal metric of the weights w."""
+    return lambda a: w * a
 
 
-def _tensor_distance_sq(x, y, f, g, wx, wy):
-    """Squared distance of x (x) y to f (x) g in the tensor quadrature rule
-    with 1-D weights wx, wy, by the split
+def _a1(h):
+    """The metric of the 1-D flux mass A1 on the cell widths h."""
+    diag, off = _a1_bands(h)
+    return lambda a: _a1_times(diag, off, a[:, None])[:, 0]
+
+
+def _dot(a, b, metric):
+    return float((metric(a) * b).sum())
+
+
+def _tensor_distance_sq(x, y, f, g, mx, my):
+    """Squared distance of x (x) y to f (x) g in the tensor product of the
+    1-D metrics mx, my (each maps a factor to the metric times it), by the
+    split
 
         x (x) y - f (x) g = x (x) (y - g) + (x - f) (x) g.
 
@@ -164,13 +191,13 @@ def _tensor_distance_sq(x, y, f, g, wx, wy):
     then x - f is orthogonal to x, the cross term 2 <x, x - f> <y - g, g>
     is at roundoff level and no term cancels another.  Without balancing
     the cross terms cancel and lose about 1e-6 relative at 512^2."""
-    c = _dot(x, f, wx)
-    c = c / _dot(x, x, wx) if c else 1.0
+    c = _dot(x, f, mx)
+    c = c / _dot(x, x, mx) if c else 1.0
     x, y = x * c, y / c
     ex, ey = x - f, y - g
-    return (_dot(x, x, wx) * _dot(ey, ey, wy)
-            + 2.0 * _dot(x, ex, wx) * _dot(ey, g, wy)
-            + _dot(ex, ex, wx) * _dot(g, g, wy))
+    return (_dot(x, x, mx) * _dot(ey, ey, my)
+            + 2.0 * _dot(x, ex, mx) * _dot(ey, g, my)
+            + _dot(ex, ex, mx) * _dot(g, g, my))
 
 
 def error_norms_postprocessed(
@@ -195,5 +222,5 @@ def error_norms_postprocessed(
             total += _tensor_distance_sq(
                 _interpolant(mesh.node_x, xv, xq, dx),
                 _interpolant(mesh.node_y, yv, yq, dy),
-                sign * f, g, wx, wy)
+                sign * f, g, _weights(wx), _weights(wy))
     return float(np.sqrt(total))

@@ -8,8 +8,10 @@ saddle LU for the cumulative-sum 1-D modes, the 2-D enriched element and
 its equivalence certificate for the 1-D lift of the equivalence check,
 per-cell Lagrange evaluation for the batched postprocessing norms, and
 scalar analytic integrals per cell or edge for the batched cell and edge
-means; ``exact_derivative`` evaluates an exact field pointwise from its
-1-D factors.
+means, the 2-D interpolants and the assembled A, B and M for the 1-D
+supercloseness norms (``supercloseness_norms_2d``), and every width pair
+for the 1-D regularity constant; ``exact_derivative`` evaluates an exact
+field pointwise from its 1-D factors.
 The 2-D enriched element is held twice: in closed form (``assemble_peq``,
 one 3x3 block per direction per cell, and ``peq_cell_gradient``) and from
 the reference-element dual basis (the inverse of the monomial DOF matrix,
@@ -33,8 +35,10 @@ import scipy.sparse.linalg as spla
 
 from rrteig.assembly import DofLayout, layout
 from rrteig.eigensolve import MixedEigenpair
-from rrteig.errors import DimensionMismatch, KTooLarge, RRTError
+from rrteig.errors import (
+    DimensionMismatch, KTooLarge, LayoutMismatch, RRTError)
 from rrteig.mesh import TensorMesh
+from rrteig.postprocess import SuperclosenessReport
 
 # Lanczos start-vector seed and iteration cap of solve_peq_eigs
 _LANCZOS_SEED = 0
@@ -381,6 +385,25 @@ def residual_2d(system, pair):
     r2 = np.linalg.norm(system.B @ sigma - pair.lambda_h * (system.M * u))
     r2 /= max(abs(pair.lambda_h), 1e-300)
     return float(max(r1, r2))
+
+
+def supercloseness_norms_2d(system, pair, sigma_I, pi0_u):
+    """Exact norms of sigma_I - sigma_h, its divergence, and Pi0 u - u_h,
+    from the 2-D coefficient vectors and the assembled A, B and M."""
+    lay = system.layout
+    if len(sigma_I) != lay.n_sigma or len(pi0_u) != lay.n_cell:
+        raise LayoutMismatch(
+            f"expected ({lay.n_sigma}, {lay.n_cell}) coefficients, got "
+            f"({len(sigma_I)}, {len(pi0_u)})"
+        )
+    d = sigma_I - pair.sigma_coeffs
+    e = pi0_u - pair.u_coeffs
+    bd = system.B @ d
+    return SuperclosenessReport(
+        norm_sigma=float(np.sqrt(d @ (system.A @ d))),
+        norm_div=float(np.sqrt(np.sum(bd * bd / system.M))),
+        norm_u=float(np.sqrt(e @ (system.M * e))),
+    )
 
 
 def dense_eigenvalues(system, k, cap=5000):
@@ -827,3 +850,35 @@ def mean_flux_y(fld, yj, x0, x1):
     """Mean of sigma_y = -u_y over the horizontal edge [x0, x1] x {yj}."""
     amp, kx, ky = _mode(fld)
     return -amp * ky * np.cos(ky * yj) * _int_sin(kx, x0, x1) / (x1 - x0)
+
+
+def rt_interpolate_exact(mesh: TensorMesh, fld) -> np.ndarray:
+    """Edge-DOF vector of the flux interpolant: exact mean normal fluxes.
+
+    Each edge family is one outer product: kx cos(kx x) on the node lines
+    times the 1-D antiderivative differences across the cells; x-edges
+    (grid [cell row j, line i]) come before y-edges ([line j, cell column i])."""
+    nx, ny = mesh.node_x, mesh.node_y
+    sx = fld.amp * (fld.kx * np.cos(fld.kx * nx)
+                    * _int_sin(fld.ky, ny[:-1, None], ny[1:, None]))
+    sy = fld.amp * (_int_sin(fld.kx, nx[:-1], nx[1:])
+                    * (fld.ky * np.cos(fld.ky * ny[:, None])))
+    sx = -sx / mesh.hy[:, None]
+    sy = -sy / mesh.hx
+    return np.concatenate([sx.ravel(), sy.ravel()])
+
+
+def l2_project_exact(mesh: TensorMesh, fld) -> np.ndarray:
+    """Cell-mean vector (1/|K|) integral_K u, row-major cell order: the
+    outer product of the 1-D antiderivative differences."""
+    nx, ny = mesh.node_x, mesh.node_y
+    out = fld.amp * (_int_sin(fld.kx, nx[:-1], nx[1:])
+                     * _int_sin(fld.ky, ny[:-1, None], ny[1:, None]))
+    return out.ravel() / mesh.cell_areas
+
+
+def regularity_constant_2d(mesh: TensorMesh) -> float:
+    """Smallest a >= 1 with a^-1 h_y <= h_x <= a h_y, from the ratio of
+    every (h_x, h_y) pair of cell widths."""
+    ratio = mesh.hx[:, None] / mesh.hy[None, :]
+    return float(np.maximum(ratio, 1.0 / ratio).max())

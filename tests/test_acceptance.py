@@ -13,7 +13,7 @@ from rrteig.analysis import match_frequencies
 from rrteig.assembly import assemble_mixed, layout
 from rrteig.cli import case_preset, run_case
 from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
-from rrteig.exact import FieldSample, enumerate_exact, rt_interpolate_exact
+from rrteig.exact import FieldSample, enumerate_exact
 from rrteig.mesh import build_mesh, uniform_mesh
 
 from oracles import (
@@ -22,6 +22,7 @@ from oracles import (
     eigenspace_gap,
     eval_cell,
     factor_pair,
+    rt_interpolate_exact,
 )
 
 PI = np.pi

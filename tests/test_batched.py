@@ -3,8 +3,10 @@ meshes: postprocessed error norms of random and of solved pairs
 (oracles.eval_cell and oracles.exact_derivative, 5x5 Gauss per fine
 cell), cell means
 (oracles.cell_integral_u), edge-flux means (oracles.mean_flux_x /
-mean_flux_y) and the h^2 expansion term (Gauss quadrature of u_xx^2 and
-u_yy^2 per cell)."""
+mean_flux_y), the h^2 expansion term (Gauss quadrature of u_xx^2 and
+u_yy^2 per cell); and 1-D kernels against their 2-D oracles: the
+supercloseness norms (oracles.supercloseness_norms_2d, with the assembled
+A, B and M) and the regularity constant (every width pair)."""
 
 import numpy as np
 import pytest
@@ -12,24 +14,33 @@ from hypothesis import given, settings, strategies as st
 
 from rrteig.analysis import expansion_term
 from rrteig.assembly import assemble_mixed, layout
-from rrteig.cli import _sign_matched
+from rrteig.cli import _sign_matched, case_preset
 from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
-from rrteig.exact import (
-    FieldSample,
-    enumerate_exact,
-    l2_project_exact,
-    rt_interpolate_exact,
+from rrteig.exact import FieldSample, cell_mean_factors, enumerate_exact
+from rrteig.mesh import (
+    build_mesh,
+    regularity_constant,
+    uniform_mesh,
+    uniform_refine,
 )
-from rrteig.mesh import build_mesh, uniform_mesh
-from rrteig.postprocess import error_norms_postprocessed, i2h_sigma, j2h_u
+from rrteig.postprocess import (
+    error_norms_postprocessed,
+    i2h_sigma,
+    j2h_u,
+    supercloseness_norms,
+)
 
 from oracles import (
     cell_integral_u,
     eval_cell,
     exact_derivative,
     factor_pair,
+    l2_project_exact,
     mean_flux_x,
     mean_flux_y,
+    regularity_constant_2d,
+    rt_interpolate_exact,
+    supercloseness_norms_2d,
 )
 
 _GX, _GW = np.polynomial.legendre.leggauss(5)
@@ -154,7 +165,7 @@ def test_solved_pair_norms_against_per_cell_oracle(mesh):
     system = assemble_mixed(mesh)
     fld = FieldSample(1, 1, (mesh.node_x[-1], mesh.node_y[-1]))
     (pair,) = solve_mixed_eigs(system, SolveOptions(k=1))
-    pair = _sign_matched(pair, l2_project_exact(mesh, fld), system.M)
+    pair = _sign_matched(mesh, pair, fld)
     for field in (i2h_sigma(mesh, pair), j2h_u(mesh, pair)):
         for order in (0, 1):
             power = order + (field.kind == "sigma")
@@ -168,7 +179,11 @@ def test_solved_pair_norms_against_per_cell_oracle(mesh):
 @given(mesh=_meshes(), data=st.data())
 def test_cell_and_edge_means_against_per_cell_oracle(mesh, data):
     """l2_project_exact against cell_integral_u / |K| and
-    rt_interpolate_exact against per-edge mean fluxes, to 1e-13."""
+    rt_interpolate_exact against per-edge mean fluxes, to 1e-13; the
+    library's cell_mean_factors (X, Y), with the flux factors of
+    FieldSample.factors on the node lines, against both 2-D interpolants
+    to 1e-15: Pi0 u = Y (x) X and sigma_I = [Y (x) fx; fy (x) X], f the
+    negative first derivatives."""
     fld = data.draw(_fields(mesh), label="field")
     lay = layout(mesh)
     nx, ny = mesh.node_x, mesh.node_y
@@ -186,8 +201,14 @@ def test_cell_and_edge_means_against_per_cell_oracle(mesh, data):
         for i in range(mesh.n1):
             fluxes[lay.yedge_index(i, j)] = mean_flux_y(
                 fld, ny[j], nx[i], nx[i + 1])
-    _assert_close(l2_project_exact(mesh, fld), means, 1e-13)
-    _assert_close(rt_interpolate_exact(mesh, fld), fluxes, 1e-13)
+    pi0, sigma_i = l2_project_exact(mesh, fld), rt_interpolate_exact(mesh, fld)
+    _assert_close(pi0, means, 1e-13)
+    _assert_close(sigma_i, fluxes, 1e-13)
+    X, Y = cell_mean_factors(mesh, fld)
+    fx, fy = fld.factors(nx, ny, 1, 1)
+    _assert_close(np.outer(Y, X).ravel(), pi0, 1e-15)
+    _assert_close(np.concatenate([np.outer(Y, -fx).ravel(),
+                                  np.outer(-fy, X).ravel()]), sigma_i, 1e-15)
 
 
 def _oracle_expansion_term(mesh, exact):
@@ -222,3 +243,81 @@ def test_expansion_term_against_per_cell_quadrature(mesh, data):
     got = expansion_term(mesh, exact)
     want = _oracle_expansion_term(mesh, exact)
     assert abs(got - want) <= 1e-12 * want
+
+
+def _supercloseness_gaps(mesh, pair, fld):
+    """|1-D - 2-D| of the three supercloseness norms, and the 2-D norms."""
+    got = supercloseness_norms(mesh, pair, fld)
+    want = supercloseness_norms_2d(assemble_mixed(mesh), pair,
+                                   rt_interpolate_exact(mesh, fld),
+                                   l2_project_exact(mesh, fld))
+    names = ("norm_sigma", "norm_div", "norm_u")
+    return (np.array([abs(getattr(got, n) - getattr(want, n)) for n in names]),
+            np.array([getattr(want, n) for n in names]))
+
+
+def _assert_supercloseness(mesh, pair, fld):
+    """supercloseness_norms against the 2-D oracle: each norm to 1e-14
+    times the exact field's norm of its order, sqrt(lambda) for sigma,
+    lambda for its divergence and 1 for u.  Expanding the divergence into
+    four rank-one terms, unbalanced, misses this bound on every preset
+    from level 1 on (1.4e-14 to 5.5e-14 lambda there)."""
+    gaps, _ = _supercloseness_gaps(mesh, pair, fld)
+    assert np.all(gaps <= 1e-14 * np.array([np.sqrt(fld.value), fld.value, 1]))
+
+
+def _preset_level(case, level):
+    mesh = case_preset(case).initial_mesh()
+    for _ in range(level):
+        mesh = uniform_refine(mesh)
+    return mesh
+
+
+@pytest.mark.parametrize("mesh, t", [
+    *((_preset_level(case, level), 0) for case in "abc" for level in range(5)),
+    (build_mesh([0.0, 2.0], [0.0, 1.3]), 0),
+    (build_mesh([0.0, 0.3, 1.0, 1.2], [0.0, 0.5, 0.6, 1.1, 1.9, 2.5]), 2),
+    (build_mesh([0.0, 3.0], [0.0, 0.1, 0.4, 0.5, 0.9, 1.0]), 3),
+], ids=[*(f"{c}{lvl}" for c in "abc" for lvl in range(5)),
+        "one_cell", "odd_3x5", "one_by_5"])
+def test_supercloseness_norms_against_2d_oracle_on_fixed_meshes(mesh, t):
+    """Levels 0-4 of each preset with the first pair sign-matched to mode
+    (1, 1), as the sweep measures it; and one-cell and odd meshes of
+    non-square domains, pair t against its own labelled mode, which is
+    not (1, 1) for t > 0."""
+    pair = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=t + 1))[t]
+    assert (pair.mode == (1, 1)) == (t == 0)
+    fld = FieldSample(*pair.mode, (mesh.node_x[-1], mesh.node_y[-1]))
+    _assert_supercloseness(mesh, _sign_matched(mesh, pair, fld), fld)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mesh=_meshes(even=False), data=st.data())
+def test_supercloseness_norms_against_2d_oracle(mesh, data):
+    """On random odd and even meshes: a solved pair against its own
+    labelled mode and against one mode of the first eight eigenspaces;
+    and random 1-D factors, far from any eigenpair, so that the remainders
+    of the divergence split are as large as its main part, to 1e-14
+    relative to the oracle's norms, which are O(1) or larger there."""
+    k = min(8, mesh.n_cells)
+    pairs = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=k))
+    pair = pairs[data.draw(st.integers(0, k - 1), label="pair")]
+    domain = (mesh.node_x[-1], mesh.node_y[-1])
+    fld = data.draw(_fields(mesh), label="field")
+    _assert_supercloseness(mesh, pair, FieldSample(*pair.mode, domain))
+    _assert_supercloseness(mesh, pair, fld)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    noise = factor_pair(*(rng.standard_normal(n) for n in (
+        mesh.n1, mesh.n2, mesh.n1 + 1, mesh.n2 + 1)))
+    gaps, want = _supercloseness_gaps(mesh, noise, fld)
+    assert np.all(gaps <= 1e-14 * want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(widths=st.lists(st.lists(st.floats(1e-2, 1e2), min_size=1,
+                                max_size=20), min_size=2, max_size=2))
+def test_regularity_constant_against_every_width_pair(widths):
+    """The four 1-D extrema give the 2-D maximum bitwise: division rounds
+    monotonically, so the extreme ratios are those of the extreme widths."""
+    mesh = build_mesh(*(np.concatenate([[0.0], np.cumsum(w)]) for w in widths))
+    assert regularity_constant(mesh) == regularity_constant_2d(mesh)

@@ -6,19 +6,16 @@ from functools import partial
 import numpy as np
 import pytest
 
-from rrteig.exact import (
-    FieldSample,
-    enumerate_exact,
-    l2_project_exact,
-    rt_interpolate_exact,
-)
+from rrteig.exact import FieldSample, enumerate_exact
 from rrteig.assembly import assemble_mixed, layout
 
 from oracles import (
     cell_integral_u,
     exact_derivative,
+    l2_project_exact,
     mean_flux_x,
     mean_flux_y,
+    rt_interpolate_exact,
 )
 
 PI = np.pi

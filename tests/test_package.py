@@ -14,9 +14,10 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_namespace_exports_library_names_only():
     """The README "Library" names are importable from rrteig; the dense
     eigensolver, the source-problem solve, the oracle-cap error, the
-    enriched-element eigensolver with its solution type, and the 2-D
-    enriched system with its certificate and eigenspace gap, which only
-    tests use, are not part of the package."""
+    enriched-element eigensolver with its solution type, the 2-D
+    enriched system with its certificate and eigenspace gap, and the 2-D
+    interpolants of an exact field, which only tests use, are not part of
+    the package."""
     for name in ("uniform_mesh", "assemble_mixed", "solve_mixed_eigs",
                  "SolveOptions", "enumerate_exact", "expansion_term",
                  "FieldSample", "verify_equivalence"):
@@ -28,6 +29,9 @@ def test_namespace_exports_library_names_only():
                  "SingularSystem"):
         assert not hasattr(rrteig, name), name
         assert not hasattr(rrteig.errors, name), name
+    for name in ("rt_interpolate_exact", "l2_project_exact"):
+        assert not hasattr(rrteig, name), name
+        assert not hasattr(rrteig.exact, name), name
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rrteig.errors import LayoutMismatch, OddMeshDimensions
-from rrteig.exact import FieldSample, l2_project_exact, rt_interpolate_exact
+from rrteig.exact import FieldSample
 from rrteig.mesh import build_mesh, uniform_mesh
 from rrteig.postprocess import (
     error_norms_postprocessed,
@@ -16,7 +16,13 @@ from rrteig.postprocess import (
     supercloseness_norms,
 )
 
-from oracles import eval_cell, factor_pair
+from oracles import (
+    eval_cell,
+    factor_pair,
+    l2_project_exact,
+    rt_interpolate_exact,
+    supercloseness_norms_2d,
+)
 
 PI = np.pi
 
@@ -168,8 +174,8 @@ def test_error_norm_exact_field_small():
     """Postprocessed exact interpolants are close to the exact field.  The
     interpolants of mode (1, 1) are rank one: their factors are the 1-D
     cell means of the two sines and the flux amp kx cos(kx x), ky cos(ky y)
-    on the node lines, checked here against the library's 2-D
-    interpolants."""
+    on the node lines, checked here against the 2-D interpolants of the
+    oracles."""
     mesh = uniform_mesh(0.0, PI, 8, 0.0, PI, 8)
     fld = FieldSample(1, 1)
     nx, ny = mesh.node_x, mesh.node_y
@@ -192,15 +198,20 @@ def test_error_norm_exact_field_small():
 
 
 def test_supercloseness_norms_plumbing(system_a0, pairs_a0):
+    """The 1-D norms against dense algebra on the 2-D vectors; a factor
+    whose length does not fit the mesh raises LayoutMismatch, as does a
+    2-D vector of the wrong length in the oracle."""
     fld = FieldSample(1, 1)
     mesh = system_a0.mesh
     sigma_i = rt_interpolate_exact(mesh, fld)
     pi0 = l2_project_exact(mesh, fld)
-    rep = supercloseness_norms(system_a0, pairs_a0[0], sigma_i, pi0)
-    # oracle recomputation with dense algebra
+    rep = supercloseness_norms(mesh, pairs_a0[0], fld)
     d = sigma_i - pairs_a0[0].sigma_coeffs
     want = float(np.sqrt(d @ (system_a0.A.toarray() @ d)))
     assert rep.norm_sigma == pytest.approx(want, rel=1e-12)
     assert rep.norm_u > 0 and rep.norm_div > 0
+    short = dataclasses.replace(pairs_a0[0], flux_x=pairs_a0[0].flux_x[:-1])
     with pytest.raises(LayoutMismatch):
-        supercloseness_norms(system_a0, pairs_a0[0], sigma_i[:-1], pi0)
+        supercloseness_norms(mesh, short, fld)
+    with pytest.raises(LayoutMismatch):
+        supercloseness_norms_2d(system_a0, pairs_a0[0], sigma_i[:-1], pi0)
