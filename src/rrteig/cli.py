@@ -12,7 +12,6 @@ import os
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .assembly import assemble_mixed
 from .eigensolve import SolveOptions, solve_mixed_eigs
 from .equivalence import verify_equivalence
 from .errors import AmbiguousCluster, RRTError, InvalidConfig, IoFailure
-from .exact import FieldSample, cell_mean_factors, enumerate_exact
+from .exact import FieldSample, enumerate_exact
 from .mesh import (
     TensorMesh,
     build_mesh,
@@ -205,16 +204,6 @@ def _aligned_field(pair, exact_pair):
     return FieldSample(*mode, exact_pair.domain)
 
 
-def _sign_matched(mesh, pair, fld):
-    """Flip the discrete pair, by negating v and flux_x, so its cell means
-    correlate positively with those of the exact field; the M-product of
-    two rank-one cell vectors is the product of two 1-D sums."""
-    px, py = cell_mean_factors(mesh, fld)
-    if np.sum(mesh.hx * pair.v * px) * np.sum(mesh.hy * pair.w * py) >= 0:
-        return pair
-    return replace(pair, v=-pair.v, flux_x=-pair.flux_x)
-
-
 def _solve(config: ExperimentConfig, mesh: TensorMesh):
     """Assemble and solve one level: its first k pairs."""
     return solve_mixed_eigs(assemble_mixed(mesh),
@@ -223,19 +212,16 @@ def _solve(config: ExperimentConfig, mesh: TensorMesh):
 
 @dataclass
 class _Level:
-    """One solved level: the input of every analysis."""
+    """One solved level: the input of every analysis.  Supercloseness and
+    postprocessing measure pairs[0] against the (1, 1) mode as it is: each
+    1-D spectrum is simple, so pairs[0] is the (1, 1) pair, and its two
+    factors have no sign change and a positive largest entry, so they
+    correlate positively with the positive cell means of the field."""
 
     config: ExperimentConfig
     mesh: TensorMesh
     exact: list
     pairs: list
-
-    @cached_property
-    def reference(self):
-        """The (1, 1) mode and the first pair sign-matched to its cell
-        means; supercloseness and postprocessing share one copy."""
-        fld = FieldSample(1, 1, self.exact[0].domain)
-        return fld, _sign_matched(self.mesh, self.pairs[0], fld)
 
 
 def _residuals(lv: _Level) -> dict:
@@ -250,8 +236,8 @@ def _residuals(lv: _Level) -> dict:
 
 
 def _supercloseness(lv: _Level) -> dict:
-    fld, pair = lv.reference
-    sc = supercloseness_norms(lv.mesh, pair, fld)
+    sc = supercloseness_norms(lv.mesh, lv.pairs[0],
+                              FieldSample(1, 1, lv.exact[0].domain))
     return {"supercloseness": {
         "norm_sigma": sc.norm_sigma,
         "norm_div": sc.norm_div,
@@ -262,9 +248,9 @@ def _supercloseness(lv: _Level) -> dict:
 def _postprocessing(lv: _Level) -> dict:
     if lv.mesh.n1 % 2 or lv.mesh.n2 % 2:
         return {}
-    fld, pair = lv.reference
-    f_sigma = i2h_sigma(lv.mesh, pair)
-    f_u = j2h_u(lv.mesh, pair)
+    fld = FieldSample(1, 1, lv.exact[0].domain)
+    f_sigma = i2h_sigma(lv.mesh, lv.pairs[0])
+    f_u = j2h_u(lv.mesh, lv.pairs[0])
     return {"postprocessing": {
         "sigma_l2": error_norms_postprocessed(f_sigma, fld, order=0),
         "sigma_h1": error_norms_postprocessed(f_sigma, fld, order=1),

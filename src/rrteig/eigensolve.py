@@ -68,18 +68,6 @@ class MixedEigenpair:
     residual_norm: float
     mode: tuple[int, int]
 
-    @property
-    def u_coeffs(self) -> np.ndarray:
-        """Cell values, row-major: cell j * n1 + i holds w[j] v[i]."""
-        return np.outer(self.w, self.v).ravel()
-
-    @property
-    def sigma_coeffs(self) -> np.ndarray:
-        """Edge DOFs: x-edge j * (n1 + 1) + i holds w[j] flux_x[i], then
-        y-edge n_xedge + j * n1 + i holds flux_y[j] v[i]."""
-        return np.concatenate([np.outer(self.w, self.flux_x).ravel(),
-                               np.outer(self.flux_y, self.v).ravel()])
-
 
 def _a1_bands(h):
     """Diagonal and off-diagonal of the 1-D flux mass A1 on the widths h."""

@@ -8,9 +8,11 @@ the scalar is the bilinear through the four cell values at centroids.
 All three reproduce global Q11 data exactly, which is the property the
 superconvergence theory rests on.  A discrete pair is rank one, and so is
 each reconstructed component: the product of an x and a y 1-D
-interpolant, whose error norms reduce to 1-D Gauss sums.  The
-supercloseness norms reduce alike, to 1-D sums of the pair's factors and
-of the exact field's cell means.
+interpolant, whose error norms reduce to 1-D Gauss sums.  Each 1-D
+interpolant is evaluated in Newton form, from the divided differences of
+each macro-element, with no per-cell basis.  The supercloseness norms
+reduce alike, to 1-D sums of the pair's factors and of the exact field's
+cell means.
 """
 
 from __future__ import annotations
@@ -127,37 +129,26 @@ def _gauss_table(nodes):
     return mid[:, None] + half[:, None] * _GAUSS_X, half[:, None] * _GAUSS_W
 
 
-def _macro_basis(win, pts, deriv):
-    """Closed-form 2- or 3-node Lagrange basis (deriv False) or its
-    derivative over each fine cell's macro-element window nodes win (n, p),
-    at that cell's points pts (n, g); returns (n, g, p)."""
-    p = win.shape[1]
-    out = np.empty(pts.shape + (p,))
-    for a in range(p):
-        # one linear factor (x - o) / (w_a - o) per other window node o
-        others = [win[:, r, None] for r in range(p) if r != a]
-        gaps = [win[:, a, None] - o for o in others]
-        lin = [(pts - o) / g for o, g in zip(others, gaps)]
-        if not deriv:
-            out[..., a] = lin[0] if p == 2 else lin[0] * lin[1]
-        elif p == 2:
-            out[..., a] = np.broadcast_to(1.0 / gaps[0], pts.shape)
-        else:
-            out[..., a] = lin[1] / gaps[0] + lin[0] / gaps[1]
-    return out
-
-
 def _interpolant(nodes, vals, pts, deriv):
     """The 1-D macro-element interpolant of ``vals`` (or its derivative)
-    at each fine cell's points pts (n, g), over the cell's window
-    2 (i // 2) + arange(p): quadratic (p = 3) when the values sit on the
-    n + 1 ``nodes``, linear (p = 2) when they sit at the n cell midpoints."""
-    if len(vals) == len(nodes):
-        at, p = nodes, 3
-    else:
-        at, p = (nodes[:-1] + nodes[1:]) / 2.0, 2
-    win = 2 * (np.arange(len(pts)) // 2)[:, None] + np.arange(p)
-    return np.einsum("iap,ip->ia", _macro_basis(at[win], pts, deriv), vals[win])
+    at the fine cells' points pts (n, g), in Newton form.  pts is viewed
+    as (n / 2, 2g), one row per macro-element, cells 2e and 2e + 1, which
+    the even cell count of a PostprocessedField allows.  Values on the
+    n + 1 ``nodes`` take the quadratic through the element's three lines
+    w0, w1, w2, f0 + (x - w0) (d1 + d2 (x - w1)), with derivative d1 +
+    d2 ((x - w0) + (x - w1)) and the divided differences d1 = f[w0, w1]
+    and d2 = f[w0, w1, w2]; values at the n cell midpoints take the
+    linear through its two, d2 = 0."""
+    quadratic = len(vals) == len(nodes)
+    at = nodes if quadratic else (nodes[:-1] + nodes[1:]) / 2.0
+    w, f = at[:, None], vals[:, None]
+    d1 = (f[1::2] - f[:-1:2]) / (w[1::2] - w[:-1:2])
+    d2 = ((f[2::2] - f[1::2]) / (w[2::2] - w[1::2]) - d1) / (
+        w[2::2] - w[:-1:2]) if quadratic else 0.0
+    x = pts.reshape(len(pts) // 2, -1)
+    x0, x1 = x - w[:-1:2], x - w[1::2]
+    out = d1 + d2 * (x0 + x1) if deriv else f[:-1:2] + x0 * (d1 + d2 * x1)
+    return out.reshape(pts.shape)
 
 
 # per component of a field kind: (sign, dx, dy), the component

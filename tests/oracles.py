@@ -23,10 +23,13 @@ lifts every mixed pair by one block solve and compares clusters through
 checks its count and lifted eigenvalues.
 They use public rrteig names only.  ``factor_pair`` builds a pair from
 1-D factors the solver does not produce, to feed the postprocessing with
-chosen or random data.
+chosen or random data; ``u_coeffs`` and ``sigma_coeffs`` form a pair's
+2-D cell and edge vectors from its 1-D factors, for the 2-D oracles; and
+``sign_matched`` flips a pair whose cell means correlate negatively with
+those of an exact field.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -37,6 +40,7 @@ from rrteig.assembly import DofLayout, layout
 from rrteig.eigensolve import MixedEigenpair
 from rrteig.errors import (
     DimensionMismatch, KTooLarge, LayoutMismatch, RRTError)
+from rrteig.exact import cell_mean_factors
 from rrteig.mesh import TensorMesh
 from rrteig.postprocess import SuperclosenessReport
 
@@ -374,11 +378,36 @@ def factor_pair(v, w, flux_x, flux_y, scale=1.0):
                           residual_norm=0.0, mode=(1, 1))
 
 
+def u_coeffs(pair):
+    """The pair's 2-D cell values, row-major: cell j * n1 + i holds
+    w[j] v[i]."""
+    return np.outer(pair.w, pair.v).ravel()
+
+
+def sigma_coeffs(pair):
+    """The pair's 2-D edge DOFs: x-edge j * (n1 + 1) + i holds w[j]
+    flux_x[i], then y-edge n_xedge + j * n1 + i holds flux_y[j] v[i]."""
+    return np.concatenate([np.outer(pair.w, pair.flux_x).ravel(),
+                           np.outer(pair.flux_y, pair.v).ravel()])
+
+
+def sign_matched(mesh, pair, fld):
+    """Flip the discrete pair, by negating v and flux_x, so its cell means
+    correlate positively with those of the exact field; the M-product of
+    two rank-one cell vectors is the product of two 1-D sums.  The sweep
+    measures the first pair as it is: it is the (1, 1) pair, which never
+    needs the flip."""
+    px, py = cell_mean_factors(mesh, fld)
+    if np.sum(mesh.hx * pair.v * px) * np.sum(mesh.hy * pair.w * py) >= 0:
+        return pair
+    return replace(pair, v=-pair.v, flux_x=-pair.flux_x)
+
+
 def residual_2d(system, pair):
     """Relative residual of a pair against the assembled 2-D pencil, the
     larger of |A sigma - B^T u| / |A sigma| and |B sigma - lambda M u| /
     lambda: one sparse product each with A, B and B^T."""
-    sigma, u = pair.sigma_coeffs, pair.u_coeffs
+    sigma, u = sigma_coeffs(pair), u_coeffs(pair)
     a_sigma = system.A @ sigma
     r1 = np.linalg.norm(a_sigma - system.B.T @ u)
     r1 /= max(np.linalg.norm(a_sigma), 1e-300)
@@ -396,8 +425,8 @@ def supercloseness_norms_2d(system, pair, sigma_I, pi0_u):
             f"expected ({lay.n_sigma}, {lay.n_cell}) coefficients, got "
             f"({len(sigma_I)}, {len(pi0_u)})"
         )
-    d = sigma_I - pair.sigma_coeffs
-    e = pi0_u - pair.u_coeffs
+    d = sigma_I - sigma_coeffs(pair)
+    e = pi0_u - u_coeffs(pair)
     bd = system.B @ d
     return SuperclosenessReport(
         norm_sigma=float(np.sqrt(d @ (system.A @ d))),
@@ -708,7 +737,7 @@ def verify_equivalence_2d(system, pairs, k) -> CertificateReport:
             f"{count} enriched and {n} mixed eigenvalues lie below "
             f"{shift:.17g}")
 
-    u = np.column_stack([p.u_coeffs for p in pairs[:n]])
+    u = np.column_stack([u_coeffs(p) for p in pairs[:n]])
     ne = peq.n_edge_free
     rhs = np.zeros((len(peq.free), n))
     rhs[ne:] = u * (lambdas[:n] - shift)  # M0 u~ is u on the cell rows
@@ -718,7 +747,7 @@ def verify_equivalence_2d(system, pairs, k) -> CertificateReport:
     means = x[ne:] / mesh.cell_areas[:, None]
     grads = peq_cell_gradient(mesh, full)
     sig_peq = gradient_to_sigma_coeffs(mesh, grads)
-    sig_rrt = np.column_stack([p.sigma_coeffs for p in pairs[:n]])
+    sig_rrt = np.column_stack([sigma_coeffs(p) for p in pairs[:n]])
 
     m_norm = lambda d: np.sqrt(np.einsum("ij,ij->j", d, system.M[:, None] * d))
     norm_means = m_norm(means)  # x^T M0 x = ||Pi0 x||^2

@@ -23,6 +23,7 @@ from oracles import (
     eval_cell,
     factor_pair,
     rt_interpolate_exact,
+    sigma_coeffs,
 )
 
 PI = np.pi
@@ -306,7 +307,7 @@ def test_criterion_12_property_suites(system_a0, pairs_a0):
     commute_ok = np.max(np.abs(got - want)) <= 1e-12
 
     # A-orthogonality of the eigen-fluxes
-    s = np.column_stack([p.sigma_coeffs for p in pairs_a0])
+    s = np.column_stack([sigma_coeffs(p) for p in pairs_a0])
     gram = s.T @ (system_a0.A @ s)
     lam = np.array([p.lambda_h for p in pairs_a0])
     ortho_ok = np.allclose(gram, np.diag(lam), atol=1e-9 * lam.max())

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from rrteig.analysis import expansion_term
 from rrteig.assembly import assemble_mixed, layout
-from rrteig.cli import _sign_matched, case_preset
+from rrteig.cli import case_preset
 from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
 from rrteig.exact import FieldSample, cell_mean_factors, enumerate_exact
 from rrteig.mesh import (
@@ -40,6 +40,7 @@ from oracles import (
     mean_flux_y,
     regularity_constant_2d,
     rt_interpolate_exact,
+    sign_matched,
     supercloseness_norms_2d,
 )
 
@@ -156,16 +157,15 @@ def _even_random_mesh():
                                   _even_random_mesh()],
                          ids=["a_32", "random_12x16"])
 def test_solved_pair_norms_against_per_cell_oracle(mesh):
-    """The first solved pair, sign-matched to mode (1, 1), on preset a's
-    32^2 level and on a random even nonuniform mesh: every norm to 1e-14
-    times the exact field's norm of the same order, sqrt(lambda) to the
-    power order + 1 for sigma and order for u.  Its errors are near 1e-4
-    to 1e-3, so a bound relative to them would ask for what neither path
-    resolves."""
+    """The first solved pair against mode (1, 1), unflipped as the sweep
+    measures it, on preset a's 32^2 level and on a random even nonuniform
+    mesh: every norm to 1e-14 times the exact field's norm of the same
+    order, sqrt(lambda) to the power order + 1 for sigma and order for u.
+    Its errors are near 1e-4 to 1e-3, so a bound relative to them would
+    ask for what neither path resolves."""
     system = assemble_mixed(mesh)
     fld = FieldSample(1, 1, (mesh.node_x[-1], mesh.node_y[-1]))
     (pair,) = solve_mixed_eigs(system, SolveOptions(k=1))
-    pair = _sign_matched(mesh, pair, fld)
     for field in (i2h_sigma(mesh, pair), j2h_u(mesh, pair)):
         for order in (0, 1):
             power = order + (field.kind == "sigma")
@@ -281,14 +281,14 @@ def _preset_level(case, level):
 ], ids=[*(f"{c}{lvl}" for c in "abc" for lvl in range(5)),
         "one_cell", "odd_3x5", "one_by_5"])
 def test_supercloseness_norms_against_2d_oracle_on_fixed_meshes(mesh, t):
-    """Levels 0-4 of each preset with the first pair sign-matched to mode
-    (1, 1), as the sweep measures it; and one-cell and odd meshes of
-    non-square domains, pair t against its own labelled mode, which is
-    not (1, 1) for t > 0."""
+    """Levels 0-4 of each preset with the first pair against mode (1, 1),
+    as the sweep measures it; and one-cell and odd meshes of non-square
+    domains, pair t sign-matched to its own labelled mode, which is not
+    (1, 1) for t > 0."""
     pair = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=t + 1))[t]
     assert (pair.mode == (1, 1)) == (t == 0)
     fld = FieldSample(*pair.mode, (mesh.node_x[-1], mesh.node_y[-1]))
-    _assert_supercloseness(mesh, _sign_matched(mesh, pair, fld), fld)
+    _assert_supercloseness(mesh, sign_matched(mesh, pair, fld), fld)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -336,9 +336,9 @@ def test_failing_analysis_keeps_the_level(monkeypatch, capsys):
 
 
 def test_reference_field_computed_once_per_level(monkeypatch):
-    """Supercloseness and postprocessing share one sign-matched reference
-    pair per level: the (1, 1) cell means are taken once per level for
-    it, and once more inside supercloseness_norms."""
+    """Supercloseness and postprocessing measure the first pair as it is,
+    with no sign match: the (1, 1) cell means are taken once per level,
+    inside supercloseness_norms."""
     from rrteig.exact import cell_mean_factors
 
     projected = _count_calls(monkeypatch, cell_mean_factors)
@@ -350,7 +350,7 @@ def test_reference_field_computed_once_per_level(monkeypatch):
     assert "failures" not in report.config
     assert all("supercloseness" in lv and "postprocessing" in lv
                for lv in report.levels)
-    assert len(projected) == 2 * 2
+    assert len(projected) == 2
 
 
 def test_frequency_matches_report_each_pairs_label():

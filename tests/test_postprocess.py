@@ -1,15 +1,19 @@
-"""Postprocessing operators: polynomial reproduction, locality,
-boundedness; supercloseness norm plumbing."""
+"""Postprocessing operators: polynomial reproduction, of the per-cell
+oracle and of the library's 1-D interpolant, locality, boundedness;
+supercloseness norm plumbing."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rrteig.errors import LayoutMismatch, OddMeshDimensions
 from rrteig.exact import FieldSample
 from rrteig.mesh import build_mesh, uniform_mesh
 from rrteig.postprocess import (
+    _gauss_table,
+    _interpolant,
     error_norms_postprocessed,
     i2h_sigma,
     j2h_u,
@@ -21,7 +25,9 @@ from oracles import (
     factor_pair,
     l2_project_exact,
     rt_interpolate_exact,
+    sigma_coeffs,
     supercloseness_norms_2d,
+    u_coeffs,
 )
 
 PI = np.pi
@@ -92,6 +98,39 @@ def test_q11_reproduction_u():
         x, y = _cell_points(mesh, rng, i, j)
         np.testing.assert_allclose(eval_cell(field, i, j, x, y), f(x, y),
                                    atol=1e-13)
+
+
+@st.composite
+def _even_nodes(draw):
+    """n + 1 nodes, n even in [2, 16], of [x0, x0 + length] with cell
+    widths from [1, 4] (width ratio <= 4)."""
+    n = 2 * draw(st.integers(1, 8), label="n / 2")
+    widths = draw(st.lists(st.floats(1.0, 4.0), min_size=n, max_size=n))
+    x0 = draw(st.floats(-2.0, 2.0), label="x0")
+    length = draw(st.floats(0.5, 4.0), label="length")
+    cum = np.concatenate([[0.0], np.cumsum(widths)])
+    return x0 + length * cum / cum[-1]
+
+
+_COEF = st.floats(-2.0, -0.5) | st.floats(0.5, 2.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(nodes=_even_nodes(), a=_COEF, b=_COEF, c=_COEF)
+@example(nodes=np.array([0.0, 0.3, 1.0]), a=0.7, b=-1.3, c=2.1)
+def test_interpolant_reproduces_quadratic_and_linear(nodes, a, b, c):
+    """At every cell's Gauss points the macro-element interpolant of a
+    global quadratic's node values, and of a global linear's cell-midpoint
+    values, is that polynomial, values and derivatives to 1e-13 relative
+    to the largest; coefficients of size [0.5, 2], either sign."""
+    pts, _ = _gauss_table(nodes)
+    for at, f, df in (
+        (nodes, lambda x: a + x * (b + c * x), lambda x: b + 2.0 * c * x),
+        (_mids(nodes), lambda x: a + b * x, lambda x: np.full_like(x, b)),
+    ):
+        for deriv, want in ((0, f(pts)), (1, df(pts))):
+            got = _interpolant(nodes, f(at), pts, deriv)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_locality():
@@ -184,9 +223,9 @@ def test_error_norm_exact_field_small():
         v=amp * (np.cos(kx * nx[:-1]) - np.cos(kx * nx[1:])) / kx / mesh.hx,
         w=(np.cos(ky * ny[:-1]) - np.cos(ky * ny[1:])) / ky / mesh.hy,
         flux_x=-amp * kx * np.cos(kx * nx), flux_y=-ky * np.cos(ky * ny))
-    np.testing.assert_allclose(pair.u_coeffs, l2_project_exact(mesh, fld),
+    np.testing.assert_allclose(u_coeffs(pair), l2_project_exact(mesh, fld),
                                rtol=0, atol=1e-14)
-    np.testing.assert_allclose(pair.sigma_coeffs,
+    np.testing.assert_allclose(sigma_coeffs(pair),
                                rt_interpolate_exact(mesh, fld),
                                rtol=0, atol=1e-14)
     fs = i2h_sigma(mesh, pair)
@@ -206,7 +245,7 @@ def test_supercloseness_norms_plumbing(system_a0, pairs_a0):
     sigma_i = rt_interpolate_exact(mesh, fld)
     pi0 = l2_project_exact(mesh, fld)
     rep = supercloseness_norms(mesh, pairs_a0[0], fld)
-    d = sigma_i - pairs_a0[0].sigma_coeffs
+    d = sigma_i - sigma_coeffs(pairs_a0[0])
     want = float(np.sqrt(d @ (system_a0.A.toarray() @ d)))
     assert rep.norm_sigma == pytest.approx(want, rel=1e-12)
     assert rep.norm_u > 0 and rep.norm_div > 0
