@@ -30,11 +30,8 @@ from .exact import (
 )
 from .postprocess import (
     SuperclosenessReport,
-    PostprocessedField,
     supercloseness_norms,
-    i2h_sigma,
-    j2h_u,
-    error_norms_postprocessed,
+    postprocessing_norms,
 )
 from .analysis import (
     expansion_term,

@@ -35,12 +35,7 @@ from .mesh import (
     regularity_constant,
     uniform_refine,
 )
-from .postprocess import (
-    error_norms_postprocessed,
-    i2h_sigma,
-    j2h_u,
-    supercloseness_norms,
-)
+from .postprocess import postprocessing_norms, supercloseness_norms
 
 ALL_ANALYSES = (
     "eigenvalues",
@@ -248,15 +243,8 @@ def _supercloseness(lv: _Level) -> dict:
 def _postprocessing(lv: _Level) -> dict:
     if lv.mesh.n1 % 2 or lv.mesh.n2 % 2:
         return {}
-    fld = FieldSample(1, 1, lv.exact[0].domain)
-    f_sigma = i2h_sigma(lv.mesh, lv.pairs[0])
-    f_u = j2h_u(lv.mesh, lv.pairs[0])
-    return {"postprocessing": {
-        "sigma_l2": error_norms_postprocessed(f_sigma, fld, order=0),
-        "sigma_h1": error_norms_postprocessed(f_sigma, fld, order=1),
-        "u_l2": error_norms_postprocessed(f_u, fld, order=0),
-        "u_h1": error_norms_postprocessed(f_u, fld, order=1),
-    }}
+    return {"postprocessing": postprocessing_norms(
+        lv.mesh, lv.pairs[0], FieldSample(1, 1, lv.exact[0].domain))}
 
 
 def _bounds(lv: _Level) -> dict:

@@ -18,7 +18,7 @@ class TooFewNodes(RRTError):
 
 
 class LayoutMismatch(RRTError):
-    """A coefficient vector does not conform to the DOF layout."""
+    """A 1-D factor of a pair does not fit the mesh."""
 
 
 class NotConverged(RRTError):

@@ -1,18 +1,19 @@
 """Supercloseness norms and macro-element postprocessing.
 
-The postprocessing operators act on 2x2 blocks of cells of a mesh obtained
-by uniform refinement.  The flux x component is rebuilt as a polynomial of
+The postprocessing acts on 2x2 blocks of cells of a mesh obtained by
+uniform refinement.  The flux x component is rebuilt as a polynomial of
 degree (2, 1) per macro-element interpolating the six vertical-edge DOF
 values at (x-line, cell-row midpoint) nodes; the y component swaps roles;
 the scalar is the bilinear through the four cell values at centroids.
 All three reproduce global Q11 data exactly, which is the property the
 superconvergence theory rests on.  A discrete pair is rank one, and so is
 each reconstructed component: the product of an x and a y 1-D
-interpolant, whose error norms reduce to 1-D Gauss sums.  Each 1-D
-interpolant is evaluated in Newton form, from the divided differences of
-each macro-element, with no per-cell basis.  The supercloseness norms
-reduce alike, to 1-D sums of the pair's factors and of the exact field's
-cell means.
+interpolant, whose error norms reduce to 1-D Gauss sums.  One call,
+postprocessing_norms, gives all four error norms of a level and takes
+each 1-D interpolant once per derivative order, in Newton form from the
+divided differences of each macro-element, with no per-cell basis.  The
+supercloseness norms reduce alike, to 1-D sums of the pair's factors and
+of the exact field's cell means.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def supercloseness_norms(
     distance, the remainder terms come from the 4x4 Gram matrices of (X,
     v, rx, v) and (Y, w, w, ry).  Expanding all four rank-one terms
     instead cancels, to 2.2e-5 of the value at 1024^2."""
-    _require_fit(mesh, pair, "v", "w", "flux_x", "flux_y")
+    _require_fit(mesh, pair)
     v, w, hx, hy = pair.v, pair.w, mesh.hx, mesh.hy
     X, Y = cell_mean_factors(mesh, fld)
     fx, fy = (-f for f in fld.factors(mesh.node_x, mesh.node_y, 1, 1))
@@ -76,50 +77,15 @@ def supercloseness_norms(
     )
 
 
-@dataclass(frozen=True)
-class PostprocessedField:
-    """Macro-element reconstruction of a rank-one pair: per component (sx,
-    sy for kind 'sigma'; u for kind 'u') the (x values, y values) data of
-    its two 1-D interpolants.  A factor of n + 1 values sits on the node
-    lines and is interpolated by the quadratic through the three lines of
-    each macro-element; one of n values sits at the cell midpoints and is
-    interpolated by the linear through the two of each macro-element."""
-
-    mesh: TensorMesh
-    kind: str
-    components: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    def __post_init__(self):
-        if self.mesh.n1 % 2 or self.mesh.n2 % 2:
-            raise OddMeshDimensions("macro-elements need even cell counts, "
-                                    f"got {self.mesh.n1} x {self.mesh.n2}")
-
-
-def _require_fit(mesh, pair, *names):
-    """Each named factor of the pair must have its length on the mesh."""
+def _require_fit(mesh, pair):
+    """Each of the pair's four 1-D factors must have its length on the
+    mesh."""
     want = {"v": mesh.n1, "w": mesh.n2,
             "flux_x": mesh.n1 + 1, "flux_y": mesh.n2 + 1}
-    got = {name: len(getattr(pair, name)) for name in names}
-    if any(got[name] != want[name] for name in names):
+    got = {name: len(getattr(pair, name)) for name in want}
+    if got != want:
         raise LayoutMismatch(
             f"factor lengths {got} do not fit {mesh.n1} x {mesh.n2} cells")
-
-
-def i2h_sigma(mesh: TensorMesh, pair: MixedEigenpair) -> PostprocessedField:
-    """Macro-element flux reconstruction from the pair's edge DOF values:
-    sx interpolates the x data flux_x and the y data w, sy the x data v
-    and the y data flux_y."""
-    _require_fit(mesh, pair, "v", "w", "flux_x", "flux_y")
-    return PostprocessedField(mesh=mesh, kind="sigma", components=(
-        (pair.flux_x, pair.w), (pair.v, pair.flux_y)))
-
-
-def j2h_u(mesh: TensorMesh, pair: MixedEigenpair) -> PostprocessedField:
-    """Bilinear reconstruction of the scalar from the pair's cell values at
-    centroids: the x data v and the y data w."""
-    _require_fit(mesh, pair, "v", "w")
-    return PostprocessedField(mesh=mesh, kind="u",
-                              components=((pair.v, pair.w),))
 
 
 def _gauss_table(nodes):
@@ -133,7 +99,7 @@ def _interpolant(nodes, vals, pts, deriv):
     """The 1-D macro-element interpolant of ``vals`` (or its derivative)
     at the fine cells' points pts (n, g), in Newton form.  pts is viewed
     as (n / 2, 2g), one row per macro-element, cells 2e and 2e + 1, which
-    the even cell count of a PostprocessedField allows.  Values on the
+    needs the even n that postprocessing_norms checks.  Values on the
     n + 1 ``nodes`` take the quadratic through the element's three lines
     w0, w1, w2, f0 + (x - w0) (d1 + d2 (x - w1)), with derivative d1 +
     d2 ((x - w0) + (x - w1)) and the divided differences d1 = f[w0, w1]
@@ -149,11 +115,6 @@ def _interpolant(nodes, vals, pts, deriv):
     x0, x1 = x - w[:-1:2], x - w[1::2]
     out = d1 + d2 * (x0 + x1) if deriv else f[:-1:2] + x0 * (d1 + d2 * x1)
     return out.reshape(pts.shape)
-
-
-# per component of a field kind: (sign, dx, dy), the component
-# approximates sign times the (dx, dy) derivative of u
-_TARGETS = {"u": ((1.0, 0, 0),), "sigma": ((-1.0, 1, 0), (-1.0, 0, 1))}
 
 
 def _weights(w):
@@ -191,27 +152,47 @@ def _tensor_distance_sq(x, y, f, g, mx, my):
             + _dot(ex, ex, mx) * _dot(g, g, my))
 
 
-def error_norms_postprocessed(
-    field: PostprocessedField, exact: FieldSample, order: int = 0
-) -> float:
-    """L2 (order 0) or broken H1-seminorm (order 1) distance to the exact
-    field, by 5x5 Gauss quadrature per fine cell.
+def postprocessing_norms(
+    mesh: TensorMesh, pair: MixedEigenpair, fld: FieldSample
+) -> dict[str, float]:
+    """L2 (sigma_l2, u_l2) and broken H1-seminorm (sigma_h1, u_h1)
+    distances of the macro-element reconstructions of the pair to the
+    exact field, by 5x5 Gauss quadrature per fine cell.  The flux's x
+    component interpolates flux_x in x and w in y, its y component v in x
+    and flux_y in y; the scalar interpolates v in x and w in y.
 
-    Each reconstructed component and the exact field are tensor products
-    of 1-D factors, and so is each derivative, so every squared distance
-    is a combination of 1-D Gauss sums over the (n1, 5) and (n2, 5)
-    tables."""
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    mesh = field.mesh
+    Each component, the exact field and each of their derivatives is a
+    tensor product of 1-D factors, so every squared distance is a
+    balanced 1-D distance over the (n1, 5) and (n2, 5) Gauss tables.  Each
+    1-D interpolant and exact factor is taken once per derivative order
+    and shared by the terms that read it."""
+    _require_fit(mesh, pair)
+    if mesh.n1 % 2 or mesh.n2 % 2:
+        raise OddMeshDimensions("macro-elements need even cell counts, "
+                                f"got {mesh.n1} x {mesh.n2}")
     xq, wx = _gauss_table(mesh.node_x)
     yq, wy = _gauss_table(mesh.node_y)
-    total = 0.0
-    for (xv, yv), (sign, ex, ey) in zip(field.components, _TARGETS[field.kind]):
-        for dx, dy in ((0, 0),) if order == 0 else ((1, 0), (0, 1)):
-            f, g = exact.factors(xq, yq, ex + dx, ey + dy)
-            total += _tensor_distance_sq(
-                _interpolant(mesh.node_x, xv, xq, dx),
-                _interpolant(mesh.node_y, yv, yq, dy),
-                sign * f, g, _weights(wx), _weights(wy))
-    return float(np.sqrt(total))
+    # [value, derivative] of each 1-D interpolant
+    sx, v = ([_interpolant(mesh.node_x, a, xq, d) for d in (0, 1)]
+             for a in (pair.flux_x, pair.v))
+    w, sy = ([_interpolant(mesh.node_y, a, yq, d) for d in (0, 1)]
+             for a in (pair.w, pair.flux_y))
+    # the exact factors, derivative orders 0, 1 and 2
+    ex, ey = zip(*(fld.factors(xq, yq, d, d) for d in (0, 1, 2)))
+
+    def dist_sq(x, y, f, g):
+        return _tensor_distance_sq(x, y, f, g, _weights(wx), _weights(wy))
+
+    # sigma = -grad u: sx against -u_x, sy against -u_y
+    total = {
+        "sigma_l2": dist_sq(sx[0], w[0], -ex[1], ey[0])
+        + dist_sq(v[0], sy[0], -ex[0], ey[1]),
+        "sigma_h1": dist_sq(sx[1], w[0], -ex[2], ey[0])
+        + dist_sq(sx[0], w[1], -ex[1], ey[1])
+        + dist_sq(v[1], sy[0], -ex[1], ey[1])
+        + dist_sq(v[0], sy[1], -ex[0], ey[2]),
+        "u_l2": dist_sq(v[0], w[0], ex[0], ey[0]),
+        "u_h1": dist_sq(v[1], w[0], ex[1], ey[0])
+        + dist_sq(v[0], w[1], ex[0], ey[1]),
+    }
+    return {key: float(np.sqrt(sq)) for key, sq in total.items()}

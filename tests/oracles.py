@@ -23,10 +23,11 @@ lifts every mixed pair by one block solve and compares clusters through
 checks its count and lifted eigenvalues.
 They use public rrteig names only.  ``factor_pair`` builds a pair from
 1-D factors the solver does not produce, to feed the postprocessing with
-chosen or random data; ``u_coeffs`` and ``sigma_coeffs`` form a pair's
-2-D cell and edge vectors from its 1-D factors, for the 2-D oracles; and
-``sign_matched`` flips a pair whose cell means correlate negatively with
-those of an exact field.
+chosen or random data; ``reconstruction`` packs a pair's factors per
+reconstructed component, for ``eval_cell``; ``u_coeffs`` and
+``sigma_coeffs`` form a pair's 2-D cell and edge vectors from its 1-D
+factors, for the 2-D oracles; and ``sign_matched`` flips a pair whose
+cell means correlate negatively with those of an exact field.
 """
 
 from dataclasses import dataclass, replace
@@ -611,8 +612,8 @@ def gradient_to_sigma_coeffs(mesh: TensorMesh, grad_edges) -> np.ndarray:
     The theory makes the normal component continuous across interior
     edges, so the average is exact up to solver tolerance; the actual jump
     is available from interior_flux_jumps.  The x-edges form the grid
-    [cell row j, line i] and the y-edges [line j, cell column i], as
-    i2h_sigma reads them.
+    [cell row j, line i] and the y-edges [line j, cell column i], in the
+    DOF layout's order.
     """
     n1, n2 = mesh.n1, mesh.n2
     gxL, gxR, gyB, gyT = grad_edges
@@ -822,6 +823,27 @@ def _basis(nodes, x, deriv):
     coeffs = np.linalg.inv(np.vander(nodes - nodes[0]))  # column a: basis a
     return np.stack([np.polyval(np.polyder(c) if deriv else c, t)
                      for c in coeffs.T], axis=-1)
+
+
+@dataclass(frozen=True)
+class Reconstruction:
+    """The macro-element reconstruction of a rank-one pair on a mesh: per
+    component (sx, sy for kind 'sigma'; u for kind 'u') the (x values, y
+    values) data of its two 1-D interpolants."""
+
+    mesh: TensorMesh
+    kind: str
+    components: tuple
+
+
+def reconstruction(mesh, pair, kind):
+    """The reconstruction of ``kind`` from the pair's 1-D factors, as
+    eval_cell reads it: sx interpolates the x data flux_x and the y data
+    w, sy the x data v and the y data flux_y, u the x data v and the y
+    data w."""
+    components = {"sigma": ((pair.flux_x, pair.w), (pair.v, pair.flux_y)),
+                  "u": ((pair.v, pair.w),)}[kind]
+    return Reconstruction(mesh, kind, components)
 
 
 def eval_cell(field, i, j, x, y, deriv=None):

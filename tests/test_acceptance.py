@@ -22,6 +22,7 @@ from oracles import (
     eigenspace_gap,
     eval_cell,
     factor_pair,
+    reconstruction,
     rt_interpolate_exact,
     sigma_coeffs,
 )
@@ -272,15 +273,13 @@ def test_criterion_12_property_suites(system_a0, pairs_a0):
     # rank-one bilinear reproduction of the flux postprocessing:
     # sx = sy = (0.4 - 0.8 x)(0.6 + 1.2 y), every monomial coefficient
     # nonzero, from its edge means, which are edge-midpoint values
-    from rrteig.postprocess import i2h_sigma
-
     mesh = uniform_mesh(0.0, 1.0, 4, 0.0, 1.0, 4)
     nx, ny = mesh.node_x, mesh.node_y
     xm, ym = (nx[:-1] + nx[1:]) / 2, (ny[:-1] + ny[1:]) / 2
     f = lambda x, y: (0.4 - 0.8 * x) * (0.6 + 1.2 * y)
     pair = factor_pair(v=0.4 - 0.8 * xm, w=0.6 + 1.2 * ym,
                        flux_x=0.4 - 0.8 * nx, flux_y=0.6 + 1.2 * ny)
-    fld = i2h_sigma(mesh, pair)
+    fld = reconstruction(mesh, pair, "sigma")
     rng = np.random.default_rng(1)
     repro_ok = True
     for _ in range(10):

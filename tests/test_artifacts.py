@@ -1,16 +1,20 @@
-"""The tables that `rrteig run --case {a,b,c} --levels 4` writes stay
-byte-identical to the committed copies in tests/data.
+"""The tables and the report that `rrteig run --case {a,b,c} --levels 4`
+writes stay byte-identical to the committed copies in tests/data.
 
 The copies were generated with numpy 2.4.6 and scipy 1.17.1 (Python
 3.11.7, x86-64), the figure tables by the cumulative-sum 1-D mode solver.
+The reports pin, at full precision, the keys no table shows: the
+supercloseness, postprocessing and equivalence results of every level.
 They hold for the BLAS build and thread count they were made with: they
 match scipy-openblas 0.3.31 on two threads, but with OMP_NUM_THREADS=1
 OPENBLAS_NUM_THREADS=1 the dense eigh on preset b's 256 level-4 y widths
-rounds differently and line 6 of b_figure.txt moves by 1.3e-15.  A
-change that is meant to alter a table replaces its copy and says why;
-another numpy, scipy, BLAS or thread count may move a 17-digit figure
-value by roundoff, which this test then reports with the first differing
-line and the largest change per numeric column.
+rounds differently, line 6 of b_figure.txt moves by 1.3e-15 and
+b_report.json moves with it; a_report.json and c_report.json match on
+one thread and on two.  A change that is meant to alter an artifact
+replaces its copy and says why; another numpy, scipy, BLAS or thread
+count may move a 17-digit value by roundoff, which this test then
+reports with the first differing line and, for the tables, the largest
+change per numeric column.
 """
 
 from pathlib import Path
@@ -79,8 +83,9 @@ def test_level4_tables_byte_identical(case, tmp_path, capsys):
     assert main(["run", "--case", case, "--levels", "4",
                  "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    for table in ("eigenvalues", "residuals", "figure"):
-        name = f"{case}_{table}.txt"
+    for name in (*(f"{case}_{table}.txt"
+                   for table in ("eigenvalues", "residuals", "figure")),
+                 f"{case}_report.json"):
         got = (tmp_path / name).read_bytes()
         want = (DATA / name).read_bytes()
         assert got == want, f"{name}\n{_changes(got, want)}"

@@ -23,12 +23,7 @@ from rrteig.mesh import (
     uniform_mesh,
     uniform_refine,
 )
-from rrteig.postprocess import (
-    error_norms_postprocessed,
-    i2h_sigma,
-    j2h_u,
-    supercloseness_norms,
-)
+from rrteig.postprocess import postprocessing_norms, supercloseness_norms
 
 from oracles import (
     cell_integral_u,
@@ -38,6 +33,7 @@ from oracles import (
     l2_project_exact,
     mean_flux_x,
     mean_flux_y,
+    reconstruction,
     regularity_constant_2d,
     rt_interpolate_exact,
     sign_matched,
@@ -140,11 +136,12 @@ def test_error_norms_against_per_cell_oracle(mesh, data):
                             for n in (n1, n2, n1 + 1, n2 + 1))
     c = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
     pair = factor_pair(c * v, w / c, c * flux_x, flux_y / c)
-    for field in (i2h_sigma(mesh, pair), j2h_u(mesh, pair)):
-        for order in (0, 1):
-            got = error_norms_postprocessed(field, exact, order)
-            want = _oracle_norm(field, exact, order)
-            assert abs(got - want) <= 1e-12 * want, (field.kind, order)
+    norms = postprocessing_norms(mesh, pair, exact)
+    for kind in ("sigma", "u"):
+        for order, norm in ((0, "l2"), (1, "h1")):
+            got = norms[f"{kind}_{norm}"]
+            want = _oracle_norm(reconstruction(mesh, pair, kind), exact, order)
+            assert abs(got - want) <= 1e-12 * want, (kind, order)
 
 
 def _even_random_mesh():
@@ -166,13 +163,14 @@ def test_solved_pair_norms_against_per_cell_oracle(mesh):
     system = assemble_mixed(mesh)
     fld = FieldSample(1, 1, (mesh.node_x[-1], mesh.node_y[-1]))
     (pair,) = solve_mixed_eigs(system, SolveOptions(k=1))
-    for field in (i2h_sigma(mesh, pair), j2h_u(mesh, pair)):
-        for order in (0, 1):
-            power = order + (field.kind == "sigma")
-            got = error_norms_postprocessed(field, fld, order)
-            want = _oracle_norm(field, fld, order)
+    norms = postprocessing_norms(mesh, pair, fld)
+    for kind in ("sigma", "u"):
+        for order, norm in ((0, "l2"), (1, "h1")):
+            power = order + (kind == "sigma")
+            got = norms[f"{kind}_{norm}"]
+            want = _oracle_norm(reconstruction(mesh, pair, kind), fld, order)
             assert abs(got - want) <= 1e-14 * fld.value ** (power / 2), (
-                field.kind, order)
+                kind, order)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -353,6 +353,23 @@ def test_reference_field_computed_once_per_level(monkeypatch):
     assert len(projected) == 2
 
 
+def test_postprocessing_shares_tables_and_interpolants(monkeypatch):
+    """One postprocessing call per level builds one Gauss table per
+    direction and each of the eight 1-D interpolants once (flux_x and v
+    in x, w and flux_y in y, value and derivative): two levels of preset
+    a make 4 tables and 16 interpolants."""
+    from rrteig import postprocess
+
+    tables = _count_calls(monkeypatch, postprocess._gauss_table)
+    interpolants = _count_calls(monkeypatch, postprocess._interpolant)
+    config = dataclasses.replace(case_preset("a"), levels=1,
+                                 analyses=("postprocessing",))
+    report = run_case(config)
+    assert "failures" not in report.config
+    assert all("postprocessing" in lv for lv in report.levels)
+    assert (len(tables), len(interpolants)) == (4, 16)
+
+
 def test_frequency_matches_report_each_pairs_label():
     """On a uniform 16^2 mesh with k = 52 the discrete order departs from
     the exact one: the pairs at the indices of lambda = 40, the (2, 6)

@@ -17,7 +17,9 @@ def test_namespace_exports_library_names_only():
     enriched-element eigensolver with its solution type, the 2-D
     enriched system with its certificate and eigenspace gap, and the 2-D
     interpolants of an exact field, which only tests use, are not part of
-    the package; nor are a pair's 2-D vectors, which no analysis reads."""
+    the package; nor are a pair's 2-D vectors, which no analysis reads,
+    nor the per-field reconstructions and per-order norms that
+    postprocessing_norms replaced."""
     for name in ("uniform_mesh", "assemble_mixed", "solve_mixed_eigs",
                  "SolveOptions", "enumerate_exact", "expansion_term",
                  "FieldSample", "verify_equivalence"):
@@ -34,6 +36,10 @@ def test_namespace_exports_library_names_only():
         assert not hasattr(rrteig.exact, name), name
     for name in ("u_coeffs", "sigma_coeffs"):
         assert not hasattr(rrteig.MixedEigenpair, name), name
+    for name in ("PostprocessedField", "i2h_sigma", "j2h_u",
+                 "error_norms_postprocessed"):
+        assert not hasattr(rrteig, name), name
+        assert not hasattr(rrteig.postprocess, name), name
 
 
 def _unused_imports(source: str) -> list[str]:

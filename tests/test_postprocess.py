@@ -1,5 +1,5 @@
-"""Postprocessing operators: polynomial reproduction, of the per-cell
-oracle and of the library's 1-D interpolant, locality, boundedness;
+"""Postprocessing: polynomial reproduction, of the per-cell oracle and of
+the library's 1-D interpolant, locality, boundedness, input checks;
 supercloseness norm plumbing."""
 
 import dataclasses
@@ -14,9 +14,7 @@ from rrteig.mesh import build_mesh, uniform_mesh
 from rrteig.postprocess import (
     _gauss_table,
     _interpolant,
-    error_norms_postprocessed,
-    i2h_sigma,
-    j2h_u,
+    postprocessing_norms,
     supercloseness_norms,
 )
 
@@ -24,6 +22,7 @@ from oracles import (
     eval_cell,
     factor_pair,
     l2_project_exact,
+    reconstruction,
     rt_interpolate_exact,
     sigma_coeffs,
     supercloseness_norms_2d,
@@ -67,7 +66,7 @@ def test_q11_reproduction_sigma():
                        w=(1.1 + 0.5 * _mids(ny)) / c,
                        flux_x=c * (0.3 - 0.7 * nx),
                        flux_y=(0.9 - 0.8 * ny) / c)
-    field = i2h_sigma(mesh, pair)
+    field = reconstruction(mesh, pair, "sigma")
     rng = np.random.default_rng(2)
     for _ in range(20):
         i = int(rng.integers(0, mesh.n1))
@@ -90,7 +89,7 @@ def test_q11_reproduction_u():
     pair = factor_pair(v=2.0 + 0.3 * _mids(nx), w=-0.6 + 0.9 * _mids(ny),
                        flux_x=np.zeros(mesh.n1 + 1),
                        flux_y=np.zeros(mesh.n2 + 1))
-    field = j2h_u(mesh, pair)
+    field = reconstruction(mesh, pair, "u")
     rng = np.random.default_rng(3)
     for _ in range(20):
         i = int(rng.integers(0, mesh.n1))
@@ -144,18 +143,19 @@ def test_locality():
     cells = [(i, j) for i in range(4) for j in range(4)]
     points = {c: _cell_points(mesh, rng, *c, n=2) for c in cells}
 
-    def moved(field, bumped, i, j):
+    def moved(kind, bumped, i, j):
         """Per component: does the bump change it on cell (i, j)?"""
-        before = np.atleast_2d(eval_cell(field(mesh, base), i, j, *points[i, j]))
-        after = np.atleast_2d(eval_cell(field(mesh, bumped), i, j, *points[i, j]))
+        before, after = (np.atleast_2d(eval_cell(
+            reconstruction(mesh, p, kind), i, j, *points[i, j]))
+            for p in (base, bumped))
         return [not np.array_equal(b, a) for b, a in zip(before, after)]
 
     bump_x = dataclasses.replace(base, flux_x=base.flux_x + np.eye(5)[1])
     bump_w = dataclasses.replace(base, w=base.w + np.eye(4)[0])
     for i, j in cells:
-        assert moved(i2h_sigma, bump_x, i, j) == [i < 2, False]
-        assert moved(i2h_sigma, bump_w, i, j) == [j < 2, False]
-        assert moved(j2h_u, bump_w, i, j) == [j < 2]
+        assert moved("sigma", bump_x, i, j) == [i < 2, False]
+        assert moved("sigma", bump_w, i, j) == [j < 2, False]
+        assert moved("u", bump_w, i, j) == [j < 2]
 
 
 def test_boundedness():
@@ -165,8 +165,8 @@ def test_boundedness():
     rng = np.random.default_rng(5)
     pair = factor_pair(*(rng.standard_normal(n) for n in (4, 4, 5, 5)),
                        scale=0.7)
-    fs = i2h_sigma(mesh, pair)
-    fu = j2h_u(mesh, pair)
+    fs = reconstruction(mesh, pair, "sigma")
+    fu = reconstruction(mesh, pair, "u")
     worst = 0.0
     for j in range(mesh.n2):
         y = np.linspace(mesh.node_y[j], mesh.node_y[j + 1], 5)
@@ -186,27 +186,20 @@ def test_odd_mesh_rejected():
     mesh = uniform_mesh(0.0, 1.0, 3, 0.0, 1.0, 4)
     pair = factor_pair(np.zeros(3), np.zeros(4), np.zeros(4), np.zeros(5))
     with pytest.raises(OddMeshDimensions):
-        i2h_sigma(mesh, pair)
-    with pytest.raises(OddMeshDimensions):
-        j2h_u(mesh, pair)
+        postprocessing_norms(mesh, pair, FieldSample(1, 1))
 
 
 def test_length_mismatch():
-    """Each factor the reconstruction reads must fit the mesh: v n1, w n2,
+    """Each factor the reconstructions read must fit the mesh: v n1, w n2,
     flux_x n1 + 1 and flux_y n2 + 1 values."""
     mesh = uniform_mesh(0.0, 1.0, 4, 0.0, 1.0, 4)
+    fld = FieldSample(1, 1)
     fits = factor_pair(np.zeros(4), np.zeros(4), np.zeros(5), np.zeros(5))
-    i2h_sigma(mesh, fits)
-    j2h_u(mesh, fits)
+    postprocessing_norms(mesh, fits, fld)
     for name in ("v", "w", "flux_x", "flux_y"):
         short = dataclasses.replace(fits, **{name: np.zeros(3)})
         with pytest.raises(LayoutMismatch):
-            i2h_sigma(mesh, short)
-        if name in ("v", "w"):
-            with pytest.raises(LayoutMismatch):
-                j2h_u(mesh, short)
-        else:
-            j2h_u(mesh, short)
+            postprocessing_norms(mesh, short, fld)
 
 
 def test_error_norm_exact_field_small():
@@ -228,12 +221,11 @@ def test_error_norm_exact_field_small():
     np.testing.assert_allclose(sigma_coeffs(pair),
                                rt_interpolate_exact(mesh, fld),
                                rtol=0, atol=1e-14)
-    fs = i2h_sigma(mesh, pair)
-    fu = j2h_u(mesh, pair)
+    norms = postprocessing_norms(mesh, pair, fld)
     # h^2-superconvergent ballpark at h = pi/8
-    assert error_norms_postprocessed(fs, fld, order=0) < 0.1
-    assert error_norms_postprocessed(fu, fld, order=0) < 0.05
-    assert error_norms_postprocessed(fu, fld, order=1) < 0.5
+    assert norms["sigma_l2"] < 0.1
+    assert norms["u_l2"] < 0.05
+    assert norms["u_h1"] < 0.5
 
 
 def test_supercloseness_norms_plumbing(system_a0, pairs_a0):
