@@ -53,9 +53,9 @@ _ANALYSES_B_C = tuple(
     if a not in ("frequencies", "supercloseness", "postprocessing")
 )
 
-# the finest level allowed, in cells (2048^2); its memory is unmeasured.
-# Preset a with every analysis peaks at 126 MiB RSS at 512^2 and 293 MiB at
-# 1024^2, in-process
+# the finest level allowed, in cells (2048^2).  Preset a with every
+# analysis, in-process with BLAS on one thread, peaks at 245 MiB RSS at
+# 1024^2 (levels 7, 0.45 s) and at 785 MiB at 2048^2 (levels 8, 1.6 s)
 _MAX_CELLS = 2**22
 
 _FORMATS = ("delimited-text", "aligned-text", "structured-document")

@@ -10,10 +10,16 @@ where S and D are the reduced operator and the cell-width diagonal of the
 Thomas, Numer. Math. 6, 1964).  solve_mixed_eigs solves the two 1-D
 pencils and combines their modes, lambda = mu_i + nu_j and u = w_j (x) v_i.
 Each 1-D pencil is built from the cell widths of its direction; two
-cumulative sums form its inverse, and a dense eigh of it gives the modes.
-Each 1-D spectrum is simple and its i-th mode (from 0) has i sign changes
-(discrete Sturm oscillation), so pair (i, j) is labelled with the wave
-numbers (m, n) = (i + 1, j + 1) of the exact mode it approximates,
+cumulative sums apply its inverse.  Up to _DENSE_MAX_CELLS = 128 cells
+they form the inverse and a dense eigh of it gives the modes; above, a
+fixed budget of 16 modes (the next multiple of 16 for k > 16) comes from
+implicitly restarted Lanczos (ARPACK; Lehoucq & Sorensen, SIAM J. Matrix
+Anal. Appl. 17, 1996) on the O(n) product, whose bits depend on neither
+k within the budget nor the BLAS thread count.  Each 1-D spectrum is
+simple and its i-th mode (from 0) has i sign changes (discrete Sturm
+oscillation; a Lanczos result is checked for it), so pair (i, j) is
+labelled with the wave numbers (m, n) = (i + 1, j + 1) of the exact mode
+it approximates,
 sin(m pi x / a) sin(n pi y / b).
 The flux follows from the same structure: A and B are Kronecker products
 blockwise (A_xx = diag(h_y) (x) A1x, B_x = diag(h_y) (x) Gx, and alike in
@@ -29,9 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from .assembly import MixedSystem
 from .errors import KTooLarge, NotConverged
+
+# the most 1-D cells whose modes come from the dense eigendecomposition
+_DENSE_MAX_CELLS = 128
 
 
 @dataclass(frozen=True)
@@ -83,20 +93,22 @@ def _a1_times(diag, off, s):
     return out
 
 
-def _modes_1d(h, k):
-    """k smallest eigenpairs (mu, v) of the 1-D RT0 pencil (S, D) on the
-    cell widths h, S = G A1^-1 G^T and D = diag(h), their fluxes
-    A1^-1 G^T v and the five 1-D sums per mode that _residuals reads.
+def _mode_budget(k):
+    """Modes solved per direction for a request of k: 16 for every k <= 16,
+    else the next multiple of 16, so that the bits of the first k do not
+    depend on k within a bracket."""
+    return 16 * max(1, -(-k // 16))
 
-    The pairs are taken from the top of the inverse K = D^1/2 S^-1 D^1/2
-    by a dense symmetric eigendecomposition.  S^-1 f = x solves the saddle
-    system A1 s = G^T x, G s = f, whose two bidiagonal blocks invert by
-    cumulative sums: s is the running sum of f, shifted by the constant
-    flux that makes 1^T A1 s = 0, so that A1 s lies in the range of G^T,
-    and x is minus the running sum of A1 s.  With the columns of D^1/2
-    as f this forms K in O(n^2).  Columns of v are D-orthonormal, each
-    signed so that its first largest-magnitude entry is positive.  The
-    fluxes come from a direct tridiagonal solve with A1.
+
+def _dense_top(h, k):
+    """The k largest eigenpairs (theta, y) of K = D^1/2 S^-1 D^1/2, largest
+    first, from K formed in O(n^2) and a dense symmetric eigendecomposition.
+
+    S^-1 f = x solves the saddle system A1 s = G^T x, G s = f, whose two
+    bidiagonal blocks invert by cumulative sums: s is the running sum of f,
+    shifted by the constant flux that makes 1^T A1 s = 0, so that A1 s lies
+    in the range of G^T, and x is minus the running sum of A1 s.  With the
+    columns of D^1/2 as f this forms K.
     """
     n = len(h)
     diag, off = _a1_bands(h)
@@ -107,8 +119,87 @@ def _modes_1d(h, k):
     inv = -np.cumsum(_a1_times(diag, off, s)[:-1], axis=0) * d_sqrt[:, None]
     theta, vec = np.linalg.eigh((inv + inv.T) / 2.0)
     top = np.arange(n - 1, n - 1 - k, -1)  # largest theta = smallest mu
-    mu = 1.0 / theta[top]
-    v = vec[:, top] / d_sqrt[:, None]
+    return theta[top], vec[:, top]
+
+
+def _sign_changes(v):
+    """Sign changes down each column of v; entries of at most 1e-10 of
+    their column's largest magnitude are skipped as roundoff."""
+    big = np.abs(v) > 1e-10 * np.abs(v).max(axis=0)
+    # each entry takes the sign of the last kept entry at or above it
+    last = np.where(big, np.arange(len(v))[:, None], 0)
+    s = np.take_along_axis(np.where(big, np.sign(v), 0.0),
+                           np.maximum.accumulate(last, axis=0), axis=0)
+    return np.count_nonzero((s[1:] != s[:-1]) & (s[:-1] != 0), axis=0)
+
+
+def _lanczos_top(h, p):
+    """The p largest eigenpairs (theta, y) of K = D^1/2 S^-1 D^1/2, largest
+    first, by implicitly restarted Lanczos (ARPACK) on the O(n) product
+    with K: the cumulative sums of _dense_top applied to one vector, with
+    no BLAS call, so that K is never formed.  The start vector is fixed
+    and asymmetric: on a mirror-symmetric mesh a symmetric start is
+    orthogonal to every odd mode.  The i-th mode must have i sign
+    changes, as the mode labels assume; a mode the iteration missed
+    breaks that count and raises NotConverged."""
+    n = len(h)
+    diag, off = _a1_bands(h)
+    d_sqrt = np.sqrt(h)
+    row = 1.5 * diag / h.sum()
+
+    def times_k(x):
+        s = np.zeros(n + 1)
+        np.cumsum(d_sqrt * x.ravel(), out=s[1:])
+        s -= np.sum(row * s)
+        a1s = diag * s
+        a1s[:-1] += off * s[1:]
+        a1s[1:] += off * s[:-1]
+        return -np.cumsum(a1s[:-1]) * d_sqrt
+
+    op = spla.LinearOperator((n, n), matvec=times_k, dtype=float)
+    try:
+        theta, vec = spla.eigsh(op, p, which="LA", tol=0,
+                                v0=np.linspace(1.0, 2.0, n))
+    except spla.ArpackError as exc:  # ArpackNoConvergence included
+        raise NotConverged(
+            f"1-D Lanczos modes on {n} cells, {p} modes: {exc}") from exc
+    theta, vec = theta[::-1], vec[:, ::-1]
+    changes = _sign_changes(vec)  # mode i has i (Sturm oscillation)
+    lost = np.flatnonzero(changes != np.arange(p))
+    if lost.size:
+        i = lost[0]
+        raise NotConverged(f"1-D Lanczos mode {i} on {n} cells has "
+                           f"{changes[i]} sign changes, not {i}: a mode "
+                           f"was lost")
+    return theta, vec
+
+
+def _modes_1d(h, k):
+    """k smallest eigenpairs (mu, v) of the 1-D RT0 pencil (S, D) on the
+    cell widths h, S = G A1^-1 G^T and D = diag(h), their fluxes
+    A1^-1 G^T v and the five 1-D sums per mode that _residuals reads.
+
+    The pairs are taken from the top of the inverse K = D^1/2 S^-1 D^1/2.
+    Up to _DENSE_MAX_CELLS cells, or when the budget of p =
+    _mode_budget(k) modes exceeds a quarter of the n cells, K is formed in
+    O(n^2) and decomposed densely (_dense_top); above, p modes come from
+    Lanczos on the O(n) product with K (_lanczos_top), whose bits depend
+    on neither k within a budget bracket nor the BLAS thread count, and
+    the first k are kept.  The rest is shared: mu = 1 / theta, columns of
+    v D-orthonormal, each signed so that its first largest-magnitude
+    entry is positive, and the fluxes from a direct tridiagonal solve
+    with A1.
+    """
+    n = len(h)
+    p = _mode_budget(k)
+    if n > _DENSE_MAX_CELLS and 4 * p <= n:
+        theta, vec = _lanczos_top(h, p)
+        theta, vec = theta[:k], vec[:, :k]
+    else:
+        theta, vec = _dense_top(h, k)
+    diag, off = _a1_bands(h)
+    mu = 1.0 / theta
+    v = vec / np.sqrt(h)[:, None]
     v *= np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(k)])
     gtv = -np.diff(v, axis=0, prepend=0.0, append=0.0)  # G^T v
     bands = np.stack([np.r_[0.0, off], diag])  # upper banded storage

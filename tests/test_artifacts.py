@@ -5,22 +5,26 @@ The copies were generated with numpy 2.4.6 and scipy 1.17.1 (Python
 3.11.7, x86-64), the figure tables by the cumulative-sum 1-D mode solver.
 The reports pin, at full precision, the keys no table shows: the
 supercloseness, postprocessing and equivalence results of every level.
-They hold for the BLAS build and thread count they were made with: they
-match scipy-openblas 0.3.31 on two threads, but with OMP_NUM_THREADS=1
-OPENBLAS_NUM_THREADS=1 the dense eigh on preset b's 256 level-4 y widths
-rounds differently, line 6 of b_figure.txt moves by 1.3e-15 and
-b_report.json moves with it; a_report.json and c_report.json match on
-one thread and on two.  A change that is meant to alter an artifact
-replaces its copy and says why; another numpy, scipy, BLAS or thread
-count may move a 17-digit value by roundoff, which this test then
-reports with the first differing line and, for the tables, the largest
-change per numeric column.
+They hold under one BLAS thread and under two: the 1-D modes of up to 128
+cells come from a dense eigh, which every preset's meshes up to level 4
+take in x and in y except preset b's 256 level-4 y widths, and those take
+the Lanczos path, whose bits depend on neither the BLAS thread count nor
+k within a mode budget (test_case_b_on_one_blas_thread runs preset b in
+a child process with OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1).  A
+change that is meant to alter an artifact replaces its copy and says
+why; another numpy, scipy or BLAS build may move a 17-digit value by
+roundoff, which this test then reports with the first differing line
+and, for the tables, the largest change per numeric column.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rrteig
 from rrteig.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -78,14 +82,35 @@ def test_changes_report():
     ]
 
 
+def _artifacts(case):
+    return (*(f"{case}_{table}.txt"
+              for table in ("eigenvalues", "residuals", "figure")),
+            f"{case}_report.json")
+
+
 @pytest.mark.parametrize("case", ["a", "b", "c"])
 def test_level4_tables_byte_identical(case, tmp_path, capsys):
     assert main(["run", "--case", case, "--levels", "4",
                  "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    for name in (*(f"{case}_{table}.txt"
-                   for table in ("eigenvalues", "residuals", "figure")),
-                 f"{case}_report.json"):
+    for name in _artifacts(case):
+        got = (tmp_path / name).read_bytes()
+        want = (DATA / name).read_bytes()
+        assert got == want, f"{name}\n{_changes(got, want)}"
+
+
+def test_case_b_on_one_blas_thread(tmp_path):
+    """Preset b, whose 256 level-4 y cells take the Lanczos path, writes
+    the committed bytes also with BLAS on one thread; the thread count is
+    read when BLAS loads, hence the child process."""
+    src = str(Path(rrteig.__file__).resolve().parents[1])
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "rrteig", "run", "--case", "b",
+                    "--levels", "4", "--out", str(tmp_path)],
+                   env=env, check=True, capture_output=True, timeout=300)
+    for name in _artifacts("b"):
         got = (tmp_path / name).read_bytes()
         want = (DATA / name).read_bytes()
         assert got == want, f"{name}\n{_changes(got, want)}"

@@ -2,14 +2,21 @@
 error paths."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+from rrteig import eigensolve
 from rrteig.assembly import assemble_mixed
-from rrteig.eigensolve import SolveOptions, _modes_1d, solve_mixed_eigs
+from rrteig.eigensolve import (
+    _DENSE_MAX_CELLS,
+    SolveOptions,
+    _modes_1d,
+    solve_mixed_eigs,
+)
 from rrteig.errors import KTooLarge, NotConverged
 from rrteig.exact import enumerate_exact
 from rrteig.mesh import build_mesh, uniform_mesh, uniform_refine
@@ -243,14 +250,19 @@ def test_extra_pairs_leave_the_first_k_bitwise(system_a0, mesh_c0):
     sigma, u), also when k cuts the tied pair lambda_12 = lambda_13 of
     case c, and for every k <= 12 on two random tensor meshes, one of
     them square with hx == hy bitwise, where k cuts the exact ties of the
-    (m, n) and (n, m) pairs."""
+    (m, n) and (n, m) pairs, and for every k <= 13 on such a square mesh
+    above the cutoff, whose 1-D modes come from Lanczos with a budget of
+    16 modes for k and for k + 3."""
     rng = np.random.default_rng(2)
     nx, ny = (_nodes(rng.uniform(1.0, 4.0, n)) for n in (9, 7))
+    big = _nodes(rng.uniform(1.0, 4.0, _DENSE_MAX_CELLS + 22))
     cases = [(system_a0, 6), (assemble_mixed(mesh_c0), 12)]
     cut_ties = 0
     for mesh in (build_mesh(nx, ny), build_mesh(nx, nx)):
         system = assemble_mixed(mesh)
         cases += [(system, k) for k in range(1, 13)]
+    system = assemble_mixed(build_mesh(big, big))
+    cases += [(system, k) for k in range(1, 14)]
     for system, k in cases:
         base = solve_mixed_eigs(system, SolveOptions(k=k))
         more = solve_mixed_eigs(system, SolveOptions(k=k + 3))
@@ -294,3 +306,117 @@ def test_modes_1d_closed_form_uniform(n):
     t = np.arange(1, k + 1) * PI / n
     want = 12.0 * np.sin(t / 2) ** 2 / (h[0] ** 2 * (2.0 + np.cos(t)))
     np.testing.assert_allclose(mu, want, rtol=5e-14, atol=0.0)
+
+
+def _widths(kind, n, rng):
+    """n cell widths of [0, pi]: equal, mirror-symmetric or random, the
+    last two with width ratio <= 4."""
+    if kind == "uniform":
+        w = np.ones(n)
+    else:
+        w = rng.uniform(1.0, 4.0, n)
+        if kind == "mirror":
+            w[n - n // 2:] = w[: n // 2][::-1]
+    return w * (PI / w.sum())
+
+
+def _dense(h, k):
+    """_modes_1d on its dense path whatever n is: the oracle of the
+    Lanczos path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigensolve, "_DENSE_MAX_CELLS", len(h))
+        return _modes_1d(h, k)
+
+
+def _first_max_positive(v):
+    """Each column's first largest-magnitude entry is positive."""
+    return np.all(v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])] > 0)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "mirror", "random"])
+@pytest.mark.parametrize("n", [_DENSE_MAX_CELLS + 1, 200, 333, 600])
+def test_lanczos_modes_against_dense_oracle(kind, n):
+    """Above the cutoff the 1-D modes come from Lanczos; against the dense
+    path on the same widths: mu to 1e-13 relative, v and the fluxes to
+    1e-10 of their largest entry, |D v|^2 and |A1 f|^2 to 1e-13 relative,
+    and the residual sums |rho1|^2, |rho2|^2 and <D v, rho2> of both paths
+    at roundoff size: |rho1| <= 1e-14 |A1 f| and |rho2| <= 1e-8 mu |D v|.
+    Both paths obey the shared sign rule; they may only differ in sign
+    where it ties mirror entries, on a mirror-symmetric mesh."""
+    rng = np.random.default_rng(n)
+    h = _widths(kind, n, rng)
+    k = 16
+    got, want = _modes_1d(h, k), _dense(h, k)
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-13, atol=0.0)
+    assert _first_max_positive(got[1]) and _first_max_positive(want[1])
+    sign = np.sign(np.sum(h[:, None] * got[1] * want[1], axis=0))
+    if kind == "random":
+        assert np.all(sign > 0)
+    for g, w in zip(got[1:3], want[1:3]):
+        assert np.all(np.abs(g - w * sign) <= 1e-10 * np.abs(w).max(axis=0))
+    mu = got[0]
+    for dv, r1, af, r2, c in (got[3], want[3]):
+        np.testing.assert_allclose(dv, want[3][0], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(af, want[3][2], rtol=1e-13, atol=0.0)
+        assert np.all(np.sqrt(r1) <= 1e-14 * np.sqrt(af))
+        assert np.all(np.sqrt(r2) <= 1e-8 * mu * np.sqrt(dv))
+        assert np.all(np.abs(c) <= np.sqrt(dv * r2))
+
+
+def test_modes_1d_dense_up_to_the_cutoff(monkeypatch):
+    """Up to _DENSE_MAX_CELLS cells, and wherever the mode budget exceeds a
+    quarter of the cells, the 1-D modes come from the dense path alone
+    (the committed a and c artifacts pin its bits); one cell more takes
+    Lanczos."""
+    calls = []
+    real = eigensolve.spla.eigsh
+
+    def eigsh(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", eigsh)
+    rng = np.random.default_rng(4)
+    for n, k in ((_DENSE_MAX_CELLS, 16), (5, 5), (255, 49)):
+        _modes_1d(_widths("random", n, rng), k)  # budget 64 > 255 / 4
+    assert calls == []
+    _modes_1d(_widths("random", _DENSE_MAX_CELLS + 1, rng), 6)
+    _modes_1d(_widths("random", 256, rng), 48)
+    assert calls == [16, 48]
+
+
+def test_lost_mode_raises_not_converged(monkeypatch):
+    """A Lanczos result that misses a mode (here the second, so the budget
+    is filled by the next one) fails the sign-change check: mode i must
+    have exactly i sign changes."""
+    real = eigensolve.spla.eigsh
+
+    def eigsh(a, p, **kwargs):
+        theta, vec = real(a, p + 1, **kwargs)
+        keep = np.r_[0:p - 1, p]  # ascending: drop the second largest
+        return theta[keep], vec[:, keep]
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", eigsh)
+    h = _widths("mirror", 256, np.random.default_rng(6))
+    with pytest.raises(NotConverged, match="mode 1 on 256 cells has 2 sign"):
+        _modes_1d(h, 6)
+
+
+@pytest.mark.parametrize("failure", ["maxiter", "arpack_error"])
+def test_arpack_failure_is_not_converged(monkeypatch, failure):
+    """ARPACK's own failures leave as NotConverged naming the stage, with
+    no raw scipy exception: out of iterations (maxiter=1), or any other
+    ArpackError."""
+    real = eigensolve.spla.eigsh
+    if failure == "maxiter":
+        fake = functools.partial(real, maxiter=1)
+    else:
+        def fake(*args, **kwargs):
+            raise spla.ArpackError(-9)
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", fake)
+    system = assemble_mixed(uniform_mesh(0, PI, 4, 0, PI, 200))
+    with pytest.raises(NotConverged, match="1-D Lanczos modes on 200 cells"
+                       ) as info:
+        solve_mixed_eigs(system, SolveOptions(k=6))
+    assert isinstance(info.value.__cause__, spla.ArpackError)
