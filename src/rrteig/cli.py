@@ -71,7 +71,6 @@ _VALUE_TYPES = {
     "node_y": (list, _NUMBER, "an array of numbers"),
     "levels": (int, None, "an integer"),
     "k": (int, None, "an integer"),
-    "tol": (_NUMBER, None, "a number"),
     "analyses": (list, str, "an array of strings"),
 }
 
@@ -93,16 +92,15 @@ class ExperimentConfig:
     node_y: tuple[float, ...]
     levels: int = 4
     k: int = 6
-    tol: float = 1e-10
     analyses: tuple[str, ...] = ALL_ANALYSES
 
     def __post_init__(self):
         if self.levels < 1:
-            raise ValueError("levels must be >= 1")
-        SolveOptions(k=self.k, tol=self.tol)  # checks k and tol
+            raise InvalidConfig(f"levels must be >= 1, got {self.levels}")
+        SolveOptions(k=self.k)  # checks k
         unknown = set(self.analyses) - set(ALL_ANALYSES)
         if unknown:
-            raise ValueError(f"unknown analyses: {sorted(unknown)}")
+            raise InvalidConfig(f"unknown analyses: {sorted(unknown)}")
 
     def initial_mesh(self) -> TensorMesh:
         return build_mesh(np.array(self.node_x), np.array(self.node_y))
@@ -201,8 +199,7 @@ def _aligned_field(pair, exact_pair):
 
 def _solve(config: ExperimentConfig, mesh: TensorMesh):
     """Assemble and solve one level: its first k pairs."""
-    return solve_mixed_eigs(assemble_mixed(mesh),
-                            SolveOptions(k=config.k, tol=config.tol))
+    return solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=config.k))
 
 
 @dataclass
@@ -563,8 +560,6 @@ def _config_from_args(args, with_levels=True) -> ExperimentConfig:
         overrides["levels"] = args.levels
     if getattr(args, "k", None) is not None:
         overrides["k"] = args.k
-    if getattr(args, "tol", None) is not None:
-        overrides["tol"] = args.tol
     return replace(config, **overrides)
 
 
@@ -574,14 +569,13 @@ def _add_common(p, with_case=True):
         p.add_argument("--config", help="JSON config file (overrides --case)")
         p.add_argument("--levels", type=int, default=None)
         p.add_argument("--k", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--format", choices=_FORMATS, default="aligned-text")
 
 
 def _refined(config, level):
     if level < 0:
-        raise ValueError(f"levels must be >= 0, got {level}")
+        raise InvalidConfig(f"levels must be >= 0, got {level}")
     mesh = config.initial_mesh()
     _check_size(config, mesh, level)
     for _ in range(level):

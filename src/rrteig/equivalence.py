@@ -11,7 +11,9 @@ direction (the hybridization link of Arnold & Brezzi, RAIRO M2AN 19,
 pair u = w (x) v lifts to the enriched pair whose cell means are u and
 whose x-edge means are w (x) L(v), L(v) the 1-D lift of v (and alike in
 y), and every 2-D quantity of the comparison is a rank-one combination
-of 1-D sums of v, w and their fluxes.  No 2-D matrix is formed."""
+of 1-D sums of v, w and their fluxes.  No 2-D matrix is formed.  The
+two must agree to 16 eps N^2, on the N = max(a / min h_x, b / min h_y)
+by which the solve bounds its residuals."""
 
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .eigensolve import MixedEigenpair
+from .eigensolve import MixedEigenpair, _effective_cells
 from .errors import DimensionMismatch
 from .mesh import TensorMesh
 
@@ -115,12 +117,12 @@ def verify_equivalence(
     Raises DimensionMismatch when a pair's eig_rel_diff or
     sigma_discrepancy / sqrt(lambda) exceeds c eps N^2, with eps the
     double-precision epsilon, c = _BOUND_C = 16 and N = max(a / min h_x,
-    b / min h_y) on [0, a] x [0, b], which is max(n1, n2) on a uniform
-    mesh: the condition of the 1-D operators, and with it the roundoff of
-    the mixed pair and of its lift, grows like h_min^-2.  Measured, the
-    ratio to eps N^2 is at most 4.7 on one cell and at most 1.7 from two
-    cells on (8 000 random meshes with n <= 300 cells and width ratios up
-    to 1e4 per direction); levels 0-7 of presets a, b and c reach 0.29.
+    b / min h_y) from eigensolve._effective_cells, as in the solve's
+    residual check: the roundoff of the mixed pair and of its lift grows
+    like N^2.  Measured, the ratio to eps N^2 is at most 4.7 on one cell
+    and at most 1.7 from two cells on (8 000 random meshes with n <= 300
+    cells and width ratios up to 1e4 per direction); levels 0-7 of presets
+    a, b and c reach 0.29.
     """
     cols = lambda name: np.column_stack([getattr(p, name) for p in pairs])
     v, w = cols("v"), cols("w")
@@ -132,8 +134,7 @@ def verify_equivalence(
     lam_peq = (q_x * nw + q_y * nv) / (nv * nw)
     rel_diff = np.abs(lam - lam_peq) / np.abs(lam)
     s_disc = np.sqrt(nw * d_x + nv * d_y)
-    n_eff = max(mesh.hx.sum() / mesh.hx.min(), mesh.hy.sum() / mesh.hy.min())
-    bound = _BOUND_C * np.finfo(float).eps * n_eff**2
+    bound = _BOUND_C * np.finfo(float).eps * _effective_cells(mesh)**2
     bad = np.flatnonzero(~((rel_diff <= bound)
                            & (s_disc <= bound * np.sqrt(lam))))
     if len(bad):

@@ -22,7 +22,9 @@ class LayoutMismatch(RRTError):
 
 
 class NotConverged(RRTError):
-    """An eigenpair's residual exceeds the requested tolerance."""
+    """An eigenpair's residual exceeds the roundoff bound the mesh fixes,
+    or the 1-D Lanczos modes failed; ``residuals`` holds every pair's
+    residual when the bound failed."""
 
     def __init__(self, message, residuals=None):
         super().__init__(message)
@@ -52,6 +54,7 @@ class IoFailure(RRTError):
     """Report output could not be written."""
 
 
-class InvalidConfig(RRTError):
-    """An experiment config is malformed (unknown or missing keys, values
-    of the wrong type) or its domain is outside what the analyses support."""
+class InvalidConfig(RRTError, ValueError):
+    """An experiment config or eigenpair request is malformed (unknown or
+    missing keys, values of the wrong type or out of range) or its domain
+    is outside what the analyses support.  It is a ValueError too."""

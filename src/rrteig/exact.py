@@ -5,7 +5,7 @@ discrete pair carries its mode label (m, n), so the exact partner of
 every pair, cluster members included, is one mode (FieldSample), and its
 point values and cell means on a tensor mesh are outer products of 1-D
 tables.  Everything integral-shaped here (cell means, strip integrals of
-squared second derivatives) is evaluated from analytic antiderivatives,
+squared first derivatives) is evaluated from analytic antiderivatives,
 so these quantities carry no quadrature error; tests check them against
 Gauss quadrature independently.
 """
@@ -79,10 +79,12 @@ def _int_sin(k, x0, x1):
     return (np.cos(k * x0) - np.cos(k * x1)) / k
 
 
-def _int_sin_sq(k, x0, x1):
-    """The integral of sin(k x)^2 over [x0, x1]."""
+def _int_sq(k, x0, x1, cos=False):
+    """The integral of sin(k x)^2, or of cos(k x)^2 when ``cos``, over
+    [x0, x1]."""
+    sign = 1.0 if cos else -1.0
     def F(x):
-        return x / 2.0 - np.sin(2.0 * k * x) / (4.0 * k)
+        return x / 2.0 + sign * np.sin(2.0 * k * x) / (4.0 * k)
     return F(x1) - F(x0)
 
 
@@ -144,17 +146,18 @@ class FieldSample:
         return (self.amp * _factor(self.kx, np.asarray(x), dx),
                 _factor(self.ky, np.asarray(y), dy))
 
-    def strip_integrals_dd_sq(self, node_x, node_y):
-        """Closed-form integrals of u_xx^2 over each x-strip
-        [node_x[i], node_x[i+1]] x [node_y[0], node_y[-1]] and of u_yy^2
-        over each y-strip [node_x[0], node_x[-1]] x [node_y[j], node_y[j+1]],
-        arrays of len(node_x) - 1 and len(node_y) - 1."""
+    def strip_integrals_k2_du_sq(self, node_x, node_y):
+        """Closed-form integrals of kx^2 u_x^2 over each x-strip
+        [node_x[i], node_x[i+1]] x [node_y[0], node_y[-1]] and of
+        ky^2 u_y^2 over each y-strip [node_x[0], node_x[-1]] x [node_y[j],
+        node_y[j+1]], arrays of len(node_x) - 1 and len(node_y) - 1: a
+        cos^2 integral along the strip's own axis and a sin^2 one across."""
         kx, ky = self.kx, self.ky
         nx, ny = np.asarray(node_x), np.asarray(node_y)
-        out_x = (kx**2 * kx**2 * _int_sin_sq(kx, nx[:-1], nx[1:])
-                 * _int_sin_sq(ky, ny[0], ny[-1]))
-        out_y = (ky**2 * ky**2 * _int_sin_sq(kx, nx[0], nx[-1])
-                 * _int_sin_sq(ky, ny[:-1], ny[1:]))
+        out_x = (kx**2 * kx**2 * _int_sq(kx, nx[:-1], nx[1:], cos=True)
+                 * _int_sq(ky, ny[0], ny[-1]))
+        out_y = (ky**2 * ky**2 * _int_sq(kx, nx[0], nx[-1])
+                 * _int_sq(ky, ny[:-1], ny[1:], cos=True))
         return self.amp**2 * out_x, self.amp**2 * out_y
 
 

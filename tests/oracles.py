@@ -407,13 +407,14 @@ def sign_matched(mesh, pair, fld):
 def residual_2d(system, pair):
     """Relative residual of a pair against the assembled 2-D pencil, the
     larger of |A sigma - B^T u| / |A sigma| and |B sigma - lambda M u| /
-    lambda: one sparse product each with A, B and B^T."""
+    (lambda |M u|): one sparse product each with A, B and B^T."""
     sigma, u = sigma_coeffs(pair), u_coeffs(pair)
     a_sigma = system.A @ sigma
     r1 = np.linalg.norm(a_sigma - system.B.T @ u)
     r1 /= max(np.linalg.norm(a_sigma), 1e-300)
-    r2 = np.linalg.norm(system.B @ sigma - pair.lambda_h * (system.M * u))
-    r2 /= max(abs(pair.lambda_h), 1e-300)
+    m_u = system.M * u
+    r2 = np.linalg.norm(system.B @ sigma - pair.lambda_h * m_u)
+    r2 /= max(abs(pair.lambda_h) * np.linalg.norm(m_u), 1e-300)
     return float(max(r1, r2))
 
 

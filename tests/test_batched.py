@@ -3,8 +3,8 @@ meshes: postprocessed error norms of random and of solved pairs
 (oracles.eval_cell and oracles.exact_derivative, 5x5 Gauss per fine
 cell), cell means
 (oracles.cell_integral_u), edge-flux means (oracles.mean_flux_x /
-mean_flux_y), the h^2 expansion term (Gauss quadrature of u_xx^2 and
-u_yy^2 per cell); and 1-D kernels against their 2-D oracles: the
+mean_flux_y), the h^2 expansion term (Gauss quadrature of kx^2 u_x^2
+and ky^2 u_y^2 per cell); and 1-D kernels against their 2-D oracles: the
 supercloseness norms (oracles.supercloseness_norms_2d, with the assembled
 A, B and M) and the regularity constant (every width pair)."""
 
@@ -210,8 +210,9 @@ def test_cell_and_edge_means_against_per_cell_oracle(mesh, data):
 
 
 def _oracle_expansion_term(mesh, exact):
-    """(1/12) sum_K (h_x^2 int_K u_xx^2 + h_y^2 int_K u_yy^2), with the
-    cell integrals by 48x48 Gauss quadrature of the pointwise derivative."""
+    """(1/12) sum_K (kx^2 h_x^2 int_K u_x^2 + ky^2 h_y^2 int_K u_y^2), with
+    the cell integrals by 48x48 Gauss quadrature of the pointwise
+    derivative."""
     nx, ny = mesh.node_x, mesh.node_y
     total = 0.0
     for j in range(mesh.n2):
@@ -221,8 +222,10 @@ def _oracle_expansion_term(mesh, exact):
             xg, yg = np.meshgrid(xm + xh * _QX, ym + yh * _QX)
             w = np.outer(yh * _QW, xh * _QW)
             total += np.sum(w * (
-                (2 * xh) ** 2 * exact_derivative(exact, xg, yg, 2, 0) ** 2
-                + (2 * yh) ** 2 * exact_derivative(exact, xg, yg, 0, 2) ** 2))
+                (2 * xh * exact.kx) ** 2
+                * exact_derivative(exact, xg, yg, 1, 0) ** 2
+                + (2 * yh * exact.ky) ** 2
+                * exact_derivative(exact, xg, yg, 0, 1) ** 2))
     return total / 12.0
 
 
@@ -231,7 +234,7 @@ def _oracle_expansion_term(mesh, exact):
 def test_expansion_term_against_per_cell_quadrature(mesh, data):
     """expansion_term against per-cell quadrature to 1e-12 relative, on
     odd and even meshes.  Half of the fields live on the mesh's domain
-    scaled up by 1.25 to 2, where the strips of u_xx^2 and u_yy^2 cover
+    scaled up by 1.25 to 2, where the strips of u_x^2 and u_y^2 cover
     part of a period."""
     domain = None
     if data.draw(st.booleans(), label="larger domain"):

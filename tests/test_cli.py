@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from rrteig import eigensolve
 from rrteig.assembly import assemble_mixed
 from rrteig.eigensolve import solve_mixed_eigs
 from rrteig.errors import InvalidConfig
@@ -58,15 +59,14 @@ def test_presets_encode_cases():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        _small_config(levels=0)
-    with pytest.raises(ValueError):
-        _small_config(k=0)
-    for tol in (0.0, 1.0):
+    """Out-of-range values raise InvalidConfig, which is a ValueError too."""
+    for over, named in ((dict(levels=0), "levels must be >= 1"),
+                        (dict(k=0), "k must be >= 1"),
+                        (dict(analyses=("nonsense",)), "unknown analyses")):
+        with pytest.raises(InvalidConfig, match=named):
+            _small_config(**over)
         with pytest.raises(ValueError):
-            _small_config(tol=tol)
-    with pytest.raises(ValueError):
-        _small_config(analyses=("nonsense",))
+            _small_config(**over)
 
 
 def test_load_config(tmp_path):
@@ -183,13 +183,18 @@ def test_main_error_exit(tmp_path, capsys):
         (dict(base, levels=True), "levels must be an integer"),
         (dict(base, k=2.0), "k must be an integer"),
         (dict(base, k=False), "k must be an integer"),
-        (dict(base, tol="1e-10"), "tol must be a number"),
-        (dict(base, tol=True), "tol must be a number"),
+        # tol is no key: the solve's residual bound comes from the mesh
+        (dict(base, tol="1e-10"), "unknown keys ['tol']"),
+        (dict(base, tol=1e-10), "unknown keys ['tol']"),
         (dict(base, node_x="0 3.14"), "node_x must be an array"),
         (dict(base, node_y=PI), "node_y must be an array"),
         (dict(base, node_x=[0.0, "3.14"]), "node_x must be an array of num"),
         (dict(base, analyses="eigenvalues"), "analyses must be an array"),
         (dict(base, analyses=[["bounds"]]), "analyses must be an array of st"),
+        # values of the right type out of range
+        (dict(base, levels=0), "levels must be >= 1"),
+        (dict(base, k=0), "k must be >= 1"),
+        (dict(base, analyses=["nope"]), "unknown analyses: ['nope']"),
     ):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
@@ -198,15 +203,28 @@ def test_main_error_exit(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidConfig"
         assert named in err["message"]
-    # a negative level count is refused, not solved as level 0
-    for command in ("eigs", "equiv"):
-        code = main([command, "--case", "a", "--levels", "-1", "--k", "2"])
+    # a negative level count is refused, not solved as level 0, and a
+    # k below 1 is refused, both with a typed error
+    for argv, named in ((["eigs", "--levels", "-1"], "levels must be >= 0"),
+                        (["equiv", "--levels", "-1"], "levels must be >= 0"),
+                        (["run", "--k", "0"], "k must be >= 1"),
+                        (["eigs", "--k", "0"], "k must be >= 1")):
+        code = main(argv + ["--case", "a"])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         err = json.loads(captured.err)
-        assert err["error"] == "ValueError"
-        assert "levels must be >= 0" in err["message"]
+        assert err["error"] == "InvalidConfig"
+        assert named in err["message"]
+
+
+def test_tol_option_is_refused(capsys):
+    """There is no --tol: argparse refuses it with exit code 2."""
+    for command in ("run", "eigs", "equiv"):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--case", "a", "--tol", "1e-10"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_run_with_config_file(tmp_path, capsys):
@@ -224,15 +242,16 @@ def test_run_with_config_file(tmp_path, capsys):
     assert "lambda_1" in capsys.readouterr().out
 
 
-def test_run_with_unreachable_tol(tmp_path, capsys):
-    """A --config tol below roundoff fails every level's solve through the
-    residual check: each level is recorded as failed with NotConverged and
-    `rrteig run` exits 2."""
+def test_run_with_unreachable_bound(tmp_path, capsys, monkeypatch):
+    """A residual bound below roundoff fails every level's solve through
+    the residual check: each level is recorded as failed with
+    NotConverged and `rrteig run` exits 2."""
+    monkeypatch.setattr(eigensolve, "_RESIDUAL_C", 1e-6)
     path = tmp_path / "cfg.json"
     nodes = list(np.linspace(0.0, PI, 9))
     path.write_text(json.dumps({
         "name": "strict", "node_x": nodes, "node_y": nodes, "levels": 1,
-        "k": 6, "tol": 1e-17, "analyses": ["eigenvalues", "residuals"],
+        "k": 6, "analyses": ["eigenvalues", "residuals"],
     }))
     assert main(["run", "--config", str(path)]) == 2
     failures = json.loads(capsys.readouterr().err)["failures"]

@@ -17,7 +17,7 @@ from rrteig.eigensolve import (
     _modes_1d,
     solve_mixed_eigs,
 )
-from rrteig.errors import KTooLarge, NotConverged
+from rrteig.errors import InvalidConfig, KTooLarge, NotConverged
 from rrteig.exact import enumerate_exact
 from rrteig.mesh import build_mesh, uniform_mesh, uniform_refine
 
@@ -33,10 +33,13 @@ PI = np.pi
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
-        SolveOptions(k=0)
-    with pytest.raises(ValueError):
-        SolveOptions(k=3, tol=2.0)
+    """k < 1 is refused with InvalidConfig, which is a ValueError too; the
+    options hold k alone."""
+    for k in (0, -1):
+        with pytest.raises(InvalidConfig, match="k must be >= 1"):
+            SolveOptions(k=k)
+    assert issubclass(InvalidConfig, ValueError)
+    assert [f.name for f in dataclasses.fields(SolveOptions)] == ["k"]
 
 
 def test_eigenvalues_positive_ascending(pairs_a0):
@@ -123,15 +126,43 @@ def test_solve_reads_no_assembled_matrix(mesh_c0):
             np.testing.assert_array_equal(getattr(p, name), getattr(q, name))
 
 
-def test_not_converged_by_the_residual_check():
-    """A tol below roundoff fails the solve's own residual check: the
-    error carries the residual of each of the k pairs, the values a
-    passing solve reports."""
+def test_not_converged_by_the_residual_check(monkeypatch):
+    """A bound constant below roundoff fails the solve's own residual
+    check: the error names the bound and N, and carries the residual of
+    each of the k pairs, the values a passing solve reports."""
     system = assemble_mixed(uniform_mesh(0, PI, 8, 0, PI, 8))
-    with pytest.raises(NotConverged) as info:
-        solve_mixed_eigs(system, SolveOptions(k=6, tol=1e-17))
     passing = solve_mixed_eigs(system, SolveOptions(k=6))
+    monkeypatch.setattr(eigensolve, "_RESIDUAL_C", 1e-6)
+    with pytest.raises(NotConverged, match=r"bound .* eps N\^2, N = 8$"
+                       ) as info:
+        solve_mixed_eigs(system, SolveOptions(k=6))
     assert info.value.residuals == [p.residual_norm for p in passing]
+
+
+def _graded_nodes(rng, n, ratio):
+    """Nodes of [0, pi] with n cell widths ratio ** U(0, 1)."""
+    return _nodes(ratio ** rng.uniform(0.0, 1.0, n))
+
+
+def test_strongly_graded_mesh_within_the_bound():
+    """A 3 x 113 mesh whose y widths span a ratio of 8.4e3 reaches a
+    worst residual of 8.7e-10 (mode (1, 1)) at k = 48, above a fixed
+    1e-10 and far below 64 eps N^2 = 1.9e-4 (N = 1.2e5).  It solves, and
+    its eigenvalues are the Kronecker sums of the saddle-LU 1-D oracle to
+    1e-12 relative, well within the bound."""
+    rng = np.random.default_rng(5)
+    mesh = build_mesh(_graded_nodes(rng, 3, 8.5e3),
+                      _graded_nodes(rng, 113, 8.5e3))
+    n_eff = max(PI / mesh.hx.min(), PI / mesh.hy.min())
+    bound = 64.0 * np.finfo(float).eps * n_eff**2
+    system = assemble_mixed(mesh)
+    pairs = solve_mixed_eigs(system, SolveOptions(k=48))
+    assert 1e-10 < max(p.residual_norm for p in pairs) <= bound
+    mu = modes_1d_saddle(system, 0, 3)[0]
+    nu = modes_1d_saddle(system, 1, 48)[0]
+    want = np.sort(np.add.outer(nu, mu), axis=None)[:48]
+    lam = np.array([p.lambda_h for p in pairs])
+    np.testing.assert_allclose(lam, want, rtol=1e-12, atol=0.0)
 
 
 def test_full_spectrum_size():
@@ -186,8 +217,9 @@ def _sign_changes(v):
 @given(mesh=_tensor_meshes(), data=st.data())
 def test_random_tensor_meshes_against_oracle(mesh, data):
     """Tensor-product solver vs the dense 2-D oracle on random meshes:
-    eigenvalues to 1e-10 relative, M-orthonormal u, residuals within tol
-    and within 1e-15 of the residual from 2-D sparse products, the upper
+    eigenvalues to 1e-10 relative, M-orthonormal u, residuals within the
+    bound 64 eps N^2, N = max(pi / min h_x, pi / min h_y), and within
+    1e-15 of the residual from 2-D sparse products, the upper
     bound lambda_h >= m^2 + n^2, each sigma (cluster members
     too) against a direct 2-D solve A^-1 B^T u to 1e-12 in the A-norm, and
     each mode label (m, n): u is rank one, its x factor has m - 1 and its
@@ -205,7 +237,9 @@ def test_random_tensor_meshes_against_oracle(mesh, data):
     u = np.column_stack([u_coeffs(p) for p in pairs])
     gram = u.T @ (system.M[:, None] * u)
     np.testing.assert_allclose(gram, np.eye(k), atol=1e-10)
-    assert all(p.residual_norm <= opts.tol for p in pairs)
+    n_eff = max(PI / mesh.hx.min(), PI / mesh.hy.min())
+    bound = 64.0 * np.finfo(float).eps * n_eff**2
+    assert all(p.residual_norm <= bound for p in pairs)
     for p in pairs:
         assert abs(p.residual_norm - residual_2d(system, p)) <= 1e-15
     a = system.A.tocsc()

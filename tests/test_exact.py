@@ -88,8 +88,8 @@ def test_unit_l2_norm():
 def test_analytic_integrals_vs_quadrature():
     """Closed-form cell and strip integrals agree with an independent
     Gauss oracle, for both modes of the lambda = 5 eigenspace; the strips
-    cover part of the domain, where sin^2 does not integrate to half the
-    width."""
+    cover part of the domain, where sin^2 and cos^2 do not integrate to
+    half the width."""
     cell = (0.3, 1.1, 0.4, 0.9)
     nx, ny = (0.3, 0.7, 1.1), (0.4, 0.9)
     for m, n in enumerate_exact((PI, PI), count=2)[1].modes:
@@ -97,14 +97,14 @@ def test_analytic_integrals_vs_quadrature():
         assert cell_integral_u(fld, *cell) == pytest.approx(
             _quad2d(partial(exact_derivative, fld), *cell), rel=1e-12
         )
-        ix, iy = fld.strip_integrals_dd_sq(nx, ny)
-        uxx_sq = lambda x, y: exact_derivative(fld, x, y, 2, 0) ** 2
-        uyy_sq = lambda x, y: exact_derivative(fld, x, y, 0, 2) ** 2
+        ix, iy = fld.strip_integrals_k2_du_sq(nx, ny)
+        kux_sq = lambda x, y: (fld.kx * exact_derivative(fld, x, y, 1, 0)) ** 2
+        kuy_sq = lambda x, y: (fld.ky * exact_derivative(fld, x, y, 0, 1)) ** 2
         for i in range(2):
             assert ix[i] == pytest.approx(
-                _quad2d(uxx_sq, nx[i], nx[i + 1], 0.4, 0.9), rel=1e-12
+                _quad2d(kux_sq, nx[i], nx[i + 1], 0.4, 0.9), rel=1e-12
             )
-        assert iy[0] == pytest.approx(_quad2d(uyy_sq, *cell), rel=1e-12)
+        assert iy[0] == pytest.approx(_quad2d(kuy_sq, *cell), rel=1e-12)
 
 
 def test_derivative_order_out_of_range_raises():

@@ -1,12 +1,14 @@
 """The h^2 expansion captures the eigenvalue error to O(h^4), cluster
-members included: on random direction-wise uniform meshes the residual
-r = (lambda_h - lambda) - expansion_term(mesh, u_{m,n}) of every labelled
-pair decays at rate 4 under refinement.
+members included: on random tensor meshes, direction-wise uniform or
+with random cell widths, the residual r = (lambda_h - lambda) -
+expansion_term(mesh, u_{m,n}) of every labelled pair decays at rate 4
+under refinement.
 
-Half of the meshes are square with n1 = n2, so every eigenvalue with
-m != n is a discrete cluster of two pairs, each labelled with its own
-mode.  Pairs are matched across levels by label, not by index: near
-ties such as (1, 4) and (2, 3) on a rectangle swap order between levels.
+Half of the meshes are square with the same nodes in x and y, so every
+eigenvalue with m != n is a discrete cluster of two pairs, each labelled
+with its own mode.  Pairs are matched across levels by label, not by
+index: near ties such as (1, 4) and (2, 3) on a rectangle swap order
+between levels.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from rrteig.analysis import expansion_term
 from rrteig.assembly import assemble_mixed
 from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
 from rrteig.exact import FieldSample, enumerate_exact
-from rrteig.mesh import uniform_mesh, uniform_refine
+from rrteig.mesh import build_mesh, uniform_refine
 
 # the coarse level resolves every tested mode to k h <= _KH
 _KH = 0.25
@@ -25,19 +27,33 @@ _KH = 0.25
 _EXTRA = 4
 
 
+def _nodes(length, widths):
+    """Nodes of [0, length] with cells proportional to ``widths``."""
+    w = np.asarray(widths, dtype=float)
+    nodes = np.concatenate([[0.0], np.cumsum(w)]) * (length / w.sum())
+    nodes[-1] = length
+    return nodes
+
+
 @st.composite
 def _cases(draw):
-    """(domain, n1, n2, k): a domain [0, a] x [0, b] with sides in
-    [0.5, 2], initial cell counts in [1, 8] and k in [3, 10]; half of
-    them square with n1 = n2."""
-    a = draw(st.floats(0.5, 2.0), label="a")
-    n1 = draw(st.integers(1, 8), label="n1")
-    if draw(st.booleans(), label="square"):
-        b, n2 = a, n1
-    else:
-        b = draw(st.floats(0.5, 2.0), label="b")
-        n2 = draw(st.integers(1, 8), label="n2")
-    return (a, b), n1, n2, draw(st.integers(3, 10), label="k")
+    """(node_x, node_y, k): a domain [0, a] x [0, b] with sides in
+    [0.5, 2], initial cell counts in [1, 8] and k in [3, 10]; half of the
+    meshes uniform in each direction, half with cell widths drawn from
+    [1, 4] (width ratio <= 4); half of them square, with node_y =
+    node_x."""
+    uniform = draw(st.booleans(), label="uniform")
+
+    def nodes(axis):
+        length = draw(st.floats(0.5, 2.0), label=axis)
+        n = draw(st.integers(1, 8), label=f"n_{axis}")
+        widths = [1.0] * n if uniform else draw(st.lists(
+            st.floats(1.0, 4.0), min_size=n, max_size=n), label=f"w_{axis}")
+        return _nodes(length, widths)
+
+    node_x = nodes("a")
+    node_y = node_x if draw(st.booleans(), label="square") else nodes("b")
+    return node_x, node_y, draw(st.integers(3, 10), label="k")
 
 
 def _residuals(mesh, domain, k):
@@ -51,24 +67,31 @@ def _residuals(mesh, domain, k):
     return r, [p.mode for p in pairs[:k]]
 
 
+def _kh(mesh, domain, mode):
+    """The largest k h of a mode on a mesh: m pi h_x / a and n pi h_y / b
+    on the widest cells."""
+    (a, b), (m, n) = domain, mode
+    return max(m * np.pi * mesh.hx.max() / a, n * np.pi * mesh.hy.max() / b)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(case=_cases())
 # b / a near sqrt(7/3), where lambda(1, 4) and lambda(2, 3) nearly tie:
 # (2, 3) is the sixth pair on the 64 x 64 level and the seventh on
 # 128 x 128, and matching by index reads a rate of 1.8 there
-@example(case=((1.0, 1.53), 4, 4, 6))
+@example(case=(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.53, 5), 6))
 def test_expansion_residual_rate_four(case):
     """log2(|r_h| / |r_{h/2}|) >= 3.5 for each of the first k labels."""
-    (a, b), n1, n2, k = case
-    modes = [m for e in enumerate_exact((a, b), count=k + _EXTRA)
+    node_x, node_y, k = case
+    mesh = build_mesh(node_x, node_y)
+    domain = (node_x[-1], node_y[-1])
+    modes = [m for e in enumerate_exact(domain, count=k + _EXTRA)
              for m in e.modes]
-    # k h = m pi / n1 in x and n pi / n2 in y, whatever a and b
-    while max(max(m * np.pi / n1, n * np.pi / n2) for m, n in modes) > _KH:
-        n1, n2 = 2 * n1, 2 * n2
-    mesh = uniform_mesh(0.0, a, n1, 0.0, b, n2)
-    coarse, labels = _residuals(mesh, (a, b), k)
-    fine, _ = _residuals(uniform_refine(mesh), (a, b), k)
+    while max(_kh(mesh, domain, mode) for mode in modes) > _KH:
+        mesh = uniform_refine(mesh)
+    coarse, labels = _residuals(mesh, domain, k)
+    fine, _ = _residuals(uniform_refine(mesh), domain, k)
     for m, n in labels:
-        assert max(m * np.pi / n1, n * np.pi / n2) <= _KH, (m, n)
+        assert _kh(mesh, domain, (m, n)) <= _KH, (m, n)
         rate = np.log2(abs(coarse[m, n]) / abs(fine[m, n]))
         assert rate >= 3.5, ((m, n), rate, coarse[m, n], fine[m, n])

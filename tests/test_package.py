@@ -1,12 +1,15 @@
 """The top-level namespace holds the library API and no test oracle;
-no module imports a name it does not use, and no public function,
-class, method or property of the package goes unread."""
+no module imports a name it does not use, no public function, class,
+method or property of the package goes unread, and the README's config
+table names the config's fields."""
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
 import rrteig
+from rrteig.cli import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -139,3 +142,26 @@ def test_no_unread_public_names():
                if f.name != "__init__.py"}
     readme = (ROOT / "README.md").read_text()
     assert _unread_public_names(sources, readme) == []
+
+
+def _config_table_keys(readme: str) -> list[str]:
+    """The backquoted names in the key column of the README table that
+    follows the ``--config`` paragraph, in row order."""
+    text = readme.split("via `--config`:", 1)[1]
+    rows = re.findall(r"^\| (.*?) \|", text.split("\n\n", 2)[1], re.M)
+    return [key for row in rows[2:] for key in re.findall(r"`(\w+)`", row)]
+
+
+def test_config_table_keys_checker():
+    readme = ("A config via `--config`:\n\n| key | type |\n| --- | --- |\n"
+              "| `a`, `b` | x |\n| `c` | `d` |\n\n| `e` | y |\n")
+    assert _config_table_keys(readme) == ["a", "b", "c"]
+
+
+def test_readme_config_table_matches_the_config():
+    """The README's --config table lists exactly the fields of
+    ExperimentConfig, in order, so a key cannot enter or leave the config
+    without the doc."""
+    readme = (ROOT / "README.md").read_text()
+    assert _config_table_keys(readme) == [
+        f.name for f in dataclasses.fields(ExperimentConfig)]
