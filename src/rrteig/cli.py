@@ -54,8 +54,8 @@ _ANALYSES_B_C = tuple(
 )
 
 # the finest level allowed, in cells (2048^2).  Preset a with every
-# analysis, in-process with BLAS on one thread, peaks at 245 MiB RSS at
-# 1024^2 (levels 7, 0.45 s) and at 785 MiB at 2048^2 (levels 8, 1.6 s)
+# analysis (in-process, 2 vCPU, BLAS on one thread) peaks at 65 MiB RSS at
+# 1024^2 (levels 7, 0.08-0.09 s) and 66 MiB at 2048^2 (levels 8, 0.11-0.14 s)
 _MAX_CELLS = 2**22
 
 _FORMATS = ("delimited-text", "aligned-text", "structured-document")
@@ -198,7 +198,7 @@ def _aligned_field(pair, exact_pair):
 
 
 def _solve(config: ExperimentConfig, mesh: TensorMesh):
-    """Assemble and solve one level: its first k pairs."""
+    """Solve one level: its first k pairs."""
     return solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=config.k))
 
 
@@ -303,9 +303,9 @@ _LEVEL_ANALYSES = {
 
 def _solve_level(config: ExperimentConfig, mesh: TensorMesh, exact,
                  failures: list) -> dict:
-    """Solve one level and run its analyses.  An RRTError in assembly or
-    the solve propagates; one in an analysis leaves that analysis's keys
-    out of the record and is appended to ``failures``."""
+    """Solve one level and run its analyses.  An RRTError in the solve
+    propagates; one in an analysis leaves that analysis's keys out of the
+    record and is appended to ``failures``."""
     t0 = time.perf_counter()
     run = set(config.analyses)
     lv = _Level(config, mesh, exact, _solve(config, mesh))
@@ -346,21 +346,27 @@ class RunReport:
 
 def _check_size(config, mesh, levels):
     """Refuse, before any refinement, a sweep whose finest level has more
-    than _MAX_CELLS cells; 12 refinements of one cell already exceed it,
-    which bounds the power for a huge level count."""
-    if mesh.n_cells * 4 ** min(levels, 12) > _MAX_CELLS:
+    than _MAX_CELLS cells (12 refinements of one cell already exceed it,
+    which bounds the power for a huge level count) or fewer than k, which
+    every level's solve would refuse."""
+    cells = mesh.n_cells * 4 ** min(levels, 12)
+    if cells > _MAX_CELLS:
         raise InvalidConfig(
             f"config {config.name}: {mesh.n1} x {mesh.n2} cells refined "
             f"{levels} times exceed the limit of {_MAX_CELLS} cells"
         )
+    if config.k > cells:
+        raise InvalidConfig(
+            f"config {config.name}: k={config.k} exceeds the {cells} cells "
+            "of the finest level")
 
 
 def run_case(config: ExperimentConfig) -> RunReport:
     """Solve every refinement level of the configured case and analyze.
 
     Exact fields live on [0, a] x [0, b], so the node vectors must start
-    at 0; any other origin, or a finest level above _MAX_CELLS cells,
-    raises InvalidConfig before level 0."""
+    at 0; any other origin, or a finest level above _MAX_CELLS cells or
+    below k cells, raises InvalidConfig before level 0."""
     mesh = config.initial_mesh()
     if mesh.node_x[0] != 0.0 or mesh.node_y[0] != 0.0:
         raise InvalidConfig(
@@ -376,7 +382,7 @@ def run_case(config: ExperimentConfig) -> RunReport:
             mesh = uniform_refine(mesh)
         try:
             levels.append(_solve_level(config, mesh, exact, failures))
-        except RRTError as exc:  # assembly or solve: the level is lost
+        except RRTError as exc:  # the solve failed: the level is lost
             failures.append({"level": lvl, "error": type(exc).__name__,
                              "message": str(exc)})
             levels.append({"level": lvl, "failed": True})
@@ -583,6 +589,16 @@ def _refined(config, level):
     return mesh
 
 
+def _show(rep: dict, args) -> None:
+    """Print the report's tables and, with --out, write its files; all
+    are rendered before anything is printed or written."""
+    tables = eigen_table(rep, args.format) + residual_table(rep, args.format)
+    paths = emit_tables(rep, args.format, args.out) if args.out else []
+    sys.stdout.write(tables)
+    for path in paths:
+        print(f"wrote {path}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="rrteig",
@@ -618,17 +634,19 @@ def main(argv=None) -> int:
         # run, or table: both render a report and may write its files
         if args.command == "run":
             rep = run_case(_config_from_args(args)).to_dict()
+            _show(rep, args)
         else:
             try:
                 with open(args.report) as f:
                     rep = json.load(f)
             except (OSError, json.JSONDecodeError) as exc:
                 raise IoFailure(f"cannot read report {args.report}: {exc}")
-        sys.stdout.write(eigen_table(rep, args.format))
-        sys.stdout.write(residual_table(rep, args.format))
-        if args.out:
-            for path in emit_tables(rep, args.format, args.out):
-                print(f"wrote {path}")
+            try:
+                _show(rep, args)
+            except (KeyError, TypeError, IndexError, AttributeError,
+                    ValueError) as exc:  # a missing key or a wrong type
+                raise IoFailure(
+                    f"cannot render report {args.report}: {exc!r}") from exc
         if args.command == "run" and "failures" in rep["config"]:
             sys.stderr.write(json.dumps(
                 {"failures": rep["config"]["failures"]}, sort_keys=True

@@ -58,16 +58,17 @@ def enumerate_exact(domain=(np.pi, np.pi), count=6) -> list[ExactEigenpair]:
             break
         L *= 2
 
+    # one pass: a group runs while values stay within _EQ_TOL of its first
+    groups: list[list] = []
+    for v in vals:
+        if groups and v[0] - groups[-1][0][0] <= _EQ_TOL * groups[-1][0][0]:
+            groups[-1].append(v)
+        else:
+            groups.append([v])
     pairs: list[ExactEigenpair] = []
-    i = 0
-    while i < len(vals) and len(pairs) < count:
-        lam = vals[i][0]
-        group = [v for v in vals if abs(v[0] - lam) <= _EQ_TOL * lam]
-        i += len(group)
-        pair = ExactEigenpair(value=lam,
-                              modes=tuple((m, n) for _, m, n in group),
-                              domain=(a, b))
-        pairs.extend([pair] * pair.multiplicity)
+    for group in groups:
+        modes = tuple((m, n) for _, m, n in group)
+        pairs += [ExactEigenpair(group[0][0], modes, (a, b))] * len(group)
     return pairs[:count]
 
 

@@ -52,11 +52,6 @@ class TensorMesh:
         """Cell heights h_{y_j}, length n2."""
         return np.diff(self.node_y)
 
-    @property
-    def cell_areas(self) -> np.ndarray:
-        """Row-major cell areas |K_{i,j}| = h_{x_i} h_{y_j}, length n_cells."""
-        return np.outer(self.hy, self.hx).ravel()
-
     def is_uniform(self) -> bool:
         """True when all cells share one square size h x h (up to roundoff)."""
         hx, hy = self.hx, self.hy

@@ -7,6 +7,8 @@ from rrteig.assembly import assemble_mixed
 from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
 from rrteig.mesh import build_mesh, uniform_mesh, uniform_refine
 
+from oracles import assembled
+
 PI = np.pi
 
 CASE_C_X = (0.0, PI / 4, PI / 2, 2 * PI / 3, 5 * PI / 6, PI)
@@ -27,12 +29,13 @@ def mesh_c0():
 
 @pytest.fixture(scope="session")
 def system_a0(mesh_a0):
-    return assemble_mixed(mesh_a0)
+    """The assembled A, B and M of mesh_a0, from the oracles."""
+    return assembled(mesh_a0)
 
 
 @pytest.fixture(scope="session")
-def pairs_a0(system_a0):
-    return solve_mixed_eigs(system_a0, SolveOptions(k=6))
+def pairs_a0(mesh_a0):
+    return solve_mixed_eigs(assemble_mixed(mesh_a0), SolveOptions(k=6))
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,10 @@
 """Independent oracles the tests compare the library against.
 
 Each oracle takes the slow, direct route and shares no code with the
-library path it checks: a per-cell COO scatter for the direct CSR
-assembly, a dense 2-D eigensolve for the tensor-product solver, 1-D
+library path it checks.  The library forms no 2-D matrix; the oracles
+hold the assembled A, B and M of the mixed pencil (``assembled``, A and
+B from a per-cell COO scatter, M the cell areas) and take from them a
+dense 2-D eigensolve for the tensor-product solver, 1-D
 pencils sliced from the assembled matrices and inverted through a sparse
 saddle LU for the cumulative-sum 1-D modes, the 2-D enriched element and
 its equivalence certificate for the 1-D lift of the equivalence check,
@@ -50,6 +52,35 @@ _LANCZOS_SEED = 0
 _LANCZOS_MAX_ITERATIONS = 20000
 
 
+def cell_areas(mesh):
+    """Row-major cell areas |K_{i,j}| = h_{x_i} h_{y_j}, length n_cells."""
+    return np.outer(mesh.hy, mesh.hx).ravel()
+
+
+@dataclass(frozen=True)
+class AssembledSystem:
+    """The assembled 2-D matrices of the mixed discretization.
+
+    A : flux mass matrix (sigma, tau), SPD, size n_sigma.
+    B : integrated divergence, n_cell x n_sigma; entry (K, j) is the
+        integral over K of div phi_j.  The pointwise divergence on K is
+        (B tau)_K / |K|.
+    M : diagonal of cell areas |K| (1-D array).
+    """
+
+    A: sp.csr_matrix
+    B: sp.csr_matrix
+    M: np.ndarray
+    layout: DofLayout
+    mesh: TensorMesh
+
+
+def assembled(mesh) -> AssembledSystem:
+    """A, B and M of ``mesh``, A and B from the COO scatter."""
+    a, b = assemble_mixed_coo(mesh)
+    return AssembledSystem(a, b, cell_areas(mesh), layout(mesh), mesh)
+
+
 def assemble_mixed_coo(mesh):
     """(A, B) of the mixed discretization, scattered cell by cell.
 
@@ -63,7 +94,7 @@ def assemble_mixed_coo(mesh):
     ii, jj = ii.ravel(), jj.ravel()  # row-major: i fast
     hx = mesh.hx[ii]
     hy = mesh.hy[jj]
-    area = mesh.cell_areas
+    area = cell_areas(mesh)
 
     left = lay.xedge_index(ii, jj)
     right = lay.xedge_index(ii + 1, jj)
@@ -159,7 +190,7 @@ def assemble_peq(mesh: TensorMesh) -> PeqSystem:
     ypos = pos[n_x:n_sig].reshape(n2 + 1, n1)
     cpos = pos[n_sig:].reshape(n2, n1)
 
-    area = mesh.cell_areas.reshape(n2, n1)
+    area = cell_areas(mesh).reshape(n2, n1)
     ones = np.ones_like(area)
     rows, cols, vals = [], [], []
     for dofs, h in (((xpos[:, :-1], xpos[:, 1:], cpos), mesh.hx),
@@ -181,7 +212,7 @@ def assemble_peq(mesh: TensorMesh) -> PeqSystem:
 
     n_edge_free = n_free - lay.n_cell
     m0 = np.zeros(n_free)
-    m0[n_edge_free:] = 1.0 / mesh.cell_areas  # cell DOFs keep row-major order
+    m0[n_edge_free:] = 1.0 / cell_areas(mesh)  # cell DOFs keep row-major order
     return PeqSystem(
         K=K, M0_diag=m0, layout=lay, mesh=mesh, free=free,
         n_edge_free=n_edge_free,
@@ -286,7 +317,7 @@ def assemble_peq_coo(mesh):
     sliced out afterwards."""
     lay = layout(mesh)
     ii, jj, hx, hy = _cell_arrays(mesh)
-    area = mesh.cell_areas
+    area = cell_areas(mesh)
     n1, n2 = lay.n1, lay.n2
 
     cell_dofs = lay.n_sigma + lay.cell_index(ii, jj)
@@ -512,7 +543,7 @@ def _solution(peq, reduced):
     edge DOFs are 0."""
     full = np.zeros(peq.layout.n_sigma + peq.layout.n_cell)
     full[peq.free] = reduced
-    cell_means = full[peq.layout.n_sigma :] / peq.mesh.cell_areas
+    cell_means = full[peq.layout.n_sigma :] / cell_areas(peq.mesh)
     return PeqSolution(cell_means=cell_means,
                        grad_edges=peq_cell_gradient(peq.mesh, full))
 
@@ -746,7 +777,7 @@ def verify_equivalence_2d(system, pairs, k) -> CertificateReport:
     x = lu.solve(rhs)
     full = np.zeros((peq.layout.n_sigma + peq.n_cell, n))
     full[peq.free] = x
-    means = x[ne:] / mesh.cell_areas[:, None]
+    means = x[ne:] / cell_areas(mesh)[:, None]
     grads = peq_cell_gradient(mesh, full)
     sig_peq = gradient_to_sigma_coeffs(mesh, grads)
     sig_rrt = np.column_stack([sigma_coeffs(p) for p in pairs[:n]])
@@ -926,7 +957,7 @@ def l2_project_exact(mesh: TensorMesh, fld) -> np.ndarray:
     nx, ny = mesh.node_x, mesh.node_y
     out = fld.amp * (_int_sin(fld.kx, nx[:-1], nx[1:])
                      * _int_sin(fld.ky, ny[:-1, None], ny[1:, None]))
-    return out.ravel() / mesh.cell_areas
+    return out.ravel() / cell_areas(mesh)
 
 
 def regularity_constant_2d(mesh: TensorMesh) -> float:

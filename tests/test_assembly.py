@@ -1,6 +1,6 @@
 """Assembly oracles: quadrature checks of the closed-form element
-matrices, structural properties of the global matrices, the direct CSR
-build against the COO scatter, and the two oracle forms of the 2-D
+matrices of the COO-scattered mixed matrices that the other oracles
+read, their structural properties, and the two oracle forms of the 2-D
 enriched element (closed form and reference element) against each
 other."""
 
@@ -10,14 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     REF_COEFFS,
-    assemble_mixed_coo,
+    assembled,
     assemble_peq,
     assemble_peq_coo,
     peq_cell_gradient,
     peq_cell_gradient_dual,
     peq_local_matrices,
 )
-from rrteig.assembly import assemble_mixed
 from rrteig.mesh import build_mesh
 
 _GX, _GW = np.polynomial.legendre.leggauss(6)
@@ -37,7 +36,7 @@ def test_flux_mass_block_quadrature_oracle():
     x0, x1, y0, y1 = 0.3, 1.1, -0.2, 0.5
     hx, hy = x1 - x0, y1 - y0
     m = build_mesh([x0, x1], [y0, y1])
-    system = assemble_mixed(m)
+    system = assembled(m)
     lay = system.layout
     shapes = {
         lay.xedge_index(0, 0): lambda x, y: (x1 - x) / hx,
@@ -66,7 +65,7 @@ def test_flux_mass_spd(system_a0):
 def test_divergence_entries():
     """B holds +/- edge lengths: right/top positive, left/bottom negative."""
     m = build_mesh([0.0, 1.0, 3.0], [0.0, 0.5, 2.0])
-    system = assemble_mixed(m)
+    system = assembled(m)
     lay = system.layout
     b = system.B.toarray()
     for j in range(m.n2):
@@ -85,7 +84,7 @@ def test_divergence_theorem_per_cell():
     """(B tau)_K equals the boundary flux for random edge data."""
     rng = np.random.default_rng(3)
     m = build_mesh([0.0, 0.7, 1.5, 2.0], [0.0, 1.0, 1.8])
-    system = assemble_mixed(m)
+    system = assembled(m)
     lay = system.layout
     tau = rng.standard_normal(lay.n_sigma)
     bt = system.B @ tau
@@ -104,7 +103,7 @@ def test_translation_invariance():
     """Assembled matrices depend only on cell sizes, not the origin."""
     m1 = build_mesh([0.0, 0.4, 1.0], [0.0, 0.3, 0.9])
     m2 = build_mesh([5.0, 5.4, 6.0], [-2.0, -1.7, -1.1])
-    s1, s2 = assemble_mixed(m1), assemble_mixed(m2)
+    s1, s2 = assembled(m1), assembled(m2)
     np.testing.assert_allclose(s1.A.toarray(), s2.A.toarray(), atol=1e-14)
     np.testing.assert_allclose(s1.B.toarray(), s2.B.toarray(), atol=1e-14)
     np.testing.assert_allclose(s1.M, s2.M, atol=1e-15)
@@ -126,24 +125,6 @@ def _meshes(draw, n_max=40):
     n1 = draw(st.integers(1, n_max), label="n1")
     n2 = draw(st.integers(1, n_max), label="n2")
     return build_mesh(_nodes(draw, n1, "x"), _nodes(draw, n2, "y"))
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(mesh=_meshes())
-@example(mesh=build_mesh([0.0, 1.5], [0.0, 1.0, 3.5, 4.0, 7.0]))
-@example(mesh=build_mesh([0.0, 1.0, 3.5, 4.0, 7.0], [0.0, 1.5]))
-def test_direct_csr_matches_coo_scatter_bitwise(mesh):
-    """A and B from the direct CSR build are the COO scatter's matrices bit
-    for bit: values, column indices, row pointers and index dtypes, with
-    sorted indices and no duplicates."""
-    system = assemble_mixed(mesh)
-    for got, want in zip((system.A, system.B), assemble_mixed_coo(mesh)):
-        assert got.shape == want.shape
-        for name in ("data", "indices", "indptr"):
-            g, w = getattr(got, name), getattr(want, name)
-            assert g.dtype == w.dtype, name
-            assert g.tobytes() == w.tobytes(), name
-        assert got.has_canonical_format
 
 
 # --- enriched rotated-bilinear element -------------------------------------

@@ -26,6 +26,7 @@ from rrteig.mesh import (
 from rrteig.postprocess import postprocessing_norms, supercloseness_norms
 
 from oracles import (
+    assembled,
     cell_integral_u,
     eval_cell,
     exact_derivative,
@@ -249,7 +250,7 @@ def test_expansion_term_against_per_cell_quadrature(mesh, data):
 def _supercloseness_gaps(mesh, pair, fld):
     """|1-D - 2-D| of the three supercloseness norms, and the 2-D norms."""
     got = supercloseness_norms(mesh, pair, fld)
-    want = supercloseness_norms_2d(assemble_mixed(mesh), pair,
+    want = supercloseness_norms_2d(assembled(mesh), pair,
                                    rt_interpolate_exact(mesh, fld),
                                    l2_project_exact(mesh, fld))
     names = ("norm_sigma", "norm_div", "norm_u")

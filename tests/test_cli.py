@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,85 @@ def test_main_error_exit(tmp_path, capsys):
         err = json.loads(captured.err)
         assert err["error"] == "InvalidConfig"
         assert named in err["message"]
+
+
+def test_table_refuses_a_malformed_report(tmp_path, capsys):
+    """A stored report that lacks a key or holds a value of the wrong type
+    ends with one JSON line, IoFailure naming the report and the missing
+    key or the fault, and exit code 1, before any table is printed or
+    file written."""
+    path = tmp_path / "x_report.json"
+    out = tmp_path / "out"
+    for doc, named in (
+        ({"config": {"name": "x"}, "exact_values": [2.0],
+          "levels": [{"level": 0}]}, "KeyError('eigen_rates')"),
+        # renders its tables, but --out needs the config's name
+        ({"exact_values": [], "eigen_rates": [], "levels": []},
+         "KeyError('config')"),
+        ({"config": {"name": "x"}, "exact_values": 2.0, "levels": []},
+         "TypeError"),
+        ({"config": {"name": "x"}, "exact_values": [2.0], "eigen_rates": [0],
+          "levels": [{"level": 0, "lambdas": ["2.0"]}]}, "ValueError"),
+        ([], "TypeError"),
+    ):
+        path.write_text(json.dumps(doc))
+        assert main(["table", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "IoFailure"
+        assert str(path) in err["message"] and named in err["message"]
+        assert not out.exists()
+
+
+def test_run_refuses_k_above_the_finest_level(monkeypatch, tmp_path,
+                                              capsys):
+    """A k above the finest level's cell count, which every level would
+    refuse with KTooLarge, is refused with InvalidConfig before the exact
+    eigenvalues are enumerated: one cell refined four times has 256
+    cells, and k = 20000 exits 1 at once.  A k that only the finest
+    level holds passes; eigs refuses a k above its level's cells too."""
+    from rrteig import exact
+
+    enumerated = _count_calls(monkeypatch, exact.enumerate_exact)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "name": "one", "node_x": [0.0, PI], "node_y": [0.0, PI], "k": 20000,
+    }))
+    assert main(["run", "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidConfig"
+    assert "k=20000 exceeds the 256 cells" in err["message"]
+    assert enumerated == []
+
+    one = _small_config(node_x=(0.0, PI), node_y=(0.0, PI),
+                        analyses=("eigenvalues",))
+    with pytest.raises(InvalidConfig, match="k=5 exceeds the 4 cells"):
+        run_case(dataclasses.replace(one, k=5))
+    report = run_case(dataclasses.replace(one, k=4))
+    assert [(f["level"], f["error"]) for f in report.config["failures"]] == [
+        (0, "KTooLarge")]
+    assert len(report.levels[1]["lambdas"]) == 4
+    assert main(["eigs", "--config", str(path), "--levels", "1"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert "k=20000 exceeds the 4 cells" in err["message"]
+
+
+def test_run_forms_no_2d_array():
+    """Preset a to levels 6 (512^2 cells) allocates, at its peak, less
+    than one float array over the finest level's cells (2 MiB): the solve
+    and every analysis work on 1-D widths and factors, and no 2-D matrix
+    is assembled."""
+    config = dataclasses.replace(case_preset("a"), levels=6)
+    tracemalloc.start()
+    try:
+        report = run_case(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "failures" not in report.config
+    assert peak < 8 * 512**2
 
 
 def test_tol_option_is_refused(capsys):

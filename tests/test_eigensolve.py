@@ -22,6 +22,7 @@ from rrteig.exact import enumerate_exact
 from rrteig.mesh import build_mesh, uniform_mesh, uniform_refine
 
 from oracles import (
+    assembled,
     dense_eigenvalues,
     modes_1d_saddle,
     residual_2d,
@@ -62,9 +63,10 @@ def test_a_orthogonality_and_sigma_norm(system_a0, pairs_a0):
     np.testing.assert_allclose(gram, np.diag(lam), atol=1e-9 * lam.max())
 
 
-def test_determinism(system_a0):
-    a = solve_mixed_eigs(system_a0, SolveOptions(k=5))
-    b = solve_mixed_eigs(system_a0, SolveOptions(k=5))
+def test_determinism(mesh_a0):
+    system = assemble_mixed(mesh_a0)
+    a = solve_mixed_eigs(system, SolveOptions(k=5))
+    b = solve_mixed_eigs(system, SolveOptions(k=5))
     for pa, pb in zip(a, b):
         assert pa.lambda_h == pb.lambda_h
         np.testing.assert_array_equal(u_coeffs(pa), u_coeffs(pb))
@@ -97,10 +99,9 @@ def test_oracle_agreement_sweep():
         ),
     ]
     for mesh in meshes:
-        system = assemble_mixed(mesh)
         k = min(12, mesh.n_cells)
-        it = solve_mixed_eigs(system, SolveOptions(k=k))
-        orc = dense_eigenvalues(system, k)
+        it = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=k))
+        orc = dense_eigenvalues(assembled(mesh), k)
         for p, q in zip(it, orc):
             assert abs(p.lambda_h - q) <= 1e-9 * q
 
@@ -111,12 +112,12 @@ def test_residuals_small(pairs_a0):
 
 
 def test_solve_reads_no_assembled_matrix(mesh_c0):
-    """The solver reads only the mesh: with A, B, M and the layout removed
-    from the system, preset c level 1 gives the same bits."""
+    """The solver reads only the mesh: with the layout removed from the
+    system, preset c level 1 gives the same bits."""
     system = assemble_mixed(uniform_refine(mesh_c0))
     opts = SolveOptions(k=12)
     want = solve_mixed_eigs(system, opts)
-    bare = dataclasses.replace(system, A=None, B=None, M=None, layout=None)
+    bare = dataclasses.replace(system, layout=None)
     got = solve_mixed_eigs(bare, opts)
     assert len(got) == len(want) == 12
     for p, q in zip(got, want):
@@ -155,9 +156,9 @@ def test_strongly_graded_mesh_within_the_bound():
                       _graded_nodes(rng, 113, 8.5e3))
     n_eff = max(PI / mesh.hx.min(), PI / mesh.hy.min())
     bound = 64.0 * np.finfo(float).eps * n_eff**2
-    system = assemble_mixed(mesh)
-    pairs = solve_mixed_eigs(system, SolveOptions(k=48))
+    pairs = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=48))
     assert 1e-10 < max(p.residual_norm for p in pairs) <= bound
+    system = assembled(mesh)
     mu = modes_1d_saddle(system, 0, 3)[0]
     nu = modes_1d_saddle(system, 1, 48)[0]
     want = np.sort(np.add.outer(nu, mu), axis=None)[:48]
@@ -226,10 +227,9 @@ def test_random_tensor_meshes_against_oracle(mesh, data):
     y factor n - 1 sign changes (discrete Sturm oscillation), and no two
     pairs share a label; the first pair is the (1, 1) mode with both
     factors positive, which the sweep measures without a sign match."""
-    system = assemble_mixed(mesh)
+    system = assembled(mesh)
     k = data.draw(st.integers(1, min(12, mesh.n_cells)), label="k")
-    opts = SolveOptions(k=k)
-    pairs = solve_mixed_eigs(system, opts)
+    pairs = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=k))
     assert len(pairs) == k
     lam = np.array([p.lambda_h for p in pairs])
     want = dense_eigenvalues(system, k)
@@ -278,7 +278,7 @@ def test_cluster_cut_by_k():
         np.testing.assert_array_equal(u_coeffs(p), u_coeffs(r))
 
 
-def test_extra_pairs_leave_the_first_k_bitwise(system_a0, mesh_c0):
+def test_extra_pairs_leave_the_first_k_bitwise(mesh_a0, mesh_c0):
     """A solve of k + 3 pairs in place of k, as the 2-D equivalence
     certificate oracle asks, leaves the first k the same bits (lambda,
     sigma, u), also when k cuts the tied pair lambda_12 = lambda_13 of
@@ -290,7 +290,7 @@ def test_extra_pairs_leave_the_first_k_bitwise(system_a0, mesh_c0):
     rng = np.random.default_rng(2)
     nx, ny = (_nodes(rng.uniform(1.0, 4.0, n)) for n in (9, 7))
     big = _nodes(rng.uniform(1.0, 4.0, _DENSE_MAX_CELLS + 22))
-    cases = [(system_a0, 6), (assemble_mixed(mesh_c0), 12)]
+    cases = [(assemble_mixed(mesh_a0), 6), (assemble_mixed(mesh_c0), 12)]
     cut_ties = 0
     for mesh in (build_mesh(nx, ny), build_mesh(nx, nx)):
         system = assemble_mixed(mesh)
@@ -317,7 +317,7 @@ def test_modes_1d_against_saddle_oracle(mesh, data):
     min(n, 15)): eigenvalues to 2e-13 relative, modes and fluxes to 5e-12
     of their largest entry, once the oracle's sign is matched and its
     cross-width factor 1/sqrt(c) is taken out."""
-    system = assemble_mixed(mesh)
+    system = assembled(mesh)
     for axis, h, cross in ((0, mesh.hx, mesh.hy[0]), (1, mesh.hy, mesh.hx[0])):
         k = data.draw(st.integers(1, min(len(h), 15)), label=f"k_{axis}")
         mu, v, flux, _ = _modes_1d(h, k)

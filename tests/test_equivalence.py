@@ -29,8 +29,10 @@ from oracles import (
     SingularSystem,
     _shifted_factor,
     assemble_mixed_coo,
+    assembled,
     assemble_peq,
     assemble_peq_coo,
+    cell_areas,
     dense_eigenvalues,
     gradient_to_sigma_coeffs,
     interior_flux_jumps,
@@ -52,7 +54,7 @@ def solve_peq_poisson(peq, f_cell_means):
     full = np.zeros(peq.layout.n_sigma + peq.layout.n_cell)
     full[peq.free] = spla.splu(peq.K.tocsc()).solve(rhs)
     return PeqSolution(
-        cell_means=full[peq.layout.n_sigma :] / peq.mesh.cell_areas,
+        cell_means=full[peq.layout.n_sigma :] / cell_areas(peq.mesh),
         grad_edges=peq_cell_gradient(peq.mesh, full),
     )
 
@@ -77,7 +79,7 @@ def test_single_cell_toy_hand_solution():
     assert lam == pytest.approx(k_cc * area, rel=1e-13)
     assert esol.cell_means[0] * np.sqrt(area) == pytest.approx(1.0, rel=1e-12)
     # matches the one-cell mixed eigenvalue
-    (rrt,) = dense_eigenvalues(assemble_mixed(m), 1)
+    (rrt,) = dense_eigenvalues(assembled(m), 1)
     assert lam == pytest.approx(rrt, rel=1e-13)
 
 
@@ -100,7 +102,7 @@ def test_eigenfunction_normalization(mesh_a0):
 
 def test_spectral_identity(mesh_a0):
     """Sorted finite enriched-element eigenvalues equal the mixed ones."""
-    rrt = dense_eigenvalues(assemble_mixed(mesh_a0), 12)
+    rrt = dense_eigenvalues(assembled(mesh_a0), 12)
     peq = solve_peq_eigs(assemble_peq(mesh_a0), 12)
     for p, (lam, _) in zip(rrt, peq):
         assert abs(p - lam) <= 1e-8 * p
@@ -117,7 +119,7 @@ def test_poisson_flux_identity(mesh_a0):
     psol = solve_peq_poisson(peq, f_means)
 
     # independent mixed saddle solve: A sigma - B^T u = 0, B sigma = F
-    system = assemble_mixed(mesh_a0)
+    system = assembled(mesh_a0)
     n_sig = system.layout.n_sigma
     saddle = sp.bmat([[system.A, system.B.T], [system.B, None]], format="csc")
     rhs = np.concatenate([np.zeros(n_sig), f_means * areas])
@@ -150,15 +152,15 @@ def test_upper_bound_transfer(mesh_a0):
         assert lam >= e.value
 
 
-def test_verify_equivalence_clusters(system_a0):
+def test_verify_equivalence_clusters(mesh_a0, system_a0):
     """Uniform 8^2, lambda = 2, 5, 5, 8, 10, 10: the certificate oracle
     compares the double eigenvalues as clusters of two, with the pairs
     past k that close them; the lift checks each of the first k pairs
     alone and finds the certificate's enriched eigenvalues."""
-    pairs = solve_mixed_eigs(system_a0, SolveOptions(k=9))
+    pairs = solve_mixed_eigs(assemble_mixed(mesh_a0), SolveOptions(k=9))
     cert = verify_equivalence_2d(system_a0, pairs, k=6)
     assert [e.cluster_size for e in cert.entries] == [1, 2, 2, 1, 2, 2]
-    rep = verify_equivalence(system_a0.mesh, pairs[:6])
+    rep = verify_equivalence(mesh_a0, pairs[:6])
     assert [e.mode for e in rep.entries] == [p.mode for p in pairs[:6]]
     for e, c in zip(rep.entries, cert.entries):
         assert e.lambda_rrt == c.lambda_rrt
@@ -236,9 +238,9 @@ def test_lift_against_oracles_on_random_meshes(mesh, data):
     relative, those of the enriched eigensolver and those of the 2-D
     certificate, which compares clusters whole from k + 3 pairs."""
     k = data.draw(st.integers(1, min(6, mesh.n_cells)), label="k")
-    system = assemble_mixed(mesh)
-    pairs = solve_mixed_eigs(
-        system, SolveOptions(k=max(k, min(k + 3, mesh.n_cells))))
+    system = assembled(mesh)
+    k_more = max(k, min(k + 3, mesh.n_cells))
+    pairs = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=k_more))
     lifted = [e.lambda_peq for e in verify_equivalence(mesh, pairs[:k]).entries]
     cert = [e.lambda_peq for e in verify_equivalence_2d(system, pairs, k).entries]
     eigs = [lam for lam, _ in solve_peq_eigs(assemble_peq(mesh), k)]
@@ -302,7 +304,7 @@ def test_2d_schur_identity(mesh):
     s_c = k[ne:, ne:] - k[ne:, :ne] @ np.linalg.solve(k[:ne, :ne], k[:ne, ne:])
     a, b = (m.toarray() for m in assemble_mixed_coo(mesh))
     bab = b @ np.linalg.solve(a, b.T)
-    areas = mesh.cell_areas
+    areas = cell_areas(mesh)
     got = areas[:, None] * s_c * areas[None, :]
     assert np.abs(got - bab).max() <= 2e-15 * np.abs(bab).max()
 
@@ -314,9 +316,9 @@ def _check_certificate_against_oracle(mesh, k):
     and below lambda_i (1 -+ 1e-6), each factorisation pivoting
     symmetrically.  The pairs are solved as the certificate asks: k + 3
     where the spectrum holds them."""
-    system = assemble_mixed(mesh)
-    pairs = solve_mixed_eigs(
-        system, SolveOptions(k=max(k, min(k + 3, mesh.n_cells))))
+    system = assembled(mesh)
+    k_more = max(k, min(k + 3, mesh.n_cells))
+    pairs = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=k_more))
     rep = verify_equivalence_2d(system, pairs, k)
     peq = assemble_peq(mesh)
     n_oracle = min(len(pairs) + 3, mesh.n_cells)
@@ -387,7 +389,7 @@ _LIFT_FAULTS = {"perturbed u": _perturb_u, "scaled flux_x": _scale_flux_x}
 
 
 @pytest.mark.parametrize("fault", _CERTIFICATE_FAULTS)
-def test_certificate_catches_faults(system_a0, fault):
+def test_certificate_catches_faults(mesh_a0, system_a0, fault):
     """Uniform 8^2, k = 6: lambda = 2, 5, 5, 8, 10, 10, 13, 13, 17.  A
     missing pair leaves one enriched eigenvalue more below the shift than
     mixed ones; a wrong u lifts to an enriched residual far past the
@@ -395,18 +397,19 @@ def test_certificate_catches_faults(system_a0, fault):
     pairs past k no shift can be placed after it, and the certificate
     refuses rather than skip the count."""
     make, message = _CERTIFICATE_FAULTS[fault]
-    pairs = solve_mixed_eigs(system_a0, SolveOptions(k=9))
+    pairs = solve_mixed_eigs(assemble_mixed(mesh_a0), SolveOptions(k=9))
     assert verify_equivalence_2d(system_a0, pairs, k=6).max_eig_rel_diff <= 1e-12
     with pytest.raises(DimensionMismatch, match=message):
         verify_equivalence_2d(system_a0, make(pairs, 6), k=6)
 
 
-def test_certificate_refuses_nonsymmetric_pivoting(monkeypatch, system_a0):
+def test_certificate_refuses_nonsymmetric_pivoting(monkeypatch, mesh_a0,
+                                                   system_a0):
     """A factorisation that pivots off the diagonal (SuperLU's default
     threshold pivoting here) says nothing about the inertia."""
     real = spla.splu
     monkeypatch.setattr(spla, "splu", lambda a, **options: real(a))
-    pairs = solve_mixed_eigs(system_a0, SolveOptions(k=9))
+    pairs = solve_mixed_eigs(assemble_mixed(mesh_a0), SolveOptions(k=9))
     with pytest.raises(SingularSystem, match="pivoting left the diagonal"):
         verify_equivalence_2d(system_a0, pairs, k=6)
 
@@ -444,18 +447,17 @@ def test_run_case_records_a_failed_certificate(monkeypatch, fault):
     assert set(first) - {"equivalence"} == set(second)
 
 
-def test_lift_never_factors_nor_iterates(monkeypatch, system_a0):
+def test_lift_never_factors_nor_iterates(monkeypatch, mesh_a0, pairs_a0):
     """verify_equivalence makes no sparse factorisation and no Lanczos
     iteration, and its module imports no scipy.sparse: a return to the
     2-D enriched system fails here."""
-    pairs = solve_mixed_eigs(system_a0, SolveOptions(k=6))
     calls = {"splu": 0, "eigsh": 0}
     for name in calls:
         def counted(*args, _name=name, _real=getattr(spla, name), **kw):
             calls[_name] += 1
             return _real(*args, **kw)
         monkeypatch.setattr(spla, name, counted)
-    verify_equivalence(system_a0.mesh, pairs)
+    verify_equivalence(mesh_a0, pairs_a0)
     assert calls == {"splu": 0, "eigsh": 0}
 
     tree = ast.parse(Path(equivalence.__file__).read_text())

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from rrteig.exact import FieldSample, enumerate_exact
-from rrteig.assembly import assemble_mixed, layout
+from rrteig.assembly import layout
 
 from oracles import (
+    assembled,
     cell_integral_u,
     exact_derivative,
     l2_project_exact,
@@ -135,7 +136,7 @@ def test_mean_flux_vs_quadrature():
 
 def test_commuting_interpolation_identity(mesh_a0):
     """B sigma_I equals the exact cell integrals of div sigma = lambda u."""
-    system = assemble_mixed(mesh_a0)
+    system = assembled(mesh_a0)
     for m, n in ((1, 1), (2, 1)):
         fld = FieldSample(m, n)
         sigma_i = rt_interpolate_exact(mesh_a0, fld)

@@ -144,6 +144,21 @@ def test_no_unread_public_names():
     assert _unread_public_names(sources, readme) == []
 
 
+def test_mixed_system_holds_no_matrix():
+    """MixedSystem is the mesh and its layout: no assembled matrix is a
+    field of it, and the assembly module imports no scipy."""
+    from rrteig.assembly import MixedSystem
+
+    assert [f.name for f in dataclasses.fields(MixedSystem)] == [
+        "layout", "mesh"]
+    tree = ast.parse((ROOT / "src" / "rrteig" / "assembly.py").read_text())
+    imported = [a.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for a in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module]
+    assert imported and not any(m.split(".")[0] == "scipy" for m in imported)
+
+
 def _config_table_keys(readme: str) -> list[str]:
     """The backquoted names in the key column of the README table that
     follows the ``--config`` paragraph, in row order."""
