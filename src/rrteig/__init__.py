@@ -9,8 +9,7 @@ from .assembly import DofLayout, MixedSystem, layout, assemble_mixed
 from .eigensolve import SolveOptions, MixedEigenpair, solve_mixed_eigs
 from .exact import (ExactEigenpair, FieldSample, enumerate_exact,
                     cell_mean_factors)
-from .postprocess import (SuperclosenessReport, supercloseness_norms,
-                          postprocessing_norms)
+from .postprocess import supercloseness_norms, postprocessing_norms
 from .analysis import (expansion_term, convergence_rate, extrapolate,
                        check_upper_bound, lower_bound_margin,
                        match_frequencies)

@@ -103,7 +103,12 @@ class ExperimentConfig:
             raise InvalidConfig(f"unknown analyses: {sorted(unknown)}")
 
     def initial_mesh(self) -> TensorMesh:
-        return build_mesh(np.array(self.node_x), np.array(self.node_y))
+        """The mesh of the node vectors, translated to start at 0: exact
+        fields live on [0, a] x [0, b], and run, eigs and equiv all see
+        this mesh.  Nodes that start at 0 keep every bit."""
+        mesh = build_mesh(self.node_x, self.node_y)
+        return build_mesh(mesh.node_x - mesh.node_x[0],
+                          mesh.node_y - mesh.node_y[0])
 
 
 def case_preset(name: str) -> ExperimentConfig:
@@ -228,13 +233,8 @@ def _residuals(lv: _Level) -> dict:
 
 
 def _supercloseness(lv: _Level) -> dict:
-    sc = supercloseness_norms(lv.mesh, lv.pairs[0],
-                              FieldSample(1, 1, lv.exact[0].domain))
-    return {"supercloseness": {
-        "norm_sigma": sc.norm_sigma,
-        "norm_div": sc.norm_div,
-        "norm_u": sc.norm_u,
-    }}
+    return {"supercloseness": supercloseness_norms(
+        lv.mesh, lv.pairs[0], FieldSample(1, 1, lv.exact[0].domain))}
 
 
 def _postprocessing(lv: _Level) -> dict:
@@ -364,15 +364,11 @@ def _check_size(config, mesh, levels):
 def run_case(config: ExperimentConfig) -> RunReport:
     """Solve every refinement level of the configured case and analyze.
 
-    Exact fields live on [0, a] x [0, b], so the node vectors must start
-    at 0; any other origin, or a finest level above _MAX_CELLS cells or
-    below k cells, raises InvalidConfig before level 0."""
+    The sweep runs on the initial mesh translated to start at 0, where the
+    exact fields live, so any origin is accepted; a finest level above
+    _MAX_CELLS cells or below k cells raises InvalidConfig before level
+    0."""
     mesh = config.initial_mesh()
-    if mesh.node_x[0] != 0.0 or mesh.node_y[0] != 0.0:
-        raise InvalidConfig(
-            f"config {config.name}: node vectors must start at 0, got "
-            f"x0={mesh.node_x[0]!r}, y0={mesh.node_y[0]!r}"
-        )
     _check_size(config, mesh, config.levels)
     exact = enumerate_exact((mesh.node_x[-1], mesh.node_y[-1]), count=config.k)
     levels = []
@@ -507,27 +503,26 @@ def figure_data(report: dict, fmt: str) -> str:
     return _render_rows(header, rows, fmt)
 
 
-def _nan_to_null(obj):
-    """Strict JSON has no NaN: a NaN is stored as null."""
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
+def _stored(obj):
+    """The report as written, one copy: NaN as null (strict JSON) and no
+    wall-clock time_seconds (byte-deterministic artifacts)."""
+    if isinstance(obj, float):
+        return None if math.isnan(obj) else obj
     if isinstance(obj, dict):
-        return {key: _nan_to_null(val) for key, val in obj.items()}
-    if isinstance(obj, list):
-        return [_nan_to_null(val) for val in obj]
+        return {key: _stored(val) for key, val in obj.items()
+                if key != "time_seconds"}
+    if isinstance(obj, (list, tuple)):
+        return [_stored(val) for val in obj]
     return obj
 
 
 def emit_tables(report, fmt: str, out_dir: str) -> list[str]:
     """Write the eigenvalue / residual / figure tables and the raw report,
-    which is strict JSON: NaN is written as null."""
+    which is strict JSON: NaN is written as null.  ``report`` is a
+    RunReport or its dict."""
     if fmt not in _FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    rep = report.to_dict() if isinstance(report, RunReport) else report
-    # written artifacts are byte-deterministic: wall-clock stays in-memory
-    rep = json.loads(json.dumps(rep))
-    for lv in rep["levels"]:
-        lv.pop("time_seconds", None)
+    rep = _stored(vars(report) if isinstance(report, RunReport) else report)
     name = rep["config"]["name"]
     ext = _EXT[fmt]
     files = {
@@ -535,8 +530,7 @@ def emit_tables(report, fmt: str, out_dir: str) -> list[str]:
         f"{name}_residuals.{ext}": residual_table(rep, fmt),
         f"{name}_figure.{ext}": figure_data(rep, fmt),
         f"{name}_report.json": json.dumps(
-            _nan_to_null(rep), sort_keys=True, indent=2, allow_nan=False
-        ) + "\n",
+            rep, sort_keys=True, indent=2, allow_nan=False) + "\n",
     }
     written = []
     try:
@@ -633,7 +627,7 @@ def main(argv=None) -> int:
 
         # run, or table: both render a report and may write its files
         if args.command == "run":
-            rep = run_case(_config_from_args(args)).to_dict()
+            rep = vars(run_case(_config_from_args(args)))
             _show(rep, args)
         else:
             try:

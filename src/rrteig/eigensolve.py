@@ -211,6 +211,15 @@ def _modes_1d(h, k):
     return mu, v, flux, np.array([np.sum(a * b, axis=0) for a, b in terms])
 
 
+def _smallest_sums(a, b, count):
+    """The count smallest sums a[i] + b[j], ascending, ties by (i, j), and
+    their indices i and j: one stable sort of all the sums."""
+    sums = np.add.outer(a, b)
+    order = np.argsort(sums, axis=None, kind="stable")[:count]
+    i, j = np.unravel_index(order, sums.shape)
+    return sums[i, j], i, j
+
+
 def _effective_cells(mesh):
     """N = max(a / min h_x, b / min h_y) on [x0, x0 + a] x [y0, y0 + b],
     max(n1, n2) on a uniform mesh: the roundoff of a pair, and of anything
@@ -256,10 +265,8 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions) -> list[MixedEigen
     # the k smallest sums use at most the k smallest modes of each direction
     mu, v, flux_x, sums_x = _modes_1d(mesh.hx, min(opts.k, mesh.n1))
     nu, w, flux_y, sums_y = _modes_1d(mesh.hy, min(opts.k, mesh.n2))
-    lams = np.add.outer(nu, mu)
-    order = np.argsort(lams, axis=None, kind="stable")[: opts.k]
-    jj, ii = np.unravel_index(order, lams.shape)
-    residuals = _residuals(lams[jj, ii], sums_x[:, ii], sums_y[:, jj])
+    lams, jj, ii = _smallest_sums(nu, mu, opts.k)
+    residuals = _residuals(lams, sums_x[:, ii], sums_y[:, jj])
     n_eff = _effective_cells(mesh)
     bound = _RESIDUAL_C * np.finfo(float).eps * n_eff**2
     if not residuals.max() <= bound:  # a NaN residual fails too
@@ -270,9 +277,10 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions) -> list[MixedEigen
         )
     return [
         MixedEigenpair(
-            lambda_h=float(lams[j, i]), v=v[:, i].copy(), w=w[:, j].copy(),
+            lambda_h=lam, v=v[:, i].copy(), w=w[:, j].copy(),
             flux_x=flux_x[:, i].copy(), flux_y=flux_y[:, j].copy(),
             residual_norm=r, mode=(i + 1, j + 1),
         )
-        for j, i, r in zip(jj.tolist(), ii.tolist(), residuals.tolist())
+        for lam, j, i, r in zip(lams.tolist(), jj.tolist(), ii.tolist(),
+                                residuals.tolist())
     ]

@@ -12,10 +12,13 @@ Gauss quadrature independently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .eigensolve import _smallest_sums
+from .errors import InvalidConfig
 from .mesh import TensorMesh
 
 _EQ_TOL = 1e-9
@@ -36,39 +39,35 @@ class ExactEigenpair:
 
 
 def enumerate_exact(domain=(np.pi, np.pi), count=6) -> list[ExactEigenpair]:
-    """First ``count`` exact eigenvalues (with multiplicity), ascending.
+    """First ``count`` >= 1 exact eigenvalues (with multiplicity), ascending.
 
-    Brute-force search over (m, n); the scan bound L is grown until every
-    value below L-dependent threshold is guaranteed enumerated.
+    The smallest sums of the 1-D spectra m^2 (pi/a)^2 and n^2 (pi/b)^2,
+    ties by (m, n), selected as in the discrete solve.  The L x L lowest
+    modes, L = ceil(sqrt(count)), hold count values at most top = ((pi/a)^2
+    + (pi/b)^2) L^2, so the first count eigenspaces need m^2 (pi/a)^2 <= top
+    (up to _EQ_TOL) and m <= count (for a / b below about 5e4), and alike
+    n.  Values within _EQ_TOL of a group's first form one eigenspace.
     """
+    if count < 1:
+        raise InvalidConfig(f"count must be >= 1, got {count}")
     a, b = domain
-    kx2 = (np.pi / a) ** 2
-    ky2 = (np.pi / b) ** 2
-    L = 4
-    while True:
-        vals = []
-        for m in range(1, L + 1):
-            for n in range(1, L + 1):
-                vals.append((FieldSample(m, n, domain).value, m, n))
-        # complete prefix: any eigenvalue below this bound needs m, n <= L
-        safe = (L * L + 1) * min(kx2, ky2)
-        vals = [v for v in vals if v[0] <= safe]
-        vals.sort()
-        if len(vals) >= count:
-            break
-        L *= 2
-
+    kx2, ky2 = (np.pi / a) ** 2, (np.pi / b) ** 2
+    top = (kx2 + ky2) * (math.isqrt(count - 1) + 1) ** 2
+    m, n = (np.arange(1, int(min(count - 1, np.sqrt(top / k2))) + 2)
+            for k2 in (kx2, ky2))
+    vals, ii, jj = _smallest_sums(m * m * kx2, n * n * ky2, m.size * n.size)
+    last = vals[count - 1]  # the values up to the end of its group
+    end = np.count_nonzero(vals - last <= _EQ_TOL * last)
+    modes = list(zip((ii[:end] + 1).tolist(), (jj[:end] + 1).tolist()))
     # one pass: a group runs while values stay within _EQ_TOL of its first
-    groups: list[list] = []
-    for v in vals:
-        if groups and v[0] - groups[-1][0][0] <= _EQ_TOL * groups[-1][0][0]:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
+    starts = []
+    for t, v in enumerate(vals[:end].tolist()):
+        if not starts or v - first > _EQ_TOL * first:
+            starts.append(t)
+            first = v
     pairs: list[ExactEigenpair] = []
-    for group in groups:
-        modes = tuple((m, n) for _, m, n in group)
-        pairs += [ExactEigenpair(group[0][0], modes, (a, b))] * len(group)
+    for s, e in zip(starts, starts[1:] + [end]):
+        pairs += [ExactEigenpair(vals[s], tuple(modes[s:e]), (a, b))] * (e - s)
     return pairs[:count]
 
 

@@ -63,7 +63,11 @@ class TensorMesh:
 
 
 def _check_nodes(nodes) -> np.ndarray:
-    arr = np.asarray(nodes, dtype=float)
+    try:
+        arr = np.asarray(nodes, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise NonFiniteNodes(f"node vector must hold finite coordinates: "
+                             f"{exc}") from exc
     if arr.ndim != 1 or len(arr) < 2:
         raise TooFewNodes(f"node vector needs >= 2 entries, got {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -18,8 +18,6 @@ of the exact field's cell means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .eigensolve import MixedEigenpair, _a1_bands, _a1_times
@@ -31,24 +29,17 @@ _GAUSS_N = 5
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_GAUSS_N)
 
 
-@dataclass(frozen=True)
-class SuperclosenessReport:
-    """Distances of the discrete pair to the interpolated exact pair."""
-
-    norm_sigma: float
-    norm_div: float
-    norm_u: float
-
-
 def supercloseness_norms(
     mesh: TensorMesh, pair: MixedEigenpair, fld: FieldSample
-) -> SuperclosenessReport:
-    """Exact norms of sigma_I - sigma_h in A, of its divergence and of
-    Pi0 u - u_h in M, from 1-D factors.  With (X, Y) the cell-mean factors
-    of the field and f the negative first derivatives of its sines on the
-    node lines, Pi0 u = Y (x) X and sigma_I = [Y (x) fx; fy (x) X]; A_xx =
-    diag(h_y) (x) A1x, A_yy = A1y (x) diag(h_x), M = diag(h_y) (x)
-    diag(h_x), so each squared norm is a balanced 1-D distance.
+) -> dict[str, float]:
+    """Exact norms of sigma_I - sigma_h in A (norm_sigma), of its
+    divergence (norm_div) and of Pi0 u - u_h in M (norm_u), the
+    supercloseness entry of a level's report, from 1-D factors.  With
+    (X, Y) the cell-mean factors of the field and f the negative first
+    derivatives of its sines on the node lines, Pi0 u = Y (x) X and
+    sigma_I = [Y (x) fx; fy (x) X]; A_xx = diag(h_y) (x) A1x, A_yy = A1y
+    (x) diag(h_x), M = diag(h_y) (x) diag(h_x), so each squared norm is a
+    balanced 1-D distance.
 
     div sigma_I = lambda Pi0 u, and div sigma_h = (mu + nu) w (x) v + w (x)
     rx + ry (x) v, with mu v the D-projection of gx = G flux_x / h_x on v
@@ -70,11 +61,11 @@ def supercloseness_norms(
     gram = np.outer(coef, coef) * ((xs * hx) @ xs.T) * ((ys * hy) @ ys.T)
     gram[:2, :2] = 0.0  # the main part, taken balanced
     div_sq = _tensor_distance_sq((mu + nu) * v, w, fld.value * X, Y, dx, dy)
-    return SuperclosenessReport(
-        norm_sigma=float(np.sqrt(sigma_sq)),
-        norm_div=float(np.sqrt(div_sq + gram.sum())),
-        norm_u=float(np.sqrt(_tensor_distance_sq(v, w, X, Y, dx, dy))),
-    )
+    return {
+        "norm_sigma": float(np.sqrt(sigma_sq)),
+        "norm_div": float(np.sqrt(div_sq + gram.sum())),
+        "norm_u": float(np.sqrt(_tensor_distance_sq(v, w, X, Y, dx, dy))),
+    }
 
 
 def _require_fit(mesh, pair):

@@ -13,7 +13,8 @@ scalar analytic integrals per cell or edge for the batched cell and edge
 means, the 2-D interpolants and the assembled A, B and M for the 1-D
 supercloseness norms (``supercloseness_norms_2d``), and every width pair
 for the 1-D regularity constant; ``exact_derivative`` evaluates an exact
-field pointwise from its 1-D factors.
+field pointwise from its 1-D factors, and ``enumerate_exact_search``
+finds the exact spectrum by a brute-force search over the modes (m, n).
 The 2-D enriched element is held twice: in closed form (``assemble_peq``,
 one 3x3 block per direction per cell, and ``peq_cell_gradient``) and from
 the reference-element dual basis (the inverse of the monomial DOF matrix,
@@ -43,10 +44,11 @@ from rrteig.assembly import DofLayout, layout
 from rrteig.eigensolve import MixedEigenpair
 from rrteig.errors import (
     DimensionMismatch, KTooLarge, LayoutMismatch, RRTError)
-from rrteig.exact import cell_mean_factors
+from rrteig.exact import ExactEigenpair, FieldSample, cell_mean_factors
 from rrteig.mesh import TensorMesh
-from rrteig.postprocess import SuperclosenessReport
 
+# relative tolerance within which enumerate_exact_search groups values
+_EQ_TOL = 1e-9
 # Lanczos start-vector seed and iteration cap of solve_peq_eigs
 _LANCZOS_SEED = 0
 _LANCZOS_MAX_ITERATIONS = 20000
@@ -451,7 +453,8 @@ def residual_2d(system, pair):
 
 def supercloseness_norms_2d(system, pair, sigma_I, pi0_u):
     """Exact norms of sigma_I - sigma_h, its divergence, and Pi0 u - u_h,
-    from the 2-D coefficient vectors and the assembled A, B and M."""
+    from the 2-D coefficient vectors and the assembled A, B and M, under
+    the keys of supercloseness_norms."""
     lay = system.layout
     if len(sigma_I) != lay.n_sigma or len(pi0_u) != lay.n_cell:
         raise LayoutMismatch(
@@ -461,11 +464,11 @@ def supercloseness_norms_2d(system, pair, sigma_I, pi0_u):
     d = sigma_I - sigma_coeffs(pair)
     e = pi0_u - u_coeffs(pair)
     bd = system.B @ d
-    return SuperclosenessReport(
-        norm_sigma=float(np.sqrt(d @ (system.A @ d))),
-        norm_div=float(np.sqrt(np.sum(bd * bd / system.M))),
-        norm_u=float(np.sqrt(e @ (system.M * e))),
-    )
+    return {
+        "norm_sigma": float(np.sqrt(d @ (system.A @ d))),
+        "norm_div": float(np.sqrt(np.sum(bd * bd / system.M))),
+        "norm_u": float(np.sqrt(e @ (system.M * e))),
+    }
 
 
 def dense_eigenvalues(system, k, cap=5000):
@@ -904,6 +907,44 @@ def eval_cell(field, i, j, x, y, deriv=None):
 
     out = tuple(interp(xv, yv) for xv, yv in field.components)
     return out[0] if field.kind == "u" else out
+
+
+def enumerate_exact_search(domain=(np.pi, np.pi), count=6):
+    """First ``count`` exact eigenvalues (with multiplicity), ascending.
+
+    Brute-force search over (m, n); the scan bound L is grown until every
+    value below L-dependent threshold is guaranteed enumerated.  The
+    library selects the smallest sums of the two 1-D spectra instead.
+    """
+    a, b = domain
+    kx2 = (np.pi / a) ** 2
+    ky2 = (np.pi / b) ** 2
+    L = 4
+    while True:
+        vals = []
+        for m in range(1, L + 1):
+            for n in range(1, L + 1):
+                vals.append((FieldSample(m, n, domain).value, m, n))
+        # complete prefix: any eigenvalue below this bound needs m, n <= L
+        safe = (L * L + 1) * min(kx2, ky2)
+        vals = [v for v in vals if v[0] <= safe]
+        vals.sort()
+        if len(vals) >= count:
+            break
+        L *= 2
+
+    # one pass: a group runs while values stay within _EQ_TOL of its first
+    groups: list[list] = []
+    for v in vals:
+        if groups and v[0] - groups[-1][0][0] <= _EQ_TOL * groups[-1][0][0]:
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    pairs: list[ExactEigenpair] = []
+    for group in groups:
+        modes = tuple((m, n) for _, m, n in group)
+        pairs += [ExactEigenpair(group[0][0], modes, (a, b))] * len(group)
+    return pairs[:count]
 
 
 def _mode(fld):

@@ -254,8 +254,8 @@ def _supercloseness_gaps(mesh, pair, fld):
                                    rt_interpolate_exact(mesh, fld),
                                    l2_project_exact(mesh, fld))
     names = ("norm_sigma", "norm_div", "norm_u")
-    return (np.array([abs(getattr(got, n) - getattr(want, n)) for n in names]),
-            np.array([getattr(want, n) for n in names]))
+    return (np.array([abs(got[n] - want[n]) for n in names]),
+            np.array([want[n] for n in names]))
 
 
 def _assert_supercloseness(mesh, pair, fld):

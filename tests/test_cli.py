@@ -131,6 +131,40 @@ def test_emit_byte_determinism(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_emit_tables_writes_a_report_and_its_dict_alike(monkeypatch,
+                                                        tmp_path):
+    """A RunReport and its to_dict() write the same bytes in every format,
+    with a failed level, whose NaN extrapolation entries are written as
+    null; the report in memory keeps its NaN and its time_seconds."""
+    from rrteig import cli
+    from rrteig.errors import NotConverged
+
+    solve = cli._solve
+
+    def failing(config, mesh):
+        if mesh.level == 1:
+            raise NotConverged("injected")
+        return solve(config, mesh)
+
+    monkeypatch.setattr(cli, "_solve", failing)
+    report = run_case(dataclasses.replace(case_preset("c"), levels=2))
+    assert np.isnan(report.extrapolation["values"][0])
+    for fmt in ("delimited-text", "aligned-text", "structured-document"):
+        one, two = tmp_path / fmt / "report", tmp_path / fmt / "dict"
+        emit_tables(report, fmt, str(one))
+        emit_tables(report.to_dict(), fmt, str(two))
+        names = sorted(os.listdir(one))
+        assert names == sorted(os.listdir(two)) and len(names) == 4
+        for name in names:
+            assert (one / name).read_bytes() == (two / name).read_bytes()
+        stored = json.loads((one / "c_report.json").read_text())
+        assert stored["extrapolation"]["values"][:2] == [None, None]
+        assert all("time_seconds" not in lv for lv in stored["levels"])
+    assert np.isnan(report.extrapolation["values"][0])
+    assert all("time_seconds" in lv for lv in report.levels
+               if "failed" not in lv)
+
+
 def test_report_full_precision(tmp_path):
     cfg = _small_config()
     report = run_case(cfg)
@@ -204,6 +238,15 @@ def test_main_error_exit(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidConfig"
         assert named in err["message"]
+    # a node integer too large for a float is a node error, not a traceback
+    path.write_text(json.dumps({"name": "big", "node_x": [0, 10**400],
+                                "node_y": [0, 1], "levels": 1, "k": 1}))
+    assert str(10**400) in path.read_text()
+    assert main(["run", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "NonFiniteNodes"
     # a negative level count is refused, not solved as level 0, and a
     # k below 1 is refused, both with a typed error
     for argv, named in ((["eigs", "--levels", "-1"], "levels must be >= 0"),
@@ -379,26 +422,61 @@ def test_main_equiv_solves_once(monkeypatch, capsys):
     assert lines[11].endswith("mode=(2, 4)")
 
 
-def test_run_case_rejects_shifted_domain(monkeypatch, tmp_path, capsys):
-    """Exact fields live on [0, a] x [0, b]: a sweep on another origin is
-    refused before level 0; eigs and equiv use no exact field."""
-    solved = _count_calls(monkeypatch, solve_mixed_eigs)
-    nodes = tuple(1.0 + np.linspace(0.0, PI, 5))
-    for over in (dict(node_x=nodes), dict(node_y=nodes)):
-        with pytest.raises(InvalidConfig):
-            run_case(_small_config(**over))
-    assert solved == []
+@pytest.mark.parametrize("case, shift", [
+    ("a", (1.0, 0.0)), ("b", (0.0, -2.5)), ("c", (1000.0, 7.25)),
+], ids=["a", "b", "c"])
+def test_shifted_presets_give_the_same_tables(monkeypatch, tmp_path,
+                                              capsys, case, shift):
+    """A sweep on another origin runs on its mesh translated to 0, where
+    the exact fields live: the eigenvalue and residual tables equal the
+    stored ones of the preset, and the eigenvalues agree to roundoff of
+    the translated widths (3.9e-14 relative measured).  An origin-0
+    config keeps every bit of its nodes; eigs and equiv see the same
+    translated mesh as run."""
+    preset = case_preset(case)
+    mesh = preset.initial_mesh()
+    assert np.array_equal(mesh.node_x, preset.node_x)
+    assert np.array_equal(mesh.node_y, preset.node_y)
+    shifted = dataclasses.replace(
+        preset, node_x=tuple(np.add(preset.node_x, shift[0])),
+        node_y=tuple(np.add(preset.node_y, shift[1])))
+    moved = shifted.initial_mesh()
+    assert moved.node_x[0] == moved.node_y[0] == 0.0
+    rep = run_case(shifted).to_dict()
+    assert "failures" not in rep["config"]
+    data = os.path.join(os.path.dirname(__file__), "data")
+    for table, suffix in ((eigen_table, "eigenvalues"),
+                          (residual_table, "residuals")):
+        with open(os.path.join(data, f"{case}_{suffix}.txt"),
+                  encoding="utf-8") as f:
+            assert table(rep, "aligned-text") == f.read()
+    with open(os.path.join(data, f"{case}_report.json")) as f:
+        stored = json.load(f)
+    for lv, want in zip(rep["levels"], stored["levels"]):
+        np.testing.assert_allclose(lv["lambdas"], want["lambdas"],
+                                   rtol=1e-13, atol=0)
+
+    from rrteig import cli
+
+    solve, meshes = cli._solve, []
+
+    def recorded(config, mesh):
+        meshes.append(mesh)
+        return solve(config, mesh)
+
+    monkeypatch.setattr(cli, "_solve", recorded)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
-        "name": "shifted", "node_x": list(nodes),
-        "node_y": list(np.linspace(0.0, PI, 5)), "k": 2,
+        "name": "shifted", "node_x": list(shifted.node_x),
+        "node_y": list(shifted.node_y), "k": 2,
     }))
-    assert main(["run", "--config", str(path)]) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "InvalidConfig"
-    assert "must start at 0" in err["message"]
-    assert main(["eigs", "--config", str(path)]) == 0
-    assert main(["equiv", "--config", str(path)]) == 0
+    for command in ("eigs", "equiv"):
+        assert main([command, "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert len(meshes) == 2
+    for seen in meshes:
+        assert np.array_equal(seen.node_x, moved.node_x)
+        assert np.array_equal(seen.node_y, moved.node_y)
 
 
 def test_failing_analysis_keeps_the_level(monkeypatch, capsys):

@@ -5,13 +5,16 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rrteig.exact import FieldSample, enumerate_exact
 from rrteig.assembly import layout
+from rrteig.errors import InvalidConfig
 
 from oracles import (
     assembled,
     cell_integral_u,
+    enumerate_exact_search,
     exact_derivative,
     l2_project_exact,
     mean_flux_x,
@@ -58,6 +61,43 @@ def test_enumeration_rectangle_domain():
         PI**2 * (m * m + n * n / 4.0) for m in (1, 2) for n in (1, 2, 3)
     )[:4]
     np.testing.assert_allclose([e.value for e in ex], want, rtol=1e-12)
+
+
+def _assert_same_spectrum(domain, count):
+    """enumerate_exact against the brute-force search: bitwise values and
+    identical mode tuples, cluster by cluster."""
+    got, want = (f(domain, count=count)
+                 for f in (enumerate_exact, enumerate_exact_search))
+    assert len(got) == len(want) == count
+    for g, w in zip(got, want):
+        assert (g.value, g.modes, g.domain) == (w.value, w.modes, w.domain)
+
+
+@pytest.mark.parametrize("domain, counts", [
+    ((PI, PI), [*range(1, 201), 2000]),
+    ((100 * PI, PI), [50]),
+], ids=["square", "elongated"])
+def test_enumeration_against_search(domain, counts):
+    """[0, pi]^2 for counts 1-200 and 2000, and a 100:1 domain, where
+    the search scans far more modes than the selection."""
+    for count in counts:
+        _assert_same_spectrum(domain, count)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(side=st.floats(0.1, 10.0), ratio=st.floats(1.0, 10.0),
+       wide=st.booleans(), count=st.integers(1, 300))
+def test_enumeration_against_search_on_rectangles(side, ratio, wide, count):
+    """Rectangles with side ratios up to 10, either way round."""
+    domain = (side * ratio, side) if wide else (side, side * ratio)
+    _assert_same_spectrum(domain, count)
+
+
+def test_enumeration_refuses_a_count_below_one():
+    """count < 1 is refused, not sliced off the end of the spectrum."""
+    for count in (0, -1):
+        with pytest.raises(InvalidConfig, match="count must be >= 1"):
+            enumerate_exact((PI, PI), count=count)
 
 
 def test_eigenfunction_pde_identity():

@@ -33,7 +33,8 @@ def test_node_validation():
         build_mesh([0.0, 2.0, 1.0], [0.0, 1.0])
     with pytest.raises(TooFewNodes):
         build_mesh([0.0], [0.0, 1.0])
-    for bad in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]):
+    for bad in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0],
+                [0, 10**400]):
         with pytest.raises(NonFiniteNodes):
             build_mesh(bad, [0.0, 1.0])
         with pytest.raises(NonFiniteNodes):

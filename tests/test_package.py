@@ -22,7 +22,8 @@ def test_namespace_exports_library_names_only():
     interpolants of an exact field, which only tests use, are not part of
     the package; nor are a pair's 2-D vectors, which no analysis reads,
     nor the per-field reconstructions and per-order norms that
-    postprocessing_norms replaced."""
+    postprocessing_norms replaced, nor the supercloseness result type,
+    whose three norms are a dict, the level's report entry."""
     for name in ("uniform_mesh", "assemble_mixed", "solve_mixed_eigs",
                  "SolveOptions", "enumerate_exact", "expansion_term",
                  "FieldSample", "verify_equivalence"):
@@ -40,7 +41,7 @@ def test_namespace_exports_library_names_only():
     for name in ("u_coeffs", "sigma_coeffs"):
         assert not hasattr(rrteig.MixedEigenpair, name), name
     for name in ("PostprocessedField", "i2h_sigma", "j2h_u",
-                 "error_norms_postprocessed"):
+                 "error_norms_postprocessed", "SuperclosenessReport"):
         assert not hasattr(rrteig, name), name
         assert not hasattr(rrteig.postprocess, name), name
 

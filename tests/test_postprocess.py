@@ -239,8 +239,9 @@ def test_supercloseness_norms_plumbing(system_a0, pairs_a0):
     rep = supercloseness_norms(mesh, pairs_a0[0], fld)
     d = sigma_i - sigma_coeffs(pairs_a0[0])
     want = float(np.sqrt(d @ (system_a0.A.toarray() @ d)))
-    assert rep.norm_sigma == pytest.approx(want, rel=1e-12)
-    assert rep.norm_u > 0 and rep.norm_div > 0
+    assert set(rep) == {"norm_sigma", "norm_div", "norm_u"}
+    assert rep["norm_sigma"] == pytest.approx(want, rel=1e-12)
+    assert rep["norm_u"] > 0 and rep["norm_div"] > 0
     short = dataclasses.replace(pairs_a0[0], flux_x=pairs_a0[0].flux_x[:-1])
     with pytest.raises(LayoutMismatch):
         supercloseness_norms(mesh, short, fld)
