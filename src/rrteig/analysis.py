@@ -5,15 +5,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exact import FieldSample
+from .exact import FieldSample, strip_integrals_k2_du_sq
 from .mesh import TensorMesh
 
 _BOUND_REL_TOL = 1e-12  # relative roundoff slack of the upper-bound flag
 
 
-def expansion_term(mesh: TensorMesh, exact_rep: FieldSample) -> float:
-    """Dominant h^2 term of the eigenvalue error of the mode u = amp
-    sin(kx x) sin(ky y) on any tensor mesh:
+def expansion_term(mesh: TensorMesh, fields) -> np.ndarray:
+    """Dominant h^2 term of the eigenvalue error of each mode u = amp
+    sin(kx x) sin(ky y) of ``fields`` on any tensor mesh, one array entry
+    per field:
 
     (1/12) sum_K ( kx^2 h_x^2 int_K u_x^2 + ky^2 h_y^2 int_K u_y^2 ),
 
@@ -21,15 +22,16 @@ def expansion_term(mesh: TensorMesh, exact_rep: FieldSample) -> float:
     (mu / 12) sum_K h_K^2 int_K phi'^2 of the two factors.  It is derived
     and verified numerically (rate 4 of the remainder on random meshes),
     not proved; on a uniform mesh it equals the u_xx^2, u_yy^2 form.  The
-    strip terms are added in sequence, x-strips first, which fixes the
-    rounding of the 17-digit e2 column.
+    strip terms of each field are added in sequence, x-strips first (a
+    running sum, not numpy's pairwise one), which fixes the rounding of
+    the 17-digit e2 column.
     """
-    ix, iy = exact_rep.strip_integrals_k2_du_sq(mesh.node_x, mesh.node_y)
+    ix, iy = strip_integrals_k2_du_sq(fields, mesh.node_x, mesh.node_y)
     # float_power squares through libm pow like a scalar h ** 2; np.square
     # (an array's h ** 2) rounds 1 ulp apart on rare widths
     terms = np.concatenate([np.float_power(mesh.hx, 2) * ix,
-                            np.float_power(mesh.hy, 2) * iy])
-    return sum(terms, 0.0) / 12.0
+                            np.float_power(mesh.hy, 2) * iy], axis=1)
+    return np.cumsum(terms, axis=1)[:, -1] / 12.0
 
 
 def convergence_rate(coarse_err: float, fine_err: float) -> float:
@@ -70,12 +72,12 @@ def match_frequencies(pairs, mesh: TensorMesh, domain) -> list[dict]:
     minus the label's exact eigenvalue.
     """
     square = abs(domain[0] - domain[1]) <= 1e-12 * max(domain)
+    fields = [FieldSample(*p.mode, domain) for p in pairs]
     out = []
-    for p in pairs:
-        fld = FieldSample(*p.mode, domain)
+    for p, fld, shift in zip(pairs, fields,
+                             expansion_term(mesh, fields).tolist()):
         m, n = sorted(p.mode) if square else p.mode
         out.append({"lambda_h": p.lambda_h, "m": m, "n": n,
-                    "predicted_shift": expansion_term(mesh, fld),
+                    "predicted_shift": shift,
                     "observed_shift": p.lambda_h - fld.value})
     return out
-

@@ -222,12 +222,11 @@ class _Level:
 
 
 def _residuals(lv: _Level) -> dict:
+    rows = _residual_indices(lv.config, lv.mesh, lv.exact)
+    fields = [_aligned_field(lv.pairs[t], lv.exact[t]) for t in rows]
     resid = {}
-    for t in _residual_indices(lv.config, lv.mesh, lv.exact):
-        pair = lv.pairs[t]
-        fld = _aligned_field(pair, lv.exact[t])
-        e1 = pair.lambda_h - lv.exact[t].value
-        e2 = expansion_term(lv.mesh, fld)
+    for t, e2 in zip(rows, expansion_term(lv.mesh, fields).tolist()):
+        e1 = lv.pairs[t].lambda_h - lv.exact[t].value
         resid[str(t + 1)] = {"e1": e1, "e2": e2, "r": e1 - e2}
     return {"residuals": resid}
 
@@ -516,6 +515,21 @@ def _stored(obj):
     return obj
 
 
+def _files(rep: dict, fmt: str) -> dict:
+    """File name -> text of a stored report's files: the eigenvalue and
+    residual tables first, then the figure table and the raw report,
+    which is strict JSON."""
+    name = rep["config"]["name"]
+    ext = _EXT[fmt]
+    return {
+        f"{name}_eigenvalues.{ext}": eigen_table(rep, fmt),
+        f"{name}_residuals.{ext}": residual_table(rep, fmt),
+        f"{name}_figure.{ext}": figure_data(rep, fmt),
+        f"{name}_report.json": json.dumps(
+            rep, sort_keys=True, indent=2, allow_nan=False) + "\n",
+    }
+
+
 def emit_tables(report, fmt: str, out_dir: str) -> list[str]:
     """Write the eigenvalue / residual / figure tables and the raw report,
     which is strict JSON: NaN is written as null.  ``report`` is a
@@ -523,15 +537,11 @@ def emit_tables(report, fmt: str, out_dir: str) -> list[str]:
     if fmt not in _FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     rep = _stored(vars(report) if isinstance(report, RunReport) else report)
-    name = rep["config"]["name"]
-    ext = _EXT[fmt]
-    files = {
-        f"{name}_eigenvalues.{ext}": eigen_table(rep, fmt),
-        f"{name}_residuals.{ext}": residual_table(rep, fmt),
-        f"{name}_figure.{ext}": figure_data(rep, fmt),
-        f"{name}_report.json": json.dumps(
-            rep, sort_keys=True, indent=2, allow_nan=False) + "\n",
-    }
+    return _write(_files(rep, fmt), out_dir)
+
+
+def _write(files: dict, out_dir: str) -> list[str]:
+    """Write each file of ``files`` (name -> text) into ``out_dir``."""
     written = []
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -584,10 +594,17 @@ def _refined(config, level):
 
 
 def _show(rep: dict, args) -> None:
-    """Print the report's tables and, with --out, write its files; all
-    are rendered before anything is printed or written."""
-    tables = eigen_table(rep, args.format) + residual_table(rep, args.format)
-    paths = emit_tables(rep, args.format, args.out) if args.out else []
+    """Print the report's eigenvalue and residual tables and, with --out,
+    write its files; each is rendered once, and all before anything is
+    printed or written."""
+    if args.out:
+        files = _files(_stored(rep), args.format)
+        tables = "".join(list(files.values())[:2])
+        paths = _write(files, args.out)
+    else:
+        tables = (eigen_table(rep, args.format)
+                  + residual_table(rep, args.format))
+        paths = []
     sys.stdout.write(tables)
     for path in paths:
         print(f"wrote {path}")

@@ -8,7 +8,8 @@ On a tensor-product mesh the reduced pencil is a Kronecker sum,
 where S and D are the reduced operator and the cell-width diagonal of the
 1-D RT0 pencil in each direction (fast diagonalisation; Lynch, Rice &
 Thomas, Numer. Math. 6, 1964).  solve_mixed_eigs solves the two 1-D
-pencils and combines their modes, lambda = mu_i + nu_j and u = w_j (x) v_i.
+pencils, once when the two directions' widths are bitwise equal, and
+combines their modes, lambda = mu_i + nu_j and u = w_j (x) v_i.
 Each 1-D pencil is built from the cell widths of its direction; two
 cumulative sums apply its inverse.  Up to _DENSE_MAX_CELLS = 128 cells
 they form the inverse and a dense eigh of it gives the modes; above, a
@@ -262,9 +263,11 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions) -> list[MixedEigen
     if opts.k > mesh.n_cells:
         raise KTooLarge(f"k={opts.k} exceeds spectrum size {mesh.n_cells}")
 
-    # the k smallest sums use at most the k smallest modes of each direction
-    mu, v, flux_x, sums_x = _modes_1d(mesh.hx, min(opts.k, mesh.n1))
-    nu, w, flux_y, sums_y = _modes_1d(mesh.hy, min(opts.k, mesh.n2))
+    # the k smallest sums use at most the k smallest modes of each
+    # direction; equal widths give equal modes, which are solved once
+    mu, v, flux_x, sums_x = x_modes = _modes_1d(mesh.hx, min(opts.k, mesh.n1))
+    nu, w, flux_y, sums_y = (x_modes if np.array_equal(mesh.hx, mesh.hy)
+                             else _modes_1d(mesh.hy, min(opts.k, mesh.n2)))
     lams, jj, ii = _smallest_sums(nu, mu, opts.k)
     residuals = _residuals(lams, sums_x[:, ii], sums_y[:, jj])
     n_eff = _effective_cells(mesh)

@@ -22,6 +22,11 @@ from .errors import InvalidConfig
 from .mesh import TensorMesh
 
 _EQ_TOL = 1e-9
+# the largest side ratio r = a / b >= 1 (or b / a) of a domain: the two
+# smallest values of its lowest row, kx^2 + ky^2 and 4 kx^2 + ky^2, differ
+# by 3 / (1 + r^2) relative, which must stay above 2 _EQ_TOL (so r is below
+# about 3.9e4), or the grouping merges distinct eigenvalues
+_MAX_SIDE_RATIO = math.sqrt(1.5 / _EQ_TOL)
 
 
 @dataclass(frozen=True)
@@ -45,12 +50,20 @@ def enumerate_exact(domain=(np.pi, np.pi), count=6) -> list[ExactEigenpair]:
     ties by (m, n), selected as in the discrete solve.  The L x L lowest
     modes, L = ceil(sqrt(count)), hold count values at most top = ((pi/a)^2
     + (pi/b)^2) L^2, so the first count eigenspaces need m^2 (pi/a)^2 <= top
-    (up to _EQ_TOL) and m <= count (for a / b below about 5e4), and alike
-    n.  Values within _EQ_TOL of a group's first form one eigenspace.
+    (up to _EQ_TOL) and m <= count, and alike n.  Values within _EQ_TOL
+    of a group's first form one eigenspace; a domain whose side ratio
+    exceeds _MAX_SIDE_RATIO, where that would merge distinct values of one
+    row, raises InvalidConfig.
     """
     if count < 1:
         raise InvalidConfig(f"count must be >= 1, got {count}")
     a, b = domain
+    ratio = max(a / b, b / a)
+    if ratio > _MAX_SIDE_RATIO:
+        raise InvalidConfig(
+            f"domain {a:.17g} x {b:.17g}: side ratio {ratio:.3g} exceeds "
+            f"{_MAX_SIDE_RATIO:.3g}, beyond which distinct eigenvalues lie "
+            f"within the grouping tolerance {_EQ_TOL:g}")
     kx2, ky2 = (np.pi / a) ** 2, (np.pi / b) ** 2
     top = (kx2 + ky2) * (math.isqrt(count - 1) + 1) ** 2
     m, n = (np.arange(1, int(min(count - 1, np.sqrt(top / k2))) + 2)
@@ -146,19 +159,26 @@ class FieldSample:
         return (self.amp * _factor(self.kx, np.asarray(x), dx),
                 _factor(self.ky, np.asarray(y), dy))
 
-    def strip_integrals_k2_du_sq(self, node_x, node_y):
-        """Closed-form integrals of kx^2 u_x^2 over each x-strip
-        [node_x[i], node_x[i+1]] x [node_y[0], node_y[-1]] and of
-        ky^2 u_y^2 over each y-strip [node_x[0], node_x[-1]] x [node_y[j],
-        node_y[j+1]], arrays of len(node_x) - 1 and len(node_y) - 1: a
-        cos^2 integral along the strip's own axis and a sin^2 one across."""
-        kx, ky = self.kx, self.ky
-        nx, ny = np.asarray(node_x), np.asarray(node_y)
-        out_x = (kx**2 * kx**2 * _int_sq(kx, nx[:-1], nx[1:], cos=True)
-                 * _int_sq(ky, ny[0], ny[-1]))
-        out_y = (ky**2 * ky**2 * _int_sq(kx, nx[0], nx[-1])
-                 * _int_sq(ky, ny[:-1], ny[1:], cos=True))
-        return self.amp**2 * out_x, self.amp**2 * out_y
+
+def strip_integrals_k2_du_sq(fields, node_x, node_y):
+    """Closed-form integrals of kx^2 u_x^2 over each x-strip [node_x[i],
+    node_x[i+1]] x [node_y[0], node_y[-1]] and of ky^2 u_y^2 over each
+    y-strip [node_x[0], node_x[-1]] x [node_y[j], node_y[j+1]], one row per
+    field u of ``fields``: arrays of shape (len(fields), len(node_x) - 1)
+    and (len(fields), len(node_y) - 1), a cos^2 integral along the strip's
+    own axis and a sin^2 one across.  Squares go through libm pow
+    (np.float_power), as a scalar's ** 2 does, so each row has the bits of
+    the same algebra on that field's scalars."""
+    kx = np.array([f.kx for f in fields])[:, None]
+    ky = np.array([f.ky for f in fields])[:, None]
+    amp2 = np.float_power([f.amp for f in fields], 2)[:, None]
+    kx2, ky2 = np.float_power(kx, 2), np.float_power(ky, 2)
+    nx, ny = np.asarray(node_x), np.asarray(node_y)
+    out_x = (kx2 * kx2 * _int_sq(kx, nx[:-1], nx[1:], cos=True)
+             * _int_sq(ky, ny[0], ny[-1]))
+    out_y = (ky2 * ky2 * _int_sq(kx, nx[0], nx[-1])
+             * _int_sq(ky, ny[:-1], ny[1:], cos=True))
+    return amp2 * out_x, amp2 * out_y
 
 
 # ---------------------------------------------------------------------------

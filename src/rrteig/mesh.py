@@ -8,6 +8,7 @@ this ordering.  Meshes are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,15 +43,15 @@ class TensorMesh:
     def n_cells(self) -> int:
         return self.n1 * self.n2
 
-    @property
+    @cached_property
     def hx(self) -> np.ndarray:
-        """Cell widths h_{x_i}, length n1."""
-        return np.diff(self.node_x)
+        """Cell widths h_{x_i}, length n1, taken once and read-only."""
+        return _widths(self.node_x)
 
-    @property
+    @cached_property
     def hy(self) -> np.ndarray:
-        """Cell heights h_{y_j}, length n2."""
-        return np.diff(self.node_y)
+        """Cell heights h_{y_j}, length n2, taken once and read-only."""
+        return _widths(self.node_y)
 
     def is_uniform(self) -> bool:
         """True when all cells share one square size h x h (up to roundoff)."""
@@ -60,6 +61,12 @@ class TensorMesh:
         return bool(
             np.all(np.abs(hx - h) <= tol) and np.all(np.abs(hy - h) <= tol)
         )
+
+
+def _widths(nodes) -> np.ndarray:
+    h = np.diff(nodes)
+    h.flags.writeable = False
+    return h
 
 
 def _check_nodes(nodes) -> np.ndarray:

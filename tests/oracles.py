@@ -12,7 +12,9 @@ per-cell Lagrange evaluation for the batched postprocessing norms, and
 scalar analytic integrals per cell or edge for the batched cell and edge
 means, the 2-D interpolants and the assembled A, B and M for the 1-D
 supercloseness norms (``supercloseness_norms_2d``), and every width pair
-for the 1-D regularity constant; ``exact_derivative`` evaluates an exact
+for the 1-D regularity constant, and the scalar algebra of one field at
+a time (``expansion_term_per_mode``) for the h^2 expansion term of a list
+of fields; ``exact_derivative`` evaluates an exact
 field pointwise from its 1-D factors, and ``enumerate_exact_search``
 finds the exact spectrum by a brute-force search over the modes (m, n).
 The 2-D enriched element is held twice: in closed form (``assemble_peq``,
@@ -956,6 +958,33 @@ def _mode(fld):
 def _int_sin(k, x0, x1):
     """The integral of sin(k x) over [x0, x1]."""
     return (np.cos(k * x0) - np.cos(k * x1)) / k
+
+
+def _int_sq(k, x0, x1, cos=False):
+    """The integral of sin(k x)^2, or of cos(k x)^2 when ``cos``, over
+    [x0, x1]."""
+    sign = 1.0 if cos else -1.0
+    def F(x):
+        return x / 2.0 + sign * np.sin(2.0 * k * x) / (4.0 * k)
+    return F(x1) - F(x0)
+
+
+def expansion_term_per_mode(mesh: TensorMesh, fld) -> float:
+    """The h^2 expansion term of one field by scalar algebra: the
+    closed-form strip integrals of kx^2 u_x^2 and ky^2 u_y^2 with the
+    scalars fld.kx, fld.ky and fld.amp (squared by **, libm pow), each
+    times the squared strip width, added one by one by Python's sum,
+    x-strips first.  expansion_term over a list of fields gives each
+    field these bits."""
+    kx, ky = fld.kx, fld.ky
+    nx, ny = mesh.node_x, mesh.node_y
+    ix = fld.amp**2 * (kx**2 * kx**2 * _int_sq(kx, nx[:-1], nx[1:], cos=True)
+                       * _int_sq(ky, ny[0], ny[-1]))
+    iy = fld.amp**2 * (ky**2 * ky**2 * _int_sq(kx, nx[0], nx[-1])
+                       * _int_sq(ky, ny[:-1], ny[1:], cos=True))
+    terms = np.concatenate([np.float_power(np.diff(nx), 2) * ix,
+                            np.float_power(np.diff(ny), 2) * iy])
+    return sum(terms, 0.0) / 12.0
 
 
 def cell_integral_u(fld, x0, x1, y0, y1):

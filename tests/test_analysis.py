@@ -31,7 +31,7 @@ def test_expansion_term_uniform_closed_form():
     for n in (4, 8, 16):
         mesh = uniform_mesh(0, PI, n, 0, PI, n)
         h = PI / n
-        assert expansion_term(mesh, fld) == pytest.approx(
+        assert expansion_term(mesh, [fld])[0] == pytest.approx(
             h * h / 6.0, rel=1e-12
         )
 
@@ -43,7 +43,8 @@ def test_expansion_term_mode_weights():
     for m, n in ((1, 2), (2, 2), (1, 3)):
         fld = FieldSample(m, n)
         want = (m**4 + n**4) * h * h / 12.0
-        assert expansion_term(mesh, fld) == pytest.approx(want, rel=1e-12)
+        assert expansion_term(mesh, [fld])[0] == pytest.approx(want,
+                                                               rel=1e-12)
 
 
 def test_rate_table():
@@ -153,7 +154,7 @@ def test_eigenvalue_error_dominated_by_h2_term():
         system = assemble_mixed(mesh)
         lam_h = solve_mixed_eigs(system, SolveOptions(k=1))[0].lambda_h
         e1 = lam_h - 2.0
-        e2 = expansion_term(mesh, fld)
+        e2 = expansion_term(mesh, [fld])[0]
         assert abs(e1 - e2) < 0.02 * e1
         mesh = uniform_refine(mesh)
 

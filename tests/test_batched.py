@@ -4,7 +4,8 @@ meshes: postprocessed error norms of random and of solved pairs
 cell), cell means
 (oracles.cell_integral_u), edge-flux means (oracles.mean_flux_x /
 mean_flux_y), the h^2 expansion term (Gauss quadrature of kx^2 u_x^2
-and ky^2 u_y^2 per cell); and 1-D kernels against their 2-D oracles: the
+and ky^2 u_y^2 per cell, and bit for bit the per-mode scalar algebra of
+oracles.expansion_term_per_mode for a list of fields); and 1-D kernels against their 2-D oracles: the
 supercloseness norms (oracles.supercloseness_norms_2d, with the assembled
 A, B and M) and the regularity constant (every width pair)."""
 
@@ -30,6 +31,7 @@ from oracles import (
     cell_integral_u,
     eval_cell,
     exact_derivative,
+    expansion_term_per_mode,
     factor_pair,
     l2_project_exact,
     mean_flux_x,
@@ -242,9 +244,55 @@ def test_expansion_term_against_per_cell_quadrature(mesh, data):
         scale = data.draw(st.floats(1.25, 2.0), label="scale")
         domain = (mesh.node_x[-1] * scale, mesh.node_y[-1] * scale)
     exact = data.draw(_fields(mesh, domain), label="field")
-    got = expansion_term(mesh, exact)
+    got = expansion_term(mesh, [exact])[0]
     want = _oracle_expansion_term(mesh, exact)
     assert abs(got - want) <= 1e-12 * want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mesh=_meshes(even=False), data=st.data())
+def test_expansion_term_bitwise_against_per_mode_oracle(mesh, data):
+    """expansion_term over a list of 12 to 30 labels (repeats allowed) on
+    a random rectangle gives each field the bits of the per-mode scalar
+    algebra; half of the lists live on the mesh's domain scaled up by
+    1.25 to 2.  An empty list gives an empty array."""
+    domain = (mesh.node_x[-1], mesh.node_y[-1])
+    if data.draw(st.booleans(), label="larger domain"):
+        scale = data.draw(st.floats(1.25, 2.0), label="scale")
+        domain = (domain[0] * scale, domain[1] * scale)
+    modes = data.draw(st.lists(st.tuples(st.integers(1, 12),
+                                         st.integers(1, 12)),
+                               min_size=12, max_size=30), label="modes")
+    fields = [FieldSample(m, n, domain) for m, n in modes]
+    got = expansion_term(mesh, fields)
+    want = np.array([expansion_term_per_mode(mesh, f) for f in fields])
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert expansion_term(mesh, []).shape == (0,)
+
+
+def test_expansion_term_bitwise_where_squares_round_apart():
+    """The bits of the per-mode oracle on 120 random rectangles of n1, n2
+    <= 16 cells with 12 to 30 labels m, n <= 40 each, chosen, where the
+    platform has them, so that an array's square (np.square) and a
+    scalar's ** 2 (libm pow) round amp = 2 / sqrt(ab) apart on half of
+    them and some kx = m pi / a apart on the other half: expansion_term
+    keeps the scalar squares."""
+    rng = np.random.default_rng(11)
+    sides = rng.uniform(0.5, 4.0, (200000, 2))
+    amp = 2.0 / np.sqrt(sides[:, 0] * sides[:, 1])
+    kx = np.arange(1, 41) * np.pi / sides[:, :1]
+    amp_apart = np.flatnonzero(np.square(amp) != np.float_power(amp, 2))
+    kx_apart = np.flatnonzero(np.any(
+        np.square(kx) != np.float_power(kx, 2), axis=1))
+    pick = np.concatenate([amp_apart[:60], kx_apart[:60], np.arange(120)])
+    for a, b in sides[pick[:120]]:
+        mesh = build_mesh(*(_nodes(rng.uniform(1.0, 4.0, rng.integers(1, 17)),
+                                   length) for length in (a, b)))
+        labels = rng.integers(1, 41, (rng.integers(12, 31), 2)).tolist()
+        fields = [FieldSample(m, n, (a, b)) for m, n in labels]
+        want = np.array([expansion_term_per_mode(mesh, f) for f in fields])
+        assert expansion_term(mesh, fields).tobytes() == want.tobytes()
 
 
 def _supercloseness_gaps(mesh, pair, fld):

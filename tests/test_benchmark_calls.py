@@ -19,12 +19,14 @@ def _load(name):
 
 def test_benchmark_workloads_run_and_check(tmp_path):
     """SolveLarge on a 24^2 mesh (assemble_mixed, then solve_mixed_eigs
-    with SolveOptions(k)) and a case-c sweep to level 1 (run_case, then
-    emit_tables) each pass their own check; the tracer counts the 576
-    cells of the SolveLarge solve."""
+    with SolveOptions(k)), a case-c sweep and a case-a sweep to level 1
+    (run_case, then emit_tables; case a runs every analysis, frequencies,
+    supercloseness and postprocessing included) each pass their own
+    check; the tracer counts the 576 cells of the SolveLarge solve."""
     workloads = _load("workloads")
     for work in (workloads.SolveLarge(seed=1, n=24),
-                 workloads.Sweep(("c",), str(tmp_path), levels=1)):
+                 workloads.Sweep(("c",), str(tmp_path), levels=1),
+                 workloads.Sweep(("a",), str(tmp_path), levels=1)):
         assert work.check(work.op()) == []
     system = workloads.assembly.assemble_mixed(
         workloads.SolveLarge(seed=1, n=24).mesh)

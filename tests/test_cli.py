@@ -486,7 +486,7 @@ def test_failing_analysis_keeps_the_level(monkeypatch, capsys):
     from rrteig import cli
     from rrteig.errors import AmbiguousCluster
 
-    def broken(mesh, fld):
+    def broken(mesh, fields):
         raise AmbiguousCluster("injected")
 
     monkeypatch.setattr(cli, "expansion_term", broken)
@@ -694,3 +694,63 @@ def test_size_limit_refused_before_solving(monkeypatch, capsys):
         err = json.loads(captured.err)
         assert err["error"] == "InvalidConfig"
     assert solved == []
+
+
+def test_one_expansion_call_per_analysis_per_level(monkeypatch):
+    """On preset a the residuals and the frequency matches each take the
+    expansion terms of all their labels in one call per level."""
+    from rrteig.analysis import expansion_term
+
+    calls = _count_calls(monkeypatch, expansion_term)
+    report = run_case(dataclasses.replace(case_preset("a"), levels=2))
+    assert "failures" not in report.config
+    for lv in report.levels:
+        assert len(lv["residuals"]) == 6 and lv["frequency_matches"]
+    assert len(calls) == 2 * 3
+
+
+def test_run_out_renders_each_table_once(monkeypatch, tmp_path, capsys):
+    """`rrteig run --out` renders the eigenvalue and residual tables once
+    and prints the text it wrote; `table --out` alike."""
+    from rrteig import cli
+
+    eigen = _count_calls(monkeypatch, cli.eigen_table)
+    resid = _count_calls(monkeypatch, cli.residual_table)
+    out = tmp_path / "res"
+    assert main(["run", "--case", "c", "--levels", "1", "--out", str(out)]) \
+        == 0
+    printed = capsys.readouterr().out
+    assert (len(eigen), len(resid)) == (1, 1)
+    written = ((out / "c_eigenvalues.txt").read_text()
+               + (out / "c_residuals.txt").read_text())
+    assert printed.startswith(written)
+    assert printed[len(written):].startswith(f"wrote {out}")
+    assert main(["table", str(out / "c_report.json"), "--out",
+                 str(tmp_path / "again")]) == 0
+    assert (len(eigen), len(resid)) == (2, 2)
+    assert capsys.readouterr().out.startswith(written)
+
+
+def test_run_refuses_an_elongated_domain(monkeypatch, capsys, tmp_path):
+    """A side ratio a / b or b / a of 1e5, where the exact spectrum's
+    grouping tolerance would merge distinct eigenvalues, fails with
+    InvalidConfig before level 0 is solved; 1e3 is accepted."""
+    solved = _count_calls(monkeypatch, solve_mixed_eigs)
+    long_side, short_side = (0.0, 5e4, 1e5), (0.0, 0.5, 1.0)
+    for nx, ny in ((long_side, short_side), (short_side, long_side)):
+        config = _small_config(node_x=nx, node_y=ny)
+        with pytest.raises(InvalidConfig, match="side ratio 1e\\+05"):
+            run_case(config)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"name": "long", "node_x": list(long_side),
+                                "node_y": list(short_side)}))
+    assert main(["run", "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidConfig"
+    assert solved == []
+
+    report = run_case(_small_config(node_x=(0.0, 500.0, 1e3),
+                                    node_y=short_side))
+    assert "failures" not in report.config
+    assert len(solved) == 2
+    assert report.exact_values[1] > report.exact_values[0]

@@ -278,6 +278,45 @@ def test_cluster_cut_by_k():
         np.testing.assert_array_equal(u_coeffs(p), u_coeffs(r))
 
 
+def _bits(pairs):
+    return [(p.lambda_h, p.v.tobytes(), p.w.tobytes(), p.flux_x.tobytes(),
+             p.flux_y.tobytes(), p.residual_norm, p.mode) for p in pairs]
+
+
+def test_equal_widths_take_the_1d_modes_once(monkeypatch, mesh_a0):
+    """When the y widths equal the x widths bitwise, the solve takes the
+    1-D modes once (one _modes_1d call), and its pairs are the bits of
+    the two-call solve; on the dense and the Lanczos path.  y widths one
+    ulp off, or n1 != n2, take two calls."""
+    calls = []
+    modes_1d = eigensolve._modes_1d
+
+    def counted(h, k):
+        calls.append(len(h))
+        return modes_1d(h, k)
+
+    monkeypatch.setattr(eigensolve, "_modes_1d", counted)
+    rng = np.random.default_rng(5)
+    nodes = _nodes(rng.uniform(1.0, 4.0, 9))
+    off = nodes.copy()
+    off[4] = np.nextafter(off[4], np.inf)  # two y widths one ulp off
+    big = _nodes(rng.uniform(1.0, 4.0, _DENSE_MAX_CELLS + 22))
+    cases = [(mesh_a0.node_x, mesh_a0.node_y, 6, 1), (nodes, nodes, 12, 1),
+             (big, big, 13, 1), (nodes, off, 12, 2),
+             (nodes, _nodes(rng.uniform(1.0, 4.0, 8)), 12, 2)]
+    for nx, ny, k, want in cases:
+        system = assemble_mixed(build_mesh(nx, ny))
+        del calls[:]
+        pairs = solve_mixed_eigs(system, SolveOptions(k=k))
+        assert len(calls) == want
+        if want == 1:
+            with monkeypatch.context() as m:
+                m.setattr(np, "array_equal", lambda a, b: False)
+                two = solve_mixed_eigs(system, SolveOptions(k=k))
+            assert len(calls) == 3
+            assert _bits(pairs) == _bits(two)
+
+
 def test_extra_pairs_leave_the_first_k_bitwise(mesh_a0, mesh_c0):
     """A solve of k + 3 pairs in place of k, as the 2-D equivalence
     certificate oracle asks, leaves the first k the same bits (lambda,

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rrteig.exact import FieldSample, enumerate_exact
+from rrteig.exact import (FieldSample, enumerate_exact,
+                          strip_integrals_k2_du_sq)
 from rrteig.assembly import layout
 from rrteig.errors import InvalidConfig
 
@@ -138,7 +139,7 @@ def test_analytic_integrals_vs_quadrature():
         assert cell_integral_u(fld, *cell) == pytest.approx(
             _quad2d(partial(exact_derivative, fld), *cell), rel=1e-12
         )
-        ix, iy = fld.strip_integrals_k2_du_sq(nx, ny)
+        ix, iy = (a[0] for a in strip_integrals_k2_du_sq([fld], nx, ny))
         kux_sq = lambda x, y: (fld.kx * exact_derivative(fld, x, y, 1, 0)) ** 2
         kuy_sq = lambda x, y: (fld.ky * exact_derivative(fld, x, y, 0, 1)) ** 2
         for i in range(2):

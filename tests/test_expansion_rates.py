@@ -60,10 +60,9 @@ def _residuals(mesh, domain, k):
     """{mode: r} of the first k + _EXTRA pairs on ``mesh``, and the
     labels of the first k."""
     pairs = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=k + _EXTRA))
-    r = {}
-    for p in pairs:
-        fld = FieldSample(*p.mode, domain)
-        r[p.mode] = (p.lambda_h - fld.value) - expansion_term(mesh, fld)
+    fields = [FieldSample(*p.mode, domain) for p in pairs]
+    r = {p.mode: (p.lambda_h - fld.value) - e2 for p, fld, e2
+         in zip(pairs, fields, expansion_term(mesh, fields))}
     return r, [p.mode for p in pairs[:k]]
 
 

@@ -87,3 +87,22 @@ def test_cell_areas_row_major():
     m = build_mesh([0.0, 0.3, 1.0], [0.0, 0.5, 0.7, 1.0])
     want = [m.hx[i] * m.hy[j] for j in range(m.n2) for i in range(m.n1)]
     np.testing.assert_array_equal(cell_areas(m), want)
+
+
+def test_widths_taken_once_and_read_only():
+    """hx and hy are taken once per mesh, as read-only arrays equal to the
+    node differences; a refined mesh takes fresh ones."""
+    m = build_mesh([0.0, 1.0, 3.0], [0.0, 2.0, 2.5, 4.0])
+    assert m.hx is m.hx and m.hy is m.hy
+    np.testing.assert_array_equal(m.hx, np.diff(m.node_x))
+    np.testing.assert_array_equal(m.hy, np.diff(m.node_y))
+    for h in (m.hx, m.hy):
+        assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[0] = 1.0
+    fine = uniform_refine(m)
+    assert fine.hx is not m.hx and fine.hy is not m.hy
+    np.testing.assert_array_equal(fine.hx, [0.5, 0.5, 1.0, 1.0])
+    np.testing.assert_array_equal(fine.hy, np.diff(fine.node_y))
+    assert not fine.hx.flags.writeable and not fine.hy.flags.writeable
+    np.testing.assert_array_equal(m.hx, [1.0, 2.0])
