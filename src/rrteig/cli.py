@@ -515,19 +515,22 @@ def _stored(obj):
     return obj
 
 
-def _files(rep: dict, fmt: str) -> dict:
-    """File name -> text of a stored report's files: the eigenvalue and
-    residual tables first, then the figure table and the raw report,
-    which is strict JSON."""
+def _files(rep: dict, fmt: str) -> tuple[dict, dict]:
+    """File name -> text of a stored report's files, as two dicts: the
+    eigenvalue and residual tables, which are also printed, and the
+    figure table and the raw report, which is strict JSON."""
     name = rep["config"]["name"]
     ext = _EXT[fmt]
-    return {
+    tables = {
         f"{name}_eigenvalues.{ext}": eigen_table(rep, fmt),
         f"{name}_residuals.{ext}": residual_table(rep, fmt),
+    }
+    rest = {
         f"{name}_figure.{ext}": figure_data(rep, fmt),
         f"{name}_report.json": json.dumps(
             rep, sort_keys=True, indent=2, allow_nan=False) + "\n",
     }
+    return tables, rest
 
 
 def emit_tables(report, fmt: str, out_dir: str) -> list[str]:
@@ -537,7 +540,8 @@ def emit_tables(report, fmt: str, out_dir: str) -> list[str]:
     if fmt not in _FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     rep = _stored(vars(report) if isinstance(report, RunReport) else report)
-    return _write(_files(rep, fmt), out_dir)
+    tables, rest = _files(rep, fmt)
+    return _write({**tables, **rest}, out_dir)
 
 
 def _write(files: dict, out_dir: str) -> list[str]:
@@ -594,18 +598,12 @@ def _refined(config, level):
 
 
 def _show(rep: dict, args) -> None:
-    """Print the report's eigenvalue and residual tables and, with --out,
-    write its files; each is rendered once, and all before anything is
-    printed or written."""
-    if args.out:
-        files = _files(_stored(rep), args.format)
-        tables = "".join(list(files.values())[:2])
-        paths = _write(files, args.out)
-    else:
-        tables = (eigen_table(rep, args.format)
-                  + residual_table(rep, args.format))
-        paths = []
-    sys.stdout.write(tables)
+    """Print the stored report's eigenvalue and residual tables and, with
+    --out, write its files; each is rendered once, and all before anything
+    is printed or written."""
+    tables, rest = _files(_stored(rep), args.format)
+    paths = _write({**tables, **rest}, args.out) if args.out else []
+    sys.stdout.write("".join(tables.values()))
     for path in paths:
         print(f"wrote {path}")
 

@@ -2,7 +2,8 @@
 
 A mesh is defined by two strictly increasing node vectors.  Cells K_{i,j}
 are indexed i fast, j slow (row-major); every module in the library shares
-this ordering.  Meshes are immutable after construction.
+this ordering.  Meshes are immutable after construction: their node
+vectors are read-only copies, so the cached cell widths stay theirs.
 """
 
 from __future__ import annotations
@@ -63,15 +64,18 @@ class TensorMesh:
         )
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def _widths(nodes) -> np.ndarray:
-    h = np.diff(nodes)
-    h.flags.writeable = False
-    return h
+    return _read_only(np.diff(nodes))
 
 
 def _check_nodes(nodes) -> np.ndarray:
     try:
-        arr = np.asarray(nodes, dtype=float)
+        arr = np.array(nodes, dtype=float)  # a copy the caller cannot change
     except OverflowError as exc:  # an integer beyond the float range
         raise NonFiniteNodes(f"node vector must hold finite coordinates: "
                              f"{exc}") from exc
@@ -81,7 +85,7 @@ def _check_nodes(nodes) -> np.ndarray:
         raise NonFiniteNodes("node vector must hold finite coordinates")
     if np.any(np.diff(arr) <= 0):
         raise NonMonotonicNodes("node vector must be strictly increasing")
-    return arr
+    return _read_only(arr)
 
 
 def build_mesh(node_x, node_y) -> TensorMesh:
@@ -101,7 +105,7 @@ def _refine_nodes(nodes: np.ndarray) -> np.ndarray:
     out = np.empty(2 * len(nodes) - 1)
     out[0::2] = nodes
     out[1::2] = (nodes[:-1] + nodes[1:]) / 2.0
-    return out
+    return _read_only(out)
 
 
 def uniform_refine(mesh: TensorMesh) -> TensorMesh:

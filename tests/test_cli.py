@@ -711,7 +711,7 @@ def test_one_expansion_call_per_analysis_per_level(monkeypatch):
 
 def test_run_out_renders_each_table_once(monkeypatch, tmp_path, capsys):
     """`rrteig run --out` renders the eigenvalue and residual tables once
-    and prints the text it wrote; `table --out` alike."""
+    and prints the text it wrote; `table`, with and without --out, alike."""
     from rrteig import cli
 
     eigen = _count_calls(monkeypatch, cli.eigen_table)
@@ -729,6 +729,9 @@ def test_run_out_renders_each_table_once(monkeypatch, tmp_path, capsys):
                  str(tmp_path / "again")]) == 0
     assert (len(eigen), len(resid)) == (2, 2)
     assert capsys.readouterr().out.startswith(written)
+    assert main(["table", str(out / "c_report.json")]) == 0
+    assert (len(eigen), len(resid)) == (3, 3)
+    assert capsys.readouterr().out == written
 
 
 def test_run_refuses_an_elongated_domain(monkeypatch, capsys, tmp_path):

@@ -91,12 +91,16 @@ def test_cell_areas_row_major():
 
 def test_widths_taken_once_and_read_only():
     """hx and hy are taken once per mesh, as read-only arrays equal to the
-    node differences; a refined mesh takes fresh ones."""
-    m = build_mesh([0.0, 1.0, 3.0], [0.0, 2.0, 2.5, 4.0])
+    node differences, from read-only nodes the caller's array cannot
+    change; a refined mesh takes fresh ones."""
+    given = np.array([0.0, 1.0, 3.0])
+    m = build_mesh(given, [0.0, 2.0, 2.5, 4.0])
+    given[1] = 2.0
+    np.testing.assert_array_equal(m.node_x, [0.0, 1.0, 3.0])
     assert m.hx is m.hx and m.hy is m.hy
     np.testing.assert_array_equal(m.hx, np.diff(m.node_x))
     np.testing.assert_array_equal(m.hy, np.diff(m.node_y))
-    for h in (m.hx, m.hy):
+    for h in (m.hx, m.hy, m.node_x, m.node_y):
         assert not h.flags.writeable
         with pytest.raises(ValueError):
             h[0] = 1.0
@@ -104,5 +108,6 @@ def test_widths_taken_once_and_read_only():
     assert fine.hx is not m.hx and fine.hy is not m.hy
     np.testing.assert_array_equal(fine.hx, [0.5, 0.5, 1.0, 1.0])
     np.testing.assert_array_equal(fine.hy, np.diff(fine.node_y))
-    assert not fine.hx.flags.writeable and not fine.hy.flags.writeable
+    for h in (fine.hx, fine.hy, fine.node_x, fine.node_y):
+        assert not h.flags.writeable
     np.testing.assert_array_equal(m.hx, [1.0, 2.0])
