@@ -5,7 +5,7 @@ equivalence with the projected enriched rotated-bilinear element."""
 
 from .mesh import (TensorMesh, build_mesh, uniform_mesh, uniform_refine,
                    mesh_size, regularity_constant)
-from .assembly import DofLayout, MixedSystem, layout, assemble_mixed
+from .assembly import MixedSystem, assemble_mixed
 from .eigensolve import SolveOptions, MixedEigenpair, solve_mixed_eigs
 from .exact import (ExactEigenpair, FieldSample, enumerate_exact,
                     cell_mean_factors)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -62,21 +63,46 @@ _FORMATS = ("delimited-text", "aligned-text", "structured-document")
 _EXT = {"delimited-text": "csv", "aligned-text": "txt",
         "structured-document": "json"}
 
-_NUMBER = (int, float)
-# JSON type of each config value and, for an array, of its items; a
-# boolean is never a number here
+_ARRAY = (list, tuple, np.ndarray)
+# type of each config value and, for an array (a list, tuple or 1-D
+# array), of its items; a boolean is never a number here
 _VALUE_TYPES = {
     "name": (str, None, "a string"),
-    "node_x": (list, _NUMBER, "an array of numbers"),
-    "node_y": (list, _NUMBER, "an array of numbers"),
-    "levels": (int, None, "an integer"),
-    "k": (int, None, "an integer"),
-    "analyses": (list, str, "an array of strings"),
+    "node_x": (_ARRAY, numbers.Real, "an array of numbers"),
+    "node_y": (_ARRAY, numbers.Real, "an array of numbers"),
+    "levels": (numbers.Integral, None, "an integer"),
+    "k": (numbers.Integral, None, "an integer"),
+    "analyses": (_ARRAY, str, "an array of strings"),
 }
 
 
-def _is_json_type(value, kind) -> bool:
+def _is_a(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _plain(value):
+    """A checked scalar as a plain Python value: a str, an int for an
+    integral number and a float for any other real number."""
+    if isinstance(value, str):
+        return str(value)
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
+
+
+def _checked(key: str, value):
+    """``value`` as the plain Python value, an array as a tuple, that the
+    config holds for ``key``; InvalidConfig if it is of the wrong type."""
+    kind, item, want = _VALUE_TYPES[key]
+    if _is_a(value, kind):
+        if item is None:
+            return _plain(value)
+        if (getattr(value, "ndim", 1) == 1
+                and all(_is_a(v, item) for v in value)):
+            try:
+                return tuple(_plain(v) for v in value)
+            except OverflowError as exc:  # a fraction beyond the float range
+                raise InvalidConfig(f"{key} must hold numbers in the float "
+                                    f"range: {exc}") from exc
+    raise InvalidConfig(f"{key} must be {want}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +110,10 @@ class ExperimentConfig:
     """One refinement-sweep experiment.
 
     ``levels`` is the number of refinements L; levels 0..L are all solved.
-    ``analyses`` selects which per-level computations run.
+    ``analyses`` selects which per-level computations run.  Every value is
+    checked here, whether it comes from a JSON document or from code, and
+    held as a plain Python value: an array as a tuple, a numpy number as
+    an int or a float.
     """
 
     name: str
@@ -95,6 +124,9 @@ class ExperimentConfig:
     analyses: tuple[str, ...] = ALL_ANALYSES
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name,
+                               _checked(f.name, getattr(self, f.name)))
         if self.levels < 1:
             raise InvalidConfig(f"levels must be >= 1, got {self.levels}")
         SolveOptions(k=self.k)  # checks k
@@ -120,15 +152,15 @@ def case_preset(name: str) -> ExperimentConfig:
     if name == "a":
         return ExperimentConfig(
             name="a",
-            node_x=tuple(np.linspace(0.0, pi, 9)),
-            node_y=tuple(np.linspace(0.0, pi, 9)),
+            node_x=np.linspace(0.0, pi, 9),
+            node_y=np.linspace(0.0, pi, 9),
             k=6,
         )
     if name == "b":
         return ExperimentConfig(
             name="b",
-            node_x=tuple(np.linspace(0.0, pi, 9)),
-            node_y=tuple(np.linspace(0.0, pi, 17)),
+            node_x=np.linspace(0.0, pi, 9),
+            node_y=np.linspace(0.0, pi, 17),
             k=12,
             analyses=_ANALYSES_B_C,
         )
@@ -140,7 +172,7 @@ def case_preset(name: str) -> ExperimentConfig:
             k=12,
             analyses=_ANALYSES_B_C,
         )
-    raise ValueError(f"unknown case {name!r}; choose from a, b, c")
+    raise InvalidConfig(f"unknown case {name!r}; choose from a, b, c")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -159,17 +191,10 @@ def load_config(path: str) -> ExperimentConfig:
         raise InvalidConfig(
             f"config {path}: unknown keys {unknown}, missing keys {missing}"
         )
-    for key, value in raw.items():
-        kind, item, want = _VALUE_TYPES[key]
-        if not _is_json_type(value, kind) or (
-            item and not all(_is_json_type(v, item) for v in value)
-        ):
-            raise InvalidConfig(f"config {path}: {key} must be {want}, "
-                                f"got {json.dumps(value)}")
-    for key in ("node_x", "node_y", "analyses"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
-    return ExperimentConfig(**raw)
+    try:
+        return ExperimentConfig(**raw)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"config {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +368,16 @@ class RunReport:
         return asdict(self)
 
 
-def _check_size(config, mesh, levels):
-    """Refuse, before any refinement, a sweep whose finest level has more
-    than _MAX_CELLS cells (12 refinements of one cell already exceed it,
-    which bounds the power for a huge level count) or fewer than k, which
-    every level's solve would refuse."""
+def _meshes(config: ExperimentConfig, levels: int) -> list[TensorMesh]:
+    """Levels 0..``levels`` of the config's sweep: the initial mesh,
+    translated to start at 0, and its uniform refinements.  A negative
+    level count, or a finest level with more than _MAX_CELLS cells (12
+    refinements of one cell already exceed it, which bounds the power for
+    a huge level count) or fewer than k, which every level's solve would
+    refuse, raises InvalidConfig before any refinement."""
+    if levels < 0:
+        raise InvalidConfig(f"levels must be >= 0, got {levels}")
+    mesh = config.initial_mesh()
     cells = mesh.n_cells * 4 ** min(levels, 12)
     if cells > _MAX_CELLS:
         raise InvalidConfig(
@@ -358,6 +388,10 @@ def _check_size(config, mesh, levels):
         raise InvalidConfig(
             f"config {config.name}: k={config.k} exceeds the {cells} cells "
             "of the finest level")
+    meshes = [mesh]
+    for _ in range(levels):
+        meshes.append(uniform_refine(meshes[-1]))
+    return meshes
 
 
 def run_case(config: ExperimentConfig) -> RunReport:
@@ -367,20 +401,18 @@ def run_case(config: ExperimentConfig) -> RunReport:
     exact fields live, so any origin is accepted; a finest level above
     _MAX_CELLS cells or below k cells raises InvalidConfig before level
     0."""
-    mesh = config.initial_mesh()
-    _check_size(config, mesh, config.levels)
-    exact = enumerate_exact((mesh.node_x[-1], mesh.node_y[-1]), count=config.k)
+    meshes = _meshes(config, config.levels)
+    exact = enumerate_exact((meshes[0].node_x[-1], meshes[0].node_y[-1]),
+                            count=config.k)
     levels = []
     failures = []
-    for lvl in range(config.levels + 1):
-        if lvl > 0:
-            mesh = uniform_refine(mesh)
+    for mesh in meshes:
         try:
             levels.append(_solve_level(config, mesh, exact, failures))
         except RRTError as exc:  # the solve failed: the level is lost
-            failures.append({"level": lvl, "error": type(exc).__name__,
+            failures.append({"level": mesh.level, "error": type(exc).__name__,
                              "message": str(exc)})
-            levels.append({"level": lvl, "failed": True})
+            levels.append({"level": mesh.level, "failed": True})
 
     eigen_rates = []
     for t in range(config.k):
@@ -538,7 +570,7 @@ def emit_tables(report, fmt: str, out_dir: str) -> list[str]:
     which is strict JSON: NaN is written as null.  ``report`` is a
     RunReport or its dict."""
     if fmt not in _FORMATS:
-        raise ValueError(f"unknown format {fmt!r}")
+        raise InvalidConfig(f"unknown format {fmt!r}")
     rep = _stored(vars(report) if isinstance(report, RunReport) else report)
     tables, rest = _files(rep, fmt)
     return _write({**tables, **rest}, out_dir)
@@ -587,16 +619,6 @@ def _add_common(p, with_case=True):
     p.add_argument("--format", choices=_FORMATS, default="aligned-text")
 
 
-def _refined(config, level):
-    if level < 0:
-        raise InvalidConfig(f"levels must be >= 0, got {level}")
-    mesh = config.initial_mesh()
-    _check_size(config, mesh, level)
-    for _ in range(level):
-        mesh = uniform_refine(mesh)
-    return mesh
-
-
 def _show(rep: dict, args) -> None:
     """Print the stored report's eigenvalue and residual tables and, with
     --out, write its files; each is rendered once, and all before anything
@@ -625,7 +647,7 @@ def main(argv=None) -> int:
     try:
         if args.command in ("eigs", "equiv"):  # one level, 0 by default
             config = _config_from_args(args, with_levels=False)
-            mesh = _refined(config, args.levels or 0)
+            mesh = _meshes(config, args.levels or 0)[-1]
             pairs = _solve(config, mesh)
             if args.command == "eigs":
                 for t, p in enumerate(pairs):

@@ -16,9 +16,11 @@ import numpy as np
 from .errors import NonFiniteNodes, NonMonotonicNodes, TooFewNodes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TensorMesh:
     """Rectangular mesh gridded by node vectors ``node_x`` and ``node_y``.
+
+    Meshes compare and hash by identity: their fields are arrays.
 
     Parameters
     ----------

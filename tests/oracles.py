@@ -1,7 +1,8 @@
 """Independent oracles the tests compare the library against.
 
 Each oracle takes the slow, direct route and shares no code with the
-library path it checks.  The library forms no 2-D matrix; the oracles
+library path it checks.  The library forms no 2-D matrix and numbers no
+2-D DOF; the oracles number the edge and cell DOFs (``DofNumbering``) and
 hold the assembled A, B and M of the mixed pencil (``assembled``, A and
 B from a per-cell COO scatter, M the cell areas) and take from them a
 dense 2-D eigensolve for the tensor-product solver, 1-D
@@ -42,7 +43,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from rrteig.assembly import DofLayout, layout
 from rrteig.eigensolve import MixedEigenpair
 from rrteig.errors import (
     DimensionMismatch, KTooLarge, LayoutMismatch, RRTError)
@@ -54,6 +54,50 @@ _EQ_TOL = 1e-9
 # Lanczos start-vector seed and iteration cap of solve_peq_eigs
 _LANCZOS_SEED = 0
 _LANCZOS_MAX_ITERATIONS = 20000
+
+
+@dataclass(frozen=True)
+class DofNumbering:
+    """Degree-of-freedom enumeration shared by the flux and edge spaces.
+
+    Vertical (x-normal) edge DOFs come first, ordered like the node grid
+    (line index i fast, cell row j slow); horizontal (y-normal) edge DOFs
+    follow; cell DOFs are row-major over cells.
+    """
+
+    n1: int
+    n2: int
+
+    @property
+    def n_xedge(self) -> int:
+        return (self.n1 + 1) * self.n2
+
+    @property
+    def n_yedge(self) -> int:
+        return self.n1 * (self.n2 + 1)
+
+    @property
+    def n_sigma(self) -> int:
+        return self.n_xedge + self.n_yedge
+
+    @property
+    def n_cell(self) -> int:
+        return self.n1 * self.n2
+
+    def xedge_index(self, i, j):
+        """DOF index of the vertical edge on line x_i in cell row j."""
+        return j * (self.n1 + 1) + i
+
+    def yedge_index(self, i, j):
+        """DOF index of the horizontal edge on line y_j in cell column i."""
+        return self.n_xedge + j * self.n1 + i
+
+    def cell_index(self, i, j):
+        return j * self.n1 + i
+
+
+def numbering(mesh: TensorMesh) -> DofNumbering:
+    return DofNumbering(mesh.n1, mesh.n2)
 
 
 def cell_areas(mesh):
@@ -75,14 +119,14 @@ class AssembledSystem:
     A: sp.csr_matrix
     B: sp.csr_matrix
     M: np.ndarray
-    layout: DofLayout
+    layout: DofNumbering
     mesh: TensorMesh
 
 
 def assembled(mesh) -> AssembledSystem:
     """A, B and M of ``mesh``, A and B from the COO scatter."""
     a, b = assemble_mixed_coo(mesh)
-    return AssembledSystem(a, b, cell_areas(mesh), layout(mesh), mesh)
+    return AssembledSystem(a, b, cell_areas(mesh), numbering(mesh), mesh)
 
 
 def assemble_mixed_coo(mesh):
@@ -93,7 +137,7 @@ def assemble_mixed_coo(mesh):
     triplets; scipy sorts the indices and sums the duplicates on the way
     to CSR.
     """
-    lay = layout(mesh)
+    lay = numbering(mesh)
     ii, jj = np.meshgrid(np.arange(mesh.n1), np.arange(mesh.n2))
     ii, jj = ii.ravel(), jj.ravel()  # row-major: i fast
     hx = mesh.hx[ii]
@@ -162,7 +206,7 @@ class PeqSystem:
 
     K: sp.csr_matrix
     M0_diag: np.ndarray
-    layout: DofLayout
+    layout: DofNumbering
     mesh: TensorMesh
     free: np.ndarray
     n_edge_free: int
@@ -176,7 +220,7 @@ def assemble_peq(mesh: TensorMesh) -> PeqSystem:
     """Assemble stiffness and projected mass of the enriched space: each
     cell adds its x block on (left, right, cell) and its y block on
     (bottom, top, cell) straight onto the free DOFs."""
-    lay = layout(mesh)
+    lay = numbering(mesh)
     n1, n2 = lay.n1, lay.n2
     n_x, n_sig = lay.n_xedge, lay.n_sigma
     n_tot = n_sig + lay.n_cell
@@ -233,7 +277,7 @@ def peq_cell_gradient(mesh: TensorMesh, coeffs_full: np.ndarray):
     analogously in y.  Returns (gxL, gxR, gyB, gyT), each on the cell grid
     (n2, n1) followed by the columns of ``coeffs_full``.
     """
-    lay = layout(mesh)
+    lay = numbering(mesh)
     n1, n2 = lay.n1, lay.n2
     cols = coeffs_full.shape[1:]
     ones = (1,) * len(cols)
@@ -319,7 +363,7 @@ def assemble_peq_coo(mesh):
     every cell scatters its 5x5 local stiffness as 25 COO triplets onto
     all DOFs, boundary edges included, and the free rows and columns are
     sliced out afterwards."""
-    lay = layout(mesh)
+    lay = numbering(mesh)
     ii, jj, hx, hy = _cell_arrays(mesh)
     area = cell_areas(mesh)
     n1, n2 = lay.n1, lay.n2
@@ -369,7 +413,7 @@ def peq_cell_gradient_dual(mesh, coeffs_full):
     basis, each with n_cell rows in row-major cell order and the columns
     of ``coeffs_full``: per cell, the five DOFs are gathered, scaled to
     the reference basis and dotted with its edge derivatives."""
-    lay = layout(mesh)
+    lay = numbering(mesh)
     ii, jj, hx, hy = _cell_arrays(mesh)
     loc = np.stack(
         [

@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from rrteig.analysis import match_frequencies
-from rrteig.assembly import assemble_mixed, layout
+from rrteig.assembly import assemble_mixed
 from rrteig.cli import case_preset, run_case
 from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
 from rrteig.exact import FieldSample, enumerate_exact
@@ -23,6 +23,7 @@ from oracles import (
     eigenspace_gap,
     eval_cell,
     factor_pair,
+    numbering,
     reconstruction,
     rt_interpolate_exact,
     sigma_coeffs,
@@ -300,7 +301,7 @@ def test_criterion_12_property_suites(system_a0, pairs_a0):
     nx, ny = mesh_a.node_x, mesh_a.node_y
     for j in range(mesh_a.n2):
         for i in range(mesh_a.n1):
-            want[layout(mesh_a).cell_index(i, j)] = fexact.value * (
+            want[numbering(mesh_a).cell_index(i, j)] = fexact.value * (
                 cell_integral_u(fexact, nx[i], nx[i + 1], ny[j], ny[j + 1])
             )
     commute_ok = np.max(np.abs(got - want)) <= 1e-12

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rrteig.analysis import expansion_term
-from rrteig.assembly import assemble_mixed, layout
+from rrteig.assembly import assemble_mixed
 from rrteig.cli import case_preset
 from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
 from rrteig.exact import FieldSample, cell_mean_factors, enumerate_exact
@@ -36,6 +36,7 @@ from oracles import (
     l2_project_exact,
     mean_flux_x,
     mean_flux_y,
+    numbering,
     reconstruction,
     regularity_constant_2d,
     rt_interpolate_exact,
@@ -186,7 +187,7 @@ def test_cell_and_edge_means_against_per_cell_oracle(mesh, data):
     to 1e-15: Pi0 u = Y (x) X and sigma_I = [Y (x) fx; fy (x) X], f the
     negative first derivatives."""
     fld = data.draw(_fields(mesh), label="field")
-    lay = layout(mesh)
+    lay = numbering(mesh)
     nx, ny = mesh.node_x, mesh.node_y
     means = np.empty(lay.n_cell)
     fluxes = np.empty(lay.n_sigma)

@@ -6,6 +6,7 @@ import json
 import os
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,19 +56,69 @@ def test_presets_encode_cases():
     np.testing.assert_allclose(
         c.node_y, [0, PI / 6, PI / 3, PI / 2, 3 * PI / 4, PI]
     )
+    with pytest.raises(InvalidConfig, match="unknown case 'd'"):
+        case_preset("d")
     with pytest.raises(ValueError):
         case_preset("d")
 
 
 def test_config_validation():
-    """Out-of-range values raise InvalidConfig, which is a ValueError too."""
+    """Values of the wrong type or out of range raise InvalidConfig naming
+    their key, which is a ValueError too, also for a config built in code:
+    a string, a float or a bool for an integer, a non-string name, a
+    string, a scalar, a 2-D or a 0-d array for a node vector, a bool
+    among the nodes or a fraction beyond the float range, and a
+    non-string analysis."""
     for over, named in ((dict(levels=0), "levels must be >= 1"),
                         (dict(k=0), "k must be >= 1"),
-                        (dict(analyses=("nonsense",)), "unknown analyses")):
+                        (dict(analyses=("nonsense",)), "unknown analyses"),
+                        (dict(k="6"), "k must be an integer"),
+                        (dict(levels=2.5), "levels must be an integer"),
+                        (dict(k=6.0), "k must be an integer"),
+                        (dict(levels=True), "levels must be an integer"),
+                        (dict(k=np.True_), "k must be an integer"),
+                        (dict(name=7), "name must be a string"),
+                        (dict(node_x="0 3.14"), "node_x must be an array"),
+                        (dict(node_y=PI), "node_y must be an array"),
+                        (dict(node_x=np.zeros((2, 2))),
+                         "node_x must be an array"),
+                        (dict(node_y=np.array(PI)), "node_y must be an array"),
+                        (dict(node_x=(0.0, True)), "node_x must be an array"),
+                        (dict(node_x=(0, Fraction(10**400, 3))),
+                         "node_x must hold numbers in the float range"),
+                        (dict(node_y=(0.0, "3.14")), "node_y must be an array"),
+                        (dict(analyses="bounds"), "analyses must be an array"),
+                        (dict(analyses=(("bounds",),)),
+                         "analyses must be an array of strings")):
         with pytest.raises(InvalidConfig, match=named):
             _small_config(**over)
         with pytest.raises(ValueError):
             _small_config(**over)
+        with pytest.raises(InvalidConfig, match=named):
+            dataclasses.replace(_small_config(), **over)
+
+
+def test_config_holds_plain_values(tmp_path):
+    """Array and numpy-scalar values are held as tuples of plain Python
+    numbers, an integer node stays an int, and a run of such a config
+    writes all four files, its report's config entry as given."""
+    cfg = _small_config(name=np.str_("np"), node_x=np.linspace(0.0, PI, 5),
+                        node_y=[0, 1, 2, 3], levels=np.int32(1),
+                        k=np.int64(2), analyses=np.array(["eigenvalues"]))
+    assert cfg.node_x == tuple(np.linspace(0.0, PI, 5).tolist())
+    assert cfg.node_y == (0, 1, 2, 3)
+    for value in (cfg.name, cfg.levels, cfg.k, *cfg.node_x, *cfg.node_y,
+                  *cfg.analyses):
+        assert type(value) in (str, int, float), type(value)
+    assert type(cfg.node_y[0]) is int and type(cfg.k) is int
+    paths = emit_tables(run_case(cfg), "aligned-text", str(tmp_path))
+    assert sorted(os.path.basename(p) for p in paths) == [
+        "np_eigenvalues.txt", "np_figure.txt", "np_report.json",
+        "np_residuals.txt"]
+    stored = json.loads((tmp_path / "np_report.json").read_text())["config"]
+    assert stored == {"name": "np", "node_x": list(cfg.node_x),
+                      "node_y": [0, 1, 2, 3], "levels": 1, "k": 2,
+                      "analyses": ["eigenvalues"]}
 
 
 def test_load_config(tmp_path):
@@ -96,7 +147,7 @@ def test_run_case_structure():
     assert rep["extrapolation"] is not None
 
 
-def test_tables_and_formats():
+def test_tables_and_formats(tmp_path):
     rep = run_case(_small_config()).to_dict()
     txt = eigen_table(rep, "aligned-text")
     assert "lambda_1" in txt and ("↘" in txt or "↗" in txt)
@@ -109,6 +160,11 @@ def test_tables_and_formats():
     fig = figure_data(rep, "delimited-text")
     assert fig.splitlines()[0] == "h,e1,e2"
     assert len(fig.splitlines()) == 3  # header + two levels
+    for bad in (pytest.raises(InvalidConfig, match="unknown format 'xml'"),
+                pytest.raises(ValueError)):
+        with bad:
+            emit_tables(rep, "xml", str(tmp_path / "out"))
+    assert not os.listdir(tmp_path)
 
 
 def test_empty_report_headers_only():
@@ -409,6 +465,24 @@ def test_run_case_solves_each_level_once(monkeypatch):
     assert len(assembled) == len(solved) == 2
 
 
+def test_run_eigs_and_equiv_take_meshes_from_one_ladder(monkeypatch,
+                                                       capsys):
+    """run, eigs and equiv each build their meshes in one call of the
+    sweep's mesh ladder, and refine no mesh outside it."""
+    from rrteig import cli, mesh
+
+    ladders = _count_calls(monkeypatch, cli._meshes)
+    refined = _count_calls(monkeypatch, mesh.uniform_refine)
+    for argv in (["run", "--case", "c", "--levels", "1"],
+                 ["eigs", "--case", "c", "--levels", "1"],
+                 ["equiv", "--case", "c", "--levels", "1"]):
+        assert main(argv) == 0
+        assert len(ladders) == len(refined) == 1
+        ladders.clear()
+        refined.clear()
+    capsys.readouterr()
+
+
 def test_main_equiv_solves_once(monkeypatch, capsys):
     assembled = _count_calls(monkeypatch, assemble_mixed)
     solved = _count_calls(monkeypatch, solve_mixed_eigs)
@@ -685,7 +759,7 @@ def test_size_limit_refused_before_solving(monkeypatch, capsys):
         run_case(dataclasses.replace(case_preset("a"), levels=9))
     # 8^2 * 4^8 = 2^22 cells is the largest level allowed
     preset = case_preset("a")
-    cli._check_size(preset, preset.initial_mesh(), 8)
+    assert cli._meshes(preset, 8)[-1].n_cells == 2**22
     for command in ("eigs", "equiv"):
         code = main([command, "--case", "c", "--levels", "40"])
         assert code == 1

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from rrteig.exact import (FieldSample, enumerate_exact,
                           strip_integrals_k2_du_sq)
-from rrteig.assembly import layout
 from rrteig.errors import InvalidConfig
 
 from oracles import (
@@ -20,6 +19,7 @@ from oracles import (
     l2_project_exact,
     mean_flux_x,
     mean_flux_y,
+    numbering,
     rt_interpolate_exact,
 )
 
@@ -186,7 +186,7 @@ def test_commuting_interpolation_identity(mesh_a0):
         nx, ny = mesh_a0.node_x, mesh_a0.node_y
         for j in range(mesh_a0.n2):
             for i in range(mesh_a0.n1):
-                want[layout(mesh_a0).cell_index(i, j)] = fld.value * (
+                want[numbering(mesh_a0).cell_index(i, j)] = fld.value * (
                     cell_integral_u(fld, nx[i], nx[i + 1], ny[j], ny[j + 1])
                 )
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -200,7 +200,7 @@ def test_l2_projection_means(mesh_c0):
     area = (nx[i + 1] - nx[i]) * (ny[j + 1] - ny[j])
     want = _quad2d(partial(exact_derivative, fld),
                    nx[i], nx[i + 1], ny[j], ny[j + 1]) / area
-    assert proj[layout(mesh_c0).cell_index(i, j)] == pytest.approx(want, rel=1e-12)
+    assert proj[numbering(mesh_c0).cell_index(i, j)] == pytest.approx(want, rel=1e-12)
 
 
 def _aligned_mode(pair, exact_pair):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rrteig.assembly import layout
+from rrteig.assembly import assemble_mixed
 from rrteig.errors import NonFiniteNodes, NonMonotonicNodes, TooFewNodes
 from rrteig.mesh import (
     build_mesh,
@@ -13,7 +13,7 @@ from rrteig.mesh import (
     uniform_refine,
 )
 
-from oracles import cell_areas
+from oracles import cell_areas, numbering
 
 
 def test_build_mesh_basic():
@@ -46,7 +46,7 @@ def test_cell_indexing_roundtrip():
     seen = set()
     for j in range(m.n2):
         for i in range(m.n1):
-            idx = layout(m).cell_index(i, j)
+            idx = numbering(m).cell_index(i, j)
             seen.add(idx)
     assert seen == set(range(m.n_cells))
 
@@ -111,3 +111,16 @@ def test_widths_taken_once_and_read_only():
     for h in (fine.hx, fine.hy, fine.node_x, fine.node_y):
         assert not h.flags.writeable
     np.testing.assert_array_equal(m.hx, [1.0, 2.0])
+
+
+def test_meshes_compare_and_hash_by_identity():
+    """Two meshes with equal nodes are distinct, a mesh equals itself,
+    and meshes and their mixed systems hash and go in a set."""
+    one = uniform_mesh(0, 1, 2, 0, 1, 2)
+    two = uniform_mesh(0, 1, 2, 0, 1, 2)
+    assert one == one and one != two and not one == two
+    assert hash(one) == hash(one) and len({one, two, one}) == 2
+    systems = {assemble_mixed(one), assemble_mixed(one), assemble_mixed(two)}
+    assert len(systems) == 2
+    assert assemble_mixed(one) == assemble_mixed(one)
+    assert assemble_mixed(one) != assemble_mixed(two)

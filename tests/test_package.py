@@ -23,7 +23,9 @@ def test_namespace_exports_library_names_only():
     the package; nor are a pair's 2-D vectors, which no analysis reads,
     nor the per-field reconstructions and per-order norms that
     postprocessing_norms replaced, nor the supercloseness result type,
-    whose three norms are a dict, the level's report entry."""
+    whose three norms are a dict, the level's report entry, nor the 2-D
+    DOF numbering, which only the oracles read: the system's layout
+    holds the cell counts alone."""
     for name in ("uniform_mesh", "assemble_mixed", "solve_mixed_eigs",
                  "SolveOptions", "enumerate_exact", "expansion_term",
                  "FieldSample", "verify_equivalence"):
@@ -44,6 +46,12 @@ def test_namespace_exports_library_names_only():
                  "error_norms_postprocessed", "SuperclosenessReport"):
         assert not hasattr(rrteig, name), name
         assert not hasattr(rrteig.postprocess, name), name
+    for name in ("DofLayout", "layout", "DofNumbering", "numbering"):
+        assert not hasattr(rrteig, name), name
+    for name in ("n_xedge", "n_yedge", "n_sigma", "xedge_index",
+                 "yedge_index", "cell_index"):
+        assert not hasattr(rrteig.assembly.DofLayout, name), name
+    assert not hasattr(rrteig.assembly, "layout")
 
 
 def _unused_imports(source: str) -> list[str]:
