@@ -105,15 +105,27 @@ def _checked(key: str, value):
     raise InvalidConfig(f"{key} must be {want}, got {value!r}")
 
 
+def _file_stem(name):
+    """``name``, the stem of every file a report is written to, if it names
+    a file inside the output directory: a non-empty string other than "."
+    and "..", with no path separator and no NUL; else InvalidConfig."""
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or any(c in name for c in "/\\\0")):
+        raise InvalidConfig(f"name must be a plain file stem, with no path "
+                            f"separator or NUL and not . or .., got {name!r}")
+    return name
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One refinement-sweep experiment.
 
     ``levels`` is the number of refinements L; levels 0..L are all solved.
-    ``analyses`` selects which per-level computations run.  Every value is
-    checked here, whether it comes from a JSON document or from code, and
-    held as a plain Python value: an array as a tuple, a numpy number as
-    an int or a float.
+    ``analyses`` selects which per-level computations run.  ``name`` is
+    the stem of the emitted file names, so it must be a plain file stem
+    (_file_stem).  Every value is checked here, whether it comes from a
+    JSON document or from code, and held as a plain Python value: an
+    array as a tuple, a numpy number as an int or a float.
     """
 
     name: str
@@ -127,6 +139,7 @@ class ExperimentConfig:
         for f in fields(self):
             object.__setattr__(self, f.name,
                                _checked(f.name, getattr(self, f.name)))
+        _file_stem(self.name)
         if self.levels < 1:
             raise InvalidConfig(f"levels must be >= 1, got {self.levels}")
         SolveOptions(k=self.k)  # checks k
@@ -244,6 +257,9 @@ class _Level:
     mesh: TensorMesh
     exact: list
     pairs: list
+    # enumeration count -> the exact eigenspace of each mode, filled by
+    # _frequencies and shared by the levels of one sweep
+    spaces: dict
 
 
 def _residuals(lv: _Level) -> dict:
@@ -297,8 +313,11 @@ def _frequencies(lv: _Level) -> dict:
     kx2, ky2 = (np.pi / domain[0]) ** 2, (np.pi / domain[1]) ** 2
     top = max(FieldSample(m, n, domain).value for m, n in labels)
     count = (int(np.sqrt(top / kx2)) + 1) * (int(np.sqrt(top / ky2)) + 1)
-    space = {mode: e for e in enumerate_exact(domain, count=count)
-             for mode in e.modes}
+    if count not in lv.spaces:
+        lv.spaces[count] = {mode: e for e in
+                            enumerate_exact(domain, count=count)
+                            for mode in e.modes}
+    space = lv.spaces[count]
     pairs = [p for p in lv.pairs if space[p.mode].multiplicity > 1
              and labels.issuperset(space[p.mode].modes)]
     return {"frequency_matches": match_frequencies(pairs, lv.mesh, domain)}
@@ -326,13 +345,13 @@ _LEVEL_ANALYSES = {
 
 
 def _solve_level(config: ExperimentConfig, mesh: TensorMesh, exact,
-                 failures: list) -> dict:
+                 spaces: dict, failures: list) -> dict:
     """Solve one level and run its analyses.  An RRTError in the solve
     propagates; one in an analysis leaves that analysis's keys out of the
     record and is appended to ``failures``."""
     t0 = time.perf_counter()
     run = set(config.analyses)
-    lv = _Level(config, mesh, exact, _solve(config, mesh))
+    lv = _Level(config, mesh, exact, _solve(config, mesh), spaces)
     rec = {
         "level": mesh.level,
         "n1": mesh.n1,
@@ -406,9 +425,11 @@ def run_case(config: ExperimentConfig) -> RunReport:
                             count=config.k)
     levels = []
     failures = []
+    spaces = {}  # the exact eigenspaces that _frequencies enumerates, once
     for mesh in meshes:
         try:
-            levels.append(_solve_level(config, mesh, exact, failures))
+            levels.append(_solve_level(config, mesh, exact, spaces,
+                                       failures))
         except RRTError as exc:  # the solve failed: the level is lost
             failures.append({"level": mesh.level, "error": type(exc).__name__,
                              "message": str(exc)})
@@ -550,8 +571,9 @@ def _stored(obj):
 def _files(rep: dict, fmt: str) -> tuple[dict, dict]:
     """File name -> text of a stored report's files, as two dicts: the
     eigenvalue and residual tables, which are also printed, and the
-    figure table and the raw report, which is strict JSON."""
-    name = rep["config"]["name"]
+    figure table and the raw report, which is strict JSON.  A config name
+    that is not a plain file stem raises InvalidConfig (_file_stem)."""
+    name = _file_stem(rep["config"]["name"])
     ext = _EXT[fmt]
     tables = {
         f"{name}_eigenvalues.{ext}": eigen_table(rep, fmt),

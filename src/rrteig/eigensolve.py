@@ -15,13 +15,14 @@ cumulative sums apply its inverse.  Up to _DENSE_MAX_CELLS = 128 cells
 they form the inverse and a dense eigh of it gives the modes; above, a
 fixed budget of 16 modes (the next multiple of 16 for k > 16) comes from
 implicitly restarted Lanczos (ARPACK; Lehoucq & Sorensen, SIAM J. Matrix
-Anal. Appl. 17, 1996) on the O(n) product, whose bits depend on neither
-k within the budget nor the BLAS thread count.  Each 1-D spectrum is
-simple and its i-th mode (from 0) has i sign changes (discrete Sturm
-oscillation; a Lanczos result is checked for it), so pair (i, j) is
-labelled with the wave numbers (m, n) = (i + 1, j + 1) of the exact mode
-it approximates,
-sin(m pi x / a) sin(n pi y / b).
+Anal. Appl. 17, 1996) on the O(n) product (_KProduct), which ARPACK calls
+directly and which writes every step into buffers made once per
+direction; its bits are those of the same sums in new arrays, and depend
+on neither k within the budget nor the BLAS thread count.  Each 1-D
+spectrum is simple and its i-th mode (from 0) has i sign changes
+(discrete Sturm oscillation; a Lanczos result is checked for it), so
+pair (i, j) is labelled with the wave numbers (m, n) = (i + 1, j + 1) of
+the exact mode it approximates, sin(m pi x / a) sin(n pi y / b).
 The flux follows from the same structure: A and B are Kronecker products
 blockwise (A_xx = diag(h_y) (x) A1x, B_x = diag(h_y) (x) Gx, and alike in
 y), so sigma = A^-1 B^T u is w_j (x) A1x^-1 Gx^T v_i on the x-edges and
@@ -37,8 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dptsv
 
 from .assembly import MixedSystem
 from .errors import InvalidConfig, KTooLarge, NotConverged
@@ -102,9 +103,10 @@ def _mode_budget(k):
     return 16 * max(1, -(-k // 16))
 
 
-def _dense_top(h, k):
+def _dense_top(h, k, diag, off):
     """The k largest eigenpairs (theta, y) of K = D^1/2 S^-1 D^1/2, largest
-    first, from K formed in O(n^2) and a dense symmetric eigendecomposition.
+    first, from K formed in O(n^2) and a dense symmetric eigendecomposition;
+    diag and off are the bands of A1 on h (_a1_bands).
 
     S^-1 f = x solves the saddle system A1 s = G^T x, G s = f, whose two
     bidiagonal blocks invert by cumulative sums: s is the running sum of f,
@@ -113,7 +115,6 @@ def _dense_top(h, k):
     columns of D^1/2 as f this forms K.
     """
     n = len(h)
-    diag, off = _a1_bands(h)
     d_sqrt = np.sqrt(h)
     s = np.zeros((n + 1, n))
     s[1:] = np.tri(n) * d_sqrt  # running sums of the columns of D^1/2
@@ -135,33 +136,58 @@ def _sign_changes(v):
     return np.count_nonzero((s[1:] != s[:-1]) & (s[:-1] != 0), axis=0)
 
 
-def _lanczos_top(h, p):
+class _KProduct(spla.LinearOperator):
+    """K = D^1/2 S^-1 D^1/2 on the widths h as the O(n) product of
+    _dense_top's cumulative sums with one vector, with no BLAS call and
+    no array allocated per call: every step writes into buffers made once
+    per operator.  ``matvec`` is the product itself, so ARPACK calls it
+    without LinearOperator's per-call checks; its result is a buffer that
+    the next call overwrites (ARPACK copies it at once)."""
+
+    def __init__(self, h, diag, off):
+        n = len(h)
+        super().__init__(float, (n, n))
+        self._d_sqrt = np.sqrt(h)
+        # negation is exact: c (-d_sqrt) has the bits of -(c d_sqrt)
+        self._neg_d_sqrt = -self._d_sqrt
+        self._row = 1.5 * diag / h.sum()  # 1.5 diag: the row sums of A1
+        self._diag, self._off = diag, off
+        s, a1s = np.empty(n + 1), np.empty(n + 1)
+        # the buffers, and the views of them that the steps write through
+        self._bufs = (s, s[1:], s[:-1], a1s, a1s[:-1], a1s[1:],
+                      np.empty(n), np.empty(n))
+
+    def _matvec(self, x):
+        s, s_tail, s_head, a1s, a1s_head, a1s_tail, t, y = self._bufs
+        s[0] = 0.0  # the running sum starts at 0 on every call
+        np.multiply(self._d_sqrt, x, out=t)
+        np.add.accumulate(t, out=s_tail)
+        np.multiply(self._row, s, out=a1s)
+        np.subtract(s, np.add.reduce(a1s), out=s)  # now 1^T A1 s = 0
+        np.multiply(self._diag, s, out=a1s)  # A1 s
+        np.multiply(self._off, s_tail, out=t)
+        np.add(a1s_head, t, out=a1s_head)
+        np.multiply(self._off, s_head, out=t)
+        np.add(a1s_tail, t, out=a1s_tail)
+        np.add.accumulate(a1s_head, out=y)
+        return np.multiply(y, self._neg_d_sqrt, out=y)
+
+    matvec = _matvec
+
+
+def _lanczos_top(h, p, diag, off):
     """The p largest eigenpairs (theta, y) of K = D^1/2 S^-1 D^1/2, largest
     first, by implicitly restarted Lanczos (ARPACK) on the O(n) product
-    with K: the cumulative sums of _dense_top applied to one vector, with
-    no BLAS call, so that K is never formed.  The start vector is fixed
-    and asymmetric: on a mirror-symmetric mesh a symmetric start is
-    orthogonal to every odd mode.  The i-th mode must have i sign
-    changes, as the mode labels assume; a mode the iteration missed
-    breaks that count and raises NotConverged."""
+    with K (_KProduct), so that K is never formed; diag and off are the
+    bands of A1 on h.  The start vector is fixed and asymmetric: on a
+    mirror-symmetric mesh a symmetric start is orthogonal to every odd
+    mode.  The i-th mode must have i sign changes, as the mode labels
+    assume; a mode the iteration missed breaks that count and raises
+    NotConverged."""
     n = len(h)
-    diag, off = _a1_bands(h)
-    d_sqrt = np.sqrt(h)
-    row = 1.5 * diag / h.sum()
-
-    def times_k(x):
-        s = np.zeros(n + 1)
-        np.cumsum(d_sqrt * x.ravel(), out=s[1:])
-        s -= np.sum(row * s)
-        a1s = diag * s
-        a1s[:-1] += off * s[1:]
-        a1s[1:] += off * s[:-1]
-        return -np.cumsum(a1s[:-1]) * d_sqrt
-
-    op = spla.LinearOperator((n, n), matvec=times_k, dtype=float)
     try:
-        theta, vec = spla.eigsh(op, p, which="LA", tol=0,
-                                v0=np.linspace(1.0, 2.0, n))
+        theta, vec = spla.eigsh(_KProduct(h, diag, off), p, which="LA",
+                                tol=0, v0=np.linspace(1.0, 2.0, n))
     except spla.ArpackError as exc:  # ArpackNoConvergence included
         raise NotConverged(
             f"1-D Lanczos modes on {n} cells, {p} modes: {exc}") from exc
@@ -190,26 +216,28 @@ def _modes_1d(h, k):
     the first k are kept.  The rest is shared: mu = 1 / theta, columns of
     v D-orthonormal, each signed so that its first largest-magnitude
     entry is positive, and the fluxes from a direct tridiagonal solve
-    with A1.
+    with A1 (LAPACK ptsv, as solveh_banded calls it).
     """
     n = len(h)
     p = _mode_budget(k)
+    diag, off = _a1_bands(h)
     if n > _DENSE_MAX_CELLS and 4 * p <= n:
-        theta, vec = _lanczos_top(h, p)
+        theta, vec = _lanczos_top(h, p, diag, off)
         theta, vec = theta[:k], vec[:, :k]
     else:
-        theta, vec = _dense_top(h, k)
-    diag, off = _a1_bands(h)
+        theta, vec = _dense_top(h, k, diag, off)
     mu = 1.0 / theta
     v = vec / np.sqrt(h)[:, None]
     v *= np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(k)])
     gtv = -np.diff(v, axis=0, prepend=0.0, append=0.0)  # G^T v
-    bands = np.stack([np.r_[0.0, off], diag])  # upper banded storage
-    flux = sla.solveh_banded(bands, gtv)
+    # solveh_banded's LAPACK call without its checks: A1 is SPD on
+    # positive widths, and a failed solve fails the residual bound
+    flux = dptsv(diag, off, gtv)[2]
     a1f, dv = _a1_times(diag, off, flux), h[:, None] * v
     rho1, rho2 = a1f - gtv, np.diff(flux, axis=0) - mu * dv  # G f = diff(f)
     terms = ((dv, dv), (rho1, rho1), (a1f, a1f), (rho2, rho2), (dv, rho2))
-    return mu, v, flux, np.array([np.sum(a * b, axis=0) for a, b in terms])
+    return mu, v, flux, np.array([np.add.reduce(a * b, axis=0)
+                                  for a, b in terms])
 
 
 def _smallest_sums(a, b, count):

@@ -7,7 +7,9 @@ hold the assembled A, B and M of the mixed pencil (``assembled``, A and
 B from a per-cell COO scatter, M the cell areas) and take from them a
 dense 2-D eigensolve for the tensor-product solver, 1-D
 pencils sliced from the assembled matrices and inverted through a sparse
-saddle LU for the cumulative-sum 1-D modes, the 2-D enriched element and
+saddle LU for the cumulative-sum 1-D modes, the same cumulative sums in
+new arrays at each step (``k_product``) for the allocation-free product
+that the Lanczos path iterates on, the 2-D enriched element and
 its equivalence certificate for the 1-D lift of the equivalence check,
 per-cell Lagrange evaluation for the batched postprocessing norms, and
 scalar analytic integrals per cell or edge for the batched cell and edge
@@ -573,6 +575,26 @@ def modes_1d_saddle(system, axis, k):
     bands[0, 1:] = a1.diagonal(1)
     bands[1] = a1.diagonal()
     return 1.0 / theta[top], v, sla.solveh_banded(bands, g.T @ v)
+
+
+def k_product(h, x):
+    """K x for K = D^1/2 S^-1 D^1/2 of the 1-D RT0 pencil on the widths h,
+    by the cumulative sums of the saddle system A1 s = G^T y, G s = D^1/2
+    x, each step in a new array: the running sum s of D^1/2 x, shifted so
+    that 1^T A1 s = 0, then K x = -D^1/2 (running sum of A1 s).  The
+    library's allocation-free product must give these bits."""
+    n = len(h)
+    h_pad = np.concatenate([[0.0], h, [0.0]])
+    diag, off = h_pad[:-1] / 3.0 + h_pad[1:] / 3.0, h / 6.0
+    d_sqrt = np.sqrt(h)
+    row = 1.5 * diag / h.sum()
+    s = np.zeros(n + 1)
+    np.cumsum(d_sqrt * x.ravel(), out=s[1:])
+    s -= np.sum(row * s)
+    a1s = diag * s
+    a1s[:-1] += off * s[1:]
+    a1s[1:] += off * s[:-1]
+    return -np.cumsum(a1s[:-1]) * d_sqrt
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """The benchmark's calls into the library keep working: perfbench's
-workloads and tracer modules, loaded as they are, run one small op of
-each kind, the workload's own check finds no problem in its output, and
+workloads and tracer modules, loaded as they are, run one op of each
+kind, the workload's own check finds no problem in its output, and
 the tracer reads the solve's cell count from the system's layout."""
 
 import importlib.util
@@ -17,17 +17,33 @@ def _load(name):
     return module
 
 
-def test_benchmark_workloads_run_and_check(tmp_path):
-    """SolveLarge on a 24^2 mesh (assemble_mixed, then solve_mixed_eigs
-    with SolveOptions(k)), a case-c sweep and a case-a sweep to level 1
-    (run_case, then emit_tables; case a runs every analysis, frequencies,
+def test_benchmark_workloads_run_and_check(tmp_path, monkeypatch):
+    """SolveLarge on a 24^2 mesh, whose 1-D modes come from the dense path,
+    and at its default 256^2, whose two directions both take the Lanczos
+    path (one eigsh call each), as the benchmark's solve_large op does
+    (assemble_mixed, then solve_mixed_eigs with SolveOptions(k)), a
+    case-c sweep and a case-a sweep to level 1 (run_case, then
+    emit_tables; case a runs every analysis, frequencies,
     supercloseness and postprocessing included) each pass their own
-    check; the tracer counts the 576 cells of the SolveLarge solve."""
+    check; the tracer counts the 576 cells of the 24^2 solve."""
     workloads = _load("workloads")
+    eigensolve = workloads.eigensolve
+    lanczos = []
+    eigsh = eigensolve.spla.eigsh
+
+    def counted(*args, **kwargs):
+        lanczos.append(args[0].shape[0])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", counted)
     for work in (workloads.SolveLarge(seed=1, n=24),
                  workloads.Sweep(("c",), str(tmp_path), levels=1),
                  workloads.Sweep(("a",), str(tmp_path), levels=1)):
         assert work.check(work.op()) == []
+    assert lanczos == []
+    work = workloads.SolveLarge(seed=1)
+    assert work.check(work.op()) == []
+    assert lanczos == [256, 256]
     system = workloads.assembly.assemble_mixed(
         workloads.SolveLarge(seed=1, n=24).mesh)
     count = _load("spans")._COUNTS["eigensolve.solve_mixed_eigs"]

@@ -135,6 +135,50 @@ def test_load_config(tmp_path):
     assert cfg.node_x == (0.0, 1.5, PI)
 
 
+def test_config_name_must_be_a_plain_file_stem(tmp_path, capsys):
+    """The config name is the stem of every emitted file, so a name that
+    is empty, . or .., or holds a path separator or a NUL is refused with
+    InvalidConfig at both doors: the config, built in code or read from
+    JSON, before level 0, and the rendering of a stored report, whose
+    name `rrteig table --out` reads; nothing is written, inside --out or
+    beside it.  The presets' names pass."""
+    bad = ("", ".", "..", "../escaped", "a/b", "/abs", "a\\b", "a\0b")
+    for name in bad:
+        with pytest.raises(InvalidConfig, match="name must be a plain file "
+                           "stem"):
+            _small_config(name=name)
+    assert [case_preset(c).name for c in "abc"] == ["a", "b", "c"]
+    out = tmp_path / "out"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"name": "../escaped", "node_x": [0.0, PI],
+                                "node_y": [0.0, PI], "levels": 1, "k": 1}))
+    with pytest.raises(InvalidConfig, match=f"config {path}: name must be"):
+        load_config(str(path))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidConfig" and "file stem" in err["message"]
+
+    emit_tables(run_case(_small_config()), "aligned-text", str(tmp_path))
+    stored = tmp_path / "small_report.json"
+    doc = json.loads(stored.read_text())
+    for name in bad:
+        doc["config"]["name"] = name
+        with pytest.raises(InvalidConfig, match="name must be a plain file"):
+            emit_tables(doc, "aligned-text", str(out))
+        stored.write_text(json.dumps(doc))
+        assert main(["table", str(stored), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "IoFailure"
+        assert "InvalidConfig" in err["message"]
+        assert "file stem" in err["message"]
+    assert sorted(os.listdir(tmp_path)) == [
+        "cfg.json", "small_eigenvalues.txt", "small_figure.txt",
+        "small_report.json", "small_residuals.txt"]
+    assert not out.exists()
+
+
 def test_run_case_structure():
     rep = run_case(_small_config()).to_dict()
     assert len(rep["levels"]) == 2
@@ -781,6 +825,23 @@ def test_one_expansion_call_per_analysis_per_level(monkeypatch):
     for lv in report.levels:
         assert len(lv["residuals"]) == 6 and lv["frequency_matches"]
     assert len(calls) == 2 * 3
+
+
+def test_exact_spectrum_enumerated_once_per_sweep(monkeypatch):
+    """A sweep enumerates the exact spectrum once for its k eigenvalues
+    and once per distinct count that the frequency matches need: preset
+    a's first six labels are the same on every level, so two calls serve
+    its five levels.  A second sweep enumerates afresh."""
+    from rrteig import cli, exact
+
+    enumerated = _count_calls(monkeypatch, exact.enumerate_exact)
+    report = run_case(case_preset("a"))
+    assert "failures" not in report.config
+    assert all(lv["frequency_matches"] for lv in report.levels)
+    assert len(enumerated) == 2
+    again = run_case(case_preset("a"))
+    assert len(enumerated) == 4
+    assert cli._stored(again.to_dict()) == cli._stored(report.to_dict())
 
 
 def test_run_out_renders_each_table_once(monkeypatch, tmp_path, capsys):
