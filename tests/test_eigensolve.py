@@ -475,15 +475,16 @@ def test_k_product_against_the_allocating_oracle():
 
 @pytest.mark.parametrize("n", [256, 2048])
 def test_lanczos_top_bits_of_the_allocating_product(n):
-    """_lanczos_top gives the bits of ARPACK run, as before, through a
-    plain LinearOperator on the allocating product, with the same budget,
-    tolerance and start vector: the eigenvalues and the modes."""
+    """_lanczos_top gives the bits of ARPACK run through a plain
+    LinearOperator on the allocating product, with the same budget,
+    tolerance and start vector (_sine_start): the eigenvalues and the
+    modes."""
     h = _widths("random", n, np.random.default_rng(n))
     p = 16
     op = spla.LinearOperator((n, n), matvec=functools.partial(k_product, h),
                              dtype=float)
     theta, vec = spla.eigsh(op, p, which="LA", tol=0,
-                            v0=np.linspace(1.0, 2.0, n))
+                            v0=eigensolve._sine_start(h, p))
     got = eigensolve._lanczos_top(h, p, *eigensolve._a1_bands(h))
     assert got[0].tobytes() == theta[::-1].tobytes()
     assert got[1].tobytes() == vec[:, ::-1].tobytes()
@@ -529,10 +530,83 @@ def test_modes_1d_dense_up_to_the_cutoff(monkeypatch):
     assert calls == [16, 48]
 
 
+def test_sine_start_saves_products(monkeypatch):
+    """The Lanczos start vector is D^1/2 times the sum of the p exact modes
+    sin(m x) at the scaled cell centres, to 1e-13 of its largest entry;
+    from it ARPACK takes 43 products with K per direction on a random
+    256-cell mesh and 34 on a uniform one, at p = 16 (52 on both from
+    the start linspace(1, 2, n))."""
+    counts = []
+
+    class CountingProduct(eigensolve._KProduct):
+        def __init__(self, *args):
+            super().__init__(*args)
+            counts.append(0)
+
+        def _matvec(self, x):
+            counts[-1] += 1
+            return super()._matvec(x)
+
+        matvec = _matvec
+
+    monkeypatch.setattr(eigensolve, "_KProduct", CountingProduct)
+    rng = np.random.default_rng(15)
+    for kind, want in (("random", 43), ("uniform", 34)):
+        h = _widths(kind, 256, rng)
+        x = (np.cumsum(h) - h / 2.0) * (PI / h.sum())
+        modes = np.sqrt(h)[:, None] * np.sin(np.outer(x, np.arange(1, 17)))
+        start = eigensolve._sine_start(h, 16)
+        assert np.abs(start - modes.sum(axis=1)).max() <= (
+            1e-13 * np.abs(start).max())
+        _modes_1d(h, 6)
+        assert counts == [want]
+        counts.clear()
+
+
+@pytest.mark.parametrize("seed", [2, 5, 7, 10, 16])
+def test_graded_mesh_modes_certified_by_the_count(monkeypatch, seed):
+    """On 265 cells whose widths span a ratio up to 6.2e3, the 64 smallest
+    modes come from Lanczos and pass the Sturm count (a sign-change count
+    that skipped entries below 1e-10 of a mode's largest refused correct
+    modes on each of these seeds); mu matches the dense path to 5e-12
+    relative (1.2e-12 at most over seeds 0 to 39, measured)."""
+    calls = []
+    real = eigensolve._lanczos_top
+
+    def lanczos_top(h, p, diag, off):
+        calls.append(p)
+        return real(h, p, diag, off)
+
+    rng = np.random.default_rng(seed)
+    graded = 6.2e3 ** rng.uniform(0.0, 1.0, 265)
+    h = graded * (PI / graded.sum())
+    want = _dense(h, 64)[0]
+    monkeypatch.setattr(eigensolve, "_lanczos_top", lanczos_top)
+    mu = _modes_1d(h, 64)[0]
+    assert calls == [64]
+    np.testing.assert_allclose(mu, want, rtol=5e-12, atol=0.0)
+
+
+def test_count_below_against_the_dense_spectrum():
+    """The Sturm count against the whole spectrum of the dense path, an
+    independent eigh, on random (ratio <= 4) and graded (ratio up to
+    6.2e3) meshes of 5 to 300 cells: 1 (the constant flux) below mu_1,
+    i + 1 at the midpoint of mu_i and mu_i+1, and n + 1 above mu_n."""
+    rng = np.random.default_rng(16)
+    for n in (5, 6, 17, 64, 129, 300):
+        graded = 6.2e3 ** rng.uniform(0.0, 1.0, n)
+        for h in (_widths("random", n, rng), graded * (PI / graded.sum())):
+            mu = _dense(h, n)[0]
+            shifts = np.r_[mu[0] / 2.0, (mu[:-1] + mu[1:]) / 2.0, 2.0 * mu[-1]]
+            bands = eigensolve._a1_bands(h)
+            got = [eigensolve._count_below(h, *bands, s) for s in shifts]
+            assert got == list(range(1, n + 2))
+
+
 def test_lost_mode_raises_not_converged(monkeypatch):
     """A Lanczos result that misses a mode (here the second, so the budget
-    is filled by the next one) fails the sign-change check: mode i must
-    have exactly i sign changes."""
+    is filled by the next one) fails the Sturm count: p + 1 eigenvalues,
+    not p, lie just above the p-th found."""
     real = eigensolve.spla.eigsh
 
     def eigsh(a, p, **kwargs):
@@ -542,21 +616,20 @@ def test_lost_mode_raises_not_converged(monkeypatch):
 
     monkeypatch.setattr(eigensolve.spla, "eigsh", eigsh)
     h = _widths("mirror", 256, np.random.default_rng(6))
-    with pytest.raises(NotConverged, match="mode 1 on 256 cells has 2 sign"):
+    with pytest.raises(NotConverged, match="on 256 cells: 17 eigenvalues lie "
+                       "below .* of the 16 found: a mode was lost"):
         _modes_1d(h, 6)
 
 
 @pytest.mark.parametrize("failure", ["maxiter", "arpack_error"])
 def test_arpack_failure_is_not_converged(monkeypatch, failure):
     """ARPACK's own failures leave as NotConverged naming the stage, with
-    no raw scipy exception: out of iterations (maxiter=1), or any other
-    ArpackError."""
-    real = eigensolve.spla.eigsh
-    if failure == "maxiter":
-        fake = functools.partial(real, maxiter=1)
-    else:
-        def fake(*args, **kwargs):
-            raise spla.ArpackError(-9)
+    no raw scipy exception: out of iterations (ArpackNoConvergence), or
+    any other ArpackError."""
+    def fake(*args, **kwargs):
+        if failure == "maxiter":
+            raise spla.ArpackNoConvergence("no convergence", [], [])
+        raise spla.ArpackError(-9)
 
     monkeypatch.setattr(eigensolve.spla, "eigsh", fake)
     system = assemble_mixed(uniform_mesh(0, PI, 4, 0, PI, 200))
