@@ -10,22 +10,31 @@ where S and D are the reduced operator and the cell-width diagonal of the
 Thomas, Numer. Math. 6, 1964).  solve_mixed_eigs solves the two 1-D
 pencils, once when the two directions' widths are bitwise equal, and
 combines their modes, lambda = mu_i + nu_j and u = w_j (x) v_i.
-Each 1-D pencil is built from the cell widths of its direction; two
-cumulative sums apply its inverse.  Up to _DENSE_MAX_CELLS = 128 cells
-they form the inverse and a dense eigh of it gives the modes; above, a
-fixed budget of 16 modes (the next multiple of 16 for k > 16) comes from
-implicitly restarted Lanczos (ARPACK; Lehoucq & Sorensen, SIAM J. Matrix
-Anal. Appl. 17, 1996) on the O(n) product (_KProduct), which ARPACK calls
-directly and which writes every step into buffers made once per
-direction.  It starts from the sum of the budget's exact modes
-sin(m pi x / a) (_sine_start), and its bits depend on neither k within
-the budget nor the BLAS thread count.  Each 1-D spectrum is simple and
-its i-th mode (from 0) approximates the i-th exact one, so pair (i, j)
-is labelled with the wave numbers (m, n) = (i + 1, j + 1) of the exact
-mode it approximates, sin(m pi x / a) sin(n pi y / b).  A Lanczos result
-is certified to be the smallest modes by one Sturm count of the
-tridiagonal flux pencil just above its largest eigenvalue (_count_below),
-with no threshold.
+Each 1-D pencil's modes come from one of three sources, chosen by its
+cell widths, and one shared finish.
+- Widths equal by mesh.uniform_widths (presets a and b) take the closed
+  form of the uniform-grid spectrum (_uniform_modes): no eigensolver and
+  no BLAS call, and each mode's bits depend on neither k nor the BLAS
+  thread count.
+- Other widths build the pencil's inverse from two cumulative sums.  Up
+  to _DENSE_MAX_CELLS = 128 cells they form it and a dense eigh gives
+  the modes (_dense_top).
+- Above, a fixed budget of 16 modes (the next multiple of 16 for k > 16)
+  comes from implicitly restarted Lanczos (ARPACK; Lehoucq & Sorensen,
+  SIAM J. Matrix Anal. Appl. 17, 1996) on the O(n) product (_KProduct),
+  which ARPACK calls directly and which writes every step into buffers
+  made once per direction.  It starts from the sum of the budget's exact
+  modes sin(m pi x / a) (_sine_start), its bits depend on neither k
+  within the budget nor the BLAS thread count, and its result is
+  certified to be the smallest modes by one Sturm count of the
+  tridiagonal flux pencil just above its largest eigenvalue
+  (_count_below), with no threshold.
+The finish (_modes_1d) signs each mode, solves its flux and takes the
+five 1-D sums of its residual, on the widths themselves.  Each 1-D
+spectrum is simple and its i-th mode (from 0) approximates the i-th
+exact one, so pair (i, j) is labelled with the wave numbers (m, n) =
+(i + 1, j + 1) of the exact mode it approximates, sin(m pi x / a)
+sin(n pi y / b).
 The flux follows from the same structure: A and B are Kronecker products
 blockwise (A_xx = diag(h_y) (x) A1x, B_x = diag(h_y) (x) Gx, and alike in
 y), so sigma = A^-1 B^T u is w_j (x) A1x^-1 Gx^T v_i on the x-edges and
@@ -46,6 +55,7 @@ from scipy.linalg.lapack import dptsv, dstebz
 
 from .assembly import MixedSystem
 from .errors import InvalidConfig, KTooLarge, NotConverged
+from .mesh import uniform_widths
 
 # the most 1-D cells whose modes come from the dense eigendecomposition
 _DENSE_MAX_CELLS = 128
@@ -223,32 +233,67 @@ def _lanczos_top(h, p, diag, off):
     return theta, vec
 
 
+def _uniform_modes(h, k):
+    """The k smallest eigenpairs (mu, v) of the 1-D pencil on n equal
+    widths, in closed form (the uniform-grid spectrum; Strang & Fix, An
+    Analysis of the Finite Element Method, 1973): with hbar = h.sum() / n
+    and t = m pi / n, m = 1..k,
+
+        mu_m = 12 sin^2(t/2) / (hbar^2 (2 + cos t)),
+
+    1 - cos t written as 2 sin^2(t/2), so that nothing cancels, and v_m
+    proportional to sin(t (i + 1/2)), D-normalised on the widths h.  Every
+    sine is read from one table of sin(j pi / 2n), j = 0..4n - 1, built
+    from its first quarter by symmetry, at the index j = m (2i + 1) mod 4n
+    (cos t at j = n + 2m): the phase is reduced exactly, and the bits of
+    each mode depend on n and h alone, not on k.  No BLAS is called."""
+    n = len(h)
+    m = np.arange(1, k + 1)
+    quarter = np.sin(np.arange(n + 1) * (np.pi / (2 * n)))
+    half = np.concatenate([quarter, quarter[-2:0:-1]])
+    wave = np.concatenate([half, -half])
+    rows = wave[np.outer(m, 2 * np.arange(n) + 1) % (4 * n)]  # one per mode
+    # a reduction along each contiguous row, whatever the number of rows
+    rows /= np.sqrt(np.add.reduce(h * rows * rows, axis=1))[:, None]
+    hbar = h.sum() / n
+    mu = 12.0 * wave[m] ** 2 / (hbar**2 * (2.0 + wave[n + 2 * m]))
+    return mu, np.ascontiguousarray(rows.T)
+
+
 def _modes_1d(h, k):
     """k smallest eigenpairs (mu, v) of the 1-D RT0 pencil (S, D) on the
     cell widths h, S = G A1^-1 G^T and D = diag(h), their fluxes
     A1^-1 G^T v and the five 1-D sums per mode that _residuals reads.
 
-    The pairs are taken from the top of the inverse K = D^1/2 S^-1 D^1/2.
-    Up to _DENSE_MAX_CELLS cells, or when the budget of p =
-    _mode_budget(k) modes exceeds a quarter of the n cells, K is formed in
-    O(n^2) and decomposed densely (_dense_top); above, p modes come from
-    Lanczos on the O(n) product with K (_lanczos_top), whose bits depend
-    on neither k within a budget bracket nor the BLAS thread count, and
-    the first k are kept.  The rest is shared: mu = 1 / theta, columns of
-    v D-orthonormal, each signed so that its first largest-magnitude
-    entry is positive, and the fluxes from a direct tridiagonal solve
-    with A1 (LAPACK ptsv, as solveh_banded calls it).
+    The pairs come from one of three sources.  Widths that are equal by
+    mesh.uniform_widths take the closed form (_uniform_modes).  Other
+    widths take the top of the inverse K = D^1/2 S^-1 D^1/2: up to
+    _DENSE_MAX_CELLS cells, or when the budget of p = _mode_budget(k)
+    modes exceeds a quarter of the n cells, K is formed in O(n^2) and
+    decomposed densely (_dense_top); above, p modes come from Lanczos on
+    the O(n) product with K (_lanczos_top), and the first k are kept.
+    The closed form's bits depend on neither k nor the BLAS thread count,
+    the Lanczos path's on neither k within a budget bracket nor the
+    thread count.  The finish is shared: columns of v D-orthonormal, each
+    signed so that its first largest-magnitude entry is positive, the
+    fluxes from a direct tridiagonal solve with A1 (LAPACK ptsv, as
+    solveh_banded calls it) and the five sums, on the widths h
+    themselves, so that the residual check also covers the closed form
+    on widths that are equal only to roundoff.
     """
     n = len(h)
-    p = _mode_budget(k)
     diag, off = _a1_bands(h)
-    if n > _DENSE_MAX_CELLS and 4 * p <= n:
-        theta, vec = _lanczos_top(h, p, diag, off)
-        theta, vec = theta[:k], vec[:, :k]
+    if uniform_widths(h, h.sum()):
+        mu, v = _uniform_modes(h, k)
     else:
-        theta, vec = _dense_top(h, k, diag, off)
-    mu = 1.0 / theta
-    v = vec / np.sqrt(h)[:, None]
+        p = _mode_budget(k)
+        if n > _DENSE_MAX_CELLS and 4 * p <= n:
+            theta, vec = _lanczos_top(h, p, diag, off)
+            theta, vec = theta[:k], vec[:, :k]
+        else:
+            theta, vec = _dense_top(h, k, diag, off)
+        mu = 1.0 / theta
+        v = vec / np.sqrt(h)[:, None]
     v *= np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(k)])
     gtv = np.empty((n + 1, k))  # G^T v, row i = v[i - 1] - v[i], v 0-padded
     np.negative(v[0], out=gtv[0])
@@ -310,7 +355,10 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions) -> list[MixedEigen
     or a NaN, raises NotConverged with every pair's residual.  Measured on
     48 000 random meshes of up to 8 x 8 cells, the worst residual is at
     most 5.4 eps N^2 on one cell and 2.9 eps N^2 on more, and 0.23 eps N^2
-    on random and graded meshes of 129 to 2048 cells per direction.
+    on random and graded meshes of 129 to 2048 cells per direction.  On
+    the closed form, over uniform meshes of 8 to 8192 cells per direction
+    (spans pi, 1, 2 and 7.3, one origin away from 0, n2 = n1 / 2, n1 and
+    2 n1) at k = 6, 16 and 48, it is at most 0.25 eps N^2.
     """
     mesh = system.mesh
     if opts.k > mesh.n_cells:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dptsv
 
 from .eigensolve import MixedEigenpair, _effective_cells
 from .errors import DimensionMismatch
@@ -74,17 +74,23 @@ def _lift_1d(h, c, flux):
     energy, the squared A1-norm of the flux less the negative edge
     derivative (averaged over the two cells of an interior edge), and the
     largest jump of the derivative across an interior edge."""
+    n = len(h)
     inv = 1.0 / h
-    # upper banded storage over all n + 1 edges; a boundary edge keeps the
-    # row of the identity, so its mean solves to 0
+    # the bands over all n + 1 edges; a boundary edge keeps the row of the
+    # identity, so its mean solves to 0
+    diag = np.empty(n + 1)
+    diag[[0, -1]] = 1.0
+    np.add(inv[:-1], inv[1:], out=diag[1:-1])
+    diag[1:-1] *= 4.0
     off = 2.0 * inv  # edges i and i + 1 meet in cell i
     off[[0, -1]] = 0.0
-    bands = np.stack([np.r_[0.0, off],
-                      np.r_[1.0, 4.0 * (inv[:-1] + inv[1:]), 1.0]])
     ch = c * inv[:, None]
-    rhs = np.zeros((len(h) + 1, c.shape[1]))
+    rhs = np.zeros((n + 1, c.shape[1]))
     rhs[1:-1] = 6.0 * (ch[:-1] + ch[1:])
-    means = sla.solveh_banded(bands, rhs)
+    # solveh_banded's LAPACK call without its checks: the bands are
+    # diagonally dominant on positive widths, and a failed solve fails
+    # the bound of verify_equivalence
+    means = dptsv(diag, off, rhs)[2]
     left, right = means[:-1], means[1:]
     g_left = (6.0 * c - 4.0 * left - 2.0 * right) / h[:, None]
     g_right = (2.0 * left + 4.0 * right - 6.0 * c) / h[:, None]

@@ -5,16 +5,16 @@ The copies were generated with numpy 2.4.6 and scipy 1.17.1 (Python
 3.11.7, x86-64), the figure tables by the cumulative-sum 1-D mode solver.
 The reports pin, at full precision, the keys no table shows: the
 supercloseness, postprocessing and equivalence results of every level.
-They hold under one BLAS thread and under two: the 1-D modes of up to 128
-cells come from a dense eigh, which every preset's meshes up to level 4
-take in x and in y except preset b's 256 level-4 y widths, and those take
-the Lanczos path, whose bits depend on neither the BLAS thread count nor
-k within a mode budget (test_case_b_on_one_blas_thread runs preset b in
-a child process with OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1).  A
-change that is meant to alter an artifact replaces its copy and says
-why; another numpy, scipy or BLAS build may move a 17-digit value by
-roundoff, which this test then reports with the first differing line
-and, for the tables, the largest change per numeric column.
+They hold under one BLAS thread and under two: presets a and b have equal
+widths in each direction, whose 1-D modes come from the closed form,
+which calls no BLAS, and preset c's nonuniform widths, at most 80 cells
+per direction up to level 4, take the dense eigh, whose bits matched
+under both (test_case_b_on_one_blas_thread runs preset b in a child
+process with OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1).  A change that
+is meant to alter an artifact replaces its copy and says why; another
+numpy, scipy or BLAS build may move a 17-digit value by roundoff, which
+this test then reports with the first differing line and, for the
+tables, the largest change per numeric column.
 """
 
 import os
@@ -100,9 +100,9 @@ def test_level4_tables_byte_identical(case, tmp_path, capsys):
 
 
 def test_case_b_on_one_blas_thread(tmp_path):
-    """Preset b, whose 256 level-4 y cells take the Lanczos path, writes
-    the committed bytes also with BLAS on one thread; the thread count is
-    read when BLAS loads, hence the child process."""
+    """Preset b, whose 1-D modes all come from the closed form, writes the
+    committed bytes also with BLAS on one thread; the thread count is read
+    when BLAS loads, hence the child process."""
     src = str(Path(rrteig.__file__).resolve().parents[1])
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(

@@ -288,8 +288,8 @@ def _bits(pairs):
 def test_equal_widths_take_the_1d_modes_once(monkeypatch, mesh_a0):
     """When the y widths equal the x widths bitwise, the solve takes the
     1-D modes once (one _modes_1d call), and its pairs are the bits of
-    the two-call solve; on the dense and the Lanczos path.  y widths one
-    ulp off, or n1 != n2, take two calls."""
+    the two-call solve; on the closed form (preset a), the dense and the
+    Lanczos path.  y widths one ulp off, or n1 != n2, take two calls."""
     calls = []
     modes_1d = eigensolve._modes_1d
 
@@ -370,17 +370,89 @@ def test_modes_1d_against_saddle_oracle(mesh, data):
             assert np.all(err <= 5e-12 * np.abs(got).max(axis=0))
 
 
-@pytest.mark.parametrize("n", [8, 16, 64, 256, 1024])
-def test_modes_1d_closed_form_uniform(n):
-    """On n equal widths h the j-th 1-D eigenvalue is 12 sin^2(t/2) /
-    (h^2 (2 + cos t)), t = j pi / n; the first min(15, n) match it to
-    5e-14 relative."""
-    h = np.full(n, PI / n)
-    k = min(15, n)
-    mu, _, _, _ = _modes_1d(h, k)
+@pytest.mark.parametrize("n", [1, 2, 8, 16, 64, 256, 1024, 4096])
+def test_modes_1d_closed_form_uniform(monkeypatch, n):
+    """On n equal widths h the 1-D modes come from the closed form alone
+    (the dense and Lanczos paths are not called): the m-th eigenvalue is
+    12 sin^2(t/2) / (h^2 (2 + cos t)), t = m pi / n, to 2e-15 relative,
+    and the m-th mode is sin(t (i + 1/2)) / sqrt(pi / 2), D-normalised
+    (sqrt(pi) at m = n), to 1e-13 of its largest entry (the rounding of
+    the unreduced phase here, up to 48 pi), once signed by the shared
+    rule; the modes, the eigenvalues and the fluxes of every
+    k <= min(48, n) are the first k columns of the largest, bitwise."""
+    def refused(*args):
+        raise AssertionError("equal widths left the closed form")
+
+    monkeypatch.setattr(eigensolve, "_dense_top", refused)
+    monkeypatch.setattr(eigensolve, "_lanczos_top", refused)
+    h = np.diff(np.linspace(0.0, PI, n + 1))
+    k = min(48, n)
+    mu, v, flux, _ = _modes_1d(h, k)
     t = np.arange(1, k + 1) * PI / n
-    want = 12.0 * np.sin(t / 2) ** 2 / (h[0] ** 2 * (2.0 + np.cos(t)))
-    np.testing.assert_allclose(mu, want, rtol=5e-14, atol=0.0)
+    want = 12.0 * np.sin(t / 2) ** 2 / (h.mean() ** 2 * (2.0 + np.cos(t)))
+    np.testing.assert_allclose(mu, want, rtol=2e-15, atol=0.0)
+    modes = np.sin(np.outer(np.arange(n) + 0.5, t)) / np.sqrt(PI / 2)
+    if k == n:
+        modes[:, -1] /= np.sqrt(2.0)
+    assert _first_max_positive(v)
+    sign = np.sign(np.sum(v * modes, axis=0))
+    assert np.all(np.abs(v - modes * sign) <= 1e-13 * np.abs(v).max(axis=0))
+    for j in sorted({1, 2, 5, 16, k} & set(range(1, k + 1))):
+        part = _modes_1d(h, j)
+        for got, full in zip(part[:3], (mu, v, flux)):
+            want = np.ascontiguousarray(full[..., :j])
+            assert got.tobytes() == want.tobytes()
+
+
+# (x0, a) of the intervals [x0, x0 + a] whose linspace nodes give the
+# equal widths of the closed-form oracle tests: spans pi, 1 and 7.3, and
+# one origin away from 0
+_EQUAL_SPANS = [(0.0, PI), (0.0, 1.0), (0.0, 7.3), (-3.1, 7.3)]
+
+
+@pytest.mark.parametrize("n, k", [(8, 8), (16, 16), (64, 64), (129, 16),
+                                  (512, 48), (2048, 48)])
+def test_closed_form_against_dense_and_lanczos(n, k):
+    """The closed form against the dense path (n <= 512) and the Lanczos
+    path (n > 128), both forced onto equal widths, for spans pi, 1 and 7.3
+    and a translated origin.  Against Lanczos, mu agrees to 1e-14
+    relative and v and the fluxes to 1e-11 of their largest entry (at most
+    4.5e-15 and 7.4e-14, measured).  The dense path resolves theta = 1/mu
+    to eps theta_1, so its own error in mode m grows like eps mu_m / mu_1
+    (1.5e-13 relative at m = 64 of 64): against it both bounds are scaled
+    by mu_m / mu_1 (at most 2.3e-15 and 3e-14 times it, measured)."""
+    for x0, a in _EQUAL_SPANS:
+        h = np.diff(np.linspace(x0, x0 + a, n + 1))
+        got = _modes_1d(h, k)
+        ratio = got[0] / got[0][0]
+        oracles = [(_dense(h, k), ratio)] if n <= 512 else []
+        if n > _DENSE_MAX_CELLS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(eigensolve, "uniform_widths", lambda h, span: False)
+                oracles.append((_modes_1d(h, k), 1.0))
+        assert oracles
+        for want, scale in oracles:
+            err = np.abs(got[0] - want[0])
+            assert np.all(err <= 1e-14 * scale * want[0])
+            sign = np.sign(np.sum(h[:, None] * got[1] * want[1], axis=0))
+            for g, w in zip(got[1:3], want[1:3]):
+                err = np.abs(g - w * sign)
+                assert np.all(err <= 1e-11 * scale * np.abs(w).max(axis=0))
+
+
+@pytest.mark.parametrize("n", [4096, 8192])
+def test_closed_form_against_the_h_series(n):
+    """On n equal widths h of [0, pi], mu_m - m^2 = m^4 h^2 / 12 + m^6 h^4 /
+    360 - 17 m^8 h^6 / 60480 + O(h^8): the first 48 modes match the series
+    to 6 eps mu (2.3 eps mu at most, measured; the O(h^8) term is below
+    2e-16 mu here, and the meshed [0, fl(pi)] moves mu by 1.6e-16 mu)."""
+    h = np.diff(np.linspace(0.0, PI, n + 1))
+    mu = _modes_1d(h, 48)[0]
+    m = np.arange(1, 49, dtype=float)
+    hh = PI / n
+    series = (m**2 + m**4 * hh**2 / 12 + m**6 * hh**4 / 360
+              - 17 * m**8 * hh**6 / 60480)
+    assert np.all(np.abs(mu - series) <= 6 * np.finfo(float).eps * mu)
 
 
 def _widths(kind, n, rng):
@@ -396,10 +468,11 @@ def _widths(kind, n, rng):
 
 
 def _dense(h, k):
-    """_modes_1d on its dense path whatever n is: the oracle of the
-    Lanczos path."""
+    """_modes_1d on its dense path whatever n is, also on equal widths:
+    the oracle of the Lanczos path and of the closed form."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(eigensolve, "_DENSE_MAX_CELLS", len(h))
+        mp.setattr(eigensolve, "uniform_widths", lambda h, span: False)
         return _modes_1d(h, k)
 
 
@@ -411,9 +484,10 @@ def _first_max_positive(v):
 @pytest.mark.parametrize("kind", ["uniform", "mirror", "random"])
 @pytest.mark.parametrize("n", [_DENSE_MAX_CELLS + 1, 200, 333, 600])
 def test_lanczos_modes_against_dense_oracle(kind, n):
-    """Above the cutoff the 1-D modes come from Lanczos; against the dense
-    path on the same widths: mu to 1e-13 relative, v and the fluxes to
-    1e-10 of their largest entry, |D v|^2 and |A1 f|^2 to 1e-13 relative,
+    """Above the cutoff the 1-D modes come from Lanczos, and from the
+    closed form on equal widths; against the dense path on the same
+    widths: mu to 1e-13 relative, v and the fluxes to 1e-10 of their
+    largest entry, |D v|^2 and |A1 f|^2 to 1e-13 relative,
     and the residual sums |rho1|^2, |rho2|^2 and <D v, rho2> of both paths
     at roundoff size: |rho1| <= 1e-14 |A1 f| and |rho2| <= 1e-8 mu |D v|.
     Both paths obey the shared sign rule; they may only differ in sign
@@ -534,8 +608,8 @@ def test_sine_start_saves_products(monkeypatch):
     """The Lanczos start vector is D^1/2 times the sum of the p exact modes
     sin(m x) at the scaled cell centres, to 1e-13 of its largest entry;
     from it ARPACK takes 43 products with K per direction on a random
-    256-cell mesh and 34 on a uniform one, at p = 16 (52 on both from
-    the start linspace(1, 2, n))."""
+    256-cell mesh and 43 on a mirror-symmetric one, at p = 16 (52 on both
+    from the start linspace(1, 2, n))."""
     counts = []
 
     class CountingProduct(eigensolve._KProduct):
@@ -551,7 +625,7 @@ def test_sine_start_saves_products(monkeypatch):
 
     monkeypatch.setattr(eigensolve, "_KProduct", CountingProduct)
     rng = np.random.default_rng(15)
-    for kind, want in (("random", 43), ("uniform", 34)):
+    for kind, want in (("random", 43), ("mirror", 43)):
         h = _widths(kind, 256, rng)
         x = (np.cumsum(h) - h / 2.0) * (PI / h.sum())
         modes = np.sqrt(h)[:, None] * np.sin(np.outer(x, np.arange(1, 17)))
@@ -632,7 +706,9 @@ def test_arpack_failure_is_not_converged(monkeypatch, failure):
         raise spla.ArpackError(-9)
 
     monkeypatch.setattr(eigensolve.spla, "eigsh", fake)
-    system = assemble_mixed(uniform_mesh(0, PI, 4, 0, PI, 200))
+    rng = np.random.default_rng(17)
+    system = assemble_mixed(build_mesh(np.linspace(0, PI, 5),
+                                       _nodes(rng.uniform(1.0, 4.0, 200))))
     with pytest.raises(NotConverged, match="1-D Lanczos modes on 200 cells"
                        ) as info:
         solve_mixed_eigs(system, SolveOptions(k=6))

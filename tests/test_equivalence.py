@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
@@ -290,6 +291,42 @@ def test_1d_identity_d_sigma_d_equals_s(n):
     np.testing.assert_allclose(energy, want, rtol=1e-13, atol=0.0)
     assert np.all(flux_disc <= (1e-13 * np.abs(c).max()) ** 2 * scale)
     assert np.all(jump <= 1e-13 * scale * np.abs(c).max())
+
+
+def test_lift_solve_bits_of_solveh_banded(monkeypatch):
+    """The lift's edge means, from LAPACK ptsv called directly, are the
+    bits of scipy's solveh_banded on the upper banded storage of the same
+    system, whose bands the lift builds by slices, on random (ratio <= 4)
+    and graded (ratio up to 6.2e3) widths of 1 to 300 cells."""
+    calls = []
+    real = equivalence.dptsv
+
+    def dptsv(d, e, b):
+        out = real(d, e, b)
+        calls.append((d, e, b, out[2]))
+        return out
+
+    monkeypatch.setattr(equivalence, "dptsv", dptsv)
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 7, 64, 300):
+        for w in (rng.uniform(1.0, 4.0, n), 6.2e3 ** rng.uniform(0.0, 1.0, n)):
+            h = w * (PI / w.sum())
+            c = rng.standard_normal((n, 5))
+            _lift_1d(h, c, rng.standard_normal((n + 1, 5)))
+            d, e, b, got = calls.pop()
+            inv = 1.0 / h
+            off = 2.0 * inv
+            off[[0, -1]] = 0.0
+            bands = np.stack([np.r_[0.0, off],
+                              np.r_[1.0, 4.0 * (inv[:-1] + inv[1:]), 1.0]])
+            assert d.tobytes() == bands[1].tobytes()
+            assert e.tobytes() == bands[0, 1:].tobytes()
+            ch = c * inv[:, None]
+            rhs = np.zeros((n + 1, 5))
+            rhs[1:-1] = 6.0 * (ch[:-1] + ch[1:])
+            assert b.tobytes() == rhs.tobytes()
+            want = sla.solveh_banded(bands, rhs)
+            assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

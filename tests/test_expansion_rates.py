@@ -11,11 +11,15 @@ index: near ties such as (1, 4) and (2, 3) on a rectangle swap order
 between levels.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rrteig.analysis import expansion_term
 from rrteig.assembly import assemble_mixed
+from rrteig.cli import case_preset, run_case
 from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
 from rrteig.exact import FieldSample, enumerate_exact
 from rrteig.mesh import build_mesh, uniform_refine
@@ -94,3 +98,16 @@ def test_expansion_residual_rate_four(case):
         assert _kh(mesh, domain, (m, n)) <= _KH, (m, n)
         rate = np.log2(abs(coarse[m, n]) / abs(fine[m, n]))
         assert rate >= 3.5, ((m, n), rate, coarse[m, n], fine[m, n])
+
+
+@pytest.mark.parametrize("case, levels", [("a", 8), ("b", 7)])
+def test_deep_preset_residual_rates(case, levels):
+    """Preset a to 2048 x 2048 cells and preset b to 1024 x 2048, with no
+    failed analysis: every residual rate between the last two levels lies
+    in [3.95, 4.05].  Their 1-D modes come from the closed form, so that
+    lambda_h stays within a few ulps; from the dense and Lanczos paths
+    preset a's r_1 rate read 4.24 there."""
+    report = run_case(dataclasses.replace(case_preset(case), levels=levels))
+    assert "failures" not in report.config
+    rates = report.residual_rates
+    assert rates and all(3.95 <= r <= 4.05 for r in rates.values()), rates

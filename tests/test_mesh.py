@@ -11,6 +11,7 @@ from rrteig.mesh import (
     regularity_constant,
     uniform_mesh,
     uniform_refine,
+    uniform_widths,
 )
 
 from oracles import cell_areas, numbering
@@ -80,6 +81,29 @@ def test_is_uniform():
     assert m.is_uniform()
     assert not uniform_mesh(0.0, 1.0, 4, 0.0, 1.0, 8).is_uniform()
     assert not build_mesh([0.0, 0.4, 1.0], [0.0, 0.5, 1.0]).is_uniform()
+
+
+@pytest.mark.parametrize("x0, a, y0, b, n1, n2", [
+    (0.0, np.pi, 0.0, np.pi, 8, 8), (0.0, 1.0, 0.0, 3.0, 3, 9),
+    (-3.1, 7.3, 2.0, 7.3, 5, 5)])
+def test_uniform_ladders_stay_uniform(x0, a, y0, b, n1, n2):
+    """Refinement ladders of linspace nodes with square cells stay uniform
+    up to 2^15 cells per direction, and so do their 1-D widths by
+    uniform_widths, although their widths spread by up to 0.67 eps a,
+    which exceeds 1e-12 of one width from 16 384 cells on at most; one
+    width moved by 100 eps a is not uniform."""
+    eps = np.finfo(float).eps
+    mesh = uniform_mesh(x0, x0 + a, n1, y0, y0 + b, n2)
+    while mesh.n1 <= 2**15:
+        assert mesh.is_uniform()
+        assert uniform_widths(mesh.hx, a) and uniform_widths(mesh.hy, b)
+        fine = mesh
+        mesh = uniform_refine(mesh)
+    assert np.ptp(fine.hx) > 1e-12 * fine.hx[0]
+    moved = fine.node_x.copy()
+    moved[fine.n1 // 3:] += 100 * eps * a
+    assert not build_mesh(moved, fine.node_y).is_uniform()
+    assert not uniform_widths(np.diff(moved), a)
 
 
 
