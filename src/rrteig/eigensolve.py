@@ -305,8 +305,11 @@ def _modes_1d(h, k):
     a1f, dv = _a1_times(diag, off, flux), h[:, None] * v
     rho1, rho2 = a1f - gtv, np.diff(flux, axis=0) - mu * dv  # G f = diff(f)
     terms = ((dv, dv), (rho1, rho1), (a1f, a1f), (rho2, rho2), (dv, rho2))
-    return mu, v, flux, np.array([np.add.reduce(a * b, axis=0)
-                                  for a, b in terms])
+    # each product as contiguous (k, n) rows, reduced along the rows, as in
+    # _uniform_modes: a sum's order, and so its bits, do not depend on k
+    return mu, v, flux, np.array([
+        np.add.reduce(np.multiply(a.T, b.T, out=np.empty((k, len(a)))),
+                      axis=1) for a, b in terms])
 
 
 def _smallest_sums(a, b, count):

@@ -36,8 +36,13 @@ reconstructed component, for ``eval_cell``; ``u_coeffs`` and
 ``sigma_coeffs`` form a pair's 2-D cell and edge vectors from its 1-D
 factors, for the 2-D oracles; and ``sign_matched`` flips a pair whose
 cell means correlate negatively with those of an exact field.
+``report_json`` is the report as the library writes it, taken the long
+way: a copy with NaN as null and no ``time_seconds`` key (``stored``),
+written by ``json.dumps``.
 """
 
+import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -1101,3 +1106,21 @@ def regularity_constant_2d(mesh: TensorMesh) -> float:
     every (h_x, h_y) pair of cell widths."""
     ratio = mesh.hx[:, None] / mesh.hy[None, :]
     return float(np.maximum(ratio, 1.0 / ratio).max())
+
+
+def stored(obj):
+    """A copy of a report with every NaN as None, every time_seconds key
+    dropped at any depth and every tuple as a list."""
+    if isinstance(obj, float):
+        return None if math.isnan(obj) else obj
+    if isinstance(obj, dict):
+        return {key: stored(val) for key, val in obj.items()
+                if key != "time_seconds"}
+    if isinstance(obj, (list, tuple)):
+        return [stored(val) for val in obj]
+    return obj
+
+
+def report_json(obj) -> str:
+    """The text of a report as written, without its final line break."""
+    return json.dumps(stored(obj), sort_keys=True, indent=2, allow_nan=False)

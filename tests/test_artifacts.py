@@ -1,5 +1,6 @@
 """The tables and the report that `rrteig run --case {a,b,c} --levels 4`
-writes stay byte-identical to the committed copies in tests/data.
+writes stay byte-identical to the committed copies in tests/data, and so
+do those that emit_tables and `rrteig table --out` write in every format.
 
 The copies were generated with numpy 2.4.6 and scipy 1.17.1 (Python
 3.11.7, x86-64), the figure tables by the cumulative-sum 1-D mode solver.
@@ -17,6 +18,7 @@ this test then reports with the first differing line and, for the
 tables, the largest change per numeric column.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -25,7 +27,7 @@ from pathlib import Path
 import pytest
 
 import rrteig
-from rrteig.cli import main
+from rrteig.cli import case_preset, emit_tables, main, run_case
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -97,6 +99,42 @@ def test_level4_tables_byte_identical(case, tmp_path, capsys):
         got = (tmp_path / name).read_bytes()
         want = (DATA / name).read_bytes()
         assert got == want, f"{name}\n{_changes(got, want)}"
+
+
+def _in_format(aligned: bytes, fmt: str) -> bytes:
+    """An aligned-text table in another format: the cells of each line,
+    with an empty row-label header where the header line starts with a
+    blank, comma-separated or written by json.dumps."""
+    lines = aligned.decode().splitlines()
+    header = ([""] if lines[0].startswith(" ") else []) + lines[0].split()
+    rows = [line.split() for line in lines[1:]]
+    if fmt == "delimited-text":
+        return "".join(",".join(r) + "\n" for r in [header] + rows).encode()
+    return (json.dumps({"header": header, "rows": rows}, sort_keys=True,
+                       indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("case", ["a", "b", "c"])
+def test_level4_files_in_every_format(case, tmp_path, capsys):
+    """emit_tables and `rrteig table --out` write, in every format, the
+    committed report and the committed tables, the comma-separated and
+    JSON tables with the cells of the committed aligned-text ones."""
+    report = run_case(case_preset(case))
+    for fmt, ext in (("aligned-text", "txt"), ("delimited-text", "csv"),
+                     ("structured-document", "json")):
+        emitted, table = tmp_path / fmt / "emit", tmp_path / fmt / "table"
+        emit_tables(report, fmt, str(emitted))
+        assert main(["table", str(DATA / f"{case}_report.json"), "--format",
+                     fmt, "--out", str(table)]) == 0
+        for name in _artifacts(case):
+            want = (DATA / name).read_bytes()
+            if not name.endswith("report.json"):
+                name = name.replace(".txt", f".{ext}")
+                if ext != "txt":
+                    want = _in_format(want, fmt)
+            assert (emitted / name).read_bytes() == want, name
+            assert (table / name).read_bytes() == want, name
+    capsys.readouterr()
 
 
 def test_case_b_on_one_blas_thread(tmp_path):

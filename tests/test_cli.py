@@ -2,19 +2,23 @@
 determinism, command-line surface."""
 
 import dataclasses
+import errno
 import json
+import math
 import os
+import stat
 import sys
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rrteig import eigensolve
+from rrteig import cli, eigensolve
 from rrteig.assembly import assemble_mixed
 from rrteig.eigensolve import solve_mixed_eigs
-from rrteig.errors import InvalidConfig
+from rrteig.errors import InvalidConfig, IoFailure
 from rrteig.cli import (
     ExperimentConfig,
     case_preset,
@@ -26,6 +30,8 @@ from rrteig.cli import (
     residual_table,
     run_case,
 )
+
+from oracles import report_json
 
 PI = np.pi
 
@@ -832,7 +838,7 @@ def test_exact_spectrum_enumerated_once_per_sweep(monkeypatch):
     and once per distinct count that the frequency matches need: preset
     a's first six labels are the same on every level, so two calls serve
     its five levels.  A second sweep enumerates afresh."""
-    from rrteig import cli, exact
+    from rrteig import exact
 
     enumerated = _count_calls(monkeypatch, exact.enumerate_exact)
     report = run_case(case_preset("a"))
@@ -841,7 +847,8 @@ def test_exact_spectrum_enumerated_once_per_sweep(monkeypatch):
     assert len(enumerated) == 2
     again = run_case(case_preset("a"))
     assert len(enumerated) == 4
-    assert cli._stored(again.to_dict()) == cli._stored(report.to_dict())
+    assert cli._report_json(again.to_dict()) == \
+        cli._report_json(report.to_dict())
 
 
 def test_run_out_renders_each_table_once(monkeypatch, tmp_path, capsys):
@@ -892,3 +899,113 @@ def test_run_refuses_an_elongated_domain(monkeypatch, capsys, tmp_path):
     assert "failures" not in report.config
     assert len(solved) == 2
     assert report.exact_values[1] > report.exact_values[0]
+
+
+# report-like documents: nested dicts, lists and tuples with time_seconds
+# keys at any depth, NaN, -0.0, numpy floats, bools, ints, None, non-ASCII
+# strings and empty containers
+_KEYS = st.sampled_from(["time_seconds", "a", "b", "\u2198", ""]) | st.text(
+    max_size=4)
+_SCALARS = st.one_of(
+    st.floats(allow_infinity=False), st.just(-0.0),
+    st.floats(allow_infinity=False).map(np.float64), st.booleans(),
+    st.integers(), st.none(), st.text(max_size=4), st.just("\u2198"))
+_DOCUMENTS = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_KEYS, inner, max_size=4)), max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=_DOCUMENTS)
+def test_report_json_against_the_oracle(doc):
+    """The one-walk report writer gives the bytes of json.dumps on a copy
+    with NaN as null and no time_seconds key (tests/oracles.py)."""
+    assert cli._report_json(doc) == report_json(doc)
+
+
+def test_report_json_refuses_what_strict_json_cannot_hold(tmp_path,
+                                                          capsys):
+    """+-inf raises ValueError, as allow_nan=False does, and a key that is
+    not a str or a value of another type raises TypeError; `rrteig table`
+    turns either into IoFailure and writes nothing."""
+    for inf in (math.inf, -math.inf, np.float64("-inf")):
+        for doc in ([inf], {"a": {"b": (1.0, inf)}}):
+            with pytest.raises(ValueError):
+                cli._report_json(doc)
+            with pytest.raises(ValueError):
+                report_json(doc)
+    for doc in ({1: 2.0}, {"a": 1.0, 2: 3.0}, {"a": [{1: None}]},
+                [np.int64(3)], {"a": np.bool_(True)}, {"a": {1.5}}):
+        with pytest.raises(TypeError):
+            cli._report_json(doc)
+    assert cli._report_json({"time_seconds": 1.0, "x": [{}, (), []]}) == \
+        '{\n  "x": [\n    {},\n    [],\n    []\n  ]\n}'
+
+    emit_tables(run_case(_small_config()), "aligned-text", str(tmp_path))
+    path = tmp_path / "small_report.json"
+    doc = json.loads(path.read_text())
+    doc["levels"][0]["h"] = math.inf
+    path.write_text(json.dumps(doc))  # writes Infinity
+    out = tmp_path / "out"
+    assert main(["table", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = json.loads(captured.err)
+    assert err["error"] == "IoFailure" and "ValueError" in err["message"]
+
+
+def test_write_overwrites_in_place(monkeypatch, tmp_path):
+    """Each text, shorter or longer than the file it overwrites, leaves
+    exactly its UTF-8 bytes, with \\n line ends, also when os.write writes
+    a few bytes a call."""
+    path = tmp_path / "f.txt"
+    texts = ("a first text, of some length\n", "\u2198 short\n",
+             "a text longer than the one before\nand two lines\n", "")
+    for text in texts:
+        assert cli._write({"f.txt": text}, str(tmp_path)) == [str(path)]
+        assert path.read_bytes() == text.encode()
+    real = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real(fd, data[:3]))
+    for text in texts[::-1]:
+        cli._write({"f.txt": text}, str(tmp_path))
+        assert path.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_write_creates_files_as_open_does(tmp_path, umask):
+    """A new file gets the mode that open(path, "w") gives it under the
+    process umask; an existing file keeps its mode."""
+    old = os.umask(umask)
+    try:
+        cli._write({"new.txt": "x\n"}, str(tmp_path))
+        with open(tmp_path / "plain.txt", "w") as f:
+            f.write("x\n")
+    finally:
+        os.umask(old)
+    mode = lambda name: stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+    assert mode("new.txt") == mode("plain.txt") == 0o666 & ~umask
+    os.chmod(tmp_path / "new.txt", 0o600)
+    cli._write({"new.txt": "y\n"}, str(tmp_path))
+    assert mode("new.txt") == 0o600
+
+
+def test_write_failures_are_io_failures(monkeypatch, tmp_path):
+    """A directory at the target path raises IoFailure; a write that fails
+    part-way cuts its file to zero, so that it never holds new bytes
+    followed by old ones, and raises IoFailure."""
+    (tmp_path / "d.txt").mkdir()
+    with pytest.raises(IoFailure):
+        cli._write({"d.txt": "x\n"}, str(tmp_path))
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"old bytes, a long line of them\n" * 50)
+    real = os.write
+
+    def failing(fd, data):
+        real(fd, data[:5])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", failing)
+    with pytest.raises(IoFailure, match="No space left"):
+        cli._write({"f.txt": "new text\n"}, str(tmp_path))
+    monkeypatch.undo()
+    assert path.read_bytes() == b""

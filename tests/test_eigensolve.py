@@ -567,7 +567,8 @@ def test_lanczos_top_bits_of_the_allocating_product(n):
 def test_flux_solve_bits_of_solveh_banded():
     """The 1-D fluxes, from LAPACK ptsv called directly, are the bits of
     scipy's solveh_banded on the same A1 and G^T v, and the five residual
-    sums those of np.sum, on the dense and the Lanczos path."""
+    sums those of np.sum over each column alone, on the dense and the
+    Lanczos path."""
     rng = np.random.default_rng(13)
     for h in [_widths("random", 40, rng), *_product_meshes()]:
         mu, v, flux, sums = _modes_1d(h, 6)
@@ -578,8 +579,29 @@ def test_flux_solve_bits_of_solveh_banded():
         a1f, dv = eigensolve._a1_times(diag, off, flux), h[:, None] * v
         rho1, rho2 = a1f - gtv, np.diff(flux, axis=0) - mu * dv
         terms = ((dv, dv), (rho1, rho1), (a1f, a1f), (rho2, rho2), (dv, rho2))
-        want = np.array([np.sum(a * b, axis=0) for a, b in terms])
+        want = np.array([[np.sum(a[:, j] * b[:, j]) for j in range(6)]
+                         for a, b in terms])
         assert sums.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["uniform", "dense", "lanczos"])
+def test_residual_norms_do_not_depend_on_k(kind):
+    """The residual of each pair has the same bits for every k of one mode
+    budget, on the closed-form, the dense and the Lanczos path: each of
+    the five 1-D sums is taken along one contiguous row per mode, whose
+    order does not depend on how many modes are solved."""
+    rng = np.random.default_rng(17)
+    n = {"uniform": 64, "dense": 40, "lanczos": 256}[kind]
+    nx, ny = ((np.linspace(0.0, PI, n + 1), np.linspace(0.0, 2.0, n // 2 + 1))
+              if kind == "uniform" else
+              (_nodes(rng.uniform(1.0, 4.0, m)) for m in (n, n + 3)))
+    system = assemble_mixed(build_mesh(nx, ny))
+    full = {p.mode: p.residual_norm
+            for p in solve_mixed_eigs(system, SolveOptions(k=16))}
+    for k in (1, 2, 5, 6, 12):
+        pairs = solve_mixed_eigs(system, SolveOptions(k=k))
+        assert [p.residual_norm for p in pairs] == \
+            [full[p.mode] for p in pairs]
 
 
 def test_modes_1d_dense_up_to_the_cutoff(monkeypatch):
