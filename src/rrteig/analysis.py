@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exact import FieldSample, strip_integrals_k2_du_sq
+from .exact import FieldSample, _require_domain, strip_integrals_k2_du_sq
 from .mesh import TensorMesh
 
 _BOUND_REL_TOL = 1e-12  # relative roundoff slack of the upper-bound flag
@@ -26,6 +26,7 @@ def expansion_term(mesh: TensorMesh, fields) -> np.ndarray:
     running sum, not numpy's pairwise one), which fixes the rounding of
     the 17-digit e2 column.
     """
+    _require_domain(mesh, fields)
     ix, iy = strip_integrals_k2_du_sq(fields, mesh.node_x, mesh.node_y)
     # float_power squares through libm pow like a scalar h ** 2; np.square
     # (an array's h ** 2) rounds 1 ulp apart on rare widths

@@ -18,7 +18,7 @@ class TooFewNodes(RRTError):
 
 
 class LayoutMismatch(RRTError):
-    """A 1-D factor of a pair does not fit the mesh."""
+    """A pair's 1-D factor or an exact field's domain does not fit the mesh."""
 
 
 class NotConverged(RRTError):

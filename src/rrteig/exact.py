@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolve import _smallest_sums
-from .errors import InvalidConfig
+from .errors import InvalidConfig, LayoutMismatch
 from .mesh import TensorMesh
 
 _EQ_TOL = 1e-9
@@ -88,29 +88,19 @@ def enumerate_exact(domain=(np.pi, np.pi), count=6) -> list[ExactEigenpair]:
 # analytic 1-D integrals of trigonometric products
 # ---------------------------------------------------------------------------
 
-def _int_sin(k, x0, x1):
-    return (np.cos(k * x0) - np.cos(k * x1)) / k
+def _int_sin(k, nodes):
+    """The integrals of sin(k x) over each cell of the nodes."""
+    c = np.cos(k * nodes)
+    return (c[:-1] - c[1:]) / k
 
 
-def _int_sq(k, x0, x1, cos=False):
-    """The integral of sin(k x)^2, or of cos(k x)^2 when ``cos``, over
-    [x0, x1]."""
-    sign = 1.0 if cos else -1.0
-    def F(x):
-        return x / 2.0 + sign * np.sin(2.0 * k * x) / (4.0 * k)
-    return F(x1) - F(x0)
-
-
-def _factor(k, x, order):
-    """Derivative of order 0, 1 or 2 of sin(k x): the cycle
-    sin -> k cos -> -k^2 sin."""
-    if order == 0:
-        return np.sin(k * x)
-    if order == 1:
-        return k * np.cos(k * x)
-    if order == 2:
-        return -k * k * np.sin(k * x)
-    raise ValueError(f"derivative order must be 0, 1 or 2, got {order}")
+def _sq_integrals(k, nodes):
+    """The integrals of cos(k x)^2 over each cell of the nodes and of
+    sin(k x)^2 over their span, one row per entry of the column k, from
+    the antiderivatives x / 2 +- sin(2 k x) / (4 k) taken once per node."""
+    half, t = nodes / 2.0, np.sin(2.0 * k * nodes) / (4.0 * k)
+    cos_sq, sin_sq = half + t, half - t
+    return cos_sq[:, 1:] - cos_sq[:, :-1], sin_sq[:, -1:] - sin_sq[:, :1]
 
 
 @dataclass(frozen=True)
@@ -152,12 +142,18 @@ class FieldSample:
     def ky(self) -> np.float64:
         return np.float64(self.n) * np.pi / self.domain[1]
 
-    def factors(self, x, y, dx=0, dy=0):
-        """The x and y factors of the (dx, dy) partial derivative of u,
-        0 <= dx, dy <= 2: amp times the dx-th derivative of sin(kx x) at
-        the points x, and the dy-th derivative of sin(ky y) at the points y."""
-        return (self.amp * _factor(self.kx, np.asarray(x), dx),
-                _factor(self.ky, np.asarray(y), dy))
+    def factors(self, x, y):
+        """The x and y factors of the partial derivatives of u of orders 0,
+        1 and 2 in each direction, arrays (3, *shape): row d holds amp
+        times the d-th derivative of sin(kx x) at the points x, and the
+        d-th derivative of sin(ky y) at the points y, by the cycle sin ->
+        k cos -> -k^2 sin from one sine and one cosine."""
+        out = []
+        for k, pts in ((self.kx, x), (self.ky, y)):
+            kp = k * np.asarray(pts)
+            s = np.sin(kp)
+            out.append(np.array([s, k * np.cos(kp), -k * k * s]))
+        return self.amp * out[0], out[1]
 
 
 def strip_integrals_k2_du_sq(fields, node_x, node_y):
@@ -173,11 +169,10 @@ def strip_integrals_k2_du_sq(fields, node_x, node_y):
     ky = np.array([f.ky for f in fields])[:, None]
     amp2 = np.float_power([f.amp for f in fields], 2)[:, None]
     kx2, ky2 = np.float_power(kx, 2), np.float_power(ky, 2)
-    nx, ny = np.asarray(node_x), np.asarray(node_y)
-    out_x = (kx2 * kx2 * _int_sq(kx, nx[:-1], nx[1:], cos=True)
-             * _int_sq(ky, ny[0], ny[-1]))
-    out_y = (ky2 * ky2 * _int_sq(kx, nx[0], nx[-1])
-             * _int_sq(ky, ny[:-1], ny[1:], cos=True))
+    cos_x, sin_x = _sq_integrals(kx, np.asarray(node_x))
+    cos_y, sin_y = _sq_integrals(ky, np.asarray(node_y))
+    out_x = kx2 * kx2 * cos_x * sin_y
+    out_y = ky2 * ky2 * sin_x * cos_y
     return amp2 * out_x, amp2 * out_y
 
 
@@ -189,6 +184,19 @@ def cell_mean_factors(mesh: TensorMesh, fld: FieldSample):
     """The x and y factors (amp px, py) of the cell means of u, px and py
     the 1-D cell means of the two sines: the mean of u over cell (i, j) is
     amp px[i] py[j]."""
-    nx, ny = mesh.node_x, mesh.node_y
-    return (fld.amp * _int_sin(fld.kx, nx[:-1], nx[1:]) / mesh.hx,
-            _int_sin(fld.ky, ny[:-1], ny[1:]) / mesh.hy)
+    return (fld.amp * _int_sin(fld.kx, mesh.node_x) / mesh.hx,
+            _int_sin(fld.ky, mesh.node_y) / mesh.hy)
+
+
+def _require_domain(mesh: TensorMesh, fields):
+    """Each field's domain [0, a] x [0, b] must be the mesh's, its end
+    nodes to 1e-12 relative: the analyses read a field at the mesh's
+    coordinates, and on another domain its numbers are wrong."""
+    (x0, x1), (y0, y1) = (mesh.node_x[::mesh.n1].tolist(),  # the end nodes
+                          mesh.node_y[::mesh.n2].tolist())
+    for a, b in {f.domain for f in fields}:
+        if not (max(abs(x0), abs(x1 - a)) <= 1e-12 * a
+                and max(abs(y0), abs(y1 - b)) <= 1e-12 * b):
+            raise LayoutMismatch(
+                f"a field on [0, {a:.17g}] x [0, {b:.17g}] does not fit the "
+                f"mesh of [{x0:.17g}, {x1:.17g}] x [{y0:.17g}, {y1:.17g}]")

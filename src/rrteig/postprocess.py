@@ -9,11 +9,11 @@ All three reproduce global Q11 data exactly, which is the property the
 superconvergence theory rests on.  A discrete pair is rank one, and so is
 each reconstructed component: the product of an x and a y 1-D
 interpolant, whose error norms reduce to 1-D Gauss sums.  One call,
-postprocessing_norms, gives all four error norms of a level and takes
-each 1-D interpolant once per derivative order, in Newton form from the
-divided differences of each macro-element, with no per-cell basis.  The
-supercloseness norms reduce alike, to 1-D sums of the pair's factors and
-of the exact field's cell means.
+postprocessing_norms, gives all four error norms of a level: each 1-D
+interpolant is taken once, value and derivative from the divided
+differences of each macro-element, and the nine distances are one
+stacked pass (_distance_sq).  The supercloseness norms reduce alike, to
+1-D sums of the pair's factors and of the exact field's cell means.
 """
 
 from __future__ import annotations
@@ -22,11 +22,20 @@ import numpy as np
 
 from .eigensolve import MixedEigenpair, _a1_bands, _a1_times
 from .errors import LayoutMismatch, OddMeshDimensions
-from .exact import FieldSample, cell_mean_factors
+from .exact import FieldSample, _require_domain, cell_mean_factors
 from .mesh import TensorMesh
 
 _GAUSS_N = 5
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_GAUSS_N)
+# the nine squared distances of postprocessing_norms: key and rows (x, y, f,
+# g) of the x table [sx, sx', v, v', e, e', e'', -e, -e', -e''] and the y
+# table [w, w', sy, sy', g, g', g''], e and g the exact factors (sigma: -e)
+_TERMS = (("sigma_l2", 0, 0, 8, 4), ("sigma_l2", 2, 2, 7, 5),
+          ("sigma_h1", 1, 0, 9, 4), ("sigma_h1", 0, 1, 8, 5),
+          ("sigma_h1", 3, 2, 8, 5), ("sigma_h1", 2, 3, 7, 6),
+          ("u_l2", 2, 0, 4, 4), ("u_h1", 3, 0, 5, 4), ("u_h1", 2, 1, 4, 5))
+_KEYS = [t[0] for t in _TERMS]
+_X, _Y, _F, _G = np.array([t[1:] for t in _TERMS]).T
 
 
 def supercloseness_norms(
@@ -47,36 +56,43 @@ def supercloseness_norms(
     distance, the remainder terms come from the 4x4 Gram matrices of (X,
     v, rx, v) and (Y, w, w, ry).  Expanding all four rank-one terms
     instead cancels, to 2.2e-5 of the value at 1024^2."""
-    _require_fit(mesh, pair)
+    _require_fit(mesh, [pair])
+    _require_domain(mesh, [fld])
     v, w, hx, hy = pair.v, pair.w, mesh.hx, mesh.hy
     X, Y = cell_mean_factors(mesh, fld)
-    fx, fy = (-f for f in fld.factors(mesh.node_x, mesh.node_y, 1, 1))
-    dx, dy = _weights(hx), _weights(hy)
-    sigma_sq = (_tensor_distance_sq(pair.flux_x, w, fx, Y, _a1(hx), dy)
-                + _tensor_distance_sq(pair.flux_y, v, fy, X, _a1(hy), dx))
-    gx, gy = np.diff(pair.flux_x) / hx, np.diff(pair.flux_y) / hy
-    mu, nu = _dot(v, gx, dx) / _dot(v, v, dx), _dot(w, gy, dy) / _dot(w, w, dy)
-    xs, ys = np.stack([X, v, gx - mu * v, v]), np.stack([Y, w, w, gy - nu * w])
+    fx, fy = (-f[1] for f in fld.factors(mesh.node_x, mesh.node_y))
+    dx, dy = (lambda a: hx * a), (lambda a: hy * a)
+    a1x, a1y = ((lambda a, d=_a1_bands(h): _a1_times(*d, a.T).T)  # on rows
+                for h in (hx, hy))
+    sigma_sq = (_distance_sq(pair.flux_x[None], w[None], fx[None], Y[None],
+                             a1x, dy)
+                + _distance_sq(pair.flux_y[None], v[None], fy[None], X[None],
+                               a1y, dx))[0]
+    gx = (pair.flux_x[1:] - pair.flux_x[:-1]) / hx
+    gy = (pair.flux_y[1:] - pair.flux_y[:-1]) / hy
+    hv, hw = hx * v, hy * w
+    mu, nu = (hv * gx).sum() / (hv * v).sum(), (hw * gy).sum() / (hw * w).sum()
+    xs, ys = np.array([X, v, gx - mu * v, v]), np.array([Y, w, w, gy - nu * w])
     coef = np.array([fld.value, -(mu + nu), -1.0, -1.0])
     gram = np.outer(coef, coef) * ((xs * hx) @ xs.T) * ((ys * hy) @ ys.T)
     gram[:2, :2] = 0.0  # the main part, taken balanced
-    div_sq = _tensor_distance_sq((mu + nu) * v, w, fld.value * X, Y, dx, dy)
-    return {
-        "norm_sigma": float(np.sqrt(sigma_sq)),
-        "norm_div": float(np.sqrt(div_sq + gram.sum())),
-        "norm_u": float(np.sqrt(_tensor_distance_sq(v, w, X, Y, dx, dy))),
-    }
+    # the main part of the divergence and Pi0 u - u_h, stacked
+    div_sq, u_sq = _distance_sq(
+        np.array([(mu + nu) * v, v]), np.array([w, w]),
+        np.array([fld.value * X, X]), np.array([Y, Y]), dx, dy)
+    return {"norm_sigma": float(np.sqrt(sigma_sq)),
+            "norm_div": float(np.sqrt(div_sq + gram.sum())),
+            "norm_u": float(np.sqrt(u_sq))}
 
 
-def _require_fit(mesh, pair):
-    """Each of the pair's four 1-D factors must have its length on the
-    mesh."""
-    want = {"v": mesh.n1, "w": mesh.n2,
-            "flux_x": mesh.n1 + 1, "flux_y": mesh.n2 + 1}
-    got = {name: len(getattr(pair, name)) for name in want}
-    if got != want:
+def _require_fit(mesh, pairs):
+    """The list must hold a pair, and every pair's four 1-D factors must
+    have their lengths on the mesh: one check for the whole list."""
+    got = {(len(p.v), len(p.w), len(p.flux_x), len(p.flux_y)) for p in pairs}
+    if got != {(mesh.n1, mesh.n2, mesh.n1 + 1, mesh.n2 + 1)}:
         raise LayoutMismatch(
-            f"factor lengths {got} do not fit {mesh.n1} x {mesh.n2} cells")
+            f"factor lengths (v, w, flux_x, flux_y) {sorted(got)} of "
+            f"{len(pairs)} pairs do not fit {mesh.n1} x {mesh.n2} cells")
 
 
 def _gauss_table(nodes):
@@ -86,61 +102,47 @@ def _gauss_table(nodes):
     return mid[:, None] + half[:, None] * _GAUSS_X, half[:, None] * _GAUSS_W
 
 
-def _interpolant(nodes, vals, pts, deriv):
-    """The 1-D macro-element interpolant of ``vals`` (or its derivative)
-    at the fine cells' points pts (n, g), in Newton form.  pts is viewed
-    as (n / 2, 2g), one row per macro-element, cells 2e and 2e + 1, which
-    needs the even n that postprocessing_norms checks.  Values on the
-    n + 1 ``nodes`` take the quadratic through the element's three lines
-    w0, w1, w2, f0 + (x - w0) (d1 + d2 (x - w1)), with derivative d1 +
-    d2 ((x - w0) + (x - w1)) and the divided differences d1 = f[w0, w1]
-    and d2 = f[w0, w1, w2]; values at the n cell midpoints take the
-    linear through its two, d2 = 0."""
+def _interpolant(nodes, vals, pts):
+    """The 1-D macro-element interpolant of ``vals`` and its derivative at
+    the fine cells' points pts (n, g), in Newton form, a pair of arrays.
+    pts is viewed as (n / 2, 2g), one row per macro-element, cells 2e and
+    2e + 1, which needs the even n that postprocessing_norms checks.
+    Values on the n + 1 ``nodes`` take the quadratic through the element's
+    lines w0, w1, w2, f0 + (x - w0) (d1 + d2 (x - w1)), derivative d1 + d2
+    ((x - w0) + (x - w1)), with d1 = f[w0, w1] and d2 = f[w0, w1, w2];
+    values at the n cell midpoints take the linear through two, d2 = 0."""
     quadratic = len(vals) == len(nodes)
-    at = nodes if quadratic else (nodes[:-1] + nodes[1:]) / 2.0
-    w, f = at[:, None], vals[:, None]
+    w, f = nodes if quadratic else (nodes[:-1] + nodes[1:]) / 2.0, vals
     d1 = (f[1::2] - f[:-1:2]) / (w[1::2] - w[:-1:2])
-    d2 = ((f[2::2] - f[1::2]) / (w[2::2] - w[1::2]) - d1) / (
-        w[2::2] - w[:-1:2]) if quadratic else 0.0
+    d2 = (((f[2::2] - f[1::2]) / (w[2::2] - w[1::2]) - d1)
+          / (w[2::2] - w[:-1:2]))[:, None] if quadratic else 0.0
     x = pts.reshape(len(pts) // 2, -1)
-    x0, x1 = x - w[:-1:2], x - w[1::2]
-    out = d1 + d2 * (x0 + x1) if deriv else f[:-1:2] + x0 * (d1 + d2 * x1)
-    return out.reshape(pts.shape)
+    x0, x1, d1 = x - w[:-1:2, None], x - w[1::2, None], d1[:, None]
+    return (np.reshape(f[:-1:2, None] + x0 * (d1 + d2 * x1), pts.shape),
+            np.reshape(d1 + d2 * (x0 + x1), pts.shape))
 
 
-def _weights(w):
-    """The diagonal metric of the weights w."""
-    return lambda a: w * a
-
-
-def _a1(h):
-    """The metric of the 1-D flux mass A1 on the cell widths h."""
-    diag, off = _a1_bands(h)
-    return lambda a: _a1_times(diag, off, a[:, None])[:, 0]
-
-
-def _dot(a, b, metric):
-    return float((metric(a) * b).sum())
-
-
-def _tensor_distance_sq(x, y, f, g, mx, my):
-    """Squared distance of x (x) y to f (x) g in the tensor product of the
-    1-D metrics mx, my (each maps a factor to the metric times it), by the
-    split
+def _distance_sq(x, y, f, g, mx, my):
+    """Squared distances of x_t (x) y_t to f_t (x) g_t, one per row t of
+    the stacks x, f in the 1-D metric mx and y, g in my (each maps a
+    stack to the metric times each row), by the split
 
         x (x) y - f (x) g = x (x) (y - g) + (x - f) (x) g.
 
     The factors are balanced first, x c and y / c with c = <x, f> / <x, x>:
     then x - f is orthogonal to x, the cross term 2 <x, x - f> <y - g, g>
     is at roundoff level and no term cancels another.  Without balancing
-    the cross terms cancel and lose about 1e-6 relative at 512^2."""
-    c = _dot(x, f, mx)
-    c = c / _dot(x, x, mx) if c else 1.0
+    the cross terms cancel and lose about 1e-6 relative at 512^2.  Each
+    metric is applied once per stack, each inner product is one sum per
+    row, and each stack is dropped after its last use."""
+    dots = lambda ma, *bs: [np.add.reduce(ma * b, axis=1) for b in bs]
+    c = np.array([[a / b if a else 1.0] for a, b in zip(*dots(mx(x), f, x))])
     x, y = x * c, y / c
     ex, ey = x - f, y - g
-    return (_dot(x, x, mx) * _dot(ey, ey, my)
-            + 2.0 * _dot(x, ex, mx) * _dot(ey, g, my)
-            + _dot(ex, ex, mx) * _dot(g, g, my))
+    del f, y
+    (xx, x_ex), (ex_ex,) = dots(mx(x), x, ex), dots(mx(ex), ex)
+    (ey_ey, ey_g), (gg,) = dots(my(ey), ey, g), dots(my(g), g)
+    return xx * ey_ey + 2.0 * x_ex * ey_g + ex_ex * gg
 
 
 def postprocessing_norms(
@@ -154,36 +156,27 @@ def postprocessing_norms(
 
     Each component, the exact field and each of their derivatives is a
     tensor product of 1-D factors, so every squared distance is a
-    balanced 1-D distance over the (n1, 5) and (n2, 5) Gauss tables.  Each
-    1-D interpolant and exact factor is taken once per derivative order
-    and shared by the terms that read it."""
-    _require_fit(mesh, pair)
+    balanced 1-D distance over the (n1, 5) and (n2, 5) Gauss tables.  One
+    table per direction holds each 1-D interpolant and exact factor of
+    each derivative order once, and the nine distances (_TERMS) read
+    their rows from it in one stacked pass, in O(n1 + n2) memory."""
+    _require_fit(mesh, [pair])
     if mesh.n1 % 2 or mesh.n2 % 2:
         raise OddMeshDimensions("macro-elements need even cell counts, "
                                 f"got {mesh.n1} x {mesh.n2}")
-    xq, wx = _gauss_table(mesh.node_x)
-    yq, wy = _gauss_table(mesh.node_y)
-    # [value, derivative] of each 1-D interpolant
-    sx, v = ([_interpolant(mesh.node_x, a, xq, d) for d in (0, 1)]
-             for a in (pair.flux_x, pair.v))
-    w, sy = ([_interpolant(mesh.node_y, a, yq, d) for d in (0, 1)]
-             for a in (pair.w, pair.flux_y))
-    # the exact factors, derivative orders 0, 1 and 2
-    ex, ey = zip(*(fld.factors(xq, yq, d, d) for d in (0, 1, 2)))
-
-    def dist_sq(x, y, f, g):
-        return _tensor_distance_sq(x, y, f, g, _weights(wx), _weights(wy))
-
-    # sigma = -grad u: sx against -u_x, sy against -u_y
-    total = {
-        "sigma_l2": dist_sq(sx[0], w[0], -ex[1], ey[0])
-        + dist_sq(v[0], sy[0], -ex[0], ey[1]),
-        "sigma_h1": dist_sq(sx[1], w[0], -ex[2], ey[0])
-        + dist_sq(sx[0], w[1], -ex[1], ey[1])
-        + dist_sq(v[1], sy[0], -ex[1], ey[1])
-        + dist_sq(v[0], sy[1], -ex[0], ey[2]),
-        "u_l2": dist_sq(v[0], w[0], ex[0], ey[0]),
-        "u_h1": dist_sq(v[1], w[0], ex[1], ey[0])
-        + dist_sq(v[0], w[1], ex[0], ey[1]),
-    }
+    _require_domain(mesh, [fld])
+    (xq, wx), (yq, wy) = _gauss_table(mesh.node_x), _gauss_table(mesh.node_y)
+    ex, ey = fld.factors(xq, yq)
+    xs = np.array([*_interpolant(mesh.node_x, pair.flux_x, xq),
+                   *_interpolant(mesh.node_x, pair.v, xq), *ex, *-ex])
+    ys = np.array([*_interpolant(mesh.node_y, pair.w, yq),
+                   *_interpolant(mesh.node_y, pair.flux_y, yq), *ey])
+    xs, ys = xs.reshape(len(xs), -1), ys.reshape(len(ys), -1)
+    wx, wy = wx.ravel(), wy.ravel()
+    del ex, ey, xq, yq  # only the tables and stacks are alive at the peak
+    sq = _distance_sq(xs[_X], ys[_Y], xs[_F], ys[_G],
+                      lambda a: wx * a, lambda a: wy * a)
+    total = dict.fromkeys(_KEYS, 0.0)
+    for key, term in zip(_KEYS, sq.tolist()):
+        total[key] += term
     return {key: float(np.sqrt(sq)) for key, sq in total.items()}

@@ -17,7 +17,10 @@ means, the 2-D interpolants and the assembled A, B and M for the 1-D
 supercloseness norms (``supercloseness_norms_2d``), and every width pair
 for the 1-D regularity constant, and the scalar algebra of one field at
 a time (``expansion_term_per_mode``) for the h^2 expansion term of a list
-of fields; ``exact_derivative`` evaluates an exact
+of fields, and each balanced distance, inner product and 1-D interpolant
+on its own (``supercloseness_norms_per_term``,
+``postprocessing_norms_per_term``) for the stacked supercloseness and
+postprocessing norms, bit for bit; ``exact_derivative`` evaluates an exact
 field pointwise from its 1-D factors, and ``enumerate_exact_search``
 finds the exact spectrum by a brute-force search over the modes (m, n).
 The 2-D enriched element is held twice: in closed form (``assemble_peq``,
@@ -448,9 +451,9 @@ def peq_cell_gradient_dual(mesh, coeffs_full):
 
 def exact_derivative(fld, x, y, dx=0, dy=0):
     """The (dx, dy) partial derivative of the exact field at the points
-    (x, y): the product of the two 1-D factors of FieldSample.factors; x
+    (x, y): the product of its two 1-D factors (``_field_factors``); x
     and y broadcast."""
-    fx, fy = fld.factors(x, y, dx, dy)
+    fx, fy = _field_factors(fld, x, y, dx, dy)
     return fx * fy
 
 
@@ -1056,6 +1059,148 @@ def expansion_term_per_mode(mesh: TensorMesh, fld) -> float:
     terms = np.concatenate([np.float_power(np.diff(nx), 2) * ix,
                             np.float_power(np.diff(ny), 2) * iy])
     return sum(terms, 0.0) / 12.0
+
+
+# ---------------------------------------------------------------------------
+# the supercloseness and postprocessing norms one distance at a time
+# ---------------------------------------------------------------------------
+
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
+
+
+def _weights(w):
+    """The diagonal metric of the weights w."""
+    return lambda a: w * a
+
+
+def _a1(h):
+    """The metric of the 1-D flux mass A1 on the cell widths h: the
+    tridiagonal (h / 6, h_(i-1) / 3 + h_i / 3, h / 6) on the edges."""
+    pad = np.concatenate([[0.0], h, [0.0]])
+    diag, off = pad[:-1] / 3.0 + pad[1:] / 3.0, h / 6.0
+
+    def times(a):
+        out = diag * a
+        out[:-1] += off * a[1:]
+        out[1:] += off * a[:-1]
+        return out
+    return times
+
+
+def _dot(a, b, metric):
+    return float((metric(a) * b).sum())
+
+
+def _tensor_distance_sq(x, y, f, g, mx, my):
+    """Squared distance of x (x) y to f (x) g in the tensor product of the
+    1-D metrics mx, my, split as x (x) (y - g) + (x - f) (x) g after the
+    balancing x c, y / c with c = <x, f> / <x, x>, each inner product
+    taken on its own."""
+    c = _dot(x, f, mx)
+    c = c / _dot(x, x, mx) if c else 1.0
+    x, y = x * c, y / c
+    ex, ey = x - f, y - g
+    return (_dot(x, x, mx) * _dot(ey, ey, my)
+            + 2.0 * _dot(x, ex, mx) * _dot(ey, g, my)
+            + _dot(ex, ex, mx) * _dot(g, g, my))
+
+
+def _sine_derivative(k, x, order):
+    """The derivative of order 0, 1 or 2 of sin(k x); other orders raise
+    instead of cycling back."""
+    if order == 0:
+        return np.sin(k * x)
+    if order == 1:
+        return k * np.cos(k * x)
+    if order == 2:
+        return -k * k * np.sin(k * x)
+    raise ValueError(f"derivative order must be 0, 1 or 2, got {order}")
+
+
+def _field_factors(fld, x, y, dx, dy):
+    """The x and y factors of the (dx, dy) partial derivative of u."""
+    return (fld.amp * _sine_derivative(fld.kx, x, dx),
+            _sine_derivative(fld.ky, y, dy))
+
+
+def supercloseness_norms_per_term(mesh, pair, fld):
+    """The keys of supercloseness_norms from the same 1-D formulas, each
+    balanced distance and inner product on its own, the cell means of
+    the field from both ends of every cell."""
+    v, w, hx, hy = pair.v, pair.w, mesh.hx, mesh.hy
+    nx, ny = mesh.node_x, mesh.node_y
+    X = fld.amp * _int_sin(fld.kx, nx[:-1], nx[1:]) / hx
+    Y = _int_sin(fld.ky, ny[:-1], ny[1:]) / hy
+    fx, fy = (-f for f in _field_factors(fld, nx, ny, 1, 1))
+    dx, dy = _weights(hx), _weights(hy)
+    sigma_sq = (_tensor_distance_sq(pair.flux_x, w, fx, Y, _a1(hx), dy)
+                + _tensor_distance_sq(pair.flux_y, v, fy, X, _a1(hy), dx))
+    gx, gy = np.diff(pair.flux_x) / hx, np.diff(pair.flux_y) / hy
+    mu, nu = _dot(v, gx, dx) / _dot(v, v, dx), _dot(w, gy, dy) / _dot(w, w, dy)
+    xs, ys = np.stack([X, v, gx - mu * v, v]), np.stack([Y, w, w, gy - nu * w])
+    coef = np.array([fld.value, -(mu + nu), -1.0, -1.0])
+    gram = np.outer(coef, coef) * ((xs * hx) @ xs.T) * ((ys * hy) @ ys.T)
+    gram[:2, :2] = 0.0
+    div_sq = _tensor_distance_sq((mu + nu) * v, w, fld.value * X, Y, dx, dy)
+    return {
+        "norm_sigma": float(np.sqrt(sigma_sq)),
+        "norm_div": float(np.sqrt(div_sq + gram.sum())),
+        "norm_u": float(np.sqrt(_tensor_distance_sq(v, w, X, Y, dx, dy))),
+    }
+
+
+def _gauss_table(nodes):
+    """5-point Gauss points and weights of every cell, arrays (n, 5)."""
+    mid = (nodes[:-1] + nodes[1:]) / 2.0
+    half = (nodes[1:] - nodes[:-1]) / 2.0
+    return mid[:, None] + half[:, None] * _GAUSS_X, half[:, None] * _GAUSS_W
+
+
+def _interpolant(nodes, vals, pts, deriv):
+    """The 1-D macro-element interpolant of ``vals`` (or its derivative)
+    at the points pts (n, g), in Newton form per macro-element: the
+    quadratic through three node values, or the linear through two
+    cell-midpoint values."""
+    quadratic = len(vals) == len(nodes)
+    at = nodes if quadratic else (nodes[:-1] + nodes[1:]) / 2.0
+    w, f = at[:, None], vals[:, None]
+    d1 = (f[1::2] - f[:-1:2]) / (w[1::2] - w[:-1:2])
+    d2 = ((f[2::2] - f[1::2]) / (w[2::2] - w[1::2]) - d1) / (
+        w[2::2] - w[:-1:2]) if quadratic else 0.0
+    x = pts.reshape(len(pts) // 2, -1)
+    x0, x1 = x - w[:-1:2], x - w[1::2]
+    out = d1 + d2 * (x0 + x1) if deriv else f[:-1:2] + x0 * (d1 + d2 * x1)
+    return out.reshape(pts.shape)
+
+
+def postprocessing_norms_per_term(mesh, pair, fld):
+    """The keys of postprocessing_norms from the same 1-D formulas: eight
+    interpolants, one per factor and derivative order, the exact factors
+    one per derivative order, and nine balanced distances each on its
+    own."""
+    xq, wx = _gauss_table(mesh.node_x)
+    yq, wy = _gauss_table(mesh.node_y)
+    sx, v = ([_interpolant(mesh.node_x, a, xq, d) for d in (0, 1)]
+             for a in (pair.flux_x, pair.v))
+    w, sy = ([_interpolant(mesh.node_y, a, yq, d) for d in (0, 1)]
+             for a in (pair.w, pair.flux_y))
+    ex, ey = zip(*(_field_factors(fld, xq, yq, d, d) for d in (0, 1, 2)))
+
+    def dist_sq(x, y, f, g):
+        return _tensor_distance_sq(x, y, f, g, _weights(wx), _weights(wy))
+
+    total = {
+        "sigma_l2": dist_sq(sx[0], w[0], -ex[1], ey[0])
+        + dist_sq(v[0], sy[0], -ex[0], ey[1]),
+        "sigma_h1": dist_sq(sx[1], w[0], -ex[2], ey[0])
+        + dist_sq(sx[0], w[1], -ex[1], ey[1])
+        + dist_sq(v[1], sy[0], -ex[1], ey[1])
+        + dist_sq(v[0], sy[1], -ex[0], ey[2]),
+        "u_l2": dist_sq(v[0], w[0], ex[0], ey[0]),
+        "u_h1": dist_sq(v[1], w[0], ex[1], ey[0])
+        + dist_sq(v[0], w[1], ex[0], ey[1]),
+    }
+    return {key: float(np.sqrt(sq)) for key, sq in total.items()}
 
 
 def cell_integral_u(fld, x0, x1, y0, y1):

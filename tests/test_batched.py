@@ -5,9 +5,13 @@ cell), cell means
 (oracles.cell_integral_u), edge-flux means (oracles.mean_flux_x /
 mean_flux_y), the h^2 expansion term (Gauss quadrature of kx^2 u_x^2
 and ky^2 u_y^2 per cell, and bit for bit the per-mode scalar algebra of
-oracles.expansion_term_per_mode for a list of fields); and 1-D kernels against their 2-D oracles: the
-supercloseness norms (oracles.supercloseness_norms_2d, with the assembled
-A, B and M) and the regularity constant (every width pair)."""
+oracles.expansion_term_per_mode for a list of fields); the stacked
+supercloseness and postprocessing norms bit for bit against the same
+formulas one distance at a time (oracles.supercloseness_norms_per_term,
+oracles.postprocessing_norms_per_term); and 1-D kernels against their
+2-D oracles: the supercloseness norms (oracles.supercloseness_norms_2d,
+with the assembled A, B and M) and the regularity constant (every width
+pair)."""
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from rrteig.analysis import expansion_term
 from rrteig.assembly import assemble_mixed
 from rrteig.cli import case_preset
 from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
+from rrteig.errors import LayoutMismatch
 from rrteig.exact import FieldSample, cell_mean_factors, enumerate_exact
 from rrteig.mesh import (
     build_mesh,
@@ -37,11 +42,13 @@ from oracles import (
     mean_flux_x,
     mean_flux_y,
     numbering,
+    postprocessing_norms_per_term,
     reconstruction,
     regularity_constant_2d,
     rt_interpolate_exact,
     sign_matched,
     supercloseness_norms_2d,
+    supercloseness_norms_per_term,
 )
 
 _GX, _GW = np.polynomial.legendre.leggauss(5)
@@ -207,7 +214,7 @@ def test_cell_and_edge_means_against_per_cell_oracle(mesh, data):
     _assert_close(pi0, means, 1e-13)
     _assert_close(sigma_i, fluxes, 1e-13)
     X, Y = cell_mean_factors(mesh, fld)
-    fx, fy = fld.factors(nx, ny, 1, 1)
+    fx, fy = (f[1] for f in fld.factors(nx, ny))
     _assert_close(np.outer(Y, X).ravel(), pi0, 1e-15)
     _assert_close(np.concatenate([np.outer(Y, -fx).ravel(),
                                   np.outer(-fy, X).ravel()]), sigma_i, 1e-15)
@@ -238,13 +245,17 @@ def _oracle_expansion_term(mesh, exact):
 def test_expansion_term_against_per_cell_quadrature(mesh, data):
     """expansion_term against per-cell quadrature to 1e-12 relative, on
     odd and even meshes.  Half of the fields live on the mesh's domain
-    scaled up by 1.25 to 2, where the strips of u_x^2 and u_y^2 cover
-    part of a period."""
+    scaled up by 1.25 to 2, which does not fit the mesh: expansion_term
+    refuses them."""
     domain = None
     if data.draw(st.booleans(), label="larger domain"):
         scale = data.draw(st.floats(1.25, 2.0), label="scale")
         domain = (mesh.node_x[-1] * scale, mesh.node_y[-1] * scale)
     exact = data.draw(_fields(mesh, domain), label="field")
+    if domain:
+        with pytest.raises(LayoutMismatch):
+            expansion_term(mesh, [exact])
+        return
     got = expansion_term(mesh, [exact])[0]
     want = _oracle_expansion_term(mesh, exact)
     assert abs(got - want) <= 1e-12 * want
@@ -256,15 +267,21 @@ def test_expansion_term_bitwise_against_per_mode_oracle(mesh, data):
     """expansion_term over a list of 12 to 30 labels (repeats allowed) on
     a random rectangle gives each field the bits of the per-mode scalar
     algebra; half of the lists live on the mesh's domain scaled up by
-    1.25 to 2.  An empty list gives an empty array."""
+    1.25 to 2, which expansion_term refuses.  An empty list gives an
+    empty array."""
     domain = (mesh.node_x[-1], mesh.node_y[-1])
-    if data.draw(st.booleans(), label="larger domain"):
+    larger = data.draw(st.booleans(), label="larger domain")
+    if larger:
         scale = data.draw(st.floats(1.25, 2.0), label="scale")
         domain = (domain[0] * scale, domain[1] * scale)
     modes = data.draw(st.lists(st.tuples(st.integers(1, 12),
                                          st.integers(1, 12)),
                                min_size=12, max_size=30), label="modes")
     fields = [FieldSample(m, n, domain) for m, n in modes]
+    if larger:
+        with pytest.raises(LayoutMismatch):
+            expansion_term(mesh, fields)
+        return
     got = expansion_term(mesh, fields)
     want = np.array([expansion_term_per_mode(mesh, f) for f in fields])
     assert got.shape == want.shape
@@ -362,6 +379,79 @@ def test_supercloseness_norms_against_2d_oracle(mesh, data):
         mesh.n1, mesh.n2, mesh.n1 + 1, mesh.n2 + 1)))
     gaps, want = _supercloseness_gaps(mesh, noise, fld)
     assert np.all(gaps <= 1e-14 * want)
+
+
+def _bits(norms):
+    """A dict of norms as its keys and the bytes of its values."""
+    return list(norms), np.array(list(norms.values())).tobytes()
+
+
+def _assert_bitwise(mesh, pair, fields):
+    """supercloseness_norms and postprocessing_norms of the pair against
+    each field, and expansion_term of the fields, have the bits of the
+    per-term oracles; postprocessing only on even meshes."""
+    for fld in fields:
+        assert _bits(supercloseness_norms(mesh, pair, fld)) == _bits(
+            supercloseness_norms_per_term(mesh, pair, fld))
+        if mesh.n1 % 2 == 0 and mesh.n2 % 2 == 0:
+            assert _bits(postprocessing_norms(mesh, pair, fld)) == _bits(
+                postprocessing_norms_per_term(mesh, pair, fld))
+    got = expansion_term(mesh, fields)
+    want = np.array([expansion_term_per_mode(mesh, f) for f in fields])
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _wide_even_meshes(draw):
+    """Random tensor meshes of [0, a] x [0, b] with n1, n2 even in
+    [2, 300] and cell widths whose ratio reaches up to 1e3."""
+    nodes = []
+    for axis in "xy":
+        n = 2 * draw(st.integers(1, 150), label=f"n_{axis} / 2")
+        ratio = draw(st.floats(1.0, 1e3), label=f"width ratio {axis}")
+        seed = draw(st.integers(0, 2**32 - 1), label=f"widths {axis}")
+        logs = np.random.default_rng(seed).uniform(0.0, np.log(ratio), n)
+        nodes.append(_nodes(np.exp(logs), draw(st.floats(0.5, 4.0))))
+    return build_mesh(*nodes)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mesh=_wide_even_meshes(), data=st.data())
+def test_stacked_norms_bitwise_against_per_term_oracle(mesh, data):
+    """On random even meshes of up to 300 x 300 cells, width ratios up to
+    1e3: the first solved pair and random 1-D factors, against one to
+    four modes m, n <= 20 of the mesh's domain, bit for bit; and the
+    postprocessing of zero factors, which skips the balancing."""
+    domain = (mesh.node_x[-1], mesh.node_y[-1])
+    modes = data.draw(st.lists(st.tuples(st.integers(1, 20),
+                                         st.integers(1, 20)),
+                               min_size=1, max_size=4), label="modes")
+    fields = [FieldSample(m, n, domain) for m, n in modes]
+    (pair,) = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    noise = factor_pair(*(rng.standard_normal(n) for n in (
+        mesh.n1, mesh.n2, mesh.n1 + 1, mesh.n2 + 1)))
+    zero = factor_pair(*(np.zeros(n) for n in (
+        mesh.n1, mesh.n2, mesh.n1 + 1, mesh.n2 + 1)))
+    for p in (pair, noise):
+        _assert_bitwise(mesh, p, fields)
+    assert _bits(postprocessing_norms(mesh, zero, fields[0])) == _bits(
+        postprocessing_norms_per_term(mesh, zero, fields[0]))
+
+
+@pytest.mark.parametrize("case", "abc")
+def test_stacked_norms_bitwise_on_presets(case):
+    """Levels 0-5 of each preset: the first pair against each pair's
+    labelled mode, (1, 1) first as the sweep measures it, and the
+    expansion terms of all the labels, bit for bit against the per-term
+    oracles."""
+    k = case_preset(case).k
+    for level in range(6):
+        mesh = _preset_level(case, level)
+        pairs = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=k))
+        domain = (mesh.node_x[-1], mesh.node_y[-1])
+        _assert_bitwise(mesh, pairs[0],
+                        [FieldSample(*p.mode, domain) for p in pairs])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

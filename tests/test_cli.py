@@ -656,9 +656,9 @@ def test_reference_field_computed_once_per_level(monkeypatch):
 
 def test_postprocessing_shares_tables_and_interpolants(monkeypatch):
     """One postprocessing call per level builds one Gauss table per
-    direction and each of the eight 1-D interpolants once (flux_x and v
-    in x, w and flux_y in y, value and derivative): two levels of preset
-    a make 4 tables and 16 interpolants."""
+    direction and each of the four 1-D interpolants once (flux_x and v
+    in x, w and flux_y in y), value and derivative together: two levels
+    of preset a make 4 tables and 8 interpolants."""
     from rrteig import postprocess
 
     tables = _count_calls(monkeypatch, postprocess._gauss_table)
@@ -668,7 +668,7 @@ def test_postprocessing_shares_tables_and_interpolants(monkeypatch):
     report = run_case(config)
     assert "failures" not in report.config
     assert all("postprocessing" in lv for lv in report.levels)
-    assert (len(tables), len(interpolants)) == (4, 16)
+    assert (len(tables), len(interpolants)) == (4, 8)
 
 
 def test_frequency_matches_report_each_pairs_label():

@@ -19,7 +19,7 @@ from rrteig.assembly import assemble_mixed
 from rrteig.cli import case_preset, run_case
 from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
 from rrteig.equivalence import _lift_1d, verify_equivalence
-from rrteig.errors import DimensionMismatch, KTooLarge
+from rrteig.errors import DimensionMismatch, KTooLarge, LayoutMismatch
 from rrteig.exact import FieldSample, enumerate_exact
 from rrteig.mesh import build_mesh, uniform_mesh, uniform_refine
 
@@ -169,6 +169,20 @@ def test_verify_equivalence_clusters(mesh_a0, system_a0):
     assert rep.max_eig_rel_diff <= 1e-12
     assert rep.max_sigma_discrepancy <= 1e-10
     assert rep.max_flux_jump <= 1e-10
+
+
+def test_verify_equivalence_refuses_pairs_that_do_not_fit(mesh_a0,
+                                                          pairs_a0):
+    """Pairs solved on another mesh, one pair with a short factor among
+    fitting ones, and an empty list raise LayoutMismatch, not numpy's
+    broadcasting or stacking errors."""
+    wide = uniform_mesh(0.0, PI, 16, 0.0, PI, 8)
+    other = solve_mixed_eigs(assemble_mixed(wide), SolveOptions(k=6))
+    short = dataclasses.replace(pairs_a0[3], flux_y=pairs_a0[3].flux_y[:-1])
+    for pairs in (other, pairs_a0[:3] + [short], []):
+        with pytest.raises(LayoutMismatch, match="do not fit 8 x 8 cells"):
+            verify_equivalence(mesh_a0, pairs)
+    assert len(verify_equivalence(mesh_a0, pairs_a0).entries) == 6
 
 
 def test_verify_equivalence_truncated_cluster(mesh_c0):

@@ -1,6 +1,7 @@
 """The top-level namespace holds the library API and no test oracle;
 no module imports a name it does not use, no public function, class,
-method or property of the package goes unread, and the README's config
+method or property of the package goes unread, no module-level function
+or class goes unreferenced unless exported, and the README's config
 table names the config's fields."""
 
 import ast
@@ -151,6 +152,43 @@ def test_no_unread_public_names():
                if f.name != "__init__.py"}
     readme = (ROOT / "README.md").read_text()
     assert _unread_public_names(sources, readme) == []
+
+
+def _unreferenced_definitions(sources: dict[str, str],
+                              exported: set[str]) -> list[str]:
+    """Module-level functions and classes of ``sources`` (file name ->
+    text), private ones included, that no module reads outside the
+    name's own definition and that are not in ``exported``."""
+    trees = [ast.parse(text) for text in sources.values()]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    read = set().union(*(_reads(tree) for tree in trees))
+    return sorted(defined - read - exported)
+
+
+def test_unreferenced_definitions_checker():
+    src = {
+        "a.py": ("from b import _used\n"
+                 "def _self_only():\n    return _self_only()\n"
+                 "class _Unused:\n    pass\n"
+                 "def exported():\n    return _used()\n"),
+        "b.py": "def _used():\n    return 1\n",
+    }
+    assert _unreferenced_definitions(src, {"exported"}) == [
+        "_Unused", "_self_only"]
+
+
+def test_no_unreferenced_definitions():
+    """Every module-level function and class of the package, private or
+    public, is read elsewhere in the package or exported from its
+    ``__init__``: a helper that a restructure leaves behind fails here."""
+    files = sorted((ROOT / "src" / "rrteig").glob("*.py"))
+    sources = {f.name: f.read_text() for f in files
+               if f.name != "__init__.py"}
+    init = ast.parse((ROOT / "src" / "rrteig" / "__init__.py").read_text())
+    exported = {a.asname or a.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert _unreferenced_definitions(sources, exported) == []
 
 
 def test_mixed_system_holds_no_matrix():

@@ -1,6 +1,7 @@
 """Postprocessing: polynomial reproduction, of the per-cell oracle and of
 the library's 1-D interpolant, locality, boundedness, input checks;
-supercloseness norm plumbing."""
+supercloseness norm plumbing; the refusal of an exact field whose domain
+is not the mesh's."""
 
 import dataclasses
 
@@ -8,7 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rrteig.errors import LayoutMismatch, OddMeshDimensions
+from rrteig.analysis import expansion_term
+from rrteig.assembly import assemble_mixed
+from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
+from rrteig.errors import LayoutMismatch, OddMeshDimensions, RRTError
 from rrteig.exact import FieldSample
 from rrteig.mesh import build_mesh, uniform_mesh
 from rrteig.postprocess import (
@@ -127,9 +131,10 @@ def test_interpolant_reproduces_quadratic_and_linear(nodes, a, b, c):
         (nodes, lambda x: a + x * (b + c * x), lambda x: b + 2.0 * c * x),
         (_mids(nodes), lambda x: a + b * x, lambda x: np.full_like(x, b)),
     ):
+        got = _interpolant(nodes, f(at), pts)
         for deriv, want in ((0, f(pts)), (1, df(pts))):
-            got = _interpolant(nodes, f(at), pts, deriv)
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert (np.max(np.abs(got[deriv] - want))
+                    <= 1e-13 * np.max(np.abs(want)))
 
 
 def test_locality():
@@ -193,7 +198,7 @@ def test_length_mismatch():
     """Each factor the reconstructions read must fit the mesh: v n1, w n2,
     flux_x n1 + 1 and flux_y n2 + 1 values."""
     mesh = uniform_mesh(0.0, 1.0, 4, 0.0, 1.0, 4)
-    fld = FieldSample(1, 1)
+    fld = FieldSample(1, 1, (1.0, 1.0))
     fits = factor_pair(np.zeros(4), np.zeros(4), np.zeros(5), np.zeros(5))
     postprocessing_norms(mesh, fits, fld)
     for name in ("v", "w", "flux_x", "flux_y"):
@@ -247,3 +252,41 @@ def test_supercloseness_norms_plumbing(system_a0, pairs_a0):
         supercloseness_norms(mesh, short, fld)
     with pytest.raises(LayoutMismatch):
         supercloseness_norms_2d(system_a0, pairs_a0[0], sigma_i[:-1], pi0)
+
+
+_MISFITS = {
+    "2x1": (np.linspace(0.0, 2.0, 9), np.linspace(0.0, 1.0, 9)),
+    "x0=5": (np.linspace(5.0, 5.0 + PI, 9), np.linspace(0.0, PI, 9)),
+    "b=pi(1+1e-11)": (np.linspace(0.0, PI, 9),
+                      np.linspace(0.0, PI * (1.0 + 1e-11), 9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MISFITS))
+def test_field_on_another_domain_refused(name):
+    """supercloseness_norms, postprocessing_norms and expansion_term refuse
+    the default field of [0, pi]^2 on a mesh of another domain, 2 x 1,
+    shifted to x0 = 5 or 1e-11 too tall, with LayoutMismatch, an RRTError,
+    instead of evaluating it at the wrong coordinates."""
+    mesh = build_mesh(*_MISFITS[name])
+    (pair,) = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=1))
+    fld = FieldSample(1, 1)
+    for analysis in (supercloseness_norms, postprocessing_norms):
+        with pytest.raises(LayoutMismatch, match="does not fit the mesh"):
+            analysis(mesh, pair, fld)
+    with pytest.raises(LayoutMismatch, match="does not fit the mesh"):
+        expansion_term(mesh, [fld])
+    assert issubclass(LayoutMismatch, RRTError)
+
+
+def test_field_on_its_own_domain_measured():
+    """On [0, 2] x [0, 1] the field of that domain is measured (norm_u
+    near 0.013, where the default [0, pi]^2 field read 0.78), and so is a
+    field whose domain is 1e-13 relative off the mesh's."""
+    mesh = build_mesh(*_MISFITS["2x1"])
+    (pair,) = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=1))
+    for domain in ((2.0, 1.0), (2.0, 1.0 + 1e-13)):
+        fld = FieldSample(1, 1, domain)
+        assert 0.01 < supercloseness_norms(mesh, pair, fld)["norm_u"] < 0.02
+        assert postprocessing_norms(mesh, pair, fld)["u_l2"] > 0.0
+        assert expansion_term(mesh, [fld])[0] > 0.0
