@@ -6,7 +6,8 @@ equivalence with the projected enriched rotated-bilinear element."""
 from .mesh import (TensorMesh, build_mesh, uniform_mesh, uniform_refine,
                    mesh_size, regularity_constant)
 from .assembly import MixedSystem, assemble_mixed
-from .eigensolve import SolveOptions, MixedEigenpair, solve_mixed_eigs
+from .eigensolve import (SolveOptions, MixedEigenpair, Spectrum,
+                         solve_mixed_eigs)
 from .exact import (ExactEigenpair, FieldSample, enumerate_exact,
                     cell_mean_factors)
 from .postprocess import supercloseness_norms, postprocessing_norms

@@ -12,6 +12,7 @@ import numbers
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from .analysis import (
     match_frequencies,
 )
 from .assembly import assemble_mixed
-from .eigensolve import SolveOptions, solve_mixed_eigs
+from .eigensolve import SolveOptions, Spectrum, solve_mixed_eigs
 from .equivalence import verify_equivalence
 from .errors import AmbiguousCluster, RRTError, InvalidConfig, IoFailure
 from .exact import FieldSample, enumerate_exact
@@ -223,6 +224,9 @@ def _residual_indices(config, mesh, exact):
     return [i for i, e in enumerate(exact[: config.k]) if e.multiplicity == 1]
 
 
+_Label = namedtuple("_Label", "mode lambda_h")  # all _aligned_field reads
+
+
 def _aligned_field(pair, exact_pair):
     """The exact field a pair's residual is measured against: the one mode
     of a simple exact eigenvalue, which the table pairs with the discrete
@@ -241,7 +245,7 @@ def _aligned_field(pair, exact_pair):
 
 
 def _solve(config: ExperimentConfig, mesh: TensorMesh):
-    """Solve one level: its first k pairs."""
+    """Solve one level: the Spectrum of its first k pairs."""
     return solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=config.k))
 
 
@@ -256,7 +260,7 @@ class _Level:
     config: ExperimentConfig
     mesh: TensorMesh
     exact: list
-    pairs: list
+    pairs: Spectrum
     # enumeration count -> the exact eigenspace of each mode, filled by
     # _frequencies and shared by the levels of one sweep
     spaces: dict
@@ -264,10 +268,12 @@ class _Level:
 
 def _residuals(lv: _Level) -> dict:
     rows = _residual_indices(lv.config, lv.mesh, lv.exact)
-    fields = [_aligned_field(lv.pairs[t], lv.exact[t]) for t in rows]
+    lams, modes = lv.pairs.lambdas.tolist(), lv.pairs.modes
+    fields = [_aligned_field(_Label(modes[t], lams[t]), lv.exact[t])
+              for t in rows]
     resid = {}
     for t, e2 in zip(rows, expansion_term(lv.mesh, fields).tolist()):
-        e1 = lv.pairs[t].lambda_h - lv.exact[t].value
+        e1 = lams[t] - lv.exact[t].value
         resid[str(t + 1)] = {"e1": e1, "e2": e2, "r": e1 - e2}
     return {"residuals": resid}
 
@@ -285,7 +291,7 @@ def _postprocessing(lv: _Level) -> dict:
 
 
 def _bounds(lv: _Level) -> dict:
-    lambdas = [p.lambda_h for p in lv.pairs]
+    lambdas = lv.pairs.lambdas.tolist()
     margins = check_upper_bound(
         lambdas, [e.value for e in lv.exact[: lv.config.k]]
     )
@@ -309,7 +315,7 @@ def _frequencies(lv: _Level) -> dict:
     # largest label's eigenvalue has modes m <= sqrt(top / kx2) and
     # n <= sqrt(top / ky2), so that many exact modes enumerate them all
     domain = lv.exact[0].domain
-    labels = {p.mode for p in lv.pairs}
+    labels = set(lv.pairs.modes)
     kx2, ky2 = (np.pi / domain[0]) ** 2, (np.pi / domain[1]) ** 2
     top = max(FieldSample(m, n, domain).value for m, n in labels)
     count = (int(np.sqrt(top / kx2)) + 1) * (int(np.sqrt(top / ky2)) + 1)
@@ -318,8 +324,8 @@ def _frequencies(lv: _Level) -> dict:
                             enumerate_exact(domain, count=count)
                             for mode in e.modes}
     space = lv.spaces[count]
-    pairs = [p for p in lv.pairs if space[p.mode].multiplicity > 1
-             and labels.issuperset(space[p.mode].modes)]
+    pairs = [lv.pairs[t] for t, m in enumerate(lv.pairs.modes) if
+             space[m].multiplicity > 1 and labels.issuperset(space[m].modes)]
     return {"frequency_matches": match_frequencies(pairs, lv.mesh, domain)}
 
 
@@ -351,13 +357,16 @@ def _solve_level(config: ExperimentConfig, mesh: TensorMesh, exact,
     record and is appended to ``failures``."""
     t0 = time.perf_counter()
     run = set(config.analyses)
-    lv = _Level(config, mesh, exact, _solve(config, mesh), spaces)
+    pairs = _solve(config, mesh)
+    if not isinstance(pairs, Spectrum):  # a replaced _solve's list
+        pairs = Spectrum.stack(pairs, mesh)
+    lv = _Level(config, mesh, exact, pairs, spaces)
     rec = {
         "level": mesh.level,
         "n1": mesh.n1,
         "n2": mesh.n2,
         "h": mesh_size(mesh),
-        "lambdas": [p.lambda_h for p in lv.pairs],
+        "lambdas": pairs.lambdas.tolist(),
     }
     for name, analysis in _LEVEL_ANALYSES.items():
         if name not in run:
@@ -712,8 +721,8 @@ def main(argv=None) -> int:
             mesh = _meshes(config, args.levels or 0)[-1]
             pairs = _solve(config, mesh)
             if args.command == "eigs":
-                for t, p in enumerate(pairs):
-                    print(f"lambda_{t + 1} = {p.lambda_h:.17g}")
+                for t, lam in enumerate(pairs.lambdas.tolist()):
+                    print(f"lambda_{t + 1} = {lam:.17g}")
                 return 0
             rep = verify_equivalence(mesh, pairs)
             for e in rep.entries:

@@ -40,13 +40,15 @@ blockwise (A_xx = diag(h_y) (x) A1x, B_x = diag(h_y) (x) Gx, and alike in
 y), so sigma = A^-1 B^T u is w_j (x) A1x^-1 Gx^T v_i on the x-edges and
 A1y^-1 Gy^T w_j (x) v_i on the y-edges, from two tridiagonal 1-D solves,
 and a pair's residuals are Kronecker products of 1-D ones (_residuals).  No
-2-D matrix is read or factored: each pair is exactly its four 1-D factors.
+2-D matrix is read or factored: each pair is exactly its four 1-D factors,
+columns of the two 1-D mode tables that the level's Spectrum holds.
 Nothing iterates to a tolerance; the residuals must lie below a roundoff
 bound that the mesh fixes (_effective_cells, shared with equivalence).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +56,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dptsv, dstebz
 
 from .assembly import MixedSystem
-from .errors import InvalidConfig, KTooLarge, NotConverged
+from .errors import InvalidConfig, KTooLarge, LayoutMismatch, NotConverged
 from .mesh import uniform_widths
 
 # the most 1-D cells whose modes come from the dense eigendecomposition
@@ -307,7 +309,9 @@ def _modes_1d(h, k):
     terms = ((dv, dv), (rho1, rho1), (a1f, a1f), (rho2, rho2), (dv, rho2))
     # each product as contiguous (k, n) rows, reduced along the rows, as in
     # _uniform_modes: a sum's order, and so its bits, do not depend on k
-    return mu, v, flux, np.array([
+    # C-contiguous tables, the layout of stacked columns: sums down their
+    # columns (verify_equivalence) then run in that order
+    return mu, np.ascontiguousarray(v), np.ascontiguousarray(flux), np.array([
         np.add.reduce(np.multiply(a.T, b.T, out=np.empty((k, len(a)))),
                       axis=1) for a, b in terms])
 
@@ -344,8 +348,53 @@ def _residuals(lam, x, y):
     return np.maximum(r1, r2)
 
 
-def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions) -> list[MixedEigenpair]:
-    """k smallest eigenpairs of the pencil (B A^-1 B^T, M).
+@dataclass(frozen=True, eq=False)
+class Spectrum(Sequence):
+    """A level's 1-D mode tables x and y, each (mu, v, flux, sums) of
+    _modes_1d (y is x on bitwise equal widths), per pair its eigenvalue,
+    factor columns, residual and label, and the mesh's _effective_cells,
+    as the read-only sequence of MixedEigenpair: a pair is built when it
+    is indexed, its factors copied out of the tables; a slice is a list."""
+
+    x: tuple
+    y: tuple
+    lambdas: np.ndarray
+    ii: np.ndarray
+    jj: np.ndarray
+    residuals: np.ndarray
+    modes: list
+    n_eff: float
+
+    @classmethod
+    def stack(cls, pairs, mesh):
+        """A list of pairs on the mesh, one table column per pair."""
+        cols = lambda f: np.column_stack([getattr(p, f) for p in pairs])
+        try:
+            x = (None, cols("v"), cols("flux_x"), None)
+            y = (None, cols("w"), cols("flux_y"), None)
+        except ValueError as exc:  # no pair, or factors of unequal lengths
+            raise LayoutMismatch(f"the factors of {len(pairs)} pairs do not "
+                                 f"fit {mesh.n1} x {mesh.n2} cells") from exc
+        t = np.arange(len(pairs))
+        return cls(x, y, np.array([p.lambda_h for p in pairs]), t, t,
+                   np.array([p.residual_norm for p in pairs]),
+                   [p.mode for p in pairs], _effective_cells(mesh))
+
+    def __len__(self):
+        return len(self.lambdas)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return [self[s] for s in range(len(self))[t]]
+        i, j = self.ii[t], self.jj[t]  # IndexError past the end
+        return MixedEigenpair(float(self.lambdas[t]), self.x[1][:, i].copy(),
+                              self.y[1][:, j].copy(), self.x[2][:, i].copy(),
+                              self.y[2][:, j].copy(),
+                              float(self.residuals[t]), self.modes[t])
+
+
+def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions) -> Spectrum:
+    """k smallest eigenpairs of the pencil (B A^-1 B^T, M), as a Spectrum.
 
     Deterministic; eigenvalues ascending, tied eigenvalues ordered by
     their (y, x) 1-D mode indices, so a cluster member keeps its place
@@ -369,11 +418,11 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions) -> list[MixedEigen
 
     # the k smallest sums use at most the k smallest modes of each
     # direction; equal widths give equal modes, which are solved once
-    mu, v, flux_x, sums_x = x_modes = _modes_1d(mesh.hx, min(opts.k, mesh.n1))
-    nu, w, flux_y, sums_y = (x_modes if np.array_equal(mesh.hx, mesh.hy)
-                             else _modes_1d(mesh.hy, min(opts.k, mesh.n2)))
-    lams, jj, ii = _smallest_sums(nu, mu, opts.k)
-    residuals = _residuals(lams, sums_x[:, ii], sums_y[:, jj])
+    x = _modes_1d(mesh.hx, min(opts.k, mesh.n1))
+    y = (x if np.array_equal(mesh.hx, mesh.hy)
+         else _modes_1d(mesh.hy, min(opts.k, mesh.n2)))
+    lams, jj, ii = _smallest_sums(y[0], x[0], opts.k)
+    residuals = _residuals(lams, x[3][:, ii], y[3][:, jj])
     n_eff = _effective_cells(mesh)
     bound = _RESIDUAL_C * np.finfo(float).eps * n_eff**2
     if not residuals.max() <= bound:  # a NaN residual fails too
@@ -382,12 +431,5 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions) -> list[MixedEigen
             f"{bound:.3e} = {_RESIDUAL_C:g} eps N^2, N = {n_eff:.6g}",
             residuals=residuals.tolist(),
         )
-    return [
-        MixedEigenpair(
-            lambda_h=lam, v=v[:, i].copy(), w=w[:, j].copy(),
-            flux_x=flux_x[:, i].copy(), flux_y=flux_y[:, j].copy(),
-            residual_norm=r, mode=(i + 1, j + 1),
-        )
-        for lam, j, i, r in zip(lams.tolist(), jj.tolist(), ii.tolist(),
-                                residuals.tolist())
-    ]
+    modes = list(zip((ii + 1).tolist(), (jj + 1).tolist()))
+    return Spectrum(x, y, lams, ii, jj, residuals, modes, n_eff)

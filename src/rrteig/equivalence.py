@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dptsv
 
-from .eigensolve import MixedEigenpair, _effective_cells
+from .eigensolve import MixedEigenpair, Spectrum
 from .errors import DimensionMismatch
 from .mesh import TensorMesh
 from .postprocess import _require_fit
@@ -41,18 +41,31 @@ class EquivalenceEntry:
     mode: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquivalenceReport:
-    entries: tuple[EquivalenceEntry, ...]
+    """Each pair's comparison as arrays in pair order, and its mode label;
+    ``entries`` builds the EquivalenceEntry of each pair when read."""
+
+    lambda_rrt: np.ndarray
+    lambda_peq: np.ndarray
+    eig_rel_diff: np.ndarray
+    sigma_discrepancy: np.ndarray
+    modes: list
     max_flux_jump: float
 
     @property
+    def entries(self) -> tuple[EquivalenceEntry, ...]:
+        return tuple(map(EquivalenceEntry, *np.array([
+            self.lambda_rrt, self.lambda_peq, self.eig_rel_diff,
+            self.sigma_discrepancy]).tolist(), self.modes))
+
+    @property
     def max_eig_rel_diff(self) -> float:
-        return max(e.eig_rel_diff for e in self.entries)
+        return float(self.eig_rel_diff.max())
 
     @property
     def max_sigma_discrepancy(self) -> float:
-        return max(e.sigma_discrepancy for e in self.entries)
+        return float(self.sigma_discrepancy.max())
 
 
 def _p1_norm_sq(h, left, right):
@@ -104,13 +117,15 @@ def _lift_1d(h, c, flux):
 
 
 def verify_equivalence(
-    mesh: TensorMesh, pairs: list[MixedEigenpair]
+    mesh: TensorMesh, pairs: Spectrum | list[MixedEigenpair]
 ) -> EquivalenceReport:
     """Lift each mixed pair into the enriched element and compare.
 
-    The x factors v of all pairs are lifted together by one tridiagonal
-    solve (``_lift_1d``), as are the y factors w.  With |.|_D the
-    cell-width norm of a factor, a pair's enriched Rayleigh quotient is
+    A Spectrum's x table v, or a list's x factors stacked (Spectrum.stack),
+    is lifted by one tridiagonal solve (``_lift_1d``), as is the y table w
+    unless it is v, and each pair gathers the results of its columns.
+    With |.|_D the cell-width norm of a factor, a pair's enriched Rayleigh
+    quotient is
 
         lambda_peq = (q_x |w|_D^2 + q_y |v|_D^2) / (|v|_D^2 |w|_D^2),
 
@@ -125,40 +140,42 @@ def verify_equivalence(
     sigma_discrepancy / sqrt(lambda) exceeds c eps N^2, with eps the
     double-precision epsilon, c = _BOUND_C = 16 and N = max(a / min h_x,
     b / min h_y) from eigensolve._effective_cells, as in the solve's
-    residual check: the roundoff of the mixed pair and of its lift grows
-    like N^2.  Measured, the ratio to eps N^2 is at most 4.7 on one cell
-    and at most 1.7 from two cells on (8 000 random meshes with n <= 300
-    cells and width ratios up to 1e4 per direction); levels 0-7 of presets
-    a, b and c reach 0.29.  An empty list, or a pair that does not fit the
-    mesh, raises LayoutMismatch.
+    residual check (a Spectrum's n_eff): the roundoff of the mixed pair and
+    of its lift grows like N^2.  Measured, the ratio to eps N^2 is at most
+    4.7 on one cell and at most 1.7 from two cells on (8 000 random meshes
+    with n <= 300 cells and width ratios up to 1e4 per direction); levels
+    0-7 of presets a, b and c reach 0.29.  An empty list, or a pair that
+    does not fit the mesh, raises LayoutMismatch, and a pair whose v or w
+    is all zeros DegenerateFactor.
     """
-    _require_fit(mesh, pairs)
-    cols = lambda name: np.column_stack([getattr(p, name) for p in pairs])
-    v, w = cols("v"), cols("w")
-    q_x, d_x, jump_x = _lift_1d(mesh.hx, v, cols("flux_x"))
-    q_y, d_y, jump_y = _lift_1d(mesh.hy, w, cols("flux_y"))
-    nv = np.sum(mesh.hx[:, None] * v**2, axis=0)
-    nw = np.sum(mesh.hy[:, None] * w**2, axis=0)
-    lam = np.array([p.lambda_h for p in pairs])
+    if not isinstance(pairs, Spectrum):
+        pairs = Spectrum.stack(pairs, mesh)
+    (_, v, flux_x, _), (_, w, flux_y, _) = pairs.x, pairs.y
+    peaks = _require_fit(mesh, v, w, flux_x, flux_y)
+    # per table column: q, d, jump, |.|_D^2 and max |.|; equal tables on
+    # equal widths are lifted once
+    x = np.array([*_lift_1d(mesh.hx, v, flux_x),
+                  np.sum(mesh.hx[:, None] * v**2, axis=0), peaks[0]])
+    y = (x if pairs.y is pairs.x and np.array_equal(mesh.hx, mesh.hy) else
+         np.array([*_lift_1d(mesh.hy, w, flux_y),
+                   np.sum(mesh.hy[:, None] * w**2, axis=0), peaks[1]]))
+    # the 1-D quantities of each pair's x and y modes
+    (q_x, d_x, jump_x, nv, peak_v), (q_y, d_y, jump_y, nw, peak_w) = (
+        x[:, pairs.ii], y[:, pairs.jj])
+    lam = pairs.lambdas
     lam_peq = (q_x * nw + q_y * nv) / (nv * nw)
     rel_diff = np.abs(lam - lam_peq) / np.abs(lam)
     s_disc = np.sqrt(nw * d_x + nv * d_y)
-    bound = _BOUND_C * np.finfo(float).eps * _effective_cells(mesh)**2
+    bound = _BOUND_C * np.finfo(float).eps * pairs.n_eff**2
     bad = np.flatnonzero(~((rel_diff <= bound)
                            & (s_disc <= bound * np.sqrt(lam))))
     if len(bad):
         i = int(bad[0])
         raise DimensionMismatch(
-            f"pair {i} (mode {pairs[i].mode}) at {lam[i]:.17g} is not its "
+            f"pair {i} (mode {pairs.modes[i]}) at {lam[i]:.17g} is not its "
             f"enriched lift: eigenvalue {rel_diff[i]:.3e} and flux "
             f"{s_disc[i] / np.sqrt(lam[i]):.3e} apart, relative, beyond "
             f"{bound:.3e}")
-    jump = float(max((np.abs(w).max(axis=0) * jump_x).max(),
-                     (np.abs(v).max(axis=0) * jump_y).max()))
-    entries = tuple(
-        EquivalenceEntry(lambda_rrt=float(lam[i]), lambda_peq=float(lam_peq[i]),
-                         eig_rel_diff=float(rel_diff[i]),
-                         sigma_discrepancy=float(s_disc[i]),
-                         mode=pairs[i].mode)
-        for i in range(len(pairs)))
-    return EquivalenceReport(entries=entries, max_flux_jump=jump)
+    jump = float(max((peak_w * jump_x).max(), (peak_v * jump_y).max()))
+    return EquivalenceReport(lam, lam_peq, rel_diff, s_disc, pairs.modes,
+                              jump)

@@ -21,6 +21,10 @@ class LayoutMismatch(RRTError):
     """A pair's 1-D factor or an exact field's domain does not fit the mesh."""
 
 
+class DegenerateFactor(RRTError):
+    """A pair's v or w factor is all zeros, so its norms divide 0 by 0."""
+
+
 class NotConverged(RRTError):
     """An eigenpair's residual exceeds the roundoff bound the mesh fixes,
     or the 1-D Lanczos modes failed; ``residuals`` holds every pair's

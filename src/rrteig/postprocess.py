@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .eigensolve import MixedEigenpair, _a1_bands, _a1_times
-from .errors import LayoutMismatch, OddMeshDimensions
+from .errors import DegenerateFactor, LayoutMismatch, OddMeshDimensions
 from .exact import FieldSample, _require_domain, cell_mean_factors
 from .mesh import TensorMesh
 
@@ -56,7 +56,7 @@ def supercloseness_norms(
     distance, the remainder terms come from the 4x4 Gram matrices of (X,
     v, rx, v) and (Y, w, w, ry).  Expanding all four rank-one terms
     instead cancels, to 2.2e-5 of the value at 1024^2."""
-    _require_fit(mesh, [pair])
+    _require_fit(mesh, pair.v, pair.w, pair.flux_x, pair.flux_y)
     _require_domain(mesh, [fld])
     v, w, hx, hy = pair.v, pair.w, mesh.hx, mesh.hy
     X, Y = cell_mean_factors(mesh, fld)
@@ -85,14 +85,21 @@ def supercloseness_norms(
             "norm_u": float(np.sqrt(u_sq))}
 
 
-def _require_fit(mesh, pairs):
-    """The list must hold a pair, and every pair's four 1-D factors must
-    have their lengths on the mesh: one check for the whole list."""
-    got = {(len(p.v), len(p.w), len(p.flux_x), len(p.flux_y)) for p in pairs}
-    if got != {(mesh.n1, mesh.n2, mesh.n1 + 1, mesh.n2 + 1)}:
-        raise LayoutMismatch(
-            f"factor lengths (v, w, flux_x, flux_y) {sorted(got)} of "
-            f"{len(pairs)} pairs do not fit {mesh.n1} x {mesh.n2} cells")
+def _require_fit(mesh, v, w, flux_x, flux_y, normed=True):
+    """A pair's four 1-D factors, or tables of them (a column per pair or
+    mode), must fit the mesh, and with ``normed`` no v or w be all zeros,
+    as a pair's norms divide by theirs: the column maxima of |v| and |w|,
+    which are returned, hold that test."""
+    got = (len(v), len(w), len(flux_x), len(flux_y))
+    if got != (mesh.n1, mesh.n2, mesh.n1 + 1, mesh.n2 + 1):
+        raise LayoutMismatch(f"factor lengths (v, w, flux_x, flux_y) {got} "
+                             f"do not fit {mesh.n1} x {mesh.n2} cells")
+    peaks = (np.abs(v).max(axis=0), np.abs(w).max(axis=0)) if normed else ()
+    for name, peak in zip("vw", peaks):
+        if not peak.all():
+            col = np.ravel(peak).tolist().index(0.0)
+            raise DegenerateFactor(f"{name} factor {col} is all zeros")
+    return peaks
 
 
 def _gauss_table(nodes):
@@ -160,7 +167,7 @@ def postprocessing_norms(
     table per direction holds each 1-D interpolant and exact factor of
     each derivative order once, and the nine distances (_TERMS) read
     their rows from it in one stacked pass, in O(n1 + n2) memory."""
-    _require_fit(mesh, [pair])
+    _require_fit(mesh, pair.v, pair.w, pair.flux_x, pair.flux_y, normed=False)
     if mesh.n1 % 2 or mesh.n2 % 2:
         raise OddMeshDimensions("macro-elements need even cell counts, "
                                 f"got {mesh.n1} x {mesh.n2}")

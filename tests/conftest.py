@@ -1,5 +1,7 @@
 """Shared meshes and expensive solves, computed once per session."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,14 @@ from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
 from rrteig.mesh import build_mesh, uniform_mesh, uniform_refine
 
 from oracles import assembled
+
+# hypothesis imports this module to report a failing example; one of its
+# dependencies warns on import, which filterwarnings = error would turn
+# into an internal error that stops the run.  Imported here once, with
+# that warning ignored for this import only, every failure is reported.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 PI = np.pi
 

@@ -31,8 +31,12 @@ against the other.  The certificate (``verify_equivalence_2d``) factors
 K - s M0 once, counts the enriched eigenvalues below s by its inertia,
 lifts every mixed pair by one block solve and compares clusters through
 ``eigenspace_gap``; a shift-invert Lanczos solve of the enriched pencil
-checks its count and lifted eigenvalues.
-They use public rrteig names only.  ``factor_pair`` builds a pair from
+checks its count and lifted eigenvalues.  ``verify_equivalence_per_pair``
+holds the equivalence check as it was before it read a spectrum's 1-D
+mode tables: factors stacked one column per pair, both directions lifted
+and every entry built, for the table path, bit for bit.
+They use public rrteig names only; the per-pair check takes the 1-D lift
+as an argument.  ``factor_pair`` builds a pair from
 1-D factors the solver does not produce, to feed the postprocessing with
 chosen or random data; ``reconstruction`` packs a pair's factors per
 reconstructed component, for ``eval_cell``; ``u_coeffs`` and
@@ -54,6 +58,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from rrteig.eigensolve import MixedEigenpair
+from rrteig.equivalence import EquivalenceEntry
 from rrteig.errors import (
     DimensionMismatch, KTooLarge, LayoutMismatch, RRTError)
 from rrteig.exact import ExactEigenpair, FieldSample, cell_mean_factors
@@ -766,6 +771,42 @@ class CertificateReport:
     @property
     def max_u_discrepancy(self) -> float:
         return max(e.u_discrepancy for e in self.entries)
+
+
+def verify_equivalence_per_pair(mesh, pairs, lift):
+    """verify_equivalence one pair at a time: each factor of every pair
+    stacked into a table of one column per pair (np.column_stack), the x
+    and y tables lifted by ``lift`` (the library's 1-D lift, which the 2-D
+    certificate checks), and an EquivalenceEntry built for every pair.
+    Returns the entries, the per-pair arrays (lambda_h, lambda_peq,
+    eig_rel_diff, sigma_discrepancy), the two maxima of the entries and
+    the largest flux jump; a pair beyond 16 eps N^2 raises
+    DimensionMismatch."""
+    cols = lambda name: np.column_stack([getattr(p, name) for p in pairs])
+    v, w = cols("v"), cols("w")
+    q_x, d_x, jump_x = lift(mesh.hx, v, cols("flux_x"))
+    q_y, d_y, jump_y = lift(mesh.hy, w, cols("flux_y"))
+    nv = np.sum(mesh.hx[:, None] * v**2, axis=0)
+    nw = np.sum(mesh.hy[:, None] * w**2, axis=0)
+    lam = np.array([p.lambda_h for p in pairs])
+    lam_peq = (q_x * nw + q_y * nv) / (nv * nw)
+    rel_diff = np.abs(lam - lam_peq) / np.abs(lam)
+    s_disc = np.sqrt(nw * d_x + nv * d_y)
+    n_eff = max(mesh.hx.sum() / mesh.hx.min(), mesh.hy.sum() / mesh.hy.min())
+    bound = 16.0 * np.finfo(float).eps * n_eff**2
+    if not np.all((rel_diff <= bound) & (s_disc <= bound * np.sqrt(lam))):
+        raise DimensionMismatch("a pair is not its enriched lift")
+    jump = float(max((np.abs(w).max(axis=0) * jump_x).max(),
+                     (np.abs(v).max(axis=0) * jump_y).max()))
+    entries = tuple(
+        EquivalenceEntry(lambda_rrt=float(lam[i]), lambda_peq=float(lam_peq[i]),
+                         eig_rel_diff=float(rel_diff[i]),
+                         sigma_discrepancy=float(s_disc[i]),
+                         mode=pairs[i].mode)
+        for i in range(len(pairs)))
+    return (entries, (lam, lam_peq, rel_diff, s_disc),
+            max(e.eig_rel_diff for e in entries),
+            max(e.sigma_discrepancy for e in entries), jump)
 
 
 def _clusters(lambdas):

@@ -654,6 +654,30 @@ def test_reference_field_computed_once_per_level(monkeypatch):
     assert len(projected) == 2
 
 
+@pytest.mark.parametrize("case, lifts_per_level", [("a", 1), ("b", 2),
+                                                   ("c", 2)])
+def test_run_case_lifts_each_table_once_and_builds_pairs_on_demand(
+        monkeypatch, case, lifts_per_level):
+    """The equivalence check lifts each distinct 1-D mode table once per
+    level: once on preset a, whose y table is its x table, twice on b and
+    c.  No MixedEigenpair is built on b and c; on a only the pairs that
+    supercloseness and postprocessing (pairs[0] each) and the frequency
+    matches index are."""
+    from rrteig import eigensolve, equivalence
+
+    lifts = _count_calls(monkeypatch, equivalence._lift_1d)
+    built = _count_calls(monkeypatch, eigensolve.MixedEigenpair)
+    report = run_case(case_preset(case))
+    assert "failures" not in report.config
+    assert len(lifts) == lifts_per_level * len(report.levels)
+    matched = sum(len(lv.get("frequency_matches", ())) for lv in report.levels)
+    if case == "a":
+        assert matched > 0
+        assert len(built) == 2 * len(report.levels) + matched
+    else:
+        assert len(built) == matched == 0
+
+
 def test_postprocessing_shares_tables_and_interpolants(monkeypatch):
     """One postprocessing call per level builds one Gauss table per
     direction and each of the four 1-D interpolants once (flux_x and v

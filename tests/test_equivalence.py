@@ -17,9 +17,12 @@ from hypothesis import given, settings, strategies as st
 from rrteig import cli, equivalence
 from rrteig.assembly import assemble_mixed
 from rrteig.cli import case_preset, run_case
-from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
+from rrteig.eigensolve import (MixedEigenpair, SolveOptions, Spectrum,
+                               _modes_1d, _residuals, _smallest_sums,
+                               solve_mixed_eigs)
 from rrteig.equivalence import _lift_1d, verify_equivalence
-from rrteig.errors import DimensionMismatch, KTooLarge, LayoutMismatch
+from rrteig.errors import (DegenerateFactor, DimensionMismatch, KTooLarge,
+                           LayoutMismatch)
 from rrteig.exact import FieldSample, enumerate_exact
 from rrteig.mesh import build_mesh, uniform_mesh, uniform_refine
 
@@ -42,6 +45,7 @@ from oracles import (
     peq_local_matrices,
     solve_peq_eigs,
     verify_equivalence_2d,
+    verify_equivalence_per_pair,
 )
 
 PI = np.pi
@@ -518,3 +522,143 @@ def test_lift_never_factors_nor_iterates(monkeypatch, mesh_a0, pairs_a0):
                  if isinstance(node, ast.ImportFrom) for a in node.names]
     assert imported and not any(
         m == "scipy.sparse" or m.startswith("scipy.sparse.") for m in imported)
+
+
+def _listed_pairs(mesh, k):
+    """The pairs as solve_mixed_eigs listed them before it returned a
+    Spectrum: all built at once, each factor a copy of its column of the
+    1-D modes."""
+    x = _modes_1d(mesh.hx, min(k, mesh.n1))
+    y = (x if np.array_equal(mesh.hx, mesh.hy)
+         else _modes_1d(mesh.hy, min(k, mesh.n2)))
+    lams, jj, ii = _smallest_sums(y[0], x[0], k)
+    residuals = _residuals(lams, x[3][:, ii], y[3][:, jj])
+    return [MixedEigenpair(lambda_h=lam, v=x[1][:, i].copy(),
+                           w=y[1][:, j].copy(), flux_x=x[2][:, i].copy(),
+                           flux_y=y[2][:, j].copy(), residual_norm=r,
+                           mode=(i + 1, j + 1))
+            for lam, j, i, r in zip(lams.tolist(), jj.tolist(), ii.tolist(),
+                                    residuals.tolist())]
+
+
+def _pair_bits(p):
+    """A pair as the types and bytes of its fields."""
+    return (type(p.lambda_h), np.float64(p.lambda_h).tobytes(),
+            *((f.dtype, f.shape, f.tobytes())
+              for f in (p.v, p.w, p.flux_x, p.flux_y)),
+            type(p.residual_norm), np.float64(p.residual_norm).tobytes(),
+            tuple(map(type, p.mode)), p.mode)
+
+
+def _report_bits(rep):
+    """An EquivalenceReport, or the per-pair oracle's tuple, as bytes: the
+    per-pair arrays, the entries, the three maxima and the modes."""
+    if isinstance(rep, tuple):
+        entries, arrays, *maxima = rep
+    else:
+        entries = rep.entries
+        arrays = (rep.lambda_rrt, rep.lambda_peq, rep.eig_rel_diff,
+                  rep.sigma_discrepancy)
+        maxima = (rep.max_eig_rel_diff, rep.max_sigma_discrepancy,
+                  rep.max_flux_jump)
+    rows = [dataclasses.astuple(e)[:4] for e in entries]
+    return ([a.tobytes() for a in arrays], np.array(rows).tobytes(),
+            [type(v) for row in rows for v in row], np.array(maxima).tobytes(),
+            [type(m) for m in maxima], [e.mode for e in entries])
+
+
+def _assert_table_path(mesh, k):
+    """solve_mixed_eigs's Spectrum builds, at each index, the pair that the
+    eager list held, and verify_equivalence on the Spectrum's tables, and
+    on the list of its pairs, has the bits of the per-pair oracle."""
+    spectrum = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=k))
+    listed = _listed_pairs(mesh, k)
+    assert isinstance(spectrum, Spectrum) and len(spectrum) == k
+    assert [_pair_bits(p) for p in spectrum] == [_pair_bits(p) for p in listed]
+    want = _report_bits(verify_equivalence_per_pair(mesh, listed, _lift_1d))
+    assert _report_bits(verify_equivalence(mesh, spectrum)) == want
+    assert _report_bits(verify_equivalence(mesh, list(spectrum))) == want
+    return spectrum
+
+
+@st.composite
+def _table_meshes(draw):
+    """Random tensor meshes of [0, a] x [0, b]: 1 to 24 cells and a width
+    ratio up to 1e3 per direction (1, equal widths, often); in a third of
+    the draws the y nodes are the x nodes, so the widths are bitwise
+    equal and one table serves both directions."""
+    nodes = []
+    for axis in "xy":
+        n = draw(st.integers(1, 24), label=f"n_{axis}")
+        ratio = draw(st.floats(1.0, 1e3), label=f"width ratio {axis}")
+        seed = draw(st.integers(0, 2**32 - 1), label=f"widths {axis}")
+        widths = np.exp(np.random.default_rng(seed).uniform(
+            0.0, np.log(ratio), n))
+        span = draw(st.floats(0.5, 4.0), label=f"span {axis}")
+        nodes.append(np.concatenate([[0.0], np.cumsum(widths)])
+                     * (span / widths.sum()))
+    if draw(st.integers(0, 2), label="mirror") == 0:
+        nodes[1] = nodes[0]
+    return build_mesh(*nodes)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(mesh=_table_meshes(), data=st.data())
+def test_table_path_bitwise_against_per_pair_oracle(mesh, data):
+    """On random meshes, a direction of one cell and bitwise equal widths
+    among them, k from 1 to 16: the Spectrum's pairs and the equivalence
+    check on its 1-D mode tables, have the bits of the eagerly listed
+    pairs and of the per-pair check.  From k = 2 on, pairs share a column
+    of a table: the second pair, (2, 1) or (1, 2), shares a mode with the
+    first."""
+    k = data.draw(st.integers(1, min(16, mesh.n_cells)), label="k")
+    spectrum = _assert_table_path(mesh, k)
+    if k > 1:
+        assert min(len(set(spectrum.ii.tolist())),
+                   len(set(spectrum.jj.tolist()))) < k
+
+
+@pytest.mark.parametrize("case", "abc")
+def test_table_path_bitwise_on_presets(case):
+    """Levels 0-5 of each preset, at its k: preset a's one table for both
+    directions, b's closed forms of two widths and c's dense and (level 5,
+    160 cells per direction) Lanczos tables, bit for bit."""
+    mesh = case_preset(case).initial_mesh()
+    for level in range(6):
+        _assert_table_path(mesh, case_preset(case).k)
+        mesh = uniform_refine(mesh)
+
+
+@pytest.mark.parametrize("n1, n2, k", [(200, 150, 12), (256, 1, 6)])
+def test_table_path_bitwise_on_lanczos_tables(n1, n2, k):
+    """Random widths (ratio up to 30) of more than 128 cells, whose modes
+    come from the Lanczos path, beside a direction of 200 and of 1 cell."""
+    rng = np.random.default_rng(n1 + n2)
+    _assert_table_path(build_mesh(*(
+        np.concatenate([[0.0], np.cumsum(rng.uniform(1.0, 30.0, n))])
+        for n in (n1, n2))), k)
+
+
+def test_spectrum_reads_as_a_sequence_of_pairs(mesh_c0):
+    """A Spectrum indexes from the end, slices into a list of pairs, stops
+    iterating at its length and raises IndexError past it."""
+    spectrum = solve_mixed_eigs(assemble_mixed(mesh_c0), SolveOptions(k=5))
+    listed = _listed_pairs(mesh_c0, 5)
+    assert _pair_bits(spectrum[-1]) == _pair_bits(listed[-1])
+    part = spectrum[1:4:2]
+    assert type(part) is list
+    assert list(map(_pair_bits, part)) == list(map(_pair_bits, listed[1:4:2]))
+    assert len(list(spectrum)) == 5
+    assert spectrum.modes == [p.mode for p in listed]
+    with pytest.raises(IndexError):
+        spectrum[5]
+
+
+def test_verify_equivalence_refuses_an_all_zero_factor(mesh_a0, pairs_a0):
+    """A pair whose v or w is all zeros divides 0 by 0 in its Rayleigh
+    quotient: a list holding one raises DegenerateFactor naming its
+    column, the pair's index in the list."""
+    for name, n in (("v", 8), ("w", 8)):
+        zero = dataclasses.replace(pairs_a0[2], **{name: np.zeros(n)})
+        with pytest.raises(DegenerateFactor, match=f"{name} factor 2 is"):
+            verify_equivalence(mesh_a0, [*pairs_a0[:2], zero, pairs_a0[3]])

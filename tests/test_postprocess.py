@@ -12,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from rrteig.analysis import expansion_term
 from rrteig.assembly import assemble_mixed
 from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
-from rrteig.errors import LayoutMismatch, OddMeshDimensions, RRTError
+from rrteig.errors import (DegenerateFactor, LayoutMismatch,
+                           OddMeshDimensions, RRTError)
 from rrteig.exact import FieldSample
 from rrteig.mesh import build_mesh, uniform_mesh
 from rrteig.postprocess import (
@@ -205,6 +206,23 @@ def test_length_mismatch():
         short = dataclasses.replace(fits, **{name: np.zeros(3)})
         with pytest.raises(LayoutMismatch):
             postprocessing_norms(mesh, short, fld)
+
+
+def test_supercloseness_refuses_an_all_zero_factor():
+    """A pair whose v or w is all zeros has no divergence split: its
+    projection mu = <v, gx> / <v, v> divides 0 by 0.  supercloseness_norms
+    raises DegenerateFactor naming the factor, where it returned a NaN
+    norm_div (or raised numpy's RuntimeWarning); postprocessing_norms,
+    which divides by no factor norm, still measures such a pair."""
+    mesh = uniform_mesh(0.0, 1.0, 4, 0.0, 1.0, 4)
+    fld = FieldSample(1, 1, (1.0, 1.0))
+    ones = factor_pair(np.ones(4), np.ones(4), np.ones(5), np.ones(5))
+    for name in ("v", "w"):
+        zero = dataclasses.replace(ones, **{name: np.zeros(4)})
+        with pytest.raises(DegenerateFactor, match=f"{name} factor 0 is"):
+            supercloseness_norms(mesh, zero, fld)
+        assert all(np.isfinite(list(
+            postprocessing_norms(mesh, zero, fld).values())))
 
 
 def test_error_norm_exact_field_small():
