@@ -62,23 +62,21 @@ def lower_bound_margin(lambda_h: float, lam: float, a: float, h: float) -> float
     return (lambda_h - lam) - lam**2 * h**2 / (24.0 * a**2)
 
 
-def match_frequencies(pairs, mesh: TensorMesh, domain) -> list[dict]:
+def match_frequencies(pairs, shifts, domain) -> list[dict]:
     """Frequency and h^2 shifts of labelled pairs on a mesh of
     [0, a] x [0, b], one record (lambda_h, m, n, predicted_shift,
     observed_shift) per pair.
 
     Each pair's mode label (m, n) names its frequency, unordered on a
     square, where (m, n) and (n, m) share one eigenvalue.  The predicted
-    shift is the label's expansion term and the observed shift is lambda_h
-    minus the label's exact eigenvalue.
+    shift, one of ``shifts``, is the label's expansion term on the mesh,
+    and the observed shift is lambda_h minus the label's exact eigenvalue.
     """
     square = abs(domain[0] - domain[1]) <= 1e-12 * max(domain)
-    fields = [FieldSample(*p.mode, domain) for p in pairs]
     out = []
-    for p, fld, shift in zip(pairs, fields,
-                             expansion_term(mesh, fields).tolist()):
+    for p, shift in zip(pairs, shifts):
         m, n = sorted(p.mode) if square else p.mode
         out.append({"lambda_h": p.lambda_h, "m": m, "n": n,
-                    "predicted_shift": shift,
-                    "observed_shift": p.lambda_h - fld.value})
+                    "predicted_shift": shift, "observed_shift":
+                    p.lambda_h - FieldSample(*p.mode, domain).value})
     return out

@@ -13,7 +13,7 @@ import os
 import sys
 import time
 from collections import namedtuple
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -224,7 +224,8 @@ def _residual_indices(config, mesh, exact):
     return [i for i, e in enumerate(exact[: config.k]) if e.multiplicity == 1]
 
 
-_Label = namedtuple("_Label", "mode lambda_h")  # all _aligned_field reads
+# all that _aligned_field and match_frequencies read of a pair
+_Label = namedtuple("_Label", "mode lambda_h")
 
 
 def _aligned_field(pair, exact_pair):
@@ -244,9 +245,10 @@ def _aligned_field(pair, exact_pair):
     return FieldSample(*mode, exact_pair.domain)
 
 
-def _solve(config: ExperimentConfig, mesh: TensorMesh):
-    """Solve one level: the Spectrum of its first k pairs."""
-    return solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=config.k))
+def _solve(config: ExperimentConfig, mesh: TensorMesh, *, tables=()):
+    """Solve one level, offered ``tables``: the Spectrum of its k pairs."""
+    return solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=config.k),
+                            tables=tables)
 
 
 @dataclass
@@ -255,7 +257,10 @@ class _Level:
     postprocessing measure pairs[0] against the (1, 1) mode as it is: each
     1-D spectrum is simple, so pairs[0] is the (1, 1) pair, and its two
     factors have no sign change and a positive largest entry, so they
-    correlate positively with the positive cell means of the field."""
+    correlate positively with the positive cell means of the field.  The
+    pairs' 1-D tables may be the level before's, bitwise equal (run_case),
+    and ``e2`` maps FieldSamples to their expansion terms on the mesh
+    (expansion); nothing outlives the sweep."""
 
     config: ExperimentConfig
     mesh: TensorMesh
@@ -264,6 +269,14 @@ class _Level:
     # enumeration count -> the exact eigenspace of each mode, filled by
     # _frequencies and shared by the levels of one sweep
     spaces: dict
+    e2: dict = field(default_factory=dict)
+
+    def expansion(self, fields) -> list:
+        """Each field's expansion term, from one expansion_term call on those
+        not in ``e2``; its rows are independent, so the bits are the same."""
+        if new := [f for f in fields if f not in self.e2]:
+            self.e2.update(zip(new, expansion_term(self.mesh, new).tolist()))
+        return [self.e2[f] for f in fields]
 
 
 def _residuals(lv: _Level) -> dict:
@@ -272,7 +285,7 @@ def _residuals(lv: _Level) -> dict:
     fields = [_aligned_field(_Label(modes[t], lams[t]), lv.exact[t])
               for t in rows]
     resid = {}
-    for t, e2 in zip(rows, expansion_term(lv.mesh, fields).tolist()):
+    for t, e2 in zip(rows, lv.expansion(fields)):
         e1 = lams[t] - lv.exact[t].value
         resid[str(t + 1)] = {"e1": e1, "e2": e2, "r": e1 - e2}
     return {"residuals": resid}
@@ -324,9 +337,11 @@ def _frequencies(lv: _Level) -> dict:
                             enumerate_exact(domain, count=count)
                             for mode in e.modes}
     space = lv.spaces[count]
-    pairs = [lv.pairs[t] for t, m in enumerate(lv.pairs.modes) if
-             space[m].multiplicity > 1 and labels.issuperset(space[m].modes)]
-    return {"frequency_matches": match_frequencies(pairs, lv.mesh, domain)}
+    members = [_Label(m, lam) for m, lam in
+               zip(lv.pairs.modes, lv.pairs.lambdas.tolist()) if
+               space[m].multiplicity > 1 and labels.issuperset(space[m].modes)]
+    shifts = lv.expansion([FieldSample(*p.mode, domain) for p in members])
+    return {"frequency_matches": match_frequencies(members, shifts, domain)}
 
 
 def _equivalence(lv: _Level) -> dict:
@@ -351,13 +366,14 @@ _LEVEL_ANALYSES = {
 
 
 def _solve_level(config: ExperimentConfig, mesh: TensorMesh, exact,
-                 spaces: dict, failures: list) -> dict:
-    """Solve one level and run its analyses.  An RRTError in the solve
-    propagates; one in an analysis leaves that analysis's keys out of the
-    record and is appended to ``failures``."""
+                 spaces: dict, failures: list, tables) -> tuple:
+    """Solve one level, offered ``tables``, and run its analyses: its record
+    and tables.  An RRTError in the solve propagates; one in an analysis
+    leaves that analysis's keys out of the record and is appended to
+    ``failures``."""
     t0 = time.perf_counter()
     run = set(config.analyses)
-    pairs = _solve(config, mesh)
+    pairs = _solve(config, mesh, tables=tables)
     if not isinstance(pairs, Spectrum):  # a replaced _solve's list
         pairs = Spectrum.stack(pairs, mesh)
     lv = _Level(config, mesh, exact, pairs, spaces)
@@ -378,7 +394,7 @@ def _solve_level(config: ExperimentConfig, mesh: TensorMesh, exact,
                              "error": type(exc).__name__,
                              "message": str(exc)})
     rec["time_seconds"] = time.perf_counter() - t0
-    return rec
+    return rec, (pairs.x, pairs.y)
 
 
 @dataclass
@@ -428,18 +444,22 @@ def run_case(config: ExperimentConfig) -> RunReport:
     The sweep runs on the initial mesh translated to start at 0, where the
     exact fields live, so any origin is accepted; a finest level above
     _MAX_CELLS cells or below k cells raises InvalidConfig before level
-    0."""
+    0.  Each solve is offered the 1-D mode tables of the level before, if
+    solved (preset b's y widths are the next level's x widths)."""
     meshes = _meshes(config, config.levels)
     exact = enumerate_exact((meshes[0].node_x[-1], meshes[0].node_y[-1]),
                             count=config.k)
     levels = []
     failures = []
     spaces = {}  # the exact eigenspaces that _frequencies enumerates, once
+    tables = ()  # the last solved level's tables; a failed level has none
     for mesh in meshes:
         try:
-            levels.append(_solve_level(config, mesh, exact, spaces,
-                                       failures))
+            rec, tables = _solve_level(config, mesh, exact, spaces, failures,
+                                       tables)
+            levels.append(rec)
         except RRTError as exc:  # the solve failed: the level is lost
+            tables = ()
             failures.append({"level": mesh.level, "error": type(exc).__name__,
                              "message": str(exc)})
             levels.append({"level": mesh.level, "failed": True})
@@ -476,7 +496,7 @@ def run_case(config: ExperimentConfig) -> RunReport:
         extrap = {"values": tilde, "errors": errs, "rates": rates}
 
     report = RunReport(
-        config=asdict(config),
+        config={f.name: getattr(config, f.name) for f in fields(config)},
         exact_values=[e.value for e in exact],
         levels=levels,
         eigen_rates=eigen_rates,

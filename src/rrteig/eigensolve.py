@@ -8,8 +8,9 @@ On a tensor-product mesh the reduced pencil is a Kronecker sum,
 where S and D are the reduced operator and the cell-width diagonal of the
 1-D RT0 pencil in each direction (fast diagonalisation; Lynch, Rice &
 Thomas, Numer. Math. 6, 1964).  solve_mixed_eigs solves the two 1-D
-pencils, once when the two directions' widths are bitwise equal, and
-combines their modes, lambda = mu_i + nu_j and u = w_j (x) v_i.
+pencils, or reuses an offered 1-D mode table of bitwise equal widths and
+column count (_table; no other state is kept), and combines their modes,
+lambda = mu_i + nu_j and u = w_j (x) v_i.
 Each 1-D pencil's modes come from one of three sources, chosen by its
 cell widths, and one shared finish.
 - Widths equal by mesh.uniform_widths (presets a and b) take the closed
@@ -316,6 +317,26 @@ def _modes_1d(h, k):
                       axis=1) for a, b in terms])
 
 
+class _Table(tuple):
+    """A read-only table (mu, v, flux, sums) of _modes_1d on the widths h,
+    and the lift of its columns once verify_equivalence has taken it."""
+
+    h = lift = None
+
+
+def _table(h, k, offered):
+    """The first offered _Table of the bitwise widths h and k columns, else
+    a fresh one, of the same bits: _modes_1d is deterministic in (h, k)."""
+    for t in offered:
+        if np.array_equal(getattr(t, "h", None), h) and t[1].shape[1] == k:
+            return t
+    table = _Table(_modes_1d(h, k))
+    for a in table:
+        a.flags.writeable = False
+    table.h = h
+    return table
+
+
 def _smallest_sums(a, b, count):
     """The count smallest sums a[i] + b[j], ascending, ties by (i, j), and
     their indices i and j: one stable sort of all the sums."""
@@ -350,11 +371,12 @@ def _residuals(lam, x, y):
 
 @dataclass(frozen=True, eq=False)
 class Spectrum(Sequence):
-    """A level's 1-D mode tables x and y, each (mu, v, flux, sums) of
-    _modes_1d (y is x on bitwise equal widths), per pair its eigenvalue,
-    factor columns, residual and label, and the mesh's _effective_cells,
-    as the read-only sequence of MixedEigenpair: a pair is built when it
-    is indexed, its factors copied out of the tables; a slice is a list."""
+    """A level's 1-D mode tables x and y, each a _Table that a solve offered
+    it may reuse (_table; stack's tables have no widths), per pair its
+    eigenvalue, factor columns, residual and label, and the mesh's
+    _effective_cells, as the read-only sequence of MixedEigenpair: a pair
+    is built when read, its factors copied out of the tables; a slice is
+    a list."""
 
     x: tuple
     y: tuple
@@ -383,18 +405,26 @@ class Spectrum(Sequence):
     def __len__(self):
         return len(self.lambdas)
 
+    def _pair(self, lam, i, j, res, mode):
+        (v, fx), (w, fy) = self.x[1:3], self.y[1:3]
+        return MixedEigenpair(lam, v[:, i].copy(), w[:, j].copy(),
+                              fx[:, i].copy(), fy[:, j].copy(), res, mode)
+
     def __getitem__(self, t):
         if isinstance(t, slice):
             return [self[s] for s in range(len(self))[t]]
-        i, j = self.ii[t], self.jj[t]  # IndexError past the end
-        return MixedEigenpair(float(self.lambdas[t]), self.x[1][:, i].copy(),
-                              self.y[1][:, j].copy(), self.x[2][:, i].copy(),
-                              self.y[2][:, j].copy(),
-                              float(self.residuals[t]), self.modes[t])
+        return self._pair(float(self.lambdas[t]), self.ii[t], self.jj[t],
+                          float(self.residuals[t]), self.modes[t])
+
+    def __iter__(self):  # each array read as a list once, not per pair
+        return map(self._pair, self.lambdas.tolist(), self.ii.tolist(),
+                   self.jj.tolist(), self.residuals.tolist(), self.modes)
 
 
-def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions) -> Spectrum:
-    """k smallest eigenpairs of the pencil (B A^-1 B^T, M), as a Spectrum.
+def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions, *,
+                     tables=()) -> Spectrum:
+    """k smallest eigenpairs of the pencil (B A^-1 B^T, M), as a Spectrum,
+    reusing the offered 1-D mode ``tables`` that fit (_table).
 
     Deterministic; eigenvalues ascending, tied eigenvalues ordered by
     their (y, x) 1-D mode indices, so a cluster member keeps its place
@@ -416,11 +446,9 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions) -> Spectrum:
     if opts.k > mesh.n_cells:
         raise KTooLarge(f"k={opts.k} exceeds spectrum size {mesh.n_cells}")
 
-    # the k smallest sums use at most the k smallest modes of each
-    # direction; equal widths give equal modes, which are solved once
-    x = _modes_1d(mesh.hx, min(opts.k, mesh.n1))
-    y = (x if np.array_equal(mesh.hx, mesh.hy)
-         else _modes_1d(mesh.hy, min(opts.k, mesh.n2)))
+    # the k smallest sums use at most the k smallest modes of each direction
+    x = _table(mesh.hx, min(opts.k, mesh.n1), tables)
+    y = _table(mesh.hy, min(opts.k, mesh.n2), (x, *tables))
     lams, jj, ii = _smallest_sums(y[0], x[0], opts.k)
     residuals = _residuals(lams, x[3][:, ii], y[3][:, jj])
     n_eff = _effective_cells(mesh)

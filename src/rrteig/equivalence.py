@@ -13,7 +13,8 @@ whose x-edge means are w (x) L(v), L(v) the 1-D lift of v (and alike in
 y), and every 2-D quantity of the comparison is a rank-one combination
 of 1-D sums of v, w and their fluxes.  No 2-D matrix is formed.  The
 two must agree to 16 eps N^2, on the N = max(a / min h_x, b / min h_y)
-by which the solve bounds its residuals."""
+by which the solve bounds its residuals.  A solved table keeps its lift,
+so a table that the solve reuses (eigensolve._table) is lifted once."""
 
 from __future__ import annotations
 
@@ -116,14 +117,29 @@ def _lift_1d(h, c, flux):
             jump)
 
 
+def _table_lift(h, table, peak):
+    """Per column of a 1-D mode table on the widths h: q, d, jump (_lift_1d),
+    |.|_D^2 and max |.| (``peak``), kept by a solved table of these widths."""
+    keep = np.array_equal(getattr(table, "h", None), h)
+    if keep and table.lift is not None:
+        return table.lift
+    lift = np.array([*_lift_1d(h, table[1], table[2]),
+                     np.sum(h[:, None] * table[1]**2, axis=0), peak])
+    if keep:
+        lift.flags.writeable = False
+        table.lift = lift
+    return lift
+
+
 def verify_equivalence(
     mesh: TensorMesh, pairs: Spectrum | list[MixedEigenpair]
 ) -> EquivalenceReport:
     """Lift each mixed pair into the enriched element and compare.
 
     A Spectrum's x table v, or a list's x factors stacked (Spectrum.stack),
-    is lifted by one tridiagonal solve (``_lift_1d``), as is the y table w
-    unless it is v, and each pair gathers the results of its columns.
+    is lifted by one tridiagonal solve (``_lift_1d``), as is the y table w,
+    unless lifted before (_table_lift), and each pair gathers the results
+    of its columns.
     With |.|_D the cell-width norm of a factor, a pair's enriched Rayleigh
     quotient is
 
@@ -151,14 +167,9 @@ def verify_equivalence(
     if not isinstance(pairs, Spectrum):
         pairs = Spectrum.stack(pairs, mesh)
     (_, v, flux_x, _), (_, w, flux_y, _) = pairs.x, pairs.y
-    peaks = _require_fit(mesh, v, w, flux_x, flux_y)
-    # per table column: q, d, jump, |.|_D^2 and max |.|; equal tables on
-    # equal widths are lifted once
-    x = np.array([*_lift_1d(mesh.hx, v, flux_x),
-                  np.sum(mesh.hx[:, None] * v**2, axis=0), peaks[0]])
-    y = (x if pairs.y is pairs.x and np.array_equal(mesh.hx, mesh.hy) else
-         np.array([*_lift_1d(mesh.hy, w, flux_y),
-                   np.sum(mesh.hy[:, None] * w**2, axis=0), peaks[1]]))
+    peak_x, peak_y = _require_fit(mesh, v, w, flux_x, flux_y)
+    x = _table_lift(mesh.hx, pairs.x, peak_x)
+    y = _table_lift(mesh.hy, pairs.y, peak_y)
     # the 1-D quantities of each pair's x and y modes
     (q_x, d_x, jump_x, nv, peak_v), (q_y, d_y, jump_y, nw, peak_w) = (
         x[:, pairs.ii], y[:, pairs.jj])

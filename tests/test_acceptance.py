@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rrteig.analysis import match_frequencies
+from rrteig.analysis import expansion_term, match_frequencies
 from rrteig.assembly import assemble_mixed
 from rrteig.cli import case_preset, run_case
 from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
@@ -262,7 +262,10 @@ def test_criterion_11_frequency_resolution(report_a):
     system = assemble_mixed(mesh)
     pairs = solve_mixed_eigs(system, SolveOptions(k=i0 + 3))
     cluster = pairs[i0 : i0 + 3]
-    matches = match_frequencies(cluster, mesh, exact[i0].domain)
+    domain = exact[i0].domain
+    shifts = expansion_term(mesh, [FieldSample(*p.mode, domain)
+                                   for p in cluster])
+    matches = match_frequencies(cluster, shifts.tolist(), domain)
     got = [(m["m"], m["n"]) for m in matches]
     # ascending eigenvalues: the smaller (5,5) shift first, doubled (1,7) after
     ok = ok and got == [(5, 5), (1, 7), (1, 7)]

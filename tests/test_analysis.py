@@ -83,6 +83,13 @@ def _labelled(lambda_h, mode):
                                lambda_h=lambda_h, mode=mode)
 
 
+def _matches(pairs, mesh, domain):
+    """match_frequencies with each label's expansion term on the mesh."""
+    shifts = expansion_term(mesh, [FieldSample(*p.mode, domain)
+                                   for p in pairs])
+    return match_frequencies(pairs, shifts.tolist(), domain)
+
+
 def test_match_frequencies_single_pair():
     """lambda = 5: the (2, 1) and (1, 2) modes are both the unordered pair
     (1, 2) on the square, and on a uniform h-mesh of [0, pi]^2 their
@@ -93,16 +100,14 @@ def test_match_frequencies_single_pair():
     shift = 17 * h * h / 12.0
     pairs = [_labelled(5 + shift, (2, 1)),
              _labelled(5 + shift * 1.001, (1, 2))]
-    matches = match_frequencies(pairs, uniform_mesh(0, PI, n, 0, PI, n),
-                                (PI, PI))
+    matches = _matches(pairs, uniform_mesh(0, PI, n, 0, PI, n), (PI, PI))
     assert all((m["m"], m["n"]) == (1, 2) for m in matches)
     assert all(m["predicted_shift"] == pytest.approx(shift, rel=1e-14)
                for m in matches)
     assert [m["observed_shift"] for m in matches] == [p.lambda_h - 5.0
                                                       for p in pairs]
-    (rect,) = match_frequencies([_labelled(5.0, (2, 1))],
-                                uniform_mesh(0, PI, n, 0, 2 * PI, 2 * n),
-                                (PI, 2 * PI))
+    (rect,) = _matches([_labelled(5.0, (2, 1))],
+                       uniform_mesh(0, PI, n, 0, 2 * PI, 2 * n), (PI, 2 * PI))
     assert (rect["m"], rect["n"]) == (2, 1)
     assert rect["observed_shift"] == 5.0 - (4.0 + 0.25)
 
@@ -114,7 +119,7 @@ def test_match_frequencies_triple_cluster():
     h = PI / n
     s55 = 1250 * h * h / 12.0
     s17 = 2402 * h * h / 12.0
-    matches = match_frequencies(
+    matches = _matches(
         [_labelled(50 + s55 * 1.0001, (5, 5)),
          _labelled(50 + s17 * 0.9999, (7, 1)),
          _labelled(50 + s17 * 1.0001, (1, 7))],

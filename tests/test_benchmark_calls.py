@@ -24,8 +24,10 @@ def test_benchmark_workloads_run_and_check(tmp_path, monkeypatch):
     (assemble_mixed, then solve_mixed_eigs with SolveOptions(k)), a
     case-c sweep and a case-a sweep to level 1 (run_case, then
     emit_tables; case a runs every analysis, frequencies,
-    supercloseness and postprocessing included) each pass their own
-    check; the tracer counts the 576 cells of the 24^2 solve."""
+    supercloseness and postprocessing included) and a case-b sweep to
+    level 2, whose levels reuse the previous level's y table as their x
+    table, each pass their own check; the tracer counts the 576 cells of
+    the 24^2 solve."""
     workloads = _load("workloads")
     eigensolve = workloads.eigensolve
     lanczos = []
@@ -38,7 +40,8 @@ def test_benchmark_workloads_run_and_check(tmp_path, monkeypatch):
     monkeypatch.setattr(eigensolve.spla, "eigsh", counted)
     for work in (workloads.SolveLarge(seed=1, n=24),
                  workloads.Sweep(("c",), str(tmp_path), levels=1),
-                 workloads.Sweep(("a",), str(tmp_path), levels=1)):
+                 workloads.Sweep(("a",), str(tmp_path), levels=1),
+                 workloads.Sweep(("b",), str(tmp_path), levels=2)):
         assert work.check(work.op()) == []
     assert lanczos == []
     work = workloads.SolveLarge(seed=1)

@@ -247,10 +247,10 @@ def test_emit_tables_writes_a_report_and_its_dict_alike(monkeypatch,
 
     solve = cli._solve
 
-    def failing(config, mesh):
+    def failing(config, mesh, **tables):
         if mesh.level == 1:
             raise NotConverged("injected")
-        return solve(config, mesh)
+        return solve(config, mesh, **tables)
 
     monkeypatch.setattr(cli, "_solve", failing)
     report = run_case(dataclasses.replace(case_preset("c"), levels=2))
@@ -584,9 +584,9 @@ def test_shifted_presets_give_the_same_tables(monkeypatch, tmp_path,
 
     solve, meshes = cli._solve, []
 
-    def recorded(config, mesh):
+    def recorded(config, mesh, **tables):
         meshes.append(mesh)
-        return solve(config, mesh)
+        return solve(config, mesh, **tables)
 
     monkeypatch.setattr(cli, "_solve", recorded)
     path = tmp_path / "cfg.json"
@@ -654,28 +654,69 @@ def test_reference_field_computed_once_per_level(monkeypatch):
     assert len(projected) == 2
 
 
-@pytest.mark.parametrize("case, lifts_per_level", [("a", 1), ("b", 2),
-                                                   ("c", 2)])
+@pytest.mark.parametrize("case, tables_per_level", [("a", 1), ("b", 2),
+                                                    ("c", 2)])
 def test_run_case_lifts_each_table_once_and_builds_pairs_on_demand(
-        monkeypatch, case, lifts_per_level):
-    """The equivalence check lifts each distinct 1-D mode table once per
-    level: once on preset a, whose y table is its x table, twice on b and
-    c.  No MixedEigenpair is built on b and c; on a only the pairs that
-    supercloseness and postprocessing (pairs[0] each) and the frequency
-    matches index are."""
-    from rrteig import eigensolve, equivalence
+        monkeypatch, case, tables_per_level):
+    """A sweep solves and lifts each distinct 1-D mode table once: one per
+    level on preset a, whose y table is its x table, two per level on c.
+    On b, whose y widths at level L are bitwise its x widths at level
+    L + 1, level 0 holds two tables and each later level one new one: 6
+    solves and 6 lifts at levels = 4, not 10.  No MixedEigenpair is built
+    on b and c; on a only pairs[0], for supercloseness and postprocessing:
+    the frequency matches read the labels and eigenvalues."""
+    from rrteig import equivalence
 
+    solved = _count_calls(monkeypatch, eigensolve._modes_1d)
     lifts = _count_calls(monkeypatch, equivalence._lift_1d)
     built = _count_calls(monkeypatch, eigensolve.MixedEigenpair)
     report = run_case(case_preset(case))
     assert "failures" not in report.config
-    assert len(lifts) == lifts_per_level * len(report.levels)
+    levels = len(report.levels)
+    tables = levels + 1 if case == "b" else tables_per_level * levels
+    assert (levels, tables) == (5, {"a": 5, "b": 6, "c": 10}[case])
+    assert len(solved) == len(lifts) == tables
     matched = sum(len(lv.get("frequency_matches", ())) for lv in report.levels)
-    if case == "a":
-        assert matched > 0
-        assert len(built) == 2 * len(report.levels) + matched
-    else:
-        assert len(built) == matched == 0
+    assert (matched > 0) == (case == "a")
+    assert len(built) == (2 * levels if case == "a" else 0)
+
+
+def test_run_case_keeps_no_table_beyond_the_call(monkeypatch):
+    """Two sweeps of preset b solve the same number of 1-D tables, and
+    their reports are the same: no table outlives its run_case call."""
+    solved = _count_calls(monkeypatch, eigensolve._modes_1d)
+    config = dataclasses.replace(case_preset("b"), levels=2)
+    first = run_case(config).to_dict()
+    assert len(solved) == 4
+    second = run_case(config).to_dict()
+    assert len(solved) == 8
+    assert cli._report_json(first) == cli._report_json(second)
+
+
+def test_failed_level_offers_no_tables(monkeypatch):
+    """The solve after a failed level is offered no tables, and a level
+    whose solve returned a list of pairs offers tables with no widths,
+    which the next solve does not reuse: preset b then solves both
+    directions afresh."""
+    from rrteig.errors import NotConverged
+
+    solve, offered = cli._solve, []
+
+    def failing(config, mesh, tables=()):
+        offered.append(tables)
+        if mesh.level == 1:
+            raise NotConverged("injected")
+        pairs = solve(config, mesh, tables=tables)
+        return list(pairs) if mesh.level == 2 else pairs
+
+    monkeypatch.setattr(cli, "_solve", failing)
+    solved = _count_calls(monkeypatch, eigensolve._modes_1d)
+    report = run_case(dataclasses.replace(case_preset("b"), levels=3))
+    assert [lv.get("failed", False) for lv in report.levels] == [
+        False, True, False, False]
+    assert [len(t) for t in offered] == [0, 2, 0, 2]
+    assert not any(isinstance(t, eigensolve._Table) for t in offered[3])
+    assert len(solved) == 6
 
 
 def test_postprocessing_shares_tables_and_interpolants(monkeypatch):
@@ -766,10 +807,10 @@ def test_extrapolation_skips_a_failed_level(monkeypatch):
 
     solve = cli._solve
 
-    def failing(config, mesh):
+    def failing(config, mesh, **tables):
         if mesh.level == 1:
             raise NotConverged("injected")
-        return solve(config, mesh)
+        return solve(config, mesh, **tables)
 
     monkeypatch.setattr(cli, "_solve", failing)
     config = dataclasses.replace(case_preset("c"), levels=3)
@@ -793,10 +834,10 @@ def test_report_json_is_strict_and_round_trips(monkeypatch, tmp_path,
 
     solve = cli._solve
 
-    def failing(config, mesh):
+    def failing(config, mesh, **tables):
         if mesh.level == 1:
             raise NotConverged("injected")
-        return solve(config, mesh)
+        return solve(config, mesh, **tables)
 
     monkeypatch.setattr(cli, "_solve", failing)
     report = run_case(dataclasses.replace(case_preset("c"), levels=2))
@@ -845,8 +886,9 @@ def test_size_limit_refused_before_solving(monkeypatch, capsys):
 
 
 def test_one_expansion_call_per_analysis_per_level(monkeypatch):
-    """On preset a the residuals and the frequency matches each take the
-    expansion terms of all their labels in one call per level."""
+    """On preset a the residuals and the frequency matches share one
+    expansion_term call per level: the residuals take every label's term,
+    and the frequency matches read theirs from the level's map."""
     from rrteig.analysis import expansion_term
 
     calls = _count_calls(monkeypatch, expansion_term)
@@ -854,7 +896,7 @@ def test_one_expansion_call_per_analysis_per_level(monkeypatch):
     assert "failures" not in report.config
     for lv in report.levels:
         assert len(lv["residuals"]) == 6 and lv["frequency_matches"]
-    assert len(calls) == 2 * 3
+    assert len(calls) == 3
 
 
 def test_exact_spectrum_enumerated_once_per_sweep(monkeypatch):

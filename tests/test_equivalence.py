@@ -19,7 +19,7 @@ from rrteig.assembly import assemble_mixed
 from rrteig.cli import case_preset, run_case
 from rrteig.eigensolve import (MixedEigenpair, SolveOptions, Spectrum,
                                _modes_1d, _residuals, _smallest_sums,
-                               solve_mixed_eigs)
+                               _Table, solve_mixed_eigs)
 from rrteig.equivalence import _lift_1d, verify_equivalence
 from rrteig.errors import (DegenerateFactor, DimensionMismatch, KTooLarge,
                            LayoutMismatch)
@@ -488,8 +488,8 @@ def test_run_case_records_a_failed_certificate(monkeypatch, fault):
     make = _LIFT_FAULTS[fault]
     solve = cli._solve
 
-    def faulty(config, mesh):
-        pairs = solve(config, mesh)
+    def faulty(config, mesh, **tables):
+        pairs = solve(config, mesh, **tables)
         return make(pairs, config.k) if mesh.level == 1 else pairs
 
     monkeypatch.setattr(cli, "_solve", faulty)
@@ -649,6 +649,8 @@ def test_spectrum_reads_as_a_sequence_of_pairs(mesh_c0):
     assert type(part) is list
     assert list(map(_pair_bits, part)) == list(map(_pair_bits, listed[1:4:2]))
     assert len(list(spectrum)) == 5
+    assert list(map(_pair_bits, spectrum)) == [
+        _pair_bits(spectrum[t]) for t in range(len(spectrum))]
     assert spectrum.modes == [p.mode for p in listed]
     with pytest.raises(IndexError):
         spectrum[5]
@@ -662,3 +664,90 @@ def test_verify_equivalence_refuses_an_all_zero_factor(mesh_a0, pairs_a0):
         zero = dataclasses.replace(pairs_a0[2], **{name: np.zeros(n)})
         with pytest.raises(DegenerateFactor, match=f"{name} factor 2 is"):
             verify_equivalence(mesh_a0, [*pairs_a0[:2], zero, pairs_a0[3]])
+
+
+def _spectrum_bits(s):
+    """A Spectrum as the types, shapes and bytes of every field."""
+    arrays = [*s.x, *s.y, s.lambdas, s.ii, s.jj, s.residuals]
+    return ([(a.dtype, a.shape, a.tobytes()) for a in arrays], s.modes,
+            type(s.n_eff), np.float64(s.n_eff).tobytes())
+
+
+def _fitting(tables, h, cols):
+    """The first of ``tables`` that a solve on the widths h with ``cols``
+    modes may reuse, or None."""
+    return next((t for t in tables if isinstance(t, _Table)
+                 and t[1].shape[1] == cols and np.array_equal(t.h, h)), None)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mesh=_table_meshes(), data=st.data())
+def test_offered_tables_give_the_bits_of_a_fresh_solve(mesh, data):
+    """A solve offered 1-D mode tables reuses those of bitwise equal
+    widths and the same column count, lifted or not, and no other: donor
+    meshes share a direction's nodes with the mesh (so its widths) at the
+    same or another k, or have random nodes, and a donor may be a
+    Spectrum stacked from its pairs, whose tables keep no widths.  Every
+    field of the Spectrum and of its EquivalenceReport has the bits of a
+    fresh solve and check."""
+    k = data.draw(st.integers(1, min(16, mesh.n_cells)), label="k")
+    offered = []
+    for t in range(data.draw(st.integers(1, 4), label="donors")):
+        nodes = [data.draw(st.sampled_from(
+            [mesh.node_x, mesh.node_y, np.linspace(0.0, 2.0, 4 + t)]),
+            label=f"donor {t} {axis}") for axis in "xy"]
+        donor = build_mesh(*nodes)
+        k_donor = data.draw(st.sampled_from(
+            sorted({min(k, donor.n_cells), min(k + 3, donor.n_cells), 1})),
+            label=f"donor {t} k")
+        pairs = solve_mixed_eigs(assemble_mixed(donor), SolveOptions(k_donor))
+        if data.draw(st.booleans(), label=f"donor {t} lifted"):
+            verify_equivalence(donor, pairs)
+        if data.draw(st.integers(0, 3), label=f"donor {t} stacked") == 0:
+            pairs = Spectrum.stack(list(pairs), donor)
+        offered += [pairs.x, pairs.y]
+    system = assemble_mixed(mesh)
+    got = solve_mixed_eigs(system, SolveOptions(k), tables=offered)
+    x = _fitting(offered, mesh.hx, min(k, mesh.n1))
+    assert got.x is x if x is not None else all(got.x is not t
+                                                for t in offered)
+    y = _fitting([got.x, *offered], mesh.hy, min(k, mesh.n2))
+    assert got.y is y if y is not None else got.y is not got.x
+    fresh = solve_mixed_eigs(system, SolveOptions(k))
+    assert _spectrum_bits(got) == _spectrum_bits(fresh)
+    assert (_report_bits(verify_equivalence(mesh, got))
+            == _report_bits(verify_equivalence(mesh, fresh)))
+
+
+def test_tables_and_lifts_are_read_only(mesh_c0):
+    """A caller cannot write into a solved table, or into the lift that
+    the equivalence check keeps with it, which a later solve may reuse;
+    the pairs built from the tables are copies, and writable."""
+    spectrum = solve_mixed_eigs(assemble_mixed(mesh_c0), SolveOptions(k=5))
+    verify_equivalence(mesh_c0, spectrum)
+    for table in (spectrum.x, spectrum.y):
+        assert isinstance(table, _Table) and table.lift is not None
+        for a in (*table, table.lift):
+            assert not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        spectrum.x[1][0, 0] = 1.0
+    spectrum[0].v[0] = 1.0
+
+
+def test_a_kept_lift_serves_only_its_widths(mesh_c0):
+    """A solved table keeps the lift taken on its own widths only: on a
+    mesh of the same cell counts and other widths, the check lifts the
+    tables afresh, as it lifts the list of their pairs, and fails alike."""
+    spectrum = solve_mixed_eigs(assemble_mixed(mesh_c0), SolveOptions(k=5))
+    verify_equivalence(mesh_c0, spectrum)
+    kept = spectrum.x.lift, spectrum.y.lift
+    other = build_mesh(mesh_c0.node_x ** 2, mesh_c0.node_y ** 2)
+    with pytest.raises(DimensionMismatch) as on_tables:
+        verify_equivalence(other, spectrum)
+    with pytest.raises(DimensionMismatch) as on_list:
+        verify_equivalence(other, list(spectrum))
+    # the bound differs: a Spectrum carries the N of the mesh it was
+    # solved on, a list takes the other mesh's
+    found = [str(e.value).split(" beyond ")[0] for e in (on_tables, on_list)]
+    assert found[0] == found[1]
+    assert spectrum.x.lift is kept[0] and spectrum.y.lift is kept[1]
