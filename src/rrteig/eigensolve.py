@@ -12,24 +12,14 @@ pencils, or reuses an offered 1-D mode table of bitwise equal widths and
 column count (_table; no other state is kept), and combines their modes,
 lambda = mu_i + nu_j and u = w_j (x) v_i.
 Each 1-D pencil's modes come from one of three sources, chosen by its
-cell widths, and one shared finish.
-- Widths equal by mesh.uniform_widths (presets a and b) take the closed
-  form of the uniform-grid spectrum (_uniform_modes): no eigensolver and
-  no BLAS call, and each mode's bits depend on neither k nor the BLAS
-  thread count.
-- Other widths build the pencil's inverse from two cumulative sums.  Up
-  to _DENSE_MAX_CELLS = 128 cells they form it and a dense eigh gives
-  the modes (_dense_top).
-- Above, a fixed budget of 16 modes (the next multiple of 16 for k > 16)
-  comes from implicitly restarted Lanczos (ARPACK; Lehoucq & Sorensen,
-  SIAM J. Matrix Anal. Appl. 17, 1996) on the O(n) product (_KProduct),
-  which ARPACK calls directly and which writes every step into buffers
-  made once per direction.  It starts from the sum of the budget's exact
-  modes sin(m pi x / a) (_sine_start), its bits depend on neither k
-  within the budget nor the BLAS thread count, and its result is
-  certified to be the smallest modes by one Sturm count of the
-  tridiagonal flux pencil just above its largest eigenvalue
-  (_count_below), with no threshold.
+cell widths (_modes_1d), and one shared finish: on equal widths (presets
+a and b) the closed form of the uniform-grid spectrum; on others, up to
+_DENSE_MAX_CELLS = 128 cells, a dense eigh of the pencil's inverse K, and
+above it inverse iteration on the tridiagonal flux pencil T q = mu A1 q,
+T = G^T D^-1 G, from the flux cos(m pi x / a) of the exact mode, polished
+in K's space and certified by Sturm counts, a lost mode bracketed by them
+and bisected until it converges (_inverse_modes).  Neither this nor the
+closed form calls BLAS: a mode's bits depend on neither k nor the threads.
 The finish (_modes_1d) signs each mode, solves its flux and takes the
 five 1-D sums of its residual, on the widths themselves.  Each 1-D
 spectrum is simple and its i-th mode (from 0) approximates the i-th
@@ -43,8 +33,8 @@ A1y^-1 Gy^T w_j (x) v_i on the y-edges, from two tridiagonal 1-D solves,
 and a pair's residuals are Kronecker products of 1-D ones (_residuals).  No
 2-D matrix is read or factored: each pair is exactly its four 1-D factors,
 columns of the two 1-D mode tables that the level's Spectrum holds.
-Nothing iterates to a tolerance; the residuals must lie below a roundoff
-bound that the mesh fixes (_effective_cells, shared with equivalence).
+The 2-D residuals must lie below a roundoff bound that the mesh fixes
+(_effective_cells, shared with equivalence).
 """
 
 from __future__ import annotations
@@ -53,15 +43,14 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dptsv, dstebz
+from scipy.linalg.lapack import dgtsv, dptsv, dstebz
 
 from .assembly import MixedSystem
 from .errors import InvalidConfig, KTooLarge, LayoutMismatch, NotConverged
 from .mesh import uniform_widths
 
-# the most 1-D cells whose modes come from the dense eigendecomposition
-_DENSE_MAX_CELLS = 128
+_DENSE_MAX_CELLS = 128  # the most 1-D cells always solved by a dense eigh
+_MAX_SOLVES = 8  # the most solves of one Rayleigh quotient iteration
 # c of the bound c eps N^2 on every pair's residual (solve_mixed_eigs)
 _RESIDUAL_C = 64.0
 
@@ -112,24 +101,33 @@ def _a1_times(diag, off, s):
     return out
 
 
-def _mode_budget(k):
-    """Modes solved per direction for a request of k: 16 for every k <= 16,
-    else the next multiple of 16, so that the bits of the first k do not
-    depend on k within a bracket."""
-    return 16 * max(1, -(-k // 16))
+def _gt_times(v):
+    """G^T v, column by column: row i is v[i - 1] - v[i], v 0-padded."""
+    gtv = np.zeros((len(v) + 1, *v.shape[1:]))
+    gtv[:-1] -= v
+    gtv[1:] += v
+    return gtv
+
+
+def _k_rows(h, diag, off, xs):
+    """K x, K = D^1/2 S^-1 D^1/2 on the widths h, for each row x of xs.  S^-1
+    f = x solves the saddle system A1 s = G^T x, G s = f, whose bidiagonal
+    blocks invert by cumulative sums: s is the running sum of f, less the
+    constant flux that makes 1^T A1 s = 0 (1.5 diag: A1's row sums), so that
+    A1 s is in the range of G^T, and x is minus the running sum of A1 s.
+    Each sum runs along a row, so a row's bits are its own; no BLAS call."""
+    d_sqrt = np.sqrt(h)
+    s = np.zeros((len(xs), len(h) + 1))
+    np.cumsum(d_sqrt * xs, axis=1, out=s[:, 1:])
+    s -= np.add.reduce(1.5 * diag / h.sum() * s, axis=1)[:, None]
+    return -np.cumsum(_a1_times(diag, off, s.T)[:-1], axis=0).T * d_sqrt
 
 
 def _dense_top(h, k, diag, off):
     """The k largest eigenpairs (theta, y) of K = D^1/2 S^-1 D^1/2, largest
-    first, from K formed in O(n^2) and a dense symmetric eigendecomposition;
-    diag and off are the bands of A1 on h (_a1_bands).
-
-    S^-1 f = x solves the saddle system A1 s = G^T x, G s = f, whose two
-    bidiagonal blocks invert by cumulative sums: s is the running sum of f,
-    shifted by the constant flux that makes 1^T A1 s = 0, so that A1 s lies
-    in the range of G^T, and x is minus the running sum of A1 s.  With the
-    columns of D^1/2 as f this forms K.
-    """
+    first, from a dense symmetric eigendecomposition of K, formed by the
+    sums that _k_rows derives but in code of its own: the shift is a matrix
+    product, whose bits preset c's committed files pin."""
     n = len(h)
     d_sqrt = np.sqrt(h)
     s = np.zeros((n + 1, n))
@@ -139,45 +137,6 @@ def _dense_top(h, k, diag, off):
     theta, vec = np.linalg.eigh((inv + inv.T) / 2.0)
     top = np.arange(n - 1, n - 1 - k, -1)  # largest theta = smallest mu
     return theta[top], vec[:, top]
-
-
-class _KProduct(spla.LinearOperator):
-    """K = D^1/2 S^-1 D^1/2 on the widths h as the O(n) product of
-    _dense_top's cumulative sums with one vector, with no BLAS call and
-    no array allocated per call: every step writes into buffers made once
-    per operator.  ``matvec`` is the product itself, so ARPACK calls it
-    without LinearOperator's per-call checks; its result is a buffer that
-    the next call overwrites (ARPACK copies it at once)."""
-
-    def __init__(self, h, diag, off):
-        n = len(h)
-        super().__init__(float, (n, n))
-        self._d_sqrt = np.sqrt(h)
-        # negation is exact: c (-d_sqrt) has the bits of -(c d_sqrt)
-        self._neg_d_sqrt = -self._d_sqrt
-        self._row = 1.5 * diag / h.sum()  # 1.5 diag: the row sums of A1
-        self._diag, self._off = diag, off
-        s, a1s = np.empty(n + 1), np.empty(n + 1)
-        # the buffers, and the views of them that the steps write through
-        self._bufs = (s, s[1:], s[:-1], a1s, a1s[:-1], a1s[1:],
-                      np.empty(n), np.empty(n))
-
-    def _matvec(self, x):
-        s, s_tail, s_head, a1s, a1s_head, a1s_tail, t, y = self._bufs
-        s[0] = 0.0  # the running sum starts at 0 on every call
-        np.multiply(self._d_sqrt, x, out=t)
-        np.add.accumulate(t, out=s_tail)
-        np.multiply(self._row, s, out=a1s)
-        np.subtract(s, np.add.reduce(a1s), out=s)  # now 1^T A1 s = 0
-        np.multiply(self._diag, s, out=a1s)  # A1 s
-        np.multiply(self._off, s_tail, out=t)
-        np.add(a1s_head, t, out=a1s_head)
-        np.multiply(self._off, s_head, out=t)
-        np.add(a1s_tail, t, out=a1s_tail)
-        np.add.accumulate(a1s_head, out=y)
-        return np.multiply(y, self._neg_d_sqrt, out=y)
-
-    matvec = _matvec
 
 
 def _count_below(h, diag, off, s):
@@ -198,42 +157,112 @@ def _count_below(h, diag, off, s):
     return dstebz(d, e, 1, -r, 0.0, 0, 0, 2.0 * r, b"B")[0]
 
 
-def _sine_start(h, p):
-    """D^1/2 sum_{m=1..p} sin(m x), x the cell centres of h scaled to
-    (0, pi), in closed form: sin(p x/2) sin((p+1) x/2) / sin(x/2)."""
-    x = (np.cumsum(h) - h / 2.0) * (np.pi / h.sum())  # never 0 or pi
-    return (np.sqrt(h) * np.sin(p * x / 2.0) * np.sin((p + 1) * x / 2.0)
-            / np.sin(x / 2.0))
+def _shifted_solve(pencil, s, b):
+    """(T - s A1)^-1 b by LAPACK gtsv on the pencil's bands (T's, then A1's);
+    an exactly singular pivot (info > 0) moves s by 2^-30 relative."""
+    (t_diag, t_off), (diag, off) = pencil
+    for shift in (s, s * (1.0 + 2.0**-30)):
+        e = t_off - shift * off
+        x, info = dgtsv(e, t_diag - shift * diag, e, b)[3:]
+        if info == 0:
+            return x
+    raise NotConverged(f"1-D inverse iteration on {len(diag) - 1} cells: "
+                       f"T - s A1 is singular at s = {s:.17g}")
 
 
-def _lanczos_top(h, p, diag, off):
-    """The p largest eigenpairs (theta, y) of K = D^1/2 S^-1 D^1/2, largest
-    first, by implicitly restarted Lanczos (ARPACK) on the O(n) product
-    with K (_KProduct), so that K is never formed; diag and off are the
-    bands of A1 on h.
+def _rqi(pencil, q, lo, hi):
+    """Rayleigh quotient iteration on the flux pencil from each row of q,
+    the shift its quotient s if in (lo, hi), else their midpoint, one per
+    row: the unit rows, their s and whether |T q - s A1 q| fell to 16 eps
+    max(diag T) |q| within _MAX_SOLVES solves, s in (lo, hi).  A row done
+    is not read again; a row's bits are its own."""
+    tol = 16.0 * np.finfo(float).eps * pencil[0][0].max()
+    s, done, act = np.empty(len(q)), np.zeros(len(q), bool), np.arange(len(q))
+    for solves in range(_MAX_SOLVES + 1):
+        qa, lo_a, hi_a = q[act], lo[act], hi[act]
+        tq, a1q = (_a1_times(*bands, qa.T).T for bands in pencil)
+        s[act] = sa = (np.add.reduce(qa * tq, axis=1)
+                       / np.add.reduce(qa * a1q, axis=1))
+        r = tq - sa[:, None] * a1q
+        inside = (lo_a < sa) & (sa < hi_a)
+        done[act] = inside & (np.add.reduce(r * r, axis=1)
+                              <= tol * tol * np.add.reduce(qa * qa, axis=1))
+        if done.all() or solves == _MAX_SOLVES:
+            return q, s, done
+        shift = np.where(inside, sa, (lo_a + hi_a) / 2.0)
+        for i in np.flatnonzero(~done[act]):
+            y = _shifted_solve(pencil, shift[i], a1q[i])
+            q[act[i]] = y / np.sqrt(np.add.reduce(y * y))
+        act = act[~done[act]]
 
-    The start vector is the sum of the p exact modes (_sine_start): it
-    holds every wanted mode, of both parities on a mirror-symmetric mesh,
-    and depends on h and p alone.  The result is certified by one Sturm
-    count (_count_below) just above mu_p = 1 / theta_p: it must be p + 1,
-    so that, with the residual check, the p modes are the p smallest, as
-    the mode labels assume; a mode the iteration missed raises
-    NotConverged."""
-    n = len(h)
-    try:
-        theta, vec = spla.eigsh(_KProduct(h, diag, off), p, which="LA",
-                                tol=0, v0=_sine_start(h, p))
-    except spla.ArpackError as exc:  # ArpackNoConvergence included
-        raise NotConverged(
-            f"1-D Lanczos modes on {n} cells, {p} modes: {exc}") from exc
-    theta, vec = theta[::-1], vec[:, ::-1]
-    shift = (1.0 + 1e-6) / theta[-1]  # just above mu_p
-    below = _count_below(h, diag, off, shift) - 1  # less the null mode
-    if below != p:
-        raise NotConverged(f"1-D Lanczos modes on {n} cells: {below} "
-                           f"eigenvalues lie below {shift:.6g}, just above "
-                           f"the largest of the {p} found: a mode was lost")
-    return theta, vec
+
+def _inverse_modes(h, k, diag, off):
+    """The k largest eigenpairs (theta, y) of K, largest first, by inverse
+    iteration on the flux pencil T q = mu A1 q, mode m from the flux
+    cos(m pi x / a) of the exact mode (_rqi; Parlett, The Symmetric
+    Eigenvalue Problem, 1980, ch. 4).  The longest prefix of p quotients
+    that rise by the lift 1e-6 holds mu_1..mu_p if a Sturm count just above
+    its top reads p + 1.  A later mode keeps its quotient if it lies above
+    mode m - 1's and a count just above reads m + 1; else it is bracketed
+    by counts until mu_m is alone, and the lost modes iterate there as one
+    block, each bisected until it converges, or raise NotConverged.  Then
+    in K's space, where roundoff is relative to the mode, y = D^-1/2 G q
+    less (K - theta (1 + 2^-30))^-1 (K y - theta y), theta = y^T K y."""
+    n, a = len(h), h.sum()
+    g = np.concatenate([[0.0], 1.0 / h, [0.0]])  # 1/h beside each edge
+    pencil = (g[:-1] + g[1:], -g[1:-1]), (diag, off)  # T's bands, A1's
+    x = np.concatenate([[0.0], np.cumsum(h)]) * (np.pi / a)
+    q, s, done = _rqi(pencil, np.cos(np.outer(np.arange(1, k + 1), x)),
+                      np.zeros(k), np.full(k, np.inf))
+    count = lambda t: _count_below(h, diag, off, t) - 1  # mu below t
+    lost = lambda m, lo, hi: NotConverged(
+        f"1-D inverse iteration on {n} cells: mode {m} lost in [{lo:.6g}, "
+        f"{hi:.6g})")
+    # mu_m >= (m pi / a)^2 (T, A1 are P1 Galerkin's): lo lies above the
+    # null mode and mu_1 alone, then above mode m - 1 alone, below mode m;
+    # two rows on one mode differ by roundoff, so a rise by the lift
+    lift, lo = 1.0 + 1e-6, 0.5 * (np.pi / a) ** 2
+    ok = done & (s > np.concatenate([[lo], s[:-1] * lift]))
+    p = k if ok.all() else int(np.argmin(ok))  # the longest rising prefix
+    p = p if p and count(s[p - 1] * lift) == p else 0
+    lo, brackets = s[p - 1] * lift if p else lo, []  # of the lost modes
+    for m in range(p + 1, k + 1):
+        if done[m - 1] and s[m - 1] > lo and count(s[m - 1] * lift) == m:
+            lo = s[m - 1] * lift
+            continue
+        hi, step = np.inf, 4.0 * max(lo, (m * np.pi / a) ** 2) / m  # 2 gaps
+        for _ in range(64):
+            t = lo + step if hi == np.inf else (lo + hi) / 2.0
+            if (c := count(t)) == m:  # mu_m alone in [lo, t)
+                hi = t
+                break
+            lo, hi, step = (lo, t, step) if c > m else (t, hi, 2.0 * step)
+        else:
+            raise lost(m, lo, hi)
+        brackets.append((m, lo, hi))
+        lo = hi
+    if brackets:  # the lost modes iterate as one block, bisected until done
+        ms, los, his = (np.array(v) for v in zip(*brackets))
+        rows = np.cos(np.outer(ms, x))
+        for _ in range(64):
+            rows, s_lost, ok = _rqi(pencil, rows, los, his)
+            if ok.all():
+                break
+            for i in np.flatnonzero(~ok):
+                t = (los[i] + his[i]) / 2.0
+                (his if count(t) >= ms[i] else los)[i] = t
+        else:
+            raise lost(*(v[np.argmin(ok)] for v in (ms, los, his)))
+        q[ms - 1], s[ms - 1] = rows, s_lost
+    y = np.diff(q, axis=1) / (d_sqrt := np.sqrt(h))
+    y /= np.sqrt(np.add.reduce(y * y, axis=1))[:, None]
+    ky = _k_rows(h, diag, off, y)
+    theta = np.add.reduce(y * ky, axis=1)
+    nu = 1.0 / (theta * (1.0 + 2.0**-30))
+    rhs = _gt_times(((ky - theta[:, None] * y) / d_sqrt).T).T
+    y += nu[:, None] * np.diff([_shifted_solve(pencil, *c) for c in zip(
+        nu, rhs)], axis=1) / d_sqrt
+    return theta, (y / np.sqrt(np.add.reduce(y * y, axis=1))[:, None]).T
 
 
 def _uniform_modes(h, k):
@@ -268,50 +297,39 @@ def _modes_1d(h, k):
     cell widths h, S = G A1^-1 G^T and D = diag(h), their fluxes
     A1^-1 G^T v and the five 1-D sums per mode that _residuals reads.
 
-    The pairs come from one of three sources.  Widths that are equal by
-    mesh.uniform_widths take the closed form (_uniform_modes).  Other
-    widths take the top of the inverse K = D^1/2 S^-1 D^1/2: up to
-    _DENSE_MAX_CELLS cells, or when the budget of p = _mode_budget(k)
-    modes exceeds a quarter of the n cells, K is formed in O(n^2) and
-    decomposed densely (_dense_top); above, p modes come from Lanczos on
-    the O(n) product with K (_lanczos_top), and the first k are kept.
-    The closed form's bits depend on neither k nor the BLAS thread count,
-    the Lanczos path's on neither k within a budget bracket nor the
-    thread count.  The finish is shared: columns of v D-orthonormal, each
-    signed so that its first largest-magnitude entry is positive, the
-    fluxes from a direct tridiagonal solve with A1 (LAPACK ptsv, as
-    solveh_banded calls it) and the five sums, on the widths h
-    themselves, so that the residual check also covers the closed form
-    on widths that are equal only to roundoff.
+    Widths equal by mesh.uniform_widths take the closed form
+    (_uniform_modes).  Others take the top of the inverse K = D^1/2 S^-1
+    D^1/2: densely (_dense_top) up to _DENSE_MAX_CELLS cells, or where 16
+    modes (the next multiple of 16 for k > 16) exceed a quarter of the n
+    cells; above, by inverse iteration on the tridiagonal flux pencil
+    (_inverse_modes).  The finish is shared: columns of v
+    D-orthonormal, each signed so that its first largest-magnitude entry
+    is positive, the fluxes from a direct tridiagonal solve with A1 (LAPACK
+    ptsv, as solveh_banded calls it) and the five sums, on the widths h
+    themselves, so that the residual check also covers the closed form on
+    widths that are equal only to roundoff.
     """
     n = len(h)
     diag, off = _a1_bands(h)
     if uniform_widths(h, h.sum()):
         mu, v = _uniform_modes(h, k)
     else:
-        p = _mode_budget(k)
-        if n > _DENSE_MAX_CELLS and 4 * p <= n:
-            theta, vec = _lanczos_top(h, p, diag, off)
-            theta, vec = theta[:k], vec[:, :k]
-        else:
-            theta, vec = _dense_top(h, k, diag, off)
+        inverse = n > _DENSE_MAX_CELLS and 64 * max(1, -(-k // 16)) <= n
+        theta, vec = (_inverse_modes if inverse else _dense_top)(
+            h, k, diag, off)
         mu = 1.0 / theta
         v = vec / np.sqrt(h)[:, None]
     v *= np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(k)])
-    gtv = np.empty((n + 1, k))  # G^T v, row i = v[i - 1] - v[i], v 0-padded
-    np.negative(v[0], out=gtv[0])
-    np.subtract(v[:-1], v[1:], out=gtv[1:-1])
-    gtv[-1] = v[-1]
+    gtv = _gt_times(v)
     # solveh_banded's LAPACK call without its checks: A1 is SPD on
     # positive widths, and a failed solve fails the residual bound
     flux = dptsv(diag, off, gtv)[2]
     a1f, dv = _a1_times(diag, off, flux), h[:, None] * v
     rho1, rho2 = a1f - gtv, np.diff(flux, axis=0) - mu * dv  # G f = diff(f)
     terms = ((dv, dv), (rho1, rho1), (a1f, a1f), (rho2, rho2), (dv, rho2))
-    # each product as contiguous (k, n) rows, reduced along the rows, as in
-    # _uniform_modes: a sum's order, and so its bits, do not depend on k
-    # C-contiguous tables, the layout of stacked columns: sums down their
-    # columns (verify_equivalence) then run in that order
+    # each product as contiguous (k, n) rows, reduced along the rows as in
+    # _uniform_modes: a sum's bits do not depend on k; C-contiguous tables,
+    # as stacked columns are, so verify_equivalence sums both in one order
     return mu, np.ascontiguousarray(v), np.ascontiguousarray(flux), np.array([
         np.add.reduce(np.multiply(a.T, b.T, out=np.empty((k, len(a)))),
                       axis=1) for a, b in terms])
@@ -373,10 +391,9 @@ def _residuals(lam, x, y):
 class Spectrum(Sequence):
     """A level's 1-D mode tables x and y, each a _Table that a solve offered
     it may reuse (_table; stack's tables have no widths), per pair its
-    eigenvalue, factor columns, residual and label, and the mesh's
-    _effective_cells, as the read-only sequence of MixedEigenpair: a pair
-    is built when read, its factors copied out of the tables; a slice is
-    a list."""
+    eigenvalue, factor columns, residual and label, as the read-only
+    sequence of MixedEigenpair: a pair is built when read, its factors
+    copied out of the tables; a slice is a list."""
 
     x: tuple
     y: tuple
@@ -385,7 +402,6 @@ class Spectrum(Sequence):
     jj: np.ndarray
     residuals: np.ndarray
     modes: list
-    n_eff: float
 
     @classmethod
     def stack(cls, pairs, mesh):
@@ -400,7 +416,7 @@ class Spectrum(Sequence):
         t = np.arange(len(pairs))
         return cls(x, y, np.array([p.lambda_h for p in pairs]), t, t,
                    np.array([p.residual_norm for p in pairs]),
-                   [p.mode for p in pairs], _effective_cells(mesh))
+                   [p.mode for p in pairs])
 
     def __len__(self):
         return len(self.lambdas)
@@ -436,11 +452,11 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions, *,
     A residual above c eps N^2 (c = _RESIDUAL_C, N = _effective_cells),
     or a NaN, raises NotConverged with every pair's residual.  Measured on
     48 000 random meshes of up to 8 x 8 cells, the worst residual is at
-    most 5.4 eps N^2 on one cell and 2.9 eps N^2 on more, and 0.23 eps N^2
-    on random and graded meshes of 129 to 2048 cells per direction.  On
-    the closed form, over uniform meshes of 8 to 8192 cells per direction
-    (spans pi, 1, 2 and 7.3, one origin away from 0, n2 = n1 / 2, n1 and
-    2 n1) at k = 6, 16 and 48, it is at most 0.25 eps N^2.
+    most 5.4 eps N^2 on one cell and 2.9 eps N^2 on more; at k = 6, 16 and
+    48, 0.044 eps N^2 on random and graded meshes of 129 to 2048 cells per
+    direction (the inverse iteration), and 0.25 eps N^2 on uniform meshes
+    of 8 to 8192 cells per direction (the closed form; spans pi, 1, 2 and
+    7.3, one origin away from 0, n2 = n1 / 2, n1 and 2 n1).
     """
     mesh = system.mesh
     if opts.k > mesh.n_cells:
@@ -460,4 +476,4 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions, *,
             residuals=residuals.tolist(),
         )
     modes = list(zip((ii + 1).tolist(), (jj + 1).tolist()))
-    return Spectrum(x, y, lams, ii, jj, residuals, modes, n_eff)
+    return Spectrum(x, y, lams, ii, jj, residuals, modes)

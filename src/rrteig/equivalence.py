@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dptsv
 
-from .eigensolve import MixedEigenpair, Spectrum
+from .eigensolve import MixedEigenpair, Spectrum, _effective_cells
 from .errors import DimensionMismatch
 from .mesh import TensorMesh
 from .postprocess import _require_fit
@@ -155,14 +155,14 @@ def verify_equivalence(
     Raises DimensionMismatch when a pair's eig_rel_diff or
     sigma_discrepancy / sqrt(lambda) exceeds c eps N^2, with eps the
     double-precision epsilon, c = _BOUND_C = 16 and N = max(a / min h_x,
-    b / min h_y) from eigensolve._effective_cells, as in the solve's
-    residual check (a Spectrum's n_eff): the roundoff of the mixed pair and
-    of its lift grows like N^2.  Measured, the ratio to eps N^2 is at most
-    4.7 on one cell and at most 1.7 from two cells on (8 000 random meshes
-    with n <= 300 cells and width ratios up to 1e4 per direction); levels
-    0-7 of presets a, b and c reach 0.29.  An empty list, or a pair that
-    does not fit the mesh, raises LayoutMismatch, and a pair whose v or w
-    is all zeros DegenerateFactor.
+    b / min h_y) of ``mesh`` (a Spectrum's or not), as in the solve's
+    residual check: the roundoff of the mixed pair and of its lift grows
+    like N^2.  Measured, the ratio to eps N^2 is at most 4.7 on one cell
+    and at most 1.7 from two cells on (8 000 random meshes with n <= 300
+    cells and width ratios up to 1e4 per direction); levels 0-7 of presets
+    a, b and c reach 0.29.  An empty list, or a pair that does not fit the
+    mesh, raises LayoutMismatch, and a pair whose v or w is all zeros
+    DegenerateFactor.
     """
     if not isinstance(pairs, Spectrum):
         pairs = Spectrum.stack(pairs, mesh)
@@ -177,7 +177,7 @@ def verify_equivalence(
     lam_peq = (q_x * nw + q_y * nv) / (nv * nw)
     rel_diff = np.abs(lam - lam_peq) / np.abs(lam)
     s_disc = np.sqrt(nw * d_x + nv * d_y)
-    bound = _BOUND_C * np.finfo(float).eps * pairs.n_eff**2
+    bound = _BOUND_C * np.finfo(float).eps * _effective_cells(mesh)**2
     bad = np.flatnonzero(~((rel_diff <= bound)
                            & (s_disc <= bound * np.sqrt(lam))))
     if len(bad):

@@ -27,7 +27,7 @@ class DegenerateFactor(RRTError):
 
 class NotConverged(RRTError):
     """An eigenpair's residual exceeds the roundoff bound the mesh fixes,
-    or the 1-D Lanczos modes failed; ``residuals`` holds every pair's
+    or the 1-D inverse iteration failed; ``residuals`` holds every pair's
     residual when the bound failed."""
 
     def __init__(self, message, residuals=None):

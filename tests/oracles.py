@@ -8,8 +8,8 @@ B from a per-cell COO scatter, M the cell areas) and take from them a
 dense 2-D eigensolve for the tensor-product solver, 1-D
 pencils sliced from the assembled matrices and inverted through a sparse
 saddle LU for the cumulative-sum 1-D modes, the same cumulative sums in
-new arrays at each step (``k_product``) for the allocation-free product
-that the Lanczos path iterates on, the 2-D enriched element and
+new arrays at each step (``k_product``) for the block product that
+polishes the inverse-iteration modes, the 2-D enriched element and
 its equivalence certificate for the 1-D lift of the equivalence check,
 per-cell Lagrange evaluation for the batched postprocessing norms, and
 scalar analytic integrals per cell or edge for the batched cell and edge
@@ -595,7 +595,7 @@ def k_product(h, x):
     by the cumulative sums of the saddle system A1 s = G^T y, G s = D^1/2
     x, each step in a new array: the running sum s of D^1/2 x, shifted so
     that 1^T A1 s = 0, then K x = -D^1/2 (running sum of A1 s).  The
-    library's allocation-free product must give these bits."""
+    library's block product must give these bits, row by row."""
     n = len(h)
     h_pad = np.concatenate([[0.0], h, [0.0]])
     diag, off = h_pad[:-1] / 3.0 + h_pad[1:] / 3.0, h / 6.0

@@ -19,8 +19,9 @@ def _load(name):
 
 def test_benchmark_workloads_run_and_check(tmp_path, monkeypatch):
     """SolveLarge on a 24^2 mesh, whose 1-D modes come from the dense path,
-    and at its default 256^2, whose two directions both take the Lanczos
-    path (one eigsh call each), as the benchmark's solve_large op does
+    and at its default 256^2, whose two directions both take the inverse
+    iteration (one _inverse_modes call each, for k = 6 modes), as the
+    benchmark's solve_large op does
     (assemble_mixed, then solve_mixed_eigs with SolveOptions(k)), a
     case-c sweep and a case-a sweep to level 1 (run_case, then
     emit_tables; case a runs every analysis, frequencies,
@@ -30,23 +31,23 @@ def test_benchmark_workloads_run_and_check(tmp_path, monkeypatch):
     the 24^2 solve."""
     workloads = _load("workloads")
     eigensolve = workloads.eigensolve
-    lanczos = []
-    eigsh = eigensolve.spla.eigsh
+    inverse = []
+    real = eigensolve._inverse_modes
 
-    def counted(*args, **kwargs):
-        lanczos.append(args[0].shape[0])
-        return eigsh(*args, **kwargs)
+    def counted(h, k, *args):
+        inverse.append((len(h), k))
+        return real(h, k, *args)
 
-    monkeypatch.setattr(eigensolve.spla, "eigsh", counted)
+    monkeypatch.setattr(eigensolve, "_inverse_modes", counted)
     for work in (workloads.SolveLarge(seed=1, n=24),
                  workloads.Sweep(("c",), str(tmp_path), levels=1),
                  workloads.Sweep(("a",), str(tmp_path), levels=1),
                  workloads.Sweep(("b",), str(tmp_path), levels=2)):
         assert work.check(work.op()) == []
-    assert lanczos == []
+    assert inverse == []
     work = workloads.SolveLarge(seed=1)
     assert work.check(work.op()) == []
-    assert lanczos == [256, 256]
+    assert inverse == [(256, 6), (256, 6)]
     system = workloads.assembly.assemble_mixed(
         workloads.SolveLarge(seed=1, n=24).mesh)
     count = _load("spans")._COUNTS["eigensolve.solve_mixed_eigs"]

@@ -2,7 +2,10 @@
 error paths."""
 
 import dataclasses
-import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,7 +292,8 @@ def test_equal_widths_take_the_1d_modes_once(monkeypatch, mesh_a0):
     """When the y widths equal the x widths bitwise, the solve takes the
     1-D modes once (one _modes_1d call), and its pairs are the bits of
     the two-call solve; on the closed form (preset a), the dense and the
-    Lanczos path.  y widths one ulp off, or n1 != n2, take two calls."""
+    inverse-iteration path.  y widths one ulp off, or n1 != n2, take two
+    calls."""
     calls = []
     modes_1d = eigensolve._modes_1d
 
@@ -326,8 +330,8 @@ def test_extra_pairs_leave_the_first_k_bitwise(mesh_a0, mesh_c0):
     case c, and for every k <= 12 on two random tensor meshes, one of
     them square with hx == hy bitwise, where k cuts the exact ties of the
     (m, n) and (n, m) pairs, and for every k <= 13 on such a square mesh
-    above the cutoff, whose 1-D modes come from Lanczos with a budget of
-    16 modes for k and for k + 3."""
+    above the cutoff, whose 1-D modes come from the inverse iteration, one
+    mode at a time."""
     rng = np.random.default_rng(2)
     nx, ny = (_nodes(rng.uniform(1.0, 4.0, n)) for n in (9, 7))
     big = _nodes(rng.uniform(1.0, 4.0, _DENSE_MAX_CELLS + 22))
@@ -373,18 +377,18 @@ def test_modes_1d_against_saddle_oracle(mesh, data):
 @pytest.mark.parametrize("n", [1, 2, 8, 16, 64, 256, 1024, 4096])
 def test_modes_1d_closed_form_uniform(monkeypatch, n):
     """On n equal widths h the 1-D modes come from the closed form alone
-    (the dense and Lanczos paths are not called): the m-th eigenvalue is
-    12 sin^2(t/2) / (h^2 (2 + cos t)), t = m pi / n, to 2e-15 relative,
-    and the m-th mode is sin(t (i + 1/2)) / sqrt(pi / 2), D-normalised
-    (sqrt(pi) at m = n), to 1e-13 of its largest entry (the rounding of
-    the unreduced phase here, up to 48 pi), once signed by the shared
-    rule; the modes, the eigenvalues and the fluxes of every
+    (the dense and inverse-iteration paths are not called): the m-th
+    eigenvalue is 12 sin^2(t/2) / (h^2 (2 + cos t)), t = m pi / n, to
+    2e-15 relative, and the m-th mode is sin(t (i + 1/2)) / sqrt(pi / 2),
+    D-normalised (sqrt(pi) at m = n), to 1e-13 of its largest entry (the
+    rounding of the unreduced phase here, up to 48 pi), once signed by the
+    shared rule; the modes, the eigenvalues and the fluxes of every
     k <= min(48, n) are the first k columns of the largest, bitwise."""
     def refused(*args):
         raise AssertionError("equal widths left the closed form")
 
     monkeypatch.setattr(eigensolve, "_dense_top", refused)
-    monkeypatch.setattr(eigensolve, "_lanczos_top", refused)
+    monkeypatch.setattr(eigensolve, "_inverse_modes", refused)
     h = np.diff(np.linspace(0.0, PI, n + 1))
     k = min(48, n)
     mu, v, flux, _ = _modes_1d(h, k)
@@ -413,11 +417,13 @@ _EQUAL_SPANS = [(0.0, PI), (0.0, 1.0), (0.0, 7.3), (-3.1, 7.3)]
 @pytest.mark.parametrize("n, k", [(8, 8), (16, 16), (64, 64), (129, 16),
                                   (512, 48), (2048, 48)])
 def test_closed_form_against_dense_and_lanczos(n, k):
-    """The closed form against the dense path (n <= 512) and the Lanczos
-    path (n > 128), both forced onto equal widths, for spans pi, 1 and 7.3
-    and a translated origin.  Against Lanczos, mu agrees to 1e-14
-    relative and v and the fluxes to 1e-11 of their largest entry (at most
-    4.5e-15 and 7.4e-14, measured).  The dense path resolves theta = 1/mu
+    """The closed form against the dense path (n <= 512) and the inverse
+    iteration (n > 128), both forced onto equal widths, for spans pi, 1 and
+    7.3 and a translated origin.  Against the inverse iteration, mu agrees
+    to 1e-14 relative and v and the fluxes to 1e-11 of their largest entry
+    (at most 3.1e-15, 4.8e-14 and 3.7e-12, measured; the flux-space
+    iteration alone, without its polish in K's space, missed the bound on
+    v at n = 2048 by 5x).  The dense path resolves theta = 1/mu
     to eps theta_1, so its own error in mode m grows like eps mu_m / mu_1
     (1.5e-13 relative at m = 64 of 64): against it both bounds are scaled
     by mu_m / mu_1 (at most 2.3e-15 and 3e-14 times it, measured)."""
@@ -469,7 +475,7 @@ def _widths(kind, n, rng):
 
 def _dense(h, k):
     """_modes_1d on its dense path whatever n is, also on equal widths:
-    the oracle of the Lanczos path and of the closed form."""
+    the oracle of the inverse iteration and of the closed form."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(eigensolve, "_DENSE_MAX_CELLS", len(h))
         mp.setattr(eigensolve, "uniform_widths", lambda h, span: False)
@@ -484,9 +490,9 @@ def _first_max_positive(v):
 @pytest.mark.parametrize("kind", ["uniform", "mirror", "random"])
 @pytest.mark.parametrize("n", [_DENSE_MAX_CELLS + 1, 200, 333, 600])
 def test_lanczos_modes_against_dense_oracle(kind, n):
-    """Above the cutoff the 1-D modes come from Lanczos, and from the
-    closed form on equal widths; against the dense path on the same
-    widths: mu to 1e-13 relative, v and the fluxes to 1e-10 of their
+    """Above the cutoff the 1-D modes come from the inverse iteration, and
+    from the closed form on equal widths; against the dense path on the
+    same widths: mu to 1e-13 relative, v and the fluxes to 1e-10 of their
     largest entry, |D v|^2 and |A1 f|^2 to 1e-13 relative,
     and the residual sums |rho1|^2, |rho2|^2 and <D v, rho2> of both paths
     at roundoff size: |rho1| <= 1e-14 |A1 f| and |rho2| <= 1e-8 mu |D v|.
@@ -523,52 +529,47 @@ def _product_meshes():
 
 
 def test_k_product_against_the_allocating_oracle():
-    """The allocation-free product with K = D^1/2 S^-1 D^1/2 that Lanczos
-    iterates on gives the bits of the allocating oracle on random and
-    graded meshes of 129 to 600 cells, also when it is applied to x1, x2
-    and x1 again, where a buffer left stale by the call before (the head
-    of the running sum) would change the third result; and it matches
-    the dense K of _dense_top, rebuilt from its full eigendecomposition,
-    to 1e-12 of K's largest entry (3.4e-14 at most, measured)."""
+    """The product with K = D^1/2 S^-1 D^1/2 that polishes the inverse
+    iteration, applied to the rows x1, x2, x1 at once, gives each row the
+    bits of the allocating oracle on random and graded meshes of 129 to
+    600 cells, so a row's bits do not depend on the rows beside it; and it
+    matches the dense K of _dense_top, rebuilt from its full
+    eigendecomposition, to 1e-12 of K's largest entry (3.4e-14 at most,
+    measured)."""
     rng = np.random.default_rng(12)
     for h in _product_meshes():
         n = len(h)
         diag, off = eigensolve._a1_bands(h)
-        product = eigensolve._KProduct(h, diag, off)
         x1, x2 = rng.standard_normal((2, n))
-        first, second, third = (product.matvec(x).copy()
-                                for x in (x1, x2, x1))
-        for got, x in ((first, x1), (second, x2), (third, x1)):
-            assert got.tobytes() == k_product(h, x).tobytes()
-        assert third.tobytes() == first.tobytes()
+        got = eigensolve._k_rows(h, diag, off, np.array([x1, x2, x1]))
+        for row, x in zip(got, (x1, x2, x1)):
+            assert row.tobytes() == k_product(h, x).tobytes()
         theta, vec = eigensolve._dense_top(h, n, diag, off)
         dense = (vec * theta) @ vec.T
-        cols = np.column_stack([product.matvec(e).copy() for e in np.eye(n)])
+        cols = eigensolve._k_rows(h, diag, off, np.eye(n)).T
         assert np.abs(cols - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 @pytest.mark.parametrize("n", [256, 2048])
 def test_lanczos_top_bits_of_the_allocating_product(n):
-    """_lanczos_top gives the bits of ARPACK run through a plain
-    LinearOperator on the allocating product, with the same budget,
-    tolerance and start vector (_sine_start): the eigenvalues and the
-    modes."""
+    """The block product with K (_k_rows) on the k modes that the inverse
+    iteration polishes gives the bits of the allocating oracle k_product,
+    mode by mode, at k = 1, 6 and 16."""
     h = _widths("random", n, np.random.default_rng(n))
-    p = 16
-    op = spla.LinearOperator((n, n), matvec=functools.partial(k_product, h),
-                             dtype=float)
-    theta, vec = spla.eigsh(op, p, which="LA", tol=0,
-                            v0=eigensolve._sine_start(h, p))
-    got = eigensolve._lanczos_top(h, p, *eigensolve._a1_bands(h))
-    assert got[0].tobytes() == theta[::-1].tobytes()
-    assert got[1].tobytes() == vec[:, ::-1].tobytes()
+    diag, off = eigensolve._a1_bands(h)
+    for k in (1, 6, 16):
+        rows = np.ascontiguousarray(
+            eigensolve._inverse_modes(h, k, diag, off)[1].T)
+        got = eigensolve._k_rows(h, diag, off, rows)
+        for row, y in zip(got, rows):
+            assert row.tobytes() == k_product(h, y).tobytes()
 
 
 def test_flux_solve_bits_of_solveh_banded():
     """The 1-D fluxes, from LAPACK ptsv called directly, are the bits of
     scipy's solveh_banded on the same A1 and G^T v, and the five residual
     sums those of np.sum over each column alone, on the dense and the
-    Lanczos path."""
+    inverse-iteration path."""
     rng = np.random.default_rng(13)
     for h in [_widths("random", 40, rng), *_product_meshes()]:
         mu, v, flux, sums = _modes_1d(h, 6)
@@ -586,10 +587,11 @@ def test_flux_solve_bits_of_solveh_banded():
 
 @pytest.mark.parametrize("kind", ["uniform", "dense", "lanczos"])
 def test_residual_norms_do_not_depend_on_k(kind):
-    """The residual of each pair has the same bits for every k of one mode
-    budget, on the closed-form, the dense and the Lanczos path: each of
-    the five 1-D sums is taken along one contiguous row per mode, whose
-    order does not depend on how many modes are solved."""
+    """The residual of each pair has the same bits for every k, on the
+    closed-form, the dense and the inverse-iteration path (the id
+    "lanczos"): each of the five 1-D sums is taken along one contiguous
+    row per mode, whose order does not depend on how many modes are
+    solved."""
     rng = np.random.default_rng(17)
     n = {"uniform": 64, "dense": 40, "lanczos": 256}[kind]
     nx, ny = ((np.linspace(0.0, PI, n + 1), np.linspace(0.0, 2.0, n // 2 + 1))
@@ -604,82 +606,87 @@ def test_residual_norms_do_not_depend_on_k(kind):
             [full[p.mode] for p in pairs]
 
 
+def _count_calls(monkeypatch, name):
+    """Record len(h) and k of each call of eigensolve's 1-D routine name."""
+    calls, real = [], getattr(eigensolve, name)
+
+    def counted(h, k, *args):
+        calls.append((len(h), k))
+        return real(h, k, *args)
+
+    monkeypatch.setattr(eigensolve, name, counted)
+    return calls
+
+
 def test_modes_1d_dense_up_to_the_cutoff(monkeypatch):
-    """Up to _DENSE_MAX_CELLS cells, and wherever the mode budget exceeds a
-    quarter of the cells, the 1-D modes come from the dense path alone
-    (the committed a and c artifacts pin its bits); one cell more takes
-    Lanczos."""
-    calls = []
-    real = eigensolve.spla.eigsh
-
-    def eigsh(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(eigensolve.spla, "eigsh", eigsh)
+    """Up to _DENSE_MAX_CELLS cells, and wherever the mode budget (16, or
+    the next multiple of 16) exceeds a quarter of the cells, the 1-D modes
+    come from the dense path alone (the committed a and c artifacts pin
+    its bits); one cell more takes the inverse iteration, for k modes."""
+    calls = _count_calls(monkeypatch, "_inverse_modes")
     rng = np.random.default_rng(4)
     for n, k in ((_DENSE_MAX_CELLS, 16), (5, 5), (255, 49)):
         _modes_1d(_widths("random", n, rng), k)  # budget 64 > 255 / 4
     assert calls == []
     _modes_1d(_widths("random", _DENSE_MAX_CELLS + 1, rng), 6)
     _modes_1d(_widths("random", 256, rng), 48)
-    assert calls == [16, 48]
+    assert calls == [(_DENSE_MAX_CELLS + 1, 6), (256, 48)]
 
 
 def test_sine_start_saves_products(monkeypatch):
-    """The Lanczos start vector is D^1/2 times the sum of the p exact modes
-    sin(m x) at the scaled cell centres, to 1e-13 of its largest entry;
-    from it ARPACK takes 43 products with K per direction on a random
-    256-cell mesh and 43 on a mirror-symmetric one, at p = 16 (52 on both
-    from the start linspace(1, 2, n))."""
-    counts = []
+    """From the flux of the exact mode, cos(m pi x / a) at the nodes, the
+    inverse iteration takes at most 3 LAPACK gtsv solves per mode on
+    random and mirror-symmetric 256-cell meshes at k = 6 (2 per mode,
+    measured: one of the Rayleigh quotient iteration and one of the
+    polish), and no Sturm count beyond the certificate's one."""
+    solves, counts = [], []
+    real_gtsv, real_count = eigensolve.dgtsv, eigensolve._count_below
 
-    class CountingProduct(eigensolve._KProduct):
-        def __init__(self, *args):
-            super().__init__(*args)
-            counts.append(0)
+    def gtsv(*args):
+        solves.append(len(args[1]))
+        return real_gtsv(*args)
 
-        def _matvec(self, x):
-            counts[-1] += 1
-            return super()._matvec(x)
+    def count(*args):
+        counts.append(args[-1])
+        return real_count(*args)
 
-        matvec = _matvec
-
-    monkeypatch.setattr(eigensolve, "_KProduct", CountingProduct)
-    rng = np.random.default_rng(15)
-    for kind, want in (("random", 43), ("mirror", 43)):
-        h = _widths(kind, 256, rng)
-        x = (np.cumsum(h) - h / 2.0) * (PI / h.sum())
-        modes = np.sqrt(h)[:, None] * np.sin(np.outer(x, np.arange(1, 17)))
-        start = eigensolve._sine_start(h, 16)
-        assert np.abs(start - modes.sum(axis=1)).max() <= (
-            1e-13 * np.abs(start).max())
-        _modes_1d(h, 6)
-        assert counts == [want]
-        counts.clear()
+    monkeypatch.setattr(eigensolve, "dgtsv", gtsv)
+    monkeypatch.setattr(eigensolve, "_count_below", count)
+    for seed in range(5):
+        rng = np.random.default_rng(15 + seed)
+        for kind in ("random", "mirror"):
+            _modes_1d(_widths(kind, 256, rng), 6)
+            assert solves and set(solves) == {257}
+            assert len(solves) <= 3 * 6 and len(counts) == 1
+            solves.clear()
+            counts.clear()
 
 
 @pytest.mark.parametrize("seed", [2, 5, 7, 10, 16])
 def test_graded_mesh_modes_certified_by_the_count(monkeypatch, seed):
     """On 265 cells whose widths span a ratio up to 6.2e3, the 64 smallest
-    modes come from Lanczos and pass the Sturm count (a sign-change count
-    that skipped entries below 1e-10 of a mode's largest refused correct
-    modes on each of these seeds); mu matches the dense path to 5e-12
-    relative (1.2e-12 at most over seeds 0 to 39, measured)."""
-    calls = []
-    real = eigensolve._lanczos_top
-
-    def lanczos_top(h, p, diag, off):
-        calls.append(p)
-        return real(h, p, diag, off)
-
+    modes come from the inverse iteration, whose start loses about half of
+    them to a neighbour, and the bisection with the Sturm count finds each
+    again, the lost modes iterated as one block (a sign-change count that
+    skipped entries below 1e-10 of a mode's largest refused correct modes
+    on each of these seeds); mu matches the dense path to 5e-12 relative
+    (5.6e-13 at most over seeds 0 to 39, measured)."""
     rng = np.random.default_rng(seed)
     graded = 6.2e3 ** rng.uniform(0.0, 1.0, 265)
     h = graded * (PI / graded.sum())
     want = _dense(h, 64)[0]
-    monkeypatch.setattr(eigensolve, "_lanczos_top", lanczos_top)
+    calls = _count_calls(monkeypatch, "_inverse_modes")
+    rqi = []
+    real = eigensolve._rqi
+
+    def counted(pencil, q, lo, hi):
+        rqi.append(len(q))
+        return real(pencil, q, lo, hi)
+
+    monkeypatch.setattr(eigensolve, "_rqi", counted)
     mu = _modes_1d(h, 64)[0]
-    assert calls == [64]
+    assert calls == [(265, 64)]
+    assert rqi[0] == 64 and 10 < rqi[1] < 64  # the lost modes as a block
     np.testing.assert_allclose(mu, want, rtol=5e-12, atol=0.0)
 
 
@@ -700,38 +707,111 @@ def test_count_below_against_the_dense_spectrum():
 
 
 def test_lost_mode_raises_not_converged(monkeypatch):
-    """A Lanczos result that misses a mode (here the second, so the budget
-    is filled by the next one) fails the Sturm count: p + 1 eigenvalues,
-    not p, lie just above the p-th found."""
-    real = eigensolve.spla.eigsh
-
-    def eigsh(a, p, **kwargs):
-        theta, vec = real(a, p + 1, **kwargs)
-        keep = np.r_[0:p - 1, p]  # ascending: drop the second largest
-        return theta[keep], vec[:, keep]
-
-    monkeypatch.setattr(eigensolve.spla, "eigsh", eigsh)
+    """A mode that the inverse iteration and its bisection cannot find
+    (here a Sturm count that reads one eigenvalue too many everywhere, so
+    that no bracket ever holds mode 1 alone) raises NotConverged naming
+    the stage, the cell count and the mode, after one call of the path."""
+    calls = _count_calls(monkeypatch, "_inverse_modes")
+    real = eigensolve._count_below
+    monkeypatch.setattr(eigensolve, "_count_below",
+                        lambda *args: real(*args) + 1)
     h = _widths("mirror", 256, np.random.default_rng(6))
-    with pytest.raises(NotConverged, match="on 256 cells: 17 eigenvalues lie "
-                       "below .* of the 16 found: a mode was lost"):
+    with pytest.raises(NotConverged, match="1-D inverse iteration on 256 "
+                       "cells: mode 1 lost in "):
         _modes_1d(h, 6)
+    assert calls == [(256, 6)]
+
+
+@pytest.mark.parametrize("seed", [93, 114, 159, 195])
+def test_graded_rows_on_one_mode_refused(seed):
+    """On 129 graded cells (ratio up to 6.2e3) at k = 16, the starts of
+    modes 14 and 15 both converge to mu_14, their quotients rising by 1e-14
+    to 1e-13 relative, while row 16 holds mu_16, so a count above it reads
+    17.  The certificate refuses the pair (its quotients do not rise by the
+    lift): mu_15 is found again and mu matches the dense path to 5e-12
+    relative, where a certificate asking only a strict rise returned mu_14
+    twice."""
+    rng = np.random.default_rng(seed)
+    graded = 6.2e3 ** rng.uniform(0.0, 1.0, 129)
+    h = graded * (PI / graded.sum())
+    np.testing.assert_allclose(_modes_1d(h, 16)[0], _dense(h, 16)[0],
+                               rtol=5e-12, atol=0.0)
+
+
+def test_duplicated_mode_refused_by_the_certificate(monkeypatch):
+    """Two rows of the block iteration that converge to one eigenvector
+    have quotients that differ by roundoff, and may rise: here row 3
+    repeats row 2 with its quotient one ulp up, while row 6 still holds
+    mu_6, so one Sturm count above it reads 7.  The certificate asks the
+    quotients to rise by its lift, so the duplicate goes to the bisection,
+    which finds mu_3 again, and mu matches the dense path."""
+    h = _widths("random", 256, np.random.default_rng(19))
+    want = _dense(h, 6)[0]
+    rqi, real = [], eigensolve._rqi
+
+    def duplicating(pencil, q, lo, hi):
+        q, s, done = real(pencil, q, lo, hi)
+        if not rqi:
+            q[2], s[2] = q[1], np.nextafter(s[1], np.inf)
+        rqi.append(len(q))
+        return q, s, done
+
+    monkeypatch.setattr(eigensolve, "_rqi", duplicating)
+    mu = _modes_1d(h, 6)[0]
+    assert rqi == [6, 1]
+    np.testing.assert_allclose(mu, want, rtol=5e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("failure", ["maxiter", "arpack_error"])
 def test_arpack_failure_is_not_converged(monkeypatch, failure):
-    """ARPACK's own failures leave as NotConverged naming the stage, with
-    no raw scipy exception: out of iterations (ArpackNoConvergence), or
-    any other ArpackError."""
-    def fake(*args, **kwargs):
-        if failure == "maxiter":
-            raise spla.ArpackNoConvergence("no convergence", [], [])
-        raise spla.ArpackError(-9)
-
-    monkeypatch.setattr(eigensolve.spla, "eigsh", fake)
+    """The inverse iteration's own failures leave the solve as NotConverged
+    naming the stage and the cell count, with no raw exception: no
+    iterate converges (here no solve is allowed, the id "maxiter"), so
+    every mode is lost, or LAPACK gtsv reports a singular pivot also at
+    the moved shift (the id "arpack_error")."""
+    if failure == "maxiter":
+        monkeypatch.setattr(eigensolve, "_MAX_SOLVES", 0)
+        want = "1-D inverse iteration on 200 cells: mode 1 lost"
+    else:
+        monkeypatch.setattr(eigensolve, "dgtsv",
+                            lambda dl, d, du, b: (dl, d, du, b, len(d)))
+        want = "1-D inverse iteration on 200 cells: T - s A1 is singular"
     rng = np.random.default_rng(17)
     system = assemble_mixed(build_mesh(np.linspace(0, PI, 5),
                                        _nodes(rng.uniform(1.0, 4.0, 200))))
-    with pytest.raises(NotConverged, match="1-D Lanczos modes on 200 cells"
-                       ) as info:
+    with pytest.raises(NotConverged, match=want) as info:
         solve_mixed_eigs(system, SolveOptions(k=6))
-    assert isinstance(info.value.__cause__, spla.ArpackError)
+    assert info.value.__cause__ is None and info.value.__context__ is None
+
+
+def test_inverse_modes_bits_on_one_and_two_blas_threads(tmp_path):
+    """_modes_1d on a random 256-cell mesh, whose modes come from the
+    inverse iteration, writes the same bytes at k = 6 and 16 under one and
+    two BLAS threads; the thread count is read when BLAS loads, hence the
+    child processes.  The first 6 modes at k = 16 are those at k = 6."""
+    src = str(Path(eigensolve.__file__).resolve().parents[1])
+    script = (
+        "import sys, numpy as np\n"
+        "from rrteig.eigensolve import _modes_1d\n"
+        "w = np.random.default_rng(21).uniform(1.0, 4.0, 256)\n"
+        "h = w * (np.pi / w.sum())\n"
+        "for k in (6, 16):\n"
+        "    for a in _modes_1d(h, k):\n"
+        "        sys.stdout.write(np.ascontiguousarray(a).tobytes().hex())\n"
+        "    sys.stdout.write('\\n')\n")
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                  check=True, capture_output=True, text=True,
+                                  timeout=300, cwd=tmp_path).stdout)
+    assert out[0] == out[1]
+    six, sixteen = out[0].split()
+    w = np.random.default_rng(21).uniform(1.0, 4.0, 256)
+    mu, v, flux, sums = _modes_1d(w * (PI / w.sum()), 16)
+    got = (mu[:6], v[:, :6], flux[:, :6], sums[:, :6])
+    assert six == "".join(np.ascontiguousarray(a).tobytes().hex()
+                          for a in got)
+    assert sixteen == "".join(a.tobytes().hex() for a in (mu, v, flux, sums))
