@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exact import FieldSample, _require_domain, strip_integrals_k2_du_sq
+from .exact import FieldSample, _cos_sq_integrals, _require_domain
 from .mesh import TensorMesh
 
 _BOUND_REL_TOL = 1e-12  # relative roundoff slack of the upper-bound flag
@@ -14,25 +14,20 @@ _BOUND_REL_TOL = 1e-12  # relative roundoff slack of the upper-bound flag
 def expansion_term(mesh: TensorMesh, fields) -> np.ndarray:
     """Dominant h^2 term of the eigenvalue error of each mode u = amp
     sin(kx x) sin(ky y) of ``fields`` on any tensor mesh, one array entry
-    per field:
-
-    (1/12) sum_K ( kx^2 h_x^2 int_K u_x^2 + ky^2 h_y^2 int_K u_y^2 ),
-
-    with all cell integrals in closed form: the sum of the 1-D terms
-    (mu / 12) sum_K h_K^2 int_K phi'^2 of the two factors.  It is derived
-    and verified numerically (rate 4 of the remainder on random meshes),
-    not proved; on a uniform mesh it equals the u_xx^2, u_yy^2 form.  The
-    strip terms of each field are added in sequence, x-strips first (a
-    running sum, not numpy's pairwise one), which fixes the rounding of
-    the 17-digit e2 column.
-    """
+    per field: (1/12) sum_K (kx^2 h_x^2 int_K u_x^2 + ky^2 h_y^2 int_K u_y^2),
+    derived and verified numerically (rate 4 of the remainder on random
+    meshes), not proved.  As sin^2 integrates to half the side a across a
+    direction, it is the sum of two 1-D terms (k^4 / 6a) sum_i h_i^2 int_I_i
+    cos(k x)^2, each field's row reduced alone, so the other fields do not
+    change its bits."""
     _require_domain(mesh, fields)
-    ix, iy = strip_integrals_k2_du_sq(fields, mesh.node_x, mesh.node_y)
-    # float_power squares through libm pow like a scalar h ** 2; np.square
-    # (an array's h ** 2) rounds 1 ulp apart on rare widths
-    terms = np.concatenate([np.float_power(mesh.hx, 2) * ix,
-                            np.float_power(mesh.hy, 2) * iy], axis=1)
-    return np.cumsum(terms, axis=1)[:, -1] / 12.0
+    side = np.array([f.domain for f in fields], float).reshape(-1, 2)
+    k = np.array([(f.kx, f.ky) for f in fields]).reshape(-1, 2)
+    total = np.zeros(len(fields))
+    for d, nodes in enumerate((mesh.node_x, mesh.node_y)):
+        cells = np.diff(nodes) ** 2 * _cos_sq_integrals(k[:, d:d + 1], nodes)
+        total += (k[:, d] ** 2) ** 2 / (6.0 * side[:, d]) * cells.sum(axis=1)
+    return total
 
 
 def convergence_rate(coarse_err: float, fine_err: float) -> float:

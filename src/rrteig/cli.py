@@ -13,7 +13,7 @@ import os
 import sys
 import time
 from collections import namedtuple
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -258,9 +258,7 @@ class _Level:
     1-D spectrum is simple, so pairs[0] is the (1, 1) pair, and its two
     factors have no sign change and a positive largest entry, so they
     correlate positively with the positive cell means of the field.  The
-    pairs' 1-D tables may be the level before's, bitwise equal (run_case),
-    and ``e2`` maps FieldSamples to their expansion terms on the mesh
-    (expansion); nothing outlives the sweep."""
+    pairs' 1-D tables may be the level before's, bitwise equal (run_case)."""
 
     config: ExperimentConfig
     mesh: TensorMesh
@@ -269,14 +267,6 @@ class _Level:
     # enumeration count -> the exact eigenspace of each mode, filled by
     # _frequencies and shared by the levels of one sweep
     spaces: dict
-    e2: dict = field(default_factory=dict)
-
-    def expansion(self, fields) -> list:
-        """Each field's expansion term, from one expansion_term call on those
-        not in ``e2``; its rows are independent, so the bits are the same."""
-        if new := [f for f in fields if f not in self.e2]:
-            self.e2.update(zip(new, expansion_term(self.mesh, new).tolist()))
-        return [self.e2[f] for f in fields]
 
 
 def _residuals(lv: _Level) -> dict:
@@ -285,7 +275,7 @@ def _residuals(lv: _Level) -> dict:
     fields = [_aligned_field(_Label(modes[t], lams[t]), lv.exact[t])
               for t in rows]
     resid = {}
-    for t, e2 in zip(rows, lv.expansion(fields)):
+    for t, e2 in zip(rows, expansion_term(lv.mesh, fields).tolist()):
         e1 = lams[t] - lv.exact[t].value
         resid[str(t + 1)] = {"e1": e1, "e2": e2, "r": e1 - e2}
     return {"residuals": resid}
@@ -340,7 +330,8 @@ def _frequencies(lv: _Level) -> dict:
     members = [_Label(m, lam) for m, lam in
                zip(lv.pairs.modes, lv.pairs.lambdas.tolist()) if
                space[m].multiplicity > 1 and labels.issuperset(space[m].modes)]
-    shifts = lv.expansion([FieldSample(*p.mode, domain) for p in members])
+    shifts = expansion_term(
+        lv.mesh, [FieldSample(*p.mode, domain) for p in members]).tolist()
     return {"frequency_matches": match_frequencies(members, shifts, domain)}
 
 
@@ -374,8 +365,6 @@ def _solve_level(config: ExperimentConfig, mesh: TensorMesh, exact,
     t0 = time.perf_counter()
     run = set(config.analyses)
     pairs = _solve(config, mesh, tables=tables)
-    if not isinstance(pairs, Spectrum):  # a replaced _solve's list
-        pairs = Spectrum.stack(pairs, mesh)
     lv = _Level(config, mesh, exact, pairs, spaces)
     rec = {
         "level": mesh.level,

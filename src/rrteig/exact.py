@@ -4,10 +4,11 @@ Eigenfunctions on [0,a] x [0,b] are products of sine waves.  Every
 discrete pair carries its mode label (m, n), so the exact partner of
 every pair, cluster members included, is one mode (FieldSample), and its
 point values and cell means on a tensor mesh are outer products of 1-D
-tables.  Everything integral-shaped here (cell means, strip integrals of
-squared first derivatives) is evaluated from analytic antiderivatives,
-so these quantities carry no quadrature error; tests check them against
-Gauss quadrature independently.
+tables.  The 1-D integrals (cell means of sin(k x), cell integrals of
+cos(k x)^2, which the h^2 expansion term sums per direction) come from
+analytic antiderivatives, so they carry no quadrature error; tests check
+them against Gauss quadrature independently.  FieldSample refuses a mode
+or domain that these 1-D forms would mis-evaluate.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ def enumerate_exact(domain=(np.pi, np.pi), count=6) -> list[ExactEigenpair]:
     """
     if count < 1:
         raise InvalidConfig(f"count must be >= 1, got {count}")
+    FieldSample(1, 1, domain)  # refuses sides that are not finite and > 0
     a, b = domain
     ratio = max(a / b, b / a)
     if ratio > _MAX_SIDE_RATIO:
@@ -94,13 +96,11 @@ def _int_sin(k, nodes):
     return (c[:-1] - c[1:]) / k
 
 
-def _sq_integrals(k, nodes):
-    """The integrals of cos(k x)^2 over each cell of the nodes and of
-    sin(k x)^2 over their span, one row per entry of the column k, from
-    the antiderivatives x / 2 +- sin(2 k x) / (4 k) taken once per node."""
-    half, t = nodes / 2.0, np.sin(2.0 * k * nodes) / (4.0 * k)
-    cos_sq, sin_sq = half + t, half - t
-    return cos_sq[:, 1:] - cos_sq[:, :-1], sin_sq[:, -1:] - sin_sq[:, :1]
+def _cos_sq_integrals(k, nodes):
+    """The integrals of cos(k x)^2 over each cell of the nodes, one row per
+    entry of the column k, from x / 2 + sin(2 k x) / (4 k) at each node."""
+    prim = nodes / 2.0 + np.sin(2.0 * k * nodes) / (4.0 * k)
+    return prim[:, 1:] - prim[:, :-1]
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,15 @@ class FieldSample:
     domain: tuple[float, float] = (np.pi, np.pi)
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError(
-                f"mode (m, n) needs m, n >= 1, got ({self.m}, {self.n})")
+        # only integers m, n >= 1 (not bools) and finite sides > 0 make u a
+        # mode of the domain, whose sin^2 integrates to half a side
+        for q in (self.m, self.n):
+            if not isinstance(q, (int, np.integer)) or q is True or q < 1:
+                raise InvalidConfig(
+                    f"mode {self.m, self.n} needs integers m, n >= 1")
+        for side in self.domain:
+            if not 0.0 < side < math.inf:
+                raise InvalidConfig(f"sides {self.domain} are not finite > 0")
 
     @property
     def value(self) -> float:
@@ -154,26 +160,6 @@ class FieldSample:
             s = np.sin(kp)
             out.append(np.array([s, k * np.cos(kp), -k * k * s]))
         return self.amp * out[0], out[1]
-
-
-def strip_integrals_k2_du_sq(fields, node_x, node_y):
-    """Closed-form integrals of kx^2 u_x^2 over each x-strip [node_x[i],
-    node_x[i+1]] x [node_y[0], node_y[-1]] and of ky^2 u_y^2 over each
-    y-strip [node_x[0], node_x[-1]] x [node_y[j], node_y[j+1]], one row per
-    field u of ``fields``: arrays of shape (len(fields), len(node_x) - 1)
-    and (len(fields), len(node_y) - 1), a cos^2 integral along the strip's
-    own axis and a sin^2 one across.  Squares go through libm pow
-    (np.float_power), as a scalar's ** 2 does, so each row has the bits of
-    the same algebra on that field's scalars."""
-    kx = np.array([f.kx for f in fields])[:, None]
-    ky = np.array([f.ky for f in fields])[:, None]
-    amp2 = np.float_power([f.amp for f in fields], 2)[:, None]
-    kx2, ky2 = np.float_power(kx, 2), np.float_power(ky, 2)
-    cos_x, sin_x = _sq_integrals(kx, np.asarray(node_x))
-    cos_y, sin_y = _sq_integrals(ky, np.asarray(node_y))
-    out_x = kx2 * kx2 * cos_x * sin_y
-    out_y = ky2 * ky2 * sin_x * cos_y
-    return amp2 * out_x, amp2 * out_y
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,14 @@ scalar analytic integrals per cell or edge for the batched cell and edge
 means, the 2-D interpolants and the assembled A, B and M for the 1-D
 supercloseness norms (``supercloseness_norms_2d``), and every width pair
 for the 1-D regularity constant, and the scalar algebra of one field at
-a time (``expansion_term_per_mode``) for the h^2 expansion term of a list
-of fields, and each balanced distance, inner product and 1-D interpolant
-on its own (``supercloseness_norms_per_term``,
-``postprocessing_norms_per_term``) for the stacked supercloseness and
-postprocessing norms, bit for bit; ``exact_derivative`` evaluates an exact
-field pointwise from its 1-D factors, and ``enumerate_exact_search``
-finds the exact spectrum by a brute-force search over the modes (m, n).
+a time, from 2-D strip integrals (``expansion_term_per_mode``), for the
+1-D sums of the h^2 expansion term, to roundoff, and each balanced
+distance, inner product and 1-D interpolant on its own
+(``supercloseness_norms_per_term``, ``postprocessing_norms_per_term``)
+for the stacked supercloseness and postprocessing norms, bit for bit;
+``exact_derivative`` evaluates an exact field pointwise from its 1-D
+factors, and ``enumerate_exact_search`` finds the exact spectrum by a
+brute-force search over the modes (m, n).
 The 2-D enriched element is held twice: in closed form (``assemble_peq``,
 one 3x3 block per direction per cell, and ``peq_cell_gradient``) and from
 the reference-element dual basis (the inverse of the monomial DOF matrix,
@@ -1085,12 +1086,13 @@ def _int_sq(k, x0, x1, cos=False):
 
 
 def expansion_term_per_mode(mesh: TensorMesh, fld) -> float:
-    """The h^2 expansion term of one field by scalar algebra: the
-    closed-form strip integrals of kx^2 u_x^2 and ky^2 u_y^2 with the
-    scalars fld.kx, fld.ky and fld.amp (squared by **, libm pow), each
-    times the squared strip width, added one by one by Python's sum,
-    x-strips first.  expansion_term over a list of fields gives each
-    field these bits."""
+    """The h^2 expansion term of one field by scalar algebra in 2-D: the
+    closed-form integrals of kx^2 u_x^2 over each x-strip and of ky^2
+    u_y^2 over each y-strip, each a cos^2 integral along the strip and a
+    sin^2 one across the domain, with the scalars fld.kx, fld.ky and
+    fld.amp, each times the squared strip width, added one by one by
+    Python's sum, x-strips first.  expansion_term's two 1-D sums match it
+    to roundoff."""
     kx, ky = fld.kx, fld.ky
     nx, ny = mesh.node_x, mesh.node_y
     ix = fld.amp**2 * (kx**2 * kx**2 * _int_sq(kx, nx[:-1], nx[1:], cos=True)

@@ -4,8 +4,9 @@ meshes: postprocessed error norms of random and of solved pairs
 cell), cell means
 (oracles.cell_integral_u), edge-flux means (oracles.mean_flux_x /
 mean_flux_y), the h^2 expansion term (Gauss quadrature of kx^2 u_x^2
-and ky^2 u_y^2 per cell, and bit for bit the per-mode scalar algebra of
-oracles.expansion_term_per_mode for a list of fields); the stacked
+and ky^2 u_y^2 per cell, and to roundoff the 2-D strip integrals of
+oracles.expansion_term_per_mode, each field of a list with the bits of
+a one-field call); the stacked
 supercloseness and postprocessing norms bit for bit against the same
 formulas one distance at a time (oracles.supercloseness_norms_per_term,
 oracles.postprocessing_norms_per_term); and 1-D kernels against their
@@ -265,10 +266,10 @@ def test_expansion_term_against_per_cell_quadrature(mesh, data):
 @given(mesh=_meshes(even=False), data=st.data())
 def test_expansion_term_bitwise_against_per_mode_oracle(mesh, data):
     """expansion_term over a list of 12 to 30 labels (repeats allowed) on
-    a random rectangle gives each field the bits of the per-mode scalar
-    algebra; half of the lists live on the mesh's domain scaled up by
-    1.25 to 2, which expansion_term refuses.  An empty list gives an
-    empty array."""
+    a random rectangle gives each field the bits of a one-field call and
+    the 2-D strip integrals of the per-mode oracle to roundoff; half of
+    the lists live on the mesh's domain scaled up by 1.25 to 2, which
+    expansion_term refuses.  An empty list gives an empty array."""
     domain = (mesh.node_x[-1], mesh.node_y[-1])
     larger = data.draw(st.booleans(), label="larger domain")
     if larger:
@@ -282,35 +283,20 @@ def test_expansion_term_bitwise_against_per_mode_oracle(mesh, data):
         with pytest.raises(LayoutMismatch):
             expansion_term(mesh, fields)
         return
-    got = expansion_term(mesh, fields)
-    want = np.array([expansion_term_per_mode(mesh, f) for f in fields])
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    _assert_expansion_term(mesh, fields)
     assert expansion_term(mesh, []).shape == (0,)
 
 
-def test_expansion_term_bitwise_where_squares_round_apart():
-    """The bits of the per-mode oracle on 120 random rectangles of n1, n2
-    <= 16 cells with 12 to 30 labels m, n <= 40 each, chosen, where the
-    platform has them, so that an array's square (np.square) and a
-    scalar's ** 2 (libm pow) round amp = 2 / sqrt(ab) apart on half of
-    them and some kx = m pi / a apart on the other half: expansion_term
-    keeps the scalar squares."""
-    rng = np.random.default_rng(11)
-    sides = rng.uniform(0.5, 4.0, (200000, 2))
-    amp = 2.0 / np.sqrt(sides[:, 0] * sides[:, 1])
-    kx = np.arange(1, 41) * np.pi / sides[:, :1]
-    amp_apart = np.flatnonzero(np.square(amp) != np.float_power(amp, 2))
-    kx_apart = np.flatnonzero(np.any(
-        np.square(kx) != np.float_power(kx, 2), axis=1))
-    pick = np.concatenate([amp_apart[:60], kx_apart[:60], np.arange(120)])
-    for a, b in sides[pick[:120]]:
-        mesh = build_mesh(*(_nodes(rng.uniform(1.0, 4.0, rng.integers(1, 17)),
-                                   length) for length in (a, b)))
-        labels = rng.integers(1, 41, (rng.integers(12, 31), 2)).tolist()
-        fields = [FieldSample(m, n, (a, b)) for m, n in labels]
-        want = np.array([expansion_term_per_mode(mesh, f) for f in fields])
-        assert expansion_term(mesh, fields).tobytes() == want.tobytes()
+def _assert_expansion_term(mesh, fields):
+    """expansion_term of a list of fields: each field's bits those of a
+    one-field call, whatever the other fields, and each value within
+    1e-14 relative of the 2-D strip integrals of the per-mode oracle."""
+    got = expansion_term(mesh, fields)
+    alone = np.array([expansion_term(mesh, [f])[0] for f in fields])
+    want = np.array([expansion_term_per_mode(mesh, f) for f in fields])
+    assert got.shape == want.shape
+    assert got.tobytes() == alone.tobytes()
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
 
 
 def _supercloseness_gaps(mesh, pair, fld):
@@ -388,17 +374,16 @@ def _bits(norms):
 
 def _assert_bitwise(mesh, pair, fields):
     """supercloseness_norms and postprocessing_norms of the pair against
-    each field, and expansion_term of the fields, have the bits of the
-    per-term oracles; postprocessing only on even meshes."""
+    each field have the bits of the per-term oracles, postprocessing only
+    on even meshes; expansion_term of the fields as
+    _assert_expansion_term."""
     for fld in fields:
         assert _bits(supercloseness_norms(mesh, pair, fld)) == _bits(
             supercloseness_norms_per_term(mesh, pair, fld))
         if mesh.n1 % 2 == 0 and mesh.n2 % 2 == 0:
             assert _bits(postprocessing_norms(mesh, pair, fld)) == _bits(
                 postprocessing_norms_per_term(mesh, pair, fld))
-    got = expansion_term(mesh, fields)
-    want = np.array([expansion_term_per_mode(mesh, f) for f in fields])
-    assert got.tobytes() == want.tobytes()
+    _assert_expansion_term(mesh, fields)
 
 
 @st.composite
@@ -442,9 +427,9 @@ def test_stacked_norms_bitwise_against_per_term_oracle(mesh, data):
 @pytest.mark.parametrize("case", "abc")
 def test_stacked_norms_bitwise_on_presets(case):
     """Levels 0-5 of each preset: the first pair against each pair's
-    labelled mode, (1, 1) first as the sweep measures it, and the
-    expansion terms of all the labels, bit for bit against the per-term
-    oracles."""
+    labelled mode, (1, 1) first as the sweep measures it, bit for bit
+    against the per-term oracles, and the expansion terms of all the
+    labels as _assert_expansion_term."""
     k = case_preset(case).k
     for level in range(6):
         mesh = _preset_level(case, level)

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from rrteig import cli, eigensolve
 from rrteig.assembly import assemble_mixed
-from rrteig.eigensolve import solve_mixed_eigs
+from rrteig.eigensolve import Spectrum, solve_mixed_eigs
 from rrteig.errors import InvalidConfig, IoFailure
 from rrteig.cli import (
     ExperimentConfig,
@@ -695,9 +695,9 @@ def test_run_case_keeps_no_table_beyond_the_call(monkeypatch):
 
 def test_failed_level_offers_no_tables(monkeypatch):
     """The solve after a failed level is offered no tables, and a level
-    whose solve returned a list of pairs offers tables with no widths,
-    which the next solve does not reuse: preset b then solves both
-    directions afresh."""
+    whose solve returned a list of pairs, stacked (Spectrum.stack), offers
+    tables with no widths, which the next solve does not reuse: preset b
+    then solves both directions afresh."""
     from rrteig.errors import NotConverged
 
     solve, offered = cli._solve, []
@@ -707,7 +707,7 @@ def test_failed_level_offers_no_tables(monkeypatch):
         if mesh.level == 1:
             raise NotConverged("injected")
         pairs = solve(config, mesh, tables=tables)
-        return list(pairs) if mesh.level == 2 else pairs
+        return Spectrum.stack(list(pairs), mesh) if mesh.level == 2 else pairs
 
     monkeypatch.setattr(cli, "_solve", failing)
     solved = _count_calls(monkeypatch, eigensolve._modes_1d)
@@ -886,17 +886,25 @@ def test_size_limit_refused_before_solving(monkeypatch, capsys):
 
 
 def test_one_expansion_call_per_analysis_per_level(monkeypatch):
-    """On preset a the residuals and the frequency matches share one
-    expansion_term call per level: the residuals take every label's term,
-    and the frequency matches read theirs from the level's map."""
+    """On preset a the residuals and the frequency matches each make one
+    expansion_term call per level, and a label's residual e2 and its
+    predicted shift have the same bits: a field's term does not depend on
+    the other fields of the call."""
     from rrteig.analysis import expansion_term
 
     calls = _count_calls(monkeypatch, expansion_term)
     report = run_case(dataclasses.replace(case_preset("a"), levels=2))
     assert "failures" not in report.config
     for lv in report.levels:
-        assert len(lv["residuals"]) == 6 and lv["frequency_matches"]
-    assert len(calls) == 3
+        assert len(lv["residuals"]) == 6
+        matches = lv["frequency_matches"]
+        shared = {m["lambda_h"] for m in matches}
+        rows = [t for t, lam in enumerate(lv["lambdas"]) if lam in shared]
+        assert len(rows) == len(matches) == 4
+        e2 = [lv["residuals"][str(t + 1)]["e2"] for t in rows]
+        shifts = [m["predicted_shift"] for m in matches]
+        assert np.array(e2).tobytes() == np.array(shifts).tobytes()
+    assert len(calls) == 6
 
 
 def test_exact_spectrum_enumerated_once_per_sweep(monkeypatch):

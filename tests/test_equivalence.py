@@ -490,7 +490,9 @@ def test_run_case_records_a_failed_certificate(monkeypatch, fault):
 
     def faulty(config, mesh, **tables):
         pairs = solve(config, mesh, **tables)
-        return make(pairs, config.k) if mesh.level == 1 else pairs
+        if mesh.level == 1:
+            return Spectrum.stack(make(pairs, config.k), mesh)
+        return pairs
 
     monkeypatch.setattr(cli, "_solve", faulty)
     report = run_case(dataclasses.replace(case_preset("c"), levels=1))

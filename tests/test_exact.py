@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rrteig.exact import (FieldSample, enumerate_exact,
-                          strip_integrals_k2_du_sq)
+from rrteig.exact import FieldSample, _cos_sq_integrals, enumerate_exact
 from rrteig.errors import InvalidConfig
 
 from oracles import (
@@ -128,10 +127,11 @@ def test_unit_l2_norm():
 
 
 def test_analytic_integrals_vs_quadrature():
-    """Closed-form cell and strip integrals agree with an independent
+    """Closed-form cell integrals of u and the 1-D cell integrals of
+    cos(k x)^2 that the expansion term sums agree with an independent
     Gauss oracle, for both modes of the lambda = 5 eigenspace; the strips
-    cover part of the domain, where sin^2 and cos^2 do not integrate to
-    half the width."""
+    cover part of the domain, where cos^2 does not integrate to half the
+    width."""
     cell = (0.3, 1.1, 0.4, 0.9)
     nx, ny = (0.3, 0.7, 1.1), (0.4, 0.9)
     for m, n in enumerate_exact((PI, PI), count=2)[1].modes:
@@ -139,14 +139,12 @@ def test_analytic_integrals_vs_quadrature():
         assert cell_integral_u(fld, *cell) == pytest.approx(
             _quad2d(partial(exact_derivative, fld), *cell), rel=1e-12
         )
-        ix, iy = (a[0] for a in strip_integrals_k2_du_sq([fld], nx, ny))
-        kux_sq = lambda x, y: (fld.kx * exact_derivative(fld, x, y, 1, 0)) ** 2
-        kuy_sq = lambda x, y: (fld.ky * exact_derivative(fld, x, y, 0, 1)) ** 2
-        for i in range(2):
-            assert ix[i] == pytest.approx(
-                _quad2d(kux_sq, nx[i], nx[i + 1], 0.4, 0.9), rel=1e-12
-            )
-        assert iy[0] == pytest.approx(_quad2d(kuy_sq, *cell), rel=1e-12)
+        for k, nodes in ((fld.kx, nx), (fld.ky, ny)):
+            got = _cos_sq_integrals(np.array([[k]]), np.array(nodes))[0]
+            for i, (x0, x1) in enumerate(zip(nodes[:-1], nodes[1:])):
+                x = (x0 + x1) / 2 + (x1 - x0) / 2 * _GX
+                want = (x1 - x0) / 2 * np.sum(_GW * np.cos(k * x) ** 2)
+                assert got[i] == pytest.approx(want, rel=1e-12)
 
 
 def test_derivative_order_out_of_range_raises():
@@ -162,6 +160,26 @@ def test_mode_below_one_raises():
     for m, n in ((0, 1), (1, 0), (-1, 2)):
         with pytest.raises(ValueError):
             FieldSample(m, n)
+
+
+@pytest.mark.parametrize("m, n", [(1.5, 1), (1, 2.0), (True, 1), (1, None)])
+def test_mode_that_is_not_an_integer_raises(m, n):
+    """A wave number that is no integer (or a bool) is no mode of the
+    domain: sin^2 across it would not integrate to half the side."""
+    with pytest.raises(InvalidConfig, match="needs integers m, n >= 1"):
+        FieldSample(m, n)
+
+
+@pytest.mark.parametrize("domain", [
+    (0.0, 3.0), (3.0, 0.0), (np.inf, 3.0), (-1.0, 3.0), (np.nan, 1.0)])
+def test_domain_that_is_not_a_rectangle_raises(domain):
+    """A side that is zero, negative, infinite or NaN is refused, by the
+    field and by the enumeration alike, instead of a ZeroDivisionError,
+    an amplitude of 0 with NaN terms, or an empty spectrum."""
+    with pytest.raises(InvalidConfig, match="not finite > 0"):
+        FieldSample(1, 1, domain)
+    with pytest.raises(InvalidConfig, match="not finite > 0"):
+        enumerate_exact(domain, 2)
 
 
 def test_mean_flux_vs_quadrature():
