@@ -10,7 +10,13 @@ where S and D are the reduced operator and the cell-width diagonal of the
 Thomas, Numer. Math. 6, 1964).  solve_mixed_eigs solves the two 1-D
 pencils, or reuses an offered 1-D mode table of bitwise equal widths and
 column count (_table; no other state is kept), and combines their modes,
-lambda = mu_i + nu_j and u = w_j (x) v_i.
+lambda = mu_i + nu_j and u = w_j (x) v_i.  The k smallest sums use only
+the modes that can reach them, about sqrt(2k) per direction on a square,
+so each direction's column count p grows from the data until no further
+mode can enter: a mode beyond the table is bounded below by mu_m >=
+(m pi / s)^2 on a side of length s, since the 1-D pencil is P1
+Galerkin's and converges from above (Babuska & Osborn, Handbook of
+Numerical Analysis II, 1991).
 Each 1-D pencil's modes come from one of three sources, chosen by its
 cell widths (_modes_1d), and one shared finish: on equal widths (presets
 a and b) the closed form of the uniform-grid spectrum; on others, up to
@@ -39,6 +45,7 @@ The 2-D residuals must lie below a roundoff bound that the mesh fixes
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -442,6 +449,17 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions, *,
     """k smallest eigenpairs of the pencil (B A^-1 B^T, M), as a Spectrum,
     reusing the offered 1-D mode ``tables`` that fit (_table).
 
+    Each direction's table holds p of its min(k, n) smallest modes: p
+    starts at min(n, k, isqrt(2k)) and doubles, up to min(n, k), while
+    (p + 1)^2 (pi / s)^2 (1 - 1e-6), a lower bound of the next mode on a
+    side of length s, plus the other direction's smallest mode is at most
+    the k-th smallest sum of the tables at hand (or there are fewer than k
+    sums).  That k-th sum is never below the true one, and every pair
+    beyond the tables exceeds it, so the pairs, their order and labels
+    are those of tables of min(k, n) modes; each mode's bits depend on
+    the widths and its index alone (_modes_1d), so are the pairs' bits,
+    wherever p and min(k, n) take the same 1-D path.
+
     Deterministic; eigenvalues ascending, tied eigenvalues ordered by
     their (y, x) 1-D mode indices, so a cluster member keeps its place
     whatever k is; u vectors M-orthonormal, each u's largest-magnitude
@@ -458,14 +476,32 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions, *,
     of 8 to 8192 cells per direction (the closed form; spans pi, 1, 2 and
     7.3, one origin away from 0, n2 = n1 / 2, n1 and 2 n1).
     """
-    mesh = system.mesh
-    if opts.k > mesh.n_cells:
-        raise KTooLarge(f"k={opts.k} exceeds spectrum size {mesh.n_cells}")
+    mesh, k = system.mesh, opts.k
+    if k > mesh.n_cells:
+        raise KTooLarge(f"k={k} exceeds spectrum size {mesh.n_cells}")
 
-    # the k smallest sums use at most the k smallest modes of each direction
-    x = _table(mesh.hx, min(opts.k, mesh.n1), tables)
-    y = _table(mesh.hy, min(opts.k, mesh.n2), (x, *tables))
-    lams, jj, ii = _smallest_sums(y[0], x[0], opts.k)
+    # p modes per direction, grown while mode p + 1 could enter (docstring);
+    # mu_m >= m^2 wave, wave = (pi / s)^2 less a relative 1e-6 that the
+    # roundoff of a computed mu cannot cross
+    caps = min(k, mesh.n1), min(k, mesh.n2)
+    px, py = (min(c, math.isqrt(2 * k)) for c in caps)
+    wave_x, wave_y = ((np.pi / h.sum()) ** 2 * (1.0 - 1e-6)
+                      for h in (mesh.hx, mesh.hy))
+    x = _table(mesh.hx, px, tables)
+    y = _table(mesh.hy, py, (x, *tables))
+    while True:
+        lams, jj, ii = _smallest_sums(y[0], x[0], k)
+        top = lams[-1] if len(lams) == k else np.inf
+        grow_x = px < caps[0] and (px + 1) ** 2 * wave_x + y[0][0] <= top
+        grow_y = py < caps[1] and (py + 1) ** 2 * wave_y + x[0][0] <= top
+        if not (grow_x or grow_y):
+            break
+        if grow_x:
+            px = min(2 * px, caps[0])
+            x = _table(mesh.hx, px, tables)
+        if grow_y:
+            py = min(2 * py, caps[1])
+            y = _table(mesh.hy, py, (x, *tables))
     residuals = _residuals(lams, x[3][:, ii], y[3][:, jj])
     n_eff = _effective_cells(mesh)
     bound = _RESIDUAL_C * np.finfo(float).eps * n_eff**2

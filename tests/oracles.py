@@ -36,8 +36,12 @@ checks its count and lifted eigenvalues.  ``verify_equivalence_per_pair``
 holds the equivalence check as it was before it read a spectrum's 1-D
 mode tables: factors stacked one column per pair, both directions lifted
 and every entry built, for the table path, bit for bit.
-They use public rrteig names only; the per-pair check takes the 1-D lift
-as an argument.  ``factor_pair`` builds a pair from
+``full_table_pairs`` chooses the k smallest pairs as the solver did
+before it sized each 1-D table from the data: the k smallest sums over
+tables of min(k, n) modes, for the data-sized tables, bit for bit.
+They use public rrteig names only; the per-pair check takes the 1-D lift,
+and ``full_table_pairs`` the 1-D modes and residuals, as arguments.
+``factor_pair`` builds a pair from
 1-D factors the solver does not produce, to feed the postprocessing with
 chosen or random data; ``reconstruction`` packs a pair's factors per
 reconstructed component, for ``eval_cell``; ``u_coeffs`` and
@@ -772,6 +776,22 @@ class CertificateReport:
     @property
     def max_u_discrepancy(self) -> float:
         return max(e.u_discrepancy for e in self.entries)
+
+
+def full_table_pairs(mesh, k, modes_1d, residuals):
+    """The k smallest pairs over 1-D tables of min(k, n) modes each,
+    ``modes_1d(h, min(k, n))`` per direction: every sum of the two tables
+    sorted at once, stably, so that ties go by their (y, x) columns, and
+    the ``residuals`` of each pair's columns.  Returns the tables x and y
+    and per pair its eigenvalue, x and y columns, residual and label."""
+    x = modes_1d(mesh.hx, min(k, mesh.n1))
+    y = modes_1d(mesh.hy, min(k, mesh.n2))
+    sums = y[0][:, None] + x[0][None, :]
+    jj, ii = np.divmod(np.argsort(sums.ravel(), kind="stable")[:k],
+                       len(x[0]))
+    lams = sums[jj, ii]
+    return (x, y, lams, ii, jj, residuals(lams, x[3][:, ii], y[3][:, jj]),
+            list(zip((ii + 1).tolist(), (jj + 1).tolist())))
 
 
 def verify_equivalence_per_pair(mesh, pairs, lift):

@@ -2,6 +2,7 @@
 error paths."""
 
 import dataclasses
+import importlib.util
 import os
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from rrteig.mesh import build_mesh, uniform_mesh, uniform_refine
 from oracles import (
     assembled,
     dense_eigenvalues,
+    full_table_pairs,
     k_product,
     modes_1d_saddle,
     residual_2d,
@@ -784,21 +786,10 @@ def test_arpack_failure_is_not_converged(monkeypatch, failure):
     assert info.value.__cause__ is None and info.value.__context__ is None
 
 
-def test_inverse_modes_bits_on_one_and_two_blas_threads(tmp_path):
-    """_modes_1d on a random 256-cell mesh, whose modes come from the
-    inverse iteration, writes the same bytes at k = 6 and 16 under one and
-    two BLAS threads; the thread count is read when BLAS loads, hence the
-    child processes.  The first 6 modes at k = 16 are those at k = 6."""
+def _on_one_and_two_blas_threads(script, tmp_path):
+    """The stdout of ``script`` in a child process under one and under two
+    BLAS threads; the thread count is read when BLAS loads."""
     src = str(Path(eigensolve.__file__).resolve().parents[1])
-    script = (
-        "import sys, numpy as np\n"
-        "from rrteig.eigensolve import _modes_1d\n"
-        "w = np.random.default_rng(21).uniform(1.0, 4.0, 256)\n"
-        "h = w * (np.pi / w.sum())\n"
-        "for k in (6, 16):\n"
-        "    for a in _modes_1d(h, k):\n"
-        "        sys.stdout.write(np.ascontiguousarray(a).tobytes().hex())\n"
-        "    sys.stdout.write('\\n')\n")
     out = []
     for threads in ("1", "2"):
         env = dict(os.environ, OMP_NUM_THREADS=threads,
@@ -807,6 +798,23 @@ def test_inverse_modes_bits_on_one_and_two_blas_threads(tmp_path):
         out.append(subprocess.run([sys.executable, "-c", script], env=env,
                                   check=True, capture_output=True, text=True,
                                   timeout=300, cwd=tmp_path).stdout)
+    return out
+
+
+def test_inverse_modes_bits_on_one_and_two_blas_threads(tmp_path):
+    """_modes_1d on a random 256-cell mesh, whose modes come from the
+    inverse iteration, writes the same bytes at k = 6 and 16 under one and
+    two BLAS threads, each in a child process.  The first 6 modes at
+    k = 16 are those at k = 6."""
+    out = _on_one_and_two_blas_threads(
+        "import sys, numpy as np\n"
+        "from rrteig.eigensolve import _modes_1d\n"
+        "w = np.random.default_rng(21).uniform(1.0, 4.0, 256)\n"
+        "h = w * (np.pi / w.sum())\n"
+        "for k in (6, 16):\n"
+        "    for a in _modes_1d(h, k):\n"
+        "        sys.stdout.write(np.ascontiguousarray(a).tobytes().hex())\n"
+        "    sys.stdout.write('\\n')\n", tmp_path)
     assert out[0] == out[1]
     six, sixteen = out[0].split()
     w = np.random.default_rng(21).uniform(1.0, 4.0, 256)
@@ -815,3 +823,134 @@ def test_inverse_modes_bits_on_one_and_two_blas_threads(tmp_path):
     assert six == "".join(np.ascontiguousarray(a).tobytes().hex()
                           for a in got)
     assert sixteen == "".join(a.tobytes().hex() for a in (mu, v, flux, sums))
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_solve_bits_on_one_and_two_blas_threads(seed, tmp_path):
+    """solve_mixed_eigs on a random 255^2 mesh (widths ratio <= 4) at
+    k = 49 writes the same bytes under one and two BLAS threads, each in
+    a child process: each direction solves the 9 modes that the 49
+    smallest sums can use, by the inverse iteration.  With 49 modes per
+    direction it took the dense path, whose bits differed on these
+    seeds."""
+    out = _on_one_and_two_blas_threads(
+        "import sys, numpy as np\n"
+        "from rrteig.assembly import assemble_mixed\n"
+        "from rrteig.eigensolve import SolveOptions, solve_mixed_eigs\n"
+        "from rrteig.mesh import build_mesh\n"
+        f"rng = np.random.default_rng({seed})\n"
+        "nodes = []\n"
+        "for axis in 'xy':\n"
+        "    w = rng.uniform(1.0, 4.0, 255)\n"
+        "    x = np.concatenate([[0.0], np.cumsum(w)]) * (np.pi / w.sum())\n"
+        "    x[-1] = np.pi\n"
+        "    nodes.append(x)\n"
+        "s = solve_mixed_eigs(assemble_mixed(build_mesh(*nodes)),\n"
+        "                     SolveOptions(k=49))\n"
+        "assert s.x[1].shape == s.y[1].shape == (255, 9)\n"
+        "for a in (*s.x, *s.y, s.lambdas, s.ii, s.jj, s.residuals):\n"
+        "    sys.stdout.write(a.tobytes().hex())\n"
+        "sys.stdout.write(repr(s.modes))\n", tmp_path)
+    assert out[0] == out[1]
+
+
+def _kron_sum_oracle():
+    """perfbench's kron_sum_oracle: the k smallest sums of two dense 1-D
+    spectra, each from the 1-D pencil formed by a dense solve."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.kron_sum_oracle
+
+
+def _assert_full_table_bits(spectrum, mesh, k):
+    """The Spectrum holds the k pairs of the tables of min(k, n) modes
+    (full_table_pairs), bit for bit: eigenvalues, columns, residuals,
+    labels and each built pair's four factors."""
+    x, y, lams, ii, jj, residuals, modes = full_table_pairs(
+        mesh, k, _modes_1d, eigensolve._residuals)
+    for a, b in zip((spectrum.lambdas, spectrum.ii, spectrum.jj,
+                     spectrum.residuals), (lams, ii, jj, residuals)):
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+    assert spectrum.modes == modes
+    for pair, i, j in zip(spectrum, ii, jj):
+        assert [f.tobytes() for f in (pair.v, pair.flux_x, pair.w, pair.flux_y)
+                ] == [t[c][:, m].tobytes() for t, m in ((x, i), (y, j))
+                      for c in (1, 2)]
+
+
+@st.composite
+def _growth_meshes(draw):
+    """Random tensor meshes of [0, a] x [0, b], a / b from 1/20 to 20:
+    1 to 40 cells per direction, or in a fifth of the draws 129 to 300,
+    the widths equal or drawn from [1, 4]."""
+    nodes = []
+    for axis in "xy":
+        n = draw(st.integers(129, 300) if draw(st.integers(0, 4)) == 0
+                 else st.integers(1, 40), label=f"n_{axis}")
+        seed = draw(st.integers(0, 2**32 - 1), label=f"widths {axis}")
+        widths = (np.ones(n) if draw(st.booleans(), label=f"equal {axis}")
+                  else np.random.default_rng(seed).uniform(1.0, 4.0, n))
+        span = np.exp(draw(st.floats(-np.log(20.0), np.log(20.0)),
+                           label=f"log span {axis}") / 2.0)
+        nodes.append(np.concatenate([[0.0], np.cumsum(widths)])
+                     * (span / widths.sum()))
+    return build_mesh(*nodes)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mesh=_growth_meshes(), data=st.data())
+def test_data_sized_tables_against_full_tables(mesh, data):
+    """The k smallest pairs over tables sized from the data, k from 1 to
+    60, are those over tables of min(k, n) modes, bit for bit.  Where the
+    two sizes may take different 1-D paths (n > 128, k > 16: the dense
+    eigh or the inverse iteration), the labels match, the eigenvalues
+    match those of the min(k, n) tables to 1e-12 relative (measured
+    1.4e-14), and the Kronecker-sum oracle to eps N^2 relative, its own
+    roundoff: it forms each 1-D operator by a dense solve (measured
+    0.43 eps N^2, up to 1e-11 on these meshes)."""
+    k = data.draw(st.integers(1, min(mesh.n_cells, 60)), label="k")
+    spectrum = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=k))
+    if k > 16 and max(mesh.n1, mesh.n2) > _DENSE_MAX_CELLS:
+        _, _, lams, _, _, _, modes = full_table_pairs(
+            mesh, k, _modes_1d, eigensolve._residuals)
+        assert spectrum.modes == modes
+        np.testing.assert_allclose(spectrum.lambdas, lams, rtol=1e-12)
+        want = _kron_sum_oracle()(mesh.node_x, mesh.node_y, k)
+        eps_n2 = np.finfo(float).eps * eigensolve._effective_cells(mesh) ** 2
+        np.testing.assert_allclose(spectrum.lambdas, want, rtol=eps_n2)
+    else:
+        _assert_full_table_bits(spectrum, mesh, k)
+
+
+@pytest.mark.parametrize("nodes, k, calls", [
+    # side ratio 10: the x direction needs 20 modes, more than sqrt(2k)
+    ((np.linspace(0.0, 10.0, 41), np.linspace(0.0, 1.0, 9)), 20,
+     [(40, 6), (8, 6), (40, 12), (40, 20)]),
+    # 2 x cells < sqrt(2k): the y direction grows until 2 p_y >= k
+    ((np.linspace(0.0, PI, 3), _nodes(np.arange(1.0, 31.0) % 4 + 1.0)), 30,
+     [(2, 2), (30, 7), (30, 14), (30, 28)]),
+    # k = 2 cuts the tie (1, 2) / (2, 1): 2 modes, one table for both
+    ((np.linspace(0.0, PI, 9), np.linspace(0.0, PI, 9)), 2, [(8, 2)]),
+])
+def test_tables_grow_while_a_mode_could_enter(monkeypatch, nodes, k, calls):
+    """A direction starts from min(n, k, isqrt(2k)) modes and doubles,
+    up to min(n, k), while its next mode, at least (m pi / s)^2, could
+    still enter the k smallest sums; the pairs are those of tables of
+    min(k, n) modes, bit for bit."""
+    solved = []
+    modes_1d = eigensolve._modes_1d
+
+    def counted(h, k):
+        solved.append((len(h), k))
+        return modes_1d(h, k)
+
+    monkeypatch.setattr(eigensolve, "_modes_1d", counted)
+    mesh = build_mesh(*nodes)
+    spectrum = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=k))
+    assert solved == calls
+    monkeypatch.undo()
+    _assert_full_table_bits(spectrum, mesh, k)
+    if k == 2:
+        assert spectrum.modes == [(1, 1), (2, 1)]

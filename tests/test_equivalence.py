@@ -18,8 +18,8 @@ from rrteig import cli, equivalence
 from rrteig.assembly import assemble_mixed
 from rrteig.cli import case_preset, run_case
 from rrteig.eigensolve import (MixedEigenpair, SolveOptions, Spectrum,
-                               _modes_1d, _residuals, _smallest_sums,
-                               _Table, solve_mixed_eigs)
+                               _modes_1d, _residuals, _Table,
+                               solve_mixed_eigs)
 from rrteig.equivalence import _lift_1d, verify_equivalence
 from rrteig.errors import (DegenerateFactor, DimensionMismatch, KTooLarge,
                            LayoutMismatch)
@@ -38,6 +38,7 @@ from oracles import (
     assemble_peq_coo,
     cell_areas,
     dense_eigenvalues,
+    full_table_pairs,
     gradient_to_sigma_coeffs,
     interior_flux_jumps,
     l2_project_exact,
@@ -530,11 +531,8 @@ def _listed_pairs(mesh, k):
     """The pairs as solve_mixed_eigs listed them before it returned a
     Spectrum: all built at once, each factor a copy of its column of the
     1-D modes."""
-    x = _modes_1d(mesh.hx, min(k, mesh.n1))
-    y = (x if np.array_equal(mesh.hx, mesh.hy)
-         else _modes_1d(mesh.hy, min(k, mesh.n2)))
-    lams, jj, ii = _smallest_sums(y[0], x[0], k)
-    residuals = _residuals(lams, x[3][:, ii], y[3][:, jj])
+    x, y, lams, ii, jj, residuals, _ = full_table_pairs(
+        mesh, k, _modes_1d, _residuals)
     return [MixedEigenpair(lambda_h=lam, v=x[1][:, i].copy(),
                            w=y[1][:, j].copy(), flux_x=x[2][:, i].copy(),
                            flux_y=y[2][:, j].copy(), residual_norm=r,
@@ -686,12 +684,12 @@ def _fitting(tables, h, cols):
 @given(mesh=_table_meshes(), data=st.data())
 def test_offered_tables_give_the_bits_of_a_fresh_solve(mesh, data):
     """A solve offered 1-D mode tables reuses those of bitwise equal
-    widths and the same column count, lifted or not, and no other: donor
-    meshes share a direction's nodes with the mesh (so its widths) at the
-    same or another k, or have random nodes, and a donor may be a
-    Spectrum stacked from its pairs, whose tables keep no widths.  Every
-    field of the Spectrum and of its EquivalenceReport has the bits of a
-    fresh solve and check."""
+    widths and the column count of a fresh solve, lifted or not, and no
+    other: donor meshes share a direction's nodes with the mesh (so its
+    widths) at the same or another k, or have random nodes, and a donor
+    may be a Spectrum stacked from its pairs, whose tables keep no widths.
+    Every field of the Spectrum and of its EquivalenceReport has the bits
+    of a fresh solve and check."""
     k = data.draw(st.integers(1, min(16, mesh.n_cells)), label="k")
     offered = []
     for t in range(data.draw(st.integers(1, 4), label="donors")):
@@ -710,12 +708,12 @@ def test_offered_tables_give_the_bits_of_a_fresh_solve(mesh, data):
         offered += [pairs.x, pairs.y]
     system = assemble_mixed(mesh)
     got = solve_mixed_eigs(system, SolveOptions(k), tables=offered)
-    x = _fitting(offered, mesh.hx, min(k, mesh.n1))
+    fresh = solve_mixed_eigs(system, SolveOptions(k))
+    x = _fitting(offered, mesh.hx, fresh.x[1].shape[1])
     assert got.x is x if x is not None else all(got.x is not t
                                                 for t in offered)
-    y = _fitting([got.x, *offered], mesh.hy, min(k, mesh.n2))
+    y = _fitting([got.x, *offered], mesh.hy, fresh.y[1].shape[1])
     assert got.y is y if y is not None else got.y is not got.x
-    fresh = solve_mixed_eigs(system, SolveOptions(k))
     assert _spectrum_bits(got) == _spectrum_bits(fresh)
     assert (_report_bits(verify_equivalence(mesh, got))
             == _report_bits(verify_equivalence(mesh, fresh)))
