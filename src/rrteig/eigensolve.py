@@ -21,11 +21,13 @@ Each 1-D pencil's modes come from one of three sources, chosen by its
 cell widths (_modes_1d), and one shared finish: on equal widths (presets
 a and b) the closed form of the uniform-grid spectrum; on others, up to
 _DENSE_MAX_CELLS = 128 cells, a dense eigh of the pencil's inverse K, and
-above it inverse iteration on the tridiagonal flux pencil T q = mu A1 q,
-T = G^T D^-1 G, from the flux cos(m pi x / a) of the exact mode, polished
-in K's space and certified by Sturm counts, a lost mode bracketed by them
-and bisected until it converges (_inverse_modes).  Neither this nor the
-closed form calls BLAS: a mode's bits depend on neither k nor the threads.
+above it Rayleigh quotient iteration in K's space, from the flux cos(m pi
+x / a) of the exact mode, each step one tridiagonal solve with the flux
+pencil T - s A1, T = G^T D^-1 G, each row stopped where |K y - theta y|
+falls to a roundoff bound that grows with n, and certified by Sturm
+counts, a lost mode bracketed by them and bisected until it converges
+(_inverse_modes).  Neither this nor the closed form calls BLAS: a mode's
+bits depend on neither k nor the threads.
 The finish (_modes_1d) signs each mode, solves its flux and takes the
 five 1-D sums of its residual, on the widths themselves.  Each 1-D
 spectrum is simple and its i-th mode (from 0) approximates the i-th
@@ -58,6 +60,8 @@ from .mesh import uniform_widths
 
 _DENSE_MAX_CELLS = 128  # the most 1-D cells always solved by a dense eigh
 _MAX_SOLVES = 8  # the most solves of one Rayleigh quotient iteration
+_VECTOR_TOL = 1e-13  # error along other modes kept by a row without last step
+_STOP_C = 0.125  # c of the stop test |K y - theta y| <= c eps n theta_1 (_rqi)
 # c of the bound c eps N^2 on every pair's residual (solve_mixed_eigs)
 _RESIDUAL_C = 64.0
 
@@ -177,50 +181,94 @@ def _shifted_solve(pencil, s, b):
                        f"T - s A1 is singular at s = {s:.17g}")
 
 
-def _rqi(pencil, q, lo, hi):
-    """Rayleigh quotient iteration on the flux pencil from each row of q,
-    the shift its quotient s if in (lo, hi), else their midpoint, one per
-    row: the unit rows, their s and whether |T q - s A1 q| fell to 16 eps
-    max(diag T) |q| within _MAX_SOLVES solves, s in (lo, hi).  A row done
-    is not read again; a row's bits are its own."""
-    tol = 16.0 * np.finfo(float).eps * pencil[0][0].max()
-    s, done, act = np.empty(len(q)), np.zeros(len(q), bool), np.arange(len(q))
+def _gap(a, q, m, theta):
+    """A lower bound of the distance from theta, 1/mu_m to roundoff, to K's
+    other eigenvalues on a side of length a, q = h_max / a, by (m pi / a)^2
+    <= mu_m <= (m pi / a)^2 / (1 - (m q)^2)^2, m q < 1: (T, A1) is the P1
+    Galerkin pencil of -f'' = mu f, above the exact modes (Babuska & Osborn,
+    Handbook of Numerical Analysis II, 1991) and below the interpolants of
+    the first m + 1, as interpolation raises no |f'| and moves f by at
+    most (h_max / pi)^2 |f''|."""
+    below = (a / ((m + 1) * math.pi)) ** 2  # theta_m+1 at most
+    shrink = 1.0 - ((m - 1) * q) ** 2  # theta_m-1 at least shrink^2 ...
+    above = (math.inf if m == 1 else 0.0 if shrink <= 0.0 else
+             shrink**2 * (a / ((m - 1) * math.pi)) ** 2)
+    return min(above - theta, theta - below)
+
+
+def _rqi(h, pencil, ms, y, lo, hi, tol):
+    """Rayleigh quotient iteration on K from each unit row of y, row i on
+    mode ms[i].  A pass takes K y (_k_rows), theta = y^T K y and r = K y -
+    theta y; a row stops once |r| <= tol with 1/theta in (lo, hi).  A step
+    is y - (K - theta')^-1 r = y + nu D^-1/2 G (T - nu A1)^-1 G^T D^-1/2 r,
+    nu = 1/theta' = 1/(theta (1 + 2^-30)), or the midpoint of (lo, hi) if
+    1/theta lies outside: one flux solve (_shifted_solve).  A row that
+    stops takes a last step, keeping its theta, unless it has stepped and
+    its error along the other modes, at most |r| / _gap, is below
+    _VECTOR_TOL.  Returns the rows, their theta and whether each stopped
+    within _MAX_SOLVES solves; a row's bits are its own."""
+    d_sqrt, a = np.sqrt(h), float(h.sum())
+    q, act = float(h.max()) / a, np.arange(len(y))
+    theta, done = np.empty(len(y)), np.zeros(len(y), bool)
     for solves in range(_MAX_SOLVES + 1):
-        qa, lo_a, hi_a = q[act], lo[act], hi[act]
-        tq, a1q = (_a1_times(*bands, qa.T).T for bands in pencil)
-        s[act] = sa = (np.add.reduce(qa * tq, axis=1)
-                       / np.add.reduce(qa * a1q, axis=1))
-        r = tq - sa[:, None] * a1q
-        inside = (lo_a < sa) & (sa < hi_a)
-        done[act] = inside & (np.add.reduce(r * r, axis=1)
-                              <= tol * tol * np.add.reduce(qa * qa, axis=1))
-        if done.all() or solves == _MAX_SOLVES:
-            return q, s, done
-        shift = np.where(inside, sa, (lo_a + hi_a) / 2.0)
-        for i in np.flatnonzero(~done[act]):
-            y = _shifted_solve(pencil, shift[i], a1q[i])
-            q[act[i]] = y / np.sqrt(np.add.reduce(y * y))
-        act = act[~done[act]]
+        ya = y[act]
+        ky = _k_rows(h, *pencil[1], ya)
+        theta[act] = ta = np.add.reduce(ya * ky, axis=1)
+        r = ky - ta[:, None] * ya
+        res = np.sqrt(np.add.reduce(r * r, axis=1))
+        s = 1.0 / ta
+        inside = (lo[act] < s) & (s < hi[act])
+        done[act] = fin = inside & (res <= tol)
+        step = ~fin & (solves < _MAX_SOLVES)
+        for i in np.flatnonzero(fin):  # the last step, unless sure
+            step[i] = not solves or res[i] > _VECTOR_TOL * _gap(
+                a, q, int(ms[act[i]]), float(ta[i]))
+        if step.any():
+            nu = 1.0 / (ta * (1.0 + 2.0**-30))
+            if not inside.all():
+                nu = np.where(inside, nu, (lo[act] + hi[act]) / 2.0)
+            nu, rhs = nu[step], _gt_times((r[step] / d_sqrt).T).T
+            x = np.array([_shifted_solve(pencil, *c) for c in zip(nu, rhs)])
+            z = ya[step] + nu[:, None] * (x[:, 1:] - x[:, :-1]) / d_sqrt
+            y[act[step]] = z / np.sqrt(np.add.reduce(z * z, axis=1))[:, None]
+        act = act[~fin]
+        if not len(act) or solves == _MAX_SOLVES:
+            return y, theta, done
 
 
 def _inverse_modes(h, k, diag, off):
-    """The k largest eigenpairs (theta, y) of K, largest first, by inverse
-    iteration on the flux pencil T q = mu A1 q, mode m from the flux
-    cos(m pi x / a) of the exact mode (_rqi; Parlett, The Symmetric
-    Eigenvalue Problem, 1980, ch. 4).  The longest prefix of p quotients
-    that rise by the lift 1e-6 holds mu_1..mu_p if a Sturm count just above
-    its top reads p + 1.  A later mode keeps its quotient if it lies above
-    mode m - 1's and a count just above reads m + 1; else it is bracketed
-    by counts until mu_m is alone, and the lost modes iterate there as one
-    block, each bisected until it converges, or raise NotConverged.  Then
-    in K's space, where roundoff is relative to the mode, y = D^-1/2 G q
-    less (K - theta (1 + 2^-30))^-1 (K y - theta y), theta = y^T K y."""
+    """The k largest eigenpairs (theta, y) of K, largest first, by Rayleigh
+    quotient iteration in K's space, where roundoff is relative to the
+    mode, not to |T| (_rqi; Parlett, The Symmetric Eigenvalue Problem,
+    1980, ch. 4): row m from y = D^-1/2 G cos(m pi x / a), the flux of the
+    exact mode, stopped at |K y - theta y| <= tau theta_1, tau = _STOP_C eps
+    n, theta_1 <= (a / pi)^2 standing in for K's largest eigenvalue.
+    Measured, a converged row's |K y - theta y| stays below 0.019 eps n
+    theta_1 (8.3 eps theta_1 at most) on random, mirror-symmetric,
+    geometric and graded widths of 129 to 8192 cells at k = 3, 16 and 48,
+    so _STOP_C = 1/8 leaves a margin of 6.7 or more.  With s = 1/theta, the
+    longest prefix of p quotients that rise by the lift 1e-6 holds
+    mu_1..mu_p if a Sturm count just above its top reads p + 1.  A later
+    mode keeps its quotient if it lies above mode m - 1's and a count just
+    above reads m + 1; else it is bracketed by counts until mu_m is alone,
+    and the lost modes iterate there as one block, each bisected until it
+    converges, or raise NotConverged."""
     n, a = len(h), h.sum()
     g = np.concatenate([[0.0], 1.0 / h, [0.0]])  # 1/h beside each edge
     pencil = (g[:-1] + g[1:], -g[1:-1]), (diag, off)  # T's bands, A1's
     x = np.concatenate([[0.0], np.cumsum(h)]) * (np.pi / a)
-    q, s, done = _rqi(pencil, np.cos(np.outer(np.arange(1, k + 1), x)),
-                      np.zeros(k), np.full(k, np.inf))
+    d_sqrt = np.sqrt(h)
+
+    def start(ms):  # D^-1/2 G cos(m pi x / a), unit rows
+        c = np.cos(ms[:, None] * x)
+        y = (c[:, 1:] - c[:, :-1]) / d_sqrt
+        return y / np.sqrt(np.add.reduce(y * y, axis=1))[:, None]
+
+    tol = _STOP_C * np.finfo(float).eps * n * (a / np.pi) ** 2
+    ms = np.arange(1, k + 1)
+    y, theta, done = _rqi(h, pencil, ms, start(ms), np.zeros(k),
+                          np.full(k, np.inf), tol)
+    s = 1.0 / theta
     count = lambda t: _count_below(h, diag, off, t) - 1  # mu below t
     lost = lambda m, lo, hi: NotConverged(
         f"1-D inverse iteration on {n} cells: mode {m} lost in [{lo:.6g}, "
@@ -250,9 +298,11 @@ def _inverse_modes(h, k, diag, off):
         lo = hi
     if brackets:  # the lost modes iterate as one block, bisected until done
         ms, los, his = (np.array(v) for v in zip(*brackets))
-        rows = np.cos(np.outer(ms, x))
+        rows, ok = start(ms), np.zeros(len(ms), bool)
         for _ in range(64):
-            rows, s_lost, ok = _rqi(pencil, rows, los, his)
+            i = np.flatnonzero(~ok)  # the rows not yet done
+            rows[i], theta[ms[i] - 1], ok[i] = _rqi(
+                h, pencil, ms[i], rows[i], los[i], his[i], tol)
             if ok.all():
                 break
             for i in np.flatnonzero(~ok):
@@ -260,16 +310,8 @@ def _inverse_modes(h, k, diag, off):
                 (his if count(t) >= ms[i] else los)[i] = t
         else:
             raise lost(*(v[np.argmin(ok)] for v in (ms, los, his)))
-        q[ms - 1], s[ms - 1] = rows, s_lost
-    y = np.diff(q, axis=1) / (d_sqrt := np.sqrt(h))
-    y /= np.sqrt(np.add.reduce(y * y, axis=1))[:, None]
-    ky = _k_rows(h, diag, off, y)
-    theta = np.add.reduce(y * ky, axis=1)
-    nu = 1.0 / (theta * (1.0 + 2.0**-30))
-    rhs = _gt_times(((ky - theta[:, None] * y) / d_sqrt).T).T
-    y += nu[:, None] * np.diff([_shifted_solve(pencil, *c) for c in zip(
-        nu, rhs)], axis=1) / d_sqrt
-    return theta, (y / np.sqrt(np.add.reduce(y * y, axis=1))[:, None]).T
+        y[ms - 1] = rows
+    return theta, y.T
 
 
 def _uniform_modes(h, k):
@@ -371,6 +413,15 @@ def _smallest_sums(a, b, count):
     return sums[i, j], i, j
 
 
+def _reach(p, cap, wave, low, top):
+    """The new mode count of a direction whose mode p + 1 could enter the
+    sums up to top: each m <= cap with m^2 wave + low <= top, low the
+    other direction's smallest mode; cap of them below an infinite top."""
+    if top == np.inf:
+        return cap
+    return min(cap, max(p + 1, math.isqrt(int((top - low) / wave))))
+
+
 def _effective_cells(mesh):
     """N = max(a / min h_x, b / min h_y) on [x0, x0 + a] x [y0, y0 + b],
     max(n1, n2) on a uniform mesh: the roundoff of a pair, and of anything
@@ -450,14 +501,15 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions, *,
     reusing the offered 1-D mode ``tables`` that fit (_table).
 
     Each direction's table holds p of its min(k, n) smallest modes: p
-    starts at min(n, k, isqrt(2k)) and doubles, up to min(n, k), while
-    (p + 1)^2 (pi / s)^2 (1 - 1e-6), a lower bound of the next mode on a
-    side of length s, plus the other direction's smallest mode is at most
-    the k-th smallest sum of the tables at hand (or there are fewer than k
-    sums).  That k-th sum is never below the true one, and every pair
-    beyond the tables exceeds it, so the pairs, their order and labels
-    are those of tables of min(k, n) modes; each mode's bits depend on
-    the widths and its index alone (_modes_1d), so are the pairs' bits,
+    starts at min(n, k, isqrt(2k)) and, while (p + 1)^2 (pi / s)^2 (1 -
+    1e-6), a lower bound of the next mode on a side of length s, plus the
+    other direction's smallest mode is at most the k-th smallest sum of
+    the tables at hand (or there are fewer than k sums), grows at once to
+    the largest such count, at most min(n, k) (_reach).  That k-th sum is
+    never below the true one and never rises as the tables grow, and every
+    pair beyond the tables exceeds it, so the pairs, their order and
+    labels are those of tables of min(k, n) modes; each mode's bits depend
+    on the widths and its index alone (_modes_1d), so are the pairs' bits,
     wherever p and min(k, n) take the same 1-D path.
 
     Deterministic; eigenvalues ascending, tied eigenvalues ordered by
@@ -471,10 +523,11 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions, *,
     or a NaN, raises NotConverged with every pair's residual.  Measured on
     48 000 random meshes of up to 8 x 8 cells, the worst residual is at
     most 5.4 eps N^2 on one cell and 2.9 eps N^2 on more; at k = 6, 16 and
-    48, 0.044 eps N^2 on random and graded meshes of 129 to 2048 cells per
-    direction (the inverse iteration), and 0.25 eps N^2 on uniform meshes
-    of 8 to 8192 cells per direction (the closed form; spans pi, 1, 2 and
-    7.3, one origin away from 0, n2 = n1 / 2, n1 and 2 n1).
+    48, 0.24 eps N^2 on random and graded meshes of 129 to 2048 cells per
+    direction (the inverse iteration; 0.042 eps N^2 from 512 cells on),
+    and 0.25 eps N^2 on uniform meshes of 8 to 8192 cells per direction
+    (the closed form; spans pi, 1, 2 and 7.3, one origin away from 0, n2 =
+    n1 / 2, n1 and 2 n1).
     """
     mesh, k = system.mesh, opts.k
     if k > mesh.n_cells:
@@ -497,10 +550,10 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions, *,
         if not (grow_x or grow_y):
             break
         if grow_x:
-            px = min(2 * px, caps[0])
+            px = _reach(px, caps[0], wave_x, y[0][0], top)
             x = _table(mesh.hx, px, tables)
         if grow_y:
-            py = min(2 * py, caps[1])
+            py = _reach(py, caps[1], wave_y, x[0][0], top)
             y = _table(mesh.hy, py, (x, *tables))
     residuals = _residuals(lams, x[3][:, ii], y[3][:, jj])
     n_eff = _effective_cells(mesh)

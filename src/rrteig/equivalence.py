@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg.lapack import dptsv
 
 from .eigensolve import MixedEigenpair, Spectrum, _effective_cells
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, LayoutMismatch
 from .mesh import TensorMesh
 from .postprocess import _require_fit
 
@@ -119,8 +119,14 @@ def _lift_1d(h, c, flux):
 
 def _table_lift(h, table, peak):
     """Per column of a 1-D mode table on the widths h: q, d, jump (_lift_1d),
-    |.|_D^2 and max |.| (``peak``), kept by a solved table of these widths."""
-    keep = np.array_equal(getattr(table, "h", None), h)
+    |.|_D^2 and max |.| (``peak``), kept by a solved table of these widths.
+    A solved table of other widths raises LayoutMismatch; a stacked table
+    keeps no widths."""
+    widths = getattr(table, "h", None)
+    keep = np.array_equal(widths, h)
+    if widths is not None and not keep:
+        raise LayoutMismatch(f"a mode table solved on other widths does not "
+                             f"fit these {len(h)} cells")
     if keep and table.lift is not None:
         return table.lift
     lift = np.array([*_lift_1d(h, table[1], table[2]),
@@ -160,9 +166,9 @@ def verify_equivalence(
     like N^2.  Measured, the ratio to eps N^2 is at most 4.7 on one cell
     and at most 1.7 from two cells on (8 000 random meshes with n <= 300
     cells and width ratios up to 1e4 per direction); levels 0-7 of presets
-    a, b and c reach 0.29.  An empty list, or a pair that does not fit the
-    mesh, raises LayoutMismatch, and a pair whose v or w is all zeros
-    DegenerateFactor.
+    a, b and c reach 0.29.  An empty list, a pair that does not fit the
+    mesh, or a Spectrum solved on other widths, raises LayoutMismatch, and
+    a pair whose v or w is all zeros DegenerateFactor.
     """
     if not isinstance(pairs, Spectrum):
         pairs = Spectrum.stack(pairs, mesh)

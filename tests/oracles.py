@@ -9,7 +9,7 @@ dense 2-D eigensolve for the tensor-product solver, 1-D
 pencils sliced from the assembled matrices and inverted through a sparse
 saddle LU for the cumulative-sum 1-D modes, the same cumulative sums in
 new arrays at each step (``k_product``) for the block product that
-polishes the inverse-iteration modes, the 2-D enriched element and
+the inverse iteration takes each pass, the 2-D enriched element and
 its equivalence certificate for the 1-D lift of the equivalence check,
 per-cell Lagrange evaluation for the batched postprocessing norms, and
 scalar analytic integrals per cell or edge for the batched cell and edge

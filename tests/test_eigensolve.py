@@ -423,9 +423,9 @@ def test_closed_form_against_dense_and_lanczos(n, k):
     iteration (n > 128), both forced onto equal widths, for spans pi, 1 and
     7.3 and a translated origin.  Against the inverse iteration, mu agrees
     to 1e-14 relative and v and the fluxes to 1e-11 of their largest entry
-    (at most 3.1e-15, 4.8e-14 and 3.7e-12, measured; the flux-space
-    iteration alone, without its polish in K's space, missed the bound on
-    v at n = 2048 by 5x).  The dense path resolves theta = 1/mu
+    (at most 3.1e-15, 4.5e-14 and 3.7e-12, measured; a row stopped at the
+    roundoff bound without its last step missed the bound on the fluxes by
+    up to 40x at n = 2048).  The dense path resolves theta = 1/mu
     to eps theta_1, so its own error in mode m grows like eps mu_m / mu_1
     (1.5e-13 relative at m = 64 of 64): against it both bounds are scaled
     by mu_m / mu_1 (at most 2.3e-15 and 3e-14 times it, measured)."""
@@ -465,9 +465,14 @@ def test_closed_form_against_the_h_series(n):
 
 def _widths(kind, n, rng):
     """n cell widths of [0, pi]: equal, mirror-symmetric or random, the
-    last two with width ratio <= 4."""
+    last two with width ratio <= 4, geometric (ratio 1e3) or graded (ratio
+    up to 6.2e3, in random order)."""
     if kind == "uniform":
         w = np.ones(n)
+    elif kind == "geometric":
+        w = 1e3 ** (np.arange(n) / (n - 1))
+    elif kind == "graded":
+        w = 6.2e3 ** rng.uniform(0.0, 1.0, n)
     else:
         w = rng.uniform(1.0, 4.0, n)
         if kind == "mirror":
@@ -531,10 +536,10 @@ def _product_meshes():
 
 
 def test_k_product_against_the_allocating_oracle():
-    """The product with K = D^1/2 S^-1 D^1/2 that polishes the inverse
-    iteration, applied to the rows x1, x2, x1 at once, gives each row the
-    bits of the allocating oracle on random and graded meshes of 129 to
-    600 cells, so a row's bits do not depend on the rows beside it; and it
+    """The product with K = D^1/2 S^-1 D^1/2 that the inverse iteration
+    takes each pass, applied to the rows x1, x2, x1 at once, gives each row
+    the bits of the allocating oracle on random and graded meshes of 129
+    to 600 cells, so a row's bits do not depend on the rows beside it; and it
     matches the dense K of _dense_top, rebuilt from its full
     eigendecomposition, to 1e-12 of K's largest entry (3.4e-14 at most,
     measured)."""
@@ -555,7 +560,7 @@ def test_k_product_against_the_allocating_oracle():
 @pytest.mark.parametrize("n", [256, 2048])
 def test_lanczos_top_bits_of_the_allocating_product(n):
     """The block product with K (_k_rows) on the k modes that the inverse
-    iteration polishes gives the bits of the allocating oracle k_product,
+    iteration returns gives the bits of the allocating oracle k_product,
     mode by mode, at k = 1, 6 and 16."""
     h = _widths("random", n, np.random.default_rng(n))
     diag, off = eigensolve._a1_bands(h)
@@ -587,15 +592,14 @@ def test_flux_solve_bits_of_solveh_banded():
         assert sums.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["uniform", "dense", "lanczos"])
+@pytest.mark.parametrize("kind", ["uniform", "dense", "inverse"])
 def test_residual_norms_do_not_depend_on_k(kind):
     """The residual of each pair has the same bits for every k, on the
-    closed-form, the dense and the inverse-iteration path (the id
-    "lanczos"): each of the five 1-D sums is taken along one contiguous
-    row per mode, whose order does not depend on how many modes are
-    solved."""
+    closed-form, the dense and the inverse-iteration path: each of the
+    five 1-D sums is taken along one contiguous row per mode, whose order
+    does not depend on how many modes are solved."""
     rng = np.random.default_rng(17)
-    n = {"uniform": 64, "dense": 40, "lanczos": 256}[kind]
+    n = {"uniform": 64, "dense": 40, "inverse": 256}[kind]
     nx, ny = ((np.linspace(0.0, PI, n + 1), np.linspace(0.0, 2.0, n // 2 + 1))
               if kind == "uniform" else
               (_nodes(rng.uniform(1.0, 4.0, m)) for m in (n, n + 3)))
@@ -637,10 +641,11 @@ def test_modes_1d_dense_up_to_the_cutoff(monkeypatch):
 
 def test_sine_start_saves_products(monkeypatch):
     """From the flux of the exact mode, cos(m pi x / a) at the nodes, the
-    inverse iteration takes at most 3 LAPACK gtsv solves per mode on
-    random and mirror-symmetric 256-cell meshes at k = 6 (2 per mode,
-    measured: one of the Rayleigh quotient iteration and one of the
-    polish), and no Sturm count beyond the certificate's one."""
+    inverse iteration takes at most 2 LAPACK gtsv solves per mode on
+    random and mirror-symmetric 256-cell meshes at k = 6 (7 to 9 for the
+    6 modes, measured: one step each, and a last step where the bracket of
+    _gap cannot show that the stopped row is already accurate), and no
+    Sturm count beyond the certificate's one."""
     solves, counts = [], []
     real_gtsv, real_count = eigensolve.dgtsv, eigensolve._count_below
 
@@ -659,7 +664,7 @@ def test_sine_start_saves_products(monkeypatch):
         for kind in ("random", "mirror"):
             _modes_1d(_widths(kind, 256, rng), 6)
             assert solves and set(solves) == {257}
-            assert len(solves) <= 3 * 6 and len(counts) == 1
+            assert len(solves) <= 2 * 6 and len(counts) == 1
             solves.clear()
             counts.clear()
 
@@ -681,9 +686,9 @@ def test_graded_mesh_modes_certified_by_the_count(monkeypatch, seed):
     rqi = []
     real = eigensolve._rqi
 
-    def counted(pencil, q, lo, hi):
-        rqi.append(len(q))
-        return real(pencil, q, lo, hi)
+    def counted(h, pencil, ms, y, lo, hi, tol):
+        rqi.append(len(y))
+        return real(h, pencil, ms, y, lo, hi, tol)
 
     monkeypatch.setattr(eigensolve, "_rqi", counted)
     mu = _modes_1d(h, 64)[0]
@@ -706,6 +711,69 @@ def test_count_below_against_the_dense_spectrum():
             bands = eigensolve._a1_bands(h)
             got = [eigensolve._count_below(h, *bands, s) for s in shifts]
             assert got == list(range(1, n + 2))
+
+
+@pytest.mark.parametrize("kind", ["random", "mirror", "geometric", "graded"])
+def test_inverse_modes_stop_at_the_roundoff_bound(kind):
+    """Every mode that the inverse iteration returns, on 129 to 2048 cells
+    at k = 3, 16 and 48, has |K y - theta y| <= tau theta_1, tau = _STOP_C
+    eps n and theta_1 its largest theta: a row stops at that bound, and a
+    last step leaves it at roundoff (below 0.019 eps n theta_1, measured
+    over 129 to 8192 cells)."""
+    rng = np.random.default_rng(29)
+    for n in (_DENSE_MAX_CELLS + 1, 600, 2048):
+        h = _widths(kind, n, rng)
+        diag, off = eigensolve._a1_bands(h)
+        tau = eigensolve._STOP_C * np.finfo(float).eps * n
+        for k in (3, 16, 48)[: 2 if n < 192 else 3]:
+            theta, vec = eigensolve._inverse_modes(h, k, diag, off)
+            y = np.ascontiguousarray(vec.T)
+            r = eigensolve._k_rows(h, diag, off, y) - theta[:, None] * y
+            assert np.all(np.sqrt(np.sum(r * r, axis=1)) <= tau * theta[0])
+
+
+@pytest.mark.parametrize("kind", ["random", "mirror", "geometric", "graded"])
+def test_inverse_path_solves_every_width_family(monkeypatch, kind):
+    """Random and mirror-symmetric (ratio <= 4), geometric (ratio 1e3) and
+    graded (ratio up to 6.2e3) widths of 129 to 8192 cells solve on the
+    inverse path at k = 3, 16 and 48: no converged row stays above the
+    stop bound, which grows with n.  The modes ascend and lie in the
+    bracket of _gap."""
+    calls = _count_calls(monkeypatch, "_inverse_modes")
+    rng = np.random.default_rng(31)
+    for n in (_DENSE_MAX_CELLS + 1, 1000, 8192):
+        h = _widths(kind, n, rng)
+        q = h.max() / PI
+        for k in (3, 16, 48)[: 2 if n < 192 else 3]:
+            mu = _modes_1d(h, k)[0]
+            m = np.arange(1, k + 1)
+            assert np.all(np.diff(mu) > 0) and np.all(mu >= m**2)
+            fine = m * q < 1.0
+            assert np.all(mu[fine] <= m[fine]**2 / (1.0 - (m[fine] * q)**2)**2)
+    assert len(calls) == 8
+
+
+def test_gap_bounds_the_distance_to_the_other_modes():
+    """The bracket behind _gap, (m pi / a)^2 <= mu_m <= (m pi / a)^2 /
+    (1 - (m q)^2)^2 where m q < 1, q = h_max / a, against the whole
+    spectrum of the dense path on random (ratio <= 4) and graded (ratio up
+    to 6.2e3) widths of 5 to 300 cells, spans pi and 7.3: at theta = 1/mu_m
+    _gap is at most the distance to the nearest other 1/mu_j (to 0 for the
+    last), and it is positive for the lowest modes of the random widths."""
+    rng = np.random.default_rng(37)
+    for n in (5, 17, 64, 129, 300):
+        for kind in ("random", "graded"):
+            for span in (PI, 7.3):
+                h = _widths(kind, n, rng) * (span / PI)
+                theta = 1.0 / _dense(h, n)[0]
+                q = h.max() / span
+                gaps = [eigensolve._gap(span, q, m, t)
+                        for m, t in enumerate(theta.tolist(), 1)]
+                near = np.minimum(np.r_[np.inf, -np.diff(theta)],
+                                  np.r_[-np.diff(theta), theta[-1]])
+                assert np.all(np.array(gaps) <= near)
+                if kind == "random" and n >= 64:
+                    assert min(gaps[:3]) > 0.0
 
 
 def test_lost_mode_raises_not_converged(monkeypatch):
@@ -743,20 +811,21 @@ def test_graded_rows_on_one_mode_refused(seed):
 def test_duplicated_mode_refused_by_the_certificate(monkeypatch):
     """Two rows of the block iteration that converge to one eigenvector
     have quotients that differ by roundoff, and may rise: here row 3
-    repeats row 2 with its quotient one ulp up, while row 6 still holds
-    mu_6, so one Sturm count above it reads 7.  The certificate asks the
-    quotients to rise by its lift, so the duplicate goes to the bisection,
-    which finds mu_3 again, and mu matches the dense path."""
+    repeats row 2 with its quotient mu one ulp up (theta = 1/mu one ulp
+    down), while row 6 still holds mu_6, so one Sturm count above it reads
+    7.  The certificate asks the quotients to rise by its lift, so the
+    duplicate goes to the bisection, which finds mu_3 again, and mu
+    matches the dense path."""
     h = _widths("random", 256, np.random.default_rng(19))
     want = _dense(h, 6)[0]
     rqi, real = [], eigensolve._rqi
 
-    def duplicating(pencil, q, lo, hi):
-        q, s, done = real(pencil, q, lo, hi)
+    def duplicating(h, pencil, ms, y, lo, hi, tol):
+        y, theta, done = real(h, pencil, ms, y, lo, hi, tol)
         if not rqi:
-            q[2], s[2] = q[1], np.nextafter(s[1], np.inf)
-        rqi.append(len(q))
-        return q, s, done
+            y[2], theta[2] = y[1], np.nextafter(theta[1], 0.0)
+        rqi.append(len(y))
+        return y, theta, done
 
     monkeypatch.setattr(eigensolve, "_rqi", duplicating)
     mu = _modes_1d(h, 6)[0]
@@ -764,13 +833,13 @@ def test_duplicated_mode_refused_by_the_certificate(monkeypatch):
     np.testing.assert_allclose(mu, want, rtol=5e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("failure", ["maxiter", "arpack_error"])
-def test_arpack_failure_is_not_converged(monkeypatch, failure):
+@pytest.mark.parametrize("failure", ["maxiter", "singular_pivot"])
+def test_inverse_iteration_failure_is_not_converged(monkeypatch, failure):
     """The inverse iteration's own failures leave the solve as NotConverged
     naming the stage and the cell count, with no raw exception: no
     iterate converges (here no solve is allowed, the id "maxiter"), so
     every mode is lost, or LAPACK gtsv reports a singular pivot also at
-    the moved shift (the id "arpack_error")."""
+    the moved shift (the id "singular_pivot")."""
     if failure == "maxiter":
         monkeypatch.setattr(eigensolve, "_MAX_SOLVES", 0)
         want = "1-D inverse iteration on 200 cells: mode 1 lost"
@@ -925,20 +994,22 @@ def test_data_sized_tables_against_full_tables(mesh, data):
 
 
 @pytest.mark.parametrize("nodes, k, calls", [
-    # side ratio 10: the x direction needs 20 modes, more than sqrt(2k)
+    # side ratio 10: the x direction needs 20 modes, more than sqrt(2k),
+    # and takes them in one step (doubling solved 6 + 12 + 20 x modes)
     ((np.linspace(0.0, 10.0, 41), np.linspace(0.0, 1.0, 9)), 20,
-     [(40, 6), (8, 6), (40, 12), (40, 20)]),
-    # 2 x cells < sqrt(2k): the y direction grows until 2 p_y >= k
+     [(40, 6), (8, 6), (40, 20)]),
+    # 2 x cells < sqrt(2k): fewer than k sums, so the y direction takes
+    # min(n, k) modes at once (doubling solved 7 + 14 + 28)
     ((np.linspace(0.0, PI, 3), _nodes(np.arange(1.0, 31.0) % 4 + 1.0)), 30,
-     [(2, 2), (30, 7), (30, 14), (30, 28)]),
+     [(2, 2), (30, 7), (30, 30)]),
     # k = 2 cuts the tie (1, 2) / (2, 1): 2 modes, one table for both
     ((np.linspace(0.0, PI, 9), np.linspace(0.0, PI, 9)), 2, [(8, 2)]),
 ])
 def test_tables_grow_while_a_mode_could_enter(monkeypatch, nodes, k, calls):
-    """A direction starts from min(n, k, isqrt(2k)) modes and doubles,
-    up to min(n, k), while its next mode, at least (m pi / s)^2, could
-    still enter the k smallest sums; the pairs are those of tables of
-    min(k, n) modes, bit for bit."""
+    """A direction starts from min(n, k, isqrt(2k)) modes and, while its
+    next mode, at least (m pi / s)^2, could still enter the k smallest
+    sums, grows at once to the most modes that could, up to min(n, k); the
+    pairs are those of tables of min(k, n) modes, bit for bit."""
     solved = []
     modes_1d = eigensolve._modes_1d
 

@@ -736,32 +736,51 @@ def test_tables_and_lifts_are_read_only(mesh_c0):
 
 def test_a_kept_lift_serves_only_its_widths(mesh_c0):
     """A solved table keeps the lift taken on its own widths only: on a
-    mesh of the same cell counts and other widths, the check lifts the
-    tables afresh, as it lifts the list of their pairs, and fails alike."""
+    mesh of the same cell counts and other widths, the Spectrum is refused
+    with LayoutMismatch and keeps its lifts, while the list of its pairs,
+    stacked without widths, is lifted afresh and fails the bound."""
     spectrum = solve_mixed_eigs(assemble_mixed(mesh_c0), SolveOptions(k=5))
     verify_equivalence(mesh_c0, spectrum)
     kept = spectrum.x.lift, spectrum.y.lift
     other = build_mesh(mesh_c0.node_x ** 2, mesh_c0.node_y ** 2)
-    with pytest.raises(DimensionMismatch) as on_tables:
+    with pytest.raises(LayoutMismatch, match="solved on other widths"):
         verify_equivalence(other, spectrum)
-    with pytest.raises(DimensionMismatch) as on_list:
+    with pytest.raises(DimensionMismatch):
         verify_equivalence(other, list(spectrum))
-    assert str(on_tables.value) == str(on_list.value)
     assert spectrum.x.lift is kept[0] and spectrum.y.lift is kept[1]
 
 
+def test_verify_equivalence_refuses_a_spectrum_of_other_widths():
+    """A Spectrum solved on a random 6 x 5 mesh is refused with
+    LayoutMismatch on another random mesh of the same cell counts, where
+    _require_fit, which reads lengths only, let it through; on its own
+    mesh it passes, and so does the list of its pairs, whose stacked
+    tables carry no widths."""
+    rng = np.random.default_rng(23)
+    solved, other = (build_mesh(*(np.concatenate(
+        [[0.0], np.cumsum(rng.uniform(1.0, 4.0, n))]) for n in (6, 5)))
+        for _ in range(2))
+    spectrum = solve_mixed_eigs(assemble_mixed(solved), SolveOptions(k=6))
+    with pytest.raises(LayoutMismatch, match="on other widths does not fit "
+                       "these 6 cells"):
+        verify_equivalence(other, spectrum)
+    for pairs in (spectrum, list(spectrum)):
+        assert len(verify_equivalence(solved, pairs).entries) == 6
+
+
 def test_one_bound_for_a_spectrum_and_its_pairs(mesh_c0):
-    """A Spectrum and the list of its pairs, checked against a mesh other
-    than the one they were solved on, are held to one bound: 16 eps N^2
-    with N the given mesh's (eigensolve._effective_cells), not the solved
-    mesh's; the message of each failure names that bound."""
+    """A Spectrum stacked from a solve's pairs, whose tables keep no
+    widths, and the list of those pairs, checked against a mesh other than
+    the one they were solved on, are held to one bound: 16 eps N^2 with N
+    the given mesh's (eigensolve._effective_cells), not the solved mesh's;
+    the message of each failure names that bound."""
     spectrum = solve_mixed_eigs(assemble_mixed(mesh_c0), SolveOptions(k=5))
     other = build_mesh(mesh_c0.node_x ** 2, mesh_c0.node_y ** 2)
     n_eff = max(other.hx.sum() / other.hx.min(),
                 other.hy.sum() / other.hy.min())
     bound = 16.0 * np.finfo(float).eps * n_eff**2
     found = []
-    for pairs in (spectrum, list(spectrum)):
+    for pairs in (Spectrum.stack(list(spectrum), mesh_c0), list(spectrum)):
         with pytest.raises(DimensionMismatch) as info:
             verify_equivalence(other, pairs)
         found.append(str(info.value))
