@@ -59,6 +59,13 @@ _ANALYSES_B_C = tuple(
 # analysis (in-process, 2 vCPU, BLAS on one thread) peaks at 65 MiB RSS at
 # 1024^2 (levels 7, 0.08-0.09 s) and 66 MiB at 2048^2 (levels 8, 0.11-0.14 s)
 _MAX_CELLS = 2**22
+# the side lengths a sweep accepts.  Presets a, b and c and two graded
+# meshes scaled to side s (the finest levels allowed; k = 12, and 100 and
+# 1000 on c; every analysis) keep each report value's law s^p x(1) to
+# 3e-3 relative for s from 1e-60 to 1e62: outside, the expansion term's
+# (m pi / s)^4 / s overflows or underflows, as do the squared
+# supercloseness norms
+_SIDE_RANGE = (1e-50, 1e50)
 
 _FORMATS = ("delimited-text", "aligned-text", "structured-document")
 _EXT = {"delimited-text": "csv", "aligned-text": "txt",
@@ -404,13 +411,21 @@ class RunReport:
 def _meshes(config: ExperimentConfig, levels: int) -> list[TensorMesh]:
     """Levels 0..``levels`` of the config's sweep: the initial mesh,
     translated to start at 0, and its uniform refinements.  A negative
-    level count, or a finest level with more than _MAX_CELLS cells (12
-    refinements of one cell already exceed it, which bounds the power for
-    a huge level count) or fewer than k, which every level's solve would
-    refuse, raises InvalidConfig before any refinement."""
+    level count, a side outside _SIDE_RANGE, or a finest level with more
+    than _MAX_CELLS cells (12 refinements of one cell already exceed it,
+    which bounds the power for a huge level count) or fewer than k, which
+    every level's solve would refuse, raises InvalidConfig before any
+    refinement."""
     if levels < 0:
         raise InvalidConfig(f"levels must be >= 0, got {levels}")
     mesh = config.initial_mesh()
+    lo, hi = _SIDE_RANGE
+    for side in (mesh.node_x[-1], mesh.node_y[-1]):
+        if not lo <= side <= hi:
+            raise InvalidConfig(
+                f"config {config.name}: side {side:.17g} lies outside "
+                f"[{lo:g}, {hi:g}], beyond which the analyses overflow or "
+                "underflow")
     cells = mesh.n_cells * 4 ** min(levels, 12)
     if cells > _MAX_CELLS:
         raise InvalidConfig(
@@ -431,10 +446,11 @@ def run_case(config: ExperimentConfig) -> RunReport:
     """Solve every refinement level of the configured case and analyze.
 
     The sweep runs on the initial mesh translated to start at 0, where the
-    exact fields live, so any origin is accepted; a finest level above
-    _MAX_CELLS cells or below k cells raises InvalidConfig before level
-    0.  Each solve is offered the 1-D mode tables of the level before, if
-    solved (preset b's y widths are the next level's x widths)."""
+    exact fields live, so any origin is accepted; a side outside
+    _SIDE_RANGE, or a finest level above _MAX_CELLS cells or below k
+    cells, raises InvalidConfig before level 0.  Each solve is offered
+    the 1-D mode tables of the level before, if solved (preset b's y
+    widths are the next level's x widths)."""
     meshes = _meshes(config, config.levels)
     exact = enumerate_exact((meshes[0].node_x[-1], meshes[0].node_y[-1]),
                             count=config.k)

@@ -20,12 +20,13 @@ Numerical Analysis II, 1991).
 Each 1-D pencil's modes come from one of three sources, chosen by its
 cell widths (_modes_1d), and one shared finish: on equal widths (presets
 a and b) the closed form of the uniform-grid spectrum; on others, up to
-_DENSE_MAX_CELLS = 128 cells, a dense eigh of the pencil's inverse K, and
-above it Rayleigh quotient iteration in K's space, from the flux cos(m pi
-x / a) of the exact mode, each step one tridiagonal solve with the flux
-pencil T - s A1, T = G^T D^-1 G, each row stopped where |K y - theta y|
-falls to a roundoff bound that grows with n, and certified by Sturm
-counts, a lost mode bracketed by them and bisected until it converges
+_DENSE_MAX_CELLS = 128 cells, a dense eigh of the pencil's inverse K,
+formed by the product the iteration takes (_k_rows), and above it
+Rayleigh quotient iteration in K's space, from the flux cos(m pi x / a)
+of the exact mode, each step one tridiagonal solve with the flux pencil
+T - s A1, T = G^T D^-1 G, each row stopped where |K y - theta y| falls
+to a roundoff bound that grows with n, and certified by Sturm counts of
+T - s A1, a lost mode bracketed by them and bisected until it converges
 (_inverse_modes).  Neither this nor the closed form calls BLAS: a mode's
 bits depend on neither k nor the threads.
 The finish (_modes_1d) signs each mode, solves its flux and takes the
@@ -134,50 +135,53 @@ def _k_rows(h, diag, off, xs):
     return -np.cumsum(_a1_times(diag, off, s.T)[:-1], axis=0).T * d_sqrt
 
 
+def _unit_rows(y):
+    """y with each row scaled to unit length, by a sum along the row."""
+    return y / np.sqrt(np.add.reduce(y * y, axis=1))[:, None]
+
+
 def _dense_top(h, k, diag, off):
-    """The k largest eigenpairs (theta, y) of K = D^1/2 S^-1 D^1/2, largest
-    first, from a dense symmetric eigendecomposition of K, formed by the
-    sums that _k_rows derives but in code of its own: the shift is a matrix
-    product, whose bits preset c's committed files pin."""
+    """The k largest eigenpairs (theta, y) of K, largest first, by a dense
+    symmetric eigh of K formed on the unit rows (_k_rows); a K that is not
+    finite (widths whose squares overflow) raises NotConverged."""
     n = len(h)
-    d_sqrt = np.sqrt(h)
-    s = np.zeros((n + 1, n))
-    s[1:] = np.tri(n) * d_sqrt  # running sums of the columns of D^1/2
-    s -= (1.5 * diag) @ s / h.sum()  # 1.5 diag: the row sums of A1
-    inv = -np.cumsum(_a1_times(diag, off, s)[:-1], axis=0) * d_sqrt[:, None]
+    inv = _k_rows(h, diag, off, np.eye(n))
+    if not np.isfinite(inv).all():
+        raise NotConverged(f"1-D dense solve on {n} cells: K is not finite")
     theta, vec = np.linalg.eigh((inv + inv.T) / 2.0)
     top = np.arange(n - 1, n - 1 - k, -1)  # largest theta = smallest mu
     return theta[top], vec[:, top]
 
 
-def _count_below(h, diag, off, s):
-    """1 + the number of 1-D eigenvalues mu below s on the widths h: the
-    negative eigenvalues of the tridiagonal C = T - s A1, T = G^T D^-1 G.
+def _shifted_bands(pencil, s):
+    """The diagonal and off-diagonal of T - s A1, pencil = (T's, A1's)."""
+    (t_diag, t_off), (diag, off) = pencil
+    return t_diag - s * diag, t_off - s * off
 
-    The flux pencil (T, A1) has the mu as its nonzero eigenvalues and the
-    constant flux as its null mode, and A1 is SPD, so by Sylvester's law
-    of inertia C has 1 + #{mu < s} negative eigenvalues.  LAPACK stebz
-    counts them on (-r, 0], r >= C's spectral radius, with a tolerance
-    of 2r, wider than that interval, so that it does no bisection beyond
-    the two Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9,
-    1967)."""
-    g = np.concatenate([[0.0], 1.0 / h, [0.0]])  # 1/h beside each edge
-    d = g[:-1] + g[1:] - s * diag
-    e = -g[1:-1] - s * off
+
+def _count_below(pencil, s):
+    """1 + the number of 1-D eigenvalues mu below s: the negative
+    eigenvalues of the tridiagonal C = T - s A1.  The flux pencil (T, A1)
+    has the mu as its nonzero eigenvalues and the constant flux as its
+    null mode, and A1 is SPD, so by Sylvester's law of inertia C has 1 +
+    #{mu < s} negative eigenvalues.  LAPACK stebz counts them on (-r, 0],
+    r >= C's spectral radius, with a tolerance of 2r, wider than that
+    interval, so that it does no bisection beyond the two Sturm counts
+    (Barth, Martin & Wilkinson, Numer. Math. 9, 1967)."""
+    d, e = _shifted_bands(pencil, s)
     r = np.abs(d).max() + 2.0 * np.abs(e).max()
     return dstebz(d, e, 1, -r, 0.0, 0, 0, 2.0 * r, b"B")[0]
 
 
 def _shifted_solve(pencil, s, b):
-    """(T - s A1)^-1 b by LAPACK gtsv on the pencil's bands (T's, then A1's);
+    """(T - s A1)^-1 b by LAPACK gtsv on the pencil's bands (_shifted_bands);
     an exactly singular pivot (info > 0) moves s by 2^-30 relative."""
-    (t_diag, t_off), (diag, off) = pencil
     for shift in (s, s * (1.0 + 2.0**-30)):
-        e = t_off - shift * off
-        x, info = dgtsv(e, t_diag - shift * diag, e, b)[3:]
+        d, e = _shifted_bands(pencil, shift)
+        x, info = dgtsv(e, d, e, b)[3:]
         if info == 0:
             return x
-    raise NotConverged(f"1-D inverse iteration on {len(diag) - 1} cells: "
+    raise NotConverged(f"1-D inverse iteration on {len(b) - 1} cells: "
                        f"T - s A1 is singular at s = {s:.17g}")
 
 
@@ -230,7 +234,7 @@ def _rqi(h, pencil, ms, y, lo, hi, tol):
             nu, rhs = nu[step], _gt_times((r[step] / d_sqrt).T).T
             x = np.array([_shifted_solve(pencil, *c) for c in zip(nu, rhs)])
             z = ya[step] + nu[:, None] * (x[:, 1:] - x[:, :-1]) / d_sqrt
-            y[act[step]] = z / np.sqrt(np.add.reduce(z * z, axis=1))[:, None]
+            y[act[step]] = _unit_rows(z)
         act = act[~fin]
         if not len(act) or solves == _MAX_SOLVES:
             return y, theta, done
@@ -256,20 +260,15 @@ def _inverse_modes(h, k, diag, off):
     n, a = len(h), h.sum()
     g = np.concatenate([[0.0], 1.0 / h, [0.0]])  # 1/h beside each edge
     pencil = (g[:-1] + g[1:], -g[1:-1]), (diag, off)  # T's bands, A1's
-    x = np.concatenate([[0.0], np.cumsum(h)]) * (np.pi / a)
-    d_sqrt = np.sqrt(h)
-
-    def start(ms):  # D^-1/2 G cos(m pi x / a), unit rows
-        c = np.cos(ms[:, None] * x)
-        y = (c[:, 1:] - c[:, :-1]) / d_sqrt
-        return y / np.sqrt(np.add.reduce(y * y, axis=1))[:, None]
-
+    x, d_sqrt = np.concatenate([[0.0], np.cumsum(h)]) * (np.pi / a), np.sqrt(h)
+    # D^-1/2 G cos(m pi x / a), unit rows
+    start = lambda ms: _unit_rows(np.diff(np.cos(ms[:, None] * x)) / d_sqrt)
     tol = _STOP_C * np.finfo(float).eps * n * (a / np.pi) ** 2
     ms = np.arange(1, k + 1)
     y, theta, done = _rqi(h, pencil, ms, start(ms), np.zeros(k),
                           np.full(k, np.inf), tol)
     s = 1.0 / theta
-    count = lambda t: _count_below(h, diag, off, t) - 1  # mu below t
+    count = lambda t: _count_below(pencil, t) - 1  # mu below t
     lost = lambda m, lo, hi: NotConverged(
         f"1-D inverse iteration on {n} cells: mode {m} lost in [{lo:.6g}, "
         f"{hi:.6g})")

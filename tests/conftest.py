@@ -7,7 +7,7 @@ import pytest
 
 from rrteig.assembly import assemble_mixed
 from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
-from rrteig.mesh import build_mesh, uniform_mesh, uniform_refine
+from rrteig.mesh import build_mesh, uniform_mesh
 
 from oracles import assembled
 
@@ -46,12 +46,3 @@ def system_a0(mesh_a0):
 @pytest.fixture(scope="session")
 def pairs_a0(mesh_a0):
     return solve_mixed_eigs(assemble_mixed(mesh_a0), SolveOptions(k=6))
-
-
-@pytest.fixture(scope="session")
-def mesh_a_levels(mesh_a0):
-    """Case a meshes, levels 0..4."""
-    out = [mesh_a0]
-    for _ in range(4):
-        out.append(uniform_refine(out[-1]))
-    return out

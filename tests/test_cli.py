@@ -885,6 +885,60 @@ def test_size_limit_refused_before_solving(monkeypatch, capsys):
     assert solved == []
 
 
+def _scaled_c(side, tmp_path):
+    """A config file of preset c's nodes scaled to the side length."""
+    c = case_preset("c")
+    doc = {"name": "scaled", "node_x": [x / PI * side for x in c.node_x],
+           "node_y": [y / PI * side for y in c.node_y], "levels": 2,
+           "k": 12, "analyses": list(cli.ALL_ANALYSES)}
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("side", [1e-70, 1e70])
+def test_side_outside_the_range_refused_before_solving(side, tmp_path,
+                                                       monkeypatch, capsys):
+    """Preset c scaled to a side outside [1e-50, 1e50] (_SIDE_RANGE) ends
+    `run` with one JSON InvalidConfig line, exit code 1, no traceback, no
+    solve and no file.  Unguarded, at side 1e-70 the expansion term
+    overflowed and the write failed on the infinite report with a bare
+    ValueError; at 1e70 it underflowed to 0, and a report was written
+    whose residual rates read 2.0 in place of 4 and whose divergence norm
+    was NaN."""
+    config = _scaled_c(side, tmp_path)
+    out = tmp_path / "out"
+    solved = _count_calls(monkeypatch, solve_mixed_eigs)
+    assert main(["run", "--config", config, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    err = json.loads(captured.err)
+    assert err["error"] == "InvalidConfig" and "side" in err["message"]
+    assert solved == [] and not out.exists()
+
+
+def test_sides_at_the_range_ends_keep_the_scaling(tmp_path, capsys):
+    """Preset c scaled to the sides 1e-50 and 1e50, the ends of
+    _SIDE_RANGE, runs with every analysis and no failure, and its rates
+    and lambda_h s^2 match the sweep at side 1 to 1e-9 relative."""
+    reports = []
+    for side in (1.0, 1e-50, 1e50):
+        out = tmp_path / str(side)
+        assert main(["run", "--config", _scaled_c(side, tmp_path),
+                     "--out", str(out)]) == 0
+        reports.append(json.loads((out / "scaled_report.json").read_text()))
+    capsys.readouterr()
+    for side, rep in zip((1e-50, 1e50), reports[1:]):
+        for got, want in zip(rep["levels"], reports[0]["levels"]):
+            np.testing.assert_allclose(np.array(got["lambdas"]) * side**2,
+                                       want["lambdas"], rtol=1e-9)
+        for key in ("eigen_rates", "residual_rates"):
+            got, want = rep[key], reports[0][key]
+            if isinstance(want, dict):
+                got, want = list(got.values()), list(want.values())
+            np.testing.assert_allclose(got, want, rtol=1e-9)
+
+
 def test_one_expansion_call_per_analysis_per_level(monkeypatch):
     """On preset a the residuals and the frequency matches each make one
     expansion_term call per level, and a label's residual e2 and its

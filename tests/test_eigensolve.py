@@ -539,10 +539,12 @@ def test_k_product_against_the_allocating_oracle():
     """The product with K = D^1/2 S^-1 D^1/2 that the inverse iteration
     takes each pass, applied to the rows x1, x2, x1 at once, gives each row
     the bits of the allocating oracle on random and graded meshes of 129
-    to 600 cells, so a row's bits do not depend on the rows beside it; and it
-    matches the dense K of _dense_top, rebuilt from its full
-    eigendecomposition, to 1e-12 of K's largest entry (3.4e-14 at most,
-    measured)."""
+    to 600 cells, so a row's bits do not depend on the rows beside it.  On
+    the unit rows it forms the K whose eigendecomposition _dense_top
+    takes, which rebuilds it to 1e-12 of K's largest entry (3.4e-14 at
+    most, measured), and it matches D^1/2 S^-1 D^1/2 from dense inverses
+    of A1 and S to 1e-10 of it (2.1e-11 at most, measured: the inverse of
+    S loses digits on the graded widths)."""
     rng = np.random.default_rng(12)
     for h in _product_meshes():
         n = len(h)
@@ -555,10 +557,16 @@ def test_k_product_against_the_allocating_oracle():
         dense = (vec * theta) @ vec.T
         cols = eigensolve._k_rows(h, diag, off, np.eye(n)).T
         assert np.abs(cols - dense).max() <= 1e-12 * np.abs(dense).max()
+        g = np.diff(np.eye(n + 1), axis=0)  # G f = diff(f)
+        a1 = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        d_sqrt = np.sqrt(h)
+        oracle = (d_sqrt[:, None] * np.linalg.inv(g @ np.linalg.solve(a1, g.T))
+                  * d_sqrt)
+        assert np.abs(cols - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
 
 @pytest.mark.parametrize("n", [256, 2048])
-def test_lanczos_top_bits_of_the_allocating_product(n):
+def test_inverse_top_bits_of_the_allocating_product(n):
     """The block product with K (_k_rows) on the k modes that the inverse
     iteration returns gives the bits of the allocating oracle k_product,
     mode by mode, at k = 1, 6 and 16."""
@@ -708,8 +716,9 @@ def test_count_below_against_the_dense_spectrum():
         for h in (_widths("random", n, rng), graded * (PI / graded.sum())):
             mu = _dense(h, n)[0]
             shifts = np.r_[mu[0] / 2.0, (mu[:-1] + mu[1:]) / 2.0, 2.0 * mu[-1]]
-            bands = eigensolve._a1_bands(h)
-            got = [eigensolve._count_below(h, *bands, s) for s in shifts]
+            g = np.r_[0.0, 1.0 / h, 0.0]  # T = G^T D^-1 G, then A1
+            pencil = (g[:-1] + g[1:], -g[1:-1]), eigensolve._a1_bands(h)
+            got = [eigensolve._count_below(pencil, s) for s in shifts]
             assert got == list(range(1, n + 2))
 
 
@@ -852,6 +861,20 @@ def test_inverse_iteration_failure_is_not_converged(monkeypatch, failure):
                                        _nodes(rng.uniform(1.0, 4.0, 200))))
     with pytest.raises(NotConverged, match=want) as info:
         solve_mixed_eigs(system, SolveOptions(k=6))
+    assert info.value.__cause__ is None and info.value.__context__ is None
+
+
+def test_dense_path_on_a_nonfinite_k_is_not_converged():
+    """On preset c's widths scaled to side 1e160, K's entries (about the
+    side squared) overflow: the dense path raises NotConverged naming the
+    stage and the cell count, not numpy's LinAlgError from eigh.  (A
+    sweep refuses such a side before solving; see test_cli.)"""
+    nodes = np.array([0.0, 1 / 4, 1 / 2, 2 / 3, 5 / 6, 1.0]) * 1e160
+    system = assemble_mixed(build_mesh(nodes, nodes))
+    with pytest.raises(NotConverged, match="1-D dense solve on 5 cells: K "
+                       "is not finite") as info:
+        with np.errstate(over="ignore"):  # numpy's own overflow warning
+            solve_mixed_eigs(system, SolveOptions(k=6))
     assert info.value.__cause__ is None and info.value.__context__ is None
 
 
