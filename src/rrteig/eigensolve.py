@@ -9,12 +9,17 @@ where S and D are the reduced operator and the cell-width diagonal of the
 1-D RT0 pencil in each direction (fast diagonalisation; Lynch, Rice &
 Thomas, Numer. Math. 6, 1964).  solve_mixed_eigs solves the two 1-D
 pencils, or reuses an offered 1-D mode table of bitwise equal widths and
-column count (_table; no other state is kept), and combines their modes,
-lambda = mu_i + nu_j and u = w_j (x) v_i.  The k smallest sums use only
-the modes that can reach them, about sqrt(2k) per direction on a square,
-so each direction's column count p grows from the data until no further
-mode can enter: a mode beyond the table is bounded below by mu_m >=
-(m pi / s)^2 on a side of length s, since the 1-D pencil is P1
+column count (_tables; no other state is kept), and combines their modes,
+lambda = mu_i + nu_j and u = w_j (x) v_i.  Two fresh tables of one cell
+count and one column count are solved as one stack (_modes_1d): the
+kernels that work row by row run once over the modes of both directions,
+each row on its own direction's widths, the LAPACK calls per direction;
+every sum runs along one row, so a table's bits do not depend on the
+stack, and one direction alone is a stack of one.  The k smallest sums
+use only the modes that can reach them, about sqrt(2k) per direction on
+a square, so each direction's column count p grows from the data until
+no further mode can enter: a mode beyond the table is bounded below by
+mu_m >= (m pi / s)^2 on a side of length s, since the 1-D pencil is P1
 Galerkin's and converges from above (Babuska & Osborn, Handbook of
 Numerical Analysis II, 1991).
 Each 1-D pencil's modes come from one of three sources, chosen by its
@@ -28,7 +33,7 @@ T - s A1, T = G^T D^-1 G, each row stopped where |K y - theta y| falls
 to a roundoff bound that grows with n, and certified by Sturm counts of
 T - s A1, a lost mode bracketed by them and bisected until it converges
 (_inverse_modes).  Neither this nor the closed form calls BLAS: a mode's
-bits depend on neither k nor the threads.
+bits depend on neither k, nor the threads, nor the stack.
 The finish (_modes_1d) signs each mode, solves its flux and takes the
 five 1-D sums of its residual, on the widths themselves.  Each 1-D
 spectrum is simple and its i-th mode (from 0) approximates the i-th
@@ -49,8 +54,10 @@ The 2-D residuals must lie below a roundoff bound that the mesh fixes
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv, dptsv, dstebz
@@ -65,6 +72,9 @@ _VECTOR_TOL = 1e-13  # error along other modes kept by a row without last step
 _STOP_C = 0.125  # c of the stop test |K y - theta y| <= c eps n theta_1 (_rqi)
 # c of the bound c eps N^2 on every pair's residual (solve_mixed_eigs)
 _RESIDUAL_C = 64.0
+# the sides s on which (pi / s)^2 and its inverse are normal floats
+_SIDES = (math.pi * math.sqrt(sys.float_info.min),
+          math.pi / math.sqrt(sys.float_info.min))
 
 
 @dataclass(frozen=True)
@@ -100,57 +110,70 @@ class MixedEigenpair:
 
 
 def _a1_bands(h):
-    """Diagonal and off-diagonal of the 1-D flux mass A1 on the widths h."""
-    h_pad = np.concatenate([[0.0], h, [0.0]])  # cell widths beside each edge
-    return h_pad[:-1] / 3.0 + h_pad[1:] / 3.0, h / 6.0
+    """Diagonal and off-diagonal of the 1-D flux mass A1 on the widths h,
+    along the last axis: one pair of bands per row of a stack."""
+    h_pad = np.zeros((*h.shape[:-1], h.shape[-1] + 2))
+    h_pad[..., 1:-1] = h  # cell widths beside each edge
+    return h_pad[..., :-1] / 3.0 + h_pad[..., 1:] / 3.0, h / 6.0
 
 
 def _a1_times(diag, off, s):
-    """A1 s, column by column, for the tridiagonal A1 = (off, diag, off)."""
-    out = diag[:, None] * s
-    out[:-1] += off[:, None] * s[1:]
-    out[1:] += off[:, None] * s[:-1]
+    """A1 s along the last axis, row by row, for the tridiagonal A1 =
+    (off, diag, off); the bands broadcast against the rows of s."""
+    out = diag * s
+    out[..., :-1] += off * s[..., 1:]
+    out[..., 1:] += off * s[..., :-1]
     return out
 
 
 def _gt_times(v):
-    """G^T v, column by column: row i is v[i - 1] - v[i], v 0-padded."""
-    gtv = np.zeros((len(v) + 1, *v.shape[1:]))
-    gtv[:-1] -= v
-    gtv[1:] += v
+    """G^T v along the last axis: entry i is v[i - 1] - v[i], v 0-padded."""
+    gtv = np.zeros((*v.shape[:-1], v.shape[-1] + 1))
+    gtv[..., :-1] -= v
+    gtv[..., 1:] += v
     return gtv
 
 
-def _k_rows(h, diag, off, xs):
-    """K x, K = D^1/2 S^-1 D^1/2 on the widths h, for each row x of xs.  S^-1
-    f = x solves the saddle system A1 s = G^T x, G s = f, whose bidiagonal
-    blocks invert by cumulative sums: s is the running sum of f, less the
-    constant flux that makes 1^T A1 s = 0 (1.5 diag: A1's row sums), so that
-    A1 s is in the range of G^T, and x is minus the running sum of A1 s.
-    Each sum runs along a row, so a row's bits are its own; no BLAS call."""
-    d_sqrt = np.sqrt(h)
-    s = np.zeros((len(xs), len(h) + 1))
-    np.cumsum(d_sqrt * xs, axis=1, out=s[:, 1:])
-    s -= np.add.reduce(1.5 * diag / h.sum() * s, axis=1)[:, None]
-    return -np.cumsum(_a1_times(diag, off, s.T)[:-1], axis=0).T * d_sqrt
+def _k_ops(hs, diag, off):
+    """Per row of the stack of widths hs, what _k_rows reads: sqrt(h), A1's
+    bands (diag, off; _a1_bands) and 1.5 diag / a, a = h.sum() (1.5 diag:
+    A1's row sums)."""
+    return np.sqrt(hs), diag, off, 1.5 * diag / hs.sum(axis=1)[:, None]
+
+
+def _k_rows(ops, xs):
+    """K x, K = D^1/2 S^-1 D^1/2, for each row x of xs on the widths of its
+    row of ops (_k_ops; rows that broadcast against xs).  S^-1 f = x solves
+    the saddle system A1 s = G^T x, G s = f, whose bidiagonal blocks invert
+    by cumulative sums: s is the running sum of f, less the constant flux
+    that makes 1^T A1 s = 0, so that A1 s is in the range of G^T, and x is
+    minus the running sum of A1 s.  Each sum runs along a row, so a row's
+    bits are its own, whatever rows stand beside it; no BLAS call."""
+    d_sqrt, diag, off, c = ops
+    dx = d_sqrt * xs
+    s = np.zeros((*dx.shape[:-1], dx.shape[-1] + 1))
+    np.cumsum(dx, axis=-1, out=s[..., 1:])
+    s -= np.add.reduce(c * s, axis=-1)[..., None]
+    return -np.cumsum(_a1_times(diag, off, s)[..., :-1], axis=-1) * d_sqrt
 
 
 def _unit_rows(y):
     """y with each row scaled to unit length, by a sum along the row."""
-    return y / np.sqrt(np.add.reduce(y * y, axis=1))[:, None]
+    return y / np.sqrt(np.add.reduce(y * y, axis=-1))[..., None]
 
 
-def _dense_top(h, k, diag, off):
-    """The k largest eigenpairs (theta, y) of K, largest first, by a dense
-    symmetric eigh of K formed on the unit rows (_k_rows); a K that is not
-    finite (widths whose squares overflow) raises NotConverged."""
-    n = len(h)
-    inv = _k_rows(h, diag, off, np.eye(n))
+def _dense_top(ops, k):
+    """The k largest eigenpairs (theta, y) of each direction's K, largest
+    first, y as rows, by a dense symmetric eigh of K formed on the unit rows
+    (_k_rows), one LAPACK call per direction; a K that is not finite
+    (widths whose squares overflow) raises NotConverged."""
+    n = ops[0].shape[1]
+    inv = _k_rows(tuple(o[:, None] for o in ops), np.eye(n))  # (d, n, n)
     if not np.isfinite(inv).all():
         raise NotConverged(f"1-D dense solve on {n} cells: K is not finite")
-    theta, vec = np.linalg.eigh((inv + inv.T) / 2.0)
+    theta, vec = np.linalg.eigh((inv + inv.transpose(0, 2, 1)) / 2.0)
     top = np.arange(n - 1, n - 1 - k, -1)  # largest theta = smallest mu
-    return theta[top], vec[:, top]
+    return theta[:, top], vec[:, :, top].transpose(0, 2, 1)
 
 
 def _shifted_bands(pencil, s):
@@ -200,23 +223,37 @@ def _gap(a, q, m, theta):
     return min(above - theta, theta - below)
 
 
-def _rqi(h, pencil, ms, y, lo, hi, tol):
+class _Pencils(NamedTuple):
+    """Per direction of a stack of n-cell widths: the rows of _k_ops, the
+    flux pencil (T's bands, A1's), T = G^T D^-1 G, the side a and q = h_max
+    / a as floats (_gap) and the stop bound tol of _inverse_modes."""
+
+    ops: tuple
+    pencils: list
+    sides: list
+    qs: list
+    tol: np.ndarray
+
+
+def _rqi(st, di, ms, y, lo, hi):
     """Rayleigh quotient iteration on K from each unit row of y, row i on
-    mode ms[i].  A pass takes K y (_k_rows), theta = y^T K y and r = K y -
-    theta y; a row stops once |r| <= tol with 1/theta in (lo, hi).  A step
-    is y - (K - theta')^-1 r = y + nu D^-1/2 G (T - nu A1)^-1 G^T D^-1/2 r,
-    nu = 1/theta' = 1/(theta (1 + 2^-30)), or the midpoint of (lo, hi) if
-    1/theta lies outside: one flux solve (_shifted_solve).  A row that
-    stops takes a last step, keeping its theta, unless it has stepped and
-    its error along the other modes, at most |r| / _gap, is below
-    _VECTOR_TOL.  Returns the rows, their theta and whether each stopped
-    within _MAX_SOLVES solves; a row's bits are its own."""
-    d_sqrt, a = np.sqrt(h), float(h.sum())
-    q, act = float(h.max()) / a, np.arange(len(y))
+    mode ms[i] of direction di[i] of the stack st (_Pencils).  A pass takes
+    K y (_k_rows), theta = y^T K y and r = K y - theta y; a row stops once
+    |r| <= tol with 1/theta in (lo, hi).  A step is y - (K - theta')^-1 r =
+    y + nu D^-1/2 G (T - nu A1)^-1 G^T D^-1/2 r, nu = 1/theta' = 1/(theta
+    (1 + 2^-30)), or the midpoint of (lo, hi) if 1/theta lies outside: one
+    flux solve on the row's own pencil (_shifted_solve).  A row that stops
+    takes a last step, keeping its theta, unless it has stepped and its
+    error along the other modes, at most |r| / _gap, is below _VECTOR_TOL.
+    Returns the rows, their theta and whether each stopped within
+    _MAX_SOLVES solves; a row's bits are its own, whatever rows, of
+    whichever direction, iterate beside it."""
+    ops, tol = tuple(o[di] for o in st.ops), st.tol[di]  # of rows act
+    act = np.arange(len(y))
     theta, done = np.empty(len(y)), np.zeros(len(y), bool)
     for solves in range(_MAX_SOLVES + 1):
         ya = y[act]
-        ky = _k_rows(h, *pencil[1], ya)
+        ky = _k_rows(ops, ya)
         theta[act] = ta = np.add.reduce(ya * ky, axis=1)
         r = ky - ta[:, None] * ya
         res = np.sqrt(np.add.reduce(r * r, axis=1))
@@ -225,53 +262,32 @@ def _rqi(h, pencil, ms, y, lo, hi, tol):
         done[act] = fin = inside & (res <= tol)
         step = ~fin & (solves < _MAX_SOLVES)
         for i in np.flatnonzero(fin):  # the last step, unless sure
+            j = di[act[i]]
             step[i] = not solves or res[i] > _VECTOR_TOL * _gap(
-                a, q, int(ms[act[i]]), float(ta[i]))
+                st.sides[j], st.qs[j], int(ms[act[i]]), float(ta[i]))
         if step.any():
             nu = 1.0 / (ta * (1.0 + 2.0**-30))
             if not inside.all():
                 nu = np.where(inside, nu, (lo[act] + hi[act]) / 2.0)
-            nu, rhs = nu[step], _gt_times((r[step] / d_sqrt).T).T
-            x = np.array([_shifted_solve(pencil, *c) for c in zip(nu, rhs)])
+            d_sqrt = ops[0][step]
+            nu, rhs = nu[step], _gt_times(r[step] / d_sqrt)
+            x = np.array([_shifted_solve(st.pencils[j], *c)
+                          for j, c in zip(di[act[step]], zip(nu, rhs))])
             z = ya[step] + nu[:, None] * (x[:, 1:] - x[:, :-1]) / d_sqrt
             y[act[step]] = _unit_rows(z)
         act = act[~fin]
         if not len(act) or solves == _MAX_SOLVES:
             return y, theta, done
+        if fin.any():
+            ops, tol = tuple(o[~fin] for o in ops), tol[~fin]
 
 
-def _inverse_modes(h, k, diag, off):
-    """The k largest eigenpairs (theta, y) of K, largest first, by Rayleigh
-    quotient iteration in K's space, where roundoff is relative to the
-    mode, not to |T| (_rqi; Parlett, The Symmetric Eigenvalue Problem,
-    1980, ch. 4): row m from y = D^-1/2 G cos(m pi x / a), the flux of the
-    exact mode, stopped at |K y - theta y| <= tau theta_1, tau = _STOP_C eps
-    n, theta_1 <= (a / pi)^2 standing in for K's largest eigenvalue.
-    Measured, a converged row's |K y - theta y| stays below 0.019 eps n
-    theta_1 (8.3 eps theta_1 at most) on random, mirror-symmetric,
-    geometric and graded widths of 129 to 8192 cells at k = 3, 16 and 48,
-    so _STOP_C = 1/8 leaves a margin of 6.7 or more.  With s = 1/theta, the
-    longest prefix of p quotients that rise by the lift 1e-6 holds
-    mu_1..mu_p if a Sturm count just above its top reads p + 1.  A later
-    mode keeps its quotient if it lies above mode m - 1's and a count just
-    above reads m + 1; else it is bracketed by counts until mu_m is alone,
-    and the lost modes iterate there as one block, each bisected until it
-    converges, or raise NotConverged."""
-    n, a = len(h), h.sum()
-    g = np.concatenate([[0.0], 1.0 / h, [0.0]])  # 1/h beside each edge
-    pencil = (g[:-1] + g[1:], -g[1:-1]), (diag, off)  # T's bands, A1's
-    x, d_sqrt = np.concatenate([[0.0], np.cumsum(h)]) * (np.pi / a), np.sqrt(h)
-    # D^-1/2 G cos(m pi x / a), unit rows
-    start = lambda ms: _unit_rows(np.diff(np.cos(ms[:, None] * x)) / d_sqrt)
-    tol = _STOP_C * np.finfo(float).eps * n * (a / np.pi) ** 2
-    ms = np.arange(1, k + 1)
-    y, theta, done = _rqi(h, pencil, ms, start(ms), np.zeros(k),
-                          np.full(k, np.inf), tol)
-    s = 1.0 / theta
+def _brackets(pencil, a, theta, done):
+    """The lost modes of one direction of _inverse_modes, as (m, lo, hi):
+    mu_m alone in [lo, hi), by Sturm counts; raises NotConverged where
+    none is found."""
+    n, k, s = len(pencil[1][1]), len(theta), 1.0 / theta  # A1's off: n
     count = lambda t: _count_below(pencil, t) - 1  # mu below t
-    lost = lambda m, lo, hi: NotConverged(
-        f"1-D inverse iteration on {n} cells: mode {m} lost in [{lo:.6g}, "
-        f"{hi:.6g})")
     # mu_m >= (m pi / a)^2 (T, A1 are P1 Galerkin's): lo lies above the
     # null mode and mu_1 alone, then above mode m - 1 alone, below mode m;
     # two rows on one mode differ by roundoff, so a rise by the lift
@@ -279,7 +295,7 @@ def _inverse_modes(h, k, diag, off):
     ok = done & (s > np.concatenate([[lo], s[:-1] * lift]))
     p = k if ok.all() else int(np.argmin(ok))  # the longest rising prefix
     p = p if p and count(s[p - 1] * lift) == p else 0
-    lo, brackets = s[p - 1] * lift if p else lo, []  # of the lost modes
+    lo, brackets = s[p - 1] * lift if p else lo, []
     for m in range(p + 1, k + 1):
         if done[m - 1] and s[m - 1] > lo and count(s[m - 1] * lift) == m:
             lo = s[m - 1] * lift
@@ -292,32 +308,83 @@ def _inverse_modes(h, k, diag, off):
                 break
             lo, hi, step = (lo, t, step) if c > m else (t, hi, 2.0 * step)
         else:
-            raise lost(m, lo, hi)
+            raise _lost(n, m, lo, hi)
         brackets.append((m, lo, hi))
         lo = hi
+    return brackets
+
+
+def _lost(n, m, lo, hi):
+    """The error of a mode m that no bracket [lo, hi) on n cells holds."""
+    return NotConverged(f"1-D inverse iteration on {n} cells: mode {m} lost "
+                        f"in [{lo:.6g}, {hi:.6g})")
+
+
+def _inverse_modes(hs, k, ops):
+    """The k largest eigenpairs (theta, y) of each direction's K, largest
+    first, y as rows, by Rayleigh quotient iteration in K's space, where
+    roundoff is relative to the mode, not to |T| (_rqi; Parlett, The
+    Symmetric Eigenvalue Problem, 1980, ch. 4), the rows of every
+    direction in one block: row m from y = D^-1/2 G cos(m pi x / a), the
+    flux of the exact mode, stopped at |K y - theta y| <= tau theta_1, tau
+    = _STOP_C eps n, theta_1 <= (a / pi)^2 standing in for K's largest
+    eigenvalue.  Measured, a converged row's |K y - theta y| stays below
+    0.019 eps n theta_1 (8.3 eps theta_1 at most) on random,
+    mirror-symmetric, geometric and graded widths of 129 to 8192 cells at
+    k = 3, 16 and 48, so _STOP_C = 1/8 leaves a margin of 6.7 or more.
+    With s = 1/theta, the longest prefix of p quotients that rise by the
+    lift 1e-6 holds mu_1..mu_p if a Sturm count just above its top reads p
+    + 1.  A later mode keeps its quotient if it lies above mode m - 1's and
+    a count just above reads m + 1; else it is bracketed by counts until
+    mu_m is alone (_brackets), and the lost modes of every direction
+    iterate there as one block, each bisected until it converges, or raise
+    NotConverged."""
+    d, n = hs.shape
+    sides = hs.sum(axis=1)
+    g = np.zeros((d, n + 2))
+    g[:, 1:-1] = 1.0 / hs  # 1/h beside each edge
+    t_bands = zip(g[:, :-1] + g[:, 1:], -g[:, 1:-1])  # T's, per direction
+    st = _Pencils(ops, list(zip(t_bands, zip(*ops[1:3]))), sides.tolist(),
+                  (hs.max(axis=1) / sides).tolist(),
+                  _STOP_C * np.finfo(float).eps * n * (sides / np.pi) ** 2)
+    x = np.zeros((d, n + 1))
+    np.cumsum(hs, axis=1, out=x[:, 1:])
+    x *= (np.pi / sides)[:, None]
+    # D^-1/2 G cos(m pi x / a), unit rows
+    start = lambda di, ms: _unit_rows(
+        np.diff(np.cos(ms[:, None] * x[di])) / ops[0][di])
+    di, ms = np.divmod(np.arange(d * k), k)
+    ms += 1
+    y, theta, done = _rqi(st, di, ms, start(di, ms), np.zeros(d * k),
+                          np.full(d * k, np.inf))
+    y = y.reshape(d, k, n)
+    theta, done = theta.reshape(d, k), done.reshape(d, k)
+    brackets = [(j, *b) for j in range(d) for b in _brackets(
+        st.pencils[j], sides[j], theta[j], done[j])]
     if brackets:  # the lost modes iterate as one block, bisected until done
-        ms, los, his = (np.array(v) for v in zip(*brackets))
-        rows, ok = start(ms), np.zeros(len(ms), bool)
+        dj, ms, los, his = (np.array(v) for v in zip(*brackets))
+        rows, ok = start(dj, ms), np.zeros(len(ms), bool)
         for _ in range(64):
             i = np.flatnonzero(~ok)  # the rows not yet done
-            rows[i], theta[ms[i] - 1], ok[i] = _rqi(
-                h, pencil, ms[i], rows[i], los[i], his[i], tol)
+            rows[i], theta[dj[i], ms[i] - 1], ok[i] = _rqi(
+                st, dj[i], ms[i], rows[i], los[i], his[i])
             if ok.all():
                 break
             for i in np.flatnonzero(~ok):
                 t = (los[i] + his[i]) / 2.0
-                (his if count(t) >= ms[i] else los)[i] = t
+                below = _count_below(st.pencils[dj[i]], t) - 1
+                (his if below >= ms[i] else los)[i] = t
         else:
-            raise lost(*(v[np.argmin(ok)] for v in (ms, los, his)))
-        y[ms - 1] = rows
-    return theta, y.T
+            raise _lost(n, *(v[np.argmin(ok)] for v in (ms, los, his)))
+        y[dj, ms - 1] = rows
+    return theta, y
 
 
 def _uniform_modes(h, k):
     """The k smallest eigenpairs (mu, v) of the 1-D pencil on n equal
-    widths, in closed form (the uniform-grid spectrum; Strang & Fix, An
-    Analysis of the Finite Element Method, 1973): with hbar = h.sum() / n
-    and t = m pi / n, m = 1..k,
+    widths, v as rows, in closed form (the uniform-grid spectrum; Strang &
+    Fix, An Analysis of the Finite Element Method, 1973): with hbar =
+    h.sum() / n and t = m pi / n, m = 1..k,
 
         mu_m = 12 sin^2(t/2) / (hbar^2 (2 + cos t)),
 
@@ -337,13 +404,14 @@ def _uniform_modes(h, k):
     rows /= np.sqrt(np.add.reduce(h * rows * rows, axis=1))[:, None]
     hbar = h.sum() / n
     mu = 12.0 * wave[m] ** 2 / (hbar**2 * (2.0 + wave[n + 2 * m]))
-    return mu, np.ascontiguousarray(rows.T)
+    return mu, rows
 
 
-def _modes_1d(h, k):
-    """k smallest eigenpairs (mu, v) of the 1-D RT0 pencil (S, D) on the
-    cell widths h, S = G A1^-1 G^T and D = diag(h), their fluxes
-    A1^-1 G^T v and the five 1-D sums per mode that _residuals reads.
+def _modes_1d(hs, k):
+    """For each of the equal-length cell widths hs, the k smallest
+    eigenpairs (mu, v) of the 1-D RT0 pencil (S, D), S = G A1^-1 G^T and D
+    = diag(h), their fluxes A1^-1 G^T v and the five 1-D sums per mode that
+    _residuals reads: one table (mu, v, flux, sums) per direction.
 
     Widths equal by mesh.uniform_widths take the closed form
     (_uniform_modes).  Others take the top of the inverse K = D^1/2 S^-1
@@ -356,31 +424,55 @@ def _modes_1d(h, k):
     ptsv, as solveh_banded calls it) and the five sums, on the widths h
     themselves, so that the residual check also covers the closed form on
     widths that are equal only to roundoff.
+
+    The directions are one stack: each kernel that works row by row
+    (_k_rows, the passes of _rqi, the sign step and the five sums) runs
+    once over the modes of all of them, each row on its own direction's
+    widths; the LAPACK solves, the Sturm counts and the dense eigh run per
+    direction.  Every sum and cumulative sum runs along one row, so a
+    table's bits do not depend on the directions stacked beside it: a
+    direction solved alone is a stack of one, of the same bits.
     """
-    n = len(h)
-    diag, off = _a1_bands(h)
-    if uniform_widths(h, h.sum()):
-        mu, v = _uniform_modes(h, k)
-    else:
+    hs = np.array(hs, dtype=float)
+    d, n = hs.shape
+    diag, off = _a1_bands(hs)
+    mu, v = np.empty((d, k)), np.empty((d, k, n))  # v as rows, one per mode
+    rest = []  # the directions that are not equal widths
+    for i, h in enumerate(hs):
+        if uniform_widths(h, h.sum()):
+            mu[i], v[i] = _uniform_modes(h, k)
+        else:
+            rest.append(i)
+    if rest:
+        rest = slice(None) if len(rest) == d else rest  # a view if all
         inverse = n > _DENSE_MAX_CELLS and 64 * max(1, -(-k // 16)) <= n
-        theta, vec = (_inverse_modes if inverse else _dense_top)(
-            h, k, diag, off)
-        mu = 1.0 / theta
-        v = vec / np.sqrt(h)[:, None]
-    v *= np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(k)])
+        ops = _k_ops(hs[rest], diag[rest], off[rest])
+        theta, y = (_inverse_modes(hs[rest], k, ops) if inverse else
+                    _dense_top(ops, k))
+        mu[rest] = 1.0 / theta
+        v[rest] = y / ops[0][:, None]
+    rows = v.reshape(d * k, n)
+    rows *= np.sign(rows[np.arange(d * k), np.argmax(np.abs(rows), axis=1)]
+                    )[:, None]
     gtv = _gt_times(v)
     # solveh_banded's LAPACK call without its checks: A1 is SPD on
     # positive widths, and a failed solve fails the residual bound
-    flux = dptsv(diag, off, gtv)[2]
-    a1f, dv = _a1_times(diag, off, flux), h[:, None] * v
-    rho1, rho2 = a1f - gtv, np.diff(flux, axis=0) - mu * dv  # G f = diff(f)
+    flux = np.empty_like(gtv)
+    for i in range(d):
+        flux[i] = dptsv(diag[i], off[i], gtv[i].T)[2].T
+    a1f = _a1_times(diag[:, None], off[:, None], flux)
+    dv = hs[:, None] * v
+    rho1, rho2 = a1f - gtv, flux[..., 1:] - flux[..., :-1] - mu[..., None] * dv
     terms = ((dv, dv), (rho1, rho1), (a1f, a1f), (rho2, rho2), (dv, rho2))
-    # each product as contiguous (k, n) rows, reduced along the rows as in
-    # _uniform_modes: a sum's bits do not depend on k; C-contiguous tables,
-    # as stacked columns are, so verify_equivalence sums both in one order
-    return mu, np.ascontiguousarray(v), np.ascontiguousarray(flux), np.array([
-        np.add.reduce(np.multiply(a.T, b.T, out=np.empty((k, len(a)))),
-                      axis=1) for a, b in terms])
+    # each product as contiguous rows, one per mode, reduced along the rows
+    # as in _uniform_modes: a sum's bits depend neither on k nor on the
+    # stack; C-contiguous tables, as stacked columns are, so
+    # verify_equivalence sums both in one order
+    sums = np.empty((d, 5, k))
+    for j, (a, b) in enumerate(terms):
+        np.add.reduce(a * b, axis=2, out=sums[:, j])
+    v, flux = (np.ascontiguousarray(a.transpose(0, 2, 1)) for a in (v, flux))
+    return list(zip(mu, v, flux, sums))
 
 
 class _Table(tuple):
@@ -390,17 +482,34 @@ class _Table(tuple):
     h = lift = None
 
 
-def _table(h, k, offered):
-    """The first offered _Table of the bitwise widths h and k columns, else
-    a fresh one, of the same bits: _modes_1d is deterministic in (h, k)."""
-    for t in offered:
-        if np.array_equal(getattr(t, "h", None), h) and t[1].shape[1] == k:
-            return t
-    table = _Table(_modes_1d(h, k))
-    for a in table:
-        a.flags.writeable = False
-    table.h = h
-    return table
+def _tables(wanted, offered):
+    """A _Table for each (h, p) of wanted: that of an equal (h, p) before
+    it, else the first offered one of the bitwise widths h and p columns,
+    else a fresh one.  The fresh tables of one cell count and one column
+    count come from one _modes_1d call, of the same bits as apart: a
+    table's bits depend on (h, p) alone."""
+    picks, stacks = [], {}  # stacks: the wanted solved here, by (n, p)
+    for i, (h, p) in enumerate(wanted):
+        for j in range(i):
+            if wanted[j][1] == p and np.array_equal(wanted[j][0], h):
+                pick = picks[j]
+                break
+        else:
+            for pick in offered:  # v of n cells and p columns first
+                if pick[1].shape == (len(h), p) and np.array_equal(
+                        getattr(pick, "h", None), h):
+                    break
+            else:  # solved here; its index until then
+                pick = i
+                stacks.setdefault((len(h), p), []).append(i)
+        picks.append(pick)
+    for (_, p), idx in stacks.items():
+        for i, arrays in zip(idx, _modes_1d([wanted[i][0] for i in idx], p)):
+            picks[i] = table = _Table(arrays)
+            for a in table:
+                a.flags.writeable = False
+            table.h = wanted[i][0]
+    return [picks[t] if isinstance(t, int) else t for t in picks]
 
 
 def _smallest_sums(a, b, count):
@@ -447,7 +556,7 @@ def _residuals(lam, x, y):
 @dataclass(frozen=True, eq=False)
 class Spectrum(Sequence):
     """A level's 1-D mode tables x and y, each a _Table that a solve offered
-    it may reuse (_table; stack's tables have no widths), per pair its
+    it may reuse (_tables; stack's tables have no widths), per pair its
     eigenvalue, factor columns, residual and label, as the read-only
     sequence of MixedEigenpair: a pair is built when read, its factors
     copied out of the tables; a slice is a list."""
@@ -497,7 +606,10 @@ class Spectrum(Sequence):
 def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions, *,
                      tables=()) -> Spectrum:
     """k smallest eigenpairs of the pencil (B A^-1 B^T, M), as a Spectrum,
-    reusing the offered 1-D mode ``tables`` that fit (_table).
+    reusing the offered 1-D mode ``tables`` that fit (_tables); the two
+    directions' fresh tables, where they have one cell count and one
+    column count, come from one _modes_1d call on both, of the bits of
+    each solved alone.
 
     Each direction's table holds p of its min(k, n) smallest modes: p
     starts at min(n, k, isqrt(2k)) and, while (p + 1)^2 (pi / s)^2 (1 -
@@ -527,6 +639,11 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions, *,
     and 0.25 eps N^2 on uniform meshes of 8 to 8192 cells per direction
     (the closed form; spans pi, 1, 2 and 7.3, one origin away from 0, n2 =
     n1 / 2, n1 and 2 n1).
+
+    A side s where (pi / s)^2 or its inverse is not a normal float, that
+    is s outside about [4.7e-154, 2.1e154], is refused with InvalidConfig
+    before any 1-D solve: there the bound of the next mode, or the modes'
+    quotients 1/mu, would underflow or overflow.
     """
     mesh, k = system.mesh, opts.k
     if k > mesh.n_cells:
@@ -537,10 +654,15 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions, *,
     # roundoff of a computed mu cannot cross
     caps = min(k, mesh.n1), min(k, mesh.n2)
     px, py = (min(c, math.isqrt(2 * k)) for c in caps)
-    wave_x, wave_y = ((np.pi / h.sum()) ** 2 * (1.0 - 1e-6)
-                      for h in (mesh.hx, mesh.hy))
-    x = _table(mesh.hx, px, tables)
-    y = _table(mesh.hy, py, (x, *tables))
+    sides = mesh.hx.sum(), mesh.hy.sum()
+    for side in sides:
+        if not _SIDES[0] <= side <= _SIDES[1]:
+            raise InvalidConfig(
+                f"side {side:.6g}: (pi / s)^2 or its inverse is not a normal "
+                f"float; a side must lie in [{_SIDES[0]:.2g}, "
+                f"{_SIDES[1]:.2g}]")
+    wave_x, wave_y = ((np.pi / side) ** 2 * (1.0 - 1e-6) for side in sides)
+    x, y = _tables([(mesh.hx, px), (mesh.hy, py)], tables)
     while True:
         lams, jj, ii = _smallest_sums(y[0], x[0], k)
         top = lams[-1] if len(lams) == k else np.inf
@@ -550,10 +672,9 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions, *,
             break
         if grow_x:
             px = _reach(px, caps[0], wave_x, y[0][0], top)
-            x = _table(mesh.hx, px, tables)
         if grow_y:
             py = _reach(py, caps[1], wave_y, x[0][0], top)
-            y = _table(mesh.hy, py, (x, *tables))
+        x, y = _tables([(mesh.hx, px), (mesh.hy, py)], (x, y, *tables))
     residuals = _residuals(lams, x[3][:, ii], y[3][:, jj])
     n_eff = _effective_cells(mesh)
     bound = _RESIDUAL_C * np.finfo(float).eps * n_eff**2

@@ -14,7 +14,7 @@ y), and every 2-D quantity of the comparison is a rank-one combination
 of 1-D sums of v, w and their fluxes.  No 2-D matrix is formed.  The
 two must agree to 16 eps N^2, on the N = max(a / min h_x, b / min h_y)
 by which the solve bounds its residuals.  A solved table keeps its lift,
-so a table that the solve reuses (eigensolve._table) is lifted once."""
+so a table that the solve reuses (eigensolve._tables) is lifted once."""
 
 from __future__ import annotations
 

@@ -62,7 +62,7 @@ def supercloseness_norms(
     X, Y = cell_mean_factors(mesh, fld)
     fx, fy = (-f[1] for f in fld.factors(mesh.node_x, mesh.node_y))
     dx, dy = (lambda a: hx * a), (lambda a: hy * a)
-    a1x, a1y = ((lambda a, d=_a1_bands(h): _a1_times(*d, a.T).T)  # on rows
+    a1x, a1y = ((lambda a, d=_a1_bands(h): _a1_times(*d, a))  # on rows
                 for h in (hx, hy))
     sigma_sq = (_distance_sq(pair.flux_x[None], w[None], fx[None], Y[None],
                              a1x, dy)

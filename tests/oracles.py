@@ -780,12 +780,13 @@ class CertificateReport:
 
 def full_table_pairs(mesh, k, modes_1d, residuals):
     """The k smallest pairs over 1-D tables of min(k, n) modes each,
-    ``modes_1d(h, min(k, n))`` per direction: every sum of the two tables
-    sorted at once, stably, so that ties go by their (y, x) columns, and
-    the ``residuals`` of each pair's columns.  Returns the tables x and y
-    and per pair its eigenvalue, x and y columns, residual and label."""
-    x = modes_1d(mesh.hx, min(k, mesh.n1))
-    y = modes_1d(mesh.hy, min(k, mesh.n2))
+    ``modes_1d([h], min(k, n))`` per direction, each a stack of one:
+    every sum of the two tables sorted at once, stably, so that ties go by
+    their (y, x) columns, and the ``residuals`` of each pair's columns.
+    Returns the tables x and y and per pair its eigenvalue, x and y
+    columns, residual and label."""
+    x = modes_1d([mesh.hx], min(k, mesh.n1))[0]
+    y = modes_1d([mesh.hy], min(k, mesh.n2))[0]
     sums = y[0][:, None] + x[0][None, :]
     jj, ii = np.divmod(np.argsort(sums.ravel(), kind="stable")[:k],
                        len(x[0]))

@@ -19,9 +19,9 @@ def _load(name):
 
 def test_benchmark_workloads_run_and_check(tmp_path, monkeypatch):
     """SolveLarge on a 24^2 mesh, whose 1-D modes come from the dense path,
-    and at its default 256^2, whose two directions both take the inverse
-    iteration (one _inverse_modes call each, for the 3 modes that the 6
-    smallest sums can use), as the
+    and at its default 256^2, whose two directions take the inverse
+    iteration together (one _inverse_modes call on both, for the 3 modes
+    that the 6 smallest sums can use in each), as the
     benchmark's solve_large op does
     (assemble_mixed, then solve_mixed_eigs with SolveOptions(k)), a
     case-c sweep and a case-a sweep to level 1 (run_case, then
@@ -35,9 +35,9 @@ def test_benchmark_workloads_run_and_check(tmp_path, monkeypatch):
     inverse = []
     real = eigensolve._inverse_modes
 
-    def counted(h, k, *args):
-        inverse.append((len(h), k))
-        return real(h, k, *args)
+    def counted(hs, k, *args):
+        inverse.append([(len(h), k) for h in hs])
+        return real(hs, k, *args)
 
     monkeypatch.setattr(eigensolve, "_inverse_modes", counted)
     for work in (workloads.SolveLarge(seed=1, n=24),
@@ -48,7 +48,7 @@ def test_benchmark_workloads_run_and_check(tmp_path, monkeypatch):
     assert inverse == []
     work = workloads.SolveLarge(seed=1)
     assert work.check(work.op()) == []
-    assert inverse == [(256, 3), (256, 3)]
+    assert inverse == [[(256, 3), (256, 3)]]
     system = workloads.assembly.assemble_mixed(
         workloads.SolveLarge(seed=1, n=24).mesh)
     count = _load("spans")._COUNTS["eigensolve.solve_mixed_eigs"]

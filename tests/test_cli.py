@@ -489,12 +489,12 @@ def test_run_with_unreachable_bound(tmp_path, capsys, monkeypatch):
 
 
 def _count_calls(monkeypatch, func):
-    """Count the calls of a library function made through any rrteig
-    module that binds it."""
+    """Record the positional arguments of each call of a library function
+    made through any rrteig module that binds it."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return func(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -659,12 +659,14 @@ def test_reference_field_computed_once_per_level(monkeypatch):
 def test_run_case_lifts_each_table_once_and_builds_pairs_on_demand(
         monkeypatch, case, tables_per_level):
     """A sweep solves and lifts each distinct 1-D mode table once: one per
-    level on preset a, whose y table is its x table, two per level on c.
-    On b, whose y widths at level L are bitwise its x widths at level
-    L + 1, level 0 holds two tables and each later level one new one: 6
-    solves and 6 lifts at levels = 4, not 10.  No MixedEigenpair is built
-    on b and c; on a only pairs[0], for supercloseness and postprocessing:
-    the frequency matches read the labels and eigenvalues."""
+    level on preset a, whose y table is its x table, two per level on c,
+    whose n x n directions are solved together (one _modes_1d call on a
+    stack of two per level).  On b, whose y widths at level L are bitwise
+    its x widths at level L + 1, level 0 holds two tables and each later
+    level one new one: 6 solves and 6 lifts at levels = 4, not 10.  No
+    MixedEigenpair is built on b and c; on a only pairs[0], for
+    supercloseness and postprocessing: the frequency matches read the
+    labels and eigenvalues."""
     from rrteig import equivalence
 
     solved = _count_calls(monkeypatch, eigensolve._modes_1d)
@@ -675,7 +677,8 @@ def test_run_case_lifts_each_table_once_and_builds_pairs_on_demand(
     levels = len(report.levels)
     tables = levels + 1 if case == "b" else tables_per_level * levels
     assert (levels, tables) == (5, {"a": 5, "b": 6, "c": 10}[case])
-    assert len(solved) == len(lifts) == tables
+    assert sum(len(hs) for hs, _ in solved) == len(lifts) == tables
+    assert len(solved) == {"a": 5, "b": 6, "c": 5}[case]
     matched = sum(len(lv.get("frequency_matches", ())) for lv in report.levels)
     assert (matched > 0) == (case == "a")
     assert len(built) == (2 * levels if case == "a" else 0)

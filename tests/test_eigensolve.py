@@ -4,6 +4,7 @@ error paths."""
 import dataclasses
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,16 @@ from oracles import (
 )
 
 PI = np.pi
+
+
+def _table_1d(h, k):
+    """One direction's table (mu, v, flux, sums): a stack of one."""
+    return _modes_1d([h], k)[0]
+
+
+def _ops_1d(h):
+    """What the product with K reads on one direction: a stack of one."""
+    return eigensolve._k_ops(h[None], *eigensolve._a1_bands(h[None]))
 
 
 def test_options_validation():
@@ -292,16 +303,17 @@ def _bits(pairs):
 
 def test_equal_widths_take_the_1d_modes_once(monkeypatch, mesh_a0):
     """When the y widths equal the x widths bitwise, the solve takes the
-    1-D modes once (one _modes_1d call), and its pairs are the bits of
-    the two-call solve; on the closed form (preset a), the dense and the
-    inverse-iteration path.  y widths one ulp off, or n1 != n2, take two
-    calls."""
+    1-D modes of one direction (one _modes_1d call on a stack of one), and
+    its pairs are the bits of the solve that takes both directions (here
+    one call on a stack of two); on the closed form (preset a), the dense
+    and the inverse-iteration path.  y widths one ulp off take both
+    directions in one call, n1 != n2 in one call each."""
     calls = []
     modes_1d = eigensolve._modes_1d
 
-    def counted(h, k):
-        calls.append(len(h))
-        return modes_1d(h, k)
+    def counted(hs, k):
+        calls.append([len(h) for h in hs])
+        return modes_1d(hs, k)
 
     monkeypatch.setattr(eigensolve, "_modes_1d", counted)
     rng = np.random.default_rng(5)
@@ -309,20 +321,80 @@ def test_equal_widths_take_the_1d_modes_once(monkeypatch, mesh_a0):
     off = nodes.copy()
     off[4] = np.nextafter(off[4], np.inf)  # two y widths one ulp off
     big = _nodes(rng.uniform(1.0, 4.0, _DENSE_MAX_CELLS + 22))
-    cases = [(mesh_a0.node_x, mesh_a0.node_y, 6, 1), (nodes, nodes, 12, 1),
-             (big, big, 13, 1), (nodes, off, 12, 2),
-             (nodes, _nodes(rng.uniform(1.0, 4.0, 8)), 12, 2)]
+    n_a = mesh_a0.n1
+    cases = [(mesh_a0.node_x, mesh_a0.node_y, 6, [[n_a]]),
+             (nodes, nodes, 12, [[9]]), (big, big, 13, [[150]]),
+             (nodes, off, 12, [[9, 9]]),
+             (nodes, _nodes(rng.uniform(1.0, 4.0, 8)), 12, [[9], [8]])]
     for nx, ny, k, want in cases:
         system = assemble_mixed(build_mesh(nx, ny))
         del calls[:]
         pairs = solve_mixed_eigs(system, SolveOptions(k=k))
-        assert len(calls) == want
-        if want == 1:
+        assert calls == want
+        if len(want) == len(want[0]) == 1:  # one direction solved
             with monkeypatch.context() as m:
                 m.setattr(np, "array_equal", lambda a, b: False)
                 two = solve_mixed_eigs(system, SolveOptions(k=k))
-            assert len(calls) == 3
+            assert calls == [*want, want[0] * 2]
             assert _bits(pairs) == _bits(two)
+
+
+@st.composite
+def _width_pairs(draw):
+    """Two width sets of one cell count on one 1-D path: equal widths of
+    spans from 0.1 to 10 (the closed form), widths from [1, 4] on 1 to 128
+    cells (the dense path) or graded up to ratio 1e3 on 129 to 512 cells
+    (the inverse iteration); in a quarter of the draws the second set is
+    equal widths, so that the stack mixes the closed form with the path
+    of the first."""
+    path = draw(st.sampled_from(["closed", "dense", "inverse"]), label="path")
+    n = draw(st.integers(1, 128) if path != "inverse" else
+             st.integers(_DENSE_MAX_CELLS + 1, 512), label="n")
+    pair = []
+    for i in range(2):
+        seed = draw(st.integers(0, 2**32 - 1), label=f"seed {i}")
+        rng = np.random.default_rng(seed)
+        if path == "closed" or (i and draw(st.integers(0, 3)) == 0):
+            w = np.ones(n)
+        else:
+            w = (rng.uniform(1.0, 4.0, n) if path == "dense" else
+                 1e3 ** rng.uniform(0.0, 1.0, n))
+        span = 10.0 ** draw(st.floats(-1.0, 1.0), label=f"log span {i}")
+        pair.append(np.diff(np.concatenate([[0.0], np.cumsum(w)])
+                            * (span / w.sum())))
+    return pair
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(widths=_width_pairs(), data=st.data())
+def test_stacked_tables_bitwise_against_each_direction_alone(widths, data):
+    """Two directions of one cell count solved as one stack give each the
+    bits of its table solved alone (mu, v, flux and sums, np.array_equal),
+    at 1 to 16 modes, on the closed form, the dense path, the inverse
+    iteration and stacks that mix the closed form with either.  A solve on
+    the mesh of the two width sets, whose fresh tables of one column count
+    are one stack, has the bits of the solve offered an x table solved
+    alone, and reuses that table."""
+    n = len(widths[0])
+    p = data.draw(st.integers(1, min(n, 16)), label="p")
+    stacked = _modes_1d(widths, p)
+    for h, table in zip(widths, stacked):
+        for got, want in zip(table, _table_1d(h, p)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    mesh = build_mesh(*(np.concatenate([[0.0], np.cumsum(h)])
+                        for h in widths))
+    k = data.draw(st.integers(1, min(mesh.n_cells, 40)), label="k")
+    system = assemble_mixed(mesh)
+    both = solve_mixed_eigs(system, SolveOptions(k=k))
+    alone = eigensolve._tables([(mesh.hx, both.x[1].shape[1])], ())[0]
+    offered = solve_mixed_eigs(system, SolveOptions(k=k), tables=[alone])
+    assert offered.x is alone
+    for a, b in zip((*both.x, *both.y, both.lambdas, both.ii, both.jj,
+                     both.residuals), (*offered.x, *offered.y,
+                                       offered.lambdas, offered.ii,
+                                       offered.jj, offered.residuals)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert both.modes == offered.modes
 
 
 def test_extra_pairs_leave_the_first_k_bitwise(mesh_a0, mesh_c0):
@@ -367,7 +439,7 @@ def test_modes_1d_against_saddle_oracle(mesh, data):
     system = assembled(mesh)
     for axis, h, cross in ((0, mesh.hx, mesh.hy[0]), (1, mesh.hy, mesh.hx[0])):
         k = data.draw(st.integers(1, min(len(h), 15)), label=f"k_{axis}")
-        mu, v, flux, _ = _modes_1d(h, k)
+        mu, v, flux, _ = _table_1d(h, k)
         want_mu, want_v, want_flux = modes_1d_saddle(system, axis, k)
         np.testing.assert_allclose(mu, want_mu, rtol=2e-13, atol=0.0)
         sign = np.sign(np.sum(want_v * v, axis=0)) * np.sqrt(cross)
@@ -393,7 +465,7 @@ def test_modes_1d_closed_form_uniform(monkeypatch, n):
     monkeypatch.setattr(eigensolve, "_inverse_modes", refused)
     h = np.diff(np.linspace(0.0, PI, n + 1))
     k = min(48, n)
-    mu, v, flux, _ = _modes_1d(h, k)
+    mu, v, flux, _ = _table_1d(h, k)
     t = np.arange(1, k + 1) * PI / n
     want = 12.0 * np.sin(t / 2) ** 2 / (h.mean() ** 2 * (2.0 + np.cos(t)))
     np.testing.assert_allclose(mu, want, rtol=2e-15, atol=0.0)
@@ -404,7 +476,7 @@ def test_modes_1d_closed_form_uniform(monkeypatch, n):
     sign = np.sign(np.sum(v * modes, axis=0))
     assert np.all(np.abs(v - modes * sign) <= 1e-13 * np.abs(v).max(axis=0))
     for j in sorted({1, 2, 5, 16, k} & set(range(1, k + 1))):
-        part = _modes_1d(h, j)
+        part = _table_1d(h, j)
         for got, full in zip(part[:3], (mu, v, flux)):
             want = np.ascontiguousarray(full[..., :j])
             assert got.tobytes() == want.tobytes()
@@ -431,13 +503,13 @@ def test_closed_form_against_dense_and_lanczos(n, k):
     by mu_m / mu_1 (at most 2.3e-15 and 3e-14 times it, measured)."""
     for x0, a in _EQUAL_SPANS:
         h = np.diff(np.linspace(x0, x0 + a, n + 1))
-        got = _modes_1d(h, k)
+        got = _table_1d(h, k)
         ratio = got[0] / got[0][0]
         oracles = [(_dense(h, k), ratio)] if n <= 512 else []
         if n > _DENSE_MAX_CELLS:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(eigensolve, "uniform_widths", lambda h, span: False)
-                oracles.append((_modes_1d(h, k), 1.0))
+                oracles.append((_table_1d(h, k), 1.0))
         assert oracles
         for want, scale in oracles:
             err = np.abs(got[0] - want[0])
@@ -455,7 +527,7 @@ def test_closed_form_against_the_h_series(n):
     to 6 eps mu (2.3 eps mu at most, measured; the O(h^8) term is below
     2e-16 mu here, and the meshed [0, fl(pi)] moves mu by 1.6e-16 mu)."""
     h = np.diff(np.linspace(0.0, PI, n + 1))
-    mu = _modes_1d(h, 48)[0]
+    mu = _table_1d(h, 48)[0]
     m = np.arange(1, 49, dtype=float)
     hh = PI / n
     series = (m**2 + m**4 * hh**2 / 12 + m**6 * hh**4 / 360
@@ -486,7 +558,7 @@ def _dense(h, k):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(eigensolve, "_DENSE_MAX_CELLS", len(h))
         mp.setattr(eigensolve, "uniform_widths", lambda h, span: False)
-        return _modes_1d(h, k)
+        return _table_1d(h, k)
 
 
 def _first_max_positive(v):
@@ -508,7 +580,7 @@ def test_lanczos_modes_against_dense_oracle(kind, n):
     rng = np.random.default_rng(n)
     h = _widths(kind, n, rng)
     k = 16
-    got, want = _modes_1d(h, k), _dense(h, k)
+    got, want = _table_1d(h, k), _dense(h, k)
     np.testing.assert_allclose(got[0], want[0], rtol=1e-13, atol=0.0)
     assert _first_max_positive(got[1]) and _first_max_positive(want[1])
     sign = np.sign(np.sum(h[:, None] * got[1] * want[1], axis=0))
@@ -548,14 +620,15 @@ def test_k_product_against_the_allocating_oracle():
     rng = np.random.default_rng(12)
     for h in _product_meshes():
         n = len(h)
-        diag, off = eigensolve._a1_bands(h)
+        ops = _ops_1d(h)
+        diag, off = ops[1][0], ops[2][0]
         x1, x2 = rng.standard_normal((2, n))
-        got = eigensolve._k_rows(h, diag, off, np.array([x1, x2, x1]))
+        got = eigensolve._k_rows(ops, np.array([x1, x2, x1]))
         for row, x in zip(got, (x1, x2, x1)):
             assert row.tobytes() == k_product(h, x).tobytes()
-        theta, vec = eigensolve._dense_top(h, n, diag, off)
-        dense = (vec * theta) @ vec.T
-        cols = eigensolve._k_rows(h, diag, off, np.eye(n)).T
+        theta, rows = (a[0] for a in eigensolve._dense_top(ops, n))
+        dense = (rows.T * theta) @ rows
+        cols = eigensolve._k_rows(ops, np.eye(n)).T
         assert np.abs(cols - dense).max() <= 1e-12 * np.abs(dense).max()
         g = np.diff(np.eye(n + 1), axis=0)  # G f = diff(f)
         a1 = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
@@ -571,11 +644,11 @@ def test_inverse_top_bits_of_the_allocating_product(n):
     iteration returns gives the bits of the allocating oracle k_product,
     mode by mode, at k = 1, 6 and 16."""
     h = _widths("random", n, np.random.default_rng(n))
-    diag, off = eigensolve._a1_bands(h)
+    ops = _ops_1d(h)
     for k in (1, 6, 16):
         rows = np.ascontiguousarray(
-            eigensolve._inverse_modes(h, k, diag, off)[1].T)
-        got = eigensolve._k_rows(h, diag, off, rows)
+            eigensolve._inverse_modes(h[None], k, ops)[1][0])
+        got = eigensolve._k_rows(ops, rows)
         for row, y in zip(got, rows):
             assert row.tobytes() == k_product(h, y).tobytes()
 
@@ -587,12 +660,12 @@ def test_flux_solve_bits_of_solveh_banded():
     inverse-iteration path."""
     rng = np.random.default_rng(13)
     for h in [_widths("random", 40, rng), *_product_meshes()]:
-        mu, v, flux, sums = _modes_1d(h, 6)
+        mu, v, flux, sums = _table_1d(h, 6)
         diag, off = eigensolve._a1_bands(h)
         gtv = -np.diff(v, axis=0, prepend=0.0, append=0.0)
         want = sla.solveh_banded(np.stack([np.r_[0.0, off], diag]), gtv)
         assert flux.tobytes() == want.tobytes()
-        a1f, dv = eigensolve._a1_times(diag, off, flux), h[:, None] * v
+        a1f, dv = eigensolve._a1_times(diag, off, flux.T).T, h[:, None] * v
         rho1, rho2 = a1f - gtv, np.diff(flux, axis=0) - mu * dv
         terms = ((dv, dv), (rho1, rho1), (a1f, a1f), (rho2, rho2), (dv, rho2))
         want = np.array([[np.sum(a[:, j] * b[:, j]) for j in range(6)]
@@ -621,12 +694,13 @@ def test_residual_norms_do_not_depend_on_k(kind):
 
 
 def _count_calls(monkeypatch, name):
-    """Record len(h) and k of each call of eigensolve's 1-D routine name."""
+    """Record, for each call of eigensolve's 1-D routine name on a stack
+    of widths hs, the cell count and mode count k of each direction."""
     calls, real = [], getattr(eigensolve, name)
 
-    def counted(h, k, *args):
-        calls.append((len(h), k))
-        return real(h, k, *args)
+    def counted(hs, k, *args):
+        calls.append([(len(h), k) for h in hs])
+        return real(hs, k, *args)
 
     monkeypatch.setattr(eigensolve, name, counted)
     return calls
@@ -640,11 +714,11 @@ def test_modes_1d_dense_up_to_the_cutoff(monkeypatch):
     calls = _count_calls(monkeypatch, "_inverse_modes")
     rng = np.random.default_rng(4)
     for n, k in ((_DENSE_MAX_CELLS, 16), (5, 5), (255, 49)):
-        _modes_1d(_widths("random", n, rng), k)  # budget 64 > 255 / 4
+        _table_1d(_widths("random", n, rng), k)  # budget 64 > 255 / 4
     assert calls == []
-    _modes_1d(_widths("random", _DENSE_MAX_CELLS + 1, rng), 6)
-    _modes_1d(_widths("random", 256, rng), 48)
-    assert calls == [(_DENSE_MAX_CELLS + 1, 6), (256, 48)]
+    _table_1d(_widths("random", _DENSE_MAX_CELLS + 1, rng), 6)
+    _table_1d(_widths("random", 256, rng), 48)
+    assert calls == [[(_DENSE_MAX_CELLS + 1, 6)], [(256, 48)]]
 
 
 def test_sine_start_saves_products(monkeypatch):
@@ -670,7 +744,7 @@ def test_sine_start_saves_products(monkeypatch):
     for seed in range(5):
         rng = np.random.default_rng(15 + seed)
         for kind in ("random", "mirror"):
-            _modes_1d(_widths(kind, 256, rng), 6)
+            _table_1d(_widths(kind, 256, rng), 6)
             assert solves and set(solves) == {257}
             assert len(solves) <= 2 * 6 and len(counts) == 1
             solves.clear()
@@ -694,13 +768,13 @@ def test_graded_mesh_modes_certified_by_the_count(monkeypatch, seed):
     rqi = []
     real = eigensolve._rqi
 
-    def counted(h, pencil, ms, y, lo, hi, tol):
+    def counted(st, di, ms, y, lo, hi):
         rqi.append(len(y))
-        return real(h, pencil, ms, y, lo, hi, tol)
+        return real(st, di, ms, y, lo, hi)
 
     monkeypatch.setattr(eigensolve, "_rqi", counted)
-    mu = _modes_1d(h, 64)[0]
-    assert calls == [(265, 64)]
+    mu = _table_1d(h, 64)[0]
+    assert calls == [[(265, 64)]]
     assert rqi[0] == 64 and 10 < rqi[1] < 64  # the lost modes as a block
     np.testing.assert_allclose(mu, want, rtol=5e-12, atol=0.0)
 
@@ -732,12 +806,12 @@ def test_inverse_modes_stop_at_the_roundoff_bound(kind):
     rng = np.random.default_rng(29)
     for n in (_DENSE_MAX_CELLS + 1, 600, 2048):
         h = _widths(kind, n, rng)
-        diag, off = eigensolve._a1_bands(h)
+        ops = _ops_1d(h)
         tau = eigensolve._STOP_C * np.finfo(float).eps * n
         for k in (3, 16, 48)[: 2 if n < 192 else 3]:
-            theta, vec = eigensolve._inverse_modes(h, k, diag, off)
-            y = np.ascontiguousarray(vec.T)
-            r = eigensolve._k_rows(h, diag, off, y) - theta[:, None] * y
+            theta, y = (a[0] for a in eigensolve._inverse_modes(h[None], k,
+                                                                ops))
+            r = eigensolve._k_rows(ops, y) - theta[:, None] * y
             assert np.all(np.sqrt(np.sum(r * r, axis=1)) <= tau * theta[0])
 
 
@@ -754,7 +828,7 @@ def test_inverse_path_solves_every_width_family(monkeypatch, kind):
         h = _widths(kind, n, rng)
         q = h.max() / PI
         for k in (3, 16, 48)[: 2 if n < 192 else 3]:
-            mu = _modes_1d(h, k)[0]
+            mu = _table_1d(h, k)[0]
             m = np.arange(1, k + 1)
             assert np.all(np.diff(mu) > 0) and np.all(mu >= m**2)
             fine = m * q < 1.0
@@ -797,8 +871,8 @@ def test_lost_mode_raises_not_converged(monkeypatch):
     h = _widths("mirror", 256, np.random.default_rng(6))
     with pytest.raises(NotConverged, match="1-D inverse iteration on 256 "
                        "cells: mode 1 lost in "):
-        _modes_1d(h, 6)
-    assert calls == [(256, 6)]
+        _table_1d(h, 6)
+    assert calls == [[(256, 6)]]
 
 
 @pytest.mark.parametrize("seed", [93, 114, 159, 195])
@@ -813,7 +887,7 @@ def test_graded_rows_on_one_mode_refused(seed):
     rng = np.random.default_rng(seed)
     graded = 6.2e3 ** rng.uniform(0.0, 1.0, 129)
     h = graded * (PI / graded.sum())
-    np.testing.assert_allclose(_modes_1d(h, 16)[0], _dense(h, 16)[0],
+    np.testing.assert_allclose(_table_1d(h, 16)[0], _dense(h, 16)[0],
                                rtol=5e-12, atol=0.0)
 
 
@@ -829,15 +903,15 @@ def test_duplicated_mode_refused_by_the_certificate(monkeypatch):
     want = _dense(h, 6)[0]
     rqi, real = [], eigensolve._rqi
 
-    def duplicating(h, pencil, ms, y, lo, hi, tol):
-        y, theta, done = real(h, pencil, ms, y, lo, hi, tol)
+    def duplicating(st, di, ms, y, lo, hi):
+        y, theta, done = real(st, di, ms, y, lo, hi)
         if not rqi:
             y[2], theta[2] = y[1], np.nextafter(theta[1], 0.0)
         rqi.append(len(y))
         return y, theta, done
 
     monkeypatch.setattr(eigensolve, "_rqi", duplicating)
-    mu = _modes_1d(h, 6)[0]
+    mu = _table_1d(h, 6)[0]
     assert rqi == [6, 1]
     np.testing.assert_allclose(mu, want, rtol=5e-12, atol=0.0)
 
@@ -867,15 +941,44 @@ def test_inverse_iteration_failure_is_not_converged(monkeypatch, failure):
 def test_dense_path_on_a_nonfinite_k_is_not_converged():
     """On preset c's widths scaled to side 1e160, K's entries (about the
     side squared) overflow: the dense path raises NotConverged naming the
-    stage and the cell count, not numpy's LinAlgError from eigh.  (A
-    sweep refuses such a side before solving; see test_cli.)"""
+    stage and the cell count, not numpy's LinAlgError from eigh.
+    (solve_mixed_eigs refuses such a side before any 1-D solve; see
+    test_side_outside_the_normal_range_refused.)"""
     nodes = np.array([0.0, 1 / 4, 1 / 2, 2 / 3, 5 / 6, 1.0]) * 1e160
-    system = assemble_mixed(build_mesh(nodes, nodes))
     with pytest.raises(NotConverged, match="1-D dense solve on 5 cells: K "
                        "is not finite") as info:
         with np.errstate(over="ignore"):  # numpy's own overflow warning
-            solve_mixed_eigs(system, SolveOptions(k=6))
+            _table_1d(np.diff(nodes), 3)
     assert info.value.__cause__ is None and info.value.__context__ is None
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("side", [1e-300, 1e-160, 1e160, 1e180, 1e200,
+                                  1e300])
+def test_side_outside_the_normal_range_refused(monkeypatch, side):
+    """A mesh with a side s where (pi / s)^2 or its inverse, the scale of
+    the 1-D modes' quotients theta = 1/mu, is not a normal float is
+    refused with InvalidConfig before any 1-D solve, with no warning, also
+    when only the y side is out: on a uniform 8 x 8 mesh the sides 1e180
+    to 1e300 raised a bare ValueError from _reach, and 1e-300, 1e-160 and
+    1e160 warned of overflow, then raised NotConverged on a NaN residual.
+    The sides 1e-100 and 1e150 still solve, lambda s^2 as at side 1."""
+    def refused(*args):
+        raise AssertionError("a 1-D solve ran")
+
+    unit = np.linspace(0.0, 1.0, 9)
+    want = solve_mixed_eigs(assemble_mixed(build_mesh(unit, unit)),
+                            SolveOptions(k=6)).lambdas
+    for ok in (1e-100, 1e150):
+        system = assemble_mixed(build_mesh(unit * ok, unit * ok))
+        got = solve_mixed_eigs(system, SolveOptions(k=6)).lambdas
+        np.testing.assert_allclose(got * ok**2, want, rtol=1e-12)
+    monkeypatch.setattr(eigensolve, "_modes_1d", refused)
+    for nx in (unit * side, unit):
+        system = assemble_mixed(build_mesh(nx, unit * side))
+        match = re.escape(f"side {side:.6g}:")
+        with pytest.raises(InvalidConfig, match=match):
+            solve_mixed_eigs(system, SolveOptions(k=6))
 
 
 def _on_one_and_two_blas_threads(script, tmp_path):
@@ -904,13 +1007,13 @@ def test_inverse_modes_bits_on_one_and_two_blas_threads(tmp_path):
         "w = np.random.default_rng(21).uniform(1.0, 4.0, 256)\n"
         "h = w * (np.pi / w.sum())\n"
         "for k in (6, 16):\n"
-        "    for a in _modes_1d(h, k):\n"
+        "    for a in _modes_1d([h], k)[0]:\n"
         "        sys.stdout.write(np.ascontiguousarray(a).tobytes().hex())\n"
         "    sys.stdout.write('\\n')\n", tmp_path)
     assert out[0] == out[1]
     six, sixteen = out[0].split()
     w = np.random.default_rng(21).uniform(1.0, 4.0, 256)
-    mu, v, flux, sums = _modes_1d(w * (PI / w.sum()), 16)
+    mu, v, flux, sums = _table_1d(w * (PI / w.sum()), 16)
     got = (mu[:6], v[:, :6], flux[:, :6], sums[:, :6])
     assert six == "".join(np.ascontiguousarray(a).tobytes().hex()
                           for a in got)
@@ -1020,25 +1123,31 @@ def test_data_sized_tables_against_full_tables(mesh, data):
     # side ratio 10: the x direction needs 20 modes, more than sqrt(2k),
     # and takes them in one step (doubling solved 6 + 12 + 20 x modes)
     ((np.linspace(0.0, 10.0, 41), np.linspace(0.0, 1.0, 9)), 20,
-     [(40, 6), (8, 6), (40, 20)]),
+     [[(40, 6)], [(8, 6)], [(40, 20)]]),
     # 2 x cells < sqrt(2k): fewer than k sums, so the y direction takes
     # min(n, k) modes at once (doubling solved 7 + 14 + 28)
     ((np.linspace(0.0, PI, 3), _nodes(np.arange(1.0, 31.0) % 4 + 1.0)), 30,
-     [(2, 2), (30, 7), (30, 30)]),
+     [[(2, 2)], [(30, 7)], [(30, 30)]]),
     # k = 2 cuts the tie (1, 2) / (2, 1): 2 modes, one table for both
-    ((np.linspace(0.0, PI, 9), np.linspace(0.0, PI, 9)), 2, [(8, 2)]),
+    ((np.linspace(0.0, PI, 9), np.linspace(0.0, PI, 9)), 2, [[(8, 2)]]),
+    # two 30-cell directions, their nodes an ulp apart: one stack of both
+    ((_nodes(np.arange(1.0, 31.0) % 4 + 1.0),
+      np.nextafter(_nodes(np.arange(1.0, 31.0) % 4 + 1.0), 0.0)), 30,
+     [[(30, 7), (30, 7)]]),
 ])
 def test_tables_grow_while_a_mode_could_enter(monkeypatch, nodes, k, calls):
     """A direction starts from min(n, k, isqrt(2k)) modes and, while its
     next mode, at least (m pi / s)^2, could still enter the k smallest
     sums, grows at once to the most modes that could, up to min(n, k); the
-    pairs are those of tables of min(k, n) modes, bit for bit."""
+    directions of one cell count that need fresh tables of one column
+    count are solved in one _modes_1d call; the pairs are those of tables
+    of min(k, n) modes, bit for bit."""
     solved = []
     modes_1d = eigensolve._modes_1d
 
-    def counted(h, k):
-        solved.append((len(h), k))
-        return modes_1d(h, k)
+    def counted(hs, k):
+        solved.append([(len(h), k) for h in hs])
+        return modes_1d(hs, k)
 
     monkeypatch.setattr(eigensolve, "_modes_1d", counted)
     mesh = build_mesh(*nodes)
