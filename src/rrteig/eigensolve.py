@@ -23,17 +23,15 @@ mu_m >= (m pi / s)^2 on a side of length s, since the 1-D pencil is P1
 Galerkin's and converges from above (Babuska & Osborn, Handbook of
 Numerical Analysis II, 1991).
 Each 1-D pencil's modes come from one of three sources, chosen by its
-cell widths (_modes_1d), and one shared finish: on equal widths (presets
-a and b) the closed form of the uniform-grid spectrum; on others, up to
-_DENSE_MAX_CELLS = 128 cells, a dense eigh of the pencil's inverse K,
-formed by the product the iteration takes (_k_rows), and above it
-Rayleigh quotient iteration in K's space, from the flux cos(m pi x / a)
-of the exact mode, each step one tridiagonal solve with the flux pencil
-T - s A1, T = G^T D^-1 G, each row stopped where |K y - theta y| falls
-to a roundoff bound that grows with n, and certified by Sturm counts of
-T - s A1, a lost mode bracketed by them and bisected until it converges
-(_inverse_modes).  Neither this nor the closed form calls BLAS: a mode's
-bits depend on neither k, nor the threads, nor the stack.
+cell widths alone (_modes_1d), and one shared finish: on equal widths
+(presets a and b) the closed form of the uniform-grid spectrum; on
+others, up to _DENSE_MAX_CELLS = 128 cells, a dense eigh of the pencil's
+inverse K, formed by the product the iteration takes (_k_rows), and
+above it Rayleigh quotient iteration in K's space, each step one
+tridiagonal solve with the flux pencil, certified by Sturm counts
+(_inverse_modes), which, like the closed form, calls no BLAS.  A mode's
+bits depend on neither k nor the stack, so a table of p modes is a
+prefix of any larger one on the same widths.
 The finish (_modes_1d) signs each mode, solves its flux and takes the
 five 1-D sums of its residual, on the widths themselves.  Each 1-D
 spectrum is simple and its i-th mode (from 0) approximates the i-th
@@ -85,8 +83,9 @@ class SolveOptions:
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InvalidConfig(f"k must be >= 1, got {self.k}")
+        k = self.k  # a bool, a float or a str is no count, even 2.0
+        if not isinstance(k, (int, np.integer)) or k is True or k < 1:
+            raise InvalidConfig(f"k must be >= 1 and an integer, got {k!r}")
 
 
 @dataclass
@@ -415,12 +414,11 @@ def _modes_1d(hs, k):
 
     Widths equal by mesh.uniform_widths take the closed form
     (_uniform_modes).  Others take the top of the inverse K = D^1/2 S^-1
-    D^1/2: densely (_dense_top) up to _DENSE_MAX_CELLS cells, or where 16
-    modes (the next multiple of 16 for k > 16) exceed a quarter of the n
-    cells; above, by inverse iteration on the tridiagonal flux pencil
-    (_inverse_modes).  The finish is shared: columns of v
-    D-orthonormal, each signed so that its first largest-magnitude entry
-    is positive, the fluxes from a direct tridiagonal solve with A1 (LAPACK
+    D^1/2: densely (_dense_top) up to _DENSE_MAX_CELLS cells, above by
+    inverse iteration on the tridiagonal flux pencil (_inverse_modes),
+    whatever k is.  The finish is shared: columns of v D-orthonormal,
+    each signed so that its first largest-magnitude entry is positive,
+    the fluxes from a direct tridiagonal solve with A1 (LAPACK
     ptsv, as solveh_banded calls it) and the five sums, on the widths h
     themselves, so that the residual check also covers the closed form on
     widths that are equal only to roundoff.
@@ -445,10 +443,9 @@ def _modes_1d(hs, k):
             rest.append(i)
     if rest:
         rest = slice(None) if len(rest) == d else rest  # a view if all
-        inverse = n > _DENSE_MAX_CELLS and 64 * max(1, -(-k // 16)) <= n
         ops = _k_ops(hs[rest], diag[rest], off[rest])
-        theta, y = (_inverse_modes(hs[rest], k, ops) if inverse else
-                    _dense_top(ops, k))
+        theta, y = (_inverse_modes(hs[rest], k, ops)
+                    if n > _DENSE_MAX_CELLS else _dense_top(ops, k))
         mu[rest] = 1.0 / theta
         v[rest] = y / ops[0][:, None]
     rows = v.reshape(d * k, n)
@@ -620,8 +617,9 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions, *,
     never below the true one and never rises as the tables grow, and every
     pair beyond the tables exceeds it, so the pairs, their order and
     labels are those of tables of min(k, n) modes; each mode's bits depend
-    on the widths and its index alone (_modes_1d), so are the pairs' bits,
-    wherever p and min(k, n) take the same 1-D path.
+    on the widths and its index alone (_modes_1d): a table of p columns is
+    a prefix of any larger one on the same widths, so the pairs' bits are
+    those of the min(k, n) tables too.
 
     Deterministic; eigenvalues ascending, tied eigenvalues ordered by
     their (y, x) 1-D mode indices, so a cluster member keeps its place

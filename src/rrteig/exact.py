@@ -14,6 +14,7 @@ or domain that these 1-D forms would mis-evaluate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +57,9 @@ def enumerate_exact(domain=(np.pi, np.pi), count=6) -> list[ExactEigenpair]:
     exceeds _MAX_SIDE_RATIO, where that would merge distinct values of one
     row, raises InvalidConfig.
     """
-    if count < 1:
-        raise InvalidConfig(f"count must be >= 1, got {count}")
-    FieldSample(1, 1, domain)  # refuses sides that are not finite and > 0
+    if not isinstance(count, (int, np.integer)) or count is True or count < 1:
+        raise InvalidConfig(f"count must be >= 1 and integral, got {count!r}")
+    FieldSample(1, 1, domain)  # refuses all but two real sides finite > 0
     a, b = domain
     ratio = max(a / b, b / a)
     if ratio > _MAX_SIDE_RATIO:
@@ -119,15 +120,16 @@ class FieldSample:
     domain: tuple[float, float] = (np.pi, np.pi)
 
     def __post_init__(self):
-        # only integers m, n >= 1 (not bools) and finite sides > 0 make u a
-        # mode of the domain, whose sin^2 integrates to half a side
+        # integers m, n >= 1 and a tuple (the analyses hash it) of two real
+        # sides finite > 0 make u a mode whose sin^2 integrates to half a side
         for q in (self.m, self.n):
             if not isinstance(q, (int, np.integer)) or q is True or q < 1:
                 raise InvalidConfig(
                     f"mode {self.m, self.n} needs integers m, n >= 1")
-        for side in self.domain:
-            if not 0.0 < side < math.inf:
-                raise InvalidConfig(f"sides {self.domain} are not finite > 0")
+        if not (isinstance(d := self.domain, tuple) and len(d) == 2 and all(
+                isinstance(s, numbers.Real) and s is not True
+                and 0.0 < s < math.inf for s in d)):
+            raise InvalidConfig(f"sides {d}: no real pair, or not finite > 0")
 
     @property
     def value(self) -> float:

@@ -2,7 +2,6 @@
 error paths."""
 
 import dataclasses
-import importlib.util
 import os
 import re
 import subprocess
@@ -52,11 +51,13 @@ def _ops_1d(h):
 
 
 def test_options_validation():
-    """k < 1 is refused with InvalidConfig, which is a ValueError too; the
-    options hold k alone."""
-    for k in (0, -1):
+    """k < 1, and a k that is no integer (a float, even 2.0 or NaN, a bool
+    or a str), is refused with InvalidConfig, which is a ValueError too; a
+    numpy integer is a k; the options hold k alone."""
+    for k in (0, -1, 2.5, 2.0, float("nan"), True, False, "3"):
         with pytest.raises(InvalidConfig, match="k must be >= 1"):
             SolveOptions(k=k)
+    assert SolveOptions(k=np.int64(3)).k == 3
     assert issubclass(InvalidConfig, ValueError)
     assert [f.name for f in dataclasses.fields(SolveOptions)] == ["k"]
 
@@ -707,18 +708,18 @@ def _count_calls(monkeypatch, name):
 
 
 def test_modes_1d_dense_up_to_the_cutoff(monkeypatch):
-    """Up to _DENSE_MAX_CELLS cells, and wherever the mode budget (16, or
-    the next multiple of 16) exceeds a quarter of the cells, the 1-D modes
-    come from the dense path alone (the committed a and c artifacts pin
-    its bits); one cell more takes the inverse iteration, for k modes."""
+    """Up to _DENSE_MAX_CELLS cells the 1-D modes come from the dense path
+    alone (the committed a and c artifacts pin its bits); one cell more
+    takes the inverse iteration, for k modes, whatever share of the cells
+    k is."""
     calls = _count_calls(monkeypatch, "_inverse_modes")
     rng = np.random.default_rng(4)
-    for n, k in ((_DENSE_MAX_CELLS, 16), (5, 5), (255, 49)):
-        _table_1d(_widths("random", n, rng), k)  # budget 64 > 255 / 4
+    for n, k in ((_DENSE_MAX_CELLS, 16), (5, 5)):
+        _table_1d(_widths("random", n, rng), k)
     assert calls == []
-    _table_1d(_widths("random", _DENSE_MAX_CELLS + 1, rng), 6)
-    _table_1d(_widths("random", 256, rng), 48)
-    assert calls == [[(_DENSE_MAX_CELLS + 1, 6)], [(256, 48)]]
+    for n, k in ((_DENSE_MAX_CELLS + 1, 6), (256, 48), (255, 49)):
+        _table_1d(_widths("random", n, rng), k)
+    assert calls == [[(_DENSE_MAX_CELLS + 1, 6)], [(256, 48)], [(255, 49)]]
 
 
 def test_sine_start_saves_products(monkeypatch):
@@ -997,27 +998,35 @@ def _on_one_and_two_blas_threads(script, tmp_path):
 
 
 def test_inverse_modes_bits_on_one_and_two_blas_threads(tmp_path):
-    """_modes_1d on a random 256-cell mesh, whose modes come from the
-    inverse iteration, writes the same bytes at k = 6 and 16 under one and
-    two BLAS threads, each in a child process.  The first 6 modes at
-    k = 16 are those at k = 6."""
+    """_modes_1d on random widths of more than 128 cells, whose modes come
+    from the inverse iteration, writes the same bytes under one and two
+    BLAS threads, each in a child process: 256 cells at k = 6 and 16, 150
+    cells at k = 16 and 40, and 255 cells at k = 49.  The last two once
+    took the dense path, as a direction that needed more modes than about
+    a quarter of its cells, and its bytes differed under two threads.  A
+    table of k columns is the prefix of one of more columns on the same
+    widths: 6 of 16 and 16 of 40, bit for bit."""
+    cases = ((21, 256, (6, 16)), (22, 150, (16, 40)), (23, 255, (49,)))
     out = _on_one_and_two_blas_threads(
         "import sys, numpy as np\n"
         "from rrteig.eigensolve import _modes_1d\n"
-        "w = np.random.default_rng(21).uniform(1.0, 4.0, 256)\n"
-        "h = w * (np.pi / w.sum())\n"
-        "for k in (6, 16):\n"
-        "    for a in _modes_1d([h], k)[0]:\n"
-        "        sys.stdout.write(np.ascontiguousarray(a).tobytes().hex())\n"
-        "    sys.stdout.write('\\n')\n", tmp_path)
+        f"for seed, n, ks in {cases!r}:\n"
+        "    w = np.random.default_rng(seed).uniform(1.0, 4.0, n)\n"
+        "    h = w * (np.pi / w.sum())\n"
+        "    for k in ks:\n"
+        "        for a in _modes_1d([h], k)[0]:\n"
+        "            a = np.ascontiguousarray(a)\n"
+        "            sys.stdout.write(a.tobytes().hex())\n"
+        "        sys.stdout.write('\\n')\n", tmp_path)
     assert out[0] == out[1]
-    six, sixteen = out[0].split()
-    w = np.random.default_rng(21).uniform(1.0, 4.0, 256)
-    mu, v, flux, sums = _table_1d(w * (PI / w.sum()), 16)
-    got = (mu[:6], v[:, :6], flux[:, :6], sums[:, :6])
-    assert six == "".join(np.ascontiguousarray(a).tobytes().hex()
-                          for a in got)
-    assert sixteen == "".join(a.tobytes().hex() for a in (mu, v, flux, sums))
+    lines = iter(out[0].split())
+    for seed, n, ks in cases:
+        w = np.random.default_rng(seed).uniform(1.0, 4.0, n)
+        mu, v, flux, sums = _table_1d(w * (PI / w.sum()), ks[-1])
+        for k in ks:  # the first k columns of the largest table
+            got = (mu[:k], v[:, :k], flux[:, :k], sums[:, :k])
+            assert next(lines) == "".join(
+                np.ascontiguousarray(a).tobytes().hex() for a in got)
 
 
 @pytest.mark.parametrize("seed", [2, 3])
@@ -1047,16 +1056,6 @@ def test_solve_bits_on_one_and_two_blas_threads(seed, tmp_path):
         "    sys.stdout.write(a.tobytes().hex())\n"
         "sys.stdout.write(repr(s.modes))\n", tmp_path)
     assert out[0] == out[1]
-
-
-def _kron_sum_oracle():
-    """perfbench's kron_sum_oracle: the k smallest sums of two dense 1-D
-    spectra, each from the 1-D pencil formed by a dense solve."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.kron_sum_oracle
 
 
 def _assert_full_table_bits(spectrum, mesh, k):
@@ -1098,25 +1097,11 @@ def _growth_meshes(draw):
 @given(mesh=_growth_meshes(), data=st.data())
 def test_data_sized_tables_against_full_tables(mesh, data):
     """The k smallest pairs over tables sized from the data, k from 1 to
-    60, are those over tables of min(k, n) modes, bit for bit.  Where the
-    two sizes may take different 1-D paths (n > 128, k > 16: the dense
-    eigh or the inverse iteration), the labels match, the eigenvalues
-    match those of the min(k, n) tables to 1e-12 relative (measured
-    1.4e-14), and the Kronecker-sum oracle to eps N^2 relative, its own
-    roundoff: it forms each 1-D operator by a dense solve (measured
-    0.43 eps N^2, up to 1e-11 on these meshes)."""
+    60, are those over tables of min(k, n) modes, bit for bit: the widths
+    alone choose a direction's 1-D path, so both sizes take the same."""
     k = data.draw(st.integers(1, min(mesh.n_cells, 60)), label="k")
     spectrum = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=k))
-    if k > 16 and max(mesh.n1, mesh.n2) > _DENSE_MAX_CELLS:
-        _, _, lams, _, _, _, modes = full_table_pairs(
-            mesh, k, _modes_1d, eigensolve._residuals)
-        assert spectrum.modes == modes
-        np.testing.assert_allclose(spectrum.lambdas, lams, rtol=1e-12)
-        want = _kron_sum_oracle()(mesh.node_x, mesh.node_y, k)
-        eps_n2 = np.finfo(float).eps * eigensolve._effective_cells(mesh) ** 2
-        np.testing.assert_allclose(spectrum.lambdas, want, rtol=eps_n2)
-    else:
-        _assert_full_table_bits(spectrum, mesh, k)
+    _assert_full_table_bits(spectrum, mesh, k)
 
 
 @pytest.mark.parametrize("nodes, k, calls", [

@@ -94,8 +94,10 @@ def test_enumeration_against_search_on_rectangles(side, ratio, wide, count):
 
 
 def test_enumeration_refuses_a_count_below_one():
-    """count < 1 is refused, not sliced off the end of the spectrum."""
-    for count in (0, -1):
+    """count < 1 is refused, not sliced off the end of the spectrum, and so
+    is a count that is no integer (a float, a bool or a str), rather than
+    raising a TypeError or reading True as 1."""
+    for count in (0, -1, 2.5, 2.0, True, "3"):
         with pytest.raises(InvalidConfig, match="count must be >= 1"):
             enumerate_exact((PI, PI), count=count)
 
@@ -171,11 +173,14 @@ def test_mode_that_is_not_an_integer_raises(m, n):
 
 
 @pytest.mark.parametrize("domain", [
-    (0.0, 3.0), (3.0, 0.0), (np.inf, 3.0), (-1.0, 3.0), (np.nan, 1.0)])
+    (0.0, 3.0), (3.0, 0.0), (np.inf, 3.0), (-1.0, 3.0), (np.nan, 1.0),
+    (1.0,), (1.0, 2.0, 3.0), ("a", "b"), (True, 1.0), [1.0, 2.0]])
 def test_domain_that_is_not_a_rectangle_raises(domain):
     """A side that is zero, negative, infinite or NaN is refused, by the
     field and by the enumeration alike, instead of a ZeroDivisionError,
-    an amplitude of 0 with NaN terms, or an empty spectrum."""
+    an amplitude of 0 with NaN terms, or an empty spectrum; and so is a
+    domain that is not a tuple of two real numbers, instead of a later
+    unpacking error, or a TypeError when the analyses hash it."""
     with pytest.raises(InvalidConfig, match="not finite > 0"):
         FieldSample(1, 1, domain)
     with pytest.raises(InvalidConfig, match="not finite > 0"):
