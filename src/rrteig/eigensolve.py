@@ -61,7 +61,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv, dptsv, dstebz
 
 from .assembly import MixedSystem
-from .errors import InvalidConfig, KTooLarge, LayoutMismatch, NotConverged
+from .errors import InvalidConfig, KTooLarge, NotConverged
 from .mesh import uniform_widths
 
 _DENSE_MAX_CELLS = 128  # the most 1-D cells always solved by a dense eigh
@@ -481,10 +481,11 @@ class _Table(tuple):
 
 def _tables(wanted, offered):
     """A _Table for each (h, p) of wanted: that of an equal (h, p) before
-    it, else the first offered one of the bitwise widths h and p columns,
-    else a fresh one.  The fresh tables of one cell count and one column
-    count come from one _modes_1d call, of the same bits as apart: a
-    table's bits depend on (h, p) alone."""
+    it, else the first offered _Table of the bitwise widths h and p
+    columns (any other entry does not fit), else a fresh one.  The fresh
+    tables of one cell count and one column count come from one _modes_1d
+    call, of the same bits as apart: a table's bits depend on (h, p)
+    alone."""
     picks, stacks = [], {}  # stacks: the wanted solved here, by (n, p)
     for i, (h, p) in enumerate(wanted):
         for j in range(i):
@@ -492,9 +493,9 @@ def _tables(wanted, offered):
                 pick = picks[j]
                 break
         else:
-            for pick in offered:  # v of n cells and p columns first
-                if pick[1].shape == (len(h), p) and np.array_equal(
-                        getattr(pick, "h", None), h):
+            for pick in offered:
+                if (isinstance(pick, _Table) and len(pick[0]) == p
+                        and np.array_equal(pick.h, h)):
                     break
             else:  # solved here; its index until then
                 pick = i
@@ -552,11 +553,12 @@ def _residuals(lam, x, y):
 
 @dataclass(frozen=True, eq=False)
 class Spectrum(Sequence):
-    """A level's 1-D mode tables x and y, each a _Table that a solve offered
-    it may reuse (_tables; stack's tables have no widths), per pair its
-    eigenvalue, factor columns, residual and label, as the read-only
-    sequence of MixedEigenpair: a pair is built when read, its factors
-    copied out of the tables; a slice is a list."""
+    """A level's 1-D mode tables x and y, each a read-only _Table on the
+    widths it was solved on, which a solve offered it may reuse (_tables),
+    and per pair its eigenvalue, factor columns, residual (read-only
+    arrays) and label, as the read-only sequence of MixedEigenpair: a pair
+    is built when read, its factors copied out of the tables; a slice is a
+    list."""
 
     x: tuple
     y: tuple
@@ -565,21 +567,6 @@ class Spectrum(Sequence):
     jj: np.ndarray
     residuals: np.ndarray
     modes: list
-
-    @classmethod
-    def stack(cls, pairs, mesh):
-        """A list of pairs on the mesh, one table column per pair."""
-        cols = lambda f: np.column_stack([getattr(p, f) for p in pairs])
-        try:
-            x = (None, cols("v"), cols("flux_x"), None)
-            y = (None, cols("w"), cols("flux_y"), None)
-        except ValueError as exc:  # no pair, or factors of unequal lengths
-            raise LayoutMismatch(f"the factors of {len(pairs)} pairs do not "
-                                 f"fit {mesh.n1} x {mesh.n2} cells") from exc
-        t = np.arange(len(pairs))
-        return cls(x, y, np.array([p.lambda_h for p in pairs]), t, t,
-                   np.array([p.residual_norm for p in pairs]),
-                   [p.mode for p in pairs])
 
     def __len__(self):
         return len(self.lambdas)
@@ -682,5 +669,7 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions, *,
             f"{bound:.3e} = {_RESIDUAL_C:g} eps N^2, N = {n_eff:.6g}",
             residuals=residuals.tolist(),
         )
+    for a in (lams, ii, jj, residuals):
+        a.flags.writeable = False
     modes = list(zip((ii + 1).tolist(), (jj + 1).tolist()))
     return Spectrum(x, y, lams, ii, jj, residuals, modes)

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dptsv
 
-from .eigensolve import MixedEigenpair, Spectrum, _effective_cells
+from .eigensolve import Spectrum, _effective_cells
 from .errors import DimensionMismatch, LayoutMismatch
 from .mesh import TensorMesh
-from .postprocess import _require_fit
 
 # c of the bound c eps N^2 on eig_rel_diff and sigma_discrepancy /
 # sqrt(lambda) (verify_equivalence)
@@ -117,35 +116,29 @@ def _lift_1d(h, c, flux):
             jump)
 
 
-def _table_lift(h, table, peak):
-    """Per column of a 1-D mode table on the widths h: q, d, jump (_lift_1d),
-    |.|_D^2 and max |.| (``peak``), kept by a solved table of these widths.
-    A solved table of other widths raises LayoutMismatch; a stacked table
-    keeps no widths."""
-    widths = getattr(table, "h", None)
-    keep = np.array_equal(widths, h)
-    if widths is not None and not keep:
+def _table_lift(h, table):
+    """Per column of a solved 1-D mode table on the widths h: q, d, jump
+    (_lift_1d), |.|_D^2 and max |.|, taken once and kept by the table.  A
+    table not solved on these widths raises LayoutMismatch."""
+    if not np.array_equal(getattr(table, "h", None), h):
         raise LayoutMismatch(f"a mode table solved on other widths does not "
                              f"fit these {len(h)} cells")
-    if keep and table.lift is not None:
-        return table.lift
-    lift = np.array([*_lift_1d(h, table[1], table[2]),
-                     np.sum(h[:, None] * table[1]**2, axis=0), peak])
-    if keep:
-        lift.flags.writeable = False
-        table.lift = lift
-    return lift
+    if table.lift is None:
+        v = table[1]
+        table.lift = np.array([*_lift_1d(h, v, table[2]),
+                               np.sum(h[:, None] * v**2, axis=0),
+                               np.abs(v).max(axis=0)])
+        table.lift.flags.writeable = False
+    return table.lift
 
 
-def verify_equivalence(
-    mesh: TensorMesh, pairs: Spectrum | list[MixedEigenpair]
-) -> EquivalenceReport:
-    """Lift each mixed pair into the enriched element and compare.
+def verify_equivalence(mesh: TensorMesh, pairs: Spectrum) -> EquivalenceReport:
+    """Lift each mixed pair of a solve's Spectrum into the enriched element
+    and compare.
 
-    A Spectrum's x table v, or a list's x factors stacked (Spectrum.stack),
-    is lifted by one tridiagonal solve (``_lift_1d``), as is the y table w,
-    unless lifted before (_table_lift), and each pair gathers the results
-    of its columns.
+    The x table v is lifted by one tridiagonal solve (``_lift_1d``), as is
+    the y table w, unless lifted before (_table_lift), and each pair
+    gathers the results of its columns.
     With |.|_D the cell-width norm of a factor, a pair's enriched Rayleigh
     quotient is
 
@@ -166,16 +159,14 @@ def verify_equivalence(
     like N^2.  Measured, the ratio to eps N^2 is at most 4.7 on one cell
     and at most 1.7 from two cells on (8 000 random meshes with n <= 300
     cells and width ratios up to 1e4 per direction); levels 0-7 of presets
-    a, b and c reach 0.29.  An empty list, a pair that does not fit the
-    mesh, or a Spectrum solved on other widths, raises LayoutMismatch, and
-    a pair whose v or w is all zeros DegenerateFactor.
+    a, b and c reach 0.29.  Anything but a Spectrum (a list of pairs, a
+    tuple, None), or a Spectrum solved on other widths than the mesh's,
+    raises LayoutMismatch.
     """
     if not isinstance(pairs, Spectrum):
-        pairs = Spectrum.stack(pairs, mesh)
-    (_, v, flux_x, _), (_, w, flux_y, _) = pairs.x, pairs.y
-    peak_x, peak_y = _require_fit(mesh, v, w, flux_x, flux_y)
-    x = _table_lift(mesh.hx, pairs.x, peak_x)
-    y = _table_lift(mesh.hy, pairs.y, peak_y)
+        raise LayoutMismatch(f"verify_equivalence takes the Spectrum of "
+                             f"solve_mixed_eigs, not {type(pairs).__name__}")
+    x, y = _table_lift(mesh.hx, pairs.x), _table_lift(mesh.hy, pairs.y)
     # the 1-D quantities of each pair's x and y modes
     (q_x, d_x, jump_x, nv, peak_v), (q_y, d_y, jump_y, nw, peak_w) = (
         x[:, pairs.ii], y[:, pairs.jj])

@@ -86,10 +86,8 @@ def supercloseness_norms(
 
 
 def _require_fit(mesh, v, w, flux_x, flux_y, normed=True):
-    """A pair's four 1-D factors, or tables of them (a column per pair or
-    mode), must fit the mesh, and with ``normed`` no v or w be all zeros,
-    as a pair's norms divide by theirs: the column maxima of |v| and |w|,
-    which are returned, hold that test."""
+    """A pair's four 1-D factors must fit the mesh, and with ``normed``
+    neither v nor w be all zeros, as the pair's norms divide by theirs."""
     got = (len(v), len(w), len(flux_x), len(flux_y))
     if got != (mesh.n1, mesh.n2, mesh.n1 + 1, mesh.n2 + 1):
         raise LayoutMismatch(f"factor lengths (v, w, flux_x, flux_y) {got} "
@@ -99,7 +97,6 @@ def _require_fit(mesh, v, w, flux_x, flux_y, normed=True):
         if not peak.all():
             col = np.ravel(peak).tolist().index(0.0)
             raise DegenerateFactor(f"{name} factor {col} is all zeros")
-    return peaks
 
 
 def _gauss_table(nodes):

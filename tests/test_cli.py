@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from rrteig import cli, eigensolve
 from rrteig.assembly import assemble_mixed
-from rrteig.eigensolve import Spectrum, solve_mixed_eigs
+from rrteig.eigensolve import solve_mixed_eigs
 from rrteig.errors import InvalidConfig, IoFailure
 from rrteig.cli import (
     ExperimentConfig,
@@ -697,10 +697,9 @@ def test_run_case_keeps_no_table_beyond_the_call(monkeypatch):
 
 
 def test_failed_level_offers_no_tables(monkeypatch):
-    """The solve after a failed level is offered no tables, and a level
-    whose solve returned a list of pairs, stacked (Spectrum.stack), offers
-    tables with no widths, which the next solve does not reuse: preset b
-    then solves both directions afresh."""
+    """The solve after a failed level is offered no tables, and the level
+    after it the tables of that solve: preset b solves both directions
+    afresh at level 2 and reuses level 2's y table as level 3's x."""
     from rrteig.errors import NotConverged
 
     solve, offered = cli._solve, []
@@ -709,8 +708,7 @@ def test_failed_level_offers_no_tables(monkeypatch):
         offered.append(tables)
         if mesh.level == 1:
             raise NotConverged("injected")
-        pairs = solve(config, mesh, tables=tables)
-        return Spectrum.stack(list(pairs), mesh) if mesh.level == 2 else pairs
+        return solve(config, mesh, tables=tables)
 
     monkeypatch.setattr(cli, "_solve", failing)
     solved = _count_calls(monkeypatch, eigensolve._modes_1d)
@@ -718,8 +716,8 @@ def test_failed_level_offers_no_tables(monkeypatch):
     assert [lv.get("failed", False) for lv in report.levels] == [
         False, True, False, False]
     assert [len(t) for t in offered] == [0, 2, 0, 2]
-    assert not any(isinstance(t, eigensolve._Table) for t in offered[3])
-    assert len(solved) == 6
+    assert all(isinstance(t, eigensolve._Table) for t in offered[3])
+    assert len(solved) == 5
 
 
 def test_postprocessing_shares_tables_and_interpolants(monkeypatch):

@@ -21,8 +21,7 @@ from rrteig.eigensolve import (MixedEigenpair, SolveOptions, Spectrum,
                                _modes_1d, _residuals, _Table,
                                solve_mixed_eigs)
 from rrteig.equivalence import _lift_1d, verify_equivalence
-from rrteig.errors import (DegenerateFactor, DimensionMismatch, KTooLarge,
-                           LayoutMismatch)
+from rrteig.errors import DimensionMismatch, KTooLarge, LayoutMismatch
 from rrteig.exact import FieldSample, enumerate_exact
 from rrteig.mesh import build_mesh, uniform_mesh, uniform_refine
 
@@ -161,12 +160,14 @@ def test_upper_bound_transfer(mesh_a0):
 def test_verify_equivalence_clusters(mesh_a0, system_a0):
     """Uniform 8^2, lambda = 2, 5, 5, 8, 10, 10: the certificate oracle
     compares the double eigenvalues as clusters of two, with the pairs
-    past k that close them; the lift checks each of the first k pairs
-    alone and finds the certificate's enriched eigenvalues."""
+    past k that close them; the lift checks each pair of a solve at k = 6
+    alone, the first six of those pairs bit for bit, and finds the
+    certificate's enriched eigenvalues."""
     pairs = solve_mixed_eigs(assemble_mixed(mesh_a0), SolveOptions(k=9))
     cert = verify_equivalence_2d(system_a0, pairs, k=6)
     assert [e.cluster_size for e in cert.entries] == [1, 2, 2, 1, 2, 2]
-    rep = verify_equivalence(mesh_a0, pairs[:6])
+    rep = verify_equivalence(mesh_a0, solve_mixed_eigs(
+        assemble_mixed(mesh_a0), SolveOptions(k=6)))
     assert [e.mode for e in rep.entries] == [p.mode for p in pairs[:6]]
     for e, c in zip(rep.entries, cert.entries):
         assert e.lambda_rrt == c.lambda_rrt
@@ -178,24 +179,28 @@ def test_verify_equivalence_clusters(mesh_a0, system_a0):
 
 def test_verify_equivalence_refuses_pairs_that_do_not_fit(mesh_a0,
                                                           pairs_a0):
-    """Pairs solved on another mesh, one pair with a short factor among
-    fitting ones, and an empty list raise LayoutMismatch, not numpy's
-    broadcasting or stacking errors."""
+    """A Spectrum solved on another mesh raises LayoutMismatch, not numpy's
+    broadcasting errors, and so does anything but a Spectrum: a list of
+    pairs, an empty tuple, None, each named by its type."""
     wide = uniform_mesh(0.0, PI, 16, 0.0, PI, 8)
     other = solve_mixed_eigs(assemble_mixed(wide), SolveOptions(k=6))
-    short = dataclasses.replace(pairs_a0[3], flux_y=pairs_a0[3].flux_y[:-1])
-    for pairs in (other, pairs_a0[:3] + [short], []):
-        with pytest.raises(LayoutMismatch, match="do not fit 8 x 8 cells"):
+    with pytest.raises(LayoutMismatch, match="does not fit these 8 cells"):
+        verify_equivalence(mesh_a0, other)
+    for pairs in (list(pairs_a0), (), None):
+        with pytest.raises(LayoutMismatch,
+                           match=f"not {type(pairs).__name__}$"):
             verify_equivalence(mesh_a0, pairs)
     assert len(verify_equivalence(mesh_a0, pairs_a0).entries) == 6
 
 
 def test_verify_equivalence_truncated_cluster(mesh_c0):
     """The double eigenvalue lambda_12 = lambda_13 of case c, which k = 12
-    cuts, needs no pair past k: the twelfth pair lifts on its own."""
+    cuts, needs no pair past k: the twelfth pair of a solve at k = 12
+    lifts on its own."""
     pairs = solve_mixed_eigs(assemble_mixed(mesh_c0), SolveOptions(k=13))
     assert pairs[11].lambda_h == pytest.approx(pairs[12].lambda_h, rel=1e-12)
-    rep = verify_equivalence(mesh_c0, pairs[:12])
+    rep = verify_equivalence(mesh_c0, solve_mixed_eigs(
+        assemble_mixed(mesh_c0), SolveOptions(k=12)))
     assert len(rep.entries) == 12
     assert rep.max_eig_rel_diff <= 1e-12
     assert rep.max_sigma_discrepancy <= 1e-10
@@ -254,14 +259,15 @@ def test_equivalence_on_random_meshes(mesh, data):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(mesh=_small_tensor_meshes(), data=st.data())
 def test_lift_against_oracles_on_random_meshes(mesh, data):
-    """The lifted eigenvalues of the first k pairs equal, to 1e-12
-    relative, those of the enriched eigensolver and those of the 2-D
-    certificate, which compares clusters whole from k + 3 pairs."""
+    """The lifted eigenvalues of a solve at k equal, to 1e-12 relative,
+    those of the enriched eigensolver and those of the 2-D certificate,
+    which compares clusters whole from k + 3 pairs."""
     k = data.draw(st.integers(1, min(6, mesh.n_cells)), label="k")
     system = assembled(mesh)
     k_more = max(k, min(k + 3, mesh.n_cells))
     pairs = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=k_more))
-    lifted = [e.lambda_peq for e in verify_equivalence(mesh, pairs[:k]).entries]
+    lifted = [e.lambda_peq for e in verify_equivalence(mesh, solve_mixed_eigs(
+        assemble_mixed(mesh), SolveOptions(k=k))).entries]
     cert = [e.lambda_peq for e in verify_equivalence_2d(system, pairs, k).entries]
     eigs = [lam for lam, _ in solve_peq_eigs(assemble_peq(mesh), k)]
     np.testing.assert_allclose(lifted, eigs, rtol=1e-12, atol=0.0)
@@ -429,19 +435,40 @@ def _no_gap(pairs, k):
     return pairs[:k]
 
 
-def _scale_flux_x(pairs, k):
-    """The first pair's x flux is off by a relative 1e-6."""
-    p = pairs[0]
-    return [dataclasses.replace(p, flux_x=p.flux_x * (1.0 + 1e-6))] + pairs[1:]
-
-
 _CERTIFICATE_FAULTS = {
     "dropped cluster member": (_drop_cluster_member, "enriched and"),
     "perturbed u": (_perturb_u, "lifts to no enriched pair"),
     "no gap after the last cluster": (_no_gap, "no gap"),
 }
 
-_LIFT_FAULTS = {"perturbed u": _perturb_u, "scaled flux_x": _scale_flux_x}
+
+def _faulty_x(spectrum, row, change):
+    """The Spectrum with a copy of its x table in which ``change`` has
+    rewritten the column of the first pair in row 1 (v) or 2 (flux); the
+    copy keeps the solved widths and holds no lift."""
+    arrays = list(spectrum.x)
+    arrays[row] = arrays[row].copy()
+    col = spectrum.ii[0]
+    arrays[row][:, col] = change(arrays[row][:, col])
+    bad = _Table(arrays)
+    bad.h = spectrum.x.h
+    return dataclasses.replace(spectrum, x=bad)
+
+
+def _perturb_table_u(spectrum):
+    """The first pair's x factor, hence its u, is off by 1 % noise."""
+    rng = np.random.default_rng(0)
+    return _faulty_x(spectrum, 1, lambda v: v * (
+        1.0 + 1e-2 * rng.standard_normal(len(v))))
+
+
+def _scale_flux_x(spectrum):
+    """The first pair's x flux is off by a relative 1e-6."""
+    return _faulty_x(spectrum, 2, lambda f: f * (1.0 + 1e-6))
+
+
+_LIFT_FAULTS = {"perturbed u": _perturb_table_u,
+                "scaled flux_x": _scale_flux_x}
 
 
 @pytest.mark.parametrize("fault", _CERTIFICATE_FAULTS)
@@ -478,7 +505,7 @@ def test_lift_catches_faults(mesh_a0, fault):
     pairs = solve_mixed_eigs(assemble_mixed(mesh_a0), SolveOptions(k=6))
     assert verify_equivalence(mesh_a0, pairs).max_eig_rel_diff <= 1e-14
     with pytest.raises(DimensionMismatch, match=r"pair 0 \(mode \(1, 1\)\)"):
-        verify_equivalence(mesh_a0, _LIFT_FAULTS[fault](pairs, 6))
+        verify_equivalence(mesh_a0, _LIFT_FAULTS[fault](pairs))
 
 
 @pytest.mark.parametrize("fault", _LIFT_FAULTS)
@@ -492,7 +519,7 @@ def test_run_case_records_a_failed_certificate(monkeypatch, fault):
     def faulty(config, mesh, **tables):
         pairs = solve(config, mesh, **tables)
         if mesh.level == 1:
-            return Spectrum.stack(make(pairs, config.k), mesh)
+            return make(pairs)
         return pairs
 
     monkeypatch.setattr(cli, "_solve", faulty)
@@ -569,15 +596,14 @@ def _report_bits(rep):
 
 def _assert_table_path(mesh, k):
     """solve_mixed_eigs's Spectrum builds, at each index, the pair that the
-    eager list held, and verify_equivalence on the Spectrum's tables, and
-    on the list of its pairs, has the bits of the per-pair oracle."""
+    eager list held, and verify_equivalence on the Spectrum's tables has
+    the bits of the per-pair oracle."""
     spectrum = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=k))
     listed = _listed_pairs(mesh, k)
     assert isinstance(spectrum, Spectrum) and len(spectrum) == k
     assert [_pair_bits(p) for p in spectrum] == [_pair_bits(p) for p in listed]
     want = _report_bits(verify_equivalence_per_pair(mesh, listed, _lift_1d))
     assert _report_bits(verify_equivalence(mesh, spectrum)) == want
-    assert _report_bits(verify_equivalence(mesh, list(spectrum))) == want
     return spectrum
 
 
@@ -630,7 +656,7 @@ def test_table_path_bitwise_on_presets(case):
 
 
 @pytest.mark.parametrize("n1, n2, k", [(200, 150, 12), (256, 1, 6)])
-def test_table_path_bitwise_on_lanczos_tables(n1, n2, k):
+def test_table_path_bitwise_on_inverse_tables(n1, n2, k):
     """Random widths (ratio up to 30) of more than 128 cells, whose modes
     come from the inverse iteration, beside a direction of 200 and of 1
     cell."""
@@ -657,16 +683,6 @@ def test_spectrum_reads_as_a_sequence_of_pairs(mesh_c0):
         spectrum[5]
 
 
-def test_verify_equivalence_refuses_an_all_zero_factor(mesh_a0, pairs_a0):
-    """A pair whose v or w is all zeros divides 0 by 0 in its Rayleigh
-    quotient: a list holding one raises DegenerateFactor naming its
-    column, the pair's index in the list."""
-    for name, n in (("v", 8), ("w", 8)):
-        zero = dataclasses.replace(pairs_a0[2], **{name: np.zeros(n)})
-        with pytest.raises(DegenerateFactor, match=f"{name} factor 2 is"):
-            verify_equivalence(mesh_a0, [*pairs_a0[:2], zero, pairs_a0[3]])
-
-
 def _spectrum_bits(s):
     """A Spectrum as the types, shapes and bytes of every field."""
     arrays = [*s.x, *s.y, s.lambdas, s.ii, s.jj, s.residuals]
@@ -686,8 +702,8 @@ def test_offered_tables_give_the_bits_of_a_fresh_solve(mesh, data):
     """A solve offered 1-D mode tables reuses those of bitwise equal
     widths and the column count of a fresh solve, lifted or not, and no
     other: donor meshes share a direction's nodes with the mesh (so its
-    widths) at the same or another k, or have random nodes, and a donor
-    may be a Spectrum stacked from its pairs, whose tables keep no widths.
+    widths) at the same or another k, or have random nodes, and the
+    offered entries None and (1, 2), which are not tables, fit nothing.
     Every field of the Spectrum and of its EquivalenceReport has the bits
     of a fresh solve and check."""
     k = data.draw(st.integers(1, min(16, mesh.n_cells)), label="k")
@@ -703,9 +719,10 @@ def test_offered_tables_give_the_bits_of_a_fresh_solve(mesh, data):
         pairs = solve_mixed_eigs(assemble_mixed(donor), SolveOptions(k_donor))
         if data.draw(st.booleans(), label=f"donor {t} lifted"):
             verify_equivalence(donor, pairs)
-        if data.draw(st.integers(0, 3), label=f"donor {t} stacked") == 0:
-            pairs = Spectrum.stack(list(pairs), donor)
         offered += [pairs.x, pairs.y]
+    for junk in (None, (1, 2)):
+        offered.insert(data.draw(st.integers(0, len(offered)),
+                                 label=f"{junk} at"), junk)
     system = assemble_mixed(mesh)
     got = solve_mixed_eigs(system, SolveOptions(k), tables=offered)
     fresh = solve_mixed_eigs(system, SolveOptions(k))
@@ -721,41 +738,45 @@ def test_offered_tables_give_the_bits_of_a_fresh_solve(mesh, data):
 
 def test_tables_and_lifts_are_read_only(mesh_c0):
     """A caller cannot write into a solved table, or into the lift that
-    the equivalence check keeps with it, which a later solve may reuse;
-    the pairs built from the tables are copies, and writable."""
+    the equivalence check keeps with it, which a later solve may reuse,
+    nor into the Spectrum's per-pair arrays, also not through the
+    EquivalenceReport that holds its eigenvalues; the pairs built from
+    the tables are copies, and writable."""
     spectrum = solve_mixed_eigs(assemble_mixed(mesh_c0), SolveOptions(k=5))
-    verify_equivalence(mesh_c0, spectrum)
+    rep = verify_equivalence(mesh_c0, spectrum)
     for table in (spectrum.x, spectrum.y):
         assert isinstance(table, _Table) and table.lift is not None
         for a in (*table, table.lift):
             assert not a.flags.writeable
+    for a in (spectrum.lambdas, spectrum.ii, spectrum.jj, spectrum.residuals,
+              rep.lambda_rrt):
+        assert not a.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         spectrum.x[1][0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        rep.lambda_rrt[0] = -1.0
+    assert spectrum.lambdas[0] > 0.0 and spectrum[0].lambda_h > 0.0
     spectrum[0].v[0] = 1.0
 
 
 def test_a_kept_lift_serves_only_its_widths(mesh_c0):
     """A solved table keeps the lift taken on its own widths only: on a
     mesh of the same cell counts and other widths, the Spectrum is refused
-    with LayoutMismatch and keeps its lifts, while the list of its pairs,
-    stacked without widths, is lifted afresh and fails the bound."""
+    with LayoutMismatch and keeps its lifts."""
     spectrum = solve_mixed_eigs(assemble_mixed(mesh_c0), SolveOptions(k=5))
     verify_equivalence(mesh_c0, spectrum)
     kept = spectrum.x.lift, spectrum.y.lift
     other = build_mesh(mesh_c0.node_x ** 2, mesh_c0.node_y ** 2)
     with pytest.raises(LayoutMismatch, match="solved on other widths"):
         verify_equivalence(other, spectrum)
-    with pytest.raises(DimensionMismatch):
-        verify_equivalence(other, list(spectrum))
     assert spectrum.x.lift is kept[0] and spectrum.y.lift is kept[1]
 
 
 def test_verify_equivalence_refuses_a_spectrum_of_other_widths():
     """A Spectrum solved on a random 6 x 5 mesh is refused with
-    LayoutMismatch on another random mesh of the same cell counts, where
-    _require_fit, which reads lengths only, let it through; on its own
-    mesh it passes, and so does the list of its pairs, whose stacked
-    tables carry no widths."""
+    LayoutMismatch on another random mesh of the same cell counts, which a
+    check of lengths alone would let through; on its own mesh it
+    passes."""
     rng = np.random.default_rng(23)
     solved, other = (build_mesh(*(np.concatenate(
         [[0.0], np.cumsum(rng.uniform(1.0, 4.0, n))]) for n in (6, 5)))
@@ -764,25 +785,4 @@ def test_verify_equivalence_refuses_a_spectrum_of_other_widths():
     with pytest.raises(LayoutMismatch, match="on other widths does not fit "
                        "these 6 cells"):
         verify_equivalence(other, spectrum)
-    for pairs in (spectrum, list(spectrum)):
-        assert len(verify_equivalence(solved, pairs).entries) == 6
-
-
-def test_one_bound_for_a_spectrum_and_its_pairs(mesh_c0):
-    """A Spectrum stacked from a solve's pairs, whose tables keep no
-    widths, and the list of those pairs, checked against a mesh other than
-    the one they were solved on, are held to one bound: 16 eps N^2 with N
-    the given mesh's (eigensolve._effective_cells), not the solved mesh's;
-    the message of each failure names that bound."""
-    spectrum = solve_mixed_eigs(assemble_mixed(mesh_c0), SolveOptions(k=5))
-    other = build_mesh(mesh_c0.node_x ** 2, mesh_c0.node_y ** 2)
-    n_eff = max(other.hx.sum() / other.hx.min(),
-                other.hy.sum() / other.hy.min())
-    bound = 16.0 * np.finfo(float).eps * n_eff**2
-    found = []
-    for pairs in (Spectrum.stack(list(spectrum), mesh_c0), list(spectrum)):
-        with pytest.raises(DimensionMismatch) as info:
-            verify_equivalence(other, pairs)
-        found.append(str(info.value))
-    assert found[0] == found[1]
-    assert found[0].endswith(f"beyond {bound:.3e}")
+    assert len(verify_equivalence(solved, spectrum).entries) == 6
