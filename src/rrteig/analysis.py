@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exact import FieldSample, _cos_sq_integrals, _require_domain
+from .exact import FieldSample, mode_tables
 from .mesh import TensorMesh
 
 _BOUND_REL_TOL = 1e-12  # relative roundoff slack of the upper-bound flag
@@ -16,18 +16,13 @@ def expansion_term(mesh: TensorMesh, fields) -> np.ndarray:
     sin(kx x) sin(ky y) of ``fields`` on any tensor mesh, one array entry
     per field: (1/12) sum_K (kx^2 h_x^2 int_K u_x^2 + ky^2 h_y^2 int_K u_y^2),
     derived and verified numerically (rate 4 of the remainder on random
-    meshes), not proved.  As sin^2 integrates to half the side a across a
-    direction, it is the sum of two 1-D terms (k^4 / 6a) sum_i h_i^2 int_I_i
-    cos(k x)^2, each field's row reduced alone, so the other fields do not
-    change its bits."""
-    _require_domain(mesh, fields)
-    side = np.array([f.domain for f in fields], float).reshape(-1, 2)
-    k = np.array([(f.kx, f.ky) for f in fields]).reshape(-1, 2)
-    total = np.zeros(len(fields))
-    for d, nodes in enumerate((mesh.node_x, mesh.node_y)):
-        cells = np.diff(nodes) ** 2 * _cos_sq_integrals(k[:, d:d + 1], nodes)
-        total += (k[:, d] ** 2) ** 2 / (6.0 * side[:, d]) * cells.sum(axis=1)
-    return total
+    meshes), not proved: as sin^2 integrates to half a side across a
+    direction, it is rows m - 1 and n - 1 of the x and y ModeTable sums."""
+    terms = []
+    for f in fields:
+        x, y = mode_tables(mesh, f.domain, f.m, f.n)
+        terms.append(x.sums[f.m - 1] + y.sums[f.n - 1])
+    return np.array(terms, dtype=float)
 
 
 def convergence_rate(coarse_err: float, fine_err: float) -> float:
@@ -67,11 +62,16 @@ def match_frequencies(pairs, shifts, domain) -> list[dict]:
     shift, one of ``shifts``, is the label's expansion term on the mesh,
     and the observed shift is lambda_h minus the label's exact eigenvalue.
     """
+    return _matches([(p.lambda_h, p.mode, shift,
+                      FieldSample(*p.mode, domain).value)
+                     for p, shift in zip(pairs, shifts)], domain)
+
+
+def _matches(rows, domain) -> list[dict]:
+    """The records of match_frequencies, one per row (lambda_h, (m, n),
+    predicted shift, exact eigenvalue of the label)."""
     square = abs(domain[0] - domain[1]) <= 1e-12 * max(domain)
-    out = []
-    for p, shift in zip(pairs, shifts):
-        m, n = sorted(p.mode) if square else p.mode
-        out.append({"lambda_h": p.lambda_h, "m": m, "n": n,
-                    "predicted_shift": shift, "observed_shift":
-                    p.lambda_h - FieldSample(*p.mode, domain).value})
-    return out
+    return [{"lambda_h": lam, "m": min(mode) if square else mode[0],
+             "n": max(mode) if square else mode[1],
+             "predicted_shift": shift, "observed_shift": lam - value}
+            for lam, mode, shift, value in rows]

@@ -12,24 +12,23 @@ import numbers
 import os
 import sys
 import time
-from collections import namedtuple
 from dataclasses import MISSING, asdict, dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
 from .analysis import (
+    _matches,
     check_upper_bound,
     convergence_rate,
-    expansion_term,
     extrapolate,
     lower_bound_margin,
-    match_frequencies,
 )
 from .assembly import assemble_mixed
 from .eigensolve import SolveOptions, Spectrum, solve_mixed_eigs
 from .equivalence import verify_equivalence
 from .errors import AmbiguousCluster, RRTError, InvalidConfig, IoFailure
-from .exact import FieldSample, enumerate_exact
+from .exact import enumerate_exact, mode_tables
 from .mesh import (
     TensorMesh,
     build_mesh,
@@ -37,7 +36,7 @@ from .mesh import (
     regularity_constant,
     uniform_refine,
 )
-from .postprocess import postprocessing_norms, supercloseness_norms
+from .postprocess import _postprocessing_norms, _supercloseness_norms
 
 ALL_ANALYSES = (
     "eigenvalues",
@@ -223,33 +222,18 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _residual_indices(config, mesh, exact):
-    """Table rows: all of the first k on uniform meshes, else the simple
-    eigenvalues among the first k."""
-    if mesh.is_uniform():
-        return list(range(min(config.k, 6)))
-    return [i for i, e in enumerate(exact[: config.k]) if e.multiplicity == 1]
-
-
-# all that _aligned_field and match_frequencies read of a pair
-_Label = namedtuple("_Label", "mode lambda_h")
-
-
-def _aligned_field(pair, exact_pair):
-    """The exact field a pair's residual is measured against: the one mode
-    of a simple exact eigenvalue, which the table pairs with the discrete
-    pair of the same index whatever its label; for a multiple eigenvalue
-    the pair's own labelled mode, which must lie in the eigenspace."""
+def _aligned_mode(mode, lambda_h, exact_pair):
+    """The exact mode a pair of label ``mode`` is measured against: the one
+    mode of a simple exact eigenvalue, which the table pairs with the pair
+    of the same index whatever its label; for a multiple eigenvalue the
+    pair's own label, which must lie in the eigenspace."""
     if exact_pair.multiplicity == 1:
-        mode = exact_pair.modes[0]
-    elif pair.mode in exact_pair.modes:
-        mode = pair.mode
-    else:
-        raise AmbiguousCluster(
-            f"mode {pair.mode} of lambda_h={pair.lambda_h} is not in the "
-            f"eigenspace of lambda={exact_pair.value}"
-        )
-    return FieldSample(*mode, exact_pair.domain)
+        return exact_pair.modes[0]
+    if mode in exact_pair.modes:
+        return mode
+    raise AmbiguousCluster(
+        f"mode {mode} of lambda_h={lambda_h} is not in the eigenspace of "
+        f"lambda={exact_pair.value}")
 
 
 def _solve(config: ExperimentConfig, mesh: TensorMesh, *, tables=()):
@@ -275,29 +259,39 @@ class _Level:
     # _frequencies and shared by the levels of one sweep
     spaces: dict
 
+    @cached_property
+    def tables(self):
+        """The exact x and y ModeTables of modes 1..k, which hold every
+        label of the pairs and of the k exact eigenvalues; built on first
+        read, and again by each analysis that reads it while it raises."""
+        k = self.config.k
+        return mode_tables(self.mesh, self.exact[0].domain, k, k)
+
 
 def _residuals(lv: _Level) -> dict:
-    rows = _residual_indices(lv.config, lv.mesh, lv.exact)
+    # the first k rows, at most 6, on uniform meshes, else the simple ones
+    rows = (range(min(lv.config.k, 6)) if lv.mesh.is_uniform() else
+            [t for t, e in enumerate(lv.exact) if e.multiplicity == 1])
     lams, modes = lv.pairs.lambdas.tolist(), lv.pairs.modes
-    fields = [_aligned_field(_Label(modes[t], lams[t]), lv.exact[t])
-              for t in rows]
+    labels = [_aligned_mode(modes[t], lams[t], lv.exact[t]) for t in rows]
+    ex, ey = (table.sums.tolist() for table in lv.tables)
     resid = {}
-    for t, e2 in zip(rows, expansion_term(lv.mesh, fields).tolist()):
-        e1 = lams[t] - lv.exact[t].value
+    for t, (m, n) in zip(rows, labels):
+        e1, e2 = lams[t] - lv.exact[t].value, ex[m - 1] + ey[n - 1]
         resid[str(t + 1)] = {"e1": e1, "e2": e2, "r": e1 - e2}
     return {"residuals": resid}
 
 
 def _supercloseness(lv: _Level) -> dict:
-    return {"supercloseness": supercloseness_norms(
-        lv.mesh, lv.pairs[0], FieldSample(1, 1, lv.exact[0].domain))}
+    return {"supercloseness": _supercloseness_norms(
+        lv.mesh, lv.pairs.columns(0, 0), lv.tables, (1, 1))}
 
 
 def _postprocessing(lv: _Level) -> dict:
     if lv.mesh.n1 % 2 or lv.mesh.n2 % 2:
         return {}
-    return {"postprocessing": postprocessing_norms(
-        lv.mesh, lv.pairs[0], FieldSample(1, 1, lv.exact[0].domain))}
+    return {"postprocessing": _postprocessing_norms(
+        lv.mesh, lv.pairs.columns(0, 0), lv.tables, (1, 1))}
 
 
 def _bounds(lv: _Level) -> dict:
@@ -322,24 +316,25 @@ def _frequencies(lv: _Level) -> dict:
         return {}
     # the pairs whose label lies in a multiple exact eigenspace that the
     # labels of the first k cover in full; every eigenspace at or below the
-    # largest label's eigenvalue has modes m <= sqrt(top / kx2) and
-    # n <= sqrt(top / ky2), so that many exact modes enumerate them all
+    # largest label's eigenvalue has modes m <= sqrt(top / vx[0]) and
+    # n <= sqrt(top / vy[0]), so that many exact modes enumerate them all
     domain = lv.exact[0].domain
-    labels = set(lv.pairs.modes)
-    kx2, ky2 = (np.pi / domain[0]) ** 2, (np.pi / domain[1]) ** 2
-    top = max(FieldSample(m, n, domain).value for m, n in labels)
-    count = (int(np.sqrt(top / kx2)) + 1) * (int(np.sqrt(top / ky2)) + 1)
+    modes, lams = lv.pairs.modes, lv.pairs.lambdas.tolist()
+    labels = set(modes)
+    (ex, vx), (ey, vy) = ((t.sums.tolist(), t.values.tolist())
+                          for t in lv.tables)
+    top = max(vx[m - 1] + vy[n - 1] for m, n in labels)
+    count = (int(np.sqrt(top / vx[0])) + 1) * (int(np.sqrt(top / vy[0])) + 1)
     if count not in lv.spaces:
         lv.spaces[count] = {mode: e for e in
                             enumerate_exact(domain, count=count)
                             for mode in e.modes}
     space = lv.spaces[count]
-    members = [_Label(m, lam) for m, lam in
-               zip(lv.pairs.modes, lv.pairs.lambdas.tolist()) if
-               space[m].multiplicity > 1 and labels.issuperset(space[m].modes)]
-    shifts = expansion_term(
-        lv.mesh, [FieldSample(*p.mode, domain) for p in members]).tolist()
-    return {"frequency_matches": match_frequencies(members, shifts, domain)}
+    return {"frequency_matches": _matches(
+        [(lam, (m, n), ex[m - 1] + ey[n - 1], vx[m - 1] + vy[n - 1])
+         for lam, (m, n) in zip(lams, modes)
+         if space[m, n].multiplicity > 1
+         and labels.issuperset(space[m, n].modes)], domain)}
 
 
 def _equivalence(lv: _Level) -> dict:

@@ -566,15 +566,19 @@ class Spectrum(Sequence):
     ii: np.ndarray
     jj: np.ndarray
     residuals: np.ndarray
-    modes: list
+    modes: tuple
 
     def __len__(self):
         return len(self.lambdas)
 
-    def _pair(self, lam, i, j, res, mode):
+    def columns(self, i, j):
+        """Label (i + 1, j + 1)'s factors (v, w, flux_x, flux_y): views."""
         (v, fx), (w, fy) = self.x[1:3], self.y[1:3]
-        return MixedEigenpair(lam, v[:, i].copy(), w[:, j].copy(),
-                              fx[:, i].copy(), fy[:, j].copy(), res, mode)
+        return v[:, i], w[:, j], fx[:, i], fy[:, j]
+
+    def _pair(self, lam, i, j, res, mode):
+        return MixedEigenpair(lam, *(a.copy() for a in self.columns(i, j)),
+                              res, mode)
 
     def __getitem__(self, t):
         if isinstance(t, slice):
@@ -671,5 +675,5 @@ def solve_mixed_eigs(system: MixedSystem, opts: SolveOptions, *,
         )
     for a in (lams, ii, jj, residuals):
         a.flags.writeable = False
-    modes = list(zip((ii + 1).tolist(), (jj + 1).tolist()))
+    modes = tuple(zip((ii + 1).tolist(), (jj + 1).tolist()))
     return Spectrum(x, y, lams, ii, jj, residuals, modes)

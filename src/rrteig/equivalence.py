@@ -50,7 +50,7 @@ class EquivalenceReport:
     lambda_peq: np.ndarray
     eig_rel_diff: np.ndarray
     sigma_discrepancy: np.ndarray
-    modes: list
+    modes: tuple
     max_flux_jump: float
 
     @property

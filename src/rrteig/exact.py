@@ -1,14 +1,12 @@
-"""Closed-form exact eigenpairs on rectangles and their discrete images.
+"""Closed-form exact eigenpairs on rectangles and their 1-D tables.
 
-Eigenfunctions on [0,a] x [0,b] are products of sine waves.  Every
-discrete pair carries its mode label (m, n), so the exact partner of
-every pair, cluster members included, is one mode (FieldSample), and its
-point values and cell means on a tensor mesh are outer products of 1-D
-tables.  The 1-D integrals (cell means of sin(k x), cell integrals of
-cos(k x)^2, which the h^2 expansion term sums per direction) come from
-analytic antiderivatives, so they carry no quadrature error; tests check
-them against Gauss quadrature independently.  FieldSample refuses a mode
-or domain that these 1-D forms would mis-evaluate.
+Every discrete pair carries its mode label (m, n), so the exact partner
+of every pair, cluster members included, is one mode (FieldSample), a
+product of sine waves and so a tensor product as the pair is: label
+(m, n) reads row m - 1 of an x and row n - 1 of a y ModeTable, as the
+pair reads its table columns.  The 1-D integrals come from analytic
+antiderivatives, with no quadrature error; tests check them against
+Gauss quadrature independently.
 """
 
 from __future__ import annotations
@@ -16,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,14 +87,8 @@ def enumerate_exact(domain=(np.pi, np.pi), count=6) -> list[ExactEigenpair]:
 
 
 # ---------------------------------------------------------------------------
-# analytic 1-D integrals of trigonometric products
+# exact 1-D mode tables, from analytic integrals of sines
 # ---------------------------------------------------------------------------
-
-def _int_sin(k, nodes):
-    """The integrals of sin(k x) over each cell of the nodes."""
-    c = np.cos(k * nodes)
-    return (c[:-1] - c[1:]) / k
-
 
 def _cos_sq_integrals(k, nodes):
     """The integrals of cos(k x)^2 over each cell of the nodes, one row per
@@ -111,8 +104,8 @@ class FieldSample:
     u = amp sin(kx x) sin(ky y),  amp = 2 / sqrt(ab),  kx = m pi / a,
     ky = n pi / b,
 
-    with eigenvalue kx^2 + ky^2 and the 1-D factors of its derivatives.
-    The flux is sigma = -grad u.
+    with eigenvalue kx^2 + ky^2 and flux sigma = -grad u; its 1-D factors
+    are rows m - 1 and n - 1 of mode_tables.
     """
 
     m: int
@@ -137,54 +130,50 @@ class FieldSample:
         return (self.m * self.m * (np.pi / a) ** 2
                 + self.n * self.n * (np.pi / b) ** 2)
 
-    @property
-    def amp(self) -> float:
-        a, b = self.domain
-        return 2.0 / np.sqrt(a * b)
 
-    @property
-    def kx(self) -> np.float64:
-        return np.float64(self.m) * np.pi / self.domain[0]
+class ModeTable:
+    """The exact 1-D modes amp sin(k x), k = m pi / s, m = 1..p, on the
+    nodes of a side s, a row per mode: eigenvalues m^2 (pi / s)^2, the
+    expansion sums (k^4 / 6 s) sum_i h_i^2 int_I_i cos(k x)^2 and, when
+    first read, cell means and node slopes.  Each row is reduced alone, so
+    its bits are those of any table that holds its mode."""
 
-    @property
-    def ky(self) -> np.float64:
-        return np.float64(self.n) * np.pi / self.domain[1]
+    def __init__(self, nodes, side, p, amp=1.0):
+        m = np.arange(1, p + 1)
+        self.nodes, self.amp = nodes, amp
+        self.k, self.values = m * np.pi / side, m * m * (np.pi / side) ** 2
+        cells = np.diff(nodes) ** 2 * _cos_sq_integrals(self.k[:, None], nodes)
+        self.sums = (self.k ** 2) ** 2 / (6.0 * side) * cells.sum(axis=1)
 
-    def factors(self, x, y):
-        """The x and y factors of the partial derivatives of u of orders 0,
-        1 and 2 in each direction, arrays (3, *shape): row d holds amp
-        times the d-th derivative of sin(kx x) at the points x, and the
-        d-th derivative of sin(ky y) at the points y, by the cycle sin ->
-        k cos -> -k^2 sin from one sine and one cosine."""
-        out = []
-        for k, pts in ((self.kx, x), (self.ky, y)):
-            kp = k * np.asarray(pts)
-            s = np.sin(kp)
-            out.append(np.array([s, k * np.cos(kp), -k * k * s]))
-        return self.amp * out[0], out[1]
+    @cached_property
+    def nodal(self):
+        """amp times each sine's cell means (p, n) and its derivative k cos(k
+        x) at the nodes (p, n + 1), both from one cosine per node."""
+        k, c = self.k[:, None], np.cos(self.k[:, None] * self.nodes)
+        return (self.amp * ((c[:, :-1] - c[:, 1:]) / k) / np.diff(self.nodes),
+                self.amp * (k * c))
 
-
-# ---------------------------------------------------------------------------
-# discrete images of exact fields
-# ---------------------------------------------------------------------------
-
-def cell_mean_factors(mesh: TensorMesh, fld: FieldSample):
-    """The x and y factors (amp px, py) of the cell means of u, px and py
-    the 1-D cell means of the two sines: the mean of u over cell (i, j) is
-    amp px[i] py[j]."""
-    return (fld.amp * _int_sin(fld.kx, mesh.node_x) / mesh.hx,
-            _int_sin(fld.ky, mesh.node_y) / mesh.hy)
+    def factors(self, pts, m):
+        """amp times the sine of mode m and its first two derivatives at the
+        points pts, (3, *pts.shape), from one sine and one cosine."""
+        k = self.k[m - 1]
+        kp = k * pts
+        s = np.sin(kp)
+        return self.amp * np.array([s, k * np.cos(kp), -k * k * s])
 
 
-def _require_domain(mesh: TensorMesh, fields):
-    """Each field's domain [0, a] x [0, b] must be the mesh's, its end
-    nodes to 1e-12 relative: the analyses read a field at the mesh's
-    coordinates, and on another domain its numbers are wrong."""
+def mode_tables(mesh: TensorMesh, domain, px, py):
+    """The ModeTables of modes 1..px on the mesh's x nodes and 1..py on its
+    y nodes, the amplitude 2 / sqrt(ab) of a unit mode on [0, a] x [0, b]
+    on x.  A domain that is not the mesh's, its end nodes to 1e-12
+    relative, raises LayoutMismatch: the tables would be wrong there."""
     (x0, x1), (y0, y1) = (mesh.node_x[::mesh.n1].tolist(),  # the end nodes
                           mesh.node_y[::mesh.n2].tolist())
-    for a, b in {f.domain for f in fields}:
-        if not (max(abs(x0), abs(x1 - a)) <= 1e-12 * a
-                and max(abs(y0), abs(y1 - b)) <= 1e-12 * b):
-            raise LayoutMismatch(
-                f"a field on [0, {a:.17g}] x [0, {b:.17g}] does not fit the "
-                f"mesh of [{x0:.17g}, {x1:.17g}] x [{y0:.17g}, {y1:.17g}]")
+    a, b = domain
+    if not (max(abs(x0), abs(x1 - a)) <= 1e-12 * a
+            and max(abs(y0), abs(y1 - b)) <= 1e-12 * b):
+        raise LayoutMismatch(
+            f"a field on [0, {a:.17g}] x [0, {b:.17g}] does not fit the "
+            f"mesh of [{x0:.17g}, {x1:.17g}] x [{y0:.17g}, {y1:.17g}]")
+    return (ModeTable(mesh.node_x, a, px, 2.0 / np.sqrt(a * b)),
+            ModeTable(mesh.node_y, b, py))

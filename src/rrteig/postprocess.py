@@ -12,8 +12,8 @@ interpolant, whose error norms reduce to 1-D Gauss sums.  One call,
 postprocessing_norms, gives all four error norms of a level: each 1-D
 interpolant is taken once, value and derivative from the divided
 differences of each macro-element, and the nine distances are one
-stacked pass (_distance_sq).  The supercloseness norms reduce alike, to
-1-D sums of the pair's factors and of the exact field's cell means.
+stacked pass (_distance_sq).  The supercloseness norms reduce alike.
+Both read a pair's four factors and an exact label's ModeTable rows.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .eigensolve import MixedEigenpair, _a1_bands, _a1_times
 from .errors import DegenerateFactor, LayoutMismatch, OddMeshDimensions
-from .exact import FieldSample, _require_domain, cell_mean_factors
+from .exact import FieldSample, mode_tables
 from .mesh import TensorMesh
 
 _GAUSS_N = 5
@@ -38,13 +38,18 @@ _KEYS = [t[0] for t in _TERMS]
 _X, _Y, _F, _G = np.array([t[1:] for t in _TERMS]).T
 
 
-def supercloseness_norms(
-    mesh: TensorMesh, pair: MixedEigenpair, fld: FieldSample
-) -> dict[str, float]:
+def supercloseness_norms(mesh: TensorMesh, pair: MixedEigenpair,
+                         fld: FieldSample) -> dict[str, float]:
     """Exact norms of sigma_I - sigma_h in A (norm_sigma), of its
     divergence (norm_div) and of Pi0 u - u_h in M (norm_u), the
-    supercloseness entry of a level's report, from 1-D factors.  With
-    (X, Y) the cell-mean factors of the field and f the negative first
+    supercloseness entry of a level's report (_supercloseness_norms)."""
+    return _supercloseness_norms(mesh, *_per_pair(mesh, pair, fld))
+
+
+def _supercloseness_norms(mesh, factors, tables, mode):
+    """supercloseness_norms of a pair's 1-D factors (v, w, flux_x, flux_y)
+    against the exact mode (m, n) of the x and y ModeTables.  With (X, Y)
+    the cell-mean factors of the mode and f the negative first
     derivatives of its sines on the node lines, Pi0 u = Y (x) X and
     sigma_I = [Y (x) fx; fy (x) X]; A_xx = diag(h_y) (x) A1x, A_yy = A1y
     (x) diag(h_x), M = diag(h_y) (x) diag(h_x), so each squared norm is a
@@ -56,47 +61,47 @@ def supercloseness_norms(
     distance, the remainder terms come from the 4x4 Gram matrices of (X,
     v, rx, v) and (Y, w, w, ry).  Expanding all four rank-one terms
     instead cancels, to 2.2e-5 of the value at 1024^2."""
-    _require_fit(mesh, pair.v, pair.w, pair.flux_x, pair.flux_y)
-    _require_domain(mesh, [fld])
-    v, w, hx, hy = pair.v, pair.w, mesh.hx, mesh.hy
-    X, Y = cell_mean_factors(mesh, fld)
-    fx, fy = (-f[1] for f in fld.factors(mesh.node_x, mesh.node_y))
+    (v, w, flux_x, flux_y), (tx, ty), (m, n) = factors, tables, mode
+    (X, fx), (Y, fy) = tx.nodal, ty.nodal
+    X, Y, fx, fy = X[m - 1], Y[n - 1], -fx[m - 1], -fy[n - 1]
+    value, hx, hy = tx.values[m - 1] + ty.values[n - 1], mesh.hx, mesh.hy
     dx, dy = (lambda a: hx * a), (lambda a: hy * a)
     a1x, a1y = ((lambda a, d=_a1_bands(h): _a1_times(*d, a))  # on rows
                 for h in (hx, hy))
-    sigma_sq = (_distance_sq(pair.flux_x[None], w[None], fx[None], Y[None],
+    sigma_sq = (_distance_sq(flux_x[None], w[None], fx[None], Y[None],
                              a1x, dy)
-                + _distance_sq(pair.flux_y[None], v[None], fy[None], X[None],
+                + _distance_sq(flux_y[None], v[None], fy[None], X[None],
                                a1y, dx))[0]
-    gx = (pair.flux_x[1:] - pair.flux_x[:-1]) / hx
-    gy = (pair.flux_y[1:] - pair.flux_y[:-1]) / hy
+    gx = (flux_x[1:] - flux_x[:-1]) / hx
+    gy = (flux_y[1:] - flux_y[:-1]) / hy
     hv, hw = hx * v, hy * w
     mu, nu = (hv * gx).sum() / (hv * v).sum(), (hw * gy).sum() / (hw * w).sum()
     xs, ys = np.array([X, v, gx - mu * v, v]), np.array([Y, w, w, gy - nu * w])
-    coef = np.array([fld.value, -(mu + nu), -1.0, -1.0])
+    coef = np.array([value, -(mu + nu), -1.0, -1.0])
     gram = np.outer(coef, coef) * ((xs * hx) @ xs.T) * ((ys * hy) @ ys.T)
     gram[:2, :2] = 0.0  # the main part, taken balanced
     # the main part of the divergence and Pi0 u - u_h, stacked
     div_sq, u_sq = _distance_sq(
         np.array([(mu + nu) * v, v]), np.array([w, w]),
-        np.array([fld.value * X, X]), np.array([Y, Y]), dx, dy)
+        np.array([value * X, X]), np.array([Y, Y]), dx, dy)
     return {"norm_sigma": float(np.sqrt(sigma_sq)),
             "norm_div": float(np.sqrt(div_sq + gram.sum())),
             "norm_u": float(np.sqrt(u_sq))}
 
 
-def _require_fit(mesh, v, w, flux_x, flux_y, normed=True):
-    """A pair's four 1-D factors must fit the mesh, and with ``normed``
-    neither v nor w be all zeros, as the pair's norms divide by theirs."""
-    got = (len(v), len(w), len(flux_x), len(flux_y))
+def _per_pair(mesh, pair, fld, normed=True):
+    """A kernel's arguments for a pair and a field: the pair's four 1-D
+    factors, which must fit the mesh and with ``normed`` have no all-zero v
+    or w, as the norms divide by theirs; the field's mode_tables and label."""
+    factors = pair.v, pair.w, pair.flux_x, pair.flux_y
+    got = tuple(map(len, factors))
     if got != (mesh.n1, mesh.n2, mesh.n1 + 1, mesh.n2 + 1):
         raise LayoutMismatch(f"factor lengths (v, w, flux_x, flux_y) {got} "
                              f"do not fit {mesh.n1} x {mesh.n2} cells")
-    peaks = (np.abs(v).max(axis=0), np.abs(w).max(axis=0)) if normed else ()
-    for name, peak in zip("vw", peaks):
-        if not peak.all():
-            col = np.ravel(peak).tolist().index(0.0)
-            raise DegenerateFactor(f"{name} factor {col} is all zeros")
+    for name, f in zip("vw", factors[:2] if normed else ()):
+        if not f.any():
+            raise DegenerateFactor(f"{name} factor 0 is all zeros")
+    return factors, mode_tables(mesh, fld.domain, fld.m, fld.n), (fld.m, fld.n)
 
 
 def _gauss_table(nodes):
@@ -149,14 +154,24 @@ def _distance_sq(x, y, f, g, mx, my):
     return xx * ey_ey + 2.0 * x_ex * ey_g + ex_ex * gg
 
 
-def postprocessing_norms(
-    mesh: TensorMesh, pair: MixedEigenpair, fld: FieldSample
-) -> dict[str, float]:
+def postprocessing_norms(mesh: TensorMesh, pair: MixedEigenpair,
+                         fld: FieldSample) -> dict[str, float]:
     """L2 (sigma_l2, u_l2) and broken H1-seminorm (sigma_h1, u_h1)
     distances of the macro-element reconstructions of the pair to the
-    exact field, by 5x5 Gauss quadrature per fine cell.  The flux's x
-    component interpolates flux_x in x and w in y, its y component v in x
-    and flux_y in y; the scalar interpolates v in x and w in y.
+    exact field, by 5x5 Gauss quadrature per fine cell
+    (_postprocessing_norms)."""
+    if mesh.n1 % 2 or mesh.n2 % 2:
+        raise OddMeshDimensions("macro-elements need even cell counts, "
+                                f"got {mesh.n1} x {mesh.n2}")
+    return _postprocessing_norms(mesh, *_per_pair(mesh, pair, fld, False))
+
+
+def _postprocessing_norms(mesh, factors, tables, mode):
+    """postprocessing_norms of a pair's 1-D factors (v, w, flux_x, flux_y)
+    against the exact mode (m, n) of the x and y ModeTables, on a mesh of
+    even cell counts.  The flux's x component interpolates flux_x in x
+    and w in y, its y component v in x and flux_y in y; the scalar
+    interpolates v in x and w in y.
 
     Each component, the exact field and each of their derivatives is a
     tensor product of 1-D factors, so every squared distance is a
@@ -164,17 +179,13 @@ def postprocessing_norms(
     table per direction holds each 1-D interpolant and exact factor of
     each derivative order once, and the nine distances (_TERMS) read
     their rows from it in one stacked pass, in O(n1 + n2) memory."""
-    _require_fit(mesh, pair.v, pair.w, pair.flux_x, pair.flux_y, normed=False)
-    if mesh.n1 % 2 or mesh.n2 % 2:
-        raise OddMeshDimensions("macro-elements need even cell counts, "
-                                f"got {mesh.n1} x {mesh.n2}")
-    _require_domain(mesh, [fld])
+    (v, w, flux_x, flux_y), (tx, ty), (m, n) = factors, tables, mode
     (xq, wx), (yq, wy) = _gauss_table(mesh.node_x), _gauss_table(mesh.node_y)
-    ex, ey = fld.factors(xq, yq)
-    xs = np.array([*_interpolant(mesh.node_x, pair.flux_x, xq),
-                   *_interpolant(mesh.node_x, pair.v, xq), *ex, *-ex])
-    ys = np.array([*_interpolant(mesh.node_y, pair.w, yq),
-                   *_interpolant(mesh.node_y, pair.flux_y, yq), *ey])
+    ex, ey = tx.factors(xq, m), ty.factors(yq, n)
+    xs = np.array([*_interpolant(mesh.node_x, flux_x, xq),
+                   *_interpolant(mesh.node_x, v, xq), *ex, *-ex])
+    ys = np.array([*_interpolant(mesh.node_y, w, yq),
+                   *_interpolant(mesh.node_y, flux_y, yq), *ey])
     xs, ys = xs.reshape(len(xs), -1), ys.reshape(len(ys), -1)
     wx, wy = wx.ravel(), wy.ravel()
     del ex, ey, xq, yq  # only the tables and stacks are alive at the peak

@@ -66,7 +66,7 @@ from rrteig.eigensolve import MixedEigenpair
 from rrteig.equivalence import EquivalenceEntry
 from rrteig.errors import (
     DimensionMismatch, KTooLarge, LayoutMismatch, RRTError)
-from rrteig.exact import ExactEigenpair, FieldSample, cell_mean_factors
+from rrteig.exact import ExactEigenpair, FieldSample
 from rrteig.mesh import TensorMesh
 
 # relative tolerance within which enumerate_exact_search groups values
@@ -497,8 +497,10 @@ def sign_matched(mesh, pair, fld):
     two rank-one cell vectors is the product of two 1-D sums.  The sweep
     measures the first pair as it is: it is the (1, 1) pair, which never
     needs the flip."""
-    px, py = cell_mean_factors(mesh, fld)
-    if np.sum(mesh.hx * pair.v * px) * np.sum(mesh.hy * pair.w * py) >= 0:
+    (nx, ny), (_, kx, ky) = (mesh.node_x, mesh.node_y), _mode(fld)
+    px = _int_sin(kx, nx[:-1], nx[1:])  # h times the cell means
+    py = _int_sin(ky, ny[:-1], ny[1:])
+    if np.sum(pair.v * px) * np.sum(pair.w * py) >= 0:
         return pair
     return replace(pair, v=-pair.v, flux_x=-pair.flux_x)
 
@@ -1110,16 +1112,16 @@ def expansion_term_per_mode(mesh: TensorMesh, fld) -> float:
     """The h^2 expansion term of one field by scalar algebra in 2-D: the
     closed-form integrals of kx^2 u_x^2 over each x-strip and of ky^2
     u_y^2 over each y-strip, each a cos^2 integral along the strip and a
-    sin^2 one across the domain, with the scalars fld.kx, fld.ky and
-    fld.amp, each times the squared strip width, added one by one by
+    sin^2 one across the domain, with the scalars kx, ky and amp of
+    _mode, each times the squared strip width, added one by one by
     Python's sum, x-strips first.  expansion_term's two 1-D sums match it
     to roundoff."""
-    kx, ky = fld.kx, fld.ky
+    amp, kx, ky = _mode(fld)
     nx, ny = mesh.node_x, mesh.node_y
-    ix = fld.amp**2 * (kx**2 * kx**2 * _int_sq(kx, nx[:-1], nx[1:], cos=True)
-                       * _int_sq(ky, ny[0], ny[-1]))
-    iy = fld.amp**2 * (ky**2 * ky**2 * _int_sq(kx, nx[0], nx[-1])
-                       * _int_sq(ky, ny[:-1], ny[1:], cos=True))
+    ix = amp**2 * (kx**2 * kx**2 * _int_sq(kx, nx[:-1], nx[1:], cos=True)
+                   * _int_sq(ky, ny[0], ny[-1]))
+    iy = amp**2 * (ky**2 * ky**2 * _int_sq(kx, nx[0], nx[-1])
+                   * _int_sq(ky, ny[:-1], ny[1:], cos=True))
     terms = np.concatenate([np.float_power(np.diff(nx), 2) * ix,
                             np.float_power(np.diff(ny), 2) * iy])
     return sum(terms, 0.0) / 12.0
@@ -1183,8 +1185,8 @@ def _sine_derivative(k, x, order):
 
 def _field_factors(fld, x, y, dx, dy):
     """The x and y factors of the (dx, dy) partial derivative of u."""
-    return (fld.amp * _sine_derivative(fld.kx, x, dx),
-            _sine_derivative(fld.ky, y, dy))
+    amp, kx, ky = _mode(fld)
+    return amp * _sine_derivative(kx, x, dx), _sine_derivative(ky, y, dy)
 
 
 def supercloseness_norms_per_term(mesh, pair, fld):
@@ -1193,8 +1195,9 @@ def supercloseness_norms_per_term(mesh, pair, fld):
     the field from both ends of every cell."""
     v, w, hx, hy = pair.v, pair.w, mesh.hx, mesh.hy
     nx, ny = mesh.node_x, mesh.node_y
-    X = fld.amp * _int_sin(fld.kx, nx[:-1], nx[1:]) / hx
-    Y = _int_sin(fld.ky, ny[:-1], ny[1:]) / hy
+    amp, kx, ky = _mode(fld)
+    X = amp * _int_sin(kx, nx[:-1], nx[1:]) / hx
+    Y = _int_sin(ky, ny[:-1], ny[1:]) / hy
     fx, fy = (-f for f in _field_factors(fld, nx, ny, 1, 1))
     dx, dy = _weights(hx), _weights(hy)
     sigma_sq = (_tensor_distance_sq(pair.flux_x, w, fx, Y, _a1(hx), dy)
@@ -1291,11 +1294,11 @@ def rt_interpolate_exact(mesh: TensorMesh, fld) -> np.ndarray:
     Each edge family is one outer product: kx cos(kx x) on the node lines
     times the 1-D antiderivative differences across the cells; x-edges
     (grid [cell row j, line i]) come before y-edges ([line j, cell column i])."""
-    nx, ny = mesh.node_x, mesh.node_y
-    sx = fld.amp * (fld.kx * np.cos(fld.kx * nx)
-                    * _int_sin(fld.ky, ny[:-1, None], ny[1:, None]))
-    sy = fld.amp * (_int_sin(fld.kx, nx[:-1], nx[1:])
-                    * (fld.ky * np.cos(fld.ky * ny[:, None])))
+    (nx, ny), (amp, kx, ky) = (mesh.node_x, mesh.node_y), _mode(fld)
+    sx = amp * (kx * np.cos(kx * nx)
+                * _int_sin(ky, ny[:-1, None], ny[1:, None]))
+    sy = amp * (_int_sin(kx, nx[:-1], nx[1:])
+                * (ky * np.cos(ky * ny[:, None])))
     sx = -sx / mesh.hy[:, None]
     sy = -sy / mesh.hx
     return np.concatenate([sx.ravel(), sy.ravel()])
@@ -1304,9 +1307,9 @@ def rt_interpolate_exact(mesh: TensorMesh, fld) -> np.ndarray:
 def l2_project_exact(mesh: TensorMesh, fld) -> np.ndarray:
     """Cell-mean vector (1/|K|) integral_K u, row-major cell order: the
     outer product of the 1-D antiderivative differences."""
-    nx, ny = mesh.node_x, mesh.node_y
-    out = fld.amp * (_int_sin(fld.kx, nx[:-1], nx[1:])
-                     * _int_sin(fld.ky, ny[:-1, None], ny[1:, None]))
+    (nx, ny), (amp, kx, ky) = (mesh.node_x, mesh.node_y), _mode(fld)
+    out = amp * (_int_sin(kx, nx[:-1], nx[1:])
+                 * _int_sin(ky, ny[:-1, None], ny[1:, None]))
     return out.ravel() / cell_areas(mesh)
 
 

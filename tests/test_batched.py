@@ -23,14 +23,19 @@ from rrteig.assembly import assemble_mixed
 from rrteig.cli import case_preset
 from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
 from rrteig.errors import LayoutMismatch
-from rrteig.exact import FieldSample, cell_mean_factors, enumerate_exact
+from rrteig.exact import FieldSample, enumerate_exact, mode_tables
 from rrteig.mesh import (
     build_mesh,
     regularity_constant,
     uniform_mesh,
     uniform_refine,
 )
-from rrteig.postprocess import postprocessing_norms, supercloseness_norms
+from rrteig.postprocess import (
+    _postprocessing_norms,
+    _supercloseness_norms,
+    postprocessing_norms,
+    supercloseness_norms,
+)
 
 from oracles import (
     assembled,
@@ -190,10 +195,9 @@ def test_solved_pair_norms_against_per_cell_oracle(mesh):
 def test_cell_and_edge_means_against_per_cell_oracle(mesh, data):
     """l2_project_exact against cell_integral_u / |K| and
     rt_interpolate_exact against per-edge mean fluxes, to 1e-13; the
-    library's cell_mean_factors (X, Y), with the flux factors of
-    FieldSample.factors on the node lines, against both 2-D interpolants
-    to 1e-15: Pi0 u = Y (x) X and sigma_I = [Y (x) fx; fy (x) X], f the
-    negative first derivatives."""
+    cell means (X, Y) and node slopes of the field's rows of the library's
+    mode_tables against both 2-D interpolants to 1e-15: Pi0 u = Y (x) X
+    and sigma_I = [Y (x) fx; fy (x) X], f the negative slopes."""
     fld = data.draw(_fields(mesh), label="field")
     lay = numbering(mesh)
     nx, ny = mesh.node_x, mesh.node_y
@@ -214,8 +218,9 @@ def test_cell_and_edge_means_against_per_cell_oracle(mesh, data):
     pi0, sigma_i = l2_project_exact(mesh, fld), rt_interpolate_exact(mesh, fld)
     _assert_close(pi0, means, 1e-13)
     _assert_close(sigma_i, fluxes, 1e-13)
-    X, Y = cell_mean_factors(mesh, fld)
-    fx, fy = (f[1] for f in fld.factors(nx, ny))
+    tx, ty = mode_tables(mesh, fld.domain, fld.m, fld.n)
+    (X, fx), (Y, fy) = tx.nodal, ty.nodal
+    X, Y, fx, fy = X[fld.m - 1], Y[fld.n - 1], fx[fld.m - 1], fy[fld.n - 1]
     _assert_close(np.outer(Y, X).ravel(), pi0, 1e-15)
     _assert_close(np.concatenate([np.outer(Y, -fx).ravel(),
                                   np.outer(-fy, X).ravel()]), sigma_i, 1e-15)
@@ -226,6 +231,7 @@ def _oracle_expansion_term(mesh, exact):
     the cell integrals by 48x48 Gauss quadrature of the pointwise
     derivative."""
     nx, ny = mesh.node_x, mesh.node_y
+    kx, ky = (q * np.pi / s for q, s in zip((exact.m, exact.n), exact.domain))
     total = 0.0
     for j in range(mesh.n2):
         ym, yh = (ny[j] + ny[j + 1]) / 2, (ny[j + 1] - ny[j]) / 2
@@ -234,9 +240,9 @@ def _oracle_expansion_term(mesh, exact):
             xg, yg = np.meshgrid(xm + xh * _QX, ym + yh * _QX)
             w = np.outer(yh * _QW, xh * _QW)
             total += np.sum(w * (
-                (2 * xh * exact.kx) ** 2
+                (2 * xh * kx) ** 2
                 * exact_derivative(exact, xg, yg, 1, 0) ** 2
-                + (2 * yh * exact.ky) ** 2
+                + (2 * yh * ky) ** 2
                 * exact_derivative(exact, xg, yg, 0, 1) ** 2))
     return total / 12.0
 
@@ -437,6 +443,50 @@ def test_stacked_norms_bitwise_on_presets(case):
         domain = (mesh.node_x[-1], mesh.node_y[-1])
         _assert_bitwise(mesh, pairs[0],
                         [FieldSample(*p.mode, domain) for p in pairs])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mesh=_meshes(even=False), data=st.data())
+def test_level_tables_against_per_pair_forms(mesh, data):
+    """A level's exact tables, mode_tables over m = 1..p in each direction,
+    read as the sweep reads them, label (m, n) at rows m - 1 and n - 1,
+    with every solved pair's factors as views of its Spectrum columns, on
+    random odd and even meshes: for each pair's own label and for a label
+    drawn from the whole table, e2 and the eigenvalue have the bits of
+    expansion_term and FieldSample.value, and the supercloseness and
+    (even meshes) postprocessing norms the bits of supercloseness_norms
+    and postprocessing_norms of the built pair and of the per-term
+    oracles; the supercloseness norms of one drawn pair meet the 2-D
+    oracle (_assert_supercloseness).  Most labels are not (1, 1)."""
+    k = min(8, mesh.n_cells)
+    pairs = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=k))
+    domain = (mesh.node_x[-1], mesh.node_y[-1])
+    px, py = (data.draw(st.integers(max(m), 12), label=f"p_{axis}")
+              for axis, m in zip("xy", zip(*pairs.modes)))
+    tables = mode_tables(mesh, domain, px, py)
+    (ex, vx), (ey, vy) = ((t.sums, t.values) for t in tables)
+    drawn = [data.draw(st.tuples(st.integers(1, px), st.integers(1, py)),
+                       label="label") for _ in range(k)]
+    even = mesh.n1 % 2 == 0 and mesh.n2 % 2 == 0
+    for t, pair in enumerate(pairs):
+        factors = pairs.columns(pairs.ii[t], pairs.jj[t])
+        for m, n in {pair.mode, drawn[t]}:
+            fld = FieldSample(m, n, domain)
+            assert (ex[m - 1] + ey[n - 1]).tobytes() == expansion_term(
+                mesh, [fld]).tobytes()
+            assert (vx[m - 1] + vy[n - 1]) == fld.value
+            got = _supercloseness_norms(mesh, factors, tables, (m, n))
+            assert _bits(got) == _bits(supercloseness_norms(mesh, pair, fld))
+            assert _bits(got) == _bits(
+                supercloseness_norms_per_term(mesh, pair, fld))
+            if even:
+                got = _postprocessing_norms(mesh, factors, tables, (m, n))
+                assert _bits(got) == _bits(
+                    postprocessing_norms(mesh, pair, fld))
+                assert _bits(got) == _bits(
+                    postprocessing_norms_per_term(mesh, pair, fld))
+    t = data.draw(st.integers(0, k - 1), label="oracle pair")
+    _assert_supercloseness(mesh, pairs[t], FieldSample(*drawn[t], domain))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -610,10 +610,10 @@ def test_failing_analysis_keeps_the_level(monkeypatch, capsys):
     from rrteig import cli
     from rrteig.errors import AmbiguousCluster
 
-    def broken(mesh, fields):
+    def broken(*args):
         raise AmbiguousCluster("injected")
 
-    monkeypatch.setattr(cli, "expansion_term", broken)
+    monkeypatch.setattr(cli, "mode_tables", broken)
     report = run_case(dataclasses.replace(case_preset("c"), levels=1))
     assert len(report.levels) == 2
     for lv in report.levels:
@@ -638,11 +638,11 @@ def test_failing_analysis_keeps_the_level(monkeypatch, capsys):
 
 def test_reference_field_computed_once_per_level(monkeypatch):
     """Supercloseness and postprocessing measure the first pair as it is,
-    with no sign match: the (1, 1) cell means are taken once per level,
-    inside supercloseness_norms."""
-    from rrteig.exact import cell_mean_factors
+    with no sign match: the exact tables that hold the (1, 1) cell means
+    and Gauss-point factors are built once per level and shared by both."""
+    from rrteig.exact import mode_tables
 
-    projected = _count_calls(monkeypatch, cell_mean_factors)
+    projected = _count_calls(monkeypatch, mode_tables)
     config = dataclasses.replace(
         case_preset("a"), levels=1,
         analyses=("eigenvalues", "supercloseness", "postprocessing"),
@@ -664,9 +664,9 @@ def test_run_case_lifts_each_table_once_and_builds_pairs_on_demand(
     stack of two per level).  On b, whose y widths at level L are bitwise
     its x widths at level L + 1, level 0 holds two tables and each later
     level one new one: 6 solves and 6 lifts at levels = 4, not 10.  No
-    MixedEigenpair is built on b and c; on a only pairs[0], for
-    supercloseness and postprocessing: the frequency matches read the
-    labels and eigenvalues."""
+    MixedEigenpair is built: supercloseness and postprocessing read
+    pairs[0]'s table columns, and the frequency matches the labels and
+    eigenvalues."""
     from rrteig import equivalence
 
     solved = _count_calls(monkeypatch, eigensolve._modes_1d)
@@ -681,7 +681,7 @@ def test_run_case_lifts_each_table_once_and_builds_pairs_on_demand(
     assert len(solved) == {"a": 5, "b": 6, "c": 5}[case]
     matched = sum(len(lv.get("frequency_matches", ())) for lv in report.levels)
     assert (matched > 0) == (case == "a")
-    assert len(built) == (2 * levels if case == "a" else 0)
+    assert built == []
 
 
 def test_run_case_keeps_no_table_beyond_the_call(monkeypatch):
@@ -941,13 +941,15 @@ def test_sides_at_the_range_ends_keep_the_scaling(tmp_path, capsys):
 
 
 def test_one_expansion_call_per_analysis_per_level(monkeypatch):
-    """On preset a the residuals and the frequency matches each make one
-    expansion_term call per level, and a label's residual e2 and its
-    predicted shift have the same bits: a field's term does not depend on
-    the other fields of the call."""
+    """On preset a the residuals and the frequency matches read the
+    expansion sums of one pair of exact tables per level, and make no
+    expansion_term call; a label's residual e2 and its predicted shift
+    have the same bits."""
     from rrteig.analysis import expansion_term
+    from rrteig.exact import mode_tables
 
     calls = _count_calls(monkeypatch, expansion_term)
+    tables = _count_calls(monkeypatch, mode_tables)
     report = run_case(dataclasses.replace(case_preset("a"), levels=2))
     assert "failures" not in report.config
     for lv in report.levels:
@@ -959,7 +961,61 @@ def test_one_expansion_call_per_analysis_per_level(monkeypatch):
         e2 = [lv["residuals"][str(t + 1)]["e2"] for t in rows]
         shifts = [m["predicted_shift"] for m in matches]
         assert np.array(e2).tobytes() == np.array(shifts).tobytes()
-    assert len(calls) == 6
+    assert (len(calls), len(tables)) == (0, 3)
+
+
+def test_report_path_builds_no_field_per_pair(monkeypatch):
+    """A sweep of preset a at levels = 2 reads each label's exact values
+    from the level's tables: the only FieldSamples built are the two
+    domain checks of enumerate_exact (the sweep's k values and the
+    frequency matches' eigenspaces), no pair is built, expansion_term is
+    never called, and one pair of tables is built per level."""
+    from rrteig.analysis import expansion_term
+    from rrteig.eigensolve import Spectrum
+    from rrteig.exact import FieldSample, mode_tables
+
+    counts = {"field": 0, "pair": 0}
+
+    def counting(key, method):
+        def counted(self, *args):
+            counts[key] += 1
+            return method(self, *args)
+        return counted
+
+    monkeypatch.setattr(FieldSample, "__post_init__",
+                        counting("field", FieldSample.__post_init__))
+    monkeypatch.setattr(Spectrum, "__getitem__",
+                        counting("pair", Spectrum.__getitem__))
+    terms = _count_calls(monkeypatch, expansion_term)
+    tables = _count_calls(monkeypatch, mode_tables)
+    report = run_case(dataclasses.replace(case_preset("a"), levels=2))
+    assert "failures" not in report.config
+    assert all(lv["frequency_matches"] for lv in report.levels)
+    assert counts == {"field": 2, "pair": 0}
+    assert (len(terms), len(tables)) == (0, 3)
+
+
+def test_failed_exact_tables_fail_each_reader_alone(monkeypatch):
+    """Exact tables that cannot be built fail each analysis that reads
+    them, with one failures entry each, on every level: residuals,
+    supercloseness, postprocessing and frequencies on preset a.  The
+    level keeps its eigenvalues, bounds and equivalence check."""
+    from rrteig.errors import LayoutMismatch
+
+    def broken(*args):
+        raise LayoutMismatch("injected")
+
+    monkeypatch.setattr(cli, "mode_tables", broken)
+    report = run_case(dataclasses.replace(case_preset("a"), levels=1))
+    readers = ["residuals", "supercloseness", "postprocessing", "frequencies"]
+    assert [(f["level"], f["analysis"], f["error"], f["message"])
+            for f in report.config["failures"]] == [
+        (level, name, "LayoutMismatch", "injected")
+        for level in (0, 1) for name in readers]
+    for lv in report.levels:
+        assert {"lambdas", "upper_margins", "equivalence"} <= set(lv)
+        assert not {"residuals", "supercloseness", "postprocessing",
+                    "frequency_matches"} & set(lv)
 
 
 def test_exact_spectrum_enumerated_once_per_sweep(monkeypatch):

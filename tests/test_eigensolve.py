@@ -1067,7 +1067,7 @@ def _assert_full_table_bits(spectrum, mesh, k):
     for a, b in zip((spectrum.lambdas, spectrum.ii, spectrum.jj,
                      spectrum.residuals), (lams, ii, jj, residuals)):
         assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
-    assert spectrum.modes == modes
+    assert spectrum.modes == tuple(modes)
     for pair, i, j in zip(spectrum, ii, jj):
         assert [f.tobytes() for f in (pair.v, pair.flux_x, pair.w, pair.flux_y)
                 ] == [t[c][:, m].tobytes() for t, m in ((x, i), (y, j))
@@ -1141,4 +1141,4 @@ def test_tables_grow_while_a_mode_could_enter(monkeypatch, nodes, k, calls):
     monkeypatch.undo()
     _assert_full_table_bits(spectrum, mesh, k)
     if k == 2:
-        assert spectrum.modes == [(1, 1), (2, 1)]
+        assert spectrum.modes == ((1, 1), (2, 1))

@@ -678,7 +678,7 @@ def test_spectrum_reads_as_a_sequence_of_pairs(mesh_c0):
     assert len(list(spectrum)) == 5
     assert list(map(_pair_bits, spectrum)) == [
         _pair_bits(spectrum[t]) for t in range(len(spectrum))]
-    assert spectrum.modes == [p.mode for p in listed]
+    assert spectrum.modes == tuple(p.mode for p in listed)
     with pytest.raises(IndexError):
         spectrum[5]
 

@@ -141,7 +141,7 @@ def test_analytic_integrals_vs_quadrature():
         assert cell_integral_u(fld, *cell) == pytest.approx(
             _quad2d(partial(exact_derivative, fld), *cell), rel=1e-12
         )
-        for k, nodes in ((fld.kx, nx), (fld.ky, ny)):
+        for k, nodes in ((m * PI / PI, nx), (n * PI / PI, ny)):
             got = _cos_sq_integrals(np.array([[k]]), np.array(nodes))[0]
             for i, (x0, x1) in enumerate(zip(nodes[:-1], nodes[1:])):
                 x = (x0 + x1) / 2 + (x1 - x0) / 2 * _GX
@@ -228,10 +228,9 @@ def test_l2_projection_means(mesh_c0):
 
 def _aligned_mode(pair, exact_pair):
     """The mode (m, n) of the aligned exact field."""
-    from rrteig.cli import _aligned_field
+    from rrteig import cli
 
-    fld = _aligned_field(pair, exact_pair)
-    return fld.m, fld.n
+    return cli._aligned_mode(pair.mode, pair.lambda_h, exact_pair)
 
 
 def test_align_representative_recovers_mode(pairs_a0):
@@ -254,9 +253,8 @@ def test_align_representative_cluster_unit(pairs_a0):
 
 def test_align_wrong_eigenvalue_raises(pairs_a0):
     """A label outside a multiple eigenvalue's eigenspace raises."""
-    from rrteig.cli import _aligned_field
     from rrteig.errors import AmbiguousCluster
 
     ex = enumerate_exact((PI, PI), count=6)
     with pytest.raises(AmbiguousCluster):
-        _aligned_field(pairs_a0[3], ex[1])
+        _aligned_mode(pairs_a0[3], ex[1])

@@ -234,7 +234,7 @@ def test_error_norm_exact_field_small():
     mesh = uniform_mesh(0.0, PI, 8, 0.0, PI, 8)
     fld = FieldSample(1, 1)
     nx, ny = mesh.node_x, mesh.node_y
-    kx, ky, amp = fld.kx, fld.ky, fld.amp
+    kx, ky, amp = 1.0, 1.0, 2.0 / PI  # mode (1, 1) on [0, pi]^2
     pair = factor_pair(
         v=amp * (np.cos(kx * nx[:-1]) - np.cos(kx * nx[1:])) / kx / mesh.hx,
         w=(np.cos(ky * ny[:-1]) - np.cos(ky * ny[1:])) / ky / mesh.hy,
