@@ -340,8 +340,8 @@ def _frequencies(lv: _Level) -> dict:
 def _equivalence(lv: _Level) -> dict:
     eq = verify_equivalence(lv.mesh, lv.pairs)
     return {"equivalence": {
-        "max_eig_rel_diff": eq.max_eig_rel_diff,
-        "max_sigma_discrepancy": eq.max_sigma_discrepancy,
+        "max_eig_rel_diff": float(eq.eig_rel_diff.max()),
+        "max_sigma_discrepancy": float(eq.sigma_discrepancy.max()),
         "max_flux_jump": eq.max_flux_jump,
     }}
 
@@ -745,11 +745,11 @@ def main(argv=None) -> int:
                     print(f"lambda_{t + 1} = {lam:.17g}")
                 return 0
             rep = verify_equivalence(mesh, pairs)
-            for e in rep.entries:
-                print(
-                    f"lambda={e.lambda_rrt:.17g} rel_diff={e.eig_rel_diff:.3e} "
-                    f"sigma={e.sigma_discrepancy:.3e} mode={e.mode}"
-                )
+            for lam, diff, sigma, mode in zip(
+                    pairs.lambdas.tolist(), rep.eig_rel_diff.tolist(),
+                    rep.sigma_discrepancy.tolist(), pairs.modes):
+                print(f"lambda={lam:.17g} rel_diff={diff:.3e} "
+                      f"sigma={sigma:.3e} mode={mode}")
             print(f"max_flux_jump={rep.max_flux_jump:.3e}")
             return 0
 

@@ -67,7 +67,9 @@ from .mesh import uniform_widths
 _DENSE_MAX_CELLS = 128  # the most 1-D cells always solved by a dense eigh
 _MAX_SOLVES = 8  # the most solves of one Rayleigh quotient iteration
 _VECTOR_TOL = 1e-13  # error along other modes kept by a row without last step
-_STOP_C = 0.125  # c of the stop test |K y - theta y| <= c eps n theta_1 (_rqi)
+# c and floor f of the stop test |K y - theta y| <= eps max(c n, f) theta_1
+# (_rqi, _inverse_modes)
+_STOP_C, _STOP_FLOOR = 0.125, 2.0
 # c of the bound c eps N^2 on every pair's residual (solve_mixed_eigs)
 _RESIDUAL_C = 64.0
 # the sides s on which (pi / s)^2 and its inverse are normal floats
@@ -326,11 +328,17 @@ def _inverse_modes(hs, k, ops):
     Symmetric Eigenvalue Problem, 1980, ch. 4), the rows of every
     direction in one block: row m from y = D^-1/2 G cos(m pi x / a), the
     flux of the exact mode, stopped at |K y - theta y| <= tau theta_1, tau
-    = _STOP_C eps n, theta_1 <= (a / pi)^2 standing in for K's largest
-    eigenvalue.  Measured, a converged row's |K y - theta y| stays below
-    0.019 eps n theta_1 (8.3 eps theta_1 at most) on random,
-    mirror-symmetric, geometric and graded widths of 129 to 8192 cells at
-    k = 3, 16 and 48, so _STOP_C = 1/8 leaves a margin of 6.7 or more.
+    = eps max(_STOP_C n, _STOP_FLOOR), theta_1 <= (a / pi)^2 standing in
+    for K's largest eigenvalue.  Measured, a converged row's |K y - theta
+    y| stays below 0.019 eps n theta_1 (8.3 eps theta_1 at most) on
+    random, mirror-symmetric, geometric and graded widths of 129 to 8192
+    cells at k = 3, 16 and 48, so _STOP_C = 1/8 leaves a margin of 6.7 or
+    more.  Below 16 cells the floor holds tau above the roundoff floor of
+    a converged row: over 75 768 calls on random, log-random and
+    geometric widths (ratio 1e3) of 2 to 16 cells at k = 1, min(4, n) and
+    n, tau = 1.75 eps lost a mode (NotConverged) in 3 and _STOP_FLOOR = 2
+    in none, where eps n / 8 alone loses one in about 6 % (315 of 5 124).
+    Above 16 cells tau is eps n / 8, bit for bit.
     With s = 1/theta, the longest prefix of p quotients that rise by the
     lift 1e-6 holds mu_1..mu_p if a Sturm count just above its top reads p
     + 1.  A later mode keeps its quotient if it lies above mode m - 1's and
@@ -345,7 +353,8 @@ def _inverse_modes(hs, k, ops):
     t_bands = zip(g[:, :-1] + g[:, 1:], -g[:, 1:-1])  # T's, per direction
     st = _Pencils(ops, list(zip(t_bands, zip(*ops[1:3]))), sides.tolist(),
                   (hs.max(axis=1) / sides).tolist(),
-                  _STOP_C * np.finfo(float).eps * n * (sides / np.pi) ** 2)
+                  np.finfo(float).eps * max(_STOP_C * n, _STOP_FLOOR)
+                  * (sides / np.pi) ** 2)
     x = np.zeros((d, n + 1))
     np.cumsum(hs, axis=1, out=x[:, 1:])
     x *= (np.pi / sides)[:, None]

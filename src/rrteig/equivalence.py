@@ -32,40 +32,16 @@ from .mesh import TensorMesh
 _BOUND_C = 16.0
 
 
-@dataclass(frozen=True)
-class EquivalenceEntry:
-    lambda_rrt: float
-    lambda_peq: float
-    eig_rel_diff: float
-    sigma_discrepancy: float
-    mode: tuple[int, int]
-
-
 @dataclass(frozen=True, eq=False)
 class EquivalenceReport:
-    """Each pair's comparison as arrays in pair order, and its mode label;
-    ``entries`` builds the EquivalenceEntry of each pair when read."""
+    """Each pair's comparison as arrays in the Spectrum's pair order (the
+    Spectrum holds each pair's eigenvalue and label), and the largest
+    normal-gradient jump."""
 
-    lambda_rrt: np.ndarray
     lambda_peq: np.ndarray
     eig_rel_diff: np.ndarray
     sigma_discrepancy: np.ndarray
-    modes: tuple
     max_flux_jump: float
-
-    @property
-    def entries(self) -> tuple[EquivalenceEntry, ...]:
-        return tuple(map(EquivalenceEntry, *np.array([
-            self.lambda_rrt, self.lambda_peq, self.eig_rel_diff,
-            self.sigma_discrepancy]).tolist(), self.modes))
-
-    @property
-    def max_eig_rel_diff(self) -> float:
-        return float(self.eig_rel_diff.max())
-
-    @property
-    def max_sigma_discrepancy(self) -> float:
-        return float(self.sigma_discrepancy.max())
 
 
 def _p1_norm_sq(h, left, right):
@@ -185,5 +161,4 @@ def verify_equivalence(mesh: TensorMesh, pairs: Spectrum) -> EquivalenceReport:
             f"{s_disc[i] / np.sqrt(lam[i]):.3e} apart, relative, beyond "
             f"{bound:.3e}")
     jump = float(max((peak_w * jump_x).max(), (peak_v * jump_y).max()))
-    return EquivalenceReport(lam, lam_peq, rel_diff, s_disc, pairs.modes,
-                              jump)
+    return EquivalenceReport(lam_peq, rel_diff, s_disc, jump)

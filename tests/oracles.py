@@ -34,8 +34,8 @@ lifts every mixed pair by one block solve and compares clusters through
 ``eigenspace_gap``; a shift-invert Lanczos solve of the enriched pencil
 checks its count and lifted eigenvalues.  ``verify_equivalence_per_pair``
 holds the equivalence check as it was before it read a spectrum's 1-D
-mode tables: factors stacked one column per pair, both directions lifted
-and every entry built, for the table path, bit for bit.
+mode tables: factors stacked one column per pair and both directions
+lifted, for the table path, bit for bit.
 ``full_table_pairs`` chooses the k smallest pairs as the solver did
 before it sized each 1-D table from the data: the k smallest sums over
 tables of min(k, n) modes, for the data-sized tables, bit for bit.
@@ -63,7 +63,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from rrteig.eigensolve import MixedEigenpair
-from rrteig.equivalence import EquivalenceEntry
 from rrteig.errors import (
     DimensionMismatch, KTooLarge, LayoutMismatch, RRTError)
 from rrteig.exact import ExactEigenpair, FieldSample
@@ -801,11 +800,9 @@ def verify_equivalence_per_pair(mesh, pairs, lift):
     """verify_equivalence one pair at a time: each factor of every pair
     stacked into a table of one column per pair (np.column_stack), the x
     and y tables lifted by ``lift`` (the library's 1-D lift, which the 2-D
-    certificate checks), and an EquivalenceEntry built for every pair.
-    Returns the entries, the per-pair arrays (lambda_h, lambda_peq,
-    eig_rel_diff, sigma_discrepancy), the two maxima of the entries and
-    the largest flux jump; a pair beyond 16 eps N^2 raises
-    DimensionMismatch."""
+    certificate checks).  Returns the per-pair arrays (lambda_peq,
+    eig_rel_diff, sigma_discrepancy) and the largest flux jump; a pair
+    beyond 16 eps N^2 raises DimensionMismatch."""
     cols = lambda name: np.column_stack([getattr(p, name) for p in pairs])
     v, w = cols("v"), cols("w")
     q_x, d_x, jump_x = lift(mesh.hx, v, cols("flux_x"))
@@ -822,15 +819,7 @@ def verify_equivalence_per_pair(mesh, pairs, lift):
         raise DimensionMismatch("a pair is not its enriched lift")
     jump = float(max((np.abs(w).max(axis=0) * jump_x).max(),
                      (np.abs(v).max(axis=0) * jump_y).max()))
-    entries = tuple(
-        EquivalenceEntry(lambda_rrt=float(lam[i]), lambda_peq=float(lam_peq[i]),
-                         eig_rel_diff=float(rel_diff[i]),
-                         sigma_discrepancy=float(s_disc[i]),
-                         mode=pairs[i].mode)
-        for i in range(len(pairs)))
-    return (entries, (lam, lam_peq, rel_diff, s_disc),
-            max(e.eig_rel_diff for e in entries),
-            max(e.sigma_discrepancy for e in entries), jump)
+    return (lam_peq, rel_diff, s_disc), jump
 
 
 def _clusters(lambdas):

@@ -3,6 +3,7 @@ determinism, command-line surface."""
 
 import dataclasses
 import errno
+import hashlib
 import json
 import math
 import os
@@ -305,6 +306,33 @@ def test_main_equiv(capsys):
     code = main(["equiv", "--case", "c", "--levels", "0", "--k", "4"])
     assert code == 0
     assert "max_flux_jump" in capsys.readouterr().out
+
+
+# md5 of the stdout of rrteig eigs and equiv on each preset at levels 0
+# and 1: every printed eigenvalue, difference, label and flux jump
+_STDOUT_MD5 = {
+    ("eigs", "a", 0): "c1e2f51f52ec6ce303a376ad01d31972",
+    ("eigs", "a", 1): "db7990d64d23dc5bb55cfcbb0ad356ce",
+    ("eigs", "b", 0): "2c354dc6a8d52d6bd37a8cca871734a3",
+    ("eigs", "b", 1): "18a411fc8bfd22f4df057a137fade77f",
+    ("eigs", "c", 0): "150bcb9390cdf192a1c294147df5d123",
+    ("eigs", "c", 1): "ab84726b01f0fc7380c3d0e982db89ee",
+    ("equiv", "a", 0): "ed86e0a2bc616d22dfdeeea1671cbf43",
+    ("equiv", "a", 1): "be0bddbd375b893c6ab2bc23d747ab5d",
+    ("equiv", "b", 0): "40ba244a4a0beda4e5ad26010009db0a",
+    ("equiv", "b", 1): "bb0933e46223216d323de797aea932ad",
+    ("equiv", "c", 0): "f25bc7fad5a29fa4dbef1205494ac323",
+    ("equiv", "c", 1): "eac1947143e82258c9f23367f913a10b",
+}
+
+
+@pytest.mark.parametrize("command, case, level", _STDOUT_MD5)
+def test_eigs_and_equiv_stdout_bytes(capsys, command, case, level):
+    """The stdout of rrteig eigs and equiv for presets a, b and c at
+    --levels 0 and 1 keeps its bytes."""
+    assert main([command, "--case", case, "--levels", str(level)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.md5(out).hexdigest() == _STDOUT_MD5[command, case, level]
 
 
 def test_main_error_exit(tmp_path, capsys):

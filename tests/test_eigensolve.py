@@ -538,12 +538,15 @@ def test_closed_form_against_the_h_series(n):
 
 def _widths(kind, n, rng):
     """n cell widths of [0, pi]: equal, mirror-symmetric or random, the
-    last two with width ratio <= 4, geometric (ratio 1e3) or graded (ratio
-    up to 6.2e3, in random order)."""
+    last two with width ratio <= 4, geometric (ratio 1e3), log-random
+    (ratio up to 1e3) or graded (ratio up to 6.2e3), the last two in
+    random order."""
     if kind == "uniform":
         w = np.ones(n)
     elif kind == "geometric":
         w = 1e3 ** (np.arange(n) / (n - 1))
+    elif kind == "log-random":
+        w = 1e3 ** rng.uniform(0.0, 1.0, n)
     elif kind == "graded":
         w = 6.2e3 ** rng.uniform(0.0, 1.0, n)
     else:
@@ -816,6 +819,37 @@ def test_inverse_modes_stop_at_the_roundoff_bound(kind):
             assert np.all(np.sqrt(np.sum(r * r, axis=1)) <= tau * theta[0])
 
 
+def _few_cell_widths():
+    """Random and log-random widths of 2 to 16 cells on seeds 0-11 and
+    768, and geometric widths, ascending and descending, of as many."""
+    for seed in (*range(12), 768):
+        rng = np.random.default_rng(seed)
+        for n in range(2, 17):
+            for kind in ("random", "log-random"):
+                yield _widths(kind, n, rng)
+    for n in range(2, 17):
+        h = _widths("geometric", n, None)
+        yield from (h, h[::-1].copy())
+
+
+def test_inverse_modes_keep_every_mode_at_few_cells():
+    """_inverse_modes, called directly on 2 to 16 cells at k = 1, min(4,
+    n) and n (1 176 calls), loses no mode and agrees with the dense path
+    to 1e-14 theta_1 (2.6e-15 at most over 75 768 such calls).  There tau
+    = eps n / 8 lies below the roundoff floor of a converged row: without
+    the floor _STOP_FLOOR = 2, 72 of these calls raise NotConverged, and
+    at 1.75 seed 768's 5 log-random cells still lose mode 1."""
+    calls = 0
+    for h in _few_cell_widths():
+        ops, n = _ops_1d(h), len(h)
+        for k in sorted({1, min(4, n), n}):
+            theta = eigensolve._inverse_modes(h[None], k, ops)[0][0]
+            dense = eigensolve._dense_top(ops, k)[0][0]
+            assert np.abs(theta - dense).max() <= 1e-14 * dense[0], (n, k)
+            calls += 1
+    assert calls == 1176
+
+
 @pytest.mark.parametrize("kind", ["random", "mirror", "geometric", "graded"])
 def test_inverse_path_solves_every_width_family(monkeypatch, kind):
     """Random and mirror-symmetric (ratio <= 4), geometric (ratio 1e3) and
@@ -1055,6 +1089,23 @@ def test_solve_bits_on_one_and_two_blas_threads(seed, tmp_path):
         "for a in (*s.x, *s.y, s.lambdas, s.ii, s.jj, s.residuals):\n"
         "    sys.stdout.write(a.tobytes().hex())\n"
         "sys.stdout.write(repr(s.modes))\n", tmp_path)
+    assert out[0] == out[1]
+
+
+def test_dense_path_bits_on_one_and_two_blas_threads(tmp_path):
+    """Preset c's sweep, whose nonuniform directions take the dense eigh
+    of _dense_top, writes the same report bytes under one and two BLAS
+    threads, each in a child process, and so does _modes_1d at k = 16 on
+    random widths of 100 and 128 cells, the dense path's largest."""
+    out = _on_one_and_two_blas_threads(
+        "import sys, numpy as np\n"
+        "from rrteig.cli import _report_json, case_preset, run_case\n"
+        "from rrteig.eigensolve import _modes_1d\n"
+        "sys.stdout.write(_report_json(vars(run_case(case_preset('c')))))\n"
+        "for n in (100, 128):\n"
+        "    w = np.random.default_rng(n).uniform(1.0, 4.0, n)\n"
+        "    for a in _modes_1d([w * (np.pi / w.sum())], 16)[0]:\n"
+        "        sys.stdout.write(a.tobytes().hex())\n", tmp_path)
     assert out[0] == out[1]
 
 

@@ -166,14 +166,15 @@ def test_verify_equivalence_clusters(mesh_a0, system_a0):
     pairs = solve_mixed_eigs(assemble_mixed(mesh_a0), SolveOptions(k=9))
     cert = verify_equivalence_2d(system_a0, pairs, k=6)
     assert [e.cluster_size for e in cert.entries] == [1, 2, 2, 1, 2, 2]
-    rep = verify_equivalence(mesh_a0, solve_mixed_eigs(
-        assemble_mixed(mesh_a0), SolveOptions(k=6)))
-    assert [e.mode for e in rep.entries] == [p.mode for p in pairs[:6]]
-    for e, c in zip(rep.entries, cert.entries):
-        assert e.lambda_rrt == c.lambda_rrt
-        assert abs(e.lambda_peq - c.lambda_peq) <= 1e-12 * c.lambda_peq
-    assert rep.max_eig_rel_diff <= 1e-12
-    assert rep.max_sigma_discrepancy <= 1e-10
+    spectrum = solve_mixed_eigs(assemble_mixed(mesh_a0), SolveOptions(k=6))
+    rep = verify_equivalence(mesh_a0, spectrum)
+    assert list(spectrum.modes) == [p.mode for p in pairs[:6]]
+    for lam, lam_peq, c in zip(spectrum.lambdas.tolist(),
+                               rep.lambda_peq.tolist(), cert.entries):
+        assert lam == c.lambda_rrt
+        assert abs(lam_peq - c.lambda_peq) <= 1e-12 * c.lambda_peq
+    assert rep.eig_rel_diff.max() <= 1e-12
+    assert rep.sigma_discrepancy.max() <= 1e-10
     assert rep.max_flux_jump <= 1e-10
 
 
@@ -190,7 +191,7 @@ def test_verify_equivalence_refuses_pairs_that_do_not_fit(mesh_a0,
         with pytest.raises(LayoutMismatch,
                            match=f"not {type(pairs).__name__}$"):
             verify_equivalence(mesh_a0, pairs)
-    assert len(verify_equivalence(mesh_a0, pairs_a0).entries) == 6
+    assert len(verify_equivalence(mesh_a0, pairs_a0).lambda_peq) == 6
 
 
 def test_verify_equivalence_truncated_cluster(mesh_c0):
@@ -201,9 +202,9 @@ def test_verify_equivalence_truncated_cluster(mesh_c0):
     assert pairs[11].lambda_h == pytest.approx(pairs[12].lambda_h, rel=1e-12)
     rep = verify_equivalence(mesh_c0, solve_mixed_eigs(
         assemble_mixed(mesh_c0), SolveOptions(k=12)))
-    assert len(rep.entries) == 12
-    assert rep.max_eig_rel_diff <= 1e-12
-    assert rep.max_sigma_discrepancy <= 1e-10
+    assert len(rep.lambda_peq) == 12
+    assert rep.eig_rel_diff.max() <= 1e-12
+    assert rep.sigma_discrepancy.max() <= 1e-10
 
 
 def test_verify_equivalence_near_tie():
@@ -215,8 +216,8 @@ def test_verify_equivalence_near_tie():
     gap = (pairs[2].lambda_h - pairs[1].lambda_h) / pairs[2].lambda_h
     assert 1e-5 < gap < 2e-5
     rep = verify_equivalence(mesh, pairs)
-    assert rep.max_eig_rel_diff <= 1e-12
-    assert rep.max_sigma_discrepancy <= 1e-10
+    assert rep.eig_rel_diff.max() <= 1e-12
+    assert rep.sigma_discrepancy.max() <= 1e-10
 
 
 def _draw_nodes(draw, axis, n_max=10):
@@ -250,9 +251,9 @@ def test_equivalence_on_random_meshes(mesh, data):
     k = data.draw(st.integers(1, min(6, mesh.n_cells)), label="k")
     pairs = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=k))
     rep = verify_equivalence(mesh, pairs)
-    assert len(rep.entries) == k
-    assert rep.max_eig_rel_diff <= 1e-12
-    assert rep.max_sigma_discrepancy <= 1e-10
+    assert len(rep.lambda_peq) == k
+    assert rep.eig_rel_diff.max() <= 1e-12
+    assert rep.sigma_discrepancy.max() <= 1e-10
     assert rep.max_flux_jump <= 1e-10
 
 
@@ -266,8 +267,8 @@ def test_lift_against_oracles_on_random_meshes(mesh, data):
     system = assembled(mesh)
     k_more = max(k, min(k + 3, mesh.n_cells))
     pairs = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=k_more))
-    lifted = [e.lambda_peq for e in verify_equivalence(mesh, solve_mixed_eigs(
-        assemble_mixed(mesh), SolveOptions(k=k))).entries]
+    lifted = verify_equivalence(mesh, solve_mixed_eigs(
+        assemble_mixed(mesh), SolveOptions(k=k))).lambda_peq
     cert = [e.lambda_peq for e in verify_equivalence_2d(system, pairs, k).entries]
     eigs = [lam for lam, _ in solve_peq_eigs(assemble_peq(mesh), k)]
     np.testing.assert_allclose(lifted, eigs, rtol=1e-12, atol=0.0)
@@ -503,7 +504,7 @@ def test_lift_catches_faults(mesh_a0, fault):
     relative 1e-6 each take the first pair far past the bound c eps N^2
     (2.3e-13 at N = 8), while the solved pairs stay well within it."""
     pairs = solve_mixed_eigs(assemble_mixed(mesh_a0), SolveOptions(k=6))
-    assert verify_equivalence(mesh_a0, pairs).max_eig_rel_diff <= 1e-14
+    assert verify_equivalence(mesh_a0, pairs).eig_rel_diff.max() <= 1e-14
     with pytest.raises(DimensionMismatch, match=r"pair 0 \(mode \(1, 1\)\)"):
         verify_equivalence(mesh_a0, _LIFT_FAULTS[fault](pairs))
 
@@ -579,19 +580,15 @@ def _pair_bits(p):
 
 def _report_bits(rep):
     """An EquivalenceReport, or the per-pair oracle's tuple, as bytes: the
-    per-pair arrays, the entries, the three maxima and the modes."""
+    types, shapes and bytes of the three per-pair arrays, and the type and
+    bytes of the largest flux jump."""
     if isinstance(rep, tuple):
-        entries, arrays, *maxima = rep
+        arrays, jump = rep
     else:
-        entries = rep.entries
-        arrays = (rep.lambda_rrt, rep.lambda_peq, rep.eig_rel_diff,
-                  rep.sigma_discrepancy)
-        maxima = (rep.max_eig_rel_diff, rep.max_sigma_discrepancy,
-                  rep.max_flux_jump)
-    rows = [dataclasses.astuple(e)[:4] for e in entries]
-    return ([a.tobytes() for a in arrays], np.array(rows).tobytes(),
-            [type(v) for row in rows for v in row], np.array(maxima).tobytes(),
-            [type(m) for m in maxima], [e.mode for e in entries])
+        arrays = (rep.lambda_peq, rep.eig_rel_diff, rep.sigma_discrepancy)
+        jump = rep.max_flux_jump
+    return ([(a.dtype, a.shape, a.tobytes()) for a in arrays], type(jump),
+            np.float64(jump).tobytes())
 
 
 def _assert_table_path(mesh, k):
@@ -739,22 +736,25 @@ def test_offered_tables_give_the_bits_of_a_fresh_solve(mesh, data):
 def test_tables_and_lifts_are_read_only(mesh_c0):
     """A caller cannot write into a solved table, or into the lift that
     the equivalence check keeps with it, which a later solve may reuse,
-    nor into the Spectrum's per-pair arrays, also not through the
-    EquivalenceReport that holds its eigenvalues; the pairs built from
-    the tables are copies, and writable."""
+    nor into the Spectrum's per-pair arrays; the EquivalenceReport holds
+    none of them, only arrays of its own, and the pairs built from the
+    tables are copies, and writable."""
     spectrum = solve_mixed_eigs(assemble_mixed(mesh_c0), SolveOptions(k=5))
     rep = verify_equivalence(mesh_c0, spectrum)
     for table in (spectrum.x, spectrum.y):
         assert isinstance(table, _Table) and table.lift is not None
         for a in (*table, table.lift):
             assert not a.flags.writeable
-    for a in (spectrum.lambdas, spectrum.ii, spectrum.jj, spectrum.residuals,
-              rep.lambda_rrt):
+    solved = (spectrum.lambdas, spectrum.ii, spectrum.jj, spectrum.residuals)
+    for a in solved:
         assert not a.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         spectrum.x[1][0, 0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        rep.lambda_rrt[0] = -1.0
+    assert not any(np.shares_memory(a, b)
+                   for a in (rep.lambda_peq, rep.eig_rel_diff,
+                             rep.sigma_discrepancy)
+                   for b in (*solved, *spectrum.x, *spectrum.y,
+                             spectrum.x.lift, spectrum.y.lift))
     assert spectrum.lambdas[0] > 0.0 and spectrum[0].lambda_h > 0.0
     spectrum[0].v[0] = 1.0
 
@@ -785,4 +785,4 @@ def test_verify_equivalence_refuses_a_spectrum_of_other_widths():
     with pytest.raises(LayoutMismatch, match="on other widths does not fit "
                        "these 6 cells"):
         verify_equivalence(other, spectrum)
-    assert len(verify_equivalence(solved, spectrum).entries) == 6
+    assert len(verify_equivalence(solved, spectrum).lambda_peq) == 6
