@@ -8,12 +8,10 @@ from .mesh import (TensorMesh, build_mesh, uniform_mesh, uniform_refine,
 from .assembly import MixedSystem, assemble_mixed
 from .eigensolve import (SolveOptions, MixedEigenpair, Spectrum,
                          solve_mixed_eigs)
-from .exact import (ExactEigenpair, FieldSample, ModeTable, enumerate_exact,
-                    mode_tables)
+from .exact import ExactEigenpair, ModeTable, enumerate_exact, mode_tables
 from .postprocess import supercloseness_norms, postprocessing_norms
-from .analysis import (expansion_term, convergence_rate, extrapolate,
-                       check_upper_bound, lower_bound_margin,
-                       match_frequencies)
+from .analysis import (convergence_rate, extrapolate, check_upper_bound,
+                       lower_bound_margin)
 from .equivalence import EquivalenceReport, verify_equivalence
 from .cli import ExperimentConfig, RunReport, case_preset, run_case, emit_tables
 from . import errors

@@ -18,7 +18,6 @@ from functools import cached_property
 import numpy as np
 
 from .analysis import (
-    _matches,
     check_upper_bound,
     convergence_rate,
     extrapolate,
@@ -36,7 +35,7 @@ from .mesh import (
     regularity_constant,
     uniform_refine,
 )
-from .postprocess import _postprocessing_norms, _supercloseness_norms
+from .postprocess import postprocessing_norms, supercloseness_norms
 
 ALL_ANALYSES = (
     "eigenvalues",
@@ -283,14 +282,14 @@ def _residuals(lv: _Level) -> dict:
 
 
 def _supercloseness(lv: _Level) -> dict:
-    return {"supercloseness": _supercloseness_norms(
+    return {"supercloseness": supercloseness_norms(
         lv.mesh, lv.pairs.columns(0, 0), lv.tables, (1, 1))}
 
 
 def _postprocessing(lv: _Level) -> dict:
     if lv.mesh.n1 % 2 or lv.mesh.n2 % 2:
         return {}
-    return {"postprocessing": _postprocessing_norms(
+    return {"postprocessing": postprocessing_norms(
         lv.mesh, lv.pairs.columns(0, 0), lv.tables, (1, 1))}
 
 
@@ -309,6 +308,16 @@ def _bounds(lv: _Level) -> dict:
             for lam, e in zip(lambdas, lv.exact)
         ],
     }
+
+
+def _matches(rows, domain) -> list[dict]:
+    """The frequency matches of rows (lambda_h, label, predicted h^2 shift,
+    exact value), a label unordered on a square: (m, n) ~ (n, m)."""
+    square = abs(domain[0] - domain[1]) <= 1e-12 * max(domain)
+    return [{"lambda_h": lam, "m": min(mode) if square else mode[0],
+             "n": max(mode) if square else mode[1],
+             "predicted_shift": shift, "observed_shift": lam - value}
+            for lam, mode, shift, value in rows]
 
 
 def _frequencies(lv: _Level) -> dict:

@@ -18,7 +18,7 @@ class TooFewNodes(RRTError):
 
 
 class LayoutMismatch(RRTError):
-    """A pair's 1-D factor or an exact field's domain does not fit the mesh."""
+    """A pair's 1-D factor, an exact domain or table does not fit the mesh."""
 
 
 class DegenerateFactor(RRTError):

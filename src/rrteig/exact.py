@@ -1,10 +1,10 @@
 """Closed-form exact eigenpairs on rectangles and their 1-D tables.
 
 Every discrete pair carries its mode label (m, n), so the exact partner
-of every pair, cluster members included, is one mode (FieldSample), a
-product of sine waves and so a tensor product as the pair is: label
-(m, n) reads row m - 1 of an x and row n - 1 of a y ModeTable, as the
-pair reads its table columns.  The 1-D integrals come from analytic
+of every pair, cluster members included, is one mode, a product of
+sine waves and so a tensor product as the pair is: label (m, n) reads
+row m - 1 of an x and row n - 1 of a y ModeTable, as the pair reads its
+table columns.  The 1-D integrals come from analytic
 antiderivatives, with no quadrature error; tests check them against
 Gauss quadrature independently.
 """
@@ -44,6 +44,15 @@ class ExactEigenpair:
         return len(self.modes)
 
 
+def _checked_domain(domain):
+    """``domain`` if a (hashable) tuple of two real sides finite > 0."""
+    if not (isinstance(domain, tuple) and len(domain) == 2 and all(
+            isinstance(s, numbers.Real) and s is not True
+            and 0.0 < s < math.inf for s in domain)):
+        raise InvalidConfig(f"sides {domain}: no real pair, or not finite > 0")
+    return domain
+
+
 def enumerate_exact(domain=(np.pi, np.pi), count=6) -> list[ExactEigenpair]:
     """First ``count`` >= 1 exact eigenvalues (with multiplicity), ascending.
 
@@ -58,8 +67,7 @@ def enumerate_exact(domain=(np.pi, np.pi), count=6) -> list[ExactEigenpair]:
     """
     if not isinstance(count, (int, np.integer)) or count is True or count < 1:
         raise InvalidConfig(f"count must be >= 1 and integral, got {count!r}")
-    FieldSample(1, 1, domain)  # refuses all but two real sides finite > 0
-    a, b = domain
+    a, b = _checked_domain(domain)
     ratio = max(a / b, b / a)
     if ratio > _MAX_SIDE_RATIO:
         raise InvalidConfig(
@@ -97,46 +105,14 @@ def _cos_sq_integrals(k, nodes):
     return prim[:, 1:] - prim[:, :-1]
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """The unit-norm exact eigenfunction of mode (m, n) on [0, a] x [0, b],
-
-    u = amp sin(kx x) sin(ky y),  amp = 2 / sqrt(ab),  kx = m pi / a,
-    ky = n pi / b,
-
-    with eigenvalue kx^2 + ky^2 and flux sigma = -grad u; its 1-D factors
-    are rows m - 1 and n - 1 of mode_tables.
-    """
-
-    m: int
-    n: int
-    domain: tuple[float, float] = (np.pi, np.pi)
-
-    def __post_init__(self):
-        # integers m, n >= 1 and a tuple (the analyses hash it) of two real
-        # sides finite > 0 make u a mode whose sin^2 integrates to half a side
-        for q in (self.m, self.n):
-            if not isinstance(q, (int, np.integer)) or q is True or q < 1:
-                raise InvalidConfig(
-                    f"mode {self.m, self.n} needs integers m, n >= 1")
-        if not (isinstance(d := self.domain, tuple) and len(d) == 2 and all(
-                isinstance(s, numbers.Real) and s is not True
-                and 0.0 < s < math.inf for s in d)):
-            raise InvalidConfig(f"sides {d}: no real pair, or not finite > 0")
-
-    @property
-    def value(self) -> float:
-        a, b = self.domain
-        return (self.m * self.m * (np.pi / a) ** 2
-                + self.n * self.n * (np.pi / b) ** 2)
-
-
 class ModeTable:
     """The exact 1-D modes amp sin(k x), k = m pi / s, m = 1..p, on the
     nodes of a side s, a row per mode: eigenvalues m^2 (pi / s)^2, the
     expansion sums (k^4 / 6 s) sum_i h_i^2 int_I_i cos(k x)^2 and, when
     first read, cell means and node slopes.  Each row is reduced alone, so
-    its bits are those of any table that holds its mode."""
+    its bits are those of any table that holds its mode.  x.sums[m - 1] +
+    y.sums[n - 1] is the h^2 term of mode (m, n)'s eigenvalue error, derived
+    and verified numerically (rate 4 of the remainder), not proved."""
 
     def __init__(self, nodes, side, p, amp=1.0):
         m = np.arange(1, p + 1)
@@ -153,10 +129,18 @@ class ModeTable:
         return (self.amp * ((c[:, :-1] - c[:, 1:]) / k) / np.diff(self.nodes),
                 self.amp * (k * c))
 
+    def _row(self, m):
+        """Row m - 1 of mode m, an integer in 1..p (below 1, m - 1 would wrap
+        to the last rows), else InvalidConfig."""
+        p = len(self.k)
+        if not isinstance(m, (int, np.integer)) or m is True or not 0 < m <= p:
+            raise InvalidConfig(f"mode {m!r} is no integer in 1..{p}")
+        return m - 1
+
     def factors(self, pts, m):
         """amp times the sine of mode m and its first two derivatives at the
         points pts, (3, *pts.shape), from one sine and one cosine."""
-        k = self.k[m - 1]
+        k = self.k[self._row(m)]
         kp = k * pts
         s = np.sin(kp)
         return self.amp * np.array([s, k * np.cos(kp), -k * k * s])
@@ -165,11 +149,11 @@ class ModeTable:
 def mode_tables(mesh: TensorMesh, domain, px, py):
     """The ModeTables of modes 1..px on the mesh's x nodes and 1..py on its
     y nodes, the amplitude 2 / sqrt(ab) of a unit mode on [0, a] x [0, b]
-    on x.  A domain that is not the mesh's, its end nodes to 1e-12
-    relative, raises LayoutMismatch: the tables would be wrong there."""
+    on x.  A malformed domain raises InvalidConfig, and one that is not the
+    mesh's, its end nodes to 1e-12 relative, LayoutMismatch."""
+    a, b = _checked_domain(domain)
     (x0, x1), (y0, y1) = (mesh.node_x[::mesh.n1].tolist(),  # the end nodes
                           mesh.node_y[::mesh.n2].tolist())
-    a, b = domain
     if not (max(abs(x0), abs(x1 - a)) <= 1e-12 * a
             and max(abs(y0), abs(y1 - b)) <= 1e-12 * b):
         raise LayoutMismatch(

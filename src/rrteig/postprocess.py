@@ -8,21 +8,17 @@ the scalar is the bilinear through the four cell values at centroids.
 All three reproduce global Q11 data exactly, which is the property the
 superconvergence theory rests on.  A discrete pair is rank one, and so is
 each reconstructed component: the product of an x and a y 1-D
-interpolant, whose error norms reduce to 1-D Gauss sums.  One call,
-postprocessing_norms, gives all four error norms of a level: each 1-D
-interpolant is taken once, value and derivative from the divided
-differences of each macro-element, and the nine distances are one
-stacked pass (_distance_sq).  The supercloseness norms reduce alike.
-Both read a pair's four factors and an exact label's ModeTable rows.
+interpolant, whose error norms reduce to 1-D Gauss sums, and the
+supercloseness norms reduce alike.  Both take a pair's four 1-D factors,
+the level's two ModeTables and the exact label (m, n).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .eigensolve import MixedEigenpair, _a1_bands, _a1_times
+from .eigensolve import _a1_bands, _a1_times
 from .errors import DegenerateFactor, LayoutMismatch, OddMeshDimensions
-from .exact import FieldSample, mode_tables
 from .mesh import TensorMesh
 
 _GAUSS_N = 5
@@ -38,18 +34,15 @@ _KEYS = [t[0] for t in _TERMS]
 _X, _Y, _F, _G = np.array([t[1:] for t in _TERMS]).T
 
 
-def supercloseness_norms(mesh: TensorMesh, pair: MixedEigenpair,
-                         fld: FieldSample) -> dict[str, float]:
+def supercloseness_norms(mesh: TensorMesh, factors, tables,
+                         mode) -> dict[str, float]:
     """Exact norms of sigma_I - sigma_h in A (norm_sigma), of its
     divergence (norm_div) and of Pi0 u - u_h in M (norm_u), the
-    supercloseness entry of a level's report (_supercloseness_norms)."""
-    return _supercloseness_norms(mesh, *_per_pair(mesh, pair, fld))
-
-
-def _supercloseness_norms(mesh, factors, tables, mode):
-    """supercloseness_norms of a pair's 1-D factors (v, w, flux_x, flux_y)
-    against the exact mode (m, n) of the x and y ModeTables.  With (X, Y)
-    the cell-mean factors of the mode and f the negative first
+    supercloseness entry of a level's report, of a pair's 1-D factors (v,
+    w, flux_x, flux_y) against the exact mode (m, n) of the x and y
+    ModeTables (_rows); an all-zero v or w raises DegenerateFactor, as
+    the divergence split divides by their norms.  With (X, Y) the
+    cell-mean factors of the mode and f the negative first
     derivatives of its sines on the node lines, Pi0 u = Y (x) X and
     sigma_I = [Y (x) fx; fy (x) X]; A_xx = diag(h_y) (x) A1x, A_yy = A1y
     (x) diag(h_x), M = diag(h_y) (x) diag(h_x), so each squared norm is a
@@ -61,10 +54,14 @@ def _supercloseness_norms(mesh, factors, tables, mode):
     distance, the remainder terms come from the 4x4 Gram matrices of (X,
     v, rx, v) and (Y, w, w, ry).  Expanding all four rank-one terms
     instead cancels, to 2.2e-5 of the value at 1024^2."""
-    (v, w, flux_x, flux_y), (tx, ty), (m, n) = factors, tables, mode
+    (i, j), (v, w, flux_x, flux_y), (tx, ty) = (
+        _rows(mesh, factors, tables, mode), factors, tables)
+    for name, f in zip("vw", factors):
+        if not f.any():
+            raise DegenerateFactor(f"the {name} factor is all zeros")
     (X, fx), (Y, fy) = tx.nodal, ty.nodal
-    X, Y, fx, fy = X[m - 1], Y[n - 1], -fx[m - 1], -fy[n - 1]
-    value, hx, hy = tx.values[m - 1] + ty.values[n - 1], mesh.hx, mesh.hy
+    X, Y, fx, fy = X[i], Y[j], -fx[i], -fy[j]
+    value, hx, hy = tx.values[i] + ty.values[j], mesh.hx, mesh.hy
     dx, dy = (lambda a: hx * a), (lambda a: hy * a)
     a1x, a1y = ((lambda a, d=_a1_bands(h): _a1_times(*d, a))  # on rows
                 for h in (hx, hy))
@@ -89,19 +86,18 @@ def _supercloseness_norms(mesh, factors, tables, mode):
             "norm_u": float(np.sqrt(u_sq))}
 
 
-def _per_pair(mesh, pair, fld, normed=True):
-    """A kernel's arguments for a pair and a field: the pair's four 1-D
-    factors, which must fit the mesh and with ``normed`` have no all-zero v
-    or w, as the norms divide by theirs; the field's mode_tables and label."""
-    factors = pair.v, pair.w, pair.flux_x, pair.flux_y
+def _rows(mesh, factors, tables, mode):
+    """Rows m - 1, n - 1 of label (m, n) in the ModeTables; LayoutMismatch
+    unless factors and tables fit the mesh, InvalidConfig unless m, n do."""
     got = tuple(map(len, factors))
     if got != (mesh.n1, mesh.n2, mesh.n1 + 1, mesh.n2 + 1):
         raise LayoutMismatch(f"factor lengths (v, w, flux_x, flux_y) {got} "
                              f"do not fit {mesh.n1} x {mesh.n2} cells")
-    for name, f in zip("vw", factors[:2] if normed else ()):
-        if not f.any():
-            raise DegenerateFactor(f"{name} factor 0 is all zeros")
-    return factors, mode_tables(mesh, fld.domain, fld.m, fld.n), (fld.m, fld.n)
+    (tx, ty), (m, n) = tables, mode
+    if not (np.array_equal(tx.nodes, mesh.node_x)
+            and np.array_equal(ty.nodes, mesh.node_y)):
+        raise LayoutMismatch("exact tables not built on the mesh's nodes")
+    return tx._row(m), ty._row(n)
 
 
 def _gauss_table(nodes):
@@ -154,24 +150,15 @@ def _distance_sq(x, y, f, g, mx, my):
     return xx * ey_ey + 2.0 * x_ex * ey_g + ex_ex * gg
 
 
-def postprocessing_norms(mesh: TensorMesh, pair: MixedEigenpair,
-                         fld: FieldSample) -> dict[str, float]:
+def postprocessing_norms(mesh: TensorMesh, factors, tables,
+                         mode) -> dict[str, float]:
     """L2 (sigma_l2, u_l2) and broken H1-seminorm (sigma_h1, u_h1)
-    distances of the macro-element reconstructions of the pair to the
-    exact field, by 5x5 Gauss quadrature per fine cell
-    (_postprocessing_norms)."""
-    if mesh.n1 % 2 or mesh.n2 % 2:
-        raise OddMeshDimensions("macro-elements need even cell counts, "
-                                f"got {mesh.n1} x {mesh.n2}")
-    return _postprocessing_norms(mesh, *_per_pair(mesh, pair, fld, False))
-
-
-def _postprocessing_norms(mesh, factors, tables, mode):
-    """postprocessing_norms of a pair's 1-D factors (v, w, flux_x, flux_y)
-    against the exact mode (m, n) of the x and y ModeTables, on a mesh of
-    even cell counts.  The flux's x component interpolates flux_x in x
-    and w in y, its y component v in x and flux_y in y; the scalar
-    interpolates v in x and w in y.
+    distances of the macro-element reconstructions of a pair's 1-D factors
+    (v, w, flux_x, flux_y) to the exact mode (m, n) of the x and y
+    ModeTables (_rows), by 5x5 Gauss quadrature per fine cell, on a mesh
+    of even cell counts (else OddMeshDimensions).  The flux's x component
+    interpolates flux_x in x and w in y, its y component v in x and
+    flux_y in y; the scalar interpolates v in x and w in y.
 
     Each component, the exact field and each of their derivatives is a
     tensor product of 1-D factors, so every squared distance is a
@@ -179,6 +166,10 @@ def _postprocessing_norms(mesh, factors, tables, mode):
     table per direction holds each 1-D interpolant and exact factor of
     each derivative order once, and the nine distances (_TERMS) read
     their rows from it in one stacked pass, in O(n1 + n2) memory."""
+    if mesh.n1 % 2 or mesh.n2 % 2:
+        raise OddMeshDimensions("macro-elements need even cell counts, "
+                                f"got {mesh.n1} x {mesh.n2}")
+    _rows(mesh, factors, tables, mode)
     (v, w, flux_x, flux_y), (tx, ty), (m, n) = factors, tables, mode
     (xq, wx), (yq, wy) = _gauss_table(mesh.node_x), _gauss_table(mesh.node_y)
     ex, ey = tx.factors(xq, m), ty.factors(yq, n)

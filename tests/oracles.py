@@ -21,8 +21,11 @@ a time, from 2-D strip integrals (``expansion_term_per_mode``), for the
 distance, inner product and 1-D interpolant on its own
 (``supercloseness_norms_per_term``, ``postprocessing_norms_per_term``)
 for the stacked supercloseness and postprocessing norms, bit for bit;
-``exact_derivative`` evaluates an exact field pointwise from its 1-D
-factors, and ``enumerate_exact_search`` finds the exact spectrum by a
+``Field`` is the exact field of a mode (m, n) on a domain, with its
+eigenvalue m^2 (pi/a)^2 + n^2 (pi/b)^2 taken here, which the oracles
+evaluate; ``exact_derivative`` evaluates it pointwise from its 1-D
+factors; ``kernel_norms`` calls a library norm on a field's
+``mode_tables`` and label; and ``enumerate_exact_search`` finds the exact spectrum by a
 brute-force search over the modes (m, n).
 The 2-D enriched element is held twice: in closed form (``assemble_peq``,
 one 3x3 block per direction per cell, and ``peq_cell_gradient``) and from
@@ -56,6 +59,7 @@ written by ``json.dumps``.
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -65,7 +69,7 @@ import scipy.sparse.linalg as spla
 from rrteig.eigensolve import MixedEigenpair
 from rrteig.errors import (
     DimensionMismatch, KTooLarge, LayoutMismatch, RRTError)
-from rrteig.exact import ExactEigenpair, FieldSample
+from rrteig.exact import ExactEigenpair, mode_tables
 from rrteig.mesh import TensorMesh
 
 # relative tolerance within which enumerate_exact_search groups values
@@ -456,6 +460,36 @@ def peq_cell_gradient_dual(mesh, coeffs_full):
     gyB = (2.0 / hy) * (w @ _DETA_AT[-1])
     gyT = (2.0 / hy) * (w @ _DETA_AT[+1])
     return gxL, gxR, gyB, gyT
+
+
+class Field(NamedTuple):
+    """The unit-norm exact eigenfunction of mode (m, n) on [0, a] x [0, b],
+    u = amp sin(kx x) sin(ky y), amp = 2 / sqrt(ab), kx = m pi / a, ky = n
+    pi / b (``_mode``), with eigenvalue ``value`` and flux sigma = -grad u."""
+
+    m: int
+    n: int
+    domain: tuple = (np.pi, np.pi)
+
+    @property
+    def value(self) -> float:
+        a, b = self.domain
+        return (self.m * self.m * (np.pi / a) ** 2
+                + self.n * self.n * (np.pi / b) ** 2)
+
+
+def pair_factors(pair):
+    """A pair's four 1-D factors (v, w, flux_x, flux_y), as the library's
+    norms take them."""
+    return pair.v, pair.w, pair.flux_x, pair.flux_y
+
+
+def kernel_norms(kernel, mesh, factors, fld):
+    """The library norm ``kernel`` (supercloseness_norms or
+    postprocessing_norms) of four 1-D factors against the field's label,
+    on the field domain's mode_tables of modes up to that label."""
+    return kernel(mesh, factors, mode_tables(mesh, fld.domain, fld.m, fld.n),
+                  (fld.m, fld.n))
 
 
 def exact_derivative(fld, x, y, dx=0, dy=0):
@@ -1054,7 +1088,7 @@ def enumerate_exact_search(domain=(np.pi, np.pi), count=6):
         vals = []
         for m in range(1, L + 1):
             for n in range(1, L + 1):
-                vals.append((FieldSample(m, n, domain).value, m, n))
+                vals.append((Field(m, n, domain).value, m, n))
         # complete prefix: any eigenvalue below this bound needs m, n <= L
         safe = (L * L + 1) * min(kx2, ky2)
         vals = [v for v in vals if v[0] <= safe]
@@ -1103,8 +1137,8 @@ def expansion_term_per_mode(mesh: TensorMesh, fld) -> float:
     u_y^2 over each y-strip, each a cos^2 integral along the strip and a
     sin^2 one across the domain, with the scalars kx, ky and amp of
     _mode, each times the squared strip width, added one by one by
-    Python's sum, x-strips first.  expansion_term's two 1-D sums match it
-    to roundoff."""
+    Python's sum, x-strips first.  The two 1-D ModeTable sums
+    x.sums[m - 1] + y.sums[n - 1] match it to roundoff."""
     amp, kx, ky = _mode(fld)
     nx, ny = mesh.node_x, mesh.node_y
     ix = amp**2 * (kx**2 * kx**2 * _int_sq(kx, nx[:-1], nx[1:], cos=True)

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rrteig.analysis import expansion_term, match_frequencies
 from rrteig.assembly import assemble_mixed
-from rrteig.cli import case_preset, run_case
+from rrteig.cli import _matches, case_preset, run_case
 from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
-from rrteig.exact import FieldSample, enumerate_exact
+from rrteig.exact import enumerate_exact, mode_tables
 from rrteig.mesh import build_mesh, uniform_mesh
 
 from oracles import (
+    Field,
     assembled,
     cell_integral_u,
     dense_eigenvalues,
@@ -263,9 +263,10 @@ def test_criterion_11_frequency_resolution(report_a):
     pairs = solve_mixed_eigs(system, SolveOptions(k=i0 + 3))
     cluster = pairs[i0 : i0 + 3]
     domain = exact[i0].domain
-    shifts = expansion_term(mesh, [FieldSample(*p.mode, domain)
-                                   for p in cluster])
-    matches = match_frequencies(cluster, shifts.tolist(), domain)
+    x, y = mode_tables(mesh, domain, 7, 7)
+    matches = _matches([(p.lambda_h, (m, n), x.sums[m - 1] + y.sums[n - 1],
+                         x.values[m - 1] + y.values[n - 1])
+                        for p in cluster for m, n in [p.mode]], domain)
     got = [(m["m"], m["n"]) for m in matches]
     # ascending eigenvalues: the smaller (5,5) shift first, doubled (1,7) after
     ok = ok and got == [(5, 5), (1, 7), (1, 7)]
@@ -297,7 +298,7 @@ def test_criterion_12_property_suites(system_a0, pairs_a0):
 
     # commuting interpolation: B sigma_I equals exact divergence integrals
     mesh_a = system_a0.mesh
-    fexact = FieldSample(2, 1)
+    fexact = Field(2, 1)
     sigma_i = rt_interpolate_exact(mesh_a, fexact)
     got = system_a0.B @ sigma_i
     want = np.empty(mesh_a.n_cells)

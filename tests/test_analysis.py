@@ -1,7 +1,6 @@
-"""Expansion terms, convergence rates, extrapolation, bounds, frequency
-matching, and the eigenspace gaps of the equivalence certificate oracle."""
-
-import dataclasses
+"""Expansion terms (the exact ModeTables' sums), convergence rates,
+extrapolation, bounds, frequency matching (cli._matches), and the
+eigenspace gaps of the equivalence certificate oracle."""
 
 import numpy as np
 import pytest
@@ -10,30 +9,32 @@ import scipy.sparse as sp
 from rrteig.analysis import (
     check_upper_bound,
     convergence_rate,
-    expansion_term,
     extrapolate,
     lower_bound_margin,
-    match_frequencies,
 )
-from rrteig.cli import ExperimentConfig, run_case
+from rrteig.cli import ExperimentConfig, _matches, run_case
 from rrteig.errors import DimensionMismatch
-from rrteig.exact import FieldSample
+from rrteig.exact import mode_tables
 from rrteig.mesh import uniform_mesh, uniform_refine
 
-from oracles import eigenspace_gap, factor_pair
+from oracles import eigenspace_gap
 
 PI = np.pi
 
 
+def _term(mesh, mode, domain=(PI, PI)):
+    """The h^2 expansion term of label (m, n): x.sums[m - 1] + y.sums[n - 1]
+    of the domain's mode_tables."""
+    (m, n), (x, y) = mode, mode_tables(mesh, domain, *mode)
+    return x.sums[m - 1] + y.sums[n - 1]
+
+
 def test_expansion_term_uniform_closed_form():
     """For u_{1,1} on a uniform h-mesh the dominant term is exactly h^2/6."""
-    fld = FieldSample(1, 1)
     for n in (4, 8, 16):
         mesh = uniform_mesh(0, PI, n, 0, PI, n)
         h = PI / n
-        assert expansion_term(mesh, [fld])[0] == pytest.approx(
-            h * h / 6.0, rel=1e-12
-        )
+        assert _term(mesh, (1, 1)) == pytest.approx(h * h / 6.0, rel=1e-12)
 
 
 def test_expansion_term_mode_weights():
@@ -41,10 +42,8 @@ def test_expansion_term_mode_weights():
     mesh = uniform_mesh(0, PI, 8, 0, PI, 8)
     h = PI / 8
     for m, n in ((1, 2), (2, 2), (1, 3)):
-        fld = FieldSample(m, n)
         want = (m**4 + n**4) * h * h / 12.0
-        assert expansion_term(mesh, [fld])[0] == pytest.approx(want,
-                                                               rel=1e-12)
+        assert _term(mesh, (m, n)) == pytest.approx(want, rel=1e-12)
 
 
 def test_rate_table():
@@ -77,17 +76,14 @@ def test_lower_bound_margin_formula():
     assert got == pytest.approx(0.5 - 4.0 * 0.01 / 24.0, rel=1e-12)
 
 
-def _labelled(lambda_h, mode):
-    """A pair that carries only what frequency matching reads."""
-    return dataclasses.replace(factor_pair([], [], [], []),
-                               lambda_h=lambda_h, mode=mode)
-
-
-def _matches(pairs, mesh, domain):
-    """match_frequencies with each label's expansion term on the mesh."""
-    shifts = expansion_term(mesh, [FieldSample(*p.mode, domain)
-                                   for p in pairs])
-    return match_frequencies(pairs, shifts.tolist(), domain)
+def _matched(pairs, mesh, domain):
+    """cli._matches of (lambda_h, label) pairs, each label's expansion term
+    on the mesh and exact eigenvalue read from the domain's mode_tables."""
+    x, y = mode_tables(mesh, domain, *(max(q) for q in zip(
+        *(mode for _, mode in pairs))))
+    return _matches([(lam, (m, n), x.sums[m - 1] + y.sums[n - 1],
+                      x.values[m - 1] + y.values[n - 1])
+                     for lam, (m, n) in pairs], domain)
 
 
 def test_match_frequencies_single_pair():
@@ -98,15 +94,14 @@ def test_match_frequencies_single_pair():
     n = 60
     h = PI / n
     shift = 17 * h * h / 12.0
-    pairs = [_labelled(5 + shift, (2, 1)),
-             _labelled(5 + shift * 1.001, (1, 2))]
-    matches = _matches(pairs, uniform_mesh(0, PI, n, 0, PI, n), (PI, PI))
+    pairs = [(5 + shift, (2, 1)), (5 + shift * 1.001, (1, 2))]
+    matches = _matched(pairs, uniform_mesh(0, PI, n, 0, PI, n), (PI, PI))
     assert all((m["m"], m["n"]) == (1, 2) for m in matches)
     assert all(m["predicted_shift"] == pytest.approx(shift, rel=1e-14)
                for m in matches)
-    assert [m["observed_shift"] for m in matches] == [p.lambda_h - 5.0
-                                                      for p in pairs]
-    (rect,) = _matches([_labelled(5.0, (2, 1))],
+    assert [m["observed_shift"] for m in matches] == [lam - 5.0
+                                                      for lam, _ in pairs]
+    (rect,) = _matched([(5.0, (2, 1))],
                        uniform_mesh(0, PI, n, 0, 2 * PI, 2 * n), (PI, 2 * PI))
     assert (rect["m"], rect["n"]) == (2, 1)
     assert rect["observed_shift"] == 5.0 - (4.0 + 0.25)
@@ -119,10 +114,9 @@ def test_match_frequencies_triple_cluster():
     h = PI / n
     s55 = 1250 * h * h / 12.0
     s17 = 2402 * h * h / 12.0
-    matches = _matches(
-        [_labelled(50 + s55 * 1.0001, (5, 5)),
-         _labelled(50 + s17 * 0.9999, (7, 1)),
-         _labelled(50 + s17 * 1.0001, (1, 7))],
+    matches = _matched(
+        [(50 + s55 * 1.0001, (5, 5)), (50 + s17 * 0.9999, (7, 1)),
+         (50 + s17 * 1.0001, (1, 7))],
         uniform_mesh(0, PI, n, 0, PI, n), (PI, PI)
     )
     got = [(m["m"], m["n"]) for m in matches]
@@ -153,13 +147,12 @@ def test_eigenvalue_error_dominated_by_h2_term():
     from rrteig.assembly import assemble_mixed
     from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
 
-    fld = FieldSample(1, 1)
     mesh = uniform_mesh(0, PI, 8, 0, PI, 8)
     for _ in range(3):
         system = assemble_mixed(mesh)
         lam_h = solve_mixed_eigs(system, SolveOptions(k=1))[0].lambda_h
         e1 = lam_h - 2.0
-        e2 = expansion_term(mesh, [fld])[0]
+        e2 = _term(mesh, (1, 1))
         assert abs(e1 - e2) < 0.02 * e1
         mesh = uniform_refine(mesh)
 

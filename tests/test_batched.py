@@ -3,10 +3,11 @@ meshes: postprocessed error norms of random and of solved pairs
 (oracles.eval_cell and oracles.exact_derivative, 5x5 Gauss per fine
 cell), cell means
 (oracles.cell_integral_u), edge-flux means (oracles.mean_flux_x /
-mean_flux_y), the h^2 expansion term (Gauss quadrature of kx^2 u_x^2
-and ky^2 u_y^2 per cell, and to roundoff the 2-D strip integrals of
-oracles.expansion_term_per_mode, each field of a list with the bits of
-a one-field call); the stacked
+mean_flux_y), the h^2 expansion term x.sums[m - 1] + y.sums[n - 1] of
+the exact mode tables (Gauss quadrature of kx^2 u_x^2 and ky^2 u_y^2
+per cell, and to roundoff the 2-D strip integrals of
+oracles.expansion_term_per_mode, each label of a table with the bits of
+a table up to that label alone); the stacked
 supercloseness and postprocessing norms bit for bit against the same
 formulas one distance at a time (oracles.supercloseness_norms_per_term,
 oracles.postprocessing_norms_per_term); and 1-D kernels against their
@@ -18,36 +19,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rrteig.analysis import expansion_term
 from rrteig.assembly import assemble_mixed
 from rrteig.cli import case_preset
 from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
 from rrteig.errors import LayoutMismatch
-from rrteig.exact import FieldSample, enumerate_exact, mode_tables
+from rrteig.exact import enumerate_exact, mode_tables
 from rrteig.mesh import (
     build_mesh,
     regularity_constant,
     uniform_mesh,
     uniform_refine,
 )
-from rrteig.postprocess import (
-    _postprocessing_norms,
-    _supercloseness_norms,
-    postprocessing_norms,
-    supercloseness_norms,
-)
+from rrteig.postprocess import postprocessing_norms, supercloseness_norms
 
 from oracles import (
+    Field,
     assembled,
     cell_integral_u,
     eval_cell,
     exact_derivative,
     expansion_term_per_mode,
     factor_pair,
+    kernel_norms,
     l2_project_exact,
     mean_flux_x,
     mean_flux_y,
     numbering,
+    pair_factors,
     postprocessing_norms_per_term,
     reconstruction,
     regularity_constant_2d,
@@ -99,7 +97,7 @@ def _fields(draw, mesh, domain=None):
     domain = domain or (mesh.node_x[-1], mesh.node_y[-1])
     modes = enumerate_exact(domain, count=8)[draw(st.integers(0, 7))].modes
     m, n = modes[draw(st.integers(0, len(modes) - 1))]
-    return FieldSample(m, n, domain)
+    return Field(m, n, domain)
 
 
 def _oracle_norm(field, exact, order):
@@ -153,7 +151,7 @@ def test_error_norms_against_per_cell_oracle(mesh, data):
                             for n in (n1, n2, n1 + 1, n2 + 1))
     c = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
     pair = factor_pair(c * v, w / c, c * flux_x, flux_y / c)
-    norms = postprocessing_norms(mesh, pair, exact)
+    norms = kernel_norms(postprocessing_norms, mesh, pair_factors(pair), exact)
     for kind in ("sigma", "u"):
         for order, norm in ((0, "l2"), (1, "h1")):
             got = norms[f"{kind}_{norm}"]
@@ -178,9 +176,10 @@ def test_solved_pair_norms_against_per_cell_oracle(mesh):
     Its errors are near 1e-4 to 1e-3, so a bound relative to them would
     ask for what neither path resolves."""
     system = assemble_mixed(mesh)
-    fld = FieldSample(1, 1, (mesh.node_x[-1], mesh.node_y[-1]))
-    (pair,) = solve_mixed_eigs(system, SolveOptions(k=1))
-    norms = postprocessing_norms(mesh, pair, fld)
+    fld = Field(1, 1, (mesh.node_x[-1], mesh.node_y[-1]))
+    pairs = solve_mixed_eigs(system, SolveOptions(k=1))
+    norms = kernel_norms(postprocessing_norms, mesh, pairs.columns(0, 0), fld)
+    (pair,) = pairs
     for kind in ("sigma", "u"):
         for order, norm in ((0, "l2"), (1, "h1")):
             power = order + (kind == "sigma")
@@ -247,13 +246,20 @@ def _oracle_expansion_term(mesh, exact):
     return total / 12.0
 
 
+def _terms(mesh, domain, modes):
+    """The h^2 expansion term of each label (m, n), x.sums[m - 1] +
+    y.sums[n - 1] of the domain's mode_tables up to the largest labels."""
+    x, y = mode_tables(mesh, domain, *map(max, zip(*modes)))
+    return np.array([x.sums[m - 1] + y.sums[n - 1] for m, n in modes])
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(mesh=_meshes(even=False), data=st.data())
 def test_expansion_term_against_per_cell_quadrature(mesh, data):
-    """expansion_term against per-cell quadrature to 1e-12 relative, on
-    odd and even meshes.  Half of the fields live on the mesh's domain
-    scaled up by 1.25 to 2, which does not fit the mesh: expansion_term
-    refuses them."""
+    """The tables' expansion term against per-cell quadrature to 1e-12
+    relative, on odd and even meshes.  Half of the fields live on the
+    mesh's domain scaled up by 1.25 to 2, which does not fit the mesh:
+    mode_tables refuses them."""
     domain = None
     if data.draw(st.booleans(), label="larger domain"):
         scale = data.draw(st.floats(1.25, 2.0), label="scale")
@@ -261,9 +267,9 @@ def test_expansion_term_against_per_cell_quadrature(mesh, data):
     exact = data.draw(_fields(mesh, domain), label="field")
     if domain:
         with pytest.raises(LayoutMismatch):
-            expansion_term(mesh, [exact])
+            _terms(mesh, exact.domain, [(exact.m, exact.n)])
         return
-    got = expansion_term(mesh, [exact])[0]
+    (got,) = _terms(mesh, exact.domain, [(exact.m, exact.n)])
     want = _oracle_expansion_term(mesh, exact)
     assert abs(got - want) <= 1e-12 * want
 
@@ -271,11 +277,11 @@ def test_expansion_term_against_per_cell_quadrature(mesh, data):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(mesh=_meshes(even=False), data=st.data())
 def test_expansion_term_bitwise_against_per_mode_oracle(mesh, data):
-    """expansion_term over a list of 12 to 30 labels (repeats allowed) on
-    a random rectangle gives each field the bits of a one-field call and
-    the 2-D strip integrals of the per-mode oracle to roundoff; half of
-    the lists live on the mesh's domain scaled up by 1.25 to 2, which
-    expansion_term refuses.  An empty list gives an empty array."""
+    """The expansion terms of 12 to 30 labels (repeats allowed) from one
+    pair of tables on a random rectangle have each label's bits from
+    tables up to that label alone and the 2-D strip integrals of the
+    per-mode oracle to roundoff; half of the lists live on the mesh's
+    domain scaled up by 1.25 to 2, which mode_tables refuses."""
     domain = (mesh.node_x[-1], mesh.node_y[-1])
     larger = data.draw(st.booleans(), label="larger domain")
     if larger:
@@ -284,31 +290,32 @@ def test_expansion_term_bitwise_against_per_mode_oracle(mesh, data):
     modes = data.draw(st.lists(st.tuples(st.integers(1, 12),
                                          st.integers(1, 12)),
                                min_size=12, max_size=30), label="modes")
-    fields = [FieldSample(m, n, domain) for m, n in modes]
     if larger:
         with pytest.raises(LayoutMismatch):
-            expansion_term(mesh, fields)
+            _terms(mesh, domain, modes)
         return
-    _assert_expansion_term(mesh, fields)
-    assert expansion_term(mesh, []).shape == (0,)
+    _assert_expansion_terms(mesh, domain, modes)
 
 
-def _assert_expansion_term(mesh, fields):
-    """expansion_term of a list of fields: each field's bits those of a
-    one-field call, whatever the other fields, and each value within
-    1e-14 relative of the 2-D strip integrals of the per-mode oracle."""
-    got = expansion_term(mesh, fields)
-    alone = np.array([expansion_term(mesh, [f])[0] for f in fields])
-    want = np.array([expansion_term_per_mode(mesh, f) for f in fields])
+def _assert_expansion_terms(mesh, domain, modes):
+    """The expansion terms of a list of labels from one pair of tables:
+    each label's bits those of tables up to that label alone, whatever the
+    other labels, and each value within 1e-14 relative of the 2-D strip
+    integrals of the per-mode oracle."""
+    got = _terms(mesh, domain, modes)
+    alone = np.array([_terms(mesh, domain, [mode])[0] for mode in modes])
+    want = np.array([expansion_term_per_mode(mesh, Field(*mode, domain))
+                     for mode in modes])
     assert got.shape == want.shape
     assert got.tobytes() == alone.tobytes()
     assert np.all(np.abs(got - want) <= 1e-14 * want)
 
 
-def _supercloseness_gaps(mesh, pair, fld):
-    """|1-D - 2-D| of the three supercloseness norms, and the 2-D norms."""
-    got = supercloseness_norms(mesh, pair, fld)
-    want = supercloseness_norms_2d(assembled(mesh), pair,
+def _supercloseness_gaps(mesh, factors, fld):
+    """|1-D - 2-D| of the three supercloseness norms of four 1-D factors,
+    and the 2-D norms."""
+    got = kernel_norms(supercloseness_norms, mesh, factors, fld)
+    want = supercloseness_norms_2d(assembled(mesh), factor_pair(*factors),
                                    rt_interpolate_exact(mesh, fld),
                                    l2_project_exact(mesh, fld))
     names = ("norm_sigma", "norm_div", "norm_u")
@@ -316,13 +323,13 @@ def _supercloseness_gaps(mesh, pair, fld):
             np.array([want[n] for n in names]))
 
 
-def _assert_supercloseness(mesh, pair, fld):
+def _assert_supercloseness(mesh, factors, fld):
     """supercloseness_norms against the 2-D oracle: each norm to 1e-14
     times the exact field's norm of its order, sqrt(lambda) for sigma,
     lambda for its divergence and 1 for u.  Expanding the divergence into
     four rank-one terms, unbalanced, misses this bound on every preset
     from level 1 on (1.4e-14 to 5.5e-14 lambda there)."""
-    gaps, _ = _supercloseness_gaps(mesh, pair, fld)
+    gaps, _ = _supercloseness_gaps(mesh, factors, fld)
     assert np.all(gaps <= 1e-14 * np.array([np.sqrt(fld.value), fld.value, 1]))
 
 
@@ -347,8 +354,9 @@ def test_supercloseness_norms_against_2d_oracle_on_fixed_meshes(mesh, t):
     (1, 1) for t > 0."""
     pair = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=t + 1))[t]
     assert (pair.mode == (1, 1)) == (t == 0)
-    fld = FieldSample(*pair.mode, (mesh.node_x[-1], mesh.node_y[-1]))
-    _assert_supercloseness(mesh, sign_matched(mesh, pair, fld), fld)
+    fld = Field(*pair.mode, (mesh.node_x[-1], mesh.node_y[-1]))
+    _assert_supercloseness(mesh, pair_factors(sign_matched(mesh, pair, fld)),
+                           fld)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -361,14 +369,15 @@ def test_supercloseness_norms_against_2d_oracle(mesh, data):
     relative to the oracle's norms, which are O(1) or larger there."""
     k = min(8, mesh.n_cells)
     pairs = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=k))
-    pair = pairs[data.draw(st.integers(0, k - 1), label="pair")]
+    t = data.draw(st.integers(0, k - 1), label="pair")
+    factors = pairs.columns(pairs.ii[t], pairs.jj[t])
     domain = (mesh.node_x[-1], mesh.node_y[-1])
     fld = data.draw(_fields(mesh), label="field")
-    _assert_supercloseness(mesh, pair, FieldSample(*pair.mode, domain))
-    _assert_supercloseness(mesh, pair, fld)
+    _assert_supercloseness(mesh, factors, Field(*pairs.modes[t], domain))
+    _assert_supercloseness(mesh, factors, fld)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    noise = factor_pair(*(rng.standard_normal(n) for n in (
-        mesh.n1, mesh.n2, mesh.n1 + 1, mesh.n2 + 1)))
+    noise = tuple(rng.standard_normal(n) for n in (
+        mesh.n1, mesh.n2, mesh.n1 + 1, mesh.n2 + 1))
     gaps, want = _supercloseness_gaps(mesh, noise, fld)
     assert np.all(gaps <= 1e-14 * want)
 
@@ -378,18 +387,21 @@ def _bits(norms):
     return list(norms), np.array(list(norms.values())).tobytes()
 
 
-def _assert_bitwise(mesh, pair, fields):
-    """supercloseness_norms and postprocessing_norms of the pair against
-    each field have the bits of the per-term oracles, postprocessing only
-    on even meshes; expansion_term of the fields as
-    _assert_expansion_term."""
-    for fld in fields:
-        assert _bits(supercloseness_norms(mesh, pair, fld)) == _bits(
+def _assert_bitwise(mesh, factors, domain, modes):
+    """supercloseness_norms and postprocessing_norms of four 1-D factors
+    against each label's field have the bits of the per-term oracles,
+    postprocessing only on even meshes; the expansion terms of the labels
+    as _assert_expansion_terms."""
+    pair = factor_pair(*factors)
+    for fld in (Field(*mode, domain) for mode in modes):
+        assert _bits(kernel_norms(supercloseness_norms, mesh, factors,
+                                  fld)) == _bits(
             supercloseness_norms_per_term(mesh, pair, fld))
         if mesh.n1 % 2 == 0 and mesh.n2 % 2 == 0:
-            assert _bits(postprocessing_norms(mesh, pair, fld)) == _bits(
+            assert _bits(kernel_norms(postprocessing_norms, mesh, factors,
+                                      fld)) == _bits(
                 postprocessing_norms_per_term(mesh, pair, fld))
-    _assert_expansion_term(mesh, fields)
+    _assert_expansion_terms(mesh, domain, modes)
 
 
 @st.composite
@@ -417,17 +429,17 @@ def test_stacked_norms_bitwise_against_per_term_oracle(mesh, data):
     modes = data.draw(st.lists(st.tuples(st.integers(1, 20),
                                          st.integers(1, 20)),
                                min_size=1, max_size=4), label="modes")
-    fields = [FieldSample(m, n, domain) for m, n in modes]
-    (pair,) = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=1))
+    pairs = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=1))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    noise = factor_pair(*(rng.standard_normal(n) for n in (
-        mesh.n1, mesh.n2, mesh.n1 + 1, mesh.n2 + 1)))
-    zero = factor_pair(*(np.zeros(n) for n in (
-        mesh.n1, mesh.n2, mesh.n1 + 1, mesh.n2 + 1)))
-    for p in (pair, noise):
-        _assert_bitwise(mesh, p, fields)
-    assert _bits(postprocessing_norms(mesh, zero, fields[0])) == _bits(
-        postprocessing_norms_per_term(mesh, zero, fields[0]))
+    noise = tuple(rng.standard_normal(n) for n in (
+        mesh.n1, mesh.n2, mesh.n1 + 1, mesh.n2 + 1))
+    zero = tuple(np.zeros(n) for n in (
+        mesh.n1, mesh.n2, mesh.n1 + 1, mesh.n2 + 1))
+    for factors in (pairs.columns(0, 0), noise):
+        _assert_bitwise(mesh, factors, domain, modes)
+    fld = Field(*modes[0], domain)
+    assert _bits(kernel_norms(postprocessing_norms, mesh, zero, fld)) == _bits(
+        postprocessing_norms_per_term(mesh, factor_pair(*zero), fld))
 
 
 @pytest.mark.parametrize("case", "abc")
@@ -435,14 +447,13 @@ def test_stacked_norms_bitwise_on_presets(case):
     """Levels 0-5 of each preset: the first pair against each pair's
     labelled mode, (1, 1) first as the sweep measures it, bit for bit
     against the per-term oracles, and the expansion terms of all the
-    labels as _assert_expansion_term."""
+    labels as _assert_expansion_terms."""
     k = case_preset(case).k
     for level in range(6):
         mesh = _preset_level(case, level)
         pairs = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=k))
         domain = (mesh.node_x[-1], mesh.node_y[-1])
-        _assert_bitwise(mesh, pairs[0],
-                        [FieldSample(*p.mode, domain) for p in pairs])
+        _assert_bitwise(mesh, pairs.columns(0, 0), domain, pairs.modes)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -452,12 +463,12 @@ def test_level_tables_against_per_pair_forms(mesh, data):
     read as the sweep reads them, label (m, n) at rows m - 1 and n - 1,
     with every solved pair's factors as views of its Spectrum columns, on
     random odd and even meshes: for each pair's own label and for a label
-    drawn from the whole table, e2 and the eigenvalue have the bits of
-    expansion_term and FieldSample.value, and the supercloseness and
-    (even meshes) postprocessing norms the bits of supercloseness_norms
-    and postprocessing_norms of the built pair and of the per-term
-    oracles; the supercloseness norms of one drawn pair meet the 2-D
-    oracle (_assert_supercloseness).  Most labels are not (1, 1)."""
+    drawn from the whole table, e2 has the bits of tables up to that label
+    alone and the eigenvalue those of the oracle's m^2 (pi/a)^2 + n^2
+    (pi/b)^2, and the supercloseness and (even meshes) postprocessing
+    norms the bits of the per-term oracles on the built pair; the
+    supercloseness norms of one drawn pair meet the 2-D oracle
+    (_assert_supercloseness).  Most labels are not (1, 1)."""
     k = min(8, mesh.n_cells)
     pairs = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=k))
     domain = (mesh.node_x[-1], mesh.node_y[-1])
@@ -471,22 +482,20 @@ def test_level_tables_against_per_pair_forms(mesh, data):
     for t, pair in enumerate(pairs):
         factors = pairs.columns(pairs.ii[t], pairs.jj[t])
         for m, n in {pair.mode, drawn[t]}:
-            fld = FieldSample(m, n, domain)
-            assert (ex[m - 1] + ey[n - 1]).tobytes() == expansion_term(
-                mesh, [fld]).tobytes()
+            fld = Field(m, n, domain)
+            assert (ex[m - 1] + ey[n - 1]).tobytes() == _terms(
+                mesh, domain, [(m, n)]).tobytes()
             assert (vx[m - 1] + vy[n - 1]) == fld.value
-            got = _supercloseness_norms(mesh, factors, tables, (m, n))
-            assert _bits(got) == _bits(supercloseness_norms(mesh, pair, fld))
+            got = supercloseness_norms(mesh, factors, tables, (m, n))
             assert _bits(got) == _bits(
                 supercloseness_norms_per_term(mesh, pair, fld))
             if even:
-                got = _postprocessing_norms(mesh, factors, tables, (m, n))
-                assert _bits(got) == _bits(
-                    postprocessing_norms(mesh, pair, fld))
+                got = postprocessing_norms(mesh, factors, tables, (m, n))
                 assert _bits(got) == _bits(
                     postprocessing_norms_per_term(mesh, pair, fld))
     t = data.draw(st.integers(0, k - 1), label="oracle pair")
-    _assert_supercloseness(mesh, pairs[t], FieldSample(*drawn[t], domain))
+    _assert_supercloseness(mesh, pairs.columns(pairs.ii[t], pairs.jj[t]),
+                           Field(*drawn[t], domain))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

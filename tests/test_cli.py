@@ -970,13 +970,10 @@ def test_sides_at_the_range_ends_keep_the_scaling(tmp_path, capsys):
 
 def test_one_expansion_call_per_analysis_per_level(monkeypatch):
     """On preset a the residuals and the frequency matches read the
-    expansion sums of one pair of exact tables per level, and make no
-    expansion_term call; a label's residual e2 and its predicted shift
-    have the same bits."""
-    from rrteig.analysis import expansion_term
+    expansion sums of one pair of exact tables per level; a label's
+    residual e2 and its predicted shift have the same bits."""
     from rrteig.exact import mode_tables
 
-    calls = _count_calls(monkeypatch, expansion_term)
     tables = _count_calls(monkeypatch, mode_tables)
     report = run_case(dataclasses.replace(case_preset("a"), levels=2))
     assert "failures" not in report.config
@@ -989,38 +986,38 @@ def test_one_expansion_call_per_analysis_per_level(monkeypatch):
         e2 = [lv["residuals"][str(t + 1)]["e2"] for t in rows]
         shifts = [m["predicted_shift"] for m in matches]
         assert np.array(e2).tobytes() == np.array(shifts).tobytes()
-    assert (len(calls), len(tables)) == (0, 3)
+    assert len(tables) == 3
 
 
 def test_report_path_builds_no_field_per_pair(monkeypatch):
     """A sweep of preset a at levels = 2 reads each label's exact values
-    from the level's tables: the only FieldSamples built are the two
-    domain checks of enumerate_exact (the sweep's k values and the
-    frequency matches' eigenspaces), no pair is built, expansion_term is
-    never called, and one pair of tables is built per level."""
-    from rrteig.analysis import expansion_term
+    from the level's tables: no pair is built, one pair of tables is built
+    per level, and the supercloseness and postprocessing norms are called
+    once per level, on the first pair's Spectrum columns, those tables
+    and the label (1, 1)."""
     from rrteig.eigensolve import Spectrum
-    from rrteig.exact import FieldSample, mode_tables
+    from rrteig.exact import mode_tables
+    from rrteig.postprocess import postprocessing_norms, supercloseness_norms
 
-    counts = {"field": 0, "pair": 0}
+    built = []
 
-    def counting(key, method):
-        def counted(self, *args):
-            counts[key] += 1
-            return method(self, *args)
-        return counted
+    def counted(self, *args):
+        built.append(args)
+        return getitem(self, *args)
 
-    monkeypatch.setattr(FieldSample, "__post_init__",
-                        counting("field", FieldSample.__post_init__))
-    monkeypatch.setattr(Spectrum, "__getitem__",
-                        counting("pair", Spectrum.__getitem__))
-    terms = _count_calls(monkeypatch, expansion_term)
+    getitem = Spectrum.__getitem__
+    monkeypatch.setattr(Spectrum, "__getitem__", counted)
     tables = _count_calls(monkeypatch, mode_tables)
+    norms = [_count_calls(monkeypatch, kernel) for kernel in (
+        supercloseness_norms, postprocessing_norms)]
     report = run_case(dataclasses.replace(case_preset("a"), levels=2))
     assert "failures" not in report.config
     assert all(lv["frequency_matches"] for lv in report.levels)
-    assert counts == {"field": 2, "pair": 0}
-    assert (len(terms), len(tables)) == (0, 3)
+    assert built == [] and len(tables) == 3
+    for calls in norms:
+        assert [mode for *_, mode in calls] == [(1, 1)] * 3
+        for (mesh, factors, _, _), n in zip(calls, (8, 16, 32)):
+            assert mesh.n1 == n and all(f.base is not None for f in factors)
 
 
 def test_failed_exact_tables_fail_each_reader_alone(monkeypatch):

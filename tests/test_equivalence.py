@@ -22,10 +22,11 @@ from rrteig.eigensolve import (MixedEigenpair, SolveOptions, Spectrum,
                                solve_mixed_eigs)
 from rrteig.equivalence import _lift_1d, verify_equivalence
 from rrteig.errors import DimensionMismatch, KTooLarge, LayoutMismatch
-from rrteig.exact import FieldSample, enumerate_exact
+from rrteig.exact import enumerate_exact
 from rrteig.mesh import build_mesh, uniform_mesh, uniform_refine
 
 from oracles import (
+    Field,
     _CLUSTER_REL_TOL,
     _S,
     PeqSolution,
@@ -116,7 +117,7 @@ def test_spectral_identity(mesh_a0):
 def test_poisson_flux_identity(mesh_a0):
     """Source problem with f = Pi0 u_{1,1}: the mixed flux equals the
     negative broken gradient of the enriched solution to 1e-10."""
-    fld = FieldSample(1, 1)
+    fld = Field(1, 1)
     f_means = l2_project_exact(mesh_a0, fld)
     areas = np.repeat(mesh_a0.hy, mesh_a0.n1) * np.tile(mesh_a0.hx, mesh_a0.n2)
 

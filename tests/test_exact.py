@@ -1,5 +1,6 @@
 """Exact eigenpairs: enumeration, PDE identity, analytic integrals
-against Gauss quadrature, and discrete images."""
+against Gauss quadrature, discrete images, and the refusal of a label
+outside a mode table or of a domain that is not a rectangle."""
 
 from functools import partial
 
@@ -7,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rrteig.exact import FieldSample, _cos_sq_integrals, enumerate_exact
+from rrteig.exact import _cos_sq_integrals, enumerate_exact, mode_tables
 from rrteig.errors import InvalidConfig
+from rrteig.mesh import uniform_mesh
 
 from oracles import (
+    Field,
     assembled,
     cell_integral_u,
     enumerate_exact_search,
@@ -104,7 +107,7 @@ def test_enumeration_refuses_a_count_below_one():
 
 def test_eigenfunction_pde_identity():
     """-(u_xx + u_yy) = lambda u pointwise, and Dirichlet boundary zero."""
-    fld = FieldSample(2, 3)
+    fld = Field(2, 3)
     rng = np.random.default_rng(0)
     x = rng.uniform(0, PI, 50)
     y = rng.uniform(0, PI, 50)
@@ -122,7 +125,7 @@ def test_eigenfunction_pde_identity():
 
 def test_unit_l2_norm():
     for m, n in ((1, 1), (2, 3)):
-        fld = FieldSample(m, n)
+        fld = Field(m, n)
         nrm2 = _quad2d(lambda x, y: exact_derivative(fld, x, y) ** 2,
                        0, PI, 0, PI)
         assert nrm2 == pytest.approx(1.0, rel=1e-12)
@@ -137,7 +140,7 @@ def test_analytic_integrals_vs_quadrature():
     cell = (0.3, 1.1, 0.4, 0.9)
     nx, ny = (0.3, 0.7, 1.1), (0.4, 0.9)
     for m, n in enumerate_exact((PI, PI), count=2)[1].modes:
-        fld = FieldSample(m, n)
+        fld = Field(m, n)
         assert cell_integral_u(fld, *cell) == pytest.approx(
             _quad2d(partial(exact_derivative, fld), *cell), rel=1e-12
         )
@@ -151,44 +154,72 @@ def test_analytic_integrals_vs_quadrature():
 
 def test_derivative_order_out_of_range_raises():
     """Orders above 2 or below 0 raise instead of cycling back to u_xx."""
-    fld = FieldSample(1, 2)
+    fld = Field(1, 2)
     for dx, dy in ((3, 0), (0, 3), (-1, 0)):
         with pytest.raises(ValueError):
             exact_derivative(fld, 0.3, 0.4, dx, dy)
 
 
+def _tables():
+    """The exact tables of modes 1..3 each way on a uniform 4^2 mesh of
+    [0, pi]^2."""
+    return mode_tables(uniform_mesh(0.0, PI, 4, 0.0, PI, 4), (PI, PI), 3, 3)
+
+
 def test_mode_below_one_raises():
-    """Mode (0, n) is identically zero and cannot be unit norm."""
-    for m, n in ((0, 1), (1, 0), (-1, 2)):
-        with pytest.raises(ValueError):
-            FieldSample(m, n)
+    """Mode 0 is identically zero and mode -1 no mode: a ModeTable's
+    factors refuse both with InvalidConfig, a ValueError, where m - 1 < 0
+    read the last rows (factors(pts, 0) gave mode 3), and so does a mode
+    beyond the table's rows."""
+    pts = np.linspace(0.0, PI, 7)
+    for table in _tables():
+        for m in (0, -1, 4):
+            with pytest.raises(ValueError, match="no integer in 1..3"):
+                table.factors(pts, m)
+        assert table.factors(pts, 3).shape == (3, 7)
 
 
 @pytest.mark.parametrize("m, n", [(1.5, 1), (1, 2.0), (True, 1), (1, None)])
 def test_mode_that_is_not_an_integer_raises(m, n):
     """A wave number that is no integer (or a bool) is no mode of the
-    domain: sin^2 across it would not integrate to half the side."""
-    with pytest.raises(InvalidConfig, match="needs integers m, n >= 1"):
-        FieldSample(m, n)
+    domain: sin^2 across it would not integrate to half the side.  The
+    tables' factors refuse it with InvalidConfig."""
+    pts = np.linspace(0.0, PI, 7)
+    for table, q in zip(_tables(), (m, n)):
+        if type(q) is not int:
+            with pytest.raises(InvalidConfig, match="no integer in 1..3"):
+                table.factors(pts, q)
 
 
-@pytest.mark.parametrize("domain", [
-    (0.0, 3.0), (3.0, 0.0), (np.inf, 3.0), (-1.0, 3.0), (np.nan, 1.0),
-    (1.0,), (1.0, 2.0, 3.0), ("a", "b"), (True, 1.0), [1.0, 2.0]])
+_MALFORMED = [(0.0, 3.0), (3.0, 0.0), (np.inf, 3.0), (-1.0, 3.0),
+              (np.nan, 1.0), (1.0,), (1.0, 2.0, 3.0), ("a", "b"),
+              (True, 1.0), [1.0, 2.0]]
+
+
+@pytest.mark.parametrize("domain", _MALFORMED)
 def test_domain_that_is_not_a_rectangle_raises(domain):
-    """A side that is zero, negative, infinite or NaN is refused, by the
-    field and by the enumeration alike, instead of a ZeroDivisionError,
-    an amplitude of 0 with NaN terms, or an empty spectrum; and so is a
-    domain that is not a tuple of two real numbers, instead of a later
-    unpacking error, or a TypeError when the analyses hash it."""
-    with pytest.raises(InvalidConfig, match="not finite > 0"):
-        FieldSample(1, 1, domain)
+    """A side that is zero, negative, infinite or NaN is refused by the
+    enumeration, instead of a ZeroDivisionError or an empty spectrum; and
+    so is a domain that is not a tuple of two real numbers, instead of a
+    later unpacking error, or a TypeError when an ExactEigenpair holding
+    it is hashed."""
     with pytest.raises(InvalidConfig, match="not finite > 0"):
         enumerate_exact(domain, 2)
 
 
+@pytest.mark.parametrize("domain", [(PI, PI, 1.0), (PI,), *_MALFORMED])
+def test_mode_tables_refuse_a_domain_that_is_not_a_rectangle(domain):
+    """mode_tables refuses a malformed domain with InvalidConfig, an
+    RRTError, as enumerate_exact does, where three sides or one raised a
+    bare ValueError on unpacking, ("a", "b") a TypeError, and a zero side
+    LayoutMismatch."""
+    mesh = uniform_mesh(0.0, PI, 4, 0.0, PI, 4)
+    with pytest.raises(InvalidConfig, match="not finite > 0"):
+        mode_tables(mesh, domain, 2, 2)
+
+
 def test_mean_flux_vs_quadrature():
-    fld = FieldSample(2, 1)
+    fld = Field(2, 1)
     t, w = (_GX + 1) / 2, _GW / 2
     y0, y1, xi = 0.4, 0.9, 1.3
     want = np.sum(w * -exact_derivative(fld, xi, y0 + (y1 - y0) * t, 1, 0))
@@ -202,7 +233,7 @@ def test_commuting_interpolation_identity(mesh_a0):
     """B sigma_I equals the exact cell integrals of div sigma = lambda u."""
     system = assembled(mesh_a0)
     for m, n in ((1, 1), (2, 1)):
-        fld = FieldSample(m, n)
+        fld = Field(m, n)
         sigma_i = rt_interpolate_exact(mesh_a0, fld)
         got = system.B @ sigma_i
         want = np.empty(mesh_a0.n_cells)
@@ -216,7 +247,7 @@ def test_commuting_interpolation_identity(mesh_a0):
 
 
 def test_l2_projection_means(mesh_c0):
-    fld = FieldSample(1, 2)
+    fld = Field(1, 2)
     proj = l2_project_exact(mesh_c0, fld)
     nx, ny = mesh_c0.node_x, mesh_c0.node_y
     i, j = 2, 1

@@ -1,8 +1,8 @@
 """The h^2 expansion captures the eigenvalue error to O(h^4), cluster
 members included: on random tensor meshes, direction-wise uniform or
-with random cell widths, the residual r = (lambda_h - lambda) -
-expansion_term(mesh, u_{m,n}) of every labelled pair decays at rate 4
-under refinement.
+with random cell widths, the residual r = (lambda_h - lambda) - e2 of
+every labelled pair, e2 = x.sums[m - 1] + y.sums[n - 1] of the mesh's
+exact mode tables, decays at rate 4 under refinement.
 
 Half of the meshes are square with the same nodes in x and y, so every
 eigenvalue with m != n is a discrete cluster of two pairs, each labelled
@@ -17,11 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rrteig.analysis import expansion_term
 from rrteig.assembly import assemble_mixed
 from rrteig.cli import case_preset, run_case
 from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
-from rrteig.exact import FieldSample, enumerate_exact
+from rrteig.exact import enumerate_exact, mode_tables
 from rrteig.mesh import build_mesh, uniform_refine
 
 # the coarse level resolves every tested mode to k h <= _KH
@@ -64,10 +63,11 @@ def _residuals(mesh, domain, k):
     """{mode: r} of the first k + _EXTRA pairs on ``mesh``, and the
     labels of the first k."""
     pairs = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=k + _EXTRA))
-    fields = [FieldSample(*p.mode, domain) for p in pairs]
-    r = {p.mode: (p.lambda_h - fld.value) - e2 for p, fld, e2
-         in zip(pairs, fields, expansion_term(mesh, fields))}
-    return r, [p.mode for p in pairs[:k]]
+    x, y = mode_tables(mesh, domain, *map(max, zip(*pairs.modes)))
+    r = {(m, n): (lam - (x.values[m - 1] + y.values[n - 1]))
+         - (x.sums[m - 1] + y.sums[n - 1])
+         for lam, (m, n) in zip(pairs.lambdas.tolist(), pairs.modes)}
+    return r, list(pairs.modes[:k])
 
 
 def _kh(mesh, domain, mode):

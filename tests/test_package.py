@@ -26,11 +26,20 @@ def test_namespace_exports_library_names_only():
     postprocessing_norms replaced, nor the supercloseness result type,
     whose three norms are a dict, the level's report entry, nor the 2-D
     DOF numbering, which only the oracles read: the system's layout
-    holds the cell counts alone."""
+    holds the cell counts alone.  The per-pair forms of the analyses are
+    gone: the exact field record, the expansion term of a field list and
+    the frequency matching of a pair list; the two norms, the tables'
+    sums and the sweep's frequency records are their one form."""
     for name in ("uniform_mesh", "assemble_mixed", "solve_mixed_eigs",
-                 "SolveOptions", "enumerate_exact", "expansion_term",
-                 "FieldSample", "verify_equivalence"):
+                 "SolveOptions", "enumerate_exact", "mode_tables",
+                 "supercloseness_norms", "postprocessing_norms",
+                 "verify_equivalence"):
         assert hasattr(rrteig, name), name
+    for name, module in (("FieldSample", rrteig.exact),
+                         ("expansion_term", rrteig.analysis),
+                         ("match_frequencies", rrteig.analysis)):
+        assert not hasattr(rrteig, name), name
+        assert not hasattr(module, name), name
     for name in ("dense_oracle_eigs", "solve_peq_poisson",
                  "OracleCapExceeded", "solve_peq_eigs", "PeqSolution",
                  "assemble_peq", "PeqSystem", "peq_cell_gradient",

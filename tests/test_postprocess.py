@@ -1,7 +1,8 @@
 """Postprocessing: polynomial reproduction, of the per-cell oracle and of
-the library's 1-D interpolant, locality, boundedness, input checks;
-supercloseness norm plumbing; the refusal of an exact field whose domain
-is not the mesh's."""
+the library's 1-D interpolant, locality, boundedness, input checks of the
+two norms (factor lengths, all-zero factors, odd meshes, labels outside
+the exact tables, tables of other nodes); supercloseness norm plumbing;
+the refusal of an exact domain that is not the mesh's."""
 
 import dataclasses
 
@@ -9,12 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rrteig.analysis import expansion_term
 from rrteig.assembly import assemble_mixed
 from rrteig.eigensolve import SolveOptions, solve_mixed_eigs
-from rrteig.errors import (DegenerateFactor, LayoutMismatch,
+from rrteig.errors import (DegenerateFactor, InvalidConfig, LayoutMismatch,
                            OddMeshDimensions, RRTError)
-from rrteig.exact import FieldSample
+from rrteig.exact import mode_tables
 from rrteig.mesh import build_mesh, uniform_mesh
 from rrteig.postprocess import (
     _gauss_table,
@@ -24,15 +24,20 @@ from rrteig.postprocess import (
 )
 
 from oracles import (
+    Field,
     eval_cell,
     factor_pair,
+    kernel_norms,
     l2_project_exact,
+    pair_factors,
     reconstruction,
     rt_interpolate_exact,
     sigma_coeffs,
     supercloseness_norms_2d,
     u_coeffs,
 )
+
+_KERNELS = (supercloseness_norms, postprocessing_norms)
 
 PI = np.pi
 
@@ -190,22 +195,23 @@ def test_boundedness():
 
 def test_odd_mesh_rejected():
     mesh = uniform_mesh(0.0, 1.0, 3, 0.0, 1.0, 4)
-    pair = factor_pair(np.zeros(3), np.zeros(4), np.zeros(4), np.zeros(5))
+    zeros = tuple(np.zeros(n) for n in (3, 4, 4, 5))
     with pytest.raises(OddMeshDimensions):
-        postprocessing_norms(mesh, pair, FieldSample(1, 1))
+        kernel_norms(postprocessing_norms, mesh, zeros, Field(1, 1, (1, 1)))
 
 
 def test_length_mismatch():
-    """Each factor the reconstructions read must fit the mesh: v n1, w n2,
+    """Each factor the two norms read must fit the mesh: v n1, w n2,
     flux_x n1 + 1 and flux_y n2 + 1 values."""
     mesh = uniform_mesh(0.0, 1.0, 4, 0.0, 1.0, 4)
-    fld = FieldSample(1, 1, (1.0, 1.0))
-    fits = factor_pair(np.zeros(4), np.zeros(4), np.zeros(5), np.zeros(5))
-    postprocessing_norms(mesh, fits, fld)
-    for name in ("v", "w", "flux_x", "flux_y"):
-        short = dataclasses.replace(fits, **{name: np.zeros(3)})
-        with pytest.raises(LayoutMismatch):
-            postprocessing_norms(mesh, short, fld)
+    fld = Field(1, 1, (1.0, 1.0))
+    fits = tuple(np.ones(n) for n in (4, 4, 5, 5))
+    for kernel in _KERNELS:
+        kernel_norms(kernel, mesh, fits, fld)
+        for t in range(4):
+            short = fits[:t] + (np.ones(3),) + fits[t + 1:]
+            with pytest.raises(LayoutMismatch):
+                kernel_norms(kernel, mesh, short, fld)
 
 
 def test_supercloseness_refuses_an_all_zero_factor():
@@ -215,14 +221,45 @@ def test_supercloseness_refuses_an_all_zero_factor():
     norm_div (or raised numpy's RuntimeWarning); postprocessing_norms,
     which divides by no factor norm, still measures such a pair."""
     mesh = uniform_mesh(0.0, 1.0, 4, 0.0, 1.0, 4)
-    fld = FieldSample(1, 1, (1.0, 1.0))
-    ones = factor_pair(np.ones(4), np.ones(4), np.ones(5), np.ones(5))
-    for name in ("v", "w"):
-        zero = dataclasses.replace(ones, **{name: np.zeros(4)})
-        with pytest.raises(DegenerateFactor, match=f"{name} factor 0 is"):
-            supercloseness_norms(mesh, zero, fld)
-        assert all(np.isfinite(list(
-            postprocessing_norms(mesh, zero, fld).values())))
+    fld = Field(1, 1, (1.0, 1.0))
+    ones = tuple(np.ones(n) for n in (4, 4, 5, 5))
+    for t, name in enumerate("vw"):
+        zero = ones[:t] + (np.zeros(4),) + ones[t + 1:]
+        with pytest.raises(DegenerateFactor, match=f"the {name} factor is"):
+            kernel_norms(supercloseness_norms, mesh, zero, fld)
+        assert all(np.isfinite(list(kernel_norms(
+            postprocessing_norms, mesh, zero, fld).values())))
+
+
+@pytest.mark.parametrize("mode", [(0, 1), (1, 0), (-1, 1), (1, -3), (4, 1),
+                                  (1, 4), (1.0, 1), (1, True), (None, 1)])
+def test_label_outside_the_tables_refused(mode):
+    """On tables of modes 1..3 each way, a label (m, n) whose m or n is no
+    integer in 1..3 raises InvalidConfig in both norms, where m - 1 < 0
+    read the last rows: (0, 1) gave the bits of (3, 1).  A numpy integer
+    label is read as its int."""
+    mesh = uniform_mesh(0.0, PI, 4, 0.0, PI, 4)
+    pairs = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=1))
+    tables = mode_tables(mesh, (PI, PI), 3, 3)
+    for kernel in _KERNELS:
+        with pytest.raises(InvalidConfig, match="no integer in 1..3"):
+            kernel(mesh, pairs.columns(0, 0), tables, mode)
+        assert kernel(mesh, pairs.columns(0, 0), tables,
+                      (np.int64(3), np.int32(2))) == kernel(
+            mesh, pairs.columns(0, 0), tables, (3, 2))
+
+
+def test_tables_of_other_nodes_refused():
+    """Tables built on another mesh's nodes, even of the same domain and
+    cell counts, raise LayoutMismatch in both norms."""
+    mesh = uniform_mesh(0.0, PI, 4, 0.0, PI, 4)
+    other = build_mesh([0.0, 0.5, 1.5, 2.5, PI], mesh.node_y)
+    pairs = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=1))
+    for tables in (mode_tables(other, (PI, PI), 2, 2),
+                   mode_tables(other, (PI, PI), 2, 2)[::-1]):
+        for kernel in _KERNELS:
+            with pytest.raises(LayoutMismatch, match="not built on"):
+                kernel(mesh, pairs.columns(0, 0), tables, (1, 1))
 
 
 def test_error_norm_exact_field_small():
@@ -232,7 +269,7 @@ def test_error_norm_exact_field_small():
     on the node lines, checked here against the 2-D interpolants of the
     oracles."""
     mesh = uniform_mesh(0.0, PI, 8, 0.0, PI, 8)
-    fld = FieldSample(1, 1)
+    fld = Field(1, 1)
     nx, ny = mesh.node_x, mesh.node_y
     kx, ky, amp = 1.0, 1.0, 2.0 / PI  # mode (1, 1) on [0, pi]^2
     pair = factor_pair(
@@ -244,7 +281,7 @@ def test_error_norm_exact_field_small():
     np.testing.assert_allclose(sigma_coeffs(pair),
                                rt_interpolate_exact(mesh, fld),
                                rtol=0, atol=1e-14)
-    norms = postprocessing_norms(mesh, pair, fld)
+    norms = kernel_norms(postprocessing_norms, mesh, pair_factors(pair), fld)
     # h^2-superconvergent ballpark at h = pi/8
     assert norms["sigma_l2"] < 0.1
     assert norms["u_l2"] < 0.05
@@ -255,19 +292,21 @@ def test_supercloseness_norms_plumbing(system_a0, pairs_a0):
     """The 1-D norms against dense algebra on the 2-D vectors; a factor
     whose length does not fit the mesh raises LayoutMismatch, as does a
     2-D vector of the wrong length in the oracle."""
-    fld = FieldSample(1, 1)
+    fld = Field(1, 1)
     mesh = system_a0.mesh
     sigma_i = rt_interpolate_exact(mesh, fld)
     pi0 = l2_project_exact(mesh, fld)
-    rep = supercloseness_norms(mesh, pairs_a0[0], fld)
+    v, w, flux_x, flux_y = pairs_a0.columns(0, 0)
+    rep = kernel_norms(supercloseness_norms, mesh, (v, w, flux_x, flux_y),
+                       fld)
     d = sigma_i - sigma_coeffs(pairs_a0[0])
     want = float(np.sqrt(d @ (system_a0.A.toarray() @ d)))
     assert set(rep) == {"norm_sigma", "norm_div", "norm_u"}
     assert rep["norm_sigma"] == pytest.approx(want, rel=1e-12)
     assert rep["norm_u"] > 0 and rep["norm_div"] > 0
-    short = dataclasses.replace(pairs_a0[0], flux_x=pairs_a0[0].flux_x[:-1])
     with pytest.raises(LayoutMismatch):
-        supercloseness_norms(mesh, short, fld)
+        kernel_norms(supercloseness_norms, mesh,
+                     (v, w, flux_x[:-1], flux_y), fld)
     with pytest.raises(LayoutMismatch):
         supercloseness_norms_2d(system_a0, pairs_a0[0], sigma_i[:-1], pi0)
 
@@ -282,18 +321,20 @@ _MISFITS = {
 
 @pytest.mark.parametrize("name", sorted(_MISFITS))
 def test_field_on_another_domain_refused(name):
-    """supercloseness_norms, postprocessing_norms and expansion_term refuse
-    the default field of [0, pi]^2 on a mesh of another domain, 2 x 1,
-    shifted to x0 = 5 or 1e-11 too tall, with LayoutMismatch, an RRTError,
-    instead of evaluating it at the wrong coordinates."""
+    """mode_tables refuses the default domain [0, pi]^2 on a mesh of
+    another domain, 2 x 1, shifted to x0 = 5 or 1e-11 too tall, with
+    LayoutMismatch, an RRTError, instead of evaluating the field at the
+    wrong coordinates, so no norm and no expansion sum is taken there; and
+    both norms refuse tables of [0, pi]^2 built on a mesh of that domain
+    and passed with this one."""
     mesh = build_mesh(*_MISFITS[name])
-    (pair,) = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=1))
-    fld = FieldSample(1, 1)
-    for analysis in (supercloseness_norms, postprocessing_norms):
-        with pytest.raises(LayoutMismatch, match="does not fit the mesh"):
-            analysis(mesh, pair, fld)
+    pairs = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=1))
     with pytest.raises(LayoutMismatch, match="does not fit the mesh"):
-        expansion_term(mesh, [fld])
+        mode_tables(mesh, (PI, PI), 1, 1)
+    own = mode_tables(uniform_mesh(0.0, PI, 8, 0.0, PI, 8), (PI, PI), 1, 1)
+    for kernel in _KERNELS:
+        with pytest.raises(LayoutMismatch, match="not built on"):
+            kernel(mesh, pairs.columns(0, 0), own, (1, 1))
     assert issubclass(LayoutMismatch, RRTError)
 
 
@@ -302,9 +343,12 @@ def test_field_on_its_own_domain_measured():
     near 0.013, where the default [0, pi]^2 field read 0.78), and so is a
     field whose domain is 1e-13 relative off the mesh's."""
     mesh = build_mesh(*_MISFITS["2x1"])
-    (pair,) = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=1))
+    pairs = solve_mixed_eigs(assemble_mixed(mesh), SolveOptions(k=1))
     for domain in ((2.0, 1.0), (2.0, 1.0 + 1e-13)):
-        fld = FieldSample(1, 1, domain)
-        assert 0.01 < supercloseness_norms(mesh, pair, fld)["norm_u"] < 0.02
-        assert postprocessing_norms(mesh, pair, fld)["u_l2"] > 0.0
-        assert expansion_term(mesh, [fld])[0] > 0.0
+        x, y = tables = mode_tables(mesh, domain, 1, 1)
+        factors = pairs.columns(0, 0)
+        assert 0.01 < supercloseness_norms(
+            mesh, factors, tables, (1, 1))["norm_u"] < 0.02
+        assert postprocessing_norms(
+            mesh, factors, tables, (1, 1))["u_l2"] > 0.0
+        assert x.sums[0] + y.sums[0] > 0.0
